@@ -1,7 +1,7 @@
 //! Persistent communication schedules vs per-step re-setup: a time-stepped
 //! Jacobi sweep run as (a) one `Plan` built once and stepped N times —
 //! schedules compiled once, every step a pack/send/unpack through pooled
-//! buffers — and (b) N chained one-shot `Runner::run()` calls, each
+//! buffers — and (b) N chained single-step `Planner::run()` calls, each
 //! rebuilding the machine and recompiling the schedules.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

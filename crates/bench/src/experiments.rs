@@ -347,13 +347,13 @@ pub fn ablation(n: usize, engine: Engine) -> Table {
     t
 }
 
-/// Wall-clock and modeled time of `steps` chained one-shot [`Runner`] runs:
-/// every sweep rebuilds the machine, re-allocates temporaries, recompiles
+/// Wall-clock and modeled time of `steps` chained single-step
+/// [`Planner::run`] calls: every sweep rebuilds the machine, re-allocates temporaries, recompiles
 /// the communication schedules, and carries the state arrays forward by
 /// gather + re-init. This is the per-step re-setup baseline the persistent
 /// [`Plan`] API eliminates.
 ///
-/// [`Runner`]: hpf_core::Runner
+/// [`Planner::run`]: hpf_core::Planner::run
 /// [`Plan`]: hpf_core::Plan
 pub fn resetup_sweep(
     kernel: &Kernel,
@@ -419,7 +419,7 @@ fn extent(kernel: &Kernel, name: &str) -> usize {
 }
 
 /// **Persistent schedules**: time-stepped sweeps under per-step re-setup
-/// (chained one-shot `Runner::run` calls) vs a persistent `Plan` whose
+/// (chained single-step `Planner::run` calls) vs a persistent `Plan` whose
 /// communication schedules are compiled once and reused every step, across
 /// PE grids, on heat-equation (Jacobi) and wave-equation kernels.
 pub fn persistent(n: usize, steps: usize, engine: Engine) -> Table {
@@ -1190,7 +1190,7 @@ mod tests {
     fn persistent_plan_beats_per_step_resetup() {
         // The headline acceptance criterion: a >=10-step Jacobi sweep at
         // N=512 on a 2x2 grid — a Plan built once and stepped must beat 10
-        // chained one-shot Runner::run() calls on both wall-clock and
+        // chained single-step Planner::run() calls on both wall-clock and
         // modeled cost, with the schedule compiled once and reused on every
         // step.
         let kernel = Kernel::compile(&presets::jacobi(512, 1), CompileOptions::full()).unwrap();

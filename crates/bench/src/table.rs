@@ -1,4 +1,7 @@
-//! Minimal aligned-column table rendering for the experiments binary.
+//! The experiments binary's tables: a titled, footnoted grid rendered
+//! through [`TextTable`], plus its JSON form.
+
+use hpf_core::trace::{Align, TextTable};
 
 /// A printable table: header plus rows of strings.
 #[derive(Clone, Debug, Default)]
@@ -52,32 +55,19 @@ impl Table {
         )
     }
 
-    /// Render with aligned columns.
+    /// Render with aligned columns: the title, the right-aligned grid
+    /// with a rule under its header, then the footnotes.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        let columns: Vec<(&str, Align)> =
+            self.header.iter().map(|h| (h.as_str(), Align::Right)).collect();
+        let mut grid = TextTable::new(&columns).gap("  ");
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
+            grid.row(row);
         }
-        let mut out = String::new();
-        out.push_str(&format!("## {}\n", self.title));
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
+        let grid = grid.render();
+        let (header, rows) = grid.split_once('\n').expect("a rendered grid has a header line");
+        let rule = "-".repeat(header.chars().count());
+        let mut out = format!("## {}\n{header}\n{rule}\n{rows}", self.title);
         for n in &self.notes {
             out.push_str(&format!("  * {n}\n"));
         }
@@ -129,11 +119,12 @@ mod tests {
     fn render_aligns_columns() {
         let mut t = Table::new("demo", &["a", "bbbb"]);
         t.row(vec!["123".into(), "x".into()]);
+        t.row(vec!["4".into(), "wider".into()]);
         t.note("a note");
-        let r = t.render();
-        assert!(r.contains("## demo"));
-        assert!(r.contains("123"));
-        assert!(r.contains("* a note"));
+        assert_eq!(
+            t.render(),
+            "## demo\n  a   bbbb\n----------\n123      x\n  4  wider\n  * a note\n"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use hpf_frontend::{compile_source, Checked, FrontError};
 use hpf_ir::ArrayId;
 use hpf_passes::{compile, CompileOptions, Compiled, NUM_PASSES, PASS_NAMES};
 use hpf_runtime::{AggStats, Machine, MachineConfig, RtError};
-use hpf_trace::{Event, SpanKind, Trace, TraceSummary, Track};
+use hpf_trace::{Event, SpanKind, Trace, Track};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -141,9 +141,11 @@ impl Kernel {
         Ok(tuner.best(&self.compiled.node, &self.tune_seed())?)
     }
 
-    /// Start configuring a run of this kernel.
-    pub fn runner(&self, config: MachineConfig) -> Runner<'_> {
-        Runner { kernel: self, config, inits: Vec::new(), exec_cfg: ExecConfig::new(), tuner: None }
+    /// Start configuring a single sweep of this kernel: the same builder
+    /// as [`Kernel::plan`], to be finished with [`Planner::run`] or
+    /// [`Planner::run_verified`] instead of [`Planner::build`].
+    pub fn runner(&self, config: MachineConfig) -> Planner<'_> {
+        self.plan(config)
     }
 
     /// Start configuring a persistent execution plan for this kernel: the
@@ -162,7 +164,7 @@ impl Kernel {
     }
 
     /// Start configuring the reference interpreter — the correctness oracle.
-    /// Initializers are supplied exactly like [`Runner::init`]:
+    /// Initializers are supplied exactly like [`Planner::init`]:
     ///
     /// ```
     /// # use hpf_core::{Kernel, CompileOptions};
@@ -232,7 +234,7 @@ impl Kernel {
     }
 }
 
-/// Builder for the reference interpreter, mirroring [`Runner`]: the oracle
+/// Builder for the reference interpreter, mirroring [`Planner`]: the oracle
 /// and the machine take initializers the same way.
 pub struct OracleRunner<'k> {
     kernel: &'k Kernel,
@@ -269,128 +271,8 @@ impl OracleRunner<'_> {
 /// Array initializer: a function of the 1-based global coordinates.
 pub type InitFn = std::sync::Arc<dyn Fn(&[i64]) -> f64 + Send + Sync>;
 
-/// Builder for executing a kernel on a machine.
-pub struct Runner<'k> {
-    kernel: &'k Kernel,
-    config: MachineConfig,
-    inits: Vec<(String, InitFn)>,
-    exec_cfg: ExecConfig,
-    tuner: Option<hpf_tune::Tuner>,
-}
-
-impl Runner<'_> {
-    /// Initialize a named input array from a function of its coordinates.
-    pub fn init(mut self, name: &str, f: impl Fn(&[i64]) -> f64 + Send + Sync + 'static) -> Self {
-        self.inits.push((name.to_string(), std::sync::Arc::new(f)));
-        self
-    }
-
-    /// Select the executor.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.exec_cfg.engine = engine;
-        self
-    }
-
-    /// Select how loop nests are evaluated: tree interpreter (default) or
-    /// compiled bytecode kernels. Bitwise-identical results either way.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.exec_cfg.backend = backend;
-        self
-    }
-
-    /// Replace the whole execution configuration (engine, backend, tracing,
-    /// checking) in one call — e.g. with a parsed
-    /// [`ExecConfig::from_cli_str`] value.
-    pub fn config(mut self, cfg: ExecConfig) -> Self {
-        self.exec_cfg = cfg;
-        self
-    }
-
-    /// Toggle per-PE event tracing for the run ([`Run::trace`]).
-    pub fn trace(mut self, on: bool) -> Self {
-        self.exec_cfg = self.exec_cfg.trace(on);
-        self
-    }
-
-    /// Toggle metrics collection for the run ([`Run::metrics`],
-    /// [`Run::drift`]). Observation-only: results and counters are
-    /// bitwise identical with metrics on or off.
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.exec_cfg = self.exec_cfg.metrics(on);
-        self
-    }
-
-    /// Replace the tuner used to resolve [`ExecConfig::auto`] (e.g. to
-    /// point its cache elsewhere). Without this, auto-tuned runs use
-    /// `Tuner::new` over the runner's machine configuration.
-    pub fn tuner(mut self, tuner: hpf_tune::Tuner) -> Self {
-        self.tuner = Some(tuner);
-        self
-    }
-
-    /// Set the communication-avoiding superstep depth `k` — see
-    /// [`Planner::superstep`]. For driver-stepped flat kernels the single
-    /// sweep then covers `k` logical steps ([`Run::logical_steps`]), and
-    /// [`Runner::run_verified`] steps the oracle the same number of times.
-    pub fn superstep(mut self, k: usize) -> Self {
-        self.exec_cfg = self.exec_cfg.superstep(k);
-        self
-    }
-
-    /// Execute one sweep. A thin wrapper over the plan API: builds a
-    /// [`Plan`] (allocating input arrays first, then the remaining arrays —
-    /// respecting the memory budget, which is how Figure 11's exhaustion
-    /// reproduces) and steps it once.
-    pub fn run(self) -> Result<Run, CoreError> {
-        let mut plan = Planner {
-            kernel: self.kernel,
-            config: self.config,
-            inits: self.inits,
-            exec_cfg: self.exec_cfg,
-            swaps: Vec::new(),
-            tuner: self.tuner,
-        }
-        .build()?;
-        plan.step();
-        Ok(plan.into_run())
-    }
-
-    /// Execute and verify every initialized-or-assigned array against the
-    /// reference interpreter (exact comparison: the executors are
-    /// deterministic and operation order matches the oracle for stencil
-    /// kernels).
-    pub fn run_verified(self, outputs: &[&str], tol: f64) -> Result<Run, CoreError> {
-        let inits = self.inits.clone();
-        let kernel = self.kernel;
-        let run = self.run()?;
-        let mut oracle = kernel.oracle();
-        for (name, f) in inits {
-            oracle.inits.push((name, f));
-        }
-        // A driver-stepped superstep plan covers k logical sweeps per
-        // machine step; the oracle must cover the same number.
-        let reference = oracle.run_steps(run.logical_steps);
-        for name in outputs {
-            let id = kernel.array_id(name)?;
-            if !run.machine.is_allocated(id) {
-                // The program never references this array; nothing to check.
-                continue;
-            }
-            let got = run.machine.gather(id);
-            let want = &reference.arrays[&id].data;
-            let diff = hpf_exec::max_abs_diff(&got, want);
-            if diff > tol {
-                return Err(CoreError::VerificationFailed {
-                    array: name.to_string(),
-                    max_diff: diff,
-                });
-            }
-        }
-        Ok(run)
-    }
-}
-
-/// Builder for a persistent execution plan ([`Kernel::plan`]).
+/// Builder for a persistent execution plan ([`Kernel::plan`]), or for one
+/// sweep of it ([`Kernel::runner`]).
 pub struct Planner<'k> {
     kernel: &'k Kernel,
     config: MachineConfig,
@@ -430,15 +312,16 @@ impl<'k> Planner<'k> {
         self
     }
 
-    /// Toggle per-PE event tracing ([`Plan::take_trace`]).
+    /// Toggle per-PE event tracing ([`Plan::take_trace`], [`Run::trace`]).
     pub fn trace(mut self, on: bool) -> Self {
         self.exec_cfg = self.exec_cfg.trace(on);
         self
     }
 
     /// Toggle metrics collection ([`Plan::metrics_snapshot`],
-    /// [`Plan::drift_report`]). Observation-only: results and counters
-    /// are bitwise identical with metrics on or off.
+    /// [`Plan::drift_report`]; [`Run::metrics`], [`Run::drift`]).
+    /// Observation-only: results and counters are bitwise identical with
+    /// metrics on or off.
     pub fn metrics(mut self, on: bool) -> Self {
         self.exec_cfg = self.exec_cfg.metrics(on);
         self
@@ -468,10 +351,51 @@ impl<'k> Planner<'k> {
     /// identical to the classic schedule. An ineligible kernel — or one
     /// whose deep halo would not fit the per-PE subgrids, or a plan with
     /// per-step [`Planner::swap`]s — falls back to `k = 1`;
-    /// [`Plan::superstep_diags`] explains any fallback.
+    /// [`Plan::superstep_diags`] explains any fallback. For driver-stepped
+    /// flat kernels one step then covers `k` logical sweeps
+    /// ([`Plan::logical_steps_per_step`], [`Run::logical_steps`]).
     pub fn superstep(mut self, k: usize) -> Self {
         self.exec_cfg = self.exec_cfg.superstep(k);
         self
+    }
+
+    /// Execute one sweep: build the plan (allocating input arrays first,
+    /// then the remaining arrays — respecting the memory budget, which is
+    /// how Figure 11's exhaustion reproduces), step it once, and finish.
+    pub fn run(self) -> Result<Run, CoreError> {
+        let mut plan = self.build()?;
+        plan.step();
+        Ok(plan.into_run())
+    }
+
+    /// [`Planner::run`], then verify every named output array against the
+    /// reference interpreter (exact comparison at `tol = 0.0`: the
+    /// executors are deterministic and operation order matches the oracle
+    /// for stencil kernels).
+    pub fn run_verified(self, outputs: &[&str], tol: f64) -> Result<Run, CoreError> {
+        let kernel = self.kernel;
+        let oracle = OracleRunner { kernel, inits: self.inits.clone() };
+        let run = self.run()?;
+        // A driver-stepped superstep plan covers k logical sweeps per
+        // machine step; the oracle must cover the same number.
+        let reference = oracle.run_steps(run.logical_steps);
+        for name in outputs {
+            let id = kernel.array_id(name)?;
+            if !run.machine.is_allocated(id) {
+                // The program never references this array; nothing to check.
+                continue;
+            }
+            let got = run.machine.gather(id);
+            let want = &reference.arrays[&id].data;
+            let diff = hpf_exec::max_abs_diff(&got, want);
+            if diff > tol {
+                return Err(CoreError::VerificationFailed {
+                    array: name.to_string(),
+                    max_diff: diff,
+                });
+            }
+        }
+        Ok(run)
     }
 
     /// Build the plan: construct the machine, allocate and fill the input
@@ -792,17 +716,6 @@ impl Plan<'_> {
         trace
     }
 
-    /// [`Plan::take_trace`] reduced to per-track per-kind aggregates.
-    pub fn trace_summary(&mut self) -> TraceSummary {
-        self.take_trace().summary()
-    }
-
-    /// Export [`Plan::take_trace`] as Chrome `trace_event` JSON at `path`
-    /// (load in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)).
-    pub fn write_chrome_trace(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.take_trace().to_chrome_json())
-    }
-
     /// Finish: convert into a [`Run`] (machine state, stepping time, and —
     /// when tracing or metrics were enabled — the recorded trace, metrics
     /// snapshot, and drift report).
@@ -831,10 +744,10 @@ pub struct Run {
     /// Wall-clock time of the executor.
     pub wall: Duration,
     /// The recorded event trace, when the run was configured with tracing
-    /// ([`Runner::trace`] / [`ExecConfig::trace`]); `None` otherwise.
+    /// ([`Planner::trace`] / [`ExecConfig::trace`]); `None` otherwise.
     pub trace: Option<Trace>,
     /// The metrics snapshot, when the run was configured with metrics
-    /// ([`Runner::metrics`] / [`ExecConfig::metrics`]); `None` otherwise.
+    /// ([`Planner::metrics`] / [`ExecConfig::metrics`]); `None` otherwise.
     pub metrics: Option<hpf_metrics::MetricsSnapshot>,
     /// The cost-model drift report, when the run was configured with
     /// metrics; `None` otherwise.
@@ -1076,7 +989,7 @@ mod tests {
 
     #[test]
     fn plan_iterate_matches_chained_runs() {
-        // Plan::iterate(n) must be bitwise-equal to n one-shot Runner::run()
+        // Plan::iterate(n) must be bitwise-equal to n one-sweep Planner::run()
         // calls whose state is carried forward by hand, on both engines.
         let kernel = Kernel::compile(&presets::jacobi(16, 1), CompileOptions::full()).unwrap();
         let init = |p: &[i64]| ((p[0] * 5 + p[1] * 3) as f64).sin();

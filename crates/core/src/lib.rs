@@ -35,7 +35,7 @@
 pub mod api;
 pub mod presets;
 
-pub use api::{CoreError, Kernel, OracleRunner, Plan, Planner, Run, Runner};
+pub use api::{CoreError, Kernel, OracleRunner, Plan, Planner, Run};
 
 pub use hpf_analysis as analysis;
 pub use hpf_baselines as baselines;

@@ -3,15 +3,21 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn hpfsc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hpfsc")).args(args).output().expect("spawn hpfsc")
 }
 
 fn write_preset(name: &str) -> PathBuf {
+    // Tests run concurrently in one process and each removes its file when
+    // done, so every call needs a path of its own.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let out = hpfsc(&["--print-input", name]);
     assert!(out.status.success(), "--print-input {name} failed");
-    let path = std::env::temp_dir().join(format!("hpfsc-cli-{}-{name}.f90", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("hpfsc-cli-{}-{call}-{name}.f90", std::process::id()));
     std::fs::write(&path, &out.stdout).unwrap();
     path
 }

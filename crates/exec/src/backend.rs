@@ -1,9 +1,8 @@
-//! Backend selection: every engine (one-shot seq/par, plan stepping) can
-//! evaluate loop nests with the tree interpreter or with bytecode kernels
-//! compiled by `hpf-codegen`.
+//! Backend selection: every engine can evaluate loop nests with the tree
+//! interpreter or with bytecode kernels compiled by `hpf-codegen`.
 //!
-//! The backend is orthogonal to the [`engine`](crate::par) choice: kernels
-//! are compiled once per (nest, PE) after allocation, shared read-only by
+//! The backend is orthogonal to the [`Engine`](crate::Engine) choice: kernels
+//! are compiled once per (nest, PE) at plan build, shared read-only by
 //! worker threads, and reused across plan steps. A nest the codegen cannot
 //! specialize (see `hpf_codegen::compile_nest`) falls back to the
 //! interpreter for that (nest, PE) pair only. Both backends are bitwise
@@ -12,11 +11,9 @@
 //! `AggStats`.
 
 use crate::nest::{exec_nest, exec_nest_expanded, exec_nest_range, expand_bounds};
-use hpf_codegen::{
-    compile_nest, exec_compiled, exec_compiled_over, exec_compiled_range, CompiledNest,
-};
-use hpf_passes::loopir::{CommOp, LoopNest, NodeItem};
-use hpf_runtime::{Machine, PeState};
+use hpf_codegen::{exec_compiled, exec_compiled_over, exec_compiled_range, CompiledNest};
+use hpf_passes::loopir::LoopNest;
+use hpf_runtime::PeState;
 
 /// How loop-nest bodies are evaluated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -38,57 +35,6 @@ impl Backend {
             Backend::Bytecode => "bytecode",
         }
     }
-}
-
-/// A node item with per-PE compiled kernels attached to each nest (empty
-/// under the interpreter backend). Borrows the node program.
-pub(crate) enum BcItem<'a> {
-    Comm(&'a CommOp),
-    Nest { nest: &'a LoopNest, kernels: Vec<Option<CompiledNest>> },
-    TimeLoop { iters: usize, body: Vec<BcItem<'a>> },
-}
-
-/// Mirror the item tree, compiling every nest for every PE. Arrays must
-/// already be allocated. Returns the tree and the number of kernels
-/// compiled.
-pub(crate) fn compile_items<'a>(
-    machine: &Machine,
-    items: &'a [NodeItem],
-    scalars: &[f64],
-) -> (Vec<BcItem<'a>>, u64) {
-    let mut compiled = 0u64;
-    let out = items
-        .iter()
-        .map(|item| match item {
-            NodeItem::Comm(c) => BcItem::Comm(c),
-            NodeItem::Nest(nest) => {
-                let kernels: Vec<Option<CompiledNest>> =
-                    machine.pes.iter().map(|pe| compile_nest(nest, pe, scalars)).collect();
-                compiled += kernels.iter().flatten().count() as u64;
-                BcItem::Nest { nest, kernels }
-            }
-            NodeItem::TimeLoop { iters, body } => {
-                let (body, c) = compile_items(machine, body, scalars);
-                compiled += c;
-                BcItem::TimeLoop { iters: *iters, body }
-            }
-        })
-        .collect();
-    (out, compiled)
-}
-
-/// Compiled-kernel executions one full pass of the items performs across
-/// all PEs (time-loop weighted) — the deterministic count both engines
-/// credit to `AggStats::kernel_execs`.
-pub(crate) fn kernel_execs_per_pass(items: &[BcItem]) -> u64 {
-    items
-        .iter()
-        .map(|item| match item {
-            BcItem::Comm(_) => 0,
-            BcItem::Nest { kernels, .. } => kernels.iter().flatten().count() as u64,
-            BcItem::TimeLoop { iters, body } => *iters as u64 * kernel_execs_per_pass(body),
-        })
-        .sum()
 }
 
 /// Run one nest on one PE through the chosen kernel, falling back to the

@@ -70,9 +70,10 @@ pub struct ExecConfig {
     /// (observation-only either way). `None` (the default) records
     /// nothing.
     pub metrics: Option<MetricsConfig>,
-    /// Pre-validate every communication plan at build time (shift widths
-    /// against the halo), like the one-shot threaded executor does, so a
-    /// malformed program fails in `build` rather than on a worker thread.
+    /// Checked build: pre-validate every communication plan (shift widths
+    /// against the halo) before any schedule is compiled, and make the
+    /// static verifiers (BV*/PL*) fail the build instead of demoting the
+    /// rejected kernel or window.
     pub check: bool,
     /// Ask the planning layer to auto-tune this run: enumerate the legal
     /// (PE grid, engine, backend, `par_threshold`) space with `hpf-tune`,

@@ -3,50 +3,44 @@
 
 //! # hpf-exec — executors for the lowered node program
 //!
-//! Four ways to run a stencil kernel, all agreeing bit-for-bit:
+//! Two ways to run a stencil kernel, agreeing bit-for-bit:
 //!
 //! * [`mod@reference`] — the correctness oracle: a direct sequential interpreter
 //!   of the checked source program on dense global arrays, implementing
 //!   Fortran90 array-statement semantics (`CSHIFT`/`EOSHIFT`, sections,
 //!   full-RHS-before-assignment);
-//! * [`seq`] — the sequential machine executor: runs the node program on the
-//!   `hpf-runtime` machine simulator one PE at a time, with all
-//!   communication performed through the shared schedules;
-//! * [`par`] — the SPMD executor: one OS thread per PE, message passing over
-//!   channels, using the *same* deterministic schedules, so results are
-//!   bitwise identical to the sequential engine;
-//! * [`plan`] — the persistent-schedule driver for time-stepped sweeps: an
-//!   [`ExecPlan`] compiles every communication operation once against the
-//!   allocated subgrids (flat pack/unpack index lists, pooled buffers) and
-//!   then steps the node program any number of times on the configured
-//!   engine with zero per-step setup.
+//! * [`plan`] — the machine executor: an [`ExecPlan`] allocates the arrays,
+//!   compiles every communication operation once against the allocated
+//!   subgrids (flat pack/unpack index lists, pooled buffers), and then
+//!   steps the node program any number of times on the `hpf-runtime`
+//!   machine simulator with zero per-step setup.
 //!
 //! Plans are described by one [`ExecConfig`] — engine ([`Engine`]), nest
 //! backend ([`Backend`]), per-PE event tracing, invariant checking — built
-//! with [`ExecPlan::build`] and stepped with [`ExecPlan::step`].
-//! Orthogonally to the engine choice, every machine executor can evaluate
-//! loop nests with the tree interpreter or with compiled bytecode kernels —
-//! see [`Backend`] and the `*_with` entry points. Both backends are bitwise
-//! identical.
+//! with [`ExecPlan::build`] and stepped with [`ExecPlan::step`]. One step
+//! walker serves every engine: the sequential engine visits every PE on the
+//! calling thread and moves messages by direct copy; the threaded engines
+//! run one OS thread per PE over channels, through the *same* compiled
+//! schedules. Orthogonally, loop nests are evaluated by the tree
+//! interpreter or by compiled bytecode kernels ([`Backend`]). Every
+//! engine × backend combination is bitwise identical.
 
 pub mod backend;
 pub mod config;
 pub(crate) mod metrics;
 pub mod nest;
-pub mod par;
+mod par;
 pub mod plan;
 pub mod plan_verify;
 pub mod reference;
-pub mod seq;
 pub mod superstep;
 mod validate;
 pub mod verify;
 
 pub use backend::Backend;
 pub use config::{Engine, ExecConfig};
-pub use par::{execute_par, execute_par_with};
 pub use plan::ExecPlan;
 pub use reference::{DenseArray, Reference};
-pub use seq::{allocate, execute_seq, execute_seq_with};
 pub use superstep::{superstep_diags, superstep_halo};
+pub use validate::allocate;
 pub use verify::{assert_close, max_abs_diff};

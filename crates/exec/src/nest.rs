@@ -8,7 +8,7 @@
 //! coordinate arithmetic.
 
 use hpf_ir::expr::CmpOp;
-use hpf_ir::{BinOp, ScalarId};
+use hpf_ir::BinOp;
 use hpf_passes::loopir::{Instr, LoopNest, Reg};
 use hpf_runtime::PeState;
 
@@ -308,10 +308,6 @@ fn exec_body(pe: &mut PeState, body: &[CInstr], base: i64, regs: &mut [f64]) {
         }
     }
 }
-
-/// Suppress unused warning for ScalarId re-export path.
-#[allow(dead_code)]
-fn _unused(_: ScalarId) {}
 
 #[cfg(test)]
 mod tests {

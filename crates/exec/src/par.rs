@@ -1,6 +1,7 @@
-//! SPMD threaded executor: one OS thread per PE, message passing over
-//! channels, using the same deterministic communication schedules as the
-//! sequential engine — results are bitwise identical.
+//! The channel fabric: one PE's end of the message-passing protocol the
+//! threaded engines run, one OS thread per PE, over the same deterministic
+//! compiled schedules as the direct-copy fabric — results are bitwise
+//! identical.
 //!
 //! Protocol: for every communication operation, each PE (1) posts all its
 //! sends (channels are unbounded, so sends never block — no deadlock
@@ -9,167 +10,31 @@
 //! messages by `(sequence number, sender)` tags with a stash for
 //! out-of-order arrivals.
 
-use crate::backend::{self, Backend, BcItem};
-use crate::nest::{exec_nest, scalar_values};
-use hpf_passes::loopir::{CommOp, NodeItem, NodeProgram};
-use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan, split_halves, CommAction};
-use hpf_runtime::{ArrayMeta, Machine, MachineConfig, PeState, RtError};
+use hpf_runtime::schedule::{split_halves, CommAction};
+use hpf_runtime::{CompiledComm, MachineConfig, PeState};
 use hpf_trace::SpanKind;
 use std::collections::HashMap;
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 
 pub(crate) type Msg = (u64, usize, Vec<f64>);
 
-/// Execute the node program with one thread per PE. Allocates referenced
-/// arrays first (sequentially). Returns the same results, counters and
-/// errors as [`crate::seq::execute_seq`]. Nests run on the interpreter
-/// backend; see [`execute_par_with`] to choose.
-pub fn execute_par(machine: &mut Machine, node: &NodeProgram) -> Result<(), RtError> {
-    execute_par_with(machine, node, Backend::default())
-}
-
-/// [`execute_par`] with an explicit nest-evaluation [`Backend`]. Kernels
-/// are compiled once up front (sequentially, after allocation) and shared
-/// read-only by the worker threads; results stay bitwise identical to
-/// every other engine/backend combination.
-pub fn execute_par_with(
-    machine: &mut Machine,
-    node: &NodeProgram,
-    backend: Backend,
-) -> Result<(), RtError> {
-    crate::seq::allocate(machine, node)?;
-    // Pre-validate every communication plan once (shift widths etc.) so
-    // worker threads cannot fail.
-    crate::validate::prevalidate_comms(machine, &node.items)?;
-    let cfg = machine.cfg.clone();
-    let metas = machine.metas_snapshot();
-    let scalars = scalar_values(&node.symbols);
-    let n = machine.num_pes();
-    // Compile kernels before the threads start; each worker reads only its
-    // own PE's slot. Under the interpreter backend this is an empty tree
-    // walk (no nest compiles, `kernels[pe]` is `None` everywhere).
-    let (bc_items, compiled) = match backend {
-        Backend::Interp => (Vec::new(), 0),
-        Backend::Bytecode => backend::compile_items(machine, &node.items, &scalars),
-    };
-    let (txs, rxs): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) = (0..n).map(|_| unbounded()).unzip();
-    std::thread::scope(|scope| {
-        for (pe_state, rx) in machine.pes.iter_mut().zip(rxs) {
-            let txs = txs.clone();
-            let cfg = &cfg;
-            let metas = &metas;
-            let scalars = &scalars;
-            let items = &node.items;
-            let bc_items = &bc_items;
-            scope.spawn(move || {
-                let mut w = Worker {
-                    pe: pe_state.pe,
-                    state: pe_state,
-                    rx,
-                    txs,
-                    cfg,
-                    metas,
-                    scalars,
-                    seq: 0,
-                    stash: HashMap::new(),
-                };
-                match backend {
-                    Backend::Interp => w.run(items),
-                    Backend::Bytecode => w.run_bc(bc_items),
-                }
-            });
-        }
-    });
-    if backend == Backend::Bytecode {
-        // Machine-wide counters, credited once after the join (same pattern
-        // as the plan engine's schedule-reuse accounting).
-        machine.note_kernels_compiled(compiled);
-        machine.note_kernel_execs(backend::kernel_execs_per_pass(&bc_items));
-    }
-    Ok(())
-}
-
+/// One PE's worker: its state, its channel ends, and the plan tables it
+/// reads. Lives for one step on that PE's thread.
 pub(crate) struct Worker<'a> {
-    pub(crate) pe: usize,
     pub(crate) state: &'a mut PeState,
     pub(crate) rx: Receiver<Msg>,
     pub(crate) txs: Vec<Sender<Msg>>,
     pub(crate) cfg: &'a MachineConfig,
-    pub(crate) metas: &'a [Option<ArrayMeta>],
+    pub(crate) scheds: &'a [CompiledComm],
     pub(crate) scalars: &'a [f64],
+    /// Whether overlap windows run split-phase (the plan was built for
+    /// `Engine::ThreadedOverlap`) or as their unfused blocking sequence.
+    pub(crate) split_phase: bool,
     pub(crate) seq: u64,
     pub(crate) stash: HashMap<(u64, usize), Vec<f64>>,
 }
 
 impl Worker<'_> {
-    fn run(&mut self, items: &[NodeItem]) {
-        for item in items {
-            match item {
-                NodeItem::Comm(CommOp::FullShift { dst, src, shift, dim, kind }) => {
-                    let geom = self.metas[src.0 as usize].as_ref().unwrap().geom.clone();
-                    let plan = cshift_plan(&geom, *shift, *dim, *kind);
-                    self.comm(*dst, *src, &plan, true);
-                }
-                NodeItem::Comm(CommOp::Overlap { array, shift, dim, rsd, kind }) => {
-                    let geom = self.metas[array.0 as usize].as_ref().unwrap().geom.clone();
-                    let plan =
-                        overlap_shift_plan(&geom, *shift, *dim, rsd.as_ref(), *kind, self.cfg.halo)
-                            .expect("pre-validated");
-                    self.comm(*array, *array, &plan, false);
-                }
-                NodeItem::Nest(nest) => exec_nest(self.state, nest, self.scalars),
-                NodeItem::TimeLoop { iters, body } => {
-                    for _ in 0..*iters {
-                        self.run(body);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Bytecode-backend twin of [`Worker::run`]: identical communication
-    /// protocol, but each nest runs through this PE's compiled kernel (or
-    /// the interpreter, where compilation declined).
-    fn run_bc(&mut self, items: &[BcItem]) {
-        for item in items {
-            match item {
-                BcItem::Comm(CommOp::FullShift { dst, src, shift, dim, kind }) => {
-                    let geom = self.metas[src.0 as usize].as_ref().unwrap().geom.clone();
-                    let plan = cshift_plan(&geom, *shift, *dim, *kind);
-                    self.comm(*dst, *src, &plan, true);
-                }
-                BcItem::Comm(CommOp::Overlap { array, shift, dim, rsd, kind }) => {
-                    let geom = self.metas[array.0 as usize].as_ref().unwrap().geom.clone();
-                    let plan =
-                        overlap_shift_plan(&geom, *shift, *dim, rsd.as_ref(), *kind, self.cfg.halo)
-                            .expect("pre-validated");
-                    self.comm(*array, *array, &plan, false);
-                }
-                BcItem::Nest { nest, kernels } => {
-                    backend::run_nest(self.state, nest, kernels[self.pe].as_ref(), self.scalars);
-                }
-                BcItem::TimeLoop { iters, body } => {
-                    for _ in 0..*iters {
-                        self.run_bc(body);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocking communication: post the send half, then immediately drain
-    /// the receive half. Bitwise identical to `Machine::apply_compiled`.
-    pub(crate) fn comm(
-        &mut self,
-        dst: hpf_ir::ArrayId,
-        src: hpf_ir::ArrayId,
-        plan: &[CommAction],
-        full_shift: bool,
-    ) {
-        let seq = self.comm_post(dst, src, plan, full_shift);
-        self.comm_finish(dst, plan, seq);
-    }
-
     /// Split-phase first half: post all sends (phase 1), then apply local
     /// fills and self-transfers (phase 2). Channels are unbounded, so this
     /// never blocks. Returns the sequence number the sends were tagged
@@ -184,12 +49,12 @@ impl Worker<'_> {
         let t0 = self.state.tracer.now();
         let seq = self.seq;
         self.seq += 1;
-        let halves = split_halves(plan, self.pe);
+        let halves = split_halves(plan, self.state.pe);
         // Phase 1: all sends.
         for t in &halves.sends {
             let buf = self.state.subgrid(src).read_region(&t.src_local);
             let bytes = (buf.len() * 8) as u64;
-            self.txs[t.dst_pe].send((seq, self.pe, buf)).expect("peer alive");
+            self.txs[t.dst_pe].send((seq, self.state.pe, buf)).expect("peer alive");
             self.state.stats.msgs_sent += 1;
             self.state.stats.bytes_sent += bytes;
         }
@@ -234,7 +99,7 @@ impl Worker<'_> {
         plan: &[CommAction],
         seq: u64,
     ) {
-        for t in &split_halves(plan, self.pe).recvs {
+        for t in &split_halves(plan, self.state.pe).recvs {
             let buf = self.recv_tagged(seq, t.src_pe);
             let bytes = (buf.len() * 8) as u64;
             self.state.subgrid_mut(dst).write_region(&t.dst_local, &buf);
@@ -260,90 +125,7 @@ impl Worker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::Reference;
-    use crate::seq::execute_seq;
-    use hpf_frontend::compile_source;
-    use hpf_passes::{compile, CompileOptions, Stage};
-
-    const PROBLEM9: &str = r#"
-PROGRAM p9
-PARAM N = 16
-REAL U(N,N), T(N,N), RIP(N,N), RIN(N,N)
-RIP = CSHIFT(U,SHIFT=+1,DIM=1)
-RIN = CSHIFT(U,SHIFT=-1,DIM=1)
-T = U + RIP + RIN
-T = T + CSHIFT(U,SHIFT=-1,DIM=2)
-T = T + CSHIFT(U,SHIFT=+1,DIM=2)
-T = T + CSHIFT(RIP,SHIFT=-1,DIM=2)
-T = T + CSHIFT(RIP,SHIFT=+1,DIM=2)
-T = T + CSHIFT(RIN,SHIFT=-1,DIM=2)
-T = T + CSHIFT(RIN,SHIFT=+1,DIM=2)
-END
-"#;
-
-    fn init(p: &[i64]) -> f64 {
-        ((p[0] * 37 + p[1] * 13) as f64).cos()
-    }
-
-    fn run_both(src: &str, stage: Stage, grid: &[usize], out: &str) {
-        let checked = compile_source(src).unwrap();
-        let compiled = compile(&checked, CompileOptions::upto(stage));
-        let u = checked.symbols.lookup_array("U").unwrap();
-        let t = checked.symbols.lookup_array(out).unwrap();
-
-        let mut m_seq = Machine::new(MachineConfig::with_grid(grid.to_vec()));
-        m_seq.alloc(u, checked.symbols.array(u)).unwrap();
-        m_seq.fill(u, init);
-        execute_seq(&mut m_seq, &compiled.node).unwrap();
-
-        let mut m_par = Machine::new(MachineConfig::with_grid(grid.to_vec()));
-        m_par.alloc(u, checked.symbols.array(u)).unwrap();
-        m_par.fill(u, init);
-        execute_par(&mut m_par, &compiled.node).unwrap();
-
-        assert_eq!(
-            m_seq.gather(t),
-            m_par.gather(t),
-            "parallel differs from sequential at stage {stage:?} grid {grid:?}"
-        );
-        // Counters agree too (same schedules).
-        assert_eq!(m_seq.stats().total(), m_par.stats().total());
-
-        // And both match the oracle.
-        let mut r = Reference::new(&checked);
-        r.fill_named("U", init);
-        r.run(&checked);
-        assert_eq!(m_par.gather(t), r.arrays[&t].data);
-    }
-
-    #[test]
-    fn problem9_parallel_matches_sequential_all_stages() {
-        for stage in Stage::all() {
-            run_both(PROBLEM9, stage, &[2, 2], "T");
-        }
-    }
-
-    #[test]
-    fn parallel_on_other_grids() {
-        for grid in [&[1usize, 1][..], &[4, 1], &[1, 4], &[2, 4]] {
-            run_both(PROBLEM9, Stage::MemOpt, grid, "T");
-        }
-    }
-
-    #[test]
-    fn parallel_time_loop() {
-        let src = r#"
-PARAM N = 8
-REAL U(N,N), T(N,N)
-REAL C = 0.25
-DO 7 TIMES
-T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) + CSHIFT(U,-1,2))
-U = T
-ENDDO
-"#;
-        run_both(src, Stage::MemOpt, &[2, 2], "U");
-        run_both(src, Stage::Original, &[2, 2], "U");
-    }
+    use hpf_runtime::Machine;
 
     #[test]
     fn stash_applies_permuted_deliveries_in_plan_order() {
@@ -353,8 +135,6 @@ ENDDO
         const U: ArrayId = ArrayId(0);
         let mut m = Machine::new(MachineConfig::sp2_2x2());
         m.alloc(U, &ArrayDecl::user("U", Shape::new([8, 8]), Distribution::block(2))).unwrap();
-        let cfg = m.cfg.clone();
-        let metas = m.metas_snapshot();
         let recv = |from: usize, dst_local: Vec<(i64, i64)>| {
             CommAction::Transfer(Transfer {
                 src_pe: from,
@@ -368,7 +148,7 @@ ENDDO
         let plan0 = vec![recv(1, vec![(1, 4), (5, 5)]), recv(2, vec![(5, 5), (1, 4)])];
         // Op 1: PE 0 receives its top ghost row from PE 1.
         let plan1 = vec![recv(1, vec![(0, 0), (1, 4)])];
-        let (tx, rx) = unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         // Deliver everything out of order: op 0's PE-2 message first, then
         // a message for the *later* op 1, then op 0's PE-1 message.
         let buf_a = vec![1.0, 2.0, 3.0, 4.0];
@@ -381,13 +161,13 @@ ENDDO
         // fail loudly instead of hanging the test.
         drop(tx);
         let mut w = Worker {
-            pe: 0,
             state: &mut m.pes[0],
             rx,
             txs: Vec::new(),
-            cfg: &cfg,
-            metas: &metas,
+            cfg: &m.cfg,
+            scheds: &[],
             scalars: &[],
+            split_phase: false,
             seq: 0,
             stash: HashMap::new(),
         };
@@ -403,19 +183,5 @@ ENDDO
         assert!(w.stash.is_empty());
         assert_eq!(w.state.subgrid(U).read_region(&[(0, 0), (1, 4)]), buf_c);
         assert_eq!(w.state.stats.msgs_recv, 3);
-    }
-
-    #[test]
-    fn parallel_prevalidates_bad_shifts() {
-        let src = "PARAM N = 8\nREAL U(N,N), T(N,N)\nT = CSHIFT(U, SHIFT=2, DIM=1) + U\n";
-        let checked = compile_source(src).unwrap();
-        // halo=2 lets the offset pass convert; run on a machine with halo=1
-        // so the plan is invalid.
-        let compiled = compile(&checked, CompileOptions::full().halo(2));
-        let u = checked.symbols.lookup_array("U").unwrap();
-        let mut m = Machine::new(MachineConfig::sp2_2x2()); // halo 1
-        m.alloc(u, checked.symbols.array(u)).unwrap();
-        let err = execute_par(&mut m, &compiled.node).unwrap_err();
-        assert!(matches!(err, RtError::ShiftTooWide { .. }));
     }
 }

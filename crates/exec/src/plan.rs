@@ -11,10 +11,13 @@
 //! plan recomputation, or buffer allocation — the persistent-communication
 //! pattern of `MPI_Send_init`-style halo exchange.
 //!
-//! All step engines are bitwise identical to their one-shot counterparts
-//! ([`crate::seq::execute_seq`], [`crate::par::execute_par`]) and produce the
-//! same per-PE counters; the only observable difference is the
-//! `schedules_built` / `schedule_reuses` pair in `AggStats`.
+//! One walker, `step_items`, interprets the step program for every engine.
+//! It is generic over a `Fabric` — how a compiled schedule is exchanged and
+//! which PEs the calling thread computes for — with two impls: the
+//! direct-copy fabric (the sequential engine: one thread visits every PE
+//! and messages are direct copies) and the channel fabric (the threaded
+//! engines: one worker thread per PE). All engines are bitwise identical
+//! and produce the same per-PE counters.
 //!
 //! With tracing enabled ([`ExecConfig::trace`]) every step additionally
 //! records per-PE spans — kernel execution, pack/unpack, comm post/drain,
@@ -36,7 +39,7 @@ use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan, regions_intersect, 
 use hpf_runtime::{CompiledComm, Machine, MoveKind, PeState, RtError};
 use hpf_trace::SpanKind;
 use std::collections::HashMap;
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// One step-program item: like `NodeItem`, but communication ops are slots
 /// into the plan's compiled-schedule table. Crate-visible so the
@@ -157,7 +160,7 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Build an execution plan as described by `cfg`: allocate every
     /// referenced array (honoring the memory budget and overlap-width
-    /// checks, like the one-shot executors), enable the machine's event
+    /// checks), enable the machine's event
     /// tracers when [`ExecConfig::trace`] is set, pre-validate every
     /// communication plan when [`ExecConfig::check`] is set, and compile
     /// every communication op of the node program into a persistent
@@ -195,7 +198,7 @@ impl ExecPlan {
         if metrics_owns_trace {
             machine.enable_tracing(hpf_trace::TraceConfig::default());
         }
-        crate::seq::allocate(machine, node)?;
+        crate::validate::allocate(machine, node)?;
         if cfg.check {
             crate::validate::prevalidate_comms(machine, &node.items)?;
         }
@@ -313,11 +316,16 @@ impl ExecPlan {
     /// observation only, after the engines have finished the step.
     pub fn step(&mut self, machine: &mut Machine) {
         let begin = self.metrics.as_ref().map(|m| m.begin(machine));
-        match self.engine {
-            Engine::Sequential => self.step_seq(machine),
-            Engine::Threaded => self.step_par(machine),
-            Engine::ThreadedOverlap => self.step_par_overlap(machine),
+        if self.engine == Engine::Sequential || self.below_par_threshold(machine) {
+            let ExecPlan { items, scheds, scalars, .. } = self;
+            step_items(&mut Direct { machine, scheds, scalars }, items);
+        } else {
+            self.step_threaded(machine);
         }
+        // Machine-wide counters are credited here, once per step, so every
+        // engine reports identical numbers.
+        machine.note_kernel_execs(self.kernel_execs_per_step);
+        machine.note_superstep(self.exchanges_elided_per_step, self.redundant_cells_per_step);
         if let Some(begin) = begin {
             let logical = self.logical_steps;
             if let Some(m) = self.metrics.as_mut() {
@@ -419,93 +427,56 @@ impl ExecPlan {
 
     /// True when the per-PE work of one step is at or below the machine's
     /// `par_threshold` — the threaded engines then run the step on the
-    /// calling thread (identical results and counters), since spawning a
-    /// thread per PE costs more than the step itself at small sizes.
+    /// calling thread through the direct-copy fabric (identical results and
+    /// counters; windows run unfused, so the overlap counters stay
+    /// untouched), since spawning a thread per PE costs more than the step
+    /// itself at small sizes.
     fn below_par_threshold(&self, machine: &Machine) -> bool {
         machine.cfg.par_threshold > 0 && self.pe_points_per_step <= machine.cfg.par_threshold
     }
 
-    /// Run one sweep of the kernel on the sequential engine.
-    pub fn step_seq(&mut self, machine: &mut Machine) {
-        let ExecPlan { items, scheds, scalars, .. } = self;
-        step_items_seq(machine, items, scheds, scalars);
-        machine.note_kernel_execs(self.kernel_execs_per_step);
-        machine.note_superstep(self.exchanges_elided_per_step, self.redundant_cells_per_step);
-    }
-
-    /// Run one sweep on the SPMD engine: one thread per PE, channel message
-    /// passing, reusing the precompiled plans (no per-step geometry or RSD
-    /// math on the workers). Bitwise identical to [`ExecPlan::step_seq`].
-    pub fn step_par(&mut self, machine: &mut Machine) {
-        if self.below_par_threshold(machine) {
-            return self.step_seq(machine);
-        }
-        self.step_threaded(machine, false);
-    }
-
-    /// Run one sweep on the split-phase overlapped engine: like
-    /// [`ExecPlan::step_par`], but every [window](PlanItem::Overlap) posts
-    /// its sends, computes the nest's interior while the messages are in
-    /// flight, drains the receives in plan order, then computes the
-    /// boundary strips. Bitwise identical to the blocking engines by
-    /// construction; the only observable difference is the
-    /// `overlapped_steps` / `interior_cells` / `boundary_cells` counters.
-    /// On a plan built for a blocking engine (or whose windows all proved
-    /// ineligible) this is exactly the blocking engine.
-    pub fn step_par_overlap(&mut self, machine: &mut Machine) {
-        if self.below_par_threshold(machine) {
-            // Fully-blocking on the calling thread: nothing is overlapped,
-            // so the overlap counters stay untouched.
-            return self.step_seq(machine);
-        }
-        self.step_threaded(machine, true);
-        machine.note_overlap(
-            self.overlap_windows_per_step,
-            self.interior_cells_per_step,
-            self.boundary_cells_per_step,
-        );
-    }
-
-    fn step_threaded(&mut self, machine: &mut Machine, overlapped: bool) {
-        let cfg = machine.cfg.clone();
-        let metas = machine.metas_snapshot();
+    /// One sweep on the SPMD engines: one thread per PE, each walking the
+    /// step program as a channel [`Worker`] over the precompiled schedules
+    /// (no per-step geometry or RSD math on the workers). A plan built for
+    /// [`Engine::ThreadedOverlap`] runs its [windows](PlanItem::Overlap)
+    /// split-phase; the only observable difference from the blocking
+    /// engines is the `overlapped_steps` / `interior_cells` /
+    /// `boundary_cells` counters and the hidden-communication credit.
+    fn step_threaded(&mut self, machine: &mut Machine) {
         let n = machine.num_pes();
-        let (txs, rxs): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) =
-            (0..n).map(|_| unbounded()).unzip();
-        let items = &self.items;
-        let scheds = &self.scheds;
-        let scalars = &self.scalars;
+        let (txs, rxs): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) = (0..n).map(|_| channel()).unzip();
+        let ExecPlan { items, scheds, scalars, .. } = &*self;
+        let split_phase = self.engine == Engine::ThreadedOverlap;
+        let cfg = &machine.cfg;
         std::thread::scope(|scope| {
-            for (pe_state, rx) in machine.pes.iter_mut().zip(rxs) {
+            for (state, rx) in machine.pes.iter_mut().zip(rxs) {
                 let txs = txs.clone();
-                let cfg = &cfg;
-                let metas = &metas;
                 scope.spawn(move || {
                     let mut w = Worker {
-                        pe: pe_state.pe,
-                        state: pe_state,
+                        state,
                         rx,
                         txs,
                         cfg,
-                        metas,
+                        scheds,
                         scalars,
+                        split_phase,
                         seq: 0,
                         stash: HashMap::new(),
                     };
-                    if overlapped {
-                        step_items_worker_overlap(&mut w, items, scheds);
-                    } else {
-                        step_items_worker(&mut w, items, scheds);
-                    }
+                    step_items(&mut w, items);
                 });
             }
         });
-        // Workers deliver messages themselves; credit the schedule reuses
-        // and kernel executions on the machine so both engines report
-        // identical counters.
+        // Workers deliver messages themselves, bypassing `apply_compiled`
+        // and its reuse accounting; credit the reuses here.
         machine.note_schedule_reuses(self.comm_execs_per_step);
-        machine.note_kernel_execs(self.kernel_execs_per_step);
-        machine.note_superstep(self.exchanges_elided_per_step, self.redundant_cells_per_step);
+        if split_phase {
+            machine.note_overlap(
+                self.overlap_windows_per_step,
+                self.interior_cells_per_step,
+                self.boundary_cells_per_step,
+            );
+        }
     }
 }
 
@@ -660,7 +631,6 @@ fn build_superstep_items(
 /// sub-steps exchange nothing, so PEs proceed fully independently.
 fn run_superstep_pe(
     state: &mut PeState,
-    pe: usize,
     nests: &[(LoopNest, Vec<Option<CompiledNest>>)],
     expansions: &[Vec<Vec<(i64, i64)>>],
     scalars: &[f64],
@@ -668,7 +638,7 @@ fn run_superstep_pe(
     let t0 = state.tracer.now();
     for sub in expansions {
         for ((nest, kernels), expand) in nests.iter().zip(sub) {
-            let kernel = kernels.get(pe).and_then(|k| k.as_ref());
+            let kernel = kernels.get(state.pe).and_then(|k| k.as_ref());
             let _ = backend::run_nest_expanded(state, nest, kernel, scalars, expand);
         }
     }
@@ -968,199 +938,215 @@ fn pe_points(machine: &Machine, items: &[PlanItem]) -> u64 {
     per.into_iter().max().unwrap_or(0)
 }
 
-/// Run a nest sweep on one PE, recording a [`SpanKind::KernelExec`] span
-/// when it goes through a compiled kernel and [`SpanKind::Compute`] when
-/// the interpreter evaluates it (a no-op branch with tracing off).
+/// Run a nest sweep on one PE through its compiled kernel where one exists
+/// (`kernels` is indexed by PE), recording a [`SpanKind::KernelExec`] span
+/// when it does and [`SpanKind::Compute`] when the interpreter evaluates
+/// it (a no-op branch with tracing off).
 fn run_nest_traced(
-    pe: &mut hpf_runtime::PeState,
+    pe: &mut PeState,
     nest: &LoopNest,
-    kernel: Option<&CompiledNest>,
+    kernels: &[Option<CompiledNest>],
     scalars: &[f64],
 ) {
+    let kernel = kernels.get(pe.pe).and_then(|k| k.as_ref());
     let t0 = pe.tracer.now();
     backend::run_nest(pe, nest, kernel, scalars);
     let kind = if kernel.is_some() { SpanKind::KernelExec } else { SpanKind::Compute };
     pe.tracer.record(kind, t0);
 }
 
-fn step_items_seq(
-    machine: &mut Machine,
-    items: &[PlanItem],
-    scheds: &mut [CompiledComm],
-    scalars: &[f64],
-) {
-    for item in items {
-        match item {
-            PlanItem::Comm(i) => machine.apply_compiled(&mut scheds[*i]),
-            PlanItem::Nest { nest, kernels } | PlanItem::Overlap { nest, kernels, .. } => {
-                // Windows degenerate to comm-then-nest on this engine; the
-                // borrow split keeps the comm slots applied first.
-                if let PlanItem::Overlap { comms, .. } = item {
-                    for &i in comms {
-                        machine.apply_compiled(&mut scheds[i]);
-                    }
-                }
-                for pe in 0..machine.num_pes() {
-                    let kernel = kernels.get(pe).and_then(|k| k.as_ref());
-                    run_nest_traced(&mut machine.pes[pe], nest, kernel, scalars);
-                }
-            }
-            PlanItem::TimeLoop { iters, body } => {
-                for _ in 0..*iters {
-                    step_items_seq(machine, body, scheds, scalars);
-                }
-            }
-            PlanItem::Superstep { comms, nests, expansions, .. } => {
-                for &i in comms {
-                    machine.apply_compiled(&mut scheds[i]);
-                }
-                // Sub-steps exchange nothing, so each PE runs all of its
-                // sub-steps before the next PE starts — same results.
-                for pe in 0..machine.num_pes() {
-                    run_superstep_pe(&mut machine.pes[pe], pe, nests, expansions, scalars);
-                }
-            }
+/// What [`step_items`] needs from an engine: how a compiled schedule is
+/// exchanged, and which PEs the calling thread computes for.
+pub(crate) trait Fabric {
+    /// Execute the compiled schedule at `slot`, returning once every PE
+    /// of this fabric holds what the schedule delivers to it.
+    fn exchange(&mut self, slot: usize);
+
+    /// Run `f` on every PE this fabric computes for, in PE order, handing
+    /// it the plan's scalar values.
+    fn each_pe(&mut self, f: impl FnMut(&mut PeState, &[f64]));
+
+    /// Execute a [window](PlanItem::Overlap) split-phase and return
+    /// `true`; or execute nothing and return `false` when this fabric has
+    /// no split phase — the walker then runs the window's unfused sequence.
+    fn overlap_window(
+        &mut self,
+        comms: &[usize],
+        barriers: &[bool],
+        pre_drain: &[bool],
+        nest: &LoopNest,
+        kernels: &[Option<CompiledNest>],
+        splits: &[Option<RegionSplit>],
+    ) -> bool;
+}
+
+/// The direct-copy fabric of the sequential engine: the calling thread
+/// owns the whole machine, so an exchange is `Machine::apply_compiled`
+/// (which packs, copies, and unpacks through the schedule's pooled
+/// buffers) and every PE is computed here, one after the other.
+struct Direct<'a> {
+    machine: &'a mut Machine,
+    scheds: &'a mut [CompiledComm],
+    scalars: &'a [f64],
+}
+
+impl Fabric for Direct<'_> {
+    fn exchange(&mut self, slot: usize) {
+        self.machine.apply_compiled(&mut self.scheds[slot]);
+    }
+
+    fn each_pe(&mut self, mut f: impl FnMut(&mut PeState, &[f64])) {
+        for pe in &mut self.machine.pes {
+            f(pe, self.scalars);
         }
+    }
+
+    fn overlap_window(
+        &mut self,
+        _: &[usize],
+        _: &[bool],
+        _: &[bool],
+        _: &LoopNest,
+        _: &[Option<CompiledNest>],
+        _: &[Option<RegionSplit>],
+    ) -> bool {
+        false
     }
 }
 
-fn step_items_worker(w: &mut Worker, items: &[PlanItem], scheds: &[CompiledComm]) {
-    for item in items {
-        match item {
-            PlanItem::Comm(i) => {
-                let s = &scheds[*i];
-                w.comm(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
+/// The channel fabric of the threaded engines: this worker computes its
+/// own PE only, and an exchange is the post/finish message protocol of
+/// [`crate::par`].
+impl Fabric for Worker<'_> {
+    fn exchange(&mut self, slot: usize) {
+        let s = &self.scheds[slot];
+        let seq = self.comm_post(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
+        self.comm_finish(s.dst, &s.actions, seq);
+    }
+
+    fn each_pe(&mut self, mut f: impl FnMut(&mut PeState, &[f64])) {
+        f(self.state, self.scalars);
+    }
+
+    /// Post every schedule's send half (draining pending receives first
+    /// wherever a dependency barrier demands it), compute the nest's
+    /// interior while the messages are in flight, drain the remaining
+    /// receives in plan order, then compute the boundary strips. A PE
+    /// whose interior is degenerate drains immediately and runs the whole
+    /// nest — the blocking protocol.
+    fn overlap_window(
+        &mut self,
+        comms: &[usize],
+        barriers: &[bool],
+        pre_drain: &[bool],
+        nest: &LoopNest,
+        kernels: &[Option<CompiledNest>],
+        splits: &[Option<RegionSplit>],
+    ) -> bool {
+        if !self.split_phase {
+            return false;
+        }
+        let scheds = self.scheds;
+        let drain = |w: &mut Self, pending: &mut Vec<(usize, u64)>| {
+            for (ci, seq) in pending.drain(..) {
+                let s = &scheds[comms[ci]];
+                w.comm_finish(s.dst, &s.actions, seq);
             }
-            PlanItem::Nest { nest, kernels } | PlanItem::Overlap { nest, kernels, .. } => {
-                // Windows degenerate to comm-then-nest on this engine too.
-                if let PlanItem::Overlap { comms, .. } = item {
-                    for &i in comms {
-                        let s = &scheds[i];
-                        w.comm(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
-                    }
-                }
-                let kernel = kernels.get(w.pe).and_then(|k| k.as_ref());
-                run_nest_traced(w.state, nest, kernel, w.scalars);
+        };
+        let mut pending: Vec<(usize, u64)> = Vec::with_capacity(comms.len());
+        for (ci, &slot) in comms.iter().enumerate() {
+            if barriers[ci] {
+                drain(self, &mut pending);
             }
-            PlanItem::TimeLoop { iters, body } => {
-                for _ in 0..*iters {
-                    step_items_worker(w, body, scheds);
-                }
-            }
-            PlanItem::Superstep { comms, nests, expansions, .. } => {
-                for &i in comms {
-                    let s = &scheds[i];
-                    w.comm(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
-                }
-                run_superstep_pe(w.state, w.pe, nests, expansions, w.scalars);
+            let s = &scheds[slot];
+            let seq = self.comm_post(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
+            pending.push((ci, seq));
+        }
+        let Some(split) = splits.get(self.state.pe).and_then(|s| s.as_ref()) else {
+            drain(self, &mut pending);
+            run_nest_traced(self.state, nest, kernels, self.scalars);
+            return true;
+        };
+        let kernel = kernels.get(self.state.pe).and_then(|k| k.as_ref());
+        // Receives whose unpack writes cells the interior reads (halo
+        // along unshrunk dimensions) must land first; the rest stay in
+        // flight across the interior sweep.
+        let mut in_flight: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
+        for (ci, seq) in pending.drain(..) {
+            if pre_drain[ci] {
+                let s = &scheds[comms[ci]];
+                self.comm_finish(s.dst, &s.actions, seq);
+            } else {
+                in_flight.push((ci, seq));
             }
         }
+        // Snapshot counters around the interior sweep and the drain: the
+        // cost model credits the receive time that was covered by
+        // interior compute (the latency split-phase hides; DESIGN.md §5d).
+        let pre = self.state.stats;
+        let t_int = self.state.tracer.now();
+        backend::run_nest_range(self.state, nest, kernel, self.scalars, &split.interior);
+        let t_int_end = self.state.tracer.now();
+        let mid = self.state.stats;
+        // The window's receives drain under one span (the per-comm spans
+        // stay quiet) so the drain's modeled attribution is the same
+        // per-window quantity the hidden-credit counter is built from.
+        let t_drn = self.state.tracer.now();
+        for (ci, seq) in in_flight.drain(..) {
+            let s = &scheds[comms[ci]];
+            self.comm_finish_quiet(s.dst, &s.actions, seq);
+        }
+        let t_drn_end = self.state.tracer.now();
+        let post = self.state.stats;
+        let t_bnd = self.state.tracer.now();
+        for strip in &split.boundary {
+            backend::run_nest_range(self.state, nest, kernel, self.scalars, strip);
+        }
+        self.state.tracer.record(SpanKind::Boundary, t_bnd);
+        let cost = &self.cfg.cost;
+        let interior_ns = cost.pe_time_ns(&mid.delta_since(&pre));
+        let recv_ns = cost.pe_time_ns(&post.delta_since(&mid));
+        let hidden = recv_ns.min(interior_ns);
+        self.state.overlap_hidden_ns += hidden;
+        let tracer = &mut self.state.tracer;
+        tracer.record_at(SpanKind::Interior, t_int, t_int_end, interior_ns, 0.0);
+        tracer.record_at(SpanKind::CommDrain, t_drn, t_drn_end, recv_ns, hidden);
+        true
     }
 }
 
-/// The split-phase walker behind [`ExecPlan::step_par_overlap`]. Identical
-/// to [`step_items_worker`] except on [`PlanItem::Overlap`]: post every
-/// schedule's send half (draining pending receives first wherever a
-/// dependency barrier demands it), compute the nest's interior while the
-/// messages are in flight, drain the remaining receives in plan order, then
-/// compute the boundary strips. A PE whose interior is degenerate drains
-/// immediately and runs the whole nest — the blocking protocol.
-fn step_items_worker_overlap(w: &mut Worker, items: &[PlanItem], scheds: &[CompiledComm]) {
+/// Execute the step program on a fabric — the only interpreter of
+/// [`PlanItem`]s, so every engine reads the program the PL001–PL004
+/// verifier checked the same way.
+fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
     for item in items {
         match item {
-            PlanItem::Comm(i) => {
-                let s = &scheds[*i];
-                w.comm(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
-            }
+            PlanItem::Comm(i) => f.exchange(*i),
             PlanItem::Nest { nest, kernels } => {
-                let kernel = kernels.get(w.pe).and_then(|k| k.as_ref());
-                run_nest_traced(w.state, nest, kernel, w.scalars);
+                f.each_pe(|pe, scalars| run_nest_traced(pe, nest, kernels, scalars));
             }
             PlanItem::Overlap { comms, barriers, pre_drain, nest, kernels, splits } => {
-                let drain = |w: &mut Worker, pending: &mut Vec<(usize, u64)>| {
-                    for (ci, seq) in pending.drain(..) {
-                        let s = &scheds[comms[ci]];
-                        w.comm_finish(s.dst, &s.actions, seq);
+                if !f.overlap_window(comms, barriers, pre_drain, nest, kernels, splits) {
+                    for &i in comms {
+                        f.exchange(i);
                     }
-                };
-                let mut pending: Vec<(usize, u64)> = Vec::with_capacity(comms.len());
-                for (ci, &slot) in comms.iter().enumerate() {
-                    if barriers[ci] {
-                        drain(w, &mut pending);
-                    }
-                    let s = &scheds[slot];
-                    let seq = w.comm_post(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
-                    pending.push((ci, seq));
-                }
-                let kernel = kernels.get(w.pe).and_then(|k| k.as_ref());
-                match splits.get(w.pe).and_then(|s| s.as_ref()) {
-                    Some(split) => {
-                        // Receives whose unpack writes cells the interior
-                        // reads (halo along unshrunk dimensions) must land
-                        // first; the rest stay in flight across the
-                        // interior sweep.
-                        let mut in_flight: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
-                        for (ci, seq) in pending.drain(..) {
-                            if pre_drain[ci] {
-                                let s = &scheds[comms[ci]];
-                                w.comm_finish(s.dst, &s.actions, seq);
-                            } else {
-                                in_flight.push((ci, seq));
-                            }
-                        }
-                        // Snapshot counters around the interior sweep and
-                        // the drain: the cost model credits the receive
-                        // time that was covered by interior compute (the
-                        // latency split-phase hides; DESIGN.md §5d).
-                        let pre = w.state.stats;
-                        let t_int = w.state.tracer.now();
-                        backend::run_nest_range(w.state, nest, kernel, w.scalars, &split.interior);
-                        let t_int_end = w.state.tracer.now();
-                        let mid = w.state.stats;
-                        // The window's receives drain under one span (the
-                        // per-comm spans stay quiet) so the drain's modeled
-                        // attribution is the same per-window quantity the
-                        // hidden-credit counter is built from.
-                        let t_drn = w.state.tracer.now();
-                        for (ci, seq) in in_flight.drain(..) {
-                            let s = &scheds[comms[ci]];
-                            w.comm_finish_quiet(s.dst, &s.actions, seq);
-                        }
-                        let t_drn_end = w.state.tracer.now();
-                        let post = w.state.stats;
-                        let t_bnd = w.state.tracer.now();
-                        for strip in &split.boundary {
-                            backend::run_nest_range(w.state, nest, kernel, w.scalars, strip);
-                        }
-                        w.state.tracer.record(SpanKind::Boundary, t_bnd);
-                        let cost = &w.cfg.cost;
-                        let interior_ns = cost.pe_time_ns(&mid.delta_since(&pre));
-                        let recv_ns = cost.pe_time_ns(&post.delta_since(&mid));
-                        let hidden = recv_ns.min(interior_ns);
-                        w.state.overlap_hidden_ns += hidden;
-                        let tracer = &mut w.state.tracer;
-                        tracer.record_at(SpanKind::Interior, t_int, t_int_end, interior_ns, 0.0);
-                        tracer.record_at(SpanKind::CommDrain, t_drn, t_drn_end, recv_ns, hidden);
-                    }
-                    None => {
-                        drain(w, &mut pending);
-                        run_nest_traced(w.state, nest, kernel, w.scalars);
-                    }
+                    f.each_pe(|pe, scalars| run_nest_traced(pe, nest, kernels, scalars));
                 }
             }
             PlanItem::TimeLoop { iters, body } => {
                 for _ in 0..*iters {
-                    step_items_worker_overlap(w, body, scheds);
+                    step_items(f, body);
                 }
             }
             // Supersteps already avoid (k-1)/k of all communication; the
-            // single deep fill stays on the blocking protocol.
+            // single deep fill stays on the blocking protocol. Sub-steps
+            // exchange nothing, so each PE runs all of its sub-steps
+            // before the next PE starts.
             PlanItem::Superstep { comms, nests, expansions, .. } => {
                 for &i in comms {
-                    let s = &scheds[i];
-                    w.comm(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
+                    f.exchange(i);
                 }
-                run_superstep_pe(w.state, w.pe, nests, expansions, w.scalars);
+                f.each_pe(|pe, scalars| run_superstep_pe(pe, nests, expansions, scalars));
             }
         }
     }
@@ -1177,7 +1163,7 @@ pub fn apply_swaps(machine: &mut Machine, swaps: &[(ArrayId, ArrayId)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::execute_seq;
+    use crate::reference::Reference;
     use hpf_frontend::compile_source;
     use hpf_passes::{compile, CompileOptions, Stage};
     use hpf_runtime::MachineConfig;
@@ -1209,6 +1195,22 @@ U = T
         ExecConfig::new().engine(Engine::ThreadedOverlap).backend(backend)
     }
 
+    /// Shorthand: the blocking threaded engine.
+    fn par() -> ExecConfig {
+        ExecConfig::new().engine(Engine::Threaded)
+    }
+
+    /// The oracle's `U` after running `src` `steps` times from [`init`].
+    fn oracle_u(src: &str, steps: usize) -> Vec<f64> {
+        let checked = compile_source(src).unwrap();
+        let mut r = Reference::new(&checked);
+        r.fill_named("U", init);
+        for _ in 0..steps {
+            r.run(&checked);
+        }
+        r.arrays[&checked.symbols.lookup_array("U").unwrap()].data.clone()
+    }
+
     fn setup(
         src: &str,
         stage: Stage,
@@ -1225,25 +1227,17 @@ U = T
     }
 
     #[test]
-    fn plan_steps_match_repeated_execute_seq() {
+    fn plan_steps_match_the_reference_interpreter() {
+        let want = oracle_u(JACOBI, 5);
         for stage in [Stage::Original, Stage::MemOpt] {
             // Plan once, step 5 times.
-            let (mut m_plan, compiled, u) = setup(JACOBI, stage, &[2, 2]);
-            let mut plan =
-                ExecPlan::build(&mut m_plan, &compiled.node, &ExecConfig::new()).unwrap();
+            let (mut m, compiled, u) = setup(JACOBI, stage, &[2, 2]);
+            let mut plan = ExecPlan::build(&mut m, &compiled.node, &ExecConfig::new()).unwrap();
             for _ in 0..5 {
-                plan.step_seq(&mut m_plan);
+                plan.step(&mut m);
             }
-            // Re-execute 5 times on a fresh path (state carries forward in
-            // the same machine; execute_seq leaves arrays allocated).
-            let (mut m_ref, compiled_ref, _) = setup(JACOBI, stage, &[2, 2]);
-            for _ in 0..5 {
-                execute_seq(&mut m_ref, &compiled_ref.node).unwrap();
-            }
-            assert_eq!(m_plan.gather(u), m_ref.gather(u), "stage {stage:?}");
-            // Same per-PE counters; the plan path adds only schedule stats.
-            assert_eq!(m_plan.stats().per_pe, m_ref.stats().per_pe);
-            let st = m_plan.stats();
+            assert_eq!(m.gather(u), want, "stage {stage:?}");
+            let st = m.stats();
             assert_eq!(st.schedules_built as usize, plan.comm_count());
             assert_eq!(st.schedule_reuses, 5 * plan.comm_execs_per_step());
         }
@@ -1254,10 +1248,10 @@ U = T
         let (mut m_seq, compiled, u) = setup(JACOBI, Stage::MemOpt, &[2, 2]);
         let mut p_seq = ExecPlan::build(&mut m_seq, &compiled.node, &ExecConfig::new()).unwrap();
         let (mut m_par, compiled2, _) = setup(JACOBI, Stage::MemOpt, &[2, 2]);
-        let mut p_par = ExecPlan::build(&mut m_par, &compiled2.node, &ExecConfig::new()).unwrap();
+        let mut p_par = ExecPlan::build(&mut m_par, &compiled2.node, &par()).unwrap();
         for _ in 0..4 {
-            p_seq.step_seq(&mut m_seq);
-            p_par.step_par(&mut m_par);
+            p_seq.step(&mut m_seq);
+            p_par.step(&mut m_par);
         }
         assert_eq!(m_seq.gather(u), m_par.gather(u));
         assert_eq!(m_seq.stats(), m_par.stats());
@@ -1278,14 +1272,11 @@ ENDDO
         let mut plan = ExecPlan::build(&mut m, &compiled.node, &ExecConfig::new()).unwrap();
         // The DO body's comm ops are compiled once but execute 6× per step.
         assert_eq!(plan.comm_execs_per_step(), 6 * plan.comm_count() as u64);
-        plan.step_seq(&mut m);
+        plan.step(&mut m);
         let st = m.stats();
         assert_eq!(st.schedules_built as usize, plan.comm_count());
         assert_eq!(st.schedule_reuses, plan.comm_execs_per_step());
-        // Matches the one-shot executor.
-        let (mut m_ref, compiled_ref, _) = setup(src, Stage::MemOpt, &[2, 2]);
-        execute_seq(&mut m_ref, &compiled_ref.node).unwrap();
-        assert_eq!(m.gather(u), m_ref.gather(u));
+        assert_eq!(m.gather(u), oracle_u(src, 1));
     }
 
     #[test]
@@ -1314,8 +1305,8 @@ ENDDO
                     assert!(p_ovl.boundary_cells_per_step() > 0);
                 }
                 for _ in 0..4 {
-                    p_seq.step_seq(&mut m_seq);
-                    p_ovl.step_par_overlap(&mut m_ovl);
+                    p_seq.step(&mut m_seq);
+                    p_ovl.step(&mut m_ovl);
                 }
                 assert_eq!(m_seq.gather(u), m_ovl.gather(u), "{backend:?} {stage:?}");
                 assert_eq!(m_seq.stats().per_pe, m_ovl.stats().per_pe, "{backend:?} {stage:?}");
@@ -1334,13 +1325,13 @@ ENDDO
         // records a positive per-PE credit and its modeled time is strictly
         // below the blocking plan's. Blocking engines record zero.
         let (mut m_blk, compiled, _) = setup(JACOBI16, Stage::MemOpt, &[2, 2]);
-        let mut p_blk = ExecPlan::build(&mut m_blk, &compiled.node, &ExecConfig::new()).unwrap();
+        let mut p_blk = ExecPlan::build(&mut m_blk, &compiled.node, &par()).unwrap();
         let (mut m_ovl, c2, _) = setup(JACOBI16, Stage::MemOpt, &[2, 2]);
         let mut p_ovl = ExecPlan::build(&mut m_ovl, &c2.node, &ovl(Backend::Interp)).unwrap();
         assert!(p_ovl.overlap_windows_per_step() > 0);
         for _ in 0..3 {
-            p_blk.step_par(&mut m_blk);
-            p_ovl.step_par_overlap(&mut m_ovl);
+            p_blk.step(&mut m_blk);
+            p_ovl.step(&mut m_ovl);
         }
         let st_blk = m_blk.stats();
         let st_ovl = m_ovl.stats();
@@ -1365,33 +1356,14 @@ ENDDO
     }
 
     #[test]
-    fn overlapped_plan_blocking_engines_still_work() {
-        // An overlapped plan stepped on the blocking engines executes the
-        // windows as comm-then-nest, identical to an unfused plan.
-        let (mut m_ref, compiled, u) = setup(JACOBI, Stage::MemOpt, &[2, 2]);
-        let mut p_ref = ExecPlan::build(&mut m_ref, &compiled.node, &ExecConfig::new()).unwrap();
-        let (mut m_seq, c2, _) = setup(JACOBI, Stage::MemOpt, &[2, 2]);
-        let mut p_seq = ExecPlan::build(&mut m_seq, &c2.node, &ovl(Backend::Interp)).unwrap();
-        let (mut m_par, c3, _) = setup(JACOBI, Stage::MemOpt, &[2, 2]);
-        let mut p_par = ExecPlan::build(&mut m_par, &c3.node, &ovl(Backend::Interp)).unwrap();
-        for _ in 0..3 {
-            p_ref.step_seq(&mut m_ref);
-            p_seq.step_seq(&mut m_seq);
-            p_par.step_par(&mut m_par);
-        }
-        assert_eq!(m_ref.gather(u), m_seq.gather(u));
-        assert_eq!(m_ref.gather(u), m_par.gather(u));
-        assert_eq!(m_ref.stats(), m_seq.stats(), "blocking seq step ignores windows");
-        assert_eq!(m_ref.stats(), m_par.stats(), "blocking par step ignores windows");
-    }
-
-    #[test]
     fn par_threshold_degrades_small_steps_to_seq() {
-        // 8x8 over 2x2 PEs: 16 points per PE per nest, 32 per step — below
-        // a threshold of 64, so step_par runs on the calling thread with
-        // identical results and counters.
-        let cfg = MachineConfig::sp2_2x2().par_threshold(64);
-        let checked = compile_source(JACOBI).unwrap();
+        // 16x16 over 2x2 PEs: 64 points per PE per nest, 128 per step —
+        // below a threshold of 256, so the threaded engines run on the
+        // calling thread with identical results and counters. The
+        // overlapped plan keeps its fused windows; the direct fabric
+        // executes each as comm-then-nest.
+        let cfg = MachineConfig::sp2_2x2().par_threshold(256);
+        let checked = compile_source(JACOBI16).unwrap();
         let compiled = compile(&checked, CompileOptions::upto(Stage::MemOpt));
         let u = checked.symbols.lookup_array("U").unwrap();
         let mk = |cfg: MachineConfig| {
@@ -1404,13 +1376,14 @@ ENDDO
         let mut m_seq = mk(MachineConfig::sp2_2x2());
         let mut p_seq = ExecPlan::build(&mut m_seq, &compiled.node, &ExecConfig::new()).unwrap();
         let mut m_par = mk(cfg.clone());
-        let mut p_par = ExecPlan::build(&mut m_par, &compiled.node, &ExecConfig::new()).unwrap();
+        let mut p_par = ExecPlan::build(&mut m_par, &compiled.node, &par()).unwrap();
         let mut m_ovl = mk(cfg);
         let mut p_ovl = ExecPlan::build(&mut m_ovl, &compiled.node, &ovl(Backend::Interp)).unwrap();
+        assert!(p_ovl.overlap_windows_per_step() > 0, "the plan still carries windows");
         for _ in 0..3 {
-            p_seq.step_seq(&mut m_seq);
-            p_par.step_par(&mut m_par);
-            p_ovl.step_par_overlap(&mut m_ovl);
+            p_seq.step(&mut m_seq);
+            p_par.step(&mut m_par);
+            p_ovl.step(&mut m_ovl);
         }
         assert_eq!(m_seq.gather(u), m_par.gather(u));
         assert_eq!(m_seq.gather(u), m_ovl.gather(u));
@@ -1432,8 +1405,8 @@ ENDDO
         let mut p_ovl = ExecPlan::build(&mut m_ovl, &c2.node, &ovl(Backend::Interp)).unwrap();
         assert_eq!(p_ovl.overlap_windows_per_step(), 0, "degenerate interiors: no window");
         for _ in 0..3 {
-            p_seq.step_seq(&mut m_seq);
-            p_ovl.step_par_overlap(&mut m_ovl);
+            p_seq.step(&mut m_seq);
+            p_ovl.step(&mut m_ovl);
         }
         assert_eq!(m_seq.gather(u), m_ovl.gather(u));
         assert_eq!(m_seq.stats().per_pe, m_ovl.stats().per_pe);
@@ -1520,7 +1493,7 @@ T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) + CSHIFT(U,-1,2))
         m.alloc(u, checked.symbols.array(u)).unwrap();
         m.fill(u, init);
         let mut plan = ExecPlan::build(&mut m, &compiled.node, &ExecConfig::new()).unwrap();
-        plan.step_seq(&mut m);
+        plan.step(&mut m);
         let after_one = m.gather(t);
         apply_swaps(&mut m, &[(u, t)]);
         assert_eq!(m.gather(u), after_one, "swap moved T's result into U");
@@ -1549,7 +1522,7 @@ T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) + CSHIFT(U,-1,2))
         let (mut m_ref, c_ref, u) = setup(JACOBI16, Stage::MemOpt, &[2, 2]);
         let mut p_ref = ExecPlan::build(&mut m_ref, &c_ref.node, &ExecConfig::new()).unwrap();
         for _ in 0..STEPS {
-            p_ref.step_seq(&mut m_ref);
+            p_ref.step(&mut m_ref);
         }
         let want = m_ref.gather(u);
         for k in [2usize, 4] {
@@ -1578,13 +1551,13 @@ T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) + CSHIFT(U,-1,2))
         let (mut m_ref, c_ref, u) = setup(JACOBI16, Stage::MemOpt, &[2, 2]);
         let mut p_ref = ExecPlan::build(&mut m_ref, &c_ref.node, &ExecConfig::new()).unwrap();
         for _ in 0..STEPS {
-            p_ref.step_seq(&mut m_ref);
+            p_ref.step(&mut m_ref);
         }
         let (mut m, c, _) = setup_deep(JACOBI16, &[2, 2], k);
         let cfg = ExecConfig::new().superstep(k).trace(true);
         let mut plan = ExecPlan::build(&mut m, &c.node, &cfg).unwrap();
         for _ in 0..STEPS / k {
-            plan.step_seq(&mut m);
+            plan.step(&mut m);
         }
         assert_eq!(m.gather(u), m_ref.gather(u));
         let st = m.stats();
@@ -1617,14 +1590,14 @@ ENDDO
 "#;
         let (mut m_ref, c_ref, u) = setup(SRC, Stage::MemOpt, &[2, 2]);
         let mut p_ref = ExecPlan::build(&mut m_ref, &c_ref.node, &ExecConfig::new()).unwrap();
-        p_ref.step_seq(&mut m_ref);
+        p_ref.step(&mut m_ref);
         for k in [2usize, 4] {
             let (mut m, c, _) = setup_deep(SRC, &[2, 2], k);
             let cfg = ExecConfig::new().backend(Backend::Bytecode).superstep(k);
             let mut plan = ExecPlan::build(&mut m, &c.node, &cfg).unwrap();
             assert_eq!(plan.logical_steps_per_step(), 1, "the loop tiles in place");
             assert_eq!(plan.supersteps_per_step(), (11 / k) as u64);
-            plan.step_seq(&mut m);
+            plan.step(&mut m);
             assert_eq!(m.gather(u), m_ref.gather(u), "k={k}");
         }
     }
@@ -1646,8 +1619,8 @@ ENDDO
         let (mut m_ref, c2, _) = setup(JACOBI16, Stage::Original, &[2, 2]);
         let mut p_ref = ExecPlan::build(&mut m_ref, &c2.node, &ExecConfig::new()).unwrap();
         for _ in 0..3 {
-            plan.step_seq(&mut m);
-            p_ref.step_seq(&mut m_ref);
+            plan.step(&mut m);
+            p_ref.step(&mut m_ref);
         }
         assert_eq!(m.gather(u), m_ref.gather(u));
         assert_eq!(m.stats(), m_ref.stats());

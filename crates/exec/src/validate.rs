@@ -1,15 +1,13 @@
-//! Shared pre-execution validation, used by every engine.
+//! Pre-execution validation and allocation, run by `ExecPlan::build`
+//! before any PE touches a subgrid:
 //!
-//! Two checks run before any PE touches a subgrid:
-//!
-//! * [`check_halo`] — static: every offset access in the node program must
-//!   fit inside the machine's overlap width, or a kernel compiled for a
-//!   wider halo would silently read the wrong subgrid cells.
-//! * [`prevalidate_comms`] — dynamic: build every overlap-shift plan once
-//!   on the coordinating thread so worker threads can `.expect()` plan
-//!   construction instead of threading `Result`s through the SPMD
-//!   protocol. The sequential engine gets the same errors lazily from
-//!   `Machine::overlap_shift`; the threaded engines call this up front.
+//! * [`check_halo`] — every offset access in the node program must fit
+//!   inside the machine's overlap width, or a kernel compiled for a wider
+//!   halo would silently read the wrong subgrid cells;
+//! * [`allocate`] — that check, then every array the program references;
+//! * [`prevalidate_comms`] — checked builds only: construct every
+//!   overlap-shift plan once so a malformed shift is reported before any
+//!   schedule is compiled.
 
 use hpf_passes::loopir::{CommOp, Instr, NodeItem, NodeProgram};
 use hpf_runtime::schedule::overlap_shift_plan;
@@ -17,7 +15,7 @@ use hpf_runtime::{Machine, RtError};
 
 /// Reject node programs whose offset accesses exceed the machine's overlap
 /// width.
-pub(crate) fn check_halo(machine: &Machine, node: &NodeProgram) -> Result<(), RtError> {
+fn check_halo(machine: &Machine, node: &NodeProgram) -> Result<(), RtError> {
     let halo = machine.cfg.halo as i64;
     let mut worst: Option<(i64, usize)> = None;
     node.for_each_item(&mut |item| {
@@ -40,9 +38,23 @@ pub(crate) fn check_halo(machine: &Machine, node: &NodeProgram) -> Result<(), Rt
     }
 }
 
+/// Allocate every array the node program references (inputs may already be
+/// allocated by the caller; those are left untouched), after checking that
+/// the machine's overlap width can serve every offset access the program
+/// performs.
+pub fn allocate(machine: &mut Machine, node: &NodeProgram) -> Result<(), RtError> {
+    check_halo(machine, node)?;
+    for id in &node.live_arrays {
+        if !machine.is_allocated(*id) {
+            machine.alloc(*id, node.symbols.array(*id))?;
+        }
+    }
+    Ok(())
+}
+
 /// Build every overlap-shift communication plan in the item tree once,
 /// surfacing any plan-construction error (shift wider than the halo, bad
-/// RSD extent) before threads are spawned.
+/// RSD extent) before any schedule is compiled.
 pub(crate) fn prevalidate_comms(machine: &Machine, items: &[NodeItem]) -> Result<(), RtError> {
     for item in items {
         match item {

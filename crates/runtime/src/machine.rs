@@ -375,12 +375,6 @@ impl Machine {
         self.metas.get(id.0 as usize).is_some_and(|m| m.is_some())
     }
 
-    /// Snapshot of all array metadata (indexed by `ArrayId`), for executors
-    /// that need geometry while PE states are mutably borrowed by threads.
-    pub fn metas_snapshot(&self) -> Vec<Option<ArrayMeta>> {
-        self.metas.clone()
-    }
-
     /// Metadata of an allocated array.
     pub fn meta(&self, id: ArrayId) -> &ArrayMeta {
         self.metas[id.0 as usize].as_ref().unwrap_or_else(|| panic!("array {id:?} not allocated"))

@@ -25,6 +25,7 @@ enum Row {
 /// A column-aligned text table.
 pub struct TextTable {
     indent: String,
+    gap: String,
     header: Vec<String>,
     aligns: Vec<Align>,
     rows: Vec<Row>,
@@ -35,6 +36,7 @@ impl TextTable {
     pub fn new(columns: &[(&str, Align)]) -> Self {
         TextTable {
             indent: String::new(),
+            gap: " ".to_string(),
             header: columns.iter().map(|(h, _)| h.to_string()).collect(),
             aligns: columns.iter().map(|&(_, a)| a).collect(),
             rows: Vec::new(),
@@ -44,6 +46,12 @@ impl TextTable {
     /// Prefix every rendered line with `indent`.
     pub fn indent(mut self, indent: &str) -> Self {
         self.indent = indent.to_string();
+        self
+    }
+
+    /// Separate columns with `gap` instead of a single space.
+    pub fn gap(mut self, gap: &str) -> Self {
+        self.gap = gap.to_string();
         self
     }
 
@@ -106,7 +114,7 @@ impl TextTable {
             };
             if i < last {
                 out.push_str(&text);
-                out.push(' ');
+                out.push_str(&self.gap);
             } else {
                 // No trailing padding after the final column.
                 out.push_str(text.trim_end());
@@ -142,6 +150,13 @@ mod tests {
         t.line("(note)");
         let s = t.render();
         assert_eq!(s, "  a\n  x\n  (note)\n");
+    }
+
+    #[test]
+    fn gap_replaces_the_column_separator() {
+        let mut t = TextTable::new(&[("a", Align::Right), ("bb", Align::Right)]).gap("  ");
+        t.row(["123", "4"]);
+        assert_eq!(t.render(), "  a  bb\n123   4\n");
     }
 
     #[test]

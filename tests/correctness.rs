@@ -3,7 +3,7 @@
 //! the reference interpreter exactly.
 
 use hpf_stencil::passes::{CompileOptions, Stage};
-use hpf_stencil::{Engine, Kernel, MachineConfig};
+use hpf_stencil::{CoreError, Engine, Kernel, MachineConfig, Plan, RtError};
 
 fn init(p: &[i64]) -> f64 {
     ((p[0] * 17 + p[1] * 29) as f64 * 0.01).sin() + 0.5
@@ -60,7 +60,7 @@ fn nine_point_array_matrix() {
 fn problem9_matrix() {
     let src = hpf_stencil::presets::problem9(16);
     for stage in Stage::all() {
-        for grid in [&[1usize, 1][..], &[2, 2], &[1, 4], &[4, 2]] {
+        for grid in [&[1usize, 1][..], &[2, 2], &[1, 4], &[4, 1], &[4, 2]] {
             check(&src, &["U"], &["T"], grid, stage, Engine::Sequential);
         }
         check(&src, &["U"], &["T"], &[2, 2], stage, Engine::Threaded);
@@ -74,6 +74,72 @@ fn jacobi_matrix() {
         check(&src, &["U"], &["U", "T"], &[2, 2], stage, Engine::Sequential);
     }
     check(&src, &["U"], &["U"], &[2, 2], Stage::MemOpt, Engine::Threaded);
+}
+
+/// One sweep of `kernel` through a plan, `U` filled from [`init`].
+fn sweep<'k>(kernel: &'k Kernel, grid: &[usize], engine: Engine) -> Plan<'k> {
+    let mut plan = kernel
+        .plan(MachineConfig::with_grid(grid.to_vec()))
+        .init("U", init)
+        .engine(engine)
+        .build()
+        .unwrap();
+    plan.step();
+    plan
+}
+
+/// The sequential and both threaded engines must produce the oracle's
+/// result, and — walking the same compiled schedules — the same counters.
+fn engines_agree(src: &str, stage: Stage, grid: &[usize], out: &str) {
+    let kernel = Kernel::compile(src, CompileOptions::upto(stage)).unwrap();
+    let id = kernel.array_id(out).unwrap();
+    let want = kernel.oracle().init("U", init).run().arrays[&id].data.clone();
+    let seq = sweep(&kernel, grid, Engine::Sequential);
+    assert_eq!(seq.gather(out).unwrap(), want, "seq {stage:?} {grid:?}");
+    for engine in [Engine::Threaded, Engine::ThreadedOverlap] {
+        let par = sweep(&kernel, grid, engine);
+        assert_eq!(par.gather(out).unwrap(), want, "{engine:?} {stage:?} {grid:?}");
+        assert_eq!(par.stats().total(), seq.stats().total(), "{engine:?} {stage:?} {grid:?}");
+    }
+}
+
+#[test]
+fn threaded_engines_equal_sequential_and_oracle() {
+    let p9 = hpf_stencil::presets::problem9(16);
+    for stage in Stage::all() {
+        engines_agree(&p9, stage, &[2, 2], "T");
+    }
+    for grid in [&[1usize, 1][..], &[4, 1], &[1, 4], &[2, 4]] {
+        engines_agree(&p9, Stage::MemOpt, grid, "T");
+    }
+    // A `DO` loop runs whole inside one step, on every engine.
+    let jacobi = hpf_stencil::presets::jacobi(8, 7);
+    engines_agree(&jacobi, Stage::MemOpt, &[2, 2], "U");
+    engines_agree(&jacobi, Stage::Original, &[2, 2], "U");
+}
+
+#[test]
+fn eoshift_boundary_matrix() {
+    let src = r#"
+PARAM N = 8
+REAL U(N,N), T(N,N)
+T = EOSHIFT(U, SHIFT=1, DIM=1, BOUNDARY=3.5) + EOSHIFT(U, SHIFT=-1, DIM=2) + U
+"#;
+    for stage in Stage::all() {
+        engines_agree(src, stage, &[2, 2], "T");
+    }
+}
+
+#[test]
+fn shift_wider_than_the_machine_halo_fails_the_build() {
+    // Compiled for a 2-deep overlap area, run on a machine with halo 1:
+    // the plan build must reject it on every engine, before any step runs.
+    let src = "PARAM N = 8\nREAL U(N,N), T(N,N)\nT = CSHIFT(U, SHIFT=2, DIM=1) + U\n";
+    let kernel = Kernel::compile(src, CompileOptions::full().halo(2)).unwrap();
+    for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+        let err = kernel.plan(MachineConfig::sp2_2x2()).init("U", init).engine(engine).build();
+        assert!(matches!(err, Err(CoreError::Runtime(RtError::ShiftTooWide { .. }))), "{engine:?}");
+    }
 }
 
 #[test]

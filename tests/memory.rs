@@ -4,7 +4,7 @@
 //! fits.
 
 use hpf_stencil::baselines::naive;
-use hpf_stencil::passes::{CompileOptions, TempPolicy};
+use hpf_stencil::passes::{CompileOptions, Stage, TempPolicy};
 use hpf_stencil::{CoreError, Engine, Kernel, MachineConfig, RtError};
 
 fn budget_for(n: usize, arrays: usize) -> usize {
@@ -50,6 +50,22 @@ fn single_statement_exhausts_budget_where_multi_fits() {
 }
 
 #[test]
+fn fresh_temporaries_exhaust_a_budget_the_optimized_kernel_fits() {
+    let src = hpf_stencil::presets::problem9(8);
+    // FreshPerShift at the original stage: 6 temps + 4 user arrays = 10
+    // arrays of 8x8. Over 2x2 with halo 1 each is 36 elems = 288 B per PE.
+    let mut opts = CompileOptions::upto(Stage::Original);
+    opts.temp_policy = TempPolicy::FreshPerShift;
+    let fresh = Kernel::compile(&src, opts).unwrap();
+    let cfg = MachineConfig::sp2_2x2().budget(5 * 288);
+    let err = fresh.plan(cfg.clone()).init("U", |_| 1.0).build().err();
+    assert!(matches!(err, Some(CoreError::Runtime(RtError::MemoryExhausted { .. }))), "{err:?}");
+    // The optimized version allocates only U and T: fits, and steps.
+    let ours = Kernel::compile(&src, CompileOptions::full()).unwrap();
+    ours.plan(cfg).init("U", |_| 1.0).build().expect("two arrays fit").step();
+}
+
+#[test]
 fn peak_memory_ordering_across_translations() {
     let n = 32;
     let run = |kernel: &Kernel, input: &str| {
@@ -90,7 +106,7 @@ fn allocation_failure_is_all_or_nothing() {
     let src = kernel.array_id("SRC").unwrap();
     machine.alloc(src, kernel.checked.symbols.array(src)).unwrap();
     let before = machine.pes[0].cur_bytes;
-    let err = hpf_stencil::exec::execute_seq(&mut machine, &kernel.compiled.node).unwrap_err();
+    let err = hpf_stencil::exec::allocate(&mut machine, &kernel.compiled.node).unwrap_err();
     assert!(matches!(err, RtError::MemoryExhausted { .. }));
     // Whatever was allocated stayed consistent: no PE over budget.
     for pe in &machine.pes {
