@@ -5,7 +5,7 @@ use hpf_frontend::{compile_source, Checked, FrontError};
 use hpf_ir::ArrayId;
 use hpf_passes::{compile, CompileOptions, Compiled, NUM_PASSES, PASS_NAMES};
 use hpf_runtime::{AggStats, Machine, MachineConfig, RtError};
-use hpf_trace::{Event, SpanKind, Trace, Track};
+use hpf_trace::{DriftReport, Event, MetricsSnapshot, SpanKind, Trace, Track};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -675,18 +675,17 @@ impl Plan<'_> {
         self.machine.modeled_time_ms()
     }
 
-    /// Whether the plan was built with event tracing enabled. When only
-    /// metrics are enabled the rings run privately to feed the sampler and
-    /// this stays `false` — user-facing trace semantics are unchanged.
+    /// Whether the plan was built with event tracing enabled. Metrics
+    /// alone keep no timeline, so this stays `false` for them.
     pub fn tracing_enabled(&self) -> bool {
-        self.machine.tracing_enabled() && !self.exec.metrics_owns_trace()
+        self.machine.tracing_enabled()
     }
 
-    /// Snapshot of the collected metrics (histograms, step series, per-PE
-    /// registries); `None` unless the plan was built with
-    /// [`Planner::metrics`] / [`ExecConfig::metrics`].
-    pub fn metrics_snapshot(&self) -> Option<hpf_metrics::MetricsSnapshot> {
-        self.exec.metrics_snapshot()
+    /// Snapshot of the collected metrics (per-PE folds, step series);
+    /// `None` unless the plan was built with [`Planner::metrics`] /
+    /// [`ExecConfig::metrics`].
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        self.exec.metrics_snapshot(&self.machine)
     }
 
     /// Cost-model drift report joining modeled component costs against
@@ -694,7 +693,7 @@ impl Plan<'_> {
     /// Its `modeled_time_ns` and `hidden_comm_ns` reconcile exactly with
     /// [`CostModel::modeled_time_ns`](hpf_runtime::CostModel::modeled_time_ns)
     /// and the sum of `AggStats::hidden_comm_ns`.
-    pub fn drift_report(&self) -> Option<hpf_metrics::DriftReport> {
+    pub fn drift_report(&self) -> Option<DriftReport> {
         self.exec.drift_report(&self.machine)
     }
 
@@ -704,15 +703,11 @@ impl Plan<'_> {
     /// per PE. Recording stays enabled; the rings restart empty. Returns
     /// an empty trace when tracing was not enabled.
     pub fn take_trace(&mut self) -> Trace {
-        let mut trace = self.machine.take_trace();
-        if self.exec.metrics_owns_trace() {
-            // The rings exist only to feed the metrics sampler (which marks
-            // its own watermarks each step): drain them, hand back nothing.
+        if !self.tracing_enabled() {
             return Trace::default();
         }
-        if self.machine.tracing_enabled() {
-            trace.tracks.insert(0, compile_passes_track(self.kernel.stats()));
-        }
+        let mut trace = self.machine.take_trace();
+        trace.tracks.insert(0, compile_passes_track(self.kernel.stats()));
         trace
     }
 
@@ -748,10 +743,10 @@ pub struct Run {
     pub trace: Option<Trace>,
     /// The metrics snapshot, when the run was configured with metrics
     /// ([`Planner::metrics`] / [`ExecConfig::metrics`]); `None` otherwise.
-    pub metrics: Option<hpf_metrics::MetricsSnapshot>,
+    pub metrics: Option<MetricsSnapshot>,
     /// The cost-model drift report, when the run was configured with
     /// metrics; `None` otherwise.
-    pub drift: Option<hpf_metrics::DriftReport>,
+    pub drift: Option<DriftReport>,
     /// Logical time steps each machine step covered: the superstep depth
     /// `k` for a driver-stepped flat superstep plan, 1 otherwise.
     pub logical_steps: usize,
@@ -918,7 +913,8 @@ mod tests {
             .metrics(true)
             .build()
             .unwrap();
-        assert!(!plan.tracing_enabled(), "metrics-owned rings stay invisible");
+        assert!(!plan.tracing_enabled(), "metrics alone keep no timeline");
+        assert!(plan.machine.pes.iter().all(|p| !p.tracer.has_timeline()), "no event ring");
         plan.iterate(3);
         assert!(plan.take_trace().tracks.is_empty(), "no user-facing trace");
         let snap = plan.metrics_snapshot().expect("metrics were configured");

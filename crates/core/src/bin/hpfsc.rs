@@ -10,8 +10,8 @@
 //!              [--emit ir|node|stats|diag-json] [--lint] [--deny-warnings]
 //!              [--verify] [--run] [--grid RxC] [--halo W] [--superstep K]
 //!              [--engine seq|threaded|threaded-overlap|interp|bytecode|auto|...]
-//!              [--trace[=FILE]] [--tune[=FILE]]
-//!              [--print-input NAME[:N]] [--naive] [--drop-shift K]
+//!              [--trace[=FILE]] [--metrics[=FILE]] [--report] [--tune[=FILE]]
+//!              [--print-input NAME[:N]] [--naive] [--drop-shift K] [--help]
 //! ```
 //!
 //! Exit codes: 0 success; 1 compile, run, or I/O failure; 2 usage error;
@@ -40,9 +40,10 @@ options:
   --verify              machine-check the compiled program: run the
                         bytecode verifier (BV001-BV004) over every per-PE
                         kernel and the plan-level race checker
-                        (PL001-PL003) over every overlap window of a
-                        threaded-overlap-bytecode plan on the --grid
-                        machine; print any diagnostics, exit 5 on failure
+                        (PL001-PL004) over every overlap window and
+                        superstep of a threaded-overlap-bytecode plan on
+                        the --grid machine; print any diagnostics, exit 5
+                        on failure
   --run                 execute on the simulated machine, verified against
                         the reference interpreter
   --grid RxC            PE grid for --run (default: 2x2)
@@ -371,7 +372,7 @@ fn main() {
 
     if verify {
         // Verify the most aggressive configuration regardless of --engine:
-        // overlap windows give the race checker (PL001-PL003) something to
+        // overlap windows give the race checker (PL001-PL004) something to
         // prove and compiled bytecode kernels give the bytecode verifier
         // (BV001-BV004) something to prove. An unchecked build cannot be
         // rejected at build time, so every diagnostic reaches the report.

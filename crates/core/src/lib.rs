@@ -43,7 +43,6 @@ pub use hpf_codegen as codegen;
 pub use hpf_exec as exec;
 pub use hpf_frontend as frontend;
 pub use hpf_ir as ir;
-pub use hpf_metrics as metrics;
 pub use hpf_passes as passes;
 pub use hpf_runtime as runtime;
 pub use hpf_trace as trace;
@@ -52,8 +51,7 @@ pub use hpf_tune as tune;
 pub use hpf_analysis::{Diagnostic, Severity};
 pub use hpf_exec::{max_abs_diff, Backend, Engine, ExecConfig, Reference};
 pub use hpf_ir::pretty;
-pub use hpf_metrics::{DriftReport, MetricsConfig, MetricsSnapshot};
 pub use hpf_passes::{CompileOptions, PipelineStats, Stage, TempPolicy};
 pub use hpf_runtime::{AggStats, CostModel, Machine, MachineConfig, PeGrid, RtError};
-pub use hpf_trace::{TraceConfig, TraceSummary};
+pub use hpf_trace::{DriftReport, MetricsSnapshot, TraceSummary};
 pub use hpf_tune::{TuneOutcome, Tuner};

@@ -79,6 +79,20 @@ fn help_exits_zero_and_documents_every_flag() {
     ] {
         assert!(text.contains(flag), "usage omits {flag}");
     }
+    // The `//!` synopsis at the top of the driver source must name every
+    // flag the usage text documents.
+    let source = include_str!("../src/bin/hpfsc.rs");
+    let synopsis: String = source.lines().take_while(|l| l.starts_with("//!")).collect();
+    let mut flags: Vec<&str> = text
+        .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+        .filter(|w| w.starts_with("--") && w.len() > 2)
+        .collect();
+    flags.sort_unstable();
+    flags.dedup();
+    assert!(flags.len() >= 18, "flag scan found only {flags:?}");
+    for flag in flags {
+        assert!(synopsis.contains(flag), "hpfsc.rs synopsis omits {flag}");
+    }
 }
 
 #[test]

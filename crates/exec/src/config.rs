@@ -7,8 +7,6 @@
 //! [`crate::ExecPlan::step`] needs no per-call dispatch arguments.
 
 use crate::backend::Backend;
-use hpf_metrics::MetricsConfig;
-use hpf_trace::TraceConfig;
 
 /// Which executor steps the plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,21 +53,19 @@ pub struct ExecConfig {
     /// How loop nests are evaluated (tree interpreter or compiled
     /// bytecode kernels). Bitwise-identical results either way.
     pub backend: Backend,
-    /// When set, the plan enables per-PE event tracing on its machine at
-    /// build time: every schedule build, pack/unpack, comm post/drain,
-    /// interior/boundary sweep and kernel compile/exec records a span.
-    /// `None` (the default) leaves every tracer disabled — recording
-    /// sites then cost one predictable branch and no clock read.
-    pub trace: Option<TraceConfig>,
-    /// When set, the plan collects metrics each step: per-PE span-latency
+    /// When set, the plan keeps a per-PE event timeline: every schedule
+    /// build, pack/unpack, comm post/drain, interior/boundary sweep and
+    /// kernel compile/exec records a span into a preallocated ring of
+    /// `hpf_trace::RING_CAPACITY` events per track.
+    pub trace: bool,
+    /// When set, the plan collects metrics: per-PE span-latency
     /// histograms, a per-step time series (phase breakdown, bytes moved,
     /// busy fractions, load imbalance), and the inputs of the cost-model
-    /// drift report. Metrics read the same per-PE trace rings the `trace`
-    /// option exposes; when `trace` is off they enable the rings
-    /// internally without changing user-facing trace semantics
-    /// (observation-only either way). `None` (the default) records
-    /// nothing.
-    pub metrics: Option<MetricsConfig>,
+    /// drift report — all read off the per-kind folds the same recorders
+    /// keep, never off the timeline (observation-only either way). With
+    /// both options off (the default) every recorder stays disabled and
+    /// recording sites cost one predictable branch and no clock read.
+    pub metrics: bool,
     /// Checked build: pre-validate every communication plan (shift widths
     /// against the halo) before any schedule is compiled, and make the
     /// static verifiers (BV*/PL*) fail the build instead of demoting the
@@ -99,8 +95,8 @@ impl Default for ExecConfig {
         ExecConfig {
             engine: Engine::default(),
             backend: Backend::default(),
-            trace: None,
-            metrics: None,
+            trace: false,
+            metrics: false,
             check: false,
             auto: false,
             superstep: 1,
@@ -134,27 +130,15 @@ impl ExecConfig {
         self
     }
 
-    /// Enable event tracing with the default ring capacity.
+    /// Toggle the event timeline.
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = if on { Some(TraceConfig::default()) } else { None };
+        self.trace = on;
         self
     }
 
-    /// Enable event tracing with an explicit recorder configuration.
-    pub fn trace_with(mut self, cfg: TraceConfig) -> Self {
-        self.trace = Some(cfg);
-        self
-    }
-
-    /// Enable metrics collection with the default configuration.
+    /// Toggle metrics collection.
     pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = if on { Some(MetricsConfig::default()) } else { None };
-        self
-    }
-
-    /// Enable metrics collection with an explicit configuration.
-    pub fn metrics_with(mut self, cfg: MetricsConfig) -> Self {
-        self.metrics = Some(cfg);
+        self.metrics = on;
         self
     }
 
@@ -254,7 +238,7 @@ mod tests {
         let cfg = ExecConfig::new();
         assert_eq!(cfg.engine, Engine::Sequential);
         assert_eq!(cfg.backend, Backend::Interp);
-        assert!(cfg.trace.is_none());
+        assert!(!cfg.trace && !cfg.metrics);
         assert!(!cfg.check);
         assert_eq!(cfg.superstep, 1);
     }
@@ -314,9 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_toggle_sets_default_capacity() {
+    fn trace_and_metrics_are_independent_toggles() {
         let cfg = ExecConfig::new().trace(true);
-        assert_eq!(cfg.trace.unwrap().capacity, TraceConfig::DEFAULT_CAPACITY);
-        assert!(ExecConfig::new().trace(true).trace(false).trace.is_none());
+        assert!(cfg.trace && !cfg.metrics);
+        assert!(!cfg.metrics(true).trace(false).trace && cfg.metrics(true).metrics);
     }
 }

@@ -1,16 +1,12 @@
 //! Per-step metrics sampling and the cost-model drift join.
 //!
-//! `hpf-metrics` owns the data types; this module owns the *collection*:
-//! it knows machines, tracers, and the cost model. Sampling piggybacks
-//! on the per-PE trace rings instead of adding a second family of
-//! instrumentation sites — [`MetricsState::begin`] snapshots each PE
-//! ring's length (a watermark) before the engines run a step, and
-//! [`MetricsState::end`] reads back exactly the spans that step appended
-//! (a non-draining peek via [`hpf_trace::Tracer::events`]), feeding the
-//! per-PE latency histograms and one [`StepSample`]. When the user did
-//! not ask for tracing, [`crate::ExecPlan::build`] enables the rings
-//! privately and the plan reports that it owns them, so user-facing
-//! trace semantics stay unchanged.
+//! `hpf-trace` owns the data types and the per-PE [`Fold`]s the recorders
+//! keep up to date; this module owns the part that knows machines and the
+//! cost model. [`MetricsState::begin`] reads each PE fold's per-kind wall
+//! sums before the engines run a step and [`MetricsState::end`] reads
+//! them again: the difference is the step's [`StepSample`]. Nothing is
+//! copied or re-aggregated — the per-PE histograms of a
+//! [`MetricsSnapshot`] *are* the folds.
 //!
 //! The drift join ([`MetricsState::drift_report`]) prices the run's
 //! aggregate counters with the machine's [`CostModel`] component by
@@ -18,149 +14,76 @@
 //! kinds that perform that work. PE-track spans never nest (each engine
 //! records disjoint phases), so per-kind sums partition the busy time.
 
-use hpf_metrics::{
-    DriftComponent, DriftReport, MetricsConfig, MetricsSnapshot, Registry, StepSample, StepSeries,
+use hpf_runtime::{CostModel, Machine, PeState, PeStats};
+use hpf_trace::{
+    now_ns, DriftComponent, DriftReport, Fold, MetricsSnapshot, SpanKind, StepSample, NUM_KINDS,
 };
-use hpf_runtime::{CostModel, Machine, PeStats};
-use hpf_trace::{now_ns, SpanKind};
 
 /// Collection state owned by an [`crate::ExecPlan`] built with
-/// [`crate::ExecConfig::metrics`].
+/// [`crate::ExecConfig::metrics`]: the driver-side half of the snapshot
+/// (`per_pe` stays empty here — the folds live on the machine).
 #[derive(Debug)]
-pub(crate) struct MetricsState {
-    cfg: MetricsConfig,
-    /// The exec-config label, embedded in snapshots.
-    label: String,
-    /// True when the plan enabled tracing purely for metrics (user trace
-    /// off): the trace must then stay invisible to trace consumers.
-    owns_trace: bool,
-    steps: u64,
-    series: StepSeries,
-    per_pe: Vec<Registry>,
-    driver: Registry,
-    /// Hidden-communication credit read back off the drain spans the
-    /// sampler has seen (pairs with the counter-side credit in the drift
-    /// report; diverges only when rings overflow).
-    hidden_measured_ns: f64,
-}
+pub(crate) struct MetricsState(MetricsSnapshot);
 
-/// Watermarks captured at the top of one plan step.
+/// Readings taken at the top of one plan step.
 pub(crate) struct StepBegin {
     t0: u64,
-    marks: Vec<usize>,
-    dropped: Vec<u64>,
     bytes0: u64,
+    walls: Vec<[u64; NUM_KINDS]>,
 }
 
-/// Span kinds that occupy a PE (disjoint on PE tracks — see module doc).
-const PE_LEAF_KINDS: [SpanKind; 9] = [
-    SpanKind::Compute,
-    SpanKind::KernelExec,
-    SpanKind::Interior,
-    SpanKind::Boundary,
-    SpanKind::Pack,
-    SpanKind::Unpack,
-    SpanKind::CommPost,
-    SpanKind::CommDrain,
-    SpanKind::Superstep,
-];
+fn bytes_sent(machine: &Machine) -> u64 {
+    machine.pes.iter().map(|p| p.stats.bytes_sent).sum()
+}
+
+/// A PE fold's per-kind wall sums (zeros for a recorder that is off).
+fn pe_walls(p: &PeState) -> [u64; NUM_KINDS] {
+    p.tracer.fold().map(Fold::wall_sums).unwrap_or_default()
+}
+
+/// Apply `f` to every PE's fold and sum the results.
+fn sum_folds(machine: &Machine, f: impl Fn(&Fold) -> f64) -> f64 {
+    machine.pes.iter().filter_map(|p| p.tracer.fold()).map(f).sum()
+}
 
 impl MetricsState {
-    pub(crate) fn new(cfg: MetricsConfig, label: String, pes: usize, owns_trace: bool) -> Self {
-        MetricsState {
-            cfg,
-            label,
-            owns_trace,
-            steps: 0,
-            series: StepSeries::new(cfg.step_capacity),
-            per_pe: vec![Registry::new(); pes],
-            driver: Registry::new(),
-            hidden_measured_ns: 0.0,
-        }
+    pub(crate) fn new(label: String, pes: usize) -> Self {
+        MetricsState(MetricsSnapshot { config: label, pes, ..MetricsSnapshot::default() })
     }
 
-    /// Does the trace on the machine exist only to feed metrics?
-    pub(crate) fn owns_trace(&self) -> bool {
-        self.owns_trace
-    }
-
-    /// Snapshot the per-PE ring watermarks and byte counters before the
-    /// engine runs a step.
+    /// Read the fold wall sums and byte counters before the engine runs
+    /// a step.
     pub(crate) fn begin(&self, machine: &Machine) -> StepBegin {
-        StepBegin {
-            t0: now_ns(),
-            marks: machine.pes.iter().map(|p| p.tracer.len()).collect(),
-            dropped: machine.pes.iter().map(|p| p.tracer.dropped()).collect(),
-            bytes0: machine.pes.iter().map(|p| p.stats.bytes_sent).sum(),
-        }
+        let walls = machine.pes.iter().map(pe_walls).collect();
+        StepBegin { t0: now_ns(), bytes0: bytes_sent(machine), walls }
     }
 
-    /// Fold the spans the step appended into the histograms and record
-    /// its [`StepSample`].
+    /// Record the step's [`StepSample`]: what every PE fold gained since
+    /// `begin`.
     pub(crate) fn end(&mut self, machine: &Machine, begin: StepBegin, logical_steps: usize) {
-        let wall_ns = now_ns().saturating_sub(begin.t0);
+        let snap = &mut self.0;
         let mut sample = StepSample {
-            step: self.steps,
-            wall_ns,
-            bytes_moved: machine
-                .pes
-                .iter()
-                .map(|p| p.stats.bytes_sent)
-                .sum::<u64>()
-                .saturating_sub(begin.bytes0),
+            step: snap.steps,
+            wall_ns: now_ns().saturating_sub(begin.t0),
+            bytes_moved: bytes_sent(machine).saturating_sub(begin.bytes0),
             ..StepSample::default()
         };
-        for (pe, p) in machine.pes.iter().enumerate() {
-            let events = p.tracer.events();
-            let from = begin.marks.get(pe).copied().unwrap_or(0).min(events.len());
-            let mut busy = 0u64;
-            for e in &events[from..] {
-                self.per_pe[pe].hist_record(e.kind.label(), e.dur_ns);
-                self.hidden_measured_ns += e.hidden_ns;
-                if PE_LEAF_KINDS.contains(&e.kind) {
-                    busy += e.dur_ns;
-                }
-                match e.kind {
-                    SpanKind::Compute | SpanKind::KernelExec | SpanKind::Interior => {
-                        sample.compute_ns += e.dur_ns
-                    }
-                    SpanKind::Boundary => {
-                        sample.compute_ns += e.dur_ns;
-                        sample.boundary_ns += e.dur_ns;
-                    }
-                    SpanKind::Pack | SpanKind::Unpack => sample.pack_ns += e.dur_ns,
-                    SpanKind::CommPost => sample.send_ns += e.dur_ns,
-                    SpanKind::CommDrain => sample.drain_ns += e.dur_ns,
-                    SpanKind::Superstep => sample.superstep_ns += e.dur_ns,
-                    _ => {}
-                }
-            }
-            let dropped =
-                p.tracer.dropped().saturating_sub(begin.dropped.get(pe).copied().unwrap_or(0));
-            if dropped > 0 {
-                self.per_pe[pe].counter_add("spans_dropped", dropped);
-            }
-            sample.busy.push(busy as f64 / wall_ns.max(1) as f64);
+        for (p, before) in machine.pes.iter().zip(&begin.walls) {
+            let after = pe_walls(p);
+            sample.add_pe(&std::array::from_fn(|k| after[k].saturating_sub(before[k])));
         }
         sample.imbalance = StepSample::imbalance_of(&sample.busy);
-        self.driver.counter_add("steps", 1);
-        self.driver.counter_add("logical_steps", logical_steps as u64);
-        self.driver.counter_add("bytes_moved", sample.bytes_moved);
-        self.driver.hist_record("step-wall", wall_ns);
-        self.series.push(sample);
-        self.steps += 1;
+        snap.steps += 1;
+        snap.logical_steps += logical_steps as u64;
+        snap.bytes_moved += sample.bytes_moved;
+        snap.step_wall.record(sample.wall_ns);
+        snap.series.push(sample);
     }
 
     /// Freeze the collected metrics for export.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            config: self.label.clone(),
-            pes: self.per_pe.len(),
-            steps: self.steps,
-            per_pe: self.per_pe.clone(),
-            driver: self.driver.clone(),
-            series: self.series.clone(),
-        }
+    pub(crate) fn snapshot(&self, machine: &Machine) -> MetricsSnapshot {
+        let per_pe = machine.pes.iter().map(|p| p.tracer.fold().cloned().unwrap_or_default());
+        MetricsSnapshot { per_pe: per_pe.collect(), ..self.0.clone() }
     }
 
     /// Join the machine's aggregate counters, priced by its cost model,
@@ -169,40 +92,38 @@ impl MetricsState {
     /// [`CostModel::modeled_time_ns`] and `AggStats::hidden_comm_ns`, so
     /// they reconcile with those sources exactly.
     pub(crate) fn drift_report(&self, machine: &Machine) -> DriftReport {
+        use SpanKind::*;
         let agg = machine.stats();
         let cost = &machine.cfg.cost;
         let t = agg.total();
         let hidden_modeled: f64 = agg.hidden_comm_ns.iter().sum();
+        let measured = |kinds: &[SpanKind]| sum_folds(machine, |f| f.wall_ns(kinds) as f64);
         let components = vec![
             DriftComponent {
                 name: "compute",
                 modeled_ns: compute_modeled_ns(cost, &t),
-                measured_ns: self.kinds_wall_ns(&[
-                    SpanKind::Compute,
-                    SpanKind::KernelExec,
-                    SpanKind::Interior,
-                    SpanKind::Boundary,
-                    SpanKind::Superstep,
-                ]),
+                measured_ns: measured(&[Compute, KernelExec, Interior, Boundary, Superstep]),
                 model_only: false,
             },
             DriftComponent {
                 name: "msg-latency",
                 modeled_ns: (t.msgs_sent + t.msgs_recv) as f64 * cost.alpha_ns,
-                measured_ns: self.kinds_wall_ns(&[SpanKind::CommPost, SpanKind::CommDrain]),
+                measured_ns: measured(&[CommPost, CommDrain]),
                 model_only: false,
             },
             DriftComponent {
                 name: "bandwidth",
                 modeled_ns: (t.bytes_sent + t.bytes_recv) as f64 * cost.beta_ns_per_byte
                     + (t.intra_bytes + t.wrap_bytes) as f64 * cost.copy_ns_per_byte,
-                measured_ns: self.kinds_wall_ns(&[SpanKind::Pack, SpanKind::Unpack]),
+                measured_ns: measured(&[Pack, Unpack]),
                 model_only: false,
             },
+            // Both sides are modeled: the counter-side credit against the
+            // same credit read back off the drain spans' fold.
             DriftComponent {
                 name: "hidden-credit",
                 modeled_ns: hidden_modeled,
-                measured_ns: self.hidden_measured_ns,
+                measured_ns: sum_folds(machine, Fold::hidden_ns),
                 model_only: true,
             },
         ];
@@ -210,22 +131,8 @@ impl MetricsState {
             components,
             hidden_comm_ns: hidden_modeled,
             modeled_time_ns: cost.modeled_time_ns(&agg),
-            measured_wall_ns: self.series.total_wall_ns(),
-            band: (self.cfg.band_low, self.cfg.band_high),
+            measured_wall_ns: self.0.series.total_wall_ns(),
         }
-    }
-
-    /// Total measured wall ns in the given span kinds, over all PEs.
-    fn kinds_wall_ns(&self, kinds: &[SpanKind]) -> f64 {
-        let mut sum = 0u64;
-        for r in &self.per_pe {
-            for k in kinds {
-                if let Some(h) = r.hist(k.label()) {
-                    sum += h.sum();
-                }
-            }
-        }
-        sum as f64
     }
 }
 

@@ -186,17 +186,10 @@ impl ExecPlan {
         node: &NodeProgram,
         cfg: &ExecConfig,
     ) -> Result<ExecPlan, RtError> {
-        if let Some(tc) = cfg.trace {
-            machine.enable_tracing(tc);
-        }
-        // Metrics sample the trace rings; when tracing was not requested,
-        // enable it privately and remember that the plan owns it, so
-        // trace consumers still see "tracing off" (`Machine::take_trace`
-        // callers go through the planning layer, which checks
-        // `metrics_owns_trace`).
-        let metrics_owns_trace = cfg.metrics.is_some() && cfg.trace.is_none();
-        if metrics_owns_trace {
-            machine.enable_tracing(hpf_trace::TraceConfig::default());
+        // Trace and metrics share the recorders: both need them on, only
+        // a trace needs the event timeline as well as the folds.
+        if cfg.trace || cfg.metrics {
+            machine.enable_tracing(cfg.trace);
         }
         crate::validate::allocate(machine, node)?;
         if cfg.check {
@@ -268,13 +261,8 @@ impl ExecPlan {
             redundant_cells_per_step: 0,
             logical_steps,
             superstep_diags,
-            metrics: cfg.metrics.map(|mc| {
-                Box::new(crate::metrics::MetricsState::new(
-                    mc,
-                    cfg.label(),
-                    machine.pes.len(),
-                    metrics_owns_trace,
-                ))
+            metrics: cfg.metrics.then(|| {
+                Box::new(crate::metrics::MetricsState::new(cfg.label(), machine.pes.len()))
             }),
         };
         if cfg.engine == Engine::ThreadedOverlap {
@@ -311,9 +299,9 @@ impl ExecPlan {
     }
 
     /// Run one sweep of the kernel on the configured engine. With
-    /// metrics on, the step is bracketed by ring watermarks so exactly
-    /// the spans it appends feed the histograms and its [`StepSample`] —
-    /// observation only, after the engines have finished the step.
+    /// metrics on, the step is bracketed by two readings of the per-PE
+    /// folds whose difference is its `StepSample` — observation only,
+    /// after the engines have finished the step.
     pub fn step(&mut self, machine: &mut Machine) {
         let begin = self.metrics.as_ref().map(|m| m.begin(machine));
         if self.engine == Engine::Sequential || self.below_par_threshold(machine) {
@@ -336,21 +324,14 @@ impl ExecPlan {
 
     /// The collected metrics, frozen for export; `None` unless the plan
     /// was built with [`ExecConfig::metrics`].
-    pub fn metrics_snapshot(&self) -> Option<hpf_metrics::MetricsSnapshot> {
-        self.metrics.as_ref().map(|m| m.snapshot())
+    pub fn metrics_snapshot(&self, machine: &Machine) -> Option<hpf_trace::MetricsSnapshot> {
+        self.metrics.as_ref().map(|m| m.snapshot(machine))
     }
 
     /// The cost-model drift report for the stepped-so-far run; `None`
     /// unless the plan was built with [`ExecConfig::metrics`].
-    pub fn drift_report(&self, machine: &Machine) -> Option<hpf_metrics::DriftReport> {
+    pub fn drift_report(&self, machine: &Machine) -> Option<hpf_trace::DriftReport> {
         self.metrics.as_ref().map(|m| m.drift_report(machine))
-    }
-
-    /// True when the machine's tracing was enabled by metrics collection
-    /// rather than [`ExecConfig::trace`] — trace consumers should then
-    /// treat the run as untraced.
-    pub fn metrics_owns_trace(&self) -> bool {
-        self.metrics.as_ref().is_some_and(|m| m.owns_trace())
     }
 
     /// Number of distinct communication schedules compiled.

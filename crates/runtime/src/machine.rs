@@ -10,7 +10,7 @@ use crate::schedule::{
 use crate::stats::{AggStats, PeStats};
 use crate::subgrid::Subgrid;
 use hpf_ir::{ArrayDecl, ArrayId, DimDist, Offsets, Rsd, Section, Shape, ShiftKind};
-use hpf_trace::{SpanKind, Trace, TraceConfig, Tracer, Track};
+use hpf_trace::{SpanKind, Trace, Tracer, Track};
 
 /// Machine configuration.
 #[derive(Clone, Debug)]
@@ -229,18 +229,20 @@ impl Machine {
     }
 
     /// Turn on span recording: the driver tracer and every PE's tracer get
-    /// a freshly preallocated ring. Until this is called, every tracer is a
+    /// an empty per-kind fold and, when `timeline` is set, a freshly
+    /// preallocated event ring. Until this is called, every tracer is a
     /// no-op and instrumented code paths cost a single branch.
-    pub fn enable_tracing(&mut self, cfg: TraceConfig) {
-        self.driver_tracer.enable(cfg);
+    pub fn enable_tracing(&mut self, timeline: bool) {
+        self.driver_tracer.enable(timeline);
         for p in &mut self.pes {
-            p.tracer.enable(cfg);
+            p.tracer.enable(timeline);
         }
     }
 
-    /// Whether span recording is on.
+    /// Whether a span timeline is being kept ([`Machine::take_trace`]
+    /// has something to return).
     pub fn tracing_enabled(&self) -> bool {
-        self.driver_tracer.is_enabled()
+        self.driver_tracer.has_timeline()
     }
 
     /// The driver-side tracer (schedule builds, kernel compiles, step

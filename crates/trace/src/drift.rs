@@ -11,12 +11,16 @@
 //! (cost model applied to the exact `PeStats` counters) against the
 //! measured wall time of the matching span kinds, and flags a component
 //! when its modeled/measured ratio, *normalized by the median component
-//! ratio*, leaves a configurable band. The absolute scale divides out
+//! ratio*, leaves the [`BAND`]. The absolute scale divides out
 //! (and a single drifting component cannot drag the normalizer the way a
 //! weighted mean would); what remains is relative mis-pricing.
 
-use hpf_trace::json::Value;
-use hpf_trace::{Align, TextTable};
+use crate::json::Value;
+use crate::table::{Align, TextTable};
+
+/// Acceptance band `(low, high)` for a component's normalized
+/// modeled/measured ratio.
+pub const BAND: (f64, f64) = (0.5, 2.0);
 
 /// One modeled-vs-measured pairing.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,7 +45,8 @@ pub struct DriftComponent {
 
 impl DriftComponent {
     /// Modeled over measured; infinite when measured is zero but modeled
-    /// is not, and 1.0 when both are zero (no evidence of drift).
+    /// is not (no measured side — rendered as `-` / `null`), and 1.0 when
+    /// both are zero (no evidence of drift).
     pub fn ratio(&self) -> f64 {
         if self.measured_ns > 0.0 {
             self.modeled_ns / self.measured_ns
@@ -66,8 +71,6 @@ pub struct DriftReport {
     pub modeled_time_ns: f64,
     /// Total measured step wall nanoseconds (driver view).
     pub measured_wall_ns: u64,
-    /// Acceptance band for the normalized ratio: `(low, high)`.
-    pub band: (f64, f64),
 }
 
 impl DriftReport {
@@ -134,7 +137,7 @@ impl DriftReport {
             return false;
         }
         let r = self.normalized_ratio(c);
-        !(self.band.0..=self.band.1).contains(&r)
+        !(BAND.0..=BAND.1).contains(&r)
     }
 
     /// The components currently outside the band.
@@ -169,8 +172,8 @@ impl DriftReport {
             self.modeled_time_ns / 1e6,
             self.hidden_comm_ns / 1e6,
             self.measured_wall_ns as f64 / 1e6,
-            self.band.0,
-            self.band.1,
+            BAND.0,
+            BAND.1,
         ));
         t.render()
     }
@@ -185,8 +188,8 @@ impl DriftReport {
                     ("name".into(), Value::String(c.name.into())),
                     ("modeled_ns".into(), Value::Number(c.modeled_ns)),
                     ("measured_ns".into(), Value::Number(c.measured_ns)),
-                    ("ratio".into(), Value::Number(finite(c.ratio()))),
-                    ("normalized_ratio".into(), Value::Number(finite(self.normalized_ratio(c)))),
+                    ("ratio".into(), json_ratio(c.ratio())),
+                    ("normalized_ratio".into(), json_ratio(self.normalized_ratio(c))),
                     ("flagged".into(), Value::Bool(self.is_flagged(c))),
                 ])
             })
@@ -196,28 +199,27 @@ impl DriftReport {
             ("hidden_comm_ns".into(), Value::Number(self.hidden_comm_ns)),
             ("modeled_time_ns".into(), Value::Number(self.modeled_time_ns)),
             ("measured_wall_ns".into(), Value::Number(self.measured_wall_ns as f64)),
-            (
-                "band".into(),
-                Value::Array(vec![Value::Number(self.band.0), Value::Number(self.band.1)]),
-            ),
+            ("band".into(), Value::Array(vec![Value::Number(BAND.0), Value::Number(BAND.1)])),
         ])
     }
 }
 
-/// JSON has no Infinity; clamp to a sentinel the parser round-trips.
-fn finite(x: f64) -> f64 {
-    if x.is_finite() {
-        x
+/// A ratio with no measured side (infinite) is `null`: no evidence, not a
+/// number.
+fn json_ratio(r: f64) -> Value {
+    if r.is_finite() {
+        Value::Number(r)
     } else {
-        f64::MAX
+        Value::Null
     }
 }
 
+/// A ratio with no measured side (infinite) is `-`.
 fn fmt_ratio(r: f64) -> String {
     if r.is_finite() {
         format!("{r:.2}")
     } else {
-        "inf".into()
+        "-".into()
     }
 }
 
@@ -231,7 +233,6 @@ mod tests {
             hidden_comm_ns: 0.0,
             modeled_time_ns: 0.0,
             measured_wall_ns: 1_000_000,
-            band: (0.5, 2.0),
         }
     }
 
@@ -321,23 +322,36 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_the_shared_parser() {
-        let r = report(vec![DriftComponent {
-            name: "msg-latency",
-            modeled_ns: 5.0,
-            measured_ns: 0.0,
-            model_only: false,
-        }]);
+    fn unmeasured_components_render_as_dash_and_null_never_inf() {
+        // The sequential engine records no comm-post/comm-drain span, the
+        // overlap engine no pack/unpack: modeled > 0, nothing measured.
+        let r = report(vec![
+            DriftComponent {
+                name: "compute",
+                modeled_ns: 100_000.0,
+                measured_ns: 1_000.0,
+                model_only: false,
+            },
+            DriftComponent {
+                name: "msg-latency",
+                modeled_ns: 5.0,
+                measured_ns: 0.0,
+                model_only: false,
+            },
+        ]);
+        assert!(r.flagged().is_empty(), "no evidence is not drift");
+        assert_eq!(r.center_ratio(), 100.0, "the unmeasured component stays out of the median");
+        let table = r.render_table();
+        let row = table.lines().find(|l| l.starts_with("msg-latency")).unwrap();
+        assert!(row.trim_end().ends_with("0.000      -    -"), "{table}");
+        assert!(!table.contains("inf"), "{table}");
         let j = r.to_json();
-        let back = hpf_trace::json::parse(&j.render()).unwrap();
+        let back = crate::json::parse(&j.render()).unwrap();
         assert_eq!(back.render(), j.render());
-        // Modeled-but-unmeasured: no evidence, so not flagged.
-        assert_eq!(
-            back.get("components").and_then(|c| match c {
-                Value::Array(a) => a[0].get("flagged").cloned(),
-                _ => None,
-            }),
-            Some(Value::Bool(false))
-        );
+        let Some(Value::Array(comps)) = back.get("components") else { panic!("no components") };
+        assert_eq!(comps[0].get("ratio"), Some(&Value::Number(100.0)));
+        assert_eq!(comps[1].get("ratio"), Some(&Value::Null));
+        assert_eq!(comps[1].get("normalized_ratio"), Some(&Value::Null));
+        assert_eq!(comps[1].get("flagged"), Some(&Value::Bool(false)));
     }
 }

@@ -1,11 +1,14 @@
 //! Per-step time series.
 //!
 //! The executor records one [`StepSample`] per plan step: where the
-//! step's wall time went (phase sums read off the trace rings), how many
-//! bytes moved, and how evenly the PEs were loaded. The series is a
-//! bounded drop-newest buffer like the tracer rings — long runs keep the
-//! first `capacity` steps and count the rest, so memory stays flat and
+//! step's wall time went (phase sums, each the difference of two
+//! [`Fold::wall_sums`](crate::Fold::wall_sums) readings), how many bytes
+//! moved, and how evenly the PEs were loaded. The series is a bounded
+//! drop-newest buffer like the timeline rings — long runs keep the first
+//! [`STEP_CAPACITY`] steps and count the rest, so memory stays flat and
 //! the retained prefix is still a faithful record of start-up behavior.
+
+use crate::span::{SpanKind, NUM_KINDS};
 
 /// One plan step's measurements.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -39,6 +42,26 @@ pub struct StepSample {
 }
 
 impl StepSample {
+    /// Account one PE's share of the step: `wall` is what the PE's fold
+    /// gained per kind while the step ran. PE-track spans never nest
+    /// (each engine records disjoint phases), so the phase sums partition
+    /// the PE's busy time. Call once per PE, in PE order, after `wall_ns`
+    /// is set; finish with [`StepSample::imbalance_of`].
+    pub fn add_pe(&mut self, wall: &[u64; NUM_KINDS]) {
+        use SpanKind::*;
+        let w = |k: SpanKind| wall[k as usize];
+        let compute = w(Compute) + w(KernelExec) + w(Interior) + w(Boundary);
+        let pack = w(Pack) + w(Unpack);
+        self.compute_ns += compute;
+        self.boundary_ns += w(Boundary);
+        self.pack_ns += pack;
+        self.send_ns += w(CommPost);
+        self.drain_ns += w(CommDrain);
+        self.superstep_ns += w(Superstep);
+        let busy = compute + pack + w(CommPost) + w(CommDrain) + w(Superstep);
+        self.busy.push(busy as f64 / self.wall_ns.max(1) as f64);
+    }
+
     /// Imbalance from a busy vector: max/mean, 0.0 for empty/idle.
     pub fn imbalance_of(busy: &[f64]) -> f64 {
         let n = busy.len();
@@ -55,24 +78,21 @@ impl StepSample {
     }
 }
 
+/// [`StepSample`]s a [`StepSeries`] retains before it starts counting
+/// drops.
+pub const STEP_CAPACITY: usize = 4096;
+
 /// A bounded, drop-newest sequence of [`StepSample`]s.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepSeries {
     samples: Vec<StepSample>,
-    cap: usize,
     dropped: u64,
 }
 
 impl StepSeries {
-    /// An empty series retaining at most `capacity` samples.
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        StepSeries { samples: Vec::new(), cap, dropped: 0 }
-    }
-
     /// Append a sample, or count it as dropped when the series is full.
     pub fn push(&mut self, s: StepSample) {
-        if self.samples.len() < self.cap {
+        if self.samples.len() < STEP_CAPACITY {
             self.samples.push(s);
         } else {
             self.dropped += 1;
@@ -102,11 +122,6 @@ impl StepSeries {
     /// Total step wall nanoseconds over the retained samples.
     pub fn total_wall_ns(&self) -> u64 {
         self.samples.iter().map(|s| s.wall_ns).sum()
-    }
-
-    /// Total bytes moved over the retained samples.
-    pub fn total_bytes(&self) -> u64 {
-        self.samples.iter().map(|s| s.bytes_moved).sum()
     }
 
     /// Mean per-PE busy fraction over the retained samples (empty when
@@ -147,24 +162,46 @@ mod tests {
     }
 
     #[test]
+    fn add_pe_partitions_a_pes_wall_into_phases_and_busy() {
+        let mut wall = [0u64; NUM_KINDS];
+        for (k, ns) in [
+            (SpanKind::KernelExec, 300),
+            (SpanKind::Boundary, 100),
+            (SpanKind::Pack, 40),
+            (SpanKind::Unpack, 10),
+            (SpanKind::CommPost, 20),
+            (SpanKind::CommDrain, 30),
+            (SpanKind::Step, 999), // driver-side kinds never count as PE busy time
+        ] {
+            wall[k as usize] = ns;
+        }
+        let mut s = StepSample { wall_ns: 1000, ..Default::default() };
+        s.add_pe(&wall);
+        s.add_pe(&[0; NUM_KINDS]);
+        assert_eq!((s.compute_ns, s.boundary_ns, s.pack_ns), (400, 100, 50));
+        assert_eq!((s.send_ns, s.drain_ns, s.superstep_ns), (20, 30, 0));
+        assert_eq!(s.busy, vec![0.5, 0.0]);
+    }
+
+    #[test]
     fn series_drops_newest_past_capacity() {
-        let mut s = StepSeries::new(2);
-        for i in 0..5 {
+        let mut s = StepSeries::default();
+        for i in 0..STEP_CAPACITY as u64 + 3 {
             s.push(StepSample { step: i, wall_ns: 10, ..Default::default() });
         }
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len(), STEP_CAPACITY);
         assert_eq!(s.dropped(), 3);
         assert_eq!(s.samples()[1].step, 1, "keeps the earliest samples");
-        assert_eq!(s.total_wall_ns(), 20);
+        assert_eq!(s.total_wall_ns(), 10 * STEP_CAPACITY as u64);
     }
 
     #[test]
     fn means_average_over_retained_samples() {
-        let mut s = StepSeries::new(8);
+        let mut s = StepSeries::default();
         s.push(StepSample { busy: vec![1.0, 0.0], imbalance: 2.0, ..Default::default() });
         s.push(StepSample { busy: vec![0.0, 1.0], imbalance: 2.0, ..Default::default() });
         assert_eq!(s.mean_busy(), vec![0.5, 0.5]);
         assert_eq!(s.mean_imbalance(), 2.0);
-        assert!(StepSeries::new(1).mean_busy().is_empty());
+        assert!(StepSeries::default().mean_busy().is_empty());
     }
 }

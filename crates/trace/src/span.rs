@@ -1,5 +1,6 @@
 //! Span taxonomy, the process-wide clock, and the per-PE recorder.
 
+use crate::fold::Fold;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -126,61 +127,55 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Recorder configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Ring capacity per tracer, in events. The ring is preallocated at
-    /// enable time; once full, new events are dropped (and counted) so
-    /// the hot path never reallocates.
-    pub capacity: usize,
-}
-
-impl TraceConfig {
-    /// Default ring capacity per tracer (events).
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { capacity: Self::DEFAULT_CAPACITY }
-    }
-}
+/// Events a tracer's timeline ring holds. The ring is preallocated when
+/// a timeline is requested; once full, new events are dropped from the
+/// timeline (and counted) so the hot path never reallocates. The
+/// [`Fold`] keeps counting regardless.
+pub const RING_CAPACITY: usize = 1 << 16;
 
 /// A single-writer span recorder. Each PE's worker thread (and the driver
 /// thread) owns one tracer exclusively, so recording needs no locks or
-/// atomics: check the enabled flag, read the clock, write into the
-/// preallocated ring.
+/// atomics: check the enabled flag, read the clock, add the span to the
+/// per-kind [`Fold`], and — only when the caller asked for a timeline —
+/// write it into the preallocated ring.
 ///
 /// Disabled (the default), every method is a branch that does nothing:
 /// [`Tracer::now`] returns 0 without reading the clock and
 /// [`Tracer::record`] returns without writing, which is what makes
-/// leaving the instrumentation compiled-in free.
+/// leaving the instrumentation compiled-in free. Fold and ring are
+/// allocated by [`Tracer::enable`], never inline in the tracer.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    on: bool,
-    ring: Vec<Event>,
-    cap: usize,
+    /// `Some` exactly when recording is on.
+    fold: Option<Box<Fold>>,
+    /// The timeline sink, kept only when one was asked for.
+    ring: Option<Vec<Event>>,
     dropped: u64,
 }
 
 impl Tracer {
-    /// A disabled tracer: no buffer, every record call a no-op.
+    /// A disabled tracer: no fold, no buffer, every record call a no-op.
     pub fn disabled() -> Self {
         Tracer::default()
     }
 
-    /// Turn recording on with a freshly preallocated ring.
-    pub fn enable(&mut self, cfg: TraceConfig) {
-        self.on = true;
-        self.cap = cfg.capacity;
-        self.ring = Vec::with_capacity(cfg.capacity);
+    /// Turn recording on with an empty fold and, when `timeline` is set,
+    /// a freshly preallocated event ring.
+    pub fn enable(&mut self, timeline: bool) {
+        self.fold = Some(Box::default());
+        self.ring = timeline.then(|| Vec::with_capacity(RING_CAPACITY));
         self.dropped = 0;
     }
 
     /// Whether spans are currently being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.on
+        self.fold.is_some()
+    }
+
+    /// Whether recorded spans are also kept as a timeline.
+    pub fn has_timeline(&self) -> bool {
+        self.ring.is_some()
     }
 
     /// Timestamp for a span about to start, or 0 when disabled (the
@@ -188,7 +183,7 @@ impl Tracer {
     /// when disabled is the zero-overhead guarantee.
     #[inline]
     pub fn now(&self) -> u64 {
-        if self.on {
+        if self.is_enabled() {
             now_ns()
         } else {
             0
@@ -198,10 +193,7 @@ impl Tracer {
     /// Close a span opened at `start_ns` (a [`Tracer::now`] value).
     #[inline]
     pub fn record(&mut self, kind: SpanKind, start_ns: u64) {
-        if self.on {
-            let dur = now_ns().saturating_sub(start_ns);
-            self.push(Event { kind, start_ns, dur_ns: dur, modeled_ns: 0.0, hidden_ns: 0.0 });
-        }
+        self.record_modeled(kind, start_ns, 0.0, 0.0);
     }
 
     /// Close a span and attach cost-model attribution (`modeled_ns`) and,
@@ -214,9 +206,8 @@ impl Tracer {
         modeled_ns: f64,
         hidden_ns: f64,
     ) {
-        if self.on {
-            let dur = now_ns().saturating_sub(start_ns);
-            self.push(Event { kind, start_ns, dur_ns: dur, modeled_ns, hidden_ns });
+        if self.is_enabled() {
+            self.record_at(kind, start_ns, now_ns(), modeled_ns, hidden_ns);
         }
     }
 
@@ -233,57 +224,46 @@ impl Tracer {
         modeled_ns: f64,
         hidden_ns: f64,
     ) {
-        if self.on {
-            let dur = end_ns.saturating_sub(start_ns);
-            self.push(Event { kind, start_ns, dur_ns: dur, modeled_ns, hidden_ns });
+        let Some(fold) = self.fold.as_deref_mut() else { return };
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        let ev = Event { kind, start_ns, dur_ns, modeled_ns, hidden_ns };
+        fold.add(&ev);
+        if let Some(ring) = &mut self.ring {
+            if ring.len() < RING_CAPACITY {
+                ring.push(ev);
+            } else {
+                self.dropped += 1;
+            }
         }
     }
 
-    #[inline]
-    fn push(&mut self, ev: Event) {
-        if self.ring.len() < self.cap {
-            self.ring.push(ev);
-        } else {
-            self.dropped += 1;
-        }
+    /// The per-kind aggregates of every span recorded since
+    /// [`Tracer::enable`]; `None` while disabled. Unlike the timeline it
+    /// is never drained and never drops.
+    pub fn fold(&self) -> Option<&Fold> {
+        self.fold.as_deref()
     }
 
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no events have been recorded.
+    /// True when the timeline ring holds no events.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.as_ref().is_none_or(Vec::is_empty)
     }
 
-    /// Events dropped because the ring was full.
+    /// Events dropped from the timeline because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// The recorded events without draining, in completion order (the
-    /// order [`Tracer::record`] saw them, not start order). The metrics
-    /// sampler uses this with a pre-step `len()` watermark to read just
-    /// the spans one plan step produced, leaving the ring intact for the
-    /// eventual [`Tracer::drain`].
-    pub fn events(&self) -> &[Event] {
-        &self.ring
-    }
-
-    /// Take the recorded events (sorted by start time — spans are pushed
-    /// at completion, so nested spans complete before their parents) and
-    /// reset the ring. The tracer stays enabled.
+    /// Take the timeline (sorted by start time — spans are pushed at
+    /// completion, so nested spans complete before their parents) and
+    /// reset the ring. The tracer stays enabled and its fold untouched.
     pub fn drain(&mut self) -> (Vec<Event>, u64) {
-        let mut evs = std::mem::take(&mut self.ring);
-        if self.on {
-            self.ring = Vec::with_capacity(self.cap);
-        }
+        let mut evs = match &mut self.ring {
+            Some(ring) => std::mem::replace(ring, Vec::with_capacity(RING_CAPACITY)),
+            None => Vec::new(),
+        };
         evs.sort_by_key(|e| (e.start_ns, e.dur_ns));
-        let dropped = self.dropped;
-        self.dropped = 0;
-        (evs, dropped)
+        (evs, std::mem::take(&mut self.dropped))
     }
 }
 
@@ -298,19 +278,24 @@ mod tests {
         assert_eq!(t.now(), 0);
         t.record(SpanKind::Pack, 0);
         t.record_modeled(SpanKind::CommDrain, 0, 10.0, 5.0);
+        t.record_at(SpanKind::Interior, 0, 9, 1.0, 0.0);
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
+        assert!(t.fold().is_none() && !t.has_timeline());
+        // No larger than the ring-only recorder it replaced (flag + Vec +
+        // capacity + drop count): the fold sits behind a pointer.
+        assert!(std::mem::size_of::<Tracer>() <= 48);
     }
 
     #[test]
     fn enabled_tracer_records_and_drains_sorted() {
         let mut t = Tracer::disabled();
-        t.enable(TraceConfig { capacity: 8 });
+        t.enable(true);
         let a = t.now();
         t.record(SpanKind::Pack, a);
         let b = t.now();
         t.record_modeled(SpanKind::CommDrain, b, 42.0, 7.0);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.ring.as_ref().unwrap().len(), 2);
         let (evs, dropped) = t.drain();
         assert_eq!(dropped, 0);
         assert_eq!(evs.len(), 2);
@@ -320,20 +305,41 @@ mod tests {
         assert_eq!(evs[1].hidden_ns, 7.0);
         assert!(t.is_empty());
         assert!(t.is_enabled());
+        // Draining the timeline leaves the fold alone.
+        assert_eq!(t.fold().unwrap().kind(SpanKind::CommDrain).hidden_ns, 7.0);
     }
 
     #[test]
     fn full_ring_drops_newest_without_reallocating() {
         let mut t = Tracer::disabled();
-        t.enable(TraceConfig { capacity: 2 });
-        let cap_before = t.ring.capacity();
-        for _ in 0..5 {
-            let s = t.now();
-            t.record(SpanKind::Compute, s);
+        t.enable(true);
+        let cap_before = t.ring.as_ref().unwrap().capacity();
+        for _ in 0..RING_CAPACITY + 3 {
+            t.record_at(SpanKind::Compute, 0, 1, 0.0, 0.0);
         }
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.ring.as_ref().unwrap().len(), RING_CAPACITY);
         assert_eq!(t.dropped(), 3);
-        assert_eq!(t.ring.capacity(), cap_before);
+        assert_eq!(t.ring.as_ref().unwrap().capacity(), cap_before);
+        // The fold saw every span, dropped from the timeline or not.
+        let seen = t.fold().unwrap().kind(SpanKind::Compute).wall.count();
+        assert_eq!(seen, RING_CAPACITY as u64 + 3);
+    }
+
+    #[test]
+    fn fold_only_tracer_counts_without_a_ring() {
+        let mut t = Tracer::disabled();
+        t.enable(false);
+        for _ in 0..RING_CAPACITY + 3 {
+            t.record_at(SpanKind::Pack, 0, 2, 0.0, 0.0);
+        }
+        assert!(t.is_enabled() && !t.has_timeline());
+        assert!(t.is_empty() && t.dropped() == 0);
+        assert_eq!(t.drain(), (Vec::new(), 0));
+        let pack = &t.fold().unwrap().kind(SpanKind::Pack).wall;
+        assert_eq!(
+            (pack.count(), pack.sum()),
+            (RING_CAPACITY as u64 + 3, 2 * (RING_CAPACITY as u64 + 3))
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Collected timelines and their aggregate views.
 
-use crate::span::{Event, SpanKind, NUM_KINDS};
+use crate::fold::Fold;
+use crate::span::{Event, SpanKind, RING_CAPACITY};
 use crate::table::{Align, TextTable};
 
 /// One timeline: all spans recorded by one tracer (one PE worker thread,
@@ -23,29 +24,15 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Per-track per-kind aggregates.
+    /// Per-track per-kind aggregates: each track's events replayed
+    /// through the same [`Fold`] the recorder updates online.
     pub fn summary(&self) -> TraceSummary {
-        TraceSummary {
-            tracks: self
-                .tracks
-                .iter()
-                .map(|t| {
-                    let mut s = TrackSummary {
-                        name: t.name.clone(),
-                        dropped: t.dropped,
-                        ..TrackSummary::default()
-                    };
-                    for e in &t.events {
-                        let k = e.kind as usize;
-                        s.count[k] += 1;
-                        s.wall_ns[k] += e.dur_ns;
-                        s.modeled_ns[k] += e.modeled_ns;
-                        s.hidden_ns[k] += e.hidden_ns;
-                    }
-                    s
-                })
-                .collect(),
-        }
+        let track = |t: &Track| {
+            let mut fold = Fold::default();
+            t.events.iter().for_each(|e| fold.add(e));
+            TrackSummary { name: t.name.clone(), dropped: t.dropped, fold }
+        };
+        TraceSummary { tracks: self.tracks.iter().map(track).collect() }
     }
 
     /// Total number of spans across all tracks.
@@ -61,36 +48,29 @@ pub struct TrackSummary {
     pub name: String,
     /// Spans lost to ring overflow.
     pub dropped: u64,
-    /// Span count per [`SpanKind`] (indexed by `kind as usize`).
-    pub count: [u64; NUM_KINDS],
-    /// Total wall nanoseconds per kind.
-    pub wall_ns: [u64; NUM_KINDS],
-    /// Total modeled nanoseconds per kind.
-    pub modeled_ns: [f64; NUM_KINDS],
-    /// Total hidden-communication nanoseconds per kind (nonzero only for
-    /// [`SpanKind::CommDrain`]).
-    pub hidden_ns: [f64; NUM_KINDS],
+    /// The track's per-kind aggregates.
+    pub fold: Fold,
 }
 
 impl TrackSummary {
     /// Span count for one kind.
     pub fn count(&self, k: SpanKind) -> u64 {
-        self.count[k as usize]
+        self.fold.kind(k).wall.count()
     }
 
     /// Total wall nanoseconds for one kind.
     pub fn wall_ns(&self, k: SpanKind) -> u64 {
-        self.wall_ns[k as usize]
+        self.fold.kind(k).wall.sum()
     }
 
     /// Total modeled nanoseconds for one kind.
     pub fn modeled_ns(&self, k: SpanKind) -> f64 {
-        self.modeled_ns[k as usize]
+        self.fold.kind(k).modeled_ns
     }
 
     /// Total hidden nanoseconds for one kind.
     pub fn hidden_ns(&self, k: SpanKind) -> f64 {
-        self.hidden_ns[k as usize]
+        self.fold.kind(k).hidden_ns
     }
 
     /// Is this a per-PE track (vs driver/compile)?
@@ -167,7 +147,7 @@ impl TraceSummary {
         columns.push(("hidden", Align::Right));
         let mut table = TextTable::new(&columns);
         for t in self.pe_tracks() {
-            let events: u64 = t.count.iter().sum();
+            let events: u64 = t.fold.hists().map(|(_, h)| h.count()).sum();
             let mut row = vec![t.name.clone(), events.to_string()];
             for k in COLS {
                 row.push(format!("{:.1}", t.wall_ns(k) as f64 / steps / 1e3));
@@ -184,7 +164,8 @@ impl TraceSummary {
         let dropped = self.total_dropped();
         if dropped > 0 {
             table.line(format!(
-                "warning: {dropped} spans lost to ring overflow — raise TraceConfig capacity for a complete trace"
+                "warning: {dropped} spans lost to ring overflow — the timeline is truncated at \
+                 {RING_CAPACITY} events per track; --report/--metrics totals are complete"
             ));
         }
         table.render()
@@ -274,6 +255,8 @@ mod tests {
         assert!(table.contains("dropped"));
         assert!(table.contains("interior"));
         assert!(table.contains("warning: 2 spans lost"), "{table}");
+        assert!(table.contains("truncated at 65536 events per track"), "{table}");
+        assert!(!table.contains("TraceConfig"), "{table}");
     }
 
     #[test]

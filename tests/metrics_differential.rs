@@ -7,8 +7,9 @@
 //! The drift report must reconcile exactly with its sources: its
 //! `modeled_time_ns` equals `CostModel::modeled_time_ns` on the run's
 //! aggregate counters and its `hidden_comm_ns` equals the sum of
-//! `AggStats::hidden_comm_ns`. Metrics-owned tracing must stay invisible
-//! to trace consumers.
+//! `AggStats::hidden_comm_ns`. Metrics alone keep no timeline: trace
+//! consumers see an untraced run, and the histograms never stop counting
+//! however long the run.
 
 use hpf_stencil::runtime::PeStats;
 use hpf_stencil::{
@@ -123,11 +124,11 @@ fn drift_report_reconciles_with_cost_model_and_counters() {
     }
 }
 
-/// Metrics-owned tracing stays invisible: no trace on the run, empty
+/// Metrics alone surface no trace: no trace on the run, empty
 /// `take_trace`, `tracing_enabled` false — while an explicitly traced
 /// run keeps its trace alongside the metrics.
 #[test]
-fn metrics_owned_rings_stay_invisible_to_trace_consumers() {
+fn metrics_alone_surface_no_trace() {
     let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     let init = |p: &[i64]| ((p[0] * 3 - p[1]) as f64 * 0.11).sin();
     let metered =
@@ -146,6 +147,39 @@ fn metrics_owned_rings_stay_invisible_to_trace_consumers() {
     assert!(both.metrics.is_some() && both.drift.is_some());
     // Both runs computed the same thing.
     assert_eq!(metered.gather(&kernel, "T"), both.gather(&kernel, "T"));
+}
+
+/// Metrics never stop counting: a metrics-only run far longer than a
+/// timeline ring (36 spans/step × 8 000 steps ≫ 4 × 65 536 events) still
+/// counts every span of every step, drops nothing, and keeps no timeline.
+#[test]
+fn long_metrics_only_run_counts_every_span() {
+    const STEPS: u64 = 8_000;
+    let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
+    let per_kind_counts = |steps: u64| {
+        let mut plan = kernel
+            .plan(MachineConfig::sp2_2x2())
+            .init("U", |p| ((p[0] * 3 - p[1]) as f64 * 0.11).sin())
+            .metrics(true)
+            .build()
+            .unwrap();
+        plan.iterate(steps as usize);
+        assert!(!plan.tracing_enabled());
+        assert_eq!(plan.take_trace().total_events(), 0, "metrics alone surfaced a timeline");
+        assert!(plan
+            .machine
+            .pes
+            .iter()
+            .all(|p| !p.tracer.has_timeline() && p.tracer.dropped() == 0));
+        let snap = plan.metrics_snapshot().unwrap();
+        assert_eq!(snap.steps, steps);
+        let merged = snap.merged_pe_registry();
+        merged.hists().map(|(kind, h)| (kind, h.count())).collect::<Vec<_>>()
+    };
+    let one = per_kind_counts(1);
+    assert_eq!(one.iter().map(|&(_, c)| c).sum::<u64>(), 36, "{one:?}");
+    let scaled: Vec<_> = one.iter().map(|&(kind, c)| (kind, c * STEPS)).collect();
+    assert_eq!(per_kind_counts(STEPS), scaled);
 }
 
 proptest! {
