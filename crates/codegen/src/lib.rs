@@ -10,13 +10,19 @@
 //!    [`CompiledNest`]: a compact register bytecode ([`Op`]) with offsets
 //!    flattened to index deltas, coefficients constant-folded into
 //!    immediates, single-definition constants hoisted to per-execution
-//!    preloads, WHERE masks fused into predicated stores, and
-//!    multiply-accumulate chains fused (two roundings — never FMA).
+//!    preloads, WHERE masks fused into predicated stores, and every
+//!    accumulation lowered to one accumulator fold ([`Op::Chain`]) whose
+//!    operands are memory taps, registers, immediates or `imm × x`
+//!    products (two roundings — never FMA) and whose result goes straight
+//!    to a store or a register.
 //! 2. [`exec_compiled`] runs the bytecode over `Subgrid` storage row by
 //!    row: one hoisted bounds check per row proves every access of the row
 //!    in range, and the interior then executes over the flat slice with
-//!    unchecked indexing. The jammed body covers interior (multiple-of-
-//!    factor) iterations; remainder/boundary iterations run the unit body.
+//!    unchecked indexing — chunk-safe rows 32 points per op, a fold's taps
+//!    read in place from subgrid memory. The jammed body covers interior
+//!    (multiple-of-factor) iterations; remainder/boundary iterations run
+//!    the unit body.
+//! 3. [`CompiledNest::listing`] prints the result (`hpfsc --emit bytecode`).
 //!
 //! Results are bitwise identical to the interpreter, and the `PeStats`
 //! counters match exactly: the interpreter stays the oracle, enforced by
@@ -36,10 +42,11 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 mod bytecode;
+mod listing;
 pub mod verify;
 mod vm;
 
-pub use bytecode::{reads_before_def, KernelCode, Op, Reg, Slot};
+pub use bytecode::{reads_before_def, ChainDst, KernelCode, Link, Op, Operand, Reg, Slot};
 pub use verify::{verify_nest, Fault, BV001, BV002, BV003, BV004};
 pub use vm::{compile_nest, exec_compiled, exec_compiled_over, exec_compiled_range, CompiledNest};
 
@@ -123,9 +130,9 @@ mod tests {
         };
         let mut m = machine();
         let cn = compile_nest(&nest, &m.pes[0], &[2.5]).unwrap();
-        // The coefficient folds into an immediate multiply: per-point code
-        // is load, mul-imm, store.
-        assert_eq!(cn.ops().0.len(), 3);
+        // The coefficient folds into a scaled tap: per-point code is one
+        // fold from `2.5 * U` to the store.
+        assert_eq!(cn.bodies().0.ops.len(), 1);
         run_all(&mut m, &nest, &[2.5]);
         assert_eq!(m.get(T, &[3, 4]), 2.5 * 304.0);
         assert_eq!(m.stats().total().flops, 64, "flops counted from the source body");
@@ -154,7 +161,7 @@ mod tests {
         };
         let mut m = machine();
         let cn = compile_nest(&nest, &m.pes[0], &[]).unwrap();
-        assert!(cn.ops().0.iter().any(|o| matches!(o, Op::SelStore { .. })));
+        assert!(cn.bodies().0.ops.iter().any(|o| matches!(o, Op::SelStore { .. })));
         run_all(&mut m, &nest, &[]);
         for i in 1..=8i64 {
             for j in 1..=8i64 {
@@ -317,7 +324,7 @@ mod tests {
     #[test]
     fn folding_shrinks_a_coefficient_stencil() {
         // 0.1*U(i-1,j) + 0.2*U(i,j-1) + 0.4*U + 0.2*U(i+1,j) + 0.1*U(i,j+1):
-        // 20 source instructions; constants hoist and mul-accs fuse.
+        // 20 source instructions become one fold over scaled taps.
         let mut body = Vec::new();
         let mut acc = None;
         for (k, (c, off)) in
@@ -346,14 +353,10 @@ mod tests {
         };
         let m = machine();
         let cn = compile_nest(&nest, &m.pes[0], &[]).unwrap();
-        let n_ops = cn.ops().0.len();
-        // 20 source instructions should compile to ~11 ops (5 loads, one
-        // immediate mul, 4 fused mul-accs, one store).
-        assert!(
-            n_ops * 3 <= nest.body.len() * 2,
-            "expected folding to shrink the body: {n_ops} ops from {} instrs",
-            nest.body.len()
-        );
-        assert!(cn.preload_count() >= 1, "constants should hoist to preloads");
+        let code = cn.bodies().0;
+        assert_eq!(code.ops.len(), 1, "one statement, one fold: {:?}", code.ops);
+        assert_eq!(code.links.len(), 4);
+        assert!(code.links.iter().all(|l| matches!(l.x, Operand::ImmTap { .. })), "{code:?}");
+        assert_eq!(cn.preload_count(), 0, "every coefficient became an immediate");
     }
 }

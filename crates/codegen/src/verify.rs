@@ -17,21 +17,34 @@
 //!   makes dropping dead writes and reordering lanes sound.
 //! - **BV002 — strict-mode discipline.** A kernel whose body observes
 //!   loop-carried register state must take the interpreter-faithful
-//!   translation: no preloads, no fused ops (`MulAcc*`/`SelStore`), and no
-//!   chunked execution. Any of those appearing in a strict kernel would
+//!   translation: no preloads, no fused ops (a grown fold, `SelStore`), and
+//!   no chunked execution. Any of those appearing in a strict kernel would
 //!   change observable results.
-//! - **BV003 — bounds. (a)** Every memory op's flat delta lies inside the
-//!   kernel's declared `[min_delta, max_delta]` envelope — the soundness
-//!   precondition of the hoisted per-row proof (`first = base + min_delta`,
-//!   `last = last_base + max_delta`). **(b)** Interval analysis over the
-//!   kernel's own base/step/count geometry: the extreme flat indices any
-//!   row can touch stay inside `[0, len)` of the PE's subgrid (owned cells
-//!   plus ghost layer).
+//! - **BV003 — bounds. (a)** Every memory operand's flat delta lies inside
+//!   the kernel's declared `[min_delta, max_delta]` envelope — the
+//!   soundness precondition of the hoisted per-row proof (`first = base +
+//!   min_delta`, `last = last_base + max_delta`). **(b)** Interval analysis
+//!   over the kernel's own base/step/count geometry: the extreme flat
+//!   indices any row can touch stay inside `[0, len)` of the PE's subgrid
+//!   (owned cells plus ghost layer).
 //! - **BV004 — chunk safety.** For bodies flagged for the 32-lane chunked
 //!   executor, re-derive store/load aliasing disjointness from scratch: no
 //!   store in one lane may touch another lane's memory operand (a flat-
 //!   delta difference of `k * step`, `0 < k <` [`LANES`]). This repeats the
 //!   compiler's `vector_safe` conclusion without sharing its code.
+//!
+//! An accumulator fold ([`Op::Chain`]) reads subgrid memory and strip
+//! registers *per operand*, so each rule sees it operand by operand: its
+//! link range must lie inside the body's link table and every register
+//! operand (`first`, each link, scaled or not) be in the file and defined
+//! before the fold (BV001); in a strict kernel it must be the plain
+//! translation of one `Bin` — one link over registers and immediates into a
+//! register (BV002); every tap and the fold's store must sit inside the
+//! declared envelope (BV003), since the chunked executor reads a full
+//! chunk's taps straight from subgrid memory on the strength of the row
+//! proof alone; and taps and store enter the aliasing test like loads and
+//! stores (BV004) — a fold reads all taps of a lane before it stores that
+//! lane, the order the scalar executor has too.
 //!
 //! The verifier is *sound but intentionally not minimal*: it flags anything
 //! it cannot prove safe. Compiler-emitted kernels always verify clean (a
@@ -43,7 +56,7 @@
 //! exists) but numerically stale — that is the halo-safety lints' job
 //! (HS001/HS002 in `hpf-analysis`), not the verifier's.
 
-use crate::bytecode::{KernelCode, Op, Reg, Slot};
+use crate::bytecode::{ChainDst, KernelCode, Link, Op, Operand, Reg, Slot};
 use crate::vm::{CompiledNest, LANES};
 use hpf_ir::diag::Diagnostic;
 
@@ -199,17 +212,28 @@ struct BodyView<'a> {
     outer: (i64, i64),
 }
 
-/// Registers an op reads, in op order.
-fn op_reads(op: &Op) -> Vec<Reg> {
+/// A chain's operands (`first`, then each link's) — empty when its link
+/// range escapes the table (BV001 reports that separately).
+fn chain_operands(first: Operand, lo: u32, hi: u32, links: &[Link]) -> Vec<Operand> {
+    let xs = links.get(lo as usize..hi as usize).unwrap_or(&[]);
+    std::iter::once(first).chain(xs.iter().map(|l| l.x)).collect()
+}
+
+/// Registers an op reads, in operand order.
+fn op_reads(op: &Op, links: &[Link]) -> Vec<Reg> {
     match *op {
         Op::Const { .. } | Op::Load { .. } => vec![],
         Op::Store { src, .. } => vec![src],
-        Op::Bin { a, b, .. } | Op::Cmp { a, b, .. } => vec![a, b],
-        Op::BinImmR { a, .. } | Op::CmpImmR { a, .. } => vec![a],
-        Op::BinImmL { b, .. } | Op::CmpImmL { b, .. } => vec![b],
-        Op::MulAcc { acc, a, b, .. } => vec![acc, a, b],
-        Op::MulAccImmL { acc, b, .. } => vec![acc, b],
-        Op::MulAccImmR { acc, a, .. } => vec![acc, a],
+        Op::Chain { first, lo, hi, .. } => chain_operands(first, lo, hi, links)
+            .iter()
+            .filter_map(|o| match *o {
+                Operand::Reg(r) | Operand::ImmReg { r, .. } => Some(r),
+                Operand::Tap { .. } | Operand::Imm(_) | Operand::ImmTap { .. } => None,
+            })
+            .collect(),
+        Op::Cmp { a, b, .. } => vec![a, b],
+        Op::CmpImmR { a, .. } => vec![a],
+        Op::CmpImmL { b, .. } => vec![b],
         Op::Neg { src, .. } | Op::Copy { src, .. } => vec![src],
         Op::Select { c, t, e, .. } => vec![c, t, e],
         Op::SelStore { c, t, e, .. } => vec![c, t, e],
@@ -219,15 +243,12 @@ fn op_reads(op: &Op) -> Vec<Reg> {
 /// The register an op defines, if any.
 fn op_dst(op: &Op) -> Option<Reg> {
     match *op {
-        Op::Store { .. } | Op::SelStore { .. } => None,
+        Op::Store { .. } | Op::SelStore { .. } | Op::Chain { dst: ChainDst::Store { .. }, .. } => {
+            None
+        }
         Op::Const { dst, .. }
         | Op::Load { dst, .. }
-        | Op::Bin { dst, .. }
-        | Op::BinImmR { dst, .. }
-        | Op::BinImmL { dst, .. }
-        | Op::MulAcc { dst, .. }
-        | Op::MulAccImmL { dst, .. }
-        | Op::MulAccImmR { dst, .. }
+        | Op::Chain { dst: ChainDst::Reg(dst), .. }
         | Op::Neg { dst, .. }
         | Op::Copy { dst, .. }
         | Op::Cmp { dst, .. }
@@ -237,12 +258,28 @@ fn op_dst(op: &Op) -> Option<Reg> {
     }
 }
 
-/// The array slot and flat delta of a memory op, if any.
-fn op_mem(op: &Op) -> Option<(Slot, i32, bool)> {
+/// Every memory operand of an op as `(slot, delta, is_store)`: a chain's
+/// taps (plain and scaled) in operand order, then its store.
+fn op_mems(op: &Op, links: &[Link]) -> Vec<(Slot, i32, bool)> {
     match *op {
-        Op::Load { arr, delta, .. } => Some((arr, delta, false)),
-        Op::Store { arr, delta, .. } | Op::SelStore { arr, delta, .. } => Some((arr, delta, true)),
-        _ => None,
+        Op::Load { arr, delta, .. } => vec![(arr, delta, false)],
+        Op::Store { arr, delta, .. } | Op::SelStore { arr, delta, .. } => vec![(arr, delta, true)],
+        Op::Chain { first, lo, hi, dst } => {
+            let mut v: Vec<(Slot, i32, bool)> = chain_operands(first, lo, hi, links)
+                .iter()
+                .filter_map(|o| match *o {
+                    Operand::Tap { arr, delta } | Operand::ImmTap { arr, delta, .. } => {
+                        Some((arr, delta, false))
+                    }
+                    Operand::Reg(_) | Operand::Imm(_) | Operand::ImmReg { .. } => None,
+                })
+                .collect();
+            if let ChainDst::Store { arr, delta } = dst {
+                v.push((arr, delta, true));
+            }
+            v
+        }
+        _ => vec![],
     }
 }
 
@@ -272,8 +309,21 @@ fn check_registers(cn: &CompiledNest, body: &BodyView, out: &mut Vec<Diagnostic>
         }
         p
     };
+    let links = &body.code.links;
     for (i, op) in body.code.ops.iter().enumerate() {
-        for r in op_reads(op) {
+        if let Op::Chain { lo, hi, .. } = *op {
+            if lo > hi || hi as usize > links.len() {
+                out.push(Diagnostic::error(
+                    BV001,
+                    format!(
+                        "{} op {i} folds links {lo}..{hi} outside the link table (size {})",
+                        body.name,
+                        links.len()
+                    ),
+                ));
+            }
+        }
+        for r in op_reads(op, links) {
             if r as usize >= regs {
                 out.push(Diagnostic::error(
                     BV001,
@@ -293,7 +343,7 @@ fn check_registers(cn: &CompiledNest, body: &BodyView, out: &mut Vec<Diagnostic>
                 ));
             }
         }
-        if let Some((slot, _, _)) = op_mem(op) {
+        for (slot, _, _) in op_mems(op, links) {
             if slot as usize >= cn.arrays.len() {
                 out.push(Diagnostic::error(
                     BV001,
@@ -349,14 +399,17 @@ fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
         ));
     }
     for (name, code) in [("jammed", &cn.jammed), ("unit", cn.unit.as_ref().unwrap_or(&cn.jammed))] {
-        if let Some(i) = code.ops.iter().position(|op| {
-            matches!(
-                op,
-                Op::MulAcc { .. }
-                    | Op::MulAccImmL { .. }
-                    | Op::MulAccImmR { .. }
-                    | Op::SelStore { .. }
-            )
+        // The faithful translation of a `Bin` is one link over registers
+        // and immediates into a register; anything more is a grown fold.
+        let plain = |o: Operand| matches!(o, Operand::Reg(_) | Operand::Imm(_));
+        if let Some(i) = code.ops.iter().position(|op| match *op {
+            Op::SelStore { .. } => true,
+            Op::Chain { first, lo, hi, dst } => {
+                hi != lo + 1
+                    || matches!(dst, ChainDst::Store { .. })
+                    || !chain_operands(first, lo, hi, &code.links).into_iter().all(plain)
+            }
+            _ => false,
         }) {
             out.push(Diagnostic::error(
                 BV002,
@@ -383,7 +436,7 @@ fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
 fn check_bounds(cn: &CompiledNest, geom: &Geometry, body: &BodyView, out: &mut Vec<Diagnostic>) {
     let (dmin, dmax) = (body.code.min_delta, body.code.max_delta);
     for (i, op) in body.code.ops.iter().enumerate() {
-        if let Some((_, delta, _)) = op_mem(op) {
+        for (_, delta, _) in op_mems(op, &body.code.links) {
             let d = delta as i64;
             if d < dmin || d > dmax {
                 out.push(Diagnostic::error(
@@ -445,7 +498,7 @@ fn check_chunk_safety(body: &BodyView, out: &mut Vec<Diagnostic>) {
         .code
         .ops
         .iter()
-        .filter_map(op_mem)
+        .flat_map(|op| op_mems(op, &body.code.links))
         .map(|(a, d, is_store)| (a, d as i64, is_store))
         .collect();
     for &(sa, sd, s_store) in &mems {
@@ -482,7 +535,8 @@ fn check_chunk_safety(body: &BodyView, out: &mut Vec<Diagnostic>) {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Swap ops `i` and `j` of the jammed (`unit == false`) or unit body —
-    /// reorders a definition after its use (BV001).
+    /// reorders a definition after its use (BV001). Two ops that commute
+    /// (two independent folds, say) change nothing swapped: not applicable.
     SwapOps {
         /// Corrupt the unit body instead of the jammed body.
         unit: bool,
@@ -501,6 +555,36 @@ pub enum Fault {
         /// Delta perturbation.
         by: i32,
     },
+    /// Add `by` to the delta of the `tap`-th memory tap of the `chain`-th
+    /// fold of the body without updating the declared envelope — the
+    /// chunked executor would read a whole chunk from there (BV003).
+    PerturbChainTap {
+        /// Corrupt the unit body instead of the jammed body.
+        unit: bool,
+        /// Index among the body's chain ops.
+        chain: usize,
+        /// Index among that chain's tap operands (plain and scaled).
+        tap: usize,
+        /// Delta perturbation.
+        by: i32,
+    },
+    /// Make the last operand of the `chain`-th fold read the lowest strip
+    /// register nothing has written by then (BV001).
+    LinkReadsUnwritten {
+        /// Corrupt the unit body instead of the jammed body.
+        unit: bool,
+        /// Index among the body's chain ops.
+        chain: usize,
+    },
+    /// Point the `chain`-th fold's store one lane past its first tap, on
+    /// the tap's array: lane `i` then overwrites what lane `i + 1` reads
+    /// (BV004 in a chunked body).
+    ChainStoreAliasesTap {
+        /// Corrupt the unit body instead of the jammed body.
+        unit: bool,
+        /// Index among the body's chain ops.
+        chain: usize,
+    },
     /// Widen the declared upper loop bound of dimension `dim` by `by` —
     /// rows then walk past the subgrid (BV003).
     WidenBounds {
@@ -516,7 +600,8 @@ pub enum Fault {
         unit: bool,
     },
     /// Retarget the first register operand of op `i` to `reg` (out-of-range
-    /// or undefined registers trip BV001).
+    /// or undefined registers trip BV001); a fold without register operands
+    /// has its first operand replaced by the register.
     RetargetReg {
         /// Corrupt the unit body instead of the jammed body.
         unit: bool,
@@ -562,6 +647,23 @@ impl CompiledNest {
                 g.groups > 0 || (cn.unit.is_none() && g.rem > 0)
             }
         }
+        /// Positions of the body's chain ops.
+        fn chain_positions(code: &KernelCode) -> impl Iterator<Item = usize> + '_ {
+            (0..code.ops.len()).filter(|&p| matches!(code.ops[p], Op::Chain { .. }))
+        }
+        /// The `chain`-th fold of the body: first operand, links, destination.
+        fn chain_mut(
+            code: &mut KernelCode,
+            chain: usize,
+        ) -> Option<(&mut Operand, &mut [Link], &mut ChainDst)> {
+            let at = chain_positions(code).nth(chain)?;
+            match &mut code.ops[at] {
+                Op::Chain { first, lo, hi, dst } => {
+                    Some((first, code.links.get_mut(*lo as usize..*hi as usize)?, dst))
+                }
+                _ => None,
+            }
+        }
         if self.empty || self.order.is_empty() {
             return false;
         }
@@ -574,6 +676,19 @@ impl CompiledNest {
                 if i == j || i >= code.ops.len() || j >= code.ops.len() {
                     return false;
                 }
+                // One op clashes with another when it defines a register
+                // the other names or touches a location the other stores.
+                let clash = |a: &Op, b: &Op| {
+                    let (ma, mb) = (op_mems(a, &code.links), op_mems(b, &code.links));
+                    op_dst(a).is_some_and(|d| {
+                        op_dst(b) == Some(d) || op_reads(b, &code.links).contains(&d)
+                    }) || ma.iter().any(|&(sa, da, wa)| {
+                        mb.iter().any(|&(sb, db, wb)| (wa || wb) && (sa, da) == (sb, db))
+                    })
+                };
+                if !clash(&code.ops[i], &code.ops[j]) && !clash(&code.ops[j], &code.ops[i]) {
+                    return false;
+                }
                 code.ops.swap(i, j);
                 true
             }
@@ -582,20 +697,68 @@ impl CompiledNest {
                     return false;
                 }
                 let code = body_mut(self, unit);
-                let mem_positions: Vec<usize> = code
-                    .ops
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, op)| op_mem(op).is_some())
-                    .map(|(p, _)| p)
-                    .collect();
-                let Some(&p) = mem_positions.get(i) else { return false };
-                match &mut code.ops[p] {
+                let plain = code.ops.iter_mut().filter_map(|op| match op {
                     Op::Load { delta, .. }
                     | Op::Store { delta, .. }
-                    | Op::SelStore { delta, .. } => *delta = delta.wrapping_add(by),
-                    _ => unreachable!("op_mem selected a memory op"),
+                    | Op::SelStore { delta, .. } => Some(delta),
+                    _ => None,
+                });
+                let Some(delta) = { plain }.nth(i) else { return false };
+                *delta = delta.wrapping_add(by);
+                true
+            }
+            Fault::PerturbChainTap { unit, chain, tap, by } => {
+                if by == 0 || !body_live(self, unit) {
+                    return false;
                 }
+                let code = body_mut(self, unit);
+                let Some((first, links, _)) = chain_mut(code, chain) else { return false };
+                let taps = std::iter::once(first).chain(links.iter_mut().map(|l| &mut l.x));
+                let deltas = taps.filter_map(|o| match o {
+                    Operand::Tap { delta, .. } | Operand::ImmTap { delta, .. } => Some(delta),
+                    _ => None,
+                });
+                let Some(delta) = { deltas }.nth(tap) else { return false };
+                *delta = delta.wrapping_add(by);
+                true
+            }
+            Fault::LinkReadsUnwritten { unit, chain } => {
+                if self.strict || !body_live(self, unit) {
+                    return false;
+                }
+                let mut written = vec![false; self.regs];
+                for &(r, _) in &self.preloads {
+                    written[r as usize] = true;
+                }
+                let code = body_mut(self, unit);
+                let Some(at) = chain_positions(code).nth(chain) else { return false };
+                for r in code.ops[..at].iter().filter_map(op_dst) {
+                    written[r as usize] = true;
+                }
+                let Some(reg) = written.iter().position(|w| !w) else { return false };
+                let Some((first, links, _)) = chain_mut(code, chain) else { return false };
+                *links.last_mut().map_or(first, |l| &mut l.x) = Operand::Reg(reg as Reg);
+                true
+            }
+            Fault::ChainStoreAliasesTap { unit, chain } => {
+                if !body_live(self, unit) {
+                    return false;
+                }
+                let g = Geometry::of(self);
+                let step = if unit { g.unit_step } else { g.jam_step };
+                let code = body_mut(self, unit);
+                let Some((first, links, dst)) = chain_mut(code, chain) else { return false };
+                let tap = std::iter::once(&*first).chain(links.iter().map(|l| &l.x)).find_map(
+                    |o| match *o {
+                        Operand::Tap { arr, delta } | Operand::ImmTap { arr, delta, .. } => {
+                            Some((arr, delta))
+                        }
+                        _ => None,
+                    },
+                );
+                let Some((arr, delta)) = tap else { return false };
+                let Ok(step) = i32::try_from(step) else { return false };
+                *dst = ChainDst::Store { arr, delta: delta.wrapping_add(step) };
                 true
             }
             Fault::WidenBounds { dim, by } => {
@@ -625,14 +788,20 @@ impl CompiledNest {
                 let Some(op) = code.ops.get_mut(i) else { return false };
                 match op {
                     Op::Store { src, .. } => *src = reg,
-                    Op::Bin { a, .. }
-                    | Op::BinImmR { a, .. }
-                    | Op::Cmp { a, .. }
-                    | Op::CmpImmR { a, .. } => *a = reg,
-                    Op::BinImmL { b, .. } | Op::CmpImmL { b, .. } => *b = reg,
-                    Op::MulAcc { acc, .. }
-                    | Op::MulAccImmL { acc, .. }
-                    | Op::MulAccImmR { acc, .. } => *acc = reg,
+                    Op::Cmp { a, .. } | Op::CmpImmR { a, .. } => *a = reg,
+                    Op::CmpImmL { b, .. } => *b = reg,
+                    Op::Chain { first, lo, hi, .. } => {
+                        let xs =
+                            code.links[*lo as usize..*hi as usize].iter_mut().map(|l| &mut l.x);
+                        let named = std::iter::once(&mut *first).chain(xs).find_map(|o| match o {
+                            Operand::Reg(r) | Operand::ImmReg { r, .. } => Some(r),
+                            _ => None,
+                        });
+                        match named {
+                            Some(r) => *r = reg,
+                            None => *first = Operand::Reg(reg),
+                        }
+                    }
                     Op::Neg { src, .. } | Op::Copy { src, .. } => *src = reg,
                     Op::Select { c, .. } | Op::SelStore { c, .. } => *c = reg,
                     Op::Const { .. } | Op::Load { .. } => return false,
@@ -658,12 +827,21 @@ mod tests {
     /// A hand-built 1-D kernel over a 16-cell subgrid with halo 1: bounds
     /// `lo..=hi` in local coordinates, flat length 18.
     fn kernel_1d(ops: Vec<Op>, regs: usize, lo: i64, hi: i64) -> CompiledNest {
+        chain_kernel_1d(ops, vec![], regs, lo, hi)
+    }
+
+    /// [`kernel_1d`] with a link table for its chain ops.
+    fn chain_kernel_1d(
+        ops: Vec<Op>,
+        links: Vec<Link>,
+        regs: usize,
+        lo: i64,
+        hi: i64,
+    ) -> CompiledNest {
         let (mut min_delta, mut max_delta) = (0i64, 0i64);
-        for op in &ops {
-            if let Some((_, d, _)) = op_mem(op) {
-                min_delta = min_delta.min(d as i64);
-                max_delta = max_delta.max(d as i64);
-            }
+        for (_, d, _) in ops.iter().flat_map(|op| op_mems(op, &links)) {
+            min_delta = min_delta.min(d as i64);
+            max_delta = max_delta.max(d as i64);
         }
         CompiledNest {
             empty: false,
@@ -673,7 +851,7 @@ mod tests {
             halo: 1,
             order: vec![0],
             factor: 1,
-            jammed: KernelCode { ops, min_delta, max_delta, loads: 1, stores: 1, flops: 0 },
+            jammed: KernelCode { ops, links, min_delta, max_delta, loads: 1, stores: 1, flops: 0 },
             unit: None,
             arrays: vec![0, 1],
             regs,
@@ -753,11 +931,15 @@ mod tests {
 
     #[test]
     fn bv002_flags_fused_ops_and_preloads_in_strict_kernels() {
-        let mut cn = kernel_1d(
+        let mut cn = chain_kernel_1d(
             vec![
                 Op::Load { dst: 0, arr: 0, delta: 0 },
-                Op::MulAcc { dst: 1, acc: 1, a: 0, b: 0 },
+                Op::Chain { first: Operand::Reg(1), lo: 0, hi: 2, dst: ChainDst::Reg(1) },
                 Op::Store { arr: 1, delta: 0, src: 1 },
+            ],
+            vec![
+                Link { op: hpf_ir::BinOp::Mul, rev: false, x: Operand::Reg(0) },
+                Link { op: hpf_ir::BinOp::Add, rev: true, x: Operand::Reg(0) },
             ],
             2,
             1,
@@ -858,6 +1040,106 @@ mod tests {
         assert!(!cn.inject(Fault::RetargetReg { unit: false, i: 0, reg: 3 }), "Load has no src");
     }
 
+    /// `b[0] = a[-1] + a[+1]` as one fold, over points 2..=15.
+    fn fold_kernel() -> CompiledNest {
+        let add =
+            |delta| Link { op: hpf_ir::BinOp::Add, rev: false, x: Operand::Tap { arr: 0, delta } };
+        chain_kernel_1d(
+            vec![Op::Chain {
+                first: Operand::Tap { arr: 0, delta: -1 },
+                lo: 0,
+                hi: 1,
+                dst: ChainDst::Store { arr: 1, delta: 0 },
+            }],
+            vec![add(1)],
+            1,
+            2,
+            15,
+        )
+    }
+
+    #[test]
+    fn folds_verify_clean_scalar_and_chunked() {
+        let mut cn = fold_kernel();
+        assert!(cn.verify().is_empty(), "{:?}", cn.verify());
+        assert!(cn.inject(Fault::ForceVectorized));
+        assert!(cn.verify().is_empty(), "{:?}", cn.verify());
+    }
+
+    #[test]
+    fn bv001_flags_link_ranges_outside_the_table() {
+        let mut cn = fold_kernel();
+        cn.jammed.ops[0] = match cn.jammed.ops[0] {
+            Op::Chain { first, lo, dst, .. } => Op::Chain { first, lo, hi: 9, dst },
+            other => other,
+        };
+        let d = cn.verify();
+        assert_eq!(codes(&d), vec![BV001], "{d:?}");
+        assert!(d[0].message.contains("link table"));
+    }
+
+    #[test]
+    fn bv003_flags_a_chain_tap_outside_the_envelope() {
+        let mut cn = fold_kernel();
+        assert!(cn.inject(Fault::PerturbChainTap { unit: false, chain: 0, tap: 1, by: 2 }));
+        let d = cn.verify();
+        assert_eq!(codes(&d), vec![BV003], "{d:?}");
+        assert!(d[0].message.contains("delta 3"), "{d:?}");
+    }
+
+    #[test]
+    fn bv001_flags_a_link_reading_an_unwritten_register() {
+        let mut cn = fold_kernel();
+        assert!(cn.inject(Fault::LinkReadsUnwritten { unit: false, chain: 0 }));
+        let d = cn.verify();
+        assert_eq!(codes(&d), vec![BV001], "{d:?}");
+        assert!(d[0].message.contains("before any definition"));
+        // Strict kernels carry register state: there is nothing to catch.
+        let mut strict = fold_kernel();
+        strict.strict = true;
+        assert!(!strict.inject(Fault::LinkReadsUnwritten { unit: false, chain: 0 }));
+    }
+
+    #[test]
+    fn bv004_flags_a_chain_store_aliasing_another_lanes_tap() {
+        let mut cn = fold_kernel();
+        assert!(cn.inject(Fault::ForceVectorized));
+        assert!(cn.inject(Fault::ChainStoreAliasesTap { unit: false, chain: 0 }));
+        let d = cn.verify();
+        assert!(codes(&d).contains(&BV004), "{d:?}");
+        // The scalar executor runs the same body point by point: no BV004.
+        cn.jam_vec = false;
+        cn.unit_vec = false;
+        assert!(!codes(&cn.verify()).contains(&BV004));
+    }
+
+    #[test]
+    fn swapping_ops_that_commute_is_not_a_fault() {
+        // Two independent folds (different sources, different targets).
+        let fold = |from: i32, to: i32| Op::Chain {
+            first: Operand::Tap { arr: 0, delta: from },
+            lo: 0,
+            hi: 0,
+            dst: ChainDst::Store { arr: 1, delta: to },
+        };
+        let mut cn = chain_kernel_1d(vec![fold(0, 0), fold(1, 1)], vec![], 1, 1, 15);
+        assert!(!cn.inject(Fault::SwapOps { unit: false, i: 0, j: 1 }));
+        // Writing what the other reads, or the same location, does clash.
+        let mut cn = chain_kernel_1d(vec![fold(0, 0), fold(1, 0)], vec![], 1, 1, 15);
+        assert!(cn.inject(Fault::SwapOps { unit: false, i: 0, j: 1 }));
+    }
+
+    #[test]
+    fn chain_faults_need_a_chain() {
+        let mut cn = kernel_1d(copy_ops(), 1, 1, 16);
+        assert!(!cn.inject(Fault::PerturbChainTap { unit: false, chain: 0, tap: 0, by: 1 }));
+        assert!(!cn.inject(Fault::LinkReadsUnwritten { unit: false, chain: 0 }));
+        assert!(!cn.inject(Fault::ChainStoreAliasesTap { unit: false, chain: 0 }));
+        let mut cn = fold_kernel();
+        assert!(!cn.inject(Fault::PerturbChainTap { unit: false, chain: 0, tap: 2, by: 1 }));
+        assert!(!cn.inject(Fault::PerturbChainTap { unit: false, chain: 1, tap: 0, by: 1 }));
+    }
+
     #[test]
     fn unrolled_geometry_covers_group_starts_and_remainder() {
         // factor 2 over lo=1..hi=16 with a jammed body reaching delta +1:
@@ -879,6 +1161,7 @@ mod tests {
                     other => other,
                 })
                 .collect(),
+            links: vec![],
             min_delta: 0,
             max_delta: 0,
             loads: 1,

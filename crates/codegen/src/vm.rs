@@ -14,19 +14,25 @@
 //! checked fallback that panics exactly where the interpreter would.
 //!
 //! Rows the compiler proves chunk-safe ([`vector_safe`]: no store in one
-//! lane can alias another lane's memory op, and no register state carries
-//! between points) run through a *chunked* executor: each op executes over
-//! up to [`LANES`] consecutive points before the next op dispatches, which
-//! amortizes dispatch cost over the chunk and turns every op into a
-//! straight-line lane loop the optimizer vectorizes. Contiguous rows load
-//! and store via `memcpy`-style block moves.
+//! lane can alias another lane's memory operand, and no register state
+//! carries between points) run through a *chunked* executor: each op
+//! executes over up to [`LANES`] consecutive points before the next op
+//! dispatches, which amortizes dispatch cost over the chunk and turns every
+//! op into a straight-line lane loop the optimizer vectorizes. An
+//! accumulator fold ([`Op::Chain`]) keeps its accumulator in one
+//! `[f64; LANES]` local for the whole fold: on contiguous rows every tap
+//! is read straight from subgrid memory and the result written straight
+//! back, so a stencil statement costs one pass over its taps instead of a
+//! strip-register round trip per tap.
 //!
 //! Execution order, operation order, and rounding are identical to the tree
 //! interpreter (`hpf-exec`'s `exec_nest`): results are bitwise equal and the
 //! `PeStats` counters match, because they are derived from the *source*
 //! body with the interpreter's own counting rules.
 
-use crate::bytecode::{compile_body, reads_before_def, BodyCx, KernelCode, Op};
+use crate::bytecode::{
+    compile_body, reads_before_def, BodyCx, ChainDst, KernelCode, Op, Operand, Slot,
+};
 use hpf_ir::expr::CmpOp;
 use hpf_ir::BinOp;
 use hpf_passes::loopir::{Instr, LoopNest};
@@ -76,7 +82,7 @@ pub struct CompiledNest {
     /// Unit/remainder rows may run through the chunked executor.
     pub(crate) unit_vec: bool,
     /// Bodies share one register file with the interpreter's persistent
-    /// numbering (loop-carried state): no hoisting, fusion or chunking.
+    /// numbering (loop-carried state): no hoisting, fold growth or chunking.
     pub(crate) strict: bool,
     /// Wall nanoseconds [`compile_nest`] spent producing this kernel.
     pub(crate) compile_ns: u64,
@@ -174,8 +180,8 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
     } else {
         (inner_step, inner_step)
     };
-    let jam_vec = !strict && vector_safe(&jammed.ops, jam_step);
-    let unit_vec = !strict && vector_safe(&unit.as_ref().unwrap_or(&jammed).ops, unit_step);
+    let jam_vec = !strict && vector_safe(&jammed, jam_step);
+    let unit_vec = !strict && vector_safe(unit.as_ref().unwrap_or(&jammed), unit_step);
 
     Some(CompiledNest {
         empty,
@@ -199,30 +205,27 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
     })
 }
 
-/// May `ops` execute op-at-a-time over a `LANES`-wide chunk of a row with
+/// May `code` execute op-at-a-time over a `LANES`-wide chunk of a row with
 /// step `step` and still produce the interpreter's point-at-a-time results?
 /// Only memory can carry state across lanes (fast-mode bodies define every
 /// register they read), so the test is purely about aliasing: a store and
-/// another memory op on the same array whose flat-delta difference is a
-/// multiple of the step smaller than the chunk width would make one lane
+/// another memory operand on the same array whose flat-delta difference is
+/// a multiple of the step smaller than the chunk width would make one lane
 /// touch another lane's location, and the chunk interleaving would become
-/// observable.
-fn vector_safe(ops: &[Op], step: i64) -> bool {
+/// observable. A fold's taps and its store are memory operands like any
+/// other (it reads every tap of a lane before it stores that lane).
+fn vector_safe(code: &KernelCode, step: i64) -> bool {
     if step == 0 {
         return false;
     }
-    let mut stores: Vec<(u16, i64)> = Vec::new();
-    let mut mems: Vec<(u16, i64)> = Vec::new();
-    for op in ops {
-        match *op {
-            Op::Store { arr, delta, .. } | Op::SelStore { arr, delta, .. } => {
-                stores.push((arr, delta as i64));
-                mems.push((arr, delta as i64));
-            }
-            Op::Load { dst: _, arr, delta } => mems.push((arr, delta as i64)),
-            _ => {}
+    let mut stores: Vec<(Slot, i64)> = Vec::new();
+    let mut mems: Vec<(Slot, i64)> = Vec::new();
+    code.for_each_mem(|arr, delta, is_store| {
+        mems.push((arr, delta as i64));
+        if is_store {
+            stores.push((arr, delta as i64));
         }
-    }
+    });
     stores.iter().all(|&(sa, sd)| {
         mems.iter().all(|&(ma, md)| {
             let diff = sd - md;
@@ -235,9 +238,9 @@ fn vector_safe(ops: &[Op], step: i64) -> bool {
 }
 
 impl CompiledNest {
-    /// Bytecode listing (for tests and debugging).
-    pub fn ops(&self) -> (&[Op], Option<&[Op]>) {
-        (&self.jammed.ops, self.unit.as_ref().map(|u| u.ops.as_slice()))
+    /// The compiled (jammed, unit) bodies (for tests and debugging).
+    pub fn bodies(&self) -> (&KernelCode, Option<&KernelCode>) {
+        (&self.jammed, self.unit.as_ref())
     }
 
     /// Constants hoisted out of the per-point code.
@@ -253,7 +256,8 @@ impl CompiledNest {
 
     /// Was this nest compiled in strict mode (a body reads registers it did
     /// not define, so state carries across iteration points)? Strict kernels
-    /// take no hoisting, fusion or chunking — the discipline BV002 checks.
+    /// take no hoisting, fold growth or chunking — the discipline BV002
+    /// checks.
     pub fn strict(&self) -> bool {
         self.strict
     }
@@ -412,9 +416,9 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
                 // interleaving unobservable.
                 unsafe {
                     if vec_ok {
-                        run_row_vec(&kernel.ops, &arrs, &mut strips, base, count, step)
+                        run_row_vec(kernel, &arrs, &mut strips, base, count, step)
                     } else {
-                        run_row::<false>(&kernel.ops, &arrs, &mut regs, base, count, step)
+                        run_row::<false>(kernel, &arrs, &mut regs, base, count, step)
                     }
                 }
             } else {
@@ -423,7 +427,7 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
                 // SAFETY: register and slot indices were validated at
                 // compile time; CHECKED = true asserts every memory index
                 // before touching it, so no out-of-bounds access occurs.
-                unsafe { run_row::<true>(&kernel.ops, &arrs, &mut regs, base, count, step) }
+                unsafe { run_row::<true>(kernel, &arrs, &mut regs, base, count, step) }
             }
         };
 
@@ -530,7 +534,7 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
     }
 }
 
-/// Execute `ops` over one row of `count` points, advancing the base index
+/// Execute `code` over one row of `count` points, advancing the base index
 /// by `step` per point. With `CHECKED = false`, all indexing is unchecked —
 /// the caller has proven every index in range; with `CHECKED = true`, every
 /// memory access is asserted in range first.
@@ -539,11 +543,11 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
 /// Register indices must be `< regs.len()` and slot indices `< arrs.len()`
 /// (guaranteed by `compile_body`; machine-checked by the bytecode verifier,
 /// BV001). With `CHECKED = false`, the caller must guarantee
-/// `base + delta ∈ [0, len)` for every memory op at every point of the row
-/// — the obligation the hoisted row proof discharges and BV003 re-derives
-/// by interval analysis.
+/// `base + delta ∈ [0, len)` for every memory operand at every point of the
+/// row — the obligation the hoisted row proof discharges and BV003
+/// re-derives by interval analysis.
 unsafe fn run_row<const CHECKED: bool>(
-    ops: &[Op],
+    code: &KernelCode,
     arrs: &[(*mut f64, usize)],
     regs: &mut [f64],
     mut base: i64,
@@ -576,8 +580,8 @@ unsafe fn run_row<const CHECKED: bool>(
             }
             // SAFETY: `idx < len` — asserted just above under CHECKED;
             // in fast mode the caller's hoisted row proof guarantees
-            // `base + delta ∈ [0, len)` for every memory op of the row,
-            // because every delta lies inside the kernel's declared
+            // `base + delta ∈ [0, len)` for every memory operand of the
+            // row, because every delta lies inside the kernel's declared
             // `[min_delta, max_delta]` envelope (BV003).
             unsafe { *ptr.add(idx) }
         }};
@@ -596,18 +600,35 @@ unsafe fn run_row<const CHECKED: bool>(
             unsafe { *ptr.add(idx) = v }
         }};
     }
+    // One fold operand; the scaled forms round the product first.
+    macro_rules! operand {
+        ($o:expr) => {
+            match $o {
+                Operand::Tap { arr, delta } => ld!(arr, delta),
+                Operand::Reg(q) => r!(q),
+                Operand::Imm(v) => v,
+                Operand::ImmTap { v, arr, delta } => v * ld!(arr, delta),
+                Operand::ImmReg { v, r: q } => v * r!(q),
+            }
+        };
+    }
     for _ in 0..count {
-        for op in ops {
+        for op in &code.ops {
             match *op {
                 Op::Const { dst, v } => w!(dst, v),
                 Op::Load { dst, arr, delta } => w!(dst, ld!(arr, delta)),
                 Op::Store { arr, delta, src } => st!(arr, delta, r!(src)),
-                Op::Bin { op, dst, a, b } => w!(dst, op.apply(r!(a), r!(b))),
-                Op::BinImmR { op, dst, a, v } => w!(dst, op.apply(r!(a), v)),
-                Op::BinImmL { op, dst, v, b } => w!(dst, op.apply(v, r!(b))),
-                Op::MulAcc { dst, acc, a, b } => w!(dst, r!(acc) + r!(a) * r!(b)),
-                Op::MulAccImmL { dst, acc, v, b } => w!(dst, r!(acc) + v * r!(b)),
-                Op::MulAccImmR { dst, acc, a, v } => w!(dst, r!(acc) + r!(a) * v),
+                Op::Chain { first, lo, hi, dst } => {
+                    let mut acc = operand!(first);
+                    for l in code.chain_links(lo, hi) {
+                        let x = operand!(l.x);
+                        acc = if l.rev { l.op.apply(x, acc) } else { l.op.apply(acc, x) };
+                    }
+                    match dst {
+                        ChainDst::Reg(d) => w!(d, acc),
+                        ChainDst::Store { arr, delta } => st!(arr, delta, acc),
+                    }
+                }
                 Op::Neg { dst, src } => w!(dst, -r!(src)),
                 Op::Copy { dst, src } => w!(dst, r!(src)),
                 Op::Cmp { op, dst, a, b } => w!(dst, op.apply(r!(a), r!(b))),
@@ -625,12 +646,13 @@ unsafe fn run_row<const CHECKED: bool>(
     }
 }
 
-/// Execute `ops` over one row through the chunked executor: the row is cut
+/// Execute `code` over one row through the chunked executor: the row is cut
 /// into chunks of up to [`LANES`] points and each op runs across the whole
 /// chunk before the next op dispatches. Per-lane results are bitwise
 /// identical to the scalar executor — each lane performs the same operation
 /// sequence on the same operands — and `vector_safe` proved no lane's store
-/// aliases another lane's memory op, so the interleaving is unobservable.
+/// aliases another lane's memory operand, so the interleaving is
+/// unobservable.
 ///
 /// # Safety
 /// Same contract as `run_row::<false>` (every `base + i*step + delta` in
@@ -639,7 +661,7 @@ unsafe fn run_row<const CHECKED: bool>(
 /// admitted by `vector_safe` for this `step` (re-derived independently by
 /// the bytecode verifier, BV004).
 unsafe fn run_row_vec(
-    ops: &[Op],
+    code: &KernelCode,
     arrs: &[(*mut f64, usize)],
     strips: &mut [f64],
     mut base: i64,
@@ -655,9 +677,102 @@ unsafe fn run_row_vec(
         // `sp` points at the caller's `regs * LANES` strip buffer with
         // preloads broadcast, and the kernel was admitted by the chunk-
         // safety test for this step (independently re-derived by BV004).
-        unsafe { run_chunk(ops, arrs, sp, base, n, step) };
+        unsafe { run_chunk(code, arrs, sp, base, n, step) };
         base += n as i64 * step;
         left -= n as i64;
+    }
+}
+
+/// `LANES` consecutive lane values, by value.
+type Lanes = [f64; LANES];
+
+/// The additive identity of every `f64` bit pattern (`x + -0.0 == x`, signed
+/// zeros included), for padding a short run of additions.
+static NEG_ZERO: Lanes = [-0.0; LANES];
+
+/// Address of lane 0 of the tap `arr[base + i*step + delta]`.
+///
+/// # Safety
+/// `arr` is a valid slot (BV001) and `base` the first point of a chunk
+/// inside a row whose bounds proof covers the tap (BV003).
+#[inline(always)]
+unsafe fn tap_ptr((arr, delta): (Slot, i32), arrs: &[(*mut f64, usize)], base: i64) -> *const f64 {
+    // SAFETY: slot < `arrs.len()` (BV001).
+    let (ptr, _) = unsafe { *arrs.get_unchecked(arr as usize) };
+    // SAFETY: lane 0 of the chunk lies in the row, so the row bounds proof
+    // over the declared envelope (BV003) puts `base + delta` in the subgrid.
+    unsafe { ptr.add((base + delta as i64) as usize) }
+}
+
+/// The `LANES` lane values of a tap: straight into subgrid memory for a
+/// full contiguous chunk, otherwise gathered into `tmp` (lanes `n..` keep
+/// stale values whose results never reach memory).
+///
+/// # Safety
+/// As `run_chunk`: `(base, n, step)` describe a chunk inside a row whose
+/// bounds proof covers the tap, and its slot is valid.
+#[inline(always)]
+unsafe fn tap_lanes(
+    tap: (Slot, i32),
+    arrs: &[(*mut f64, usize)],
+    (base, n, step): (i64, usize, i64),
+    tmp: &mut Lanes,
+) -> *const Lanes {
+    // SAFETY: the caller's contract is `tap_ptr`'s.
+    let p = unsafe { tap_ptr(tap, arrs, base) };
+    if step == 1 && n == LANES {
+        return p as *const Lanes;
+    }
+    for (i, t) in tmp.iter_mut().enumerate().take(n) {
+        // SAFETY: lane `i < n` lies in the row, so the same proof covers
+        // `base + i*step + delta`.
+        *t = unsafe { *p.offset(i as isize * step as isize) };
+    }
+    tmp
+}
+
+/// The `LANES` lane values of a fold operand, as a pointer the link loops
+/// read in place: subgrid memory for a tap (see `tap_lanes`), the strip
+/// file for a register, `tmp` for an immediate or an `imm × x` product.
+///
+/// # Safety
+/// As `run_chunk`: `chunk = (base, n, step)` lies inside a row whose bounds
+/// proof covers every tap, and register/slot operands are in range.
+#[inline(always)]
+unsafe fn lanes_of(
+    o: Operand,
+    arrs: &[(*mut f64, usize)],
+    sp: *const f64,
+    chunk: (i64, usize, i64),
+    tmp: &mut Lanes,
+) -> *const Lanes {
+    // SAFETY: register operands are < the kernel's register-file size
+    // (BV001) and `sp` spans `regs * LANES` initialized elements.
+    let strip = |r: u16| unsafe { sp.add(r as usize * LANES) } as *const Lanes;
+    let scaled = |v: f64, src: *const Lanes, tmp: &mut Lanes| {
+        // SAFETY: `src` points at `LANES` initialized `f64`s — a full
+        // in-row chunk of the subgrid, a strip register, or `tmp` itself
+        // (read out by value before `tmp` is overwritten).
+        let x = unsafe { *src };
+        for i in 0..LANES {
+            tmp[i] = v * x[i];
+        }
+        tmp as *const Lanes
+    };
+    match o {
+        Operand::Imm(v) => {
+            *tmp = [v; LANES];
+            tmp
+        }
+        Operand::Reg(r) => strip(r),
+        Operand::ImmReg { v, r } => scaled(v, strip(r), tmp),
+        // SAFETY: the caller's contract is `tap_lanes`'s.
+        Operand::Tap { arr, delta } => unsafe { tap_lanes((arr, delta), arrs, chunk, tmp) },
+        Operand::ImmTap { v, arr, delta } => {
+            // SAFETY: as above.
+            let src = unsafe { tap_lanes((arr, delta), arrs, chunk, tmp) };
+            scaled(v, src, tmp)
+        }
     }
 }
 
@@ -669,7 +784,7 @@ unsafe fn run_row_vec(
 /// # Safety
 /// See `run_row_vec`; `sp` must point at `regs * LANES` initialized `f64`s.
 unsafe fn run_chunk(
-    ops: &[Op],
+    code: &KernelCode,
     arrs: &[(*mut f64, usize)],
     sp: *mut f64,
     base: i64,
@@ -688,7 +803,7 @@ unsafe fn run_chunk(
     // the lane loops free of aliasing, so they compile to vector code.
     macro_rules! rd {
         ($r:expr) => {{
-            let p = strip!($r) as *const [f64; LANES];
+            let p = strip!($r) as *const Lanes;
             // SAFETY: `strip!` points at `LANES` initialized `f64`s inside
             // the strip buffer (zero-filled at allocation, preloads
             // broadcast), properly aligned for `[f64; LANES]`.
@@ -701,7 +816,7 @@ unsafe fn run_chunk(
             for $i in 0..LANES {
                 out[$i] = $e;
             }
-            let p = strip!($dst) as *mut [f64; LANES];
+            let p = strip!($dst) as *mut Lanes;
             // SAFETY: as in `rd!` — the destination strip holds `LANES`
             // `f64`s owned exclusively by this call (registers and subgrid
             // storage are distinct allocations).
@@ -716,6 +831,28 @@ unsafe fn run_chunk(
             unsafe { $ptr.add((base + $i as i64 * step + $delta as i64) as usize) }
         };
     }
+    // `n` lane values to memory: a block move on contiguous rows.
+    macro_rules! store_lanes {
+        ($arr:expr, $delta:expr, $src:expr) => {{
+            // SAFETY: slot < `arrs.len()` (BV001).
+            let (ptr, _) = unsafe { *arrs.get_unchecked($arr as usize) };
+            let s: *const f64 = $src;
+            if step == 1 {
+                let m = mem_at!(ptr, $delta, 0);
+                // SAFETY: `n` in-row destination elements (bounds proof,
+                // BV003); the source is a strip register or a local, a
+                // separate allocation, so the copies never overlap.
+                unsafe { std::ptr::copy_nonoverlapping(s, m, n) };
+            } else {
+                for i in 0..n {
+                    let m = mem_at!(ptr, $delta, i);
+                    // SAFETY: lane `i < n <= LANES` of the source; in-row
+                    // subgrid write covered by the row bounds proof.
+                    unsafe { *m = *s.add(i) };
+                }
+            }
+        }};
+    }
     // Comparison with the predicate match hoisted out of the lane loop.
     macro_rules! cmp_lanes {
         ($op:expr, $dst:expr, |$i:ident| ($a:expr, $b:expr)) => {
@@ -729,7 +866,7 @@ unsafe fn run_chunk(
             }
         };
     }
-    for op in ops {
+    for op in &code.ops {
         match *op {
             Op::Const { dst, v } => lanes!(dst, |_i| v),
             Op::Load { dst, arr, delta } => {
@@ -737,12 +874,11 @@ unsafe fn run_chunk(
                 let (ptr, _) = unsafe { *arrs.get_unchecked(arr as usize) };
                 let d = strip!(dst);
                 if step == 1 {
+                    let m = mem_at!(ptr, delta, 0);
                     // SAFETY: the `n` contiguous source elements lie in the
                     // row (bounds proof, BV003); the destination strip is a
                     // separate allocation, so the copies never overlap.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(ptr.add((base + delta as i64) as usize), d, n)
-                    };
+                    unsafe { std::ptr::copy_nonoverlapping(m, d, n) };
                 } else {
                     for i in 0..n {
                         let m = mem_at!(ptr, delta, i);
@@ -752,63 +888,73 @@ unsafe fn run_chunk(
                     }
                 }
             }
-            Op::Store { arr, delta, src } => {
-                // SAFETY: slot < `arrs.len()` (BV001).
-                let (ptr, _) = unsafe { *arrs.get_unchecked(arr as usize) };
-                let s = strip!(src);
-                if step == 1 {
-                    // SAFETY: mirror of the Load block-move — `n` in-row
-                    // destination elements, disjoint strip source.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(s, ptr.add((base + delta as i64) as usize), n)
-                    };
-                } else {
-                    for i in 0..n {
-                        let m = mem_at!(ptr, delta, i);
-                        // SAFETY: lane `i < n` strip read; in-row subgrid
-                        // write covered by the row bounds proof (BV003).
-                        unsafe { *m = *s.add(i) };
+            Op::Store { arr, delta, src } => store_lanes!(arr, delta, strip!(src)),
+            Op::Chain { first, lo, hi, dst } => {
+                // The accumulator lives in one local for the whole fold;
+                // each link is one straight-line loop over it and the
+                // operand's lanes, read in place wherever they already are.
+                let mut tmp = [0.0f64; LANES];
+                // SAFETY: this chunk's contract is `lanes_of`'s.
+                let mut acc = unsafe { *lanes_of(first, arrs, sp, (base, n, step), &mut tmp) };
+                // Where an operand's lanes already sit in place: a strip
+                // register, or a tap of a full contiguous chunk.
+                let place = |o: Operand| match o {
+                    Operand::Reg(r) => Some(strip!(r) as *const Lanes),
+                    Operand::Tap { arr, delta } if step == 1 && n == LANES => {
+                        // SAFETY: this chunk's contract is `tap_ptr`'s.
+                        Some(unsafe { tap_ptr((arr, delta), arrs, base) } as *const Lanes)
+                    }
+                    _ => None,
+                };
+                let links = code.chain_links(lo, hi);
+                let mut k = 0;
+                while k < links.len() {
+                    // A run of additions whose operands sit in place folds
+                    // up to four per pass over `acc`, padded with -0.0,
+                    // which `+` leaves every value unchanged by.
+                    let mut run = [&NEG_ZERO as *const Lanes; 4];
+                    let mut len = 0;
+                    for l in links[k..].iter().take(4) {
+                        match place(l.x) {
+                            Some(p) if l.op == BinOp::Add => run[len] = p,
+                            _ => break,
+                        }
+                        len += 1;
+                    }
+                    if len >= 2 {
+                        // SAFETY: each pointer targets `LANES` initialized
+                        // `f64`s nothing writes while the loop reads them.
+                        let [a, b, c, d] = run.map(|p| unsafe { &*p });
+                        for i in 0..LANES {
+                            acc[i] = (((acc[i] + a[i]) + b[i]) + c[i]) + d[i];
+                        }
+                        k += len;
+                        continue;
+                    }
+                    let l = links[k];
+                    k += 1;
+                    // SAFETY: as above; the pointer targets `LANES`
+                    // initialized `f64`s that nothing writes while `x`
+                    // lives (the loops below only write `acc`).
+                    let x = unsafe { &*lanes_of(l.x, arrs, sp, (base, n, step), &mut tmp) };
+                    match (l.op, l.rev) {
+                        (BinOp::Add, _) => (0..LANES).for_each(|i| acc[i] += x[i]),
+                        (BinOp::Mul, _) => (0..LANES).for_each(|i| acc[i] *= x[i]),
+                        (BinOp::Sub, false) => (0..LANES).for_each(|i| acc[i] -= x[i]),
+                        (BinOp::Sub, true) => (0..LANES).for_each(|i| acc[i] = x[i] - acc[i]),
+                        (BinOp::Div, false) => (0..LANES).for_each(|i| acc[i] /= x[i]),
+                        (BinOp::Div, true) => (0..LANES).for_each(|i| acc[i] = x[i] / acc[i]),
                     }
                 }
-            }
-            Op::Bin { op, dst, a, b } => {
-                let (x, y) = (rd!(a), rd!(b));
-                match op {
-                    BinOp::Add => lanes!(dst, |i| x[i] + y[i]),
-                    BinOp::Sub => lanes!(dst, |i| x[i] - y[i]),
-                    BinOp::Mul => lanes!(dst, |i| x[i] * y[i]),
-                    BinOp::Div => lanes!(dst, |i| x[i] / y[i]),
+                match dst {
+                    ChainDst::Reg(d) => {
+                        let p = strip!(d) as *mut Lanes;
+                        // SAFETY: as in `lanes!` — an exclusively owned
+                        // strip of `LANES` `f64`s.
+                        unsafe { *p = acc }
+                    }
+                    ChainDst::Store { arr, delta } => store_lanes!(arr, delta, acc.as_ptr()),
                 }
-            }
-            Op::BinImmR { op, dst, a, v } => {
-                let x = rd!(a);
-                match op {
-                    BinOp::Add => lanes!(dst, |i| x[i] + v),
-                    BinOp::Sub => lanes!(dst, |i| x[i] - v),
-                    BinOp::Mul => lanes!(dst, |i| x[i] * v),
-                    BinOp::Div => lanes!(dst, |i| x[i] / v),
-                }
-            }
-            Op::BinImmL { op, dst, v, b } => {
-                let y = rd!(b);
-                match op {
-                    BinOp::Add => lanes!(dst, |i| v + y[i]),
-                    BinOp::Sub => lanes!(dst, |i| v - y[i]),
-                    BinOp::Mul => lanes!(dst, |i| v * y[i]),
-                    BinOp::Div => lanes!(dst, |i| v / y[i]),
-                }
-            }
-            Op::MulAcc { dst, acc, a, b } => {
-                let (c, x, y) = (rd!(acc), rd!(a), rd!(b));
-                lanes!(dst, |i| c[i] + x[i] * y[i]);
-            }
-            Op::MulAccImmL { dst, acc, v, b } => {
-                let (c, y) = (rd!(acc), rd!(b));
-                lanes!(dst, |i| c[i] + v * y[i]);
-            }
-            Op::MulAccImmR { dst, acc, a, v } => {
-                let (c, x) = (rd!(acc), rd!(a));
-                lanes!(dst, |i| c[i] + x[i] * v);
             }
             Op::Neg { dst, src } => {
                 let x = rd!(src);
@@ -853,32 +999,79 @@ unsafe fn run_chunk(
 /// buffers — the `miri_` prefix is what CI's Miri pass filters on, backing
 /// the SAFETY comments above with an actual aliasing/UB check of every
 /// raw-pointer path (scalar unchecked, scalar checked, chunked block-move,
-/// chunked strided, predicated store).
+/// chunked strided, predicated store, and the fold's in-place taps, gathered
+/// taps, scaled operands, batched additions and direct stores).
 #[cfg(test)]
 mod unsafe_row_tests {
     use super::*;
+    use crate::bytecode::Link;
     use hpf_ir::expr::CmpOp;
 
     fn arrs_of(bufs: &mut [Vec<f64>]) -> Vec<(*mut f64, usize)> {
         bufs.iter_mut().map(|b| (b.as_mut_ptr(), b.len())).collect()
     }
 
+    fn code(ops: Vec<Op>, links: Vec<Link>) -> KernelCode {
+        KernelCode { ops, links, ..Default::default() }
+    }
+
+    fn tap(arr: Slot, delta: i32) -> Operand {
+        Operand::Tap { arr, delta }
+    }
+
+    fn link(op: BinOp, rev: bool, x: Operand) -> Link {
+        Link { op, rev, x }
+    }
+
+    /// Run `k` over the row `(base, count, step)` of `bufs` once through the
+    /// scalar executor and once through the chunked one; both must leave
+    /// the same bits behind. Returns the buffers.
+    fn both_ways(
+        k: &KernelCode,
+        regs: usize,
+        bufs: &[Vec<f64>],
+        (base, count, step): (i64, i64, i64),
+    ) -> Vec<Vec<f64>> {
+        let mut scalar = bufs.to_vec();
+        let mut chunked = bufs.to_vec();
+        {
+            let arrs = arrs_of(&mut scalar);
+            // SAFETY: the caller passes rows whose every access is in range
+            // and kernels whose register/slot operands are in range.
+            unsafe { run_row::<false>(k, &arrs, &mut vec![0.0; regs], base, count, step) };
+        }
+        {
+            let arrs = arrs_of(&mut chunked);
+            // SAFETY: as above; `regs * LANES` zeroed strips, and the test
+            // kernels store to arrays they do not read at other deltas.
+            unsafe { run_row_vec(k, &arrs, &mut vec![0.0; regs * LANES], base, count, step) };
+        }
+        for (a, b) in scalar.iter().zip(&chunked) {
+            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "chunked and scalar rows disagree");
+        }
+        chunked
+    }
+
     #[test]
     fn miri_run_row_unchecked_and_checked_match() {
         let mut bufs = vec![vec![0.0f64; 16], (0..16).map(|i| i as f64).collect::<Vec<_>>()];
-        let ops = [
-            Op::Load { dst: 0, arr: 1, delta: -1 },
-            Op::BinImmR { op: BinOp::Add, dst: 1, a: 0, v: 10.0 },
-            Op::Store { arr: 0, delta: 0, src: 1 },
-        ];
+        let k = code(
+            vec![
+                Op::Load { dst: 0, arr: 1, delta: -1 },
+                Op::Chain { first: Operand::Reg(0), lo: 0, hi: 1, dst: ChainDst::Reg(1) },
+                Op::Store { arr: 0, delta: 0, src: 1 },
+            ],
+            vec![link(BinOp::Add, false, Operand::Imm(10.0))],
+        );
         let mut regs = [0.0f64; 2];
         {
             let arrs = arrs_of(&mut bufs);
             // Points 1..=14: every access (delta -1..0) stays in [0, 16).
             // SAFETY: regs/slots < 2; min index 0, max index 14 < 16.
-            unsafe { run_row::<false>(&ops, &arrs, &mut regs, 1, 7, 1) };
+            unsafe { run_row::<false>(&k, &arrs, &mut regs, 1, 7, 1) };
             // SAFETY: same contract; the checked variant asserts per access.
-            unsafe { run_row::<true>(&ops, &arrs, &mut regs, 8, 7, 1) };
+            unsafe { run_row::<true>(&k, &arrs, &mut regs, 8, 7, 1) };
         }
         for (i, &v) in bufs[0].iter().enumerate().take(15).skip(1) {
             assert_eq!(v, (i - 1) as f64 + 10.0, "point {i}");
@@ -891,12 +1084,20 @@ mod unsafe_row_tests {
     #[should_panic(expected = "out of bounds")]
     fn miri_checked_row_panics_like_the_interpreter() {
         let mut bufs = vec![vec![0.0f64; 8]];
-        let ops = [Op::Const { dst: 0, v: 1.0 }, Op::Store { arr: 0, delta: 0, src: 0 }];
+        let k = code(
+            vec![Op::Chain {
+                first: Operand::Imm(1.0),
+                lo: 0,
+                hi: 0,
+                dst: ChainDst::Store { arr: 0, delta: 0 },
+            }],
+            vec![],
+        );
         let mut regs = [0.0f64; 1];
         let arrs = arrs_of(&mut bufs);
         // SAFETY: regs/slots in range; CHECKED = true asserts every index,
         // so the out-of-range fourth point panics instead of writing.
-        unsafe { run_row::<true>(&ops, &arrs, &mut regs, 5, 4, 1) };
+        unsafe { run_row::<true>(&k, &arrs, &mut regs, 5, 4, 1) };
     }
 
     #[test]
@@ -905,30 +1106,24 @@ mod unsafe_row_tests {
         // step 1 (memcpy-style block moves) and once with step 2 (per-lane
         // loops), both against the same scalar recurrence.
         const N: usize = 96;
-        let mut bufs =
-            vec![vec![0.0f64; N], (0..N).map(|i| ((i * i) % 37) as f64).collect::<Vec<_>>()];
-        let ops = [
-            Op::Load { dst: 0, arr: 1, delta: 0 },
-            Op::BinImmR { op: BinOp::Mul, dst: 1, a: 0, v: 3.0 },
-            Op::Store { arr: 0, delta: 0, src: 1 },
-        ];
-        let mut strips = vec![0.0f64; 2 * LANES];
-        {
-            let arrs = arrs_of(&mut bufs);
-            // SAFETY: regs/slots < 2; step-1 indices span [0, 40) and
-            // step-2 indices span [40, 95), all < 96; `strips` holds
-            // 2 registers x LANES lanes; stores and loads hit different
-            // arrays, so chunking is alias-free.
-            unsafe { run_row_vec(&ops, &arrs, &mut strips, 0, 40, 1) };
-            // SAFETY: same contract, step-2 half.
-            unsafe { run_row_vec(&ops, &arrs, &mut strips, 40, 28, 2) };
-        }
-        for (i, &v) in bufs[0].iter().enumerate().take(40) {
+        let bufs = vec![vec![0.0f64; N], (0..N).map(|i| ((i * i) % 37) as f64).collect::<Vec<_>>()];
+        let k = code(
+            vec![
+                Op::Load { dst: 0, arr: 1, delta: 0 },
+                Op::Chain { first: Operand::Reg(0), lo: 0, hi: 1, dst: ChainDst::Reg(1) },
+                Op::Store { arr: 0, delta: 0, src: 1 },
+            ],
+            vec![link(BinOp::Mul, false, Operand::Imm(3.0))],
+        );
+        // Step-1 indices span [0, 40) and step-2 indices span [40, 95).
+        let out = both_ways(&k, 2, &bufs, (0, 40, 1));
+        let out = both_ways(&k, 2, &out, (40, 28, 2));
+        for (i, &v) in out[0].iter().enumerate().take(40) {
             assert_eq!(v, 3.0 * (((i * i) % 37) as f64), "step-1 point {i}");
         }
-        for k in 0..28usize {
-            let i = 40 + 2 * k;
-            assert_eq!(bufs[0][i], 3.0 * (((i * i) % 37) as f64), "step-2 point {k}");
+        for j in 0..28usize {
+            let i = 40 + 2 * j;
+            assert_eq!(out[0][i], 3.0 * (((i * i) % 37) as f64), "step-2 point {j}");
         }
     }
 
@@ -938,23 +1133,104 @@ mod unsafe_row_tests {
         // store's delta equals the load's, so per-lane locations coincide
         // (diff 0) and chunking is admissible.
         const N: usize = 40;
-        let mut bufs = vec![(0..N).map(|i| i as f64).collect::<Vec<f64>>()];
-        let ops = [
-            Op::Load { dst: 0, arr: 0, delta: 0 },
-            Op::CmpImmR { op: CmpOp::Gt, dst: 1, a: 0, v: 20.0 },
-            Op::Neg { dst: 2, src: 0 },
-            Op::SelStore { arr: 0, delta: 0, c: 1, t: 2, e: 0 },
-        ];
-        let mut strips = vec![0.0f64; 3 * LANES];
-        {
-            let arrs = arrs_of(&mut bufs);
-            // SAFETY: regs < 3, one slot; indices span [0, N); strips holds
-            // 3 registers x LANES lanes.
-            unsafe { run_row_vec(&ops, &arrs, &mut strips, 0, N as i64, 1) };
-        }
-        for (i, &v) in bufs[0].iter().enumerate() {
+        let bufs = vec![(0..N).map(|i| i as f64).collect::<Vec<f64>>()];
+        let k = code(
+            vec![
+                Op::Load { dst: 0, arr: 0, delta: 0 },
+                Op::CmpImmR { op: CmpOp::Gt, dst: 1, a: 0, v: 20.0 },
+                Op::Neg { dst: 2, src: 0 },
+                Op::SelStore { arr: 0, delta: 0, c: 1, t: 2, e: 0 },
+            ],
+            vec![],
+        );
+        let out = both_ways(&k, 3, &bufs, (0, N as i64, 1));
+        for (i, &v) in out[0].iter().enumerate() {
             let want = if i as f64 > 20.0 { -(i as f64) } else { i as f64 };
             assert_eq!(v, want, "point {i}");
+        }
+    }
+
+    /// The nine-point sum as one fold from taps to a store: rows of 1, 31,
+    /// 32, 33 and 64 + 5 points cover the in-place tap read of a full
+    /// chunk, the gathered tail, the batched additions (two runs of four)
+    /// and the direct block store; step 3 covers the strided gather/store.
+    #[test]
+    fn miri_chunked_fold_reads_taps_in_place_and_stores_direct() {
+        const W: i32 = 80;
+        let src: Vec<f64> = (0..3 * W as usize).map(|i| ((i * 7) % 23) as f64 - 11.0).collect();
+        let bufs = vec![vec![0.0f64; 3 * W as usize], src];
+        let deltas = [W, -W, -1, 1, W - 1, W + 1, -W - 1, -W + 1];
+        let k = code(
+            vec![Op::Chain {
+                first: tap(1, 0),
+                lo: 0,
+                hi: 8,
+                dst: ChainDst::Store { arr: 0, delta: 0 },
+            }],
+            deltas.iter().map(|&d| link(BinOp::Add, false, tap(1, d))).collect(),
+        );
+        let base = W as i64 + 1;
+        for (count, step) in [(1, 1), (31, 1), (32, 1), (33, 1), (69, 1), (26, 3)] {
+            // Indices stay in [base - W - 1, base + 77 + W + 1] ⊂ [0, 240).
+            let out = both_ways(&k, 1, &bufs, (base, count, step));
+            for j in 0..count {
+                let at = (base + j * step) as usize;
+                let mut want = bufs[1][at];
+                for d in deltas {
+                    want += bufs[1][(at as i64 + d as i64) as usize];
+                }
+                assert_eq!(out[0][at], want, "count {count} step {step} point {j}");
+            }
+        }
+    }
+
+    /// Every operand kind and both operand sides: scaled tap, scaled
+    /// register, immediate, register, `x - acc`, `x / acc`, a fold into a
+    /// register, and an in-place update (store to the location a tap read).
+    #[test]
+    fn miri_chunked_fold_operand_kinds() {
+        const N: usize = 70;
+        let bufs = vec![
+            (0..N).map(|i| 1.0 + (i % 9) as f64).collect::<Vec<f64>>(),
+            (0..N).map(|i| 0.5 * (i % 5) as f64 - 1.0).collect::<Vec<f64>>(),
+        ];
+        let k = code(
+            vec![
+                // r0 = 2 * b[0] - a[0]
+                Op::Chain {
+                    first: Operand::ImmTap { v: 2.0, arr: 1, delta: 0 },
+                    lo: 0,
+                    hi: 1,
+                    dst: ChainDst::Reg(0),
+                },
+                // a[0] = 7 / (3 - (a[0] * r0 + 0.5 * r0 + r0 + r0)) + -0.0
+                Op::Chain {
+                    first: tap(0, 0),
+                    lo: 1,
+                    hi: 8,
+                    dst: ChainDst::Store { arr: 0, delta: 0 },
+                },
+            ],
+            vec![
+                link(BinOp::Sub, false, tap(0, 0)),
+                link(BinOp::Mul, false, Operand::Reg(0)),
+                link(BinOp::Add, false, Operand::ImmReg { v: 0.5, r: 0 }),
+                link(BinOp::Add, false, Operand::Reg(0)),
+                link(BinOp::Add, false, Operand::Reg(0)),
+                link(BinOp::Sub, true, Operand::Imm(3.0)),
+                link(BinOp::Div, true, Operand::Imm(7.0)),
+                link(BinOp::Add, false, Operand::Imm(-0.0)),
+            ],
+        );
+        for (count, step) in [(N as i64, 1), (23, 3)] {
+            let out = both_ways(&k, 1, &bufs, (0, count, step));
+            for j in 0..count as usize {
+                let at = j * step as usize;
+                let (a, b) = (bufs[0][at], bufs[1][at]);
+                let r0 = 2.0 * b - a;
+                let want = 7.0 / (3.0 - (a * r0 + 0.5 * r0 + r0 + r0)) + -0.0;
+                assert_eq!(out[0][at].to_bits(), want.to_bits(), "step {step} point {j}");
+            }
         }
     }
 }

@@ -112,6 +112,29 @@ impl Kernel {
         hpf_ir::pretty::program(&self.compiled.array_ir)
     }
 
+    /// The bytecode-VM code of every loop nest as compiled for PE 0 of a
+    /// `config` machine (`hpfsc --emit bytecode`): jammed and unit bodies
+    /// op by op, each fold with its links and operand kinds.
+    pub fn bytecode_listing(&self, config: MachineConfig) -> Result<String, CoreError> {
+        let node = &self.compiled.node;
+        let mut machine = Machine::new(config);
+        hpf_exec::allocate(&mut machine, node)?;
+        let scalars = hpf_exec::nest::scalar_values(&node.symbols);
+        let name = |a: u32| node.symbols.array(ArrayId(a)).name.clone();
+        let (mut out, mut n) = (String::new(), 0usize);
+        node.for_each_item(&mut |it| {
+            if let hpf_passes::NodeItem::Nest(nest) = it {
+                out += &format!("! nest {n} on PE 0\n");
+                out += &match hpf_codegen::compile_nest(nest, &machine.pes[0], &scalars) {
+                    Some(cn) => cn.listing(&name),
+                    None => "  (not compilable for this layout: runs on the interpreter)\n".into(),
+                };
+                n += 1;
+            }
+        });
+        Ok(out)
+    }
+
     /// Pipeline statistics (communication counts, temps, per-pass effects).
     pub fn stats(&self) -> &hpf_passes::PipelineStats {
         &self.compiled.stats

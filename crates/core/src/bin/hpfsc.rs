@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! hpfsc [FILE] [--stage original|offset|partition|unioning|full]
-//!              [--emit ir|node|stats|diag-json] [--lint] [--deny-warnings]
+//!              [--emit ir|node|bytecode|stats|diag-json] [--lint] [--deny-warnings]
 //!              [--verify] [--run] [--grid RxC] [--halo W] [--superstep K]
 //!              [--engine seq|threaded|threaded-overlap|interp|bytecode|auto|...]
 //!              [--trace[=FILE]] [--metrics[=FILE]] [--report] [--tune[=FILE]]
@@ -31,9 +31,13 @@ usage: hpfsc [FILE] [options]
 options:
   --stage original|offset|partition|unioning|full
                         stop the pipeline after this stage (default: full)
-  --emit ir|node|stats|diag-json
+  --emit ir|node|bytecode|stats|diag-json
                         what to print, comma-separated (default: ir, or
-                        nothing under --lint; diag-json implies linting)
+                        nothing under --lint; diag-json implies linting);
+                        bytecode lists the VM code of every nest on PE 0
+                        of the --grid machine: bodies op by op, each fold
+                        with its links and operand kinds, ops per point,
+                        strip registers, preloads, chunked/scalar/strict
   --lint                run the static analyzer (HS/CU/DF/FP lints) and
                         report diagnostics with source spans
   --deny-warnings       exit 3 when linting reports any warning
@@ -342,6 +346,19 @@ fn main() {
             "node" => {
                 out!("! node program (per-PE SPMD code)");
                 out_raw!("{}", nodepretty::node_program(&kernel.compiled.node));
+            }
+            "bytecode" => {
+                let mcfg = MachineConfig::with_grid(grid.clone()).halo(halo);
+                match kernel.bytecode_listing(mcfg) {
+                    Ok(text) => {
+                        out!("! bytecode ({grid:?} grid, halo {halo})");
+                        out_raw!("{text}");
+                    }
+                    Err(e) => {
+                        eprintln!("hpfsc: --emit bytecode: {e}");
+                        exit(1)
+                    }
+                }
             }
             "stats" => {
                 let s = kernel.stats();

@@ -143,6 +143,26 @@ fn diag_json_is_machine_readable_and_exits_4_on_errors() {
 }
 
 #[test]
+fn emit_bytecode_lists_problem9_as_a_few_folds() {
+    // 128 / 2 = 64-point rows: wider than a chunk, so rows run chunked.
+    let path = write_preset("problem9:128");
+    let out = hpfsc(&[path.to_str().unwrap(), "--emit", "bytecode", "--grid", "2x2"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    // "  jammed body: N ops per 2 points, chunked, ..." — one fold per
+    // statement instance, not a load/add/store string per tap (30 ops).
+    let jammed = text.lines().find(|l| l.contains("jammed body:")).expect("a jammed body line");
+    let words: Vec<&str> = jammed.split_whitespace().collect();
+    let ops: usize = words[2].parse().unwrap_or_else(|_| panic!("op count in '{jammed}'"));
+    assert_eq!(&words[3..6], ["ops", "per", "2"], "{jammed}");
+    assert!(ops <= 8, "Problem 9's jammed body lists {ops} ops per two points:\n{text}");
+    assert!(jammed.contains("chunked"), "{jammed}");
+    assert!(text.contains("unit body:"), "{text}");
+    assert!(text.contains("chain") && text.contains("tap U["), "{text}");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn dropped_shift_fails_the_verified_run() {
     let path = write_preset("problem9");
     let ok = hpfsc(&[path.to_str().unwrap(), "--run", "--emit", "stats"]);

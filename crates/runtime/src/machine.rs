@@ -382,18 +382,20 @@ impl Machine {
         self.metas[id.0 as usize].as_ref().unwrap_or_else(|| panic!("array {id:?} not allocated"))
     }
 
-    /// Fill every element from a function of the global coordinates.
+    /// Fill every element from a function of the global coordinates. `f`
+    /// sees every point exactly once, each PE's block in row-major order.
     pub fn fill(&mut self, id: ArrayId, f: impl Fn(&[i64]) -> f64) {
-        let geom = self.meta(id).geom.clone();
-        for pe in 0..self.num_pes() {
-            let owned = Section::new(geom.owned(pe));
-            if owned.is_empty() {
-                continue;
-            }
-            let sub = self.pes[pe].subgrid_mut(id);
-            for p in owned.points() {
-                sub.set_global(&p, f(&p));
-            }
+        for pe in &mut self.pes {
+            let sub = pe.subgrid_mut(id);
+            let rows = sub.owned_rows();
+            let data = sub.raw_mut();
+            rows.for_each(|point, flat, len| {
+                let last = point.len() - 1;
+                for cell in &mut data[flat..flat + len] {
+                    *cell = f(point);
+                    point[last] += 1;
+                }
+            });
         }
     }
 
@@ -422,47 +424,32 @@ impl Machine {
 
     /// Gather an array into a dense global row-major buffer.
     pub fn gather(&self, id: ArrayId) -> Vec<f64> {
-        let meta = self.meta(id);
-        let shape = meta.shape.clone();
+        let shape = &self.meta(id).shape;
         let mut out = vec![0.0; shape.len()];
-        let full = Section::full(&shape);
-        let strides = row_major_strides(&shape);
-        for pe in 0..self.num_pes() {
-            let owned = Section::new(meta.geom.owned(pe));
-            let owned = owned.intersect(&full);
-            if owned.is_empty() {
-                continue;
-            }
-            let sub = self.pes[pe].subgrid(id);
-            for p in owned.points() {
-                let mut idx = 0usize;
-                for d in 0..p.len() {
-                    idx += (p[d] - 1) as usize * strides[d];
-                }
-                out[idx] = sub.get_global(&p);
-            }
+        let strides = row_major_strides(shape);
+        for pe in &self.pes {
+            let sub = pe.subgrid(id);
+            sub.owned_rows().for_each(|point, flat, len| {
+                let at = dense_index(point, &strides);
+                out[at..at + len].copy_from_slice(&sub.raw()[flat..flat + len]);
+            });
         }
         out
     }
 
     /// Scatter a dense global row-major buffer into a distributed array.
     pub fn scatter(&mut self, id: ArrayId, data: &[f64]) {
-        let meta = self.meta(id).clone();
-        assert_eq!(data.len(), meta.shape.len());
-        let strides = row_major_strides(&meta.shape);
-        for pe in 0..self.num_pes() {
-            let owned = Section::new(meta.geom.owned(pe));
-            if owned.is_empty() {
-                continue;
-            }
-            let sub = self.pes[pe].subgrid_mut(id);
-            for p in owned.points() {
-                let mut idx = 0usize;
-                for d in 0..p.len() {
-                    idx += (p[d] - 1) as usize * strides[d];
-                }
-                sub.set_global(&p, data[idx]);
-            }
+        let shape = &self.meta(id).shape;
+        assert_eq!(data.len(), shape.len());
+        let strides = row_major_strides(shape);
+        for pe in &mut self.pes {
+            let sub = pe.subgrid_mut(id);
+            let rows = sub.owned_rows();
+            let raw = sub.raw_mut();
+            rows.for_each(|point, flat, len| {
+                let at = dense_index(point, &strides);
+                raw[flat..flat + len].copy_from_slice(&data[at..at + len]);
+            });
         }
     }
 
@@ -798,6 +785,11 @@ impl Machine {
     }
 }
 
+/// Index of a 1-based global point in a dense row-major buffer.
+fn dense_index(point: &[i64], strides: &[usize]) -> usize {
+    point.iter().zip(strides).map(|(&p, &s)| (p - 1) as usize * s).sum()
+}
+
 /// Row-major strides of a shape.
 pub fn row_major_strides(shape: &Shape) -> Vec<usize> {
     let r = shape.rank();
@@ -924,6 +916,48 @@ mod tests {
         // T has id 1; alloc only T.
         m2.scatter(T, &g);
         assert_eq!(m2.get(T, &[3, 7]), -1.0);
+    }
+
+    #[test]
+    fn whole_array_walks_visit_every_point_once_in_row_major_order() {
+        // Rank 3, uneven blocks: 5 rows over 4 PEs is 2 + 2 + 1 + 0 (the last
+        // PE row owns nothing), 7 columns over 2 is 4 + 3.
+        let shape = Shape::new([5, 7, 3]);
+        let mut m = Machine::new(MachineConfig::with_grid(vec![4, 2, 1]));
+        m.alloc(U, &ArrayDecl::user("U", shape.clone(), Distribution::block(3))).unwrap();
+        let seen = std::cell::RefCell::new(Vec::new());
+        m.fill(U, |p| {
+            seen.borrow_mut().push(p.to_vec());
+            (p[0] * 100 + p[1] * 10 + p[2]) as f64
+        });
+        let mut seen = seen.into_inner();
+        assert_eq!(seen.len(), 105);
+        let block_order: Vec<Vec<i64>> = (0..m.num_pes())
+            .flat_map(|pe| m.pes[pe].subgrid(U).owned.points().collect::<Vec<_>>())
+            .collect();
+        assert_eq!(seen, block_order, "each PE's block in row-major order");
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), 105, "no point twice");
+        for p in Section::full(&shape).points() {
+            assert_eq!(m.get(U, &p), (p[0] * 100 + p[1] * 10 + p[2]) as f64);
+        }
+        let dense = m.gather(U);
+        let want: Vec<f64> = Section::full(&shape)
+            .points()
+            .map(|p| (p[0] * 100 + p[1] * 10 + p[2]) as f64)
+            .collect();
+        assert_eq!(dense, want);
+        let mut m2 = m.clone();
+        m2.fill(U, |_| -1.0);
+        m2.scatter(U, &dense);
+        assert_eq!(m2.gather(U), dense);
+        // Ghost cells are nobody's points: none of the three writes them.
+        let ghosts = |m: &Machine| -> f64 {
+            m.pes.iter().map(|pe| pe.subgrid(U).raw().iter().sum::<f64>()).sum::<f64>()
+                - dense.iter().sum::<f64>()
+        };
+        assert_eq!((ghosts(&m), ghosts(&m2)), (0.0, 0.0));
     }
 
     #[test]

@@ -114,6 +114,17 @@ impl Subgrid {
         self.set(&l, v);
     }
 
+    /// A walker over the owned cells, row by row. It copies the geometry it
+    /// needs, so the caller may hold `raw_mut()` while it walks.
+    pub fn owned_rows(&self) -> OwnedRows {
+        OwnedRows {
+            first: self.owned.0.iter().map(|&(lo, _)| lo).collect(),
+            ext: self.ext.clone(),
+            flat0: self.strides.iter().map(|s| s * self.halo).sum(),
+            strides: self.strides.clone(),
+        }
+    }
+
     /// Gather a rectangular local region into a row-major buffer. Ranges are
     /// local 1-based and may extend into the halo.
     pub fn read_region(&self, ranges: &[(i64, i64)]) -> Vec<f64> {
@@ -192,6 +203,54 @@ impl Subgrid {
             self.set(&cur, value);
             if !advance(&mut cur, ranges) {
                 break;
+            }
+        }
+    }
+}
+
+/// The owned cells of a subgrid as runs along the last (storage-contiguous)
+/// dimension — see [`Subgrid::owned_rows`]. Whole-array fills, gathers and
+/// scatters walk these instead of translating every point on its own.
+#[derive(Clone, Debug)]
+pub struct OwnedRows {
+    /// Global coordinates of the first owned cell.
+    first: Vec<i64>,
+    ext: Vec<usize>,
+    /// Storage index of the first owned cell.
+    flat0: usize,
+    strides: Vec<usize>,
+}
+
+impl OwnedRows {
+    /// Call `f(point, flat, len)` for every row, in row-major order of the
+    /// global coordinates: `point` is the row's first cell (one buffer,
+    /// reused; `f` may advance its last coordinate as it walks the row),
+    /// `flat` that cell's storage index, and the row's `len` cells are
+    /// contiguous in storage. Every owned cell lies in exactly one row.
+    pub fn for_each(self, mut f: impl FnMut(&mut [i64], usize, usize)) {
+        let Some(last) = self.ext.len().checked_sub(1) else { return };
+        if self.ext.contains(&0) {
+            return;
+        }
+        let mut point = self.first.clone();
+        let mut flat = self.flat0;
+        loop {
+            point[last] = self.first[last];
+            f(&mut point, flat, self.ext[last]);
+            // Odometer over the outer dimensions, carrying the flat index.
+            let mut d = last;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                point[d] += 1;
+                flat += self.strides[d];
+                if point[d] < self.first[d] + self.ext[d] as i64 {
+                    break;
+                }
+                point[d] = self.first[d];
+                flat -= self.strides[d] * self.ext[d];
             }
         }
     }

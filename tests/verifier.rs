@@ -11,7 +11,10 @@
 //! 2. **Sensitivity** — every deliberate corruption of a compiled kernel
 //!    ([`Fault`] injection: reordered ops, perturbed memory deltas,
 //!    widened loop bounds, shrunk declared envelopes, retargeted
-//!    registers, forced vectorization) and of an execution plan
+//!    registers, forced vectorization, and the accumulator fold's own
+//!    three: a tap pushed outside the envelope, a link reading a register
+//!    nothing wrote, a fold's store aimed at another lane's tap) and of an
+//!    execution plan
 //!    (cleared drain barriers, widened interior sweeps, duplicated
 //!    buffer posts, widened superstep trapezoids) is rejected with the
 //!    matching `BV*` / `PL*` diagnostic. A verifier that misses the
@@ -235,6 +238,86 @@ fn overlapped_plan() -> hpf_stencil::exec::ExecPlan {
     assert!(plan.overlap_windows_per_step() > 0, "fixture must produce overlap windows");
     assert!(plan.verify().is_empty(), "compiler-built plan must verify clean");
     plan
+}
+
+/// Every fold of every body, by index, for the three chain faults below.
+fn for_each_chain(cn: &CompiledNest, mut f: impl FnMut(bool, usize)) {
+    let is_chain =
+        |o: &&hpf_stencil::codegen::Op| matches!(o, hpf_stencil::codegen::Op::Chain { .. });
+    let (jammed, unit) = cn.bodies();
+    for (is_unit, code) in [(false, Some(jammed)), (true, unit)] {
+        for chain in 0..code.map_or(0, |c| c.ops.iter().filter(is_chain).count()) {
+            f(is_unit, chain);
+        }
+    }
+}
+
+/// The chunked executor reads a fold's taps straight from subgrid memory,
+/// a whole chunk at a time, on the strength of the row proof alone: one
+/// tap's delta pushed outside the declared envelope must trip BV003 — on
+/// every tap of every fold of every kernel.
+#[test]
+fn perturbed_chain_taps_are_killed() {
+    let mut applied = 0usize;
+    for cn in corpus() {
+        for_each_chain(&cn, |unit, chain| {
+            for tap in 0usize.. {
+                let mut m = cn.clone();
+                if !m.inject(Fault::PerturbChainTap { unit, chain, tap, by: 1_000_000 }) {
+                    break;
+                }
+                applied += 1;
+                assert!(
+                    rejected_with(&m, &["BV003"]),
+                    "perturbed tap survived verification (chain {chain}, tap {tap}, unit={unit})"
+                );
+            }
+        });
+    }
+    assert!(applied > 50, "the corpus' stencil statements must lower to folds with taps");
+}
+
+/// A fold link retargeted to a strip register nothing has written yet
+/// reads a stale lane of a previous chunk: BV001, in every fast-mode fold.
+#[test]
+fn links_reading_unwritten_registers_are_killed() {
+    let mut applied = 0usize;
+    for cn in corpus().iter().filter(|cn| !cn.strict()) {
+        for_each_chain(cn, |unit, chain| {
+            let mut m = cn.clone();
+            if m.inject(Fault::LinkReadsUnwritten { unit, chain }) {
+                applied += 1;
+                assert!(
+                    rejected_with(&m, &["BV001"]),
+                    "link reading an unwritten register survived (chain {chain}, unit={unit})"
+                );
+            }
+        });
+    }
+    assert!(applied > 0, "corpus must contain fast-mode folds");
+}
+
+/// A fold's store aimed one lane past one of its own taps makes lane `i`
+/// overwrite what lane `i + 1` is about to read: BV004 in every chunked
+/// body (a scalar body runs point by point and may do exactly that).
+#[test]
+fn chain_stores_aliasing_another_lanes_tap_are_killed() {
+    let mut applied = 0usize;
+    for cn in corpus() {
+        let (jam_vec, unit_vec) = cn.vectorized();
+        for_each_chain(&cn, |unit, chain| {
+            let mut m = cn.clone();
+            let chunked = if unit && cn.bodies().1.is_some() { unit_vec } else { jam_vec };
+            if chunked && m.inject(Fault::ChainStoreAliasesTap { unit, chain }) {
+                applied += 1;
+                assert!(
+                    rejected_with(&m, &["BV004"]),
+                    "aliasing fold store survived verification (chain {chain}, unit={unit})"
+                );
+            }
+        });
+    }
+    assert!(applied > 0, "corpus must contain chunked folds with taps");
 }
 
 /// Drain-reorder fault: clearing the barriers that order dependent drains
