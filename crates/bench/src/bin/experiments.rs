@@ -170,7 +170,7 @@ fn main() {
     }
     if args.exp == "overlap" {
         // Blocking threaded vs threaded-overlap, bytecode backend; defaults
-        // to sizes spanning the spawn threshold up to the headline N=2048.
+        // to sizes from a small step up to the headline N=2048.
         let sizes: Vec<usize> =
             if args.sizes_given { args.sizes.clone() } else { vec![128, 512, 2048] };
         emit("overlap", &overlap(&sizes, args.steps), args.json);

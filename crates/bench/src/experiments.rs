@@ -520,10 +520,9 @@ pub fn codegen(sizes: &[usize], steps: usize) -> Table {
 
 /// Stepping wall-clock, final state, overlap counters, and modeled time of
 /// one plan built with the bytecode backend and stepped `steps` times under
-/// the given engine, with the threaded-engine spawn threshold set to 4096
-/// points/PE so small problems take the sequential step instead of paying
-/// thread spawn. The wall clock covers only `iterate(steps)` — plan
-/// compilation is identical for both engines and excluded.
+/// the given engine. The wall clock covers only `iterate(steps)`, the first
+/// of which starts the plan's worker threads — plan compilation is
+/// identical for both engines and excluded.
 pub fn overlap_sweep(
     kernel: &Kernel,
     out: &str,
@@ -532,7 +531,7 @@ pub fn overlap_sweep(
     engine: Engine,
 ) -> (f64, Vec<f64>, hpf_core::AggStats, f64) {
     let mut plan = kernel
-        .plan(MachineConfig::grid(grid.to_vec()).par_threshold(4096))
+        .plan(MachineConfig::grid(grid.to_vec()))
         .init("U", input)
         .engine(engine)
         .backend(Backend::Bytecode)
@@ -607,7 +606,7 @@ pub fn overlap(sizes: &[usize], steps: usize) -> Table {
             st.boundary_cells.to_string(),
         ]);
     }
-    t.note("spawn threshold 4096 points/PE: below it both engines degrade to the sequential step (ovl steps 0, modeled 1.00x); above it the overlap engine hides receive latency behind the interior computation — the modeled speedup counts exactly the hidden receive time under the SP-2 cost model, while wall speedup additionally depends on the host exposing real thread parallelism; final states verified bitwise per row and rep");
+    t.note("the overlap engine hides receive latency behind the interior computation — the modeled speedup counts exactly the hidden receive time under the SP-2 cost model, while wall speedup additionally depends on the host exposing real thread parallelism; final states verified bitwise per row and rep");
     t
 }
 
@@ -639,7 +638,7 @@ pub fn trace_attribution(n: usize, steps: usize) -> Table {
     for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
         let cfg = ExecConfig::new().engine(engine).backend(Backend::Bytecode).trace(true);
         let mut plan = kernel
-            .plan(MachineConfig::grid(vec![2, 2]).par_threshold(4096))
+            .plan(MachineConfig::grid(vec![2, 2]))
             .init("U", input)
             .config(cfg)
             .build()
@@ -697,7 +696,7 @@ pub fn metrics(n: usize, steps: usize) -> Table {
         ],
     );
     for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
-        let mcfg = MachineConfig::grid(vec![2, 2]).par_threshold(4096);
+        let mcfg = MachineConfig::grid(vec![2, 2]);
         let base = ExecConfig::new().engine(engine).backend(Backend::Bytecode);
         let mut plan =
             kernel.plan(mcfg.clone()).init("U", input).config(base.metrics(true)).build().unwrap();
@@ -794,7 +793,7 @@ fn tune_run(
 /// **Auto-tuning** — the cost-guided search vs the default configuration on
 /// Problem 9, across problem sizes. For each N the tuner (cache disabled, so
 /// every row is a fresh search) picks a configuration by pruning the full
-/// grid × engine × backend × threshold space with the SP-2 cost model and
+/// grid × engine × backend × superstep-depth space with the SP-2 cost model and
 /// timing the top-8 survivors; an exhaustive search times *every* buildable
 /// candidate as the reference optimum. Default (`2x2 seq-interp`), tuned,
 /// and exhaustive-best configurations are then re-measured in the same
@@ -821,13 +820,12 @@ pub fn tune(sizes: &[usize], steps: usize) -> Table {
     );
     for &n in sizes {
         let kernel = Kernel::compile(&presets::problem9(n), CompileOptions::full()).unwrap();
-        let base = MachineConfig::with_grid(vec![2, 2]).par_threshold(4096);
+        let base = MachineConfig::with_grid(vec![2, 2]);
         let tuned = kernel.tune(&hpf_core::Tuner::new(base.clone()).no_cache()).unwrap();
         let exhaustive =
             kernel.tune(&hpf_core::Tuner::new(base.clone()).no_cache().exhaustive()).unwrap();
         let same_winner = tuned.best.grid == exhaustive.best.grid
-            && tuned.best.exec_config() == exhaustive.best.exec_config()
-            && tuned.best.par_threshold == exhaustive.best.par_threshold;
+            && tuned.best.exec_config() == exhaustive.best.exec_config();
 
         let default_exec = hpf_core::ExecConfig::new();
         let (mut dw, mut tw, mut ew) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -1055,9 +1053,9 @@ mod tests {
     fn tune_experiment_beats_or_matches_the_default() {
         let t = tune(&[24], 2);
         assert_eq!(t.rows.len(), 1);
-        // 3 grid factorizations of 4 PEs x (seq: 2 + threaded: 4 + overlap: 4)
-        // x 4 superstep depths (Problem 9 is eligible for deep halos).
-        assert_eq!(t.rows[0][1], "120");
+        // 3 grid factorizations of 4 PEs x 3 engines x 2 backends x 4
+        // superstep depths (Problem 9 is eligible for deep halos).
+        assert_eq!(t.rows[0][1], "72");
         let timed: usize = t.rows[0][2].parse().unwrap();
         assert!(timed > 0 && timed <= 8);
         let ratio: f64 = t.rows[0][8].parse().unwrap();
@@ -1238,26 +1236,23 @@ mod tests {
     }
 
     #[test]
-    fn overlap_table_splits_above_threshold_and_degrades_below() {
-        // Two sizes straddling the 4096 points/PE spawn threshold: at N=32
-        // (256 points/PE/nest) both engines degrade to the sequential step,
-        // so nothing overlaps; at N=160 (6400 points/PE/nest) the overlap
-        // engine must fuse split-phase windows with non-trivial interior and
-        // boundary regions. overlap() asserts bitwise identity internally.
+    fn overlap_table_splits_at_every_size() {
+        // The overlap engine must fuse split-phase windows with non-trivial
+        // interior and boundary regions at a small size as at a larger
+        // one: nothing degrades to the sequential step any more.
+        // overlap() asserts bitwise identity internally.
         let t = overlap(&[32, 160], 2);
         assert_eq!(t.rows.len(), 2);
         let get = |r: usize, c: usize| t.rows[r][c].parse::<u64>().unwrap();
-        assert_eq!(get(0, 7), 0, "below threshold nothing overlaps: {:?}", t.rows[0]);
-        assert!(get(1, 7) > 0, "above threshold steps overlap: {:?}", t.rows[1]);
-        assert!(get(1, 8) > 0 && get(1, 9) > 0, "split regions are non-trivial: {:?}", t.rows[1]);
-        // The interior dominates the boundary strips — that is what makes
-        // overlapping it with communication worthwhile.
-        assert!(get(1, 8) > get(1, 9), "{:?}", t.rows[1]);
-        // Modeled time: identical where nothing overlaps, strictly better
-        // where split-phase windows hid receive time behind the interior.
         let speedup = |r: usize| t.rows[r][6].trim_end_matches('x').parse::<f64>().unwrap();
-        assert_eq!(t.rows[0][4], t.rows[0][5], "degraded rows model identically: {:?}", t.rows[0]);
-        assert!(speedup(1) > 1.0, "overlap must win on modeled time: {:?}", t.rows[1]);
+        for r in 0..2 {
+            assert!(get(r, 7) > 0, "steps overlap: {:?}", t.rows[r]);
+            // The interior dominates the boundary strips — that is what
+            // makes overlapping it with communication worthwhile.
+            assert!(get(r, 8) > get(r, 9) && get(r, 9) > 0, "{:?}", t.rows[r]);
+            // Split-phase windows hid receive time behind the interior.
+            assert!(speedup(r) > 1.0, "overlap must win on modeled time: {:?}", t.rows[r]);
+        }
     }
 
     #[test]

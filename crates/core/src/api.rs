@@ -428,11 +428,11 @@ impl<'k> Planner<'k> {
     pub fn build(self) -> Result<Plan<'k>, CoreError> {
         let mut config = self.config;
         let mut exec_cfg = self.exec_cfg;
-        // `ExecConfig::auto`: resolve engine, backend, PE grid, and spawn
-        // threshold through the auto-tuner before the machine exists — the
-        // grid and threshold are machine parameters, so tuning must happen
-        // first. The tuner's cache counters are recorded on the machine
-        // after the stats reset below, so they survive into `Plan::stats`.
+        // `ExecConfig::auto`: resolve engine, backend, PE grid, and
+        // superstep depth through the auto-tuner before the machine exists
+        // — the grid is a machine parameter, so tuning must happen first.
+        // The tuner's cache counters are recorded on the machine after the
+        // stats reset below, so they survive into `Plan::stats`.
         let mut tuned: Option<(u64, u64, u64)> = None;
         if exec_cfg.auto {
             let mut tuner =
@@ -445,7 +445,6 @@ impl<'k> Planner<'k> {
             }
             let outcome = self.kernel.tune(&tuner)?;
             config.grid = hpf_runtime::PeGrid::new(outcome.best.grid.clone());
-            config.par_threshold = outcome.best.par_threshold;
             exec_cfg.engine = outcome.best.engine;
             exec_cfg.backend = outcome.best.backend;
             exec_cfg = exec_cfg.superstep(outcome.best.superstep);

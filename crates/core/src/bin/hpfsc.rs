@@ -62,12 +62,12 @@ options:
                         (seq, threaded, threaded-overlap), a backend
                         (interp, bytecode), or both joined with '-'
                         (e.g. threaded-bytecode, threaded-overlap-bytecode);
-                        'auto' picks grid, engine, backend, and spawn
-                        threshold with the auto-tuner (see --tune);
+                        'auto' picks grid, engine, backend, and superstep
+                        depth with the auto-tuner (see --tune);
                         default: seq-interp
   --tune[=FILE]         auto-tune this kernel on the --grid machine: search
                         every PE-grid factorization x engine x backend x
-                        spawn threshold, prune with the cost model, time
+                        superstep depth, prune with the cost model, time
                         the best-modeled survivors, print the candidate
                         table, and persist the winner in FILE (default
                         .hpf-tune.json); a warm cache skips the search
@@ -461,10 +461,9 @@ fn main() {
                     out_raw!("{}", out.render_table());
                 }
                 out!(
-                    "! best: {} {} pts={} ({:.4} ms measured)",
+                    "! best: {} {} ({:.4} ms measured)",
                     hpf_core::tune::grid_label(&out.best.grid),
                     out.best.exec_config().label(),
-                    out.best.par_threshold,
                     out.best.measured_ms.unwrap_or(f64::INFINITY)
                 );
             }

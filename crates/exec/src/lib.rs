@@ -1,5 +1,8 @@
 #![allow(clippy::needless_range_loop)] // index-based dimension math reads clearer here
 #![warn(missing_docs)]
+// One `unsafe` block lives here: the worker pool's job hand-off (`par`).
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! # hpf-exec — executors for the lowered node program
 //!
@@ -21,7 +24,8 @@
 //! walker serves every engine: the sequential engine visits every PE on the
 //! calling thread and moves messages by direct copy; the threaded engines
 //! run one OS thread per PE over channels, through the *same* compiled
-//! schedules. Orthogonally, loop nests are evaluated by the tree
+//! schedules — threads the plan starts on its first step and keeps,
+//! parked between steps, until it drops. Orthogonally, loop nests are evaluated by the tree
 //! interpreter or by compiled bytecode kernels ([`Backend`]). Every
 //! engine × backend combination is bitwise identical.
 

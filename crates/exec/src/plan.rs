@@ -16,8 +16,9 @@
 //! which PEs the calling thread computes for — with two impls: the
 //! direct-copy fabric (the sequential engine: one thread visits every PE
 //! and messages are direct copies) and the channel fabric (the threaded
-//! engines: one worker thread per PE). All engines are bitwise identical
-//! and produce the same per-PE counters.
+//! engines: one thread per PE, kept by the plan's worker pool from its
+//! first step until it drops). All engines are bitwise identical and
+//! produce the same per-PE counters.
 //!
 //! With tracing enabled ([`ExecConfig::trace`]) every step additionally
 //! records per-PE spans — kernel execution, pack/unpack, comm post/drain,
@@ -28,9 +29,9 @@
 use crate::backend::{self, Backend};
 use crate::config::{Engine, ExecConfig};
 use crate::nest::{expand_bounds, nest_local_bounds, scalar_values};
-use crate::par::{Msg, Worker};
+use crate::par::{Pool, StepCtx, Worker};
 use crate::superstep::{self, SsShape, SuperstepSchedule};
-use hpf_analysis::overlap::{cells, split_region, RegionSplit};
+use hpf_analysis::overlap::{split_region, RegionSplit};
 use hpf_codegen::{compile_nest, reads_before_def, CompiledNest};
 use hpf_ir::{ArrayId, Diagnostic, ShiftKind};
 use hpf_passes::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram};
@@ -38,8 +39,6 @@ use hpf_passes::memopt::iteration_local;
 use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan, regions_intersect, CommAction};
 use hpf_runtime::{CompiledComm, Machine, MoveKind, PeState, RtError};
 use hpf_trace::SpanKind;
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// One step-program item: like `NodeItem`, but communication ops are slots
 /// into the plan's compiled-schedule table. Crate-visible so the
@@ -133,9 +132,6 @@ pub struct ExecPlan {
     /// Boundary-strip points one step computes after draining receives,
     /// summed over split PEs (time-loop weighted).
     boundary_cells_per_step: u64,
-    /// Max over PEs of subgrid points one step computes on that PE — the
-    /// work measure `MachineConfig::par_threshold` compares against.
-    pe_points_per_step: u64,
     /// Superstep executions one step performs (time-loop weighted; zero
     /// unless built with [`ExecConfig::superstep`] depth > 1 on an
     /// eligible kernel).
@@ -155,6 +151,9 @@ pub struct ExecPlan {
     /// Metrics collection state ([`ExecConfig::metrics`]); `None` keeps
     /// stepping metric-free.
     metrics: Option<Box<crate::metrics::MetricsState>>,
+    /// The worker threads of a threaded plan, started by its first step:
+    /// a plan that is built, inspected and dropped never starts one.
+    pool: Option<Pool>,
 }
 
 impl ExecPlan {
@@ -255,7 +254,6 @@ impl ExecPlan {
             overlap_windows_per_step: 0,
             interior_cells_per_step: 0,
             boundary_cells_per_step: 0,
-            pe_points_per_step: 0,
             supersteps_per_step: 0,
             exchanges_elided_per_step: 0,
             redundant_cells_per_step: 0,
@@ -264,6 +262,7 @@ impl ExecPlan {
             metrics: cfg.metrics.then(|| {
                 Box::new(crate::metrics::MetricsState::new(cfg.label(), machine.pes.len()))
             }),
+            pool: None,
         };
         if cfg.engine == Engine::ThreadedOverlap {
             let items = std::mem::take(&mut plan.items);
@@ -285,7 +284,6 @@ impl ExecPlan {
         }
         plan.comm_execs_per_step = count_comm_execs(&plan.items);
         plan.kernel_execs_per_step = count_kernel_execs(&plan.items);
-        plan.pe_points_per_step = pe_points(machine, &plan.items);
         let (supersteps, elided, redundant) = count_superstep(machine, &plan.items);
         plan.supersteps_per_step = supersteps;
         plan.exchanges_elided_per_step = elided;
@@ -302,9 +300,17 @@ impl ExecPlan {
     /// metrics on, the step is bracketed by two readings of the per-PE
     /// folds whose difference is its `StepSample` — observation only,
     /// after the engines have finished the step.
+    ///
+    /// # Panics
+    ///
+    /// On the threaded engines, when a PE's step panics: the panic is
+    /// re-raised here, naming the PE, after every other PE has abandoned
+    /// the step. The plan is then poisoned — every later `step` panics at
+    /// once with the same message — and the machine's arrays are
+    /// unspecified. Dropping the plan still joins its threads.
     pub fn step(&mut self, machine: &mut Machine) {
         let begin = self.metrics.as_ref().map(|m| m.begin(machine));
-        if self.engine == Engine::Sequential || self.below_par_threshold(machine) {
+        if self.engine == Engine::Sequential {
             let ExecPlan { items, scheds, scalars, .. } = self;
             step_items(&mut Direct { machine, scheds, scalars }, items);
         } else {
@@ -406,48 +412,20 @@ impl ExecPlan {
         &self.superstep_diags
     }
 
-    /// True when the per-PE work of one step is at or below the machine's
-    /// `par_threshold` — the threaded engines then run the step on the
-    /// calling thread through the direct-copy fabric (identical results and
-    /// counters; windows run unfused, so the overlap counters stay
-    /// untouched), since spawning a thread per PE costs more than the step
-    /// itself at small sizes.
-    fn below_par_threshold(&self, machine: &Machine) -> bool {
-        machine.cfg.par_threshold > 0 && self.pe_points_per_step <= machine.cfg.par_threshold
-    }
-
-    /// One sweep on the SPMD engines: one thread per PE, each walking the
-    /// step program as a channel [`Worker`] over the precompiled schedules
-    /// (no per-step geometry or RSD math on the workers). A plan built for
+    /// One sweep on the SPMD engines: every PE walks the step program as
+    /// a channel [`Worker`] over the precompiled schedules (no per-step
+    /// geometry or RSD math), PE 0 on the calling thread and the others on
+    /// the plan's [`Pool`], which the first call starts. A plan built for
     /// [`Engine::ThreadedOverlap`] runs its [windows](PlanItem::Overlap)
     /// split-phase; the only observable difference from the blocking
     /// engines is the `overlapped_steps` / `interior_cells` /
     /// `boundary_cells` counters and the hidden-communication credit.
     fn step_threaded(&mut self, machine: &mut Machine) {
-        let n = machine.num_pes();
-        let (txs, rxs): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) = (0..n).map(|_| channel()).unzip();
-        let ExecPlan { items, scheds, scalars, .. } = &*self;
         let split_phase = self.engine == Engine::ThreadedOverlap;
-        let cfg = &machine.cfg;
-        std::thread::scope(|scope| {
-            for (state, rx) in machine.pes.iter_mut().zip(rxs) {
-                let txs = txs.clone();
-                scope.spawn(move || {
-                    let mut w = Worker {
-                        state,
-                        rx,
-                        txs,
-                        cfg,
-                        scheds,
-                        scalars,
-                        split_phase,
-                        seq: 0,
-                        stash: HashMap::new(),
-                    };
-                    step_items(&mut w, items);
-                });
-            }
-        });
+        let ExecPlan { items, scheds, scalars, pool, .. } = self;
+        let pool = pool.get_or_insert_with(|| Pool::start(machine.num_pes(), scheds));
+        let ctx = StepCtx { items, scheds, scalars, cfg: &machine.cfg, split_phase };
+        pool.step(&mut machine.pes, &ctx);
         // Workers deliver messages themselves, bypassing `apply_compiled`
         // and its reuse accounting; credit the reuses here.
         machine.note_schedule_reuses(self.comm_execs_per_step);
@@ -879,46 +857,6 @@ fn count_overlap(items: &[PlanItem]) -> (u64, u64, u64) {
     acc
 }
 
-/// Max over PEs of the subgrid points one step computes on that PE.
-fn pe_points(machine: &Machine, items: &[PlanItem]) -> u64 {
-    fn walk(machine: &Machine, items: &[PlanItem], per: &mut [u64], weight: u64) {
-        for item in items {
-            match item {
-                PlanItem::Nest { nest, .. } | PlanItem::Overlap { nest, .. } => {
-                    for (pe, state) in machine.pes.iter().enumerate() {
-                        if let Some((lo, hi)) = nest_local_bounds(state, nest) {
-                            let box_: Vec<(i64, i64)> =
-                                lo.iter().zip(&hi).map(|(&l, &h)| (l, h)).collect();
-                            per[pe] += weight * cells(&box_);
-                        }
-                    }
-                }
-                PlanItem::Superstep { nests, expansions, .. } => {
-                    for sub in expansions {
-                        for ((nest, _), expand) in nests.iter().zip(sub) {
-                            for (pe, state) in machine.pes.iter().enumerate() {
-                                if let Some((lo, hi)) = nest_local_bounds(state, nest) {
-                                    let (lo_x, hi_x) = expand_bounds(state, nest, &lo, &hi, expand);
-                                    let box_: Vec<(i64, i64)> =
-                                        lo_x.iter().zip(&hi_x).map(|(&l, &h)| (l, h)).collect();
-                                    per[pe] += weight * cells(&box_);
-                                }
-                            }
-                        }
-                    }
-                }
-                PlanItem::TimeLoop { iters, body } => {
-                    walk(machine, body, per, weight * *iters as u64);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut per = vec![0u64; machine.num_pes()];
-    walk(machine, items, &mut per, 1);
-    per.into_iter().max().unwrap_or(0)
-}
-
 /// Run a nest sweep on one PE through its compiled kernel where one exists
 /// (`kernels` is indexed by PE), recording a [`SpanKind::KernelExec`] span
 /// when it does and [`SpanKind::Compute`] when the interpreter evaluates
@@ -1000,13 +938,12 @@ impl Fabric for Direct<'_> {
 /// [`crate::par`].
 impl Fabric for Worker<'_> {
     fn exchange(&mut self, slot: usize) {
-        let s = &self.scheds[slot];
-        let seq = self.comm_post(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
-        self.comm_finish(s.dst, &s.actions, seq);
+        let seq = self.comm_post(slot);
+        self.comm_finish(slot, seq);
     }
 
     fn each_pe(&mut self, mut f: impl FnMut(&mut PeState, &[f64])) {
-        f(self.state, self.scalars);
+        f(self.state, self.ctx.scalars);
     }
 
     /// Post every schedule's send half (draining pending receives first
@@ -1024,14 +961,13 @@ impl Fabric for Worker<'_> {
         kernels: &[Option<CompiledNest>],
         splits: &[Option<RegionSplit>],
     ) -> bool {
-        if !self.split_phase {
+        if !self.ctx.split_phase {
             return false;
         }
-        let scheds = self.scheds;
+        let scalars = self.ctx.scalars;
         let drain = |w: &mut Self, pending: &mut Vec<(usize, u64)>| {
             for (ci, seq) in pending.drain(..) {
-                let s = &scheds[comms[ci]];
-                w.comm_finish(s.dst, &s.actions, seq);
+                w.comm_finish(comms[ci], seq);
             }
         };
         let mut pending: Vec<(usize, u64)> = Vec::with_capacity(comms.len());
@@ -1039,13 +975,12 @@ impl Fabric for Worker<'_> {
             if barriers[ci] {
                 drain(self, &mut pending);
             }
-            let s = &scheds[slot];
-            let seq = self.comm_post(s.dst, s.src, &s.actions, s.kind == MoveKind::FullShift);
+            let seq = self.comm_post(slot);
             pending.push((ci, seq));
         }
         let Some(split) = splits.get(self.state.pe).and_then(|s| s.as_ref()) else {
             drain(self, &mut pending);
-            run_nest_traced(self.state, nest, kernels, self.scalars);
+            run_nest_traced(self.state, nest, kernels, scalars);
             return true;
         };
         let kernel = kernels.get(self.state.pe).and_then(|k| k.as_ref());
@@ -1055,8 +990,7 @@ impl Fabric for Worker<'_> {
         let mut in_flight: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
         for (ci, seq) in pending.drain(..) {
             if pre_drain[ci] {
-                let s = &scheds[comms[ci]];
-                self.comm_finish(s.dst, &s.actions, seq);
+                self.comm_finish(comms[ci], seq);
             } else {
                 in_flight.push((ci, seq));
             }
@@ -1066,7 +1000,7 @@ impl Fabric for Worker<'_> {
         // interior compute (the latency split-phase hides; DESIGN.md §5d).
         let pre = self.state.stats;
         let t_int = self.state.tracer.now();
-        backend::run_nest_range(self.state, nest, kernel, self.scalars, &split.interior);
+        backend::run_nest_range(self.state, nest, kernel, scalars, &split.interior);
         let t_int_end = self.state.tracer.now();
         let mid = self.state.stats;
         // The window's receives drain under one span (the per-comm spans
@@ -1074,17 +1008,16 @@ impl Fabric for Worker<'_> {
         // per-window quantity the hidden-credit counter is built from.
         let t_drn = self.state.tracer.now();
         for (ci, seq) in in_flight.drain(..) {
-            let s = &scheds[comms[ci]];
-            self.comm_finish_quiet(s.dst, &s.actions, seq);
+            self.comm_finish_quiet(comms[ci], seq);
         }
         let t_drn_end = self.state.tracer.now();
         let post = self.state.stats;
         let t_bnd = self.state.tracer.now();
         for strip in &split.boundary {
-            backend::run_nest_range(self.state, nest, kernel, self.scalars, strip);
+            backend::run_nest_range(self.state, nest, kernel, scalars, strip);
         }
         self.state.tracer.record(SpanKind::Boundary, t_bnd);
-        let cost = &self.cfg.cost;
+        let cost = &self.ctx.cfg.cost;
         let interior_ns = cost.pe_time_ns(&mid.delta_since(&pre));
         let recv_ns = cost.pe_time_ns(&post.delta_since(&mid));
         let hidden = recv_ns.min(interior_ns);
@@ -1099,7 +1032,7 @@ impl Fabric for Worker<'_> {
 /// Execute the step program on a fabric — the only interpreter of
 /// [`PlanItem`]s, so every engine reads the program the PL001–PL004
 /// verifier checked the same way.
-fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
+pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
     for item in items {
         match item {
             PlanItem::Comm(i) => f.exchange(*i),
@@ -1334,44 +1267,6 @@ ENDDO
             };
             assert!(st_ovl.hidden_comm_ns[pe] <= cost.pe_time_ns(&recv_only));
         }
-    }
-
-    #[test]
-    fn par_threshold_degrades_small_steps_to_seq() {
-        // 16x16 over 2x2 PEs: 64 points per PE per nest, 128 per step —
-        // below a threshold of 256, so the threaded engines run on the
-        // calling thread with identical results and counters. The
-        // overlapped plan keeps its fused windows; the direct fabric
-        // executes each as comm-then-nest.
-        let cfg = MachineConfig::sp2_2x2().par_threshold(256);
-        let checked = compile_source(JACOBI16).unwrap();
-        let compiled = compile(&checked, CompileOptions::upto(Stage::MemOpt));
-        let u = checked.symbols.lookup_array("U").unwrap();
-        let mk = |cfg: MachineConfig| {
-            let mut m = Machine::new(cfg);
-            m.alloc(u, checked.symbols.array(u)).unwrap();
-            m.fill(u, init);
-            m.reset_stats();
-            m
-        };
-        let mut m_seq = mk(MachineConfig::sp2_2x2());
-        let mut p_seq = ExecPlan::build(&mut m_seq, &compiled.node, &ExecConfig::new()).unwrap();
-        let mut m_par = mk(cfg.clone());
-        let mut p_par = ExecPlan::build(&mut m_par, &compiled.node, &par()).unwrap();
-        let mut m_ovl = mk(cfg);
-        let mut p_ovl = ExecPlan::build(&mut m_ovl, &compiled.node, &ovl(Backend::Interp)).unwrap();
-        assert!(p_ovl.overlap_windows_per_step() > 0, "the plan still carries windows");
-        for _ in 0..3 {
-            p_seq.step(&mut m_seq);
-            p_par.step(&mut m_par);
-            p_ovl.step(&mut m_ovl);
-        }
-        assert_eq!(m_seq.gather(u), m_par.gather(u));
-        assert_eq!(m_seq.gather(u), m_ovl.gather(u));
-        assert_eq!(m_seq.stats(), m_par.stats());
-        // Degraded overlap steps overlap nothing: counters stay zero.
-        assert_eq!(m_ovl.stats().overlapped_steps, 0);
-        assert_eq!(m_seq.stats(), m_ovl.stats());
     }
 
     #[test]

@@ -23,11 +23,6 @@ pub struct MachineConfig {
     pub mem_budget: Option<usize>,
     /// Cost model used for modeled time.
     pub cost: CostModel,
-    /// Threaded-engine spawn threshold in subgrid points per PE per step
-    /// (0 = always spawn). When a plan step computes at most this many
-    /// points per PE, the threaded engines degrade to the sequential step —
-    /// thread spawn and join overhead dominates such small subgrids.
-    pub par_threshold: u64,
 }
 
 impl MachineConfig {
@@ -40,13 +35,7 @@ impl MachineConfig {
     /// assert_eq!(cfg.mem_budget, Some(256 << 20));
     /// ```
     pub fn grid(grid: impl Into<Vec<usize>>) -> Self {
-        MachineConfig {
-            grid: PeGrid::new(grid),
-            halo: 1,
-            mem_budget: None,
-            cost: CostModel::sp2(),
-            par_threshold: 0,
-        }
+        MachineConfig { grid: PeGrid::new(grid), halo: 1, mem_budget: None, cost: CostModel::sp2() }
     }
 
     /// The paper's machine: a 4-processor SP-2 arranged 2×2, overlap width 1.
@@ -80,13 +69,6 @@ impl MachineConfig {
     /// Set the cost model.
     pub fn cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Set the threaded-engine spawn threshold (points per PE per step;
-    /// 0 disables the degrade-to-sequential path).
-    pub fn par_threshold(mut self, points: u64) -> Self {
-        self.par_threshold = points;
         self
     }
 }

@@ -94,9 +94,10 @@ pub struct CompiledFill {
 /// A communication operation compiled once and executed many times: the
 /// persistent-schedule analogue of `MPI_Send_init`/`MPI_Recv_init`. Built by
 /// [`crate::Machine::compile_comm`]; executed by
-/// [`crate::Machine::apply_compiled`]. The original [`CommAction`] list is
-/// retained for engines (the SPMD executor) that deliver messages themselves
-/// but still want to skip per-step plan recomputation.
+/// [`crate::Machine::apply_compiled`], or by the threaded engines' workers
+/// through the same index lists. The original [`CommAction`] list is
+/// retained for the geometric checks (dependencies between schedules, the
+/// plan verifier) that reason about regions rather than indices.
 #[derive(Clone, Debug)]
 pub struct CompiledComm {
     /// Destination array.
@@ -123,12 +124,6 @@ impl CompiledComm {
     /// schedule avoids re-making every step).
     pub fn pooled_bytes(&self) -> usize {
         self.transfers.iter().map(|t| t.buf.len() * std::mem::size_of::<f64>()).sum()
-    }
-
-    /// Split this schedule into its two split-phase halves for one PE; see
-    /// [`split_halves`].
-    pub fn halves(&self, pe: usize) -> CommHalves<'_> {
-        split_halves(&self.actions, pe)
     }
 
     /// Would posting this schedule's sends before `earlier`'s receives have
@@ -163,38 +158,6 @@ impl CompiledComm {
 pub fn regions_intersect(a: &[(i64, i64)], b: &[(i64, i64)]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(&(alo, ahi), &(blo, bhi))| alo.max(blo) <= ahi.min(bhi))
-}
-
-/// One PE's view of a communication plan, split into the two halves of a
-/// split-phase exchange: the *post* half (outgoing messages plus the local
-/// fills and self-transfers, all safe to apply before any receive) and the
-/// *complete* half (incoming remote transfers, to be drained in plan order).
-/// Both halves preserve plan order, so tag assignment and receive matching
-/// are identical to the blocking protocol.
-pub struct CommHalves<'a> {
-    /// Outgoing remote transfers (this PE is the sender), in plan order.
-    pub sends: Vec<&'a Transfer>,
-    /// Local work: constant fills on this PE and self-transfers, in plan
-    /// order (the action carries the kind distinction for accounting).
-    pub locals: Vec<&'a CommAction>,
-    /// Incoming remote transfers (this PE is the receiver), in plan order.
-    pub recvs: Vec<&'a Transfer>,
-}
-
-/// Split a communication plan into its two split-phase halves for `pe`;
-/// see [`CommHalves`].
-pub fn split_halves(actions: &[CommAction], pe: usize) -> CommHalves<'_> {
-    let mut h = CommHalves { sends: Vec::new(), locals: Vec::new(), recvs: Vec::new() };
-    for action in actions {
-        match action {
-            CommAction::Transfer(t) if t.src_pe == pe && t.dst_pe != pe => h.sends.push(t),
-            CommAction::Transfer(t) if t.src_pe == pe && t.dst_pe == pe => h.locals.push(action),
-            CommAction::Transfer(t) if t.dst_pe == pe => h.recvs.push(t),
-            CommAction::Fill { pe: p, .. } if *p == pe => h.locals.push(action),
-            _ => {}
-        }
-    }
-    h
 }
 
 /// Geometry of one distributed array on a machine: a [`BlockDim`] per

@@ -3,7 +3,7 @@
 //! One JSON object per file: `{"version": 1, "entries": [...]}` with one
 //! entry per kernel fingerprint, each holding the winning grid, the
 //! `engine[-backend]` label (re-parsed with
-//! [`hpf_exec::ExecConfig::from_cli_str`]), the spawn threshold, and the
+//! [`hpf_exec::ExecConfig::from_cli_str`]), the superstep depth, and the
 //! modeled/measured times of the winner. Reads go through the shared
 //! [`hpf_trace::json`] parser; writes are a hand-rolled
 //! [`hpf_trace::json::Value::render`] of the same shape, so the file
@@ -17,8 +17,9 @@ use std::path::Path;
 
 /// Cache format version; bumped when the entry schema changes so stale
 /// files fall back to a fresh search instead of being misread (v2 added
-/// the winning superstep depth).
-pub const CACHE_VERSION: u64 = 2;
+/// the winning superstep depth; v3 dropped the spawn threshold, which went
+/// with the per-step thread spawn it worked around).
+pub const CACHE_VERSION: u64 = 3;
 
 /// The default cache file name, resolved in the working directory.
 pub const DEFAULT_CACHE_FILE: &str = ".hpf-tune.json";
@@ -34,8 +35,6 @@ pub struct CacheEntry {
     /// Winning `engine[-backend]` label
     /// ([`hpf_exec::ExecConfig::label`] / `from_cli_str` round-trip).
     pub config: String,
-    /// Winning threaded-engine spawn threshold.
-    pub par_threshold: u64,
     /// Winning communication-avoiding superstep depth (1 = classic).
     pub superstep: u64,
     /// The winner's modeled step time when it was searched, milliseconds.
@@ -103,8 +102,6 @@ impl TuneCache {
                 key: string(e.get("key").ok_or("entry missing key")?)?,
                 grid,
                 config: string(e.get("config").ok_or("entry missing config")?)?,
-                par_threshold: num(e.get("par_threshold").ok_or("entry missing par_threshold")?)?
-                    as u64,
                 superstep: num(e.get("superstep").ok_or("entry missing superstep")?)? as u64,
                 modeled_ms: num(e.get("modeled_ms").ok_or("entry missing modeled_ms")?)?,
                 measured_ms: num(e.get("measured_ms").ok_or("entry missing measured_ms")?)?,
@@ -137,7 +134,6 @@ impl TuneCache {
                         Value::Array(e.grid.iter().map(|&d| Value::Number(d as f64)).collect()),
                     ),
                     ("config".into(), Value::String(e.config.clone())),
-                    ("par_threshold".into(), Value::Number(e.par_threshold as f64)),
                     ("superstep".into(), Value::Number(e.superstep as f64)),
                     ("modeled_ms".into(), Value::Number(e.modeled_ms)),
                     ("measured_ms".into(), Value::Number(e.measured_ms)),
@@ -180,7 +176,6 @@ mod tests {
             key: key.to_string(),
             grid: vec![2, 2],
             config: "threaded-bytecode".to_string(),
-            par_threshold: 4096,
             superstep: 2,
             modeled_ms: 1.25,
             measured_ms: 0.5,
@@ -223,9 +218,10 @@ mod tests {
             "[]",                                            // wrong shape
             "{\"version\":99,\"entries\":[]}",               // future version
             "{\"version\":1,\"entries\":[]}",                // pre-superstep version
-            "{\"version\":2}",                               // missing entries
-            "{\"version\":2,\"entries\":[{\"key\":1}]}",     // wrong field type
-            "{\"version\":2,\"entries\":[{\"key\":\"x\"}]}", // missing fields
+            "{\"version\":2,\"entries\":[]}",                // spawn-threshold version
+            "{\"version\":3}",                               // missing entries
+            "{\"version\":3,\"entries\":[{\"key\":1}]}",     // wrong field type
+            "{\"version\":3,\"entries\":[{\"key\":\"x\"}]}", // missing fields
         ] {
             let r = parse(bad).and_then(|v| TuneCache::from_value(&v));
             assert!(r.is_err(), "{bad} should be rejected");

@@ -7,7 +7,7 @@
 //! [`Tuner`] enumerates the legal configuration space — every PE-grid
 //! factorization of the core count, the full engine × backend matrix
 //! (`seq`/`threaded`/`threaded-overlap` × `interp`/`bytecode`), and the
-//! threaded-engine spawn threshold — prunes it with the machine's
+//! superstep depths the kernel is eligible for — prunes it with the machine's
 //! analytic cost model (one cheap model probe per distinct modeled
 //! configuration), then empirically times the top-K surviving candidates
 //! with short warm-state plan runs (one warmup step, then min-of-R timed
@@ -27,7 +27,7 @@ pub mod space;
 pub use cache::{fingerprint, CacheEntry, TuneCache, DEFAULT_CACHE_FILE};
 pub use space::{enumerate, factorizations, grid_label, Candidate};
 
-use hpf_exec::{Backend, Engine, ExecConfig, ExecPlan};
+use hpf_exec::{Backend, ExecConfig, ExecPlan};
 use hpf_passes::loopir::NodeProgram;
 use hpf_runtime::{Machine, MachineConfig, RtError};
 use std::path::PathBuf;
@@ -64,7 +64,6 @@ impl TuneOutcome {
             ("", Align::Left),
             ("grid", Align::Left),
             ("config", Align::Left),
-            ("pts", Align::Right),
             ("modeled ms", Align::Right),
             ("measured ms", Align::Right),
         ]);
@@ -82,7 +81,6 @@ impl TuneOutcome {
                 if *c == self.best { "*".to_string() } else { String::new() },
                 grid_label(&c.grid),
                 c.exec_config().label(),
-                c.par_threshold.to_string(),
                 modeled,
                 measured,
             ]);
@@ -92,7 +90,7 @@ impl TuneOutcome {
 }
 
 /// Cost-guided configuration search over PE grids, engines, backends, and
-/// spawn thresholds. Construct with [`Tuner::new`] around the base machine
+/// superstep depths. Construct with [`Tuner::new`] around the base machine
 /// configuration (which supplies the core count, mesh rank, halo width,
 /// memory budget, and cost model — the parts the tuner does *not* search),
 /// then call [`Tuner::best`].
@@ -103,14 +101,13 @@ pub struct Tuner {
     reps: usize,
     cache: Option<PathBuf>,
     allow_overlap: bool,
-    thresholds: Vec<u64>,
     supersteps: Vec<usize>,
 }
 
 impl Tuner {
     /// A tuner over `base`'s machine: empirically time the 8 best-modeled
-    /// candidates with min-of-3 step timings, consider spawn thresholds
-    /// {0, 4096} and communication-avoiding superstep depths {1, 2, 4, 8}
+    /// candidates with min-of-3 step timings, consider
+    /// communication-avoiding superstep depths {1, 2, 4, 8}
     /// (depths the kernel is ineligible for are dropped before the search),
     /// allow the split-phase overlap engine, and persist decisions in
     /// [`DEFAULT_CACHE_FILE`].
@@ -121,7 +118,6 @@ impl Tuner {
             reps: 3,
             cache: Some(PathBuf::from(DEFAULT_CACHE_FILE)),
             allow_overlap: true,
-            thresholds: vec![0, 4096],
             supersteps: vec![1, 2, 4, 8],
         }
     }
@@ -152,7 +148,7 @@ impl Tuner {
 
     /// Gate the split-phase overlap engine (callers pass `false` when the
     /// kernel's halo-safety lints are not clean, exactly as they would for
-    /// a manual [`Engine::ThreadedOverlap`] choice).
+    /// a manual [`hpf_exec::Engine::ThreadedOverlap`] choice).
     pub fn allow_overlap(mut self, allow: bool) -> Tuner {
         self.allow_overlap = allow;
         self
@@ -163,12 +159,6 @@ impl Tuner {
     /// halo-safety lints).
     pub fn overlap_allowed(&self) -> bool {
         self.allow_overlap
-    }
-
-    /// The spawn thresholds to search (default `{0, 4096}`).
-    pub fn thresholds(mut self, pts: Vec<u64>) -> Tuner {
-        self.thresholds = pts;
-        self
     }
 
     /// The communication-avoiding superstep depths to search (default
@@ -247,19 +237,11 @@ impl Tuner {
             }
         }
 
-        let thresholds = if self.thresholds.is_empty() {
-            vec![self.base.par_threshold]
-        } else {
-            self.thresholds.clone()
-        };
-        let mut candidates = enumerate(pes, rank, self.allow_overlap, &thresholds, &depths);
+        let mut candidates = enumerate(pes, rank, self.allow_overlap, &depths);
 
         // Model-probe pruning. The per-PE counters the cost model reads are
-        // identical across backends, and across spawn thresholds for the
-        // blocking engines; only the overlap engine's hidden-communication
-        // credit depends on the threshold (a degraded window hides
-        // nothing). One plan build + one step per distinct (grid, engine[,
-        // threshold]) therefore models the whole space.
+        // identical across backends, so one plan build + one step per
+        // distinct (grid, engine, depth) models the whole space.
         let mut modeled: Vec<(String, f64)> = Vec::new();
         let mut first_err: Option<RtError> = None;
         for c in &mut candidates {
@@ -335,7 +317,6 @@ impl Tuner {
                 key: key.clone(),
                 grid: best.grid.clone(),
                 config: best.exec_config().label(),
-                par_threshold: best.par_threshold,
                 superstep: best.superstep as u64,
                 modeled_ms: best.modeled_ms,
                 measured_ms: best.measured_ms.unwrap_or(f64::INFINITY),
@@ -370,7 +351,6 @@ impl Tuner {
             grid: e.grid.clone(),
             engine: cfg.engine,
             backend: cfg.backend,
-            par_threshold: e.par_threshold,
             superstep: (e.superstep as usize).max(1),
             modeled_ms: e.modeled_ms,
             measured_ms: Some(e.measured_ms),
@@ -408,17 +388,15 @@ impl Tuner {
 
 /// The distinct modeled configuration a candidate belongs to: grid +
 /// engine + superstep depth (deep schedules change both the communication
-/// volume and the redundant-recompute term), plus the spawn threshold for
-/// the overlap engine only (degraded windows change the
-/// hidden-communication credit).
+/// volume and the redundant-recompute term).
 fn probe_key(c: &Candidate) -> String {
-    let pts = if c.engine == Engine::ThreadedOverlap { c.par_threshold } else { 0 };
-    format!("{}|{:?}|{pts}|ss{}", grid_label(&c.grid), c.engine, c.superstep)
+    format!("{}|{:?}|ss{}", grid_label(&c.grid), c.engine, c.superstep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_exec::Engine;
     use hpf_passes::CompileOptions;
 
     fn node_for(n: usize) -> NodeProgram {

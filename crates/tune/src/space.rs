@@ -1,5 +1,5 @@
 //! The legal configuration space: PE-grid factorizations crossed with the
-//! engine × backend matrix and the threaded-engine spawn threshold.
+//! engine × backend matrix and the superstep depths.
 
 use hpf_exec::{Backend, Engine, ExecConfig};
 use hpf_runtime::{MachineConfig, PeGrid};
@@ -16,8 +16,6 @@ pub struct Candidate {
     pub engine: Engine,
     /// The nest-evaluation backend.
     pub backend: Backend,
-    /// Threaded-engine spawn threshold (points per PE per step).
-    pub par_threshold: u64,
     /// Communication-avoiding superstep depth (1 = the classic
     /// exchange-every-step schedule).
     pub superstep: usize,
@@ -37,25 +35,19 @@ impl Candidate {
         ExecConfig::new().engine(self.engine).backend(self.backend).superstep(self.superstep)
     }
 
-    /// The base machine configuration with this candidate's grid and spawn
-    /// threshold applied (halo, budget, and cost model inherited).
+    /// The base machine configuration with this candidate's grid applied
+    /// (halo, budget, and cost model inherited).
     pub fn machine_config(&self, base: &MachineConfig) -> MachineConfig {
         let mut cfg = base.clone();
         cfg.grid = PeGrid::new(self.grid.clone());
-        cfg.par_threshold = self.par_threshold;
         cfg
     }
 
-    /// `RxC engine[-backend] pts=N [ss=K]` — the row label of the candidate
+    /// `RxC engine[-backend] [ss=K]` — the row label of the candidate
     /// table; the superstep depth appears only when it avoids communication.
     pub fn label(&self) -> String {
         let ss = if self.superstep > 1 { format!(" ss={}", self.superstep) } else { String::new() };
-        format!(
-            "{} {} pts={}{ss}",
-            grid_label(&self.grid),
-            self.exec_config().label(),
-            self.par_threshold
-        )
+        format!("{} {}{ss}", grid_label(&self.grid), self.exec_config().label())
     }
 }
 
@@ -90,12 +82,10 @@ pub fn factorizations(pes: usize, rank: usize) -> Vec<Vec<usize>> {
 
 /// Enumerate the full candidate space for `pes` processors arranged in
 /// rank-`rank` meshes: every grid factorization × every engine × every
-/// backend × every spawn threshold in `thresholds` × every
-/// communication-avoiding superstep depth in `supersteps`. The sequential
-/// engine ignores the spawn threshold, so it is emitted once per backend
-/// (with threshold 0) rather than once per threshold; the split-phase
-/// threaded-overlap engine is included only when `allow_overlap` (callers
-/// gate it on the halo-safety lints, exactly like manual engine choice);
+/// backend × every communication-avoiding superstep depth in
+/// `supersteps`. The split-phase threaded-overlap engine is included
+/// only when `allow_overlap` (callers gate it on the halo-safety lints,
+/// exactly like manual engine choice);
 /// callers pass only superstep depths the kernel is eligible for (an empty
 /// slice means the classic depth 1). Modeled and measured fields start
 /// unset.
@@ -103,7 +93,6 @@ pub fn enumerate(
     pes: usize,
     rank: usize,
     allow_overlap: bool,
-    thresholds: &[u64],
     supersteps: &[usize],
 ) -> Vec<Candidate> {
     let mut engines = vec![Engine::Sequential, Engine::Threaded];
@@ -114,20 +103,16 @@ pub fn enumerate(
     let mut out = Vec::new();
     for grid in factorizations(pes, rank) {
         for &engine in &engines {
-            let pts: &[u64] = if engine == Engine::Sequential { &[0] } else { thresholds };
             for &backend in &[Backend::Interp, Backend::Bytecode] {
-                for &par_threshold in pts {
-                    for &superstep in depths {
-                        out.push(Candidate {
-                            grid: grid.clone(),
-                            engine,
-                            backend,
-                            par_threshold,
-                            superstep: superstep.max(1),
-                            modeled_ms: f64::INFINITY,
-                            measured_ms: None,
-                        });
-                    }
+                for &superstep in depths {
+                    out.push(Candidate {
+                        grid: grid.clone(),
+                        engine,
+                        backend,
+                        superstep: superstep.max(1),
+                        modeled_ms: f64::INFINITY,
+                        measured_ms: None,
+                    });
                 }
             }
         }
@@ -152,21 +137,19 @@ mod tests {
 
     #[test]
     fn enumerate_counts_the_matrix() {
-        // 3 grids x (seq: 2 backends + threaded: 2x2 + overlap: 2x2) = 30.
-        let cands = enumerate(4, 2, true, &[0, 4096], &[1]);
-        assert_eq!(cands.len(), 3 * (2 + 4 + 4));
+        // 3 grids x 3 engines x 2 backends = 18.
+        let cands = enumerate(4, 2, true, &[1]);
+        assert_eq!(cands.len(), 3 * 3 * 2);
         // Without overlap the split-phase engine disappears entirely.
-        let blocking = enumerate(4, 2, false, &[0, 4096], &[1]);
-        assert_eq!(blocking.len(), 3 * (2 + 4));
+        let blocking = enumerate(4, 2, false, &[1]);
+        assert_eq!(blocking.len(), 3 * 2 * 2);
         assert!(blocking.iter().all(|c| c.engine != Engine::ThreadedOverlap));
-        // Sequential candidates carry exactly one threshold value.
-        let seq: Vec<_> = cands.iter().filter(|c| c.engine == Engine::Sequential).collect();
-        assert!(seq.iter().all(|c| c.par_threshold == 0));
         // Superstep depths multiply the whole matrix; empty means depth 1.
-        let deep = enumerate(4, 2, true, &[0, 4096], &[1, 2, 4]);
+        let deep = enumerate(4, 2, true, &[1, 2, 4]);
         assert_eq!(deep.len(), 3 * cands.len());
-        assert_eq!(enumerate(4, 2, true, &[0, 4096], &[]).len(), cands.len());
-        assert!(enumerate(4, 2, true, &[0, 4096], &[]).iter().all(|c| c.superstep == 1));
+        assert_eq!(enumerate(4, 2, true, &[1, 2, 4, 8]).len(), 72, "Problem 9 on 4 PEs");
+        assert_eq!(enumerate(4, 2, true, &[]).len(), cands.len());
+        assert!(enumerate(4, 2, true, &[]).iter().all(|c| c.superstep == 1));
     }
 
     #[test]
@@ -175,30 +158,27 @@ mod tests {
             grid: vec![2, 2],
             engine: Engine::Threaded,
             backend: Backend::Bytecode,
-            par_threshold: 4096,
             superstep: 1,
             modeled_ms: f64::INFINITY,
             measured_ms: None,
         };
-        assert_eq!(c.label(), "2x2 threaded-bytecode pts=4096");
+        assert_eq!(c.label(), "2x2 threaded-bytecode");
         assert_eq!(ExecConfig::from_cli_str("threaded-bytecode").unwrap(), c.exec_config());
     }
 
     #[test]
-    fn machine_config_applies_grid_and_threshold() {
+    fn machine_config_applies_the_grid() {
         let base = MachineConfig::grid([2, 2]).halo(2).memory_mb(64);
         let c = Candidate {
             grid: vec![1, 4],
             engine: Engine::Threaded,
             backend: Backend::Interp,
-            par_threshold: 4096,
             superstep: 1,
             modeled_ms: 0.0,
             measured_ms: None,
         };
         let cfg = c.machine_config(&base);
         assert_eq!(cfg.grid.dims, vec![1, 4]);
-        assert_eq!(cfg.par_threshold, 4096);
         assert_eq!(cfg.halo, 2, "halo inherited from the base");
         assert_eq!(cfg.mem_budget, Some(64 << 20), "budget inherited");
     }

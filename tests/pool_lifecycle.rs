@@ -1,0 +1,125 @@
+//! Lifecycle of a threaded plan's worker pool, observed from outside: how
+//! many OS threads the process has, and that keeping them across steps
+//! changes nothing a step computes or counts.
+//!
+//! Everything lives in one `#[test]`: the thread count is a property of
+//! the process, and the test harness starts and retires a thread per test.
+
+use hpf_stencil::{
+    presets, AggStats, Backend, CompileOptions, Engine, ExecConfig, Kernel, MachineConfig, Plan,
+};
+
+/// OS threads of this process (`None` where `/proc` does not say).
+fn os_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|l| l.strip_prefix("Threads:")?.trim().parse().ok())
+}
+
+fn init(p: &[i64]) -> f64 {
+    ((p[0] * 31 + p[1] * 7) as f64).sin()
+}
+
+fn build<'k>(kernel: &'k Kernel, grid: [usize; 2], cfg: ExecConfig) -> Plan<'k> {
+    kernel.plan(MachineConfig::grid(grid)).init("U", init).config(cfg).build().unwrap()
+}
+
+/// The counters every engine must agree on: all of them, except that the
+/// overlap engine alone reports what it overlapped.
+fn engine_independent(mut st: AggStats) -> AggStats {
+    st.overlapped_steps = 0;
+    st.interior_cells = 0;
+    st.boundary_cells = 0;
+    st.hidden_comm_ns.iter_mut().for_each(|h| *h = 0.0);
+    st
+}
+
+#[test]
+fn worker_threads_follow_the_plan_lifecycle() {
+    let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
+    let threaded = ExecConfig::new().engine(Engine::Threaded).backend(Backend::Bytecode);
+    let baseline = os_threads();
+    // Where `/proc` is missing the counts go unchecked; the rest still runs.
+    let grew_by = |n: usize| {
+        if let (Some(before), Some(now)) = (baseline, os_threads()) {
+            assert_eq!(now, before + n, "OS threads");
+        }
+    };
+
+    // Built, inspected, dropped: no thread. First step: PEs - 1 of them,
+    // and no more however long it runs. Dropped: gone again.
+    {
+        let mut plan = build(&kernel, [2, 2], threaded);
+        assert!(plan.comm_count() > 0 && plan.verify_static().is_empty());
+        grew_by(0);
+        plan.step();
+        grew_by(3);
+        plan.iterate(50);
+        grew_by(3);
+    }
+    grew_by(0);
+    drop(build(&kernel, [2, 2], threaded));
+    grew_by(0);
+
+    // 1 000 steps on every threaded engine x backend x superstep depth,
+    // on a grid with a CPU per PE (waits spin first) and one without
+    // (waits park): arrays and every counter as on the sequential engine.
+    for grid in [[2, 1], [2, 2]] {
+        for backend in [Backend::Interp, Backend::Bytecode] {
+            for depth in [1usize, 4] {
+                let cfg = ExecConfig::new().backend(backend).superstep(depth);
+                let mut seq = build(&kernel, grid, cfg);
+                assert_eq!(seq.logical_steps_per_step(), depth, "Problem 9 tiles in time");
+                seq.iterate(1000);
+                let want = (seq.gather("U").unwrap(), seq.gather("T").unwrap());
+                for engine in [Engine::Threaded, Engine::ThreadedOverlap] {
+                    let what = format!("{grid:?} {engine:?} {backend:?} depth {depth}");
+                    let mut par = build(&kernel, grid, cfg.engine(engine));
+                    par.iterate(1000);
+                    grew_by(grid[0] * grid[1] - 1);
+                    assert_eq!(
+                        (par.gather("U").unwrap(), par.gather("T").unwrap()),
+                        want,
+                        "{what}"
+                    );
+                    let (got, want) = (par.stats(), seq.stats());
+                    if engine == Engine::Threaded {
+                        assert_eq!(got, want, "{what}");
+                    } else {
+                        assert_eq!(engine_independent(got), engine_independent(want), "{what}");
+                    }
+                    drop(par);
+                    grew_by(0);
+                }
+            }
+        }
+    }
+
+    // Two live plans stepped in turn keep a pool each and do not mix up.
+    let mut reference = build(&kernel, [2, 2], ExecConfig::new());
+    reference.iterate(20);
+    let want = reference.gather("T").unwrap();
+    {
+        let mut a = build(&kernel, [2, 2], threaded);
+        let mut b = build(&kernel, [2, 1], threaded.engine(Engine::ThreadedOverlap));
+        for _ in 0..20 {
+            a.step();
+            b.step();
+        }
+        grew_by(3 + 1);
+        assert_eq!(a.gather("T").unwrap(), want);
+        assert_eq!(b.gather("T").unwrap(), want);
+    }
+    grew_by(0);
+
+    // A plan moved to another thread between steps: the workers do not
+    // care who hands them their jobs.
+    {
+        let mut plan = build(&kernel, [2, 2], threaded);
+        plan.iterate(10);
+        // Joined by handle: a scope's end only waits for the closure.
+        std::thread::scope(|s| s.spawn(|| plan.iterate(10).steps()).join()).unwrap();
+        grew_by(3);
+        assert_eq!(plan.gather("T").unwrap(), want);
+    }
+    grew_by(0);
+}

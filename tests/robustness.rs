@@ -1,6 +1,7 @@
 //! §6 robustness: the CM-2-style pattern matcher accepts only the canonical
 //! single-statement CSHIFT form; the normalization-based pipeline compiles
-//! every variation to the same minimal communication.
+//! every variation to the same minimal communication. And robustness of
+//! the run itself: a failure on one PE fails the step, it never hangs it.
 
 use hpf_stencil::baselines::cm2::{self, RecognizeError};
 use hpf_stencil::frontend::compile_source;
@@ -61,4 +62,57 @@ C = B * B + EOSHIFT(A + B, SHIFT=1, DIM=2, BOUNDARY=1.0)
         .engine(Engine::Threaded)
         .run_verified(&["B", "C"], 1e-12)
         .unwrap();
+}
+
+/// A PE whose step panics must fail `Plan::step` on the calling thread —
+/// its peers are blocked waiting for messages it will never send — poison
+/// the plan, and still let it drop. Each phase runs on a helper thread
+/// against a deadline, so a hang fails the test instead of wedging it.
+#[test]
+fn panicking_pe_fails_the_step_and_poisons_the_plan() {
+    use hpf_stencil::{Engine, Kernel, MachineConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    let message = |e: Box<dyn std::any::Any + Send>| e.downcast_ref::<String>().cloned();
+    for engine in [Engine::Threaded, Engine::ThreadedOverlap] {
+        // PE 3 runs on a worker thread, PE 0 on the calling one.
+        for victim in [3usize, 0] {
+            let (report, phases) = channel();
+            std::thread::spawn(move || {
+                let kernel = Kernel::compile(&presets::problem9(32), CompileOptions::full())
+                    .expect("Problem 9 compiles");
+                let mut plan = kernel
+                    .plan(MachineConfig::sp2_2x2())
+                    .init("U", |p| (p[0] * 3 + p[1]) as f64 * 0.01)
+                    .engine(engine)
+                    .build()
+                    .expect("plan builds");
+                plan.step();
+                // The victim loses its copy of U: its next exchange panics
+                // before it has sent anything.
+                let u = kernel.array_id("U").expect("U exists").0 as usize;
+                plan.machine.pes[victim].subgrids[u] = None;
+                for _ in 0..2 {
+                    let failed = catch_unwind(AssertUnwindSafe(|| {
+                        plan.step();
+                    }));
+                    report.send(failed.err().and_then(message)).unwrap();
+                }
+                drop(plan);
+                report.send(None).unwrap();
+            });
+            let next = |what: &str| {
+                phases
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|_| panic!("{engine:?}, victim PE {victim}: {what} hung"))
+            };
+            let first = next("the failing step").expect("the step must panic with a message");
+            assert!(first.starts_with(&format!("PE {victim} panicked during a step")), "{first}");
+            let second = next("the step after it").expect("a poisoned plan keeps failing");
+            assert_eq!(second, first, "same message, at once");
+            assert_eq!(next("dropping the plan"), None);
+        }
+    }
 }

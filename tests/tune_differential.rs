@@ -21,7 +21,7 @@ fn test_tuner() -> Tuner {
 }
 
 fn base_config() -> MachineConfig {
-    MachineConfig::with_grid(vec![2, 2]).par_threshold(4096)
+    MachineConfig::with_grid(vec![2, 2])
 }
 
 /// Unique temp-file path for cache tests (tests run concurrently).
@@ -149,11 +149,10 @@ proptest! {
 fn problem9_tuned_matches_default_and_all_candidates_verify() {
     let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     let outcome = assert_tuned_matches_default(&kernel);
-    // 4 PEs in rank-2 meshes: 3 factorizations x (2 seq + 4 threaded + 4
-    // overlap) combos — Problem 9 is lint-clean, so overlap is in play —
-    // x 4 superstep depths (the flat shift chain is eligible at every
-    // searched depth).
-    assert_eq!(outcome.candidates.len(), 120);
+    // 4 PEs in rank-2 meshes: 3 factorizations x 3 engines — Problem 9
+    // is lint-clean, so overlap is in play — x 2 backends x 4 superstep
+    // depths (the flat shift chain is eligible at every searched depth).
+    assert_eq!(outcome.candidates.len(), 72);
     assert_candidates_verify(&kernel, &outcome.candidates);
 }
 
@@ -198,7 +197,6 @@ fn warm_cache_hit_skips_the_search() {
     assert!(warm.candidates.is_empty(), "a cache hit enumerates nothing");
     assert_eq!(warm.best.grid, cold.best.grid);
     assert_eq!(warm.best.exec_config(), cold.best.exec_config());
-    assert_eq!(warm.best.par_threshold, cold.best.par_threshold);
 
     std::fs::remove_file(&path).unwrap();
 }
@@ -206,7 +204,14 @@ fn warm_cache_hit_skips_the_search() {
 #[test]
 fn corrupted_cache_falls_back_to_fresh_search() {
     let kernel = Kernel::compile(&presets::problem9(12), CompileOptions::full()).unwrap();
-    for garbage in ["not json at all", "{\"version\":99,\"entries\":[]}", "{\"version\":1,\"ent"] {
+    // The last one is a well-formed cache of the previous format (v2,
+    // whose entries carried a spawn threshold): stale, never misread.
+    for garbage in [
+        "not json at all",
+        "{\"version\":99,\"entries\":[]}",
+        "{\"version\":1,\"ent",
+        "{\"version\":2,\"entries\":[]}",
+    ] {
         let path = tmp("corrupt");
         std::fs::write(&path, garbage).unwrap();
         let out = kernel.tune(&test_tuner().cache_path(&path)).unwrap();
