@@ -1,23 +1,15 @@
-//! Canonical benchmark-report schema and the regression differ.
-//!
-//! Every `BENCH_*.json` file the experiments binary writes goes through
-//! [`write_bench`], which wraps the experiment's table in one canonical
-//! envelope (`hpf-bench/v1`): schema tag, experiment name, host metadata,
-//! git revision, and a Unix timestamp, with the table's existing fields
-//! (`title`, `header`, `rows`, `notes`) preserved at the top level so
-//! older consumers keep working.
+//! The regression gate's history file and differ.
 //!
 //! `BENCH_history.json` (`hpf-bench-history/v1`) accumulates one entry
-//! per [`append_history`] call: the same metadata plus a flat map of key
-//! metrics from a fixed, small canonical suite ([`canonical_metrics`]).
-//! [`diff_histories`] compares the latest entries of two history files
-//! with per-metric tolerances — exact for deterministic counters, a
-//! small relative band for modeled times, informational-only for host
-//! wall clocks — and the `benchdiff` binary turns a regression into a
-//! nonzero exit for CI.
+//! per [`append_history`] call: host metadata, git revision, a Unix
+//! timestamp, and a flat map of key metrics from a fixed, small canonical
+//! suite ([`canonical_metrics`]). [`diff_histories`] compares the latest
+//! entries of two history files with per-metric tolerances — exact for
+//! deterministic counters, a small relative band for modeled times,
+//! informational-only for host wall clocks — and the `benchdiff` binary
+//! turns a regression into a nonzero exit for CI.
 
-use crate::table::Table;
-use hpf_core::trace::json::{escape, parse, Value};
+use hpf_core::trace::json::{parse, Value};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Where the run happened and what code it ran.
@@ -80,34 +72,6 @@ impl RunMeta {
             ("cpus".into(), Value::Number(self.cpus as f64)),
         ])
     }
-}
-
-/// The canonical `hpf-bench/v1` document for one experiment table. The
-/// table's own four fields stay at the top level, unchanged from the
-/// pre-envelope format.
-pub fn bench_doc(experiment: &str, t: &Table, meta: &RunMeta) -> String {
-    // Table::to_json is already a JSON object; splice the envelope fields
-    // in front of its fields rather than re-encoding the table.
-    let table_json = t.to_json();
-    let body = table_json.strip_prefix('{').expect("table JSON is an object");
-    format!(
-        "{{\"schema\": \"hpf-bench/v1\", \"experiment\": \"{}\", \"host\": {}, \
-         \"git_rev\": \"{}\", \"timestamp_unix\": {}, {}",
-        escape(experiment),
-        meta.host_json().render(),
-        escape(&meta.git_rev),
-        meta.timestamp_unix,
-        body
-    )
-}
-
-/// Write `BENCH_<experiment>.json` in the current directory and return
-/// the file name.
-pub fn write_bench(experiment: &str, t: &Table) -> String {
-    let path = format!("BENCH_{experiment}.json");
-    let doc = bench_doc(experiment, t, &run_meta());
-    std::fs::write(&path, doc + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-    path
 }
 
 /// Key metrics of the fixed canonical suite: small deterministic runs of
@@ -336,23 +300,6 @@ mod tests {
             ("entries".into(), Value::Array(vec![history_entry_json(&meta(), &owned)])),
         ])
         .render()
-    }
-
-    #[test]
-    fn bench_doc_carries_envelope_and_preserves_table_fields() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        t.note("a note");
-        let doc = bench_doc("codegen", &t, &meta());
-        let v = parse(&doc).expect("canonical doc parses");
-        assert_eq!(v.get("schema"), Some(&Value::String("hpf-bench/v1".into())));
-        assert_eq!(v.get("experiment"), Some(&Value::String("codegen".into())));
-        assert_eq!(v.get("git_rev"), Some(&Value::String("abc1234".into())));
-        assert_eq!(v.get("host").and_then(|h| h.get("cpus")), Some(&Value::Number(8.0)));
-        // The pre-envelope fields stay at the top level.
-        assert_eq!(v.get("title"), Some(&Value::String("demo".into())));
-        assert!(matches!(v.get("rows"), Some(Value::Array(r)) if r.len() == 1));
-        assert!(matches!(v.get("notes"), Some(Value::Array(n)) if n.len() == 1));
     }
 
     #[test]

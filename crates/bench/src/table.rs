@@ -1,6 +1,7 @@
 //! The experiments binary's tables: a titled, footnoted grid rendered
 //! through [`TextTable`], plus its JSON form.
 
+use hpf_core::trace::json::escape;
 use hpf_core::trace::{Align, TextTable};
 
 /// A printable table: header plus rows of strings.
@@ -41,14 +42,15 @@ impl Table {
     /// Render as a JSON object (hand-rolled: the build environment has no
     /// serde, and the schema is four flat fields).
     pub fn to_json(&self) -> String {
+        let string = |s: &String| format!("\"{}\"", escape(s));
         let arr = |xs: &[String]| -> String {
-            let items: Vec<String> = xs.iter().map(|s| json_string(s)).collect();
+            let items: Vec<String> = xs.iter().map(string).collect();
             format!("[{}]", items.join(", "))
         };
         let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
         format!(
             "{{\"title\": {}, \"header\": {}, \"rows\": [{}], \"notes\": {}}}",
-            json_string(&self.title),
+            string(&self.title),
             arr(&self.header),
             rows.join(", "),
             arr(&self.notes)
@@ -73,25 +75,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Escape a string as a JSON literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render a slice of tables as a JSON array.

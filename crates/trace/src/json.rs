@@ -3,8 +3,7 @@
 //!
 //! The build environment has no crates.io access, so there is no serde;
 //! this ~150-line recursive-descent parser is what the tests and the CI
-//! gate use to validate the Chrome trace export (and what
-//! `experiments --exp trace` uses to self-check `BENCH_trace.json`).
+//! gate use to validate the Chrome trace export.
 //! It accepts the full JSON grammar (RFC 8259) minus exotic number forms
 //! beyond what `f64::from_str` handles, which is more than the exporter
 //! emits.

@@ -55,8 +55,9 @@ pub struct TuneOutcome {
 
 impl TuneOutcome {
     /// The candidate table a cold search prints (`hpfsc --tune`): one row
-    /// per enumerated candidate in modeled order, the winner marked `*`,
-    /// un-timed candidates shown as `-`, failed builds as `build failed`.
+    /// per enumerated candidate (grid, engine-backend, superstep depth `ss`)
+    /// in modeled order, the winner marked `*`, un-timed candidates shown
+    /// as `-`, failed builds as `build failed`.
     /// Empty on a cache hit — nothing was enumerated.
     pub fn render_table(&self) -> String {
         use hpf_trace::{Align, TextTable};
@@ -64,6 +65,7 @@ impl TuneOutcome {
             ("", Align::Left),
             ("grid", Align::Left),
             ("config", Align::Left),
+            ("ss", Align::Right),
             ("modeled ms", Align::Right),
             ("measured ms", Align::Right),
         ]);
@@ -81,6 +83,7 @@ impl TuneOutcome {
                 if *c == self.best { "*".to_string() } else { String::new() },
                 grid_label(&c.grid),
                 c.exec_config().label(),
+                c.superstep.to_string(),
                 modeled,
                 measured,
             ]);
@@ -525,6 +528,26 @@ END
         let edge = hpf_passes::compile(&checked, CompileOptions::full()).node;
         let out = tuner.best(&edge, "edge").unwrap();
         assert!(out.candidates.iter().all(|c| c.superstep == 1));
+    }
+
+    #[test]
+    fn rendered_rows_tell_every_candidate_apart() {
+        // 3 grids x 3 engines x 2 backends x 4 depths: grid, config and the
+        // `ss` column together must name each candidate, or rows that
+        // differ only in depth read as repeats.
+        let tuner = Tuner::new(MachineConfig::grid([2, 2])).no_cache().top_k(1).reps(1);
+        let out = tuner.best(&node_for(16), "s").unwrap();
+        assert_eq!(out.candidates.len(), 72);
+        let table = out.render_table();
+        let mut lines = table.lines();
+        let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        assert_eq!(header[..3], ["grid", "config", "ss"], "{table}");
+        let mut names: Vec<Vec<&str>> =
+            lines.map(|l| l.trim_start_matches('*').split_whitespace().take(3).collect()).collect();
+        assert_eq!(names.len(), 72, "{table}");
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), 72, "two rows name the same candidate:\n{table}");
     }
 
     #[test]

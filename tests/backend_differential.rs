@@ -10,7 +10,7 @@
 use hpf_bench::workload::{generate, WorkloadSpec};
 use hpf_stencil::passes::{CompileOptions, Stage};
 use hpf_stencil::runtime::PeStats;
-use hpf_stencil::{presets, Backend, Engine, Kernel, MachineConfig};
+use hpf_stencil::{presets, AggStats, Backend, Engine, Kernel, MachineConfig};
 use proptest::prelude::*;
 
 const COMBOS: [(Engine, Backend); 6] = [
@@ -130,10 +130,19 @@ fn lint_dirty_kernel_takes_fallback_yet_stays_bitwise_equal() {
     }
 }
 
+/// What one [`run_superstep`] call observed.
+struct SuperstepRun {
+    /// The gathered outputs.
+    arrays: Vec<(String, Vec<f64>)>,
+    /// Supersteps per machine step (0 = fell back to the classic schedule).
+    supersteps: u64,
+    stats: AggStats,
+    modeled_ms: f64,
+}
+
 /// Run `kernel` as a persistent plan at superstep depth `k` for exactly
 /// `logical_steps` logical steps (depth k fuses `k` of them per machine step
-/// on flat kernels), returning the gathered outputs and the built plan's
-/// supersteps-per-step count (0 = fell back to the classic schedule).
+/// on flat kernels).
 #[allow(clippy::too_many_arguments)]
 fn run_superstep(
     kernel: &Kernel,
@@ -144,7 +153,7 @@ fn run_superstep(
     logical_steps: usize,
     input: &str,
     outputs: &[&str],
-) -> (Vec<(String, Vec<f64>)>, u64) {
+) -> SuperstepRun {
     let cfg = hpf_stencil::ExecConfig::new().engine(engine).backend(backend).superstep(k);
     let mut plan = kernel
         .plan(MachineConfig::with_grid(grid.to_vec()))
@@ -159,30 +168,62 @@ fn run_superstep(
     for name in outputs {
         arrays.push((name.to_string(), plan.gather(name).unwrap()));
     }
-    (arrays, plan.supersteps_per_step())
+    SuperstepRun {
+        arrays,
+        supersteps: plan.supersteps_per_step(),
+        stats: plan.stats(),
+        modeled_ms: plan.modeled_ms(),
+    }
 }
 
 #[test]
 fn superstep_depths_bitwise_equal_across_backends() {
     // The deep-halo superstep schedule must be invisible to the results: at
-    // the same logical step count, depths 2 and 4 match the classic depth-1
+    // the same logical step count, depths 2, 4 and 8 match the classic depth-1
     // sequential-interpreter oracle bitwise, on every engine x backend
-    // combination and on uneven grids.
-    let kernel = Kernel::compile(&presets::problem9(18), CompileOptions::full()).unwrap();
+    // combination and on uneven grids. What it must change is the
+    // communication: against depth 1 on the same combination, each deeper
+    // schedule at least halves messages and schedule executions, elides
+    // exchanges, recomputes nothing (Problem 9's chain reads only the
+    // exchanged array, so its trapezoids never shrink), and is strictly
+    // cheaper on the SP-2 cost model.
+    let kernel = Kernel::compile(&presets::problem9(24), CompileOptions::full()).unwrap();
     for grid in [&[2usize, 2][..], &[3, 2]] {
-        let (oracle, _) =
-            run_superstep(&kernel, grid, Engine::Sequential, Backend::Interp, 1, 4, "U", &["T"]);
-        for k in [1usize, 2, 4] {
-            for (engine, backend) in COMBOS {
-                let (got, supersteps) =
-                    run_superstep(&kernel, grid, engine, backend, k, 4, "U", &["T"]);
-                assert_eq!(oracle, got, "{engine:?}/{backend:?} ss={k} differs on grid {grid:?}");
-                if k > 1 {
-                    assert!(
-                        supersteps >= 1,
-                        "{engine:?}/{backend:?} ss={k} silently fell back on grid {grid:?}"
-                    );
+        let oracle =
+            run_superstep(&kernel, grid, Engine::Sequential, Backend::Interp, 1, 8, "U", &["T"]);
+        let mut classic = Vec::new();
+        for k in [1usize, 2, 4, 8] {
+            for (i, (engine, backend)) in COMBOS.into_iter().enumerate() {
+                let got = run_superstep(&kernel, grid, engine, backend, k, 8, "U", &["T"]);
+                let at = format!("{engine:?}/{backend:?} ss={k} on grid {grid:?}");
+                assert_eq!(oracle.arrays, got.arrays, "{at} differs");
+                if k == 1 {
+                    assert_eq!(got.stats.exchanges_elided, 0, "{at}");
+                    classic.push(got);
+                    continue;
                 }
+                let base = &classic[i];
+                assert!(got.supersteps >= 1, "{at} silently fell back");
+                assert!(
+                    base.stats.total_messages() >= 2 * got.stats.total_messages(),
+                    "{at} must at least halve messages: {} vs {}",
+                    base.stats.total_messages(),
+                    got.stats.total_messages()
+                );
+                assert!(
+                    base.stats.schedule_reuses >= 2 * got.stats.schedule_reuses,
+                    "{at} must at least halve schedule executions: {} vs {}",
+                    base.stats.schedule_reuses,
+                    got.stats.schedule_reuses
+                );
+                assert!(got.stats.exchanges_elided > 0, "{at} elided no exchanges");
+                assert_eq!(got.stats.redundant_cells, 0, "{at}");
+                assert!(
+                    got.modeled_ms < base.modeled_ms,
+                    "{at} must improve modeled time: {} vs {}",
+                    got.modeled_ms,
+                    base.modeled_ms
+                );
             }
         }
     }
@@ -194,14 +235,19 @@ fn superstep_time_loop_tiles_in_place_and_stays_bitwise_equal() {
     // the loop body in place (k iterations per exchange), so one machine
     // step still covers the whole loop and iterate counts stay unchanged.
     let kernel = Kernel::compile(&presets::jacobi(16, 4), CompileOptions::full()).unwrap();
-    let (oracle, _) =
+    let oracle =
         run_superstep(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, 1, 2, "U", &["U"]);
     for k in [2usize, 4] {
         for (engine, backend) in COMBOS {
-            let (got, supersteps) =
-                run_superstep(&kernel, &[2, 2], engine, backend, k, 2, "U", &["U"]);
-            assert_eq!(oracle, got, "{engine:?}/{backend:?} ss={k} differs on the time loop");
-            assert!(supersteps >= 1, "{engine:?}/{backend:?} ss={k} fell back on the time loop");
+            let got = run_superstep(&kernel, &[2, 2], engine, backend, k, 2, "U", &["U"]);
+            assert_eq!(
+                oracle.arrays, got.arrays,
+                "{engine:?}/{backend:?} ss={k} differs on the time loop"
+            );
+            assert!(
+                got.supersteps >= 1,
+                "{engine:?}/{backend:?} ss={k} fell back on the time loop"
+            );
         }
     }
 }
@@ -218,13 +264,12 @@ fn superstep_ineligible_kernel_falls_back_with_diagnostic() {
         diags.iter().any(|d| d.code == "SS002"),
         "EOSHIFT kernel must be rejected with SS002: {diags:?}"
     );
-    let (oracle, _) =
+    let oracle =
         run_superstep(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, 1, 2, "IMG", &["OUT"]);
     for (engine, backend) in COMBOS {
-        let (got, supersteps) =
-            run_superstep(&kernel, &[2, 2], engine, backend, 4, 2, "IMG", &["OUT"]);
-        assert_eq!(oracle, got, "{engine:?}/{backend:?} fallback differs");
-        assert_eq!(supersteps, 0, "{engine:?}/{backend:?} must fall back to classic");
+        let got = run_superstep(&kernel, &[2, 2], engine, backend, 4, 2, "IMG", &["OUT"]);
+        assert_eq!(oracle.arrays, got.arrays, "{engine:?}/{backend:?} fallback differs");
+        assert_eq!(got.supersteps, 0, "{engine:?}/{backend:?} must fall back to classic");
     }
 }
 
