@@ -445,9 +445,8 @@ impl<'k> Planner<'k> {
             }
             let outcome = self.kernel.tune(&tuner)?;
             config.grid = hpf_runtime::PeGrid::new(outcome.best.grid.clone());
-            exec_cfg.engine = outcome.best.engine;
-            exec_cfg.backend = outcome.best.backend;
-            exec_cfg = exec_cfg.superstep(outcome.best.superstep);
+            let best = outcome.best.exec_config();
+            exec_cfg = exec_cfg.engine(best.engine).backend(best.backend).superstep(best.superstep);
             exec_cfg.auto = false;
             tuned =
                 Some((outcome.cache_hit as u64, (!outcome.cache_hit) as u64, outcome.search_ns));

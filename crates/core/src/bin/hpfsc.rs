@@ -14,6 +14,9 @@
 //!              [--print-input NAME[:N]] [--naive] [--drop-shift K] [--help]
 //! ```
 //!
+//! `--tune` searches grid x engine x superstep depth (bytecode backend
+//! throughout) and caches the winner; `--engine auto` runs it.
+//!
 //! Exit codes: 0 success; 1 compile, run, or I/O failure; 2 usage error;
 //! 3 lint warnings under `--deny-warnings`; 4 lint errors; 5 static
 //! verification failure under `--verify`.
@@ -62,17 +65,18 @@ options:
                         (seq, threaded, threaded-overlap), a backend
                         (interp, bytecode), or both joined with '-'
                         (e.g. threaded-bytecode, threaded-overlap-bytecode);
-                        'auto' picks grid, engine, backend, and superstep
-                        depth with the auto-tuner (see --tune);
+                        'auto' picks grid, engine, and superstep depth
+                        with the auto-tuner (see --tune);
                         default: seq-interp
   --tune[=FILE]         auto-tune this kernel on the --grid machine: search
-                        every PE-grid factorization x engine x backend x
-                        superstep depth, prune with the cost model, time
-                        the best-modeled survivors, print the candidate
-                        table, and persist the winner in FILE (default
-                        .hpf-tune.json); a warm cache skips the search
-                        entirely. With --run, also executes the tuned
-                        configuration (same as --engine auto)
+                        grid x engine x superstep depth (every PE-grid
+                        factorization, always on the bytecode backend),
+                        prune with the cost model, time the best-modeled
+                        survivors, print the candidate table, and persist
+                        the winner in FILE (default .hpf-tune.json); a
+                        warm cache skips the search entirely. With --run,
+                        also executes the tuned configuration (same as
+                        --engine auto)
   --trace[=FILE]        record per-PE event spans during --run and print
                         the per-step summary tables (compile passes,
                         per-PE span times, counters); with =FILE also
@@ -452,8 +456,9 @@ fn main() {
                     );
                 } else {
                     out!(
-                        "! tune: searched {} candidates, timed {}, {:.1} ms (key {}, cached in {cache_name})",
+                        "! tune: searched {} candidates, {} probes, timed {}, {:.1} ms (key {}, cached in {cache_name})",
                         out.candidates.len(),
+                        out.probes,
                         out.timed,
                         out.search_ns as f64 / 1e6,
                         out.fingerprint
@@ -461,9 +466,8 @@ fn main() {
                     out_raw!("{}", out.render_table());
                 }
                 out!(
-                    "! best: {} {} ({:.4} ms measured)",
-                    hpf_core::tune::grid_label(&out.best.grid),
-                    out.best.exec_config().label(),
+                    "! best: {} ({:.4} ms measured)",
+                    out.best.label(),
                     out.best.measured_ms.unwrap_or(f64::INFINITY)
                 );
             }

@@ -211,3 +211,44 @@ fn missing_file_is_an_io_error() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
+
+#[test]
+fn tune_prints_the_bytecode_space_and_a_best_line_that_names_the_winner() {
+    let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels/problem9.f90");
+    let cache = std::env::temp_dir().join(format!("hpfsc-cli-{}-tune.json", std::process::id()));
+    let _ = std::fs::remove_file(&cache);
+    let tune = format!("--tune={}", cache.display());
+
+    let out = hpfsc(&[kernel, &tune]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let summary = text.lines().find(|l| l.starts_with("! tune:")).expect("a ! tune: line");
+    assert!(summary.contains("searched 36 candidates, "), "{summary}");
+    assert!(summary.contains(" probes, timed 8, "), "{summary}");
+    // Candidate rows: `[*] grid config ss modeled measured`, all bytecode.
+    let header = text.lines().position(|l| l.contains("modeled ms")).expect("a table header");
+    let rows: Vec<&str> =
+        text.lines().skip(header + 1).take_while(|l| !l.starts_with('!')).collect();
+    assert_eq!(rows.len(), 36, "{text}");
+    let name = |row: &str| -> Vec<String> {
+        row.trim_start_matches('*').split_whitespace().take(3).map(String::from).collect()
+    };
+    assert!(rows.iter().all(|r| name(r)[1].ends_with("-bytecode")), "{text}");
+    let starred: Vec<&&str> = rows.iter().filter(|r| r.starts_with('*')).collect();
+    assert_eq!(starred.len(), 1, "{text}");
+    // The `! best:` line is the starred row's `Candidate::label()`, depth
+    // included (all eight timed rows are depth-8 plans at this size).
+    let winner = name(starred[0]);
+    let label = format!("! best: {} {} ss={} (", winner[0], winner[1], winner[2]);
+    let best = text.lines().find(|l| l.starts_with("! best:")).expect("a ! best: line");
+    assert!(best.starts_with(&label), "'{best}' does not name the starred row '{label}'");
+
+    // The warm rerun repeats the decision without searching.
+    let warm = hpfsc(&[kernel, &tune]);
+    assert_eq!(warm.status.code(), Some(0));
+    let warm = String::from_utf8(warm.stdout).unwrap();
+    assert!(warm.contains("cache hit") && warm.contains("zero candidates timed"), "{warm}");
+    assert!(!warm.contains("modeled ms"), "a cache hit prints no table:\n{warm}");
+    assert_eq!(warm.lines().find(|l| l.starts_with("! best:")), Some(best), "{warm}");
+    let _ = std::fs::remove_file(cache);
+}

@@ -1,16 +1,16 @@
 //! The persistent on-disk tuning cache (`.hpf-tune.json`).
 //!
-//! One JSON object per file: `{"version": 1, "entries": [...]}` with one
+//! One JSON object per file: `{"version": 3, "entries": [...]}` with one
 //! entry per kernel fingerprint, each holding the winning grid, the
-//! `engine[-backend]` label (re-parsed with
-//! [`hpf_exec::ExecConfig::from_cli_str`]), the superstep depth, and the
-//! modeled/measured times of the winner. Reads go through the shared
-//! [`hpf_trace::json`] parser; writes are a hand-rolled
+//! `engine-bytecode` label (re-parsed with `ExecConfig::from_cli_str`; one
+//! naming an interpreter configuration is outside the space: stale), the
+//! superstep depth, and the modeled/measured times of the winner. Reads go
+//! through the shared [`hpf_trace::json`] parser; writes are a hand-rolled
 //! [`hpf_trace::json::Value::render`] of the same shape, so the file
 //! round-trips through the crate's own machinery. A file that fails to
 //! parse — truncated write, hand-edited junk, wrong version — is reported
-//! to the caller as an error string; the tuner warns and falls back to a
-//! fresh search rather than failing the run.
+//! as an error string; the tuner warns and falls back to a fresh search
+//! rather than failing the run.
 
 use hpf_trace::json::{parse, Value};
 use std::path::Path;
@@ -32,7 +32,7 @@ pub struct CacheEntry {
     pub key: String,
     /// Winning PE mesh.
     pub grid: Vec<usize>,
-    /// Winning `engine[-backend]` label
+    /// Winning `engine-bytecode` label
     /// ([`hpf_exec::ExecConfig::label`] / `from_cli_str` round-trip).
     pub config: String,
     /// Winning communication-avoiding superstep depth (1 = classic).

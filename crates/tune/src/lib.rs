@@ -5,14 +5,17 @@
 //! The compilation pipeline fixes *what* a stencil computes; this crate
 //! picks *how to run it*. For a (kernel, machine, problem-size) triple the
 //! [`Tuner`] enumerates the legal configuration space — every PE-grid
-//! factorization of the core count, the full engine × backend matrix
-//! (`seq`/`threaded`/`threaded-overlap` × `interp`/`bytecode`), and the
-//! superstep depths the kernel is eligible for — prunes it with the machine's
-//! analytic cost model (one cheap model probe per distinct modeled
-//! configuration), then empirically times the top-K surviving candidates
-//! with short warm-state plan runs (one warmup step, then min-of-R timed
-//! steps, reusing [`hpf_exec::ExecPlan`] so schedules and bytecode kernels
-//! compile once per candidate).
+//! factorization of the core count, every engine (`seq`/`threaded`/
+//! `threaded-overlap`), and the superstep depths the kernel is eligible
+//! for — prunes it with the machine's analytic cost model (one model probe
+//! per *counter class*, see [`Tuner::best`]), then empirically times the
+//! top-K surviving candidates with short warm-state plan runs (one warmup
+//! step, then min-of-R timed steps, reusing [`hpf_exec::ExecPlan`] so
+//! schedules and bytecode kernels compile once per candidate). The nest
+//! backend is not searched: the cost model cannot tell the interpreter from
+//! the bytecode VM, the VM wins every measurement, and
+//! [`hpf_exec::Backend::Bytecode`] already falls back to the interpreter for
+//! any nest codegen declines — so every probe and candidate runs bytecode.
 //!
 //! The winner is persisted in an on-disk cache (default
 //! [`cache::DEFAULT_CACHE_FILE`]) keyed by a deterministic kernel
@@ -27,9 +30,10 @@ pub mod space;
 pub use cache::{fingerprint, CacheEntry, TuneCache, DEFAULT_CACHE_FILE};
 pub use space::{enumerate, factorizations, grid_label, Candidate};
 
-use hpf_exec::{Backend, ExecConfig, ExecPlan};
+use hpf_exec::{Backend, Engine, ExecConfig, ExecPlan};
 use hpf_passes::loopir::NodeProgram;
 use hpf_runtime::{Machine, MachineConfig, RtError};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -43,6 +47,9 @@ pub struct TuneOutcome {
     /// label), with measurements filled in for the timed top-K. Empty on a
     /// cache hit — nothing was enumerated.
     pub candidates: Vec<Candidate>,
+    /// How many model probes (plan build + one counted step) priced the
+    /// candidates (0 on a cache hit).
+    pub probes: usize,
     /// How many candidates were empirically timed (0 on a cache hit).
     pub timed: usize,
     /// Whether the result came straight from the tuning cache.
@@ -57,8 +64,8 @@ impl TuneOutcome {
     /// The candidate table a cold search prints (`hpfsc --tune`): one row
     /// per enumerated candidate (grid, engine-backend, superstep depth `ss`)
     /// in modeled order, the winner marked `*`, un-timed candidates shown
-    /// as `-`, failed builds as `build failed`.
-    /// Empty on a cache hit — nothing was enumerated.
+    /// as `-`, failed builds as `build failed` in the column of the stage
+    /// that hit them. Empty on a cache hit — nothing was enumerated.
     pub fn render_table(&self) -> String {
         use hpf_trace::{Align, TextTable};
         let mut t = TextTable::new(&[
@@ -69,30 +76,23 @@ impl TuneOutcome {
             ("modeled ms", Align::Right),
             ("measured ms", Align::Right),
         ]);
+        let ms =
+            |v: f64| if v.is_finite() { format!("{v:.4}") } else { "build failed".to_string() };
         for c in &self.candidates {
-            let modeled = if c.modeled_ms.is_finite() {
-                format!("{:.4}", c.modeled_ms)
-            } else {
-                "build failed".to_string()
-            };
-            let measured = match c.measured_ms {
-                Some(ms) => format!("{ms:.4}"),
-                None => "-".to_string(),
-            };
             t.row([
                 if *c == self.best { "*".to_string() } else { String::new() },
                 grid_label(&c.grid),
                 c.exec_config().label(),
                 c.superstep.to_string(),
-                modeled,
-                measured,
+                ms(c.modeled_ms),
+                c.measured_ms.map_or("-".to_string(), ms),
             ]);
         }
         t.render()
     }
 }
 
-/// Cost-guided configuration search over PE grids, engines, backends, and
+/// Cost-guided configuration search over PE grids, engines, and
 /// superstep depths. Construct with [`Tuner::new`] around the base machine
 /// configuration (which supplies the core count, mesh rank, halo width,
 /// memory budget, and cost model — the parts the tuner does *not* search),
@@ -190,8 +190,15 @@ impl Tuner {
     ///
     /// Flow: probe the cache (hit → return immediately, zero timings);
     /// otherwise enumerate the space, prune with one cost-model probe per
-    /// distinct modeled configuration, empirically time the top-K
-    /// survivors, persist the winner, and return the full candidate table.
+    /// counter class, empirically time the top-K survivors, persist the
+    /// winner, and return the full candidate table. The model reads only
+    /// the per-PE counters and the split-phase hidden-receive credit, so
+    /// per (grid, depth) `seq` and `threaded` are one class, probed on the
+    /// sequential engine (no worker pool is started to read counters), and
+    /// `threaded-overlap` is its own class only when its built plan fused
+    /// a split-phase window — without one it earns no credit and inherits
+    /// the blocking class's number.
+    ///
     /// Candidates whose plan cannot be built (e.g. an illegal distribution
     /// for that mesh) are kept in the table with infinite modeled time but
     /// never timed; if *no* candidate builds, the first build error is
@@ -219,59 +226,55 @@ impl Tuner {
         // Warm path: a cached decision for this fingerprint ends the call
         // before any candidate exists. A cache that fails to load is a
         // warning, not an error — fall through to the fresh search.
-        if let Some(path) = &self.cache {
-            match TuneCache::load(path) {
-                Err(msg) => eprintln!(
+        let cached = self.cache.as_ref().and_then(|path| match TuneCache::load(path) {
+            Ok(cache) => cache.lookup(&key).and_then(|e| self.cached_candidate(e)),
+            Err(msg) => {
+                eprintln!(
                     "warning: tuning cache {}: {msg}; running a fresh search",
                     path.display()
-                ),
-                Ok(cache) => {
-                    if let Some(best) = cache.lookup(&key).and_then(|e| self.cached_candidate(e)) {
-                        return Ok(TuneOutcome {
-                            best,
-                            candidates: Vec::new(),
-                            timed: 0,
-                            cache_hit: true,
-                            search_ns: t0.elapsed().as_nanos() as u64,
-                            fingerprint: key,
-                        });
-                    }
-                }
+                );
+                None
             }
+        });
+        if let Some(best) = cached {
+            return Ok(TuneOutcome {
+                best,
+                candidates: Vec::new(),
+                probes: 0,
+                timed: 0,
+                cache_hit: true,
+                search_ns: t0.elapsed().as_nanos() as u64,
+                fingerprint: key,
+            });
         }
 
         let mut candidates = enumerate(pes, rank, self.allow_overlap, &depths);
 
-        // Model-probe pruning. The per-PE counters the cost model reads are
-        // identical across backends, so one plan build + one step per
-        // distinct (grid, engine, depth) models the whole space.
-        let mut modeled: Vec<(String, f64)> = Vec::new();
+        // Model-probe pruning, one probe per counter class: the blocking
+        // class of each (grid, depth) once, then the overlap candidates
+        // that fused a window. A failed build prices as infinity.
+        let mut blocking = BTreeMap::new();
+        let mut probes = 0usize;
         let mut first_err: Option<RtError> = None;
         for c in &mut candidates {
-            let pk = probe_key(c);
-            let ms = match modeled.iter().find(|(k, _)| *k == pk) {
-                Some((_, ms)) => *ms,
-                None => {
-                    let ms = match self.model_probe(node, c) {
-                        Ok(ms) => ms,
-                        Err(e) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                            f64::INFINITY
-                        }
-                    };
-                    modeled.push((pk, ms));
-                    ms
-                }
+            let mut probe = |engine| {
+                let ms = self.model_probe(node, c, engine).unwrap_or_else(|e| {
+                    first_err.get_or_insert(e);
+                    Some(f64::INFINITY)
+                });
+                probes += ms.is_some() as usize;
+                ms
             };
-            c.modeled_ms = ms;
+            let ms = *blocking
+                .entry((c.grid.clone(), c.superstep))
+                .or_insert_with(|| probe(Engine::Sequential).unwrap_or(f64::INFINITY));
+            c.modeled_ms = match c.engine {
+                Engine::ThreadedOverlap if ms.is_finite() => probe(c.engine).unwrap_or(ms),
+                _ => ms,
+            };
         }
         candidates.sort_by(|a, b| {
-            a.modeled_ms
-                .partial_cmp(&b.modeled_ms)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.label().cmp(&b.label()))
+            a.modeled_ms.total_cmp(&b.modeled_ms).then_with(|| a.label().cmp(&b.label()))
         });
 
         // Empirically time the top-K model survivors: fresh machine, one
@@ -285,7 +288,12 @@ impl Tuner {
             let mut machine = Machine::new(self.candidate_machine(node, c));
             let mut plan = match ExecPlan::build(&mut machine, node, &c.exec_config()) {
                 Ok(p) => p,
-                Err(_) => continue, // model probe passed; backend-specific failure
+                Err(e) => {
+                    // The class's probe built; this candidate's own plan did not.
+                    c.measured_ms = Some(f64::INFINITY);
+                    first_err.get_or_insert(e);
+                    continue;
+                }
             };
             plan.step(&mut machine);
             let mut best = f64::INFINITY;
@@ -302,17 +310,13 @@ impl Tuner {
 
         let best = candidates
             .iter()
-            .filter(|c| c.measured_ms.is_some())
-            .min_by(|a, b| a.measured_ms.partial_cmp(&b.measured_ms).unwrap())
-            .cloned();
-        let best = match best {
-            Some(b) => b,
-            None => {
-                return Err(first_err.unwrap_or(RtError::BadDistribution(
-                    "auto-tuner found no runnable configuration".to_string(),
-                )))
-            }
-        };
+            .filter_map(|c| Some((c.measured_ms.filter(|ms| ms.is_finite())?, c)))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, c)| c.clone())
+            .ok_or_else(|| {
+                let none = "auto-tuner found no runnable configuration".to_string();
+                first_err.unwrap_or(RtError::BadDistribution(none))
+            })?;
 
         if let Some(path) = &self.cache {
             let mut cache = TuneCache::load(path).unwrap_or_default();
@@ -332,6 +336,7 @@ impl Tuner {
         Ok(TuneOutcome {
             best,
             candidates,
+            probes,
             timed,
             cache_hit: false,
             search_ns: t0.elapsed().as_nanos() as u64,
@@ -342,18 +347,17 @@ impl Tuner {
     /// Reconstruct a winner from a cache entry; `None` when the entry does
     /// not fit this tuner's machine (stale core count or rank after a
     /// config change hashes to the same key only if the seed matched, so
-    /// this is belt-and-braces) or its config label no longer parses.
+    /// this is belt-and-braces), its config label no longer parses, or it
+    /// names a configuration outside the space (an interpreter winner
+    /// written before the backend left the search) — stale, searched afresh.
     fn cached_candidate(&self, e: &CacheEntry) -> Option<Candidate> {
         let cfg = ExecConfig::from_cli_str(&e.config).ok()?;
         let fits = e.grid.len() == self.base.grid.dims.len()
-            && e.grid.iter().product::<usize>() == self.base.grid.num_pes();
-        if !fits {
-            return None;
-        }
-        Some(Candidate {
+            && e.grid.iter().product::<usize>() == self.base.grid.num_pes()
+            && cfg.backend == Backend::Bytecode;
+        fits.then(|| Candidate {
             grid: e.grid.clone(),
             engine: cfg.engine,
-            backend: cfg.backend,
             superstep: (e.superstep as usize).max(1),
             modeled_ms: e.modeled_ms,
             measured_ms: Some(e.measured_ms),
@@ -373,27 +377,27 @@ impl Tuner {
         cfg
     }
 
-    /// One cost-model probe: build the candidate's plan (interpreter
-    /// backend — the counters the model reads are backend-independent),
-    /// reset the counters so plan-build costs are excluded, run one step,
-    /// and read the modeled per-step time, normalized per logical step so
-    /// driver-stepped superstep plans compete fairly with depth 1.
-    fn model_probe(&self, node: &NodeProgram, c: &Candidate) -> Result<f64, RtError> {
+    /// One cost-model probe: build `c`'s plan for `engine`, reset the
+    /// counters so plan-build costs are excluded, run one step, and read
+    /// the modeled per-step time, normalized per logical step so
+    /// driver-stepped superstep plans compete fairly with depth 1. `None`
+    /// (nothing stepped) for an overlap plan that fused no window.
+    fn model_probe(
+        &self,
+        node: &NodeProgram,
+        c: &Candidate,
+        engine: Engine,
+    ) -> Result<Option<f64>, RtError> {
         let mut machine = Machine::new(self.candidate_machine(node, c));
-        let cfg =
-            ExecConfig::new().engine(c.engine).backend(Backend::Interp).superstep(c.superstep);
+        let cfg = c.exec_config().engine(engine);
         let mut plan = ExecPlan::build(&mut machine, node, &cfg)?;
+        if engine == Engine::ThreadedOverlap && plan.overlap_windows_per_step() == 0 {
+            return Ok(None);
+        }
         machine.reset_stats();
         plan.step(&mut machine);
-        Ok(machine.modeled_time_ms() / plan.logical_steps_per_step() as f64)
+        Ok(Some(machine.modeled_time_ms() / plan.logical_steps_per_step() as f64))
     }
-}
-
-/// The distinct modeled configuration a candidate belongs to: grid +
-/// engine + superstep depth (deep schedules change both the communication
-/// volume and the redundant-recompute term).
-fn probe_key(c: &Candidate) -> String {
-    format!("{}|{:?}|ss{}", grid_label(&c.grid), c.engine, c.superstep)
 }
 
 #[cfg(test)]
@@ -532,22 +536,89 @@ END
 
     #[test]
     fn rendered_rows_tell_every_candidate_apart() {
-        // 3 grids x 3 engines x 2 backends x 4 depths: grid, config and the
-        // `ss` column together must name each candidate, or rows that
-        // differ only in depth read as repeats.
+        // 3 grids x 3 engines x 4 depths: grid, config and the `ss` column
+        // together must name each candidate, or rows that differ only in
+        // depth read as repeats.
         let tuner = Tuner::new(MachineConfig::grid([2, 2])).no_cache().top_k(1).reps(1);
         let out = tuner.best(&node_for(16), "s").unwrap();
-        assert_eq!(out.candidates.len(), 72);
+        assert_eq!(out.candidates.len(), 36);
+        assert!(out.candidates.iter().all(|c| c.exec_config().backend == Backend::Bytecode));
+        // One probe per counter class: 12 blocking (grid, depth) classes,
+        // plus the overlap plans that fused a window — never one per
+        // candidate.
+        assert!((12..=24).contains(&out.probes), "{} probes", out.probes);
         let table = out.render_table();
         let mut lines = table.lines();
         let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
         assert_eq!(header[..3], ["grid", "config", "ss"], "{table}");
         let mut names: Vec<Vec<&str>> =
             lines.map(|l| l.trim_start_matches('*').split_whitespace().take(3).collect()).collect();
-        assert_eq!(names.len(), 72, "{table}");
+        assert_eq!(names.len(), 36, "{table}");
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), 72, "two rows name the same candidate:\n{table}");
+        assert_eq!(names.len(), 36, "two rows name the same candidate:\n{table}");
+    }
+
+    #[test]
+    fn a_timing_stage_build_failure_is_rendered_and_can_never_win() {
+        let c = |grid: [usize; 2], measured_ms| Candidate {
+            grid: grid.to_vec(),
+            engine: Engine::Threaded,
+            superstep: 1,
+            modeled_ms: 1.0,
+            measured_ms,
+        };
+        let out = TuneOutcome {
+            best: c([2, 2], Some(0.5)),
+            candidates: vec![c([4, 1], Some(f64::INFINITY)), c([2, 2], Some(0.5)), c([1, 4], None)],
+            probes: 1,
+            timed: 1,
+            cache_hit: false,
+            search_ns: 0,
+            fingerprint: String::new(),
+        };
+        let table = out.render_table();
+        let rows: Vec<&str> = table.lines().skip(1).collect();
+        assert!(rows[0].ends_with("1.0000 build failed") && !rows[0].starts_with('*'), "{table}");
+        assert!(rows[1].starts_with('*') && rows[1].ends_with("0.5000"), "{table}");
+        assert!(rows[2].ends_with('-'), "{table}");
+    }
+
+    #[test]
+    fn a_cached_interpreter_winner_is_stale_and_a_bytecode_one_warm_hits() {
+        let node = node_for(16);
+        let path = tmp("lib-stale");
+        let _ = std::fs::remove_file(&path);
+        let tuner = Tuner::new(MachineConfig::grid([2, 2])).cache_path(&path).top_k(2).reps(1);
+        let key = tuner.best(&node, "s").unwrap().fingerprint;
+        let write = |config: &str| {
+            let entry = CacheEntry {
+                key: key.clone(),
+                grid: vec![1, 4],
+                config: config.to_string(),
+                superstep: 2,
+                modeled_ms: 1.0,
+                measured_ms: 0.25,
+            };
+            TuneCache { entries: vec![entry] }.store(&path).unwrap();
+        };
+        // A v3 file the parent wrote with an interpreter winner: outside
+        // the space now — searched afresh, and the entry rewritten.
+        for stale in ["seq", "threaded", "threaded-overlap-interp"] {
+            write(stale);
+            let out = tuner.best(&node, "s").unwrap();
+            assert!(!out.cache_hit && out.timed > 0, "{stale} must not warm-hit");
+            let rewritten = TuneCache::load(&path).unwrap();
+            assert_eq!(rewritten.entries.len(), 1);
+            assert!(rewritten.entries[0].config.ends_with("-bytecode"), "{rewritten:?}");
+        }
+        // The same file naming a bytecode winner is still a decision.
+        write("threaded-bytecode");
+        let warm = tuner.best(&node, "s").unwrap();
+        assert!(warm.cache_hit, "a parent-written bytecode winner must warm-hit");
+        assert_eq!((warm.timed, warm.probes), (0, 0));
+        assert_eq!(warm.best.label(), "1x4 threaded-bytecode ss=2");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The legal configuration space: PE-grid factorizations crossed with the
-//! engine × backend matrix and the superstep depths.
+//! The legal configuration space: PE-grid factorizations × engines ×
+//! superstep depths. The nest backend is not a dimension: every candidate
+//! runs [`Backend::Bytecode`] (interpreter fallback per declined nest).
 
 use hpf_exec::{Backend, Engine, ExecConfig};
 use hpf_runtime::{MachineConfig, PeGrid};
@@ -14,8 +15,6 @@ pub struct Candidate {
     pub grid: Vec<usize>,
     /// The executor.
     pub engine: Engine,
-    /// The nest-evaluation backend.
-    pub backend: Backend,
     /// Communication-avoiding superstep depth (1 = the classic
     /// exchange-every-step schedule).
     pub superstep: usize,
@@ -24,15 +23,17 @@ pub struct Candidate {
     /// (e.g. a collapsed dimension on a multi-PE axis).
     pub modeled_ms: f64,
     /// Best-of-R measured wall time of one step, milliseconds. `None` for
-    /// candidates pruned by the model (never timed) or whose build failed.
+    /// candidates never timed (pruned by the model, or failed model probe);
+    /// `Some(INFINITY)` for one whose probe passed but whose own plan then
+    /// failed to build.
     pub measured_ms: Option<f64>,
 }
 
 impl Candidate {
     /// The execution configuration this candidate describes (the part
-    /// [`hpf_exec::ExecPlan::build`] consumes).
+    /// [`hpf_exec::ExecPlan::build`] consumes), on the bytecode backend.
     pub fn exec_config(&self) -> ExecConfig {
-        ExecConfig::new().engine(self.engine).backend(self.backend).superstep(self.superstep)
+        ExecConfig::new().engine(self.engine).backend(Backend::Bytecode).superstep(self.superstep)
     }
 
     /// The base machine configuration with this candidate's grid applied
@@ -43,8 +44,8 @@ impl Candidate {
         cfg
     }
 
-    /// `RxC engine[-backend] [ss=K]` — the row label of the candidate
-    /// table; the superstep depth appears only when it avoids communication.
+    /// `RxC engine-bytecode [ss=K]` — the name of the candidate on every
+    /// surface; the superstep depth appears only when it avoids communication.
     pub fn label(&self) -> String {
         let ss = if self.superstep > 1 { format!(" ss={}", self.superstep) } else { String::new() };
         format!("{} {}{ss}", grid_label(&self.grid), self.exec_config().label())
@@ -82,13 +83,11 @@ pub fn factorizations(pes: usize, rank: usize) -> Vec<Vec<usize>> {
 
 /// Enumerate the full candidate space for `pes` processors arranged in
 /// rank-`rank` meshes: every grid factorization × every engine × every
-/// backend × every communication-avoiding superstep depth in
-/// `supersteps`. The split-phase threaded-overlap engine is included
-/// only when `allow_overlap` (callers gate it on the halo-safety lints,
-/// exactly like manual engine choice);
+/// communication-avoiding superstep depth in `supersteps`. The split-phase
+/// threaded-overlap engine is included only when `allow_overlap` (callers
+/// gate it on the halo-safety lints, exactly like manual engine choice);
 /// callers pass only superstep depths the kernel is eligible for (an empty
-/// slice means the classic depth 1). Modeled and measured fields start
-/// unset.
+/// slice means the classic depth 1). Modeled and measured fields start unset.
 pub fn enumerate(
     pes: usize,
     rank: usize,
@@ -103,17 +102,14 @@ pub fn enumerate(
     let mut out = Vec::new();
     for grid in factorizations(pes, rank) {
         for &engine in &engines {
-            for &backend in &[Backend::Interp, Backend::Bytecode] {
-                for &superstep in depths {
-                    out.push(Candidate {
-                        grid: grid.clone(),
-                        engine,
-                        backend,
-                        superstep: superstep.max(1),
-                        modeled_ms: f64::INFINITY,
-                        measured_ms: None,
-                    });
-                }
+            for &superstep in depths {
+                out.push(Candidate {
+                    grid: grid.clone(),
+                    engine,
+                    superstep: superstep.max(1),
+                    modeled_ms: f64::INFINITY,
+                    measured_ms: None,
+                });
             }
         }
     }
@@ -137,17 +133,17 @@ mod tests {
 
     #[test]
     fn enumerate_counts_the_matrix() {
-        // 3 grids x 3 engines x 2 backends = 18.
+        // 3 grids x 3 engines = 9.
         let cands = enumerate(4, 2, true, &[1]);
-        assert_eq!(cands.len(), 3 * 3 * 2);
+        assert_eq!(cands.len(), 3 * 3);
         // Without overlap the split-phase engine disappears entirely.
         let blocking = enumerate(4, 2, false, &[1]);
-        assert_eq!(blocking.len(), 3 * 2 * 2);
+        assert_eq!(blocking.len(), 3 * 2);
         assert!(blocking.iter().all(|c| c.engine != Engine::ThreadedOverlap));
         // Superstep depths multiply the whole matrix; empty means depth 1.
         let deep = enumerate(4, 2, true, &[1, 2, 4]);
         assert_eq!(deep.len(), 3 * cands.len());
-        assert_eq!(enumerate(4, 2, true, &[1, 2, 4, 8]).len(), 72, "Problem 9 on 4 PEs");
+        assert_eq!(enumerate(4, 2, true, &[1, 2, 4, 8]).len(), 36, "Problem 9 on 4 PEs");
         assert_eq!(enumerate(4, 2, true, &[]).len(), cands.len());
         assert!(enumerate(4, 2, true, &[]).iter().all(|c| c.superstep == 1));
     }
@@ -157,7 +153,6 @@ mod tests {
         let c = Candidate {
             grid: vec![2, 2],
             engine: Engine::Threaded,
-            backend: Backend::Bytecode,
             superstep: 1,
             modeled_ms: f64::INFINITY,
             measured_ms: None,
@@ -172,7 +167,6 @@ mod tests {
         let c = Candidate {
             grid: vec![1, 4],
             engine: Engine::Threaded,
-            backend: Backend::Interp,
             superstep: 1,
             modeled_ms: 0.0,
             measured_ms: None,

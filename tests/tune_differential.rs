@@ -7,10 +7,12 @@
 //! and safe (a corrupted file degrades to a fresh search, never an error).
 
 use hpf_bench::workload::{generate, WorkloadSpec};
+use hpf_stencil::exec::{superstep_halo, ExecPlan};
+use hpf_stencil::passes::loopir::{NodeItem, Unroll};
 use hpf_stencil::runtime::PeStats;
 use hpf_stencil::tune::Candidate;
 use hpf_stencil::{
-    presets, CompileOptions, Engine, ExecConfig, Kernel, MachineConfig, TuneOutcome, Tuner,
+    presets, CompileOptions, Engine, ExecConfig, Kernel, Machine, MachineConfig, TuneOutcome, Tuner,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -125,6 +127,40 @@ fn assert_candidates_verify(kernel: &Kernel, candidates: &[Candidate]) {
     }
 }
 
+/// The class-sharing rule, checked instead of trusted: every candidate's
+/// modeled time must be bit-equal to what *its own* plan (its engine, its
+/// depth, bytecode) reads when built, stats-reset and stepped once — so
+/// `seq` standing in for `threaded`, an overlap plan with windows probed on
+/// its own, and one without inheriting the blocking number are all exact.
+/// Returns how many overlap candidates carried a window.
+fn assert_modeled_matches_own_plan(kernel: &Kernel, candidates: &[Candidate]) -> usize {
+    let node = &kernel.compiled.node;
+    let mut windowed = 0;
+    for c in candidates {
+        let mut mcfg = c.machine_config(&base_config());
+        if let Some(h) = superstep_halo(node, c.superstep).filter(|_| c.superstep > 1) {
+            mcfg.halo = mcfg.halo.max(h);
+        }
+        let mut machine = Machine::new(mcfg);
+        let Ok(mut plan) = ExecPlan::build(&mut machine, node, &c.exec_config()) else {
+            assert!(c.modeled_ms.is_infinite(), "{} does not build but was priced", c.label());
+            continue;
+        };
+        windowed += (plan.overlap_windows_per_step() > 0) as usize;
+        machine.reset_stats();
+        plan.step(&mut machine);
+        let own = machine.modeled_time_ms() / plan.logical_steps_per_step() as f64;
+        assert_eq!(
+            c.modeled_ms.to_bits(),
+            own.to_bits(),
+            "{}: shared probe {} != own plan {own}",
+            c.label(),
+            c.modeled_ms
+        );
+    }
+    windowed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -150,10 +186,69 @@ fn problem9_tuned_matches_default_and_all_candidates_verify() {
     let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     let outcome = assert_tuned_matches_default(&kernel);
     // 4 PEs in rank-2 meshes: 3 factorizations x 3 engines — Problem 9
-    // is lint-clean, so overlap is in play — x 2 backends x 4 superstep
-    // depths (the flat shift chain is eligible at every searched depth).
-    assert_eq!(outcome.candidates.len(), 72);
+    // is lint-clean, so overlap is in play — x 4 superstep depths (the
+    // flat shift chain is eligible at every searched depth), all bytecode.
+    assert_eq!(outcome.candidates.len(), 36);
     assert_candidates_verify(&kernel, &outcome.candidates);
+}
+
+#[test]
+fn shared_probes_price_every_candidate_exactly() {
+    let p9 = Kernel::compile(&presets::problem9(32), CompileOptions::full()).unwrap();
+    let out = p9.tune(&test_tuner().exhaustive()).unwrap();
+    assert_eq!(out.candidates.len(), 36);
+    let windowed = assert_modeled_matches_own_plan(&p9, &out.candidates);
+    // 12 blocking (grid, depth) classes plus one probe per overlap plan
+    // that fused a window: both sides of the overlap rule are exercised,
+    // and the count is pinned — 36 candidates never cost 36 probes.
+    assert_eq!(out.probes, 12 + windowed);
+    assert_eq!(out.probes, 15, "Problem 9 on 4 PEs: only the depth-1 plans carry windows");
+
+    let spec = WorkloadSpec { n: 12, stmts: 2, time_loop: Some(2), ..Default::default() };
+    let gen = Kernel::compile(&generate(&spec, 7), CompileOptions::full()).unwrap();
+    let out = gen.tune(&test_tuner().exhaustive()).unwrap();
+    let classes = out.candidates.len() / 3;
+    let windowed = assert_modeled_matches_own_plan(&gen, &out.candidates);
+    assert_eq!(out.probes, classes + windowed);
+}
+
+#[test]
+fn a_nest_codegen_declines_still_tunes_and_verifies() {
+    // `Backend::Bytecode` falls back to the interpreter per (nest, PE), so
+    // a bytecode-only space still covers kernels codegen cannot take. A
+    // factor-1 unroll annotation is one `compile_nest` declines outright
+    // while the interpreter runs it like the plain nest.
+    let mut kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
+    let mut declined = 0;
+    for item in &mut kernel.compiled.node.items {
+        if let NodeItem::Nest(nest) = item {
+            let (unit_body, unit_regs) = match nest.unroll.take() {
+                Some(u) => (u.unit_body, u.unit_regs),
+                None => (nest.body.clone(), nest.regs),
+            };
+            nest.body = unit_body.clone();
+            nest.regs = unit_regs;
+            nest.unroll = Some(Unroll { dim: nest.order[0], factor: 1, unit_body, unit_regs });
+            declined += 1;
+        }
+    }
+    assert!(declined > 0);
+    let outcome = assert_tuned_matches_default(&kernel);
+    assert!(outcome.best.measured_ms.is_some_and(f64::is_finite));
+
+    let path = tmp("declined");
+    let _ = std::fs::remove_file(&path);
+    let run = kernel
+        .runner(base_config())
+        .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
+        .config(ExecConfig::auto())
+        .tuner(test_tuner().cache_path(&path))
+        .run_verified(&["T"], 0.0)
+        .unwrap_or_else(|e| panic!("declined kernel failed under auto: {e}"));
+    let st = run.stats();
+    assert_eq!(st.tune_cache_misses, 1);
+    assert_eq!(st.kernels_compiled, 0, "every nest must have taken the interpreter fallback");
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
