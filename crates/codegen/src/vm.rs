@@ -36,7 +36,7 @@ use crate::bytecode::{
 use hpf_ir::expr::CmpOp;
 use hpf_ir::BinOp;
 use hpf_passes::loopir::{Instr, LoopNest};
-use hpf_runtime::PeState;
+use hpf_runtime::{PeState, PeStats, VmScratch};
 
 /// Chunk width of the vectorized row executor: each op runs over this many
 /// consecutive row points before the VM dispatches the next op, amortizing
@@ -93,6 +93,22 @@ impl CompiledNest {
     /// the per-kernel term behind the driver track's kernel-compile spans.
     pub fn compile_ns(&self) -> u64 {
         self.compile_ns
+    }
+
+    /// Length of the strip register file the chunked executor needs.
+    fn strip_len(&self) -> usize {
+        if self.jam_vec || self.unit_vec {
+            self.regs.max(1) * LANES
+        } else {
+            0
+        }
+    }
+
+    /// Grow a PE's VM scratch to what executing this kernel needs. A plan
+    /// does this for every kernel it compiles, so its steps allocate nothing;
+    /// a kernel run outside a plan grows it on its first execution.
+    pub fn reserve_scratch(&self, vm: &mut VmScratch) {
+        vm.reserve(self.regs.max(1), self.strip_len(), self.arrays.len());
     }
 }
 
@@ -359,31 +375,34 @@ const TRANSPOSE_MAX_ROW: i64 = 8;
 /// means the caller proved iteration order inside the box unobservable
 /// (iteration-local body), letting thin-row boxes run column-major.
 fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorder_ok: bool) {
-    let mut regs = vec![0.0f64; cn.regs.max(1)];
+    // Raw slice table `arrs`. Distinct `ArrayId`s own distinct allocations,
+    // so the pointers never alias each other; ops execute strictly in order,
+    // so same-array load/store ordering is preserved.
+    pe.with_vm((cn.regs.max(1), cn.strip_len()), &cn.arrays, |regs, strips, arrs, stats| {
+        exec_frame(cn, lo, hi, reorder_ok, (regs, strips, arrs), stats)
+    })
+}
+
+/// [`exec_over`] on the VM storage the PE lent: zeroed `regs` and `strips`,
+/// and the storage table `arrs` of `cn.arrays`.
+fn exec_frame(
+    cn: &CompiledNest,
+    lo: &[i64],
+    hi: &[i64],
+    reorder_ok: bool,
+    (regs, strips, arrs): (&mut [f64], &mut [f64], &[(*mut f64, usize)]),
+    stats: &mut PeStats,
+) {
     for &(r, v) in &cn.preloads {
         regs[r as usize] = v;
     }
     // Strip register file for the chunked executor: LANES lanes per register,
     // preloads broadcast once. Ops never write preload registers (their defs
     // were hoisted), so the broadcast survives the whole execution.
-    let mut strips = if cn.jam_vec || cn.unit_vec {
-        let mut s = vec![0.0f64; cn.regs.max(1) * LANES];
+    if !strips.is_empty() {
         for &(r, v) in &cn.preloads {
-            s[r as usize * LANES..(r as usize + 1) * LANES].fill(v);
+            strips[r as usize * LANES..(r as usize + 1) * LANES].fill(v);
         }
-        s
-    } else {
-        Vec::new()
-    };
-
-    // Raw slice table. Distinct `ArrayId`s own distinct allocations, so the
-    // pointers never alias each other; ops execute strictly in order, so
-    // same-array load/store ordering is preserved.
-    let mut arrs: Vec<(*mut f64, usize)> = Vec::with_capacity(cn.arrays.len());
-    for &a in &cn.arrays {
-        let sub = pe.subgrids[a as usize].as_mut().expect("allocated");
-        let raw = sub.raw_mut();
-        arrs.push((raw.as_mut_ptr(), raw.len()));
     }
 
     let rank = cn.order.len();
@@ -416,9 +435,9 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
                 // interleaving unobservable.
                 unsafe {
                     if vec_ok {
-                        run_row_vec(kernel, &arrs, &mut strips, base, count, step)
+                        run_row_vec(kernel, arrs, strips, base, count, step)
                     } else {
-                        run_row::<false>(kernel, &arrs, &mut regs, base, count, step)
+                        run_row::<false>(kernel, arrs, regs, base, count, step)
                     }
                 }
             } else {
@@ -427,7 +446,7 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
                 // SAFETY: register and slot indices were validated at
                 // compile time; CHECKED = true asserts every memory index
                 // before touching it, so no out-of-bounds access occurs.
-                unsafe { run_row::<true>(kernel, &arrs, &mut regs, base, count, step) }
+                unsafe { run_row::<true>(kernel, arrs, regs, base, count, step) }
             }
         };
 
@@ -524,7 +543,7 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
 
     // Bulk counters, the interpreter's accounting exactly.
     let unit_counts = cn.unit.as_ref().unwrap_or(&cn.jammed);
-    let s = &mut pe.stats;
+    let s = stats;
     s.loads += jammed_execs * cn.jammed.loads + unit_execs * unit_counts.loads;
     s.stores += jammed_execs * cn.jammed.stores + unit_execs * unit_counts.stores;
     s.flops += jammed_execs * cn.jammed.flops + unit_execs * unit_counts.flops;

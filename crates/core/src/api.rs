@@ -681,9 +681,25 @@ impl Plan<'_> {
         self.exec.verify()
     }
 
-    /// Bytes held by the pooled message buffers (allocated once at build).
+    /// Bytes of message staging held for sequential steps (allocated by
+    /// the first): one buffer, as large as the largest staged transfer.
+    /// Zero on the threaded engines, which stage in endpoint buffers.
     pub fn pooled_bytes(&self) -> usize {
         self.exec.pooled_bytes()
+    }
+
+    /// Bytes the compiled communication schedules hold — their region
+    /// descriptors plus [`Plan::pooled_bytes`]. O(rank) per region: it
+    /// does not grow with the arrays, but for the one staged face.
+    pub fn schedule_bytes(&self) -> usize {
+        self.exec.schedule_bytes()
+    }
+
+    /// Message buffers the threaded engines' free lists have made so far;
+    /// all are home, and held, at a step boundary. Zero on the sequential
+    /// engine and before the first threaded step.
+    pub fn endpoint_buffers(&self) -> usize {
+        self.exec.endpoint_buffers()
     }
 
     /// Aggregated execution counters since the plan was built.
@@ -742,6 +758,8 @@ impl Plan<'_> {
         let logical_steps = self.logical_steps_per_step();
         let superstep_diags = self.superstep_diags();
         Run {
+            schedule_bytes: self.schedule_bytes(),
+            pooled_bytes: self.pooled_bytes(),
             machine: self.machine,
             wall: self.wall,
             trace,
@@ -774,6 +792,10 @@ pub struct Run {
     /// Superstep eligibility and fallback diagnostics (SS001-SS009) from
     /// the plan build; empty unless a superstep depth was requested.
     pub superstep_diags: Vec<hpf_ir::Diagnostic>,
+    /// [`Plan::schedule_bytes`] of the plan that ran.
+    pub schedule_bytes: usize,
+    /// [`Plan::pooled_bytes`] of the plan that ran.
+    pub pooled_bytes: usize,
 }
 
 impl Run {
@@ -1052,7 +1074,7 @@ mod tests {
             .build()
             .unwrap();
         let pooled = plan.pooled_bytes();
-        assert!(pooled > 0, "buffers pooled at build time");
+        assert!(pooled > 0, "messages are staged");
         plan.iterate(10);
         let st = plan.stats();
         // Compiled once, reused on every one of the 10 steps.

@@ -37,6 +37,8 @@ options:
   --emit ir|node|bytecode|stats|diag-json
                         what to print, comma-separated (default: ir, or
                         nothing under --lint; diag-json implies linting);
+                        stats ends with what the communication schedules
+                        of a plan on the --grid machine hold;
                         bytecode lists the VM code of every nest on PE 0
                         of the --grid machine: bodies op by op, each fold
                         with its links and operand kinds, ops per point,
@@ -378,6 +380,15 @@ fn main() {
                     s.memopt.loads_before,
                     s.memopt.loads_after
                 );
+                // What the schedules of a plan on the --grid machine hold.
+                match kernel.plan(MachineConfig::with_grid(grid.clone()).halo(halo)).build() {
+                    Ok(plan) => out!(
+                        "schedule mem         : {} bytes ({} of them message staging)",
+                        plan.schedule_bytes(),
+                        plan.pooled_bytes()
+                    ),
+                    Err(e) => out!("schedule mem         : - ({e})"),
+                }
             }
             "diag-json" => out!("{}", analysis::render_json(&diags)),
             other => {
@@ -557,6 +568,11 @@ fn main() {
                 out!("comm bytes      : {}", stats.total_comm_bytes());
                 out!("intra bytes     : {}", stats.total_intra_bytes());
                 out!("peak mem per PE : {} bytes", stats.max_peak_bytes());
+                out!(
+                    "schedule mem    : {} bytes ({} of them message staging)",
+                    r.schedule_bytes,
+                    r.pooled_bytes
+                );
                 if exec_cfg.backend == Backend::Bytecode {
                     out!("kernels compiled: {}", stats.kernels_compiled);
                     out!("kernel execs    : {}", stats.kernel_execs);

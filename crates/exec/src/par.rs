@@ -10,9 +10,13 @@
 //! messages by `(sequence number, sender)` tags with a stash for
 //! out-of-order arrivals. Which transfers of a schedule are a PE's sends,
 //! locals and receives is worked out once per PE ([`Halves`]), as indices
-//! into [`CompiledComm::transfers`]; packing and unpacking go through the
-//! schedule's precompiled flat index lists, and spent message buffers
-//! travel back to their sender, so a steady-state step allocates nothing.
+//! into [`CompiledComm::transfers`]. A message is packed from its source box
+//! into a buffer off the sender's free list and unpacked into its
+//! destination box (both inside the post and drain spans, with no span of
+//! their own), and the spent buffer travels back to its sender; a
+//! self-transfer is copied from box to box and borrows no buffer, unless it
+//! would overwrite its own source: that one is staged like a message. A
+//! steady-state step allocates nothing.
 //!
 //! **Pool.** A plan built for a threaded engine owns a [`Pool`]: PEs − 1
 //! worker threads started on its first step and joined when it drops, each
@@ -31,13 +35,14 @@
 //! 30 µs, and Problem 9 has four of them per step.
 
 use crate::plan::{step_items, PlanItem};
-use hpf_ir::ArrayId;
-use hpf_runtime::{CompiledComm, MachineConfig, MoveKind, PeState};
+use hpf_runtime::{CompiledComm, MachineConfig, PeState};
 use hpf_trace::SpanKind;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,6 +127,8 @@ pub(crate) struct Endpoint {
     seq: u64,
     /// Messages that arrived before their receive was posted.
     stash: HashMap<(u64, usize), Vec<f64>>,
+    /// Message buffers the fabric's free lists have had to make so far.
+    made: Arc<AtomicUsize>,
     spin: bool,
 }
 
@@ -130,6 +137,7 @@ impl Endpoint {
     fn fabric(pes: usize, spin: bool) -> Vec<Endpoint> {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..pes).map(|_| channel()).unzip();
         let (homes, spents): (Vec<_>, Vec<_>) = (0..pes).map(|_| channel()).unzip();
+        let made = Arc::new(AtomicUsize::new(0));
         rxs.into_iter()
             .zip(spents)
             .enumerate()
@@ -141,6 +149,7 @@ impl Endpoint {
                 homes: homes.clone(),
                 seq: 0,
                 stash: HashMap::new(),
+                made: made.clone(),
                 spin,
             })
             .collect()
@@ -148,7 +157,11 @@ impl Endpoint {
 
     /// An empty message buffer: a spent one if any has come home.
     fn take_buf(&mut self) -> Vec<f64> {
-        let mut buf = self.spent.try_recv().unwrap_or_default();
+        let mut buf = self.spent.try_recv().unwrap_or_else(|_| {
+            // A statistic: it publishes nothing.
+            self.made.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        });
         buf.clear();
         buf
     }
@@ -208,22 +221,6 @@ pub(crate) struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    /// Gather `array`'s elements at `idx` into a message buffer.
-    fn pack(&mut self, array: ArrayId, idx: &[usize]) -> Vec<f64> {
-        let mut buf = self.ep.take_buf();
-        let raw = self.state.subgrid(array).raw();
-        buf.extend(idx.iter().map(|&i| raw[i]));
-        buf
-    }
-
-    /// Scatter a message buffer over `array`'s elements at `idx`.
-    fn unpack(&mut self, array: ArrayId, idx: &[usize], buf: &[f64]) {
-        let raw = self.state.subgrid_mut(array).raw_mut();
-        for (&i, &v) in idx.iter().zip(buf) {
-            raw[i] = v;
-        }
-    }
-
     /// Split-phase first half of the schedule at `slot`: post all sends
     /// (phase 1), then apply self-transfers and local fills (phase 2).
     /// Channels are unbounded, so this never blocks. Returns the sequence
@@ -236,7 +233,8 @@ impl Worker<'_> {
         let seq = self.ep.seq;
         self.ep.seq += 1;
         for t in h.sends.iter().map(|&i| &sched.transfers[i]) {
-            let buf = self.pack(sched.src, &t.src_idx);
+            let mut buf = self.ep.take_buf();
+            t.src.pack(self.state.subgrid(sched.src).raw(), &mut buf);
             self.state.stats.msgs_sent += 1;
             self.state.stats.bytes_sent += (buf.len() * 8) as u64;
             self.ep.txs[t.dst_pe]
@@ -244,20 +242,16 @@ impl Worker<'_> {
                 .expect("every inbox lives as long as the pool");
         }
         for t in h.locals.iter().map(|&i| &sched.transfers[i]) {
-            let buf = self.pack(sched.src, &t.src_idx);
-            self.unpack(sched.dst, &t.dst_idx, &buf);
-            let bytes = (buf.len() * 8) as u64;
-            match sched.kind {
-                MoveKind::FullShift => self.state.stats.intra_bytes += bytes,
-                MoveKind::Overlap => self.state.stats.wrap_bytes += bytes,
+            // Staged only if it overwrites its own source, and then through
+            // a free-list buffer as a message is.
+            let mut stage = if t.direct { Vec::new() } else { self.ep.take_buf() };
+            self.state.copy_local(sched, t, &mut stage);
+            if !t.direct {
+                self.ep.give_back(self.ep.pe, stage);
             }
-            self.ep.give_back(self.ep.pe, buf);
         }
         for f in h.fills.iter().map(|&i| &sched.fills[i]) {
-            let raw = self.state.subgrid_mut(sched.dst).raw_mut();
-            for &i in &f.idx {
-                raw[i] = f.value;
-            }
+            f.region.fill(self.state.subgrid_mut(sched.dst).raw_mut(), f.value);
         }
         self.state.tracer.record(SpanKind::CommPost, t0);
         seq
@@ -280,7 +274,7 @@ impl Worker<'_> {
         let sched = &self.ctx.scheds[slot];
         for t in self.halves[slot].recvs.iter().map(|&i| &sched.transfers[i]) {
             let buf = self.ep.recv_tagged(seq, t.src_pe);
-            self.unpack(sched.dst, &t.dst_idx, &buf);
+            t.dst.unpack(self.state.subgrid_mut(sched.dst).raw_mut(), &buf);
             self.state.stats.msgs_recv += 1;
             self.state.stats.bytes_recv += (buf.len() * 8) as u64;
             self.ep.give_back(t.src_pe, buf);
@@ -426,6 +420,11 @@ impl Pool {
         Pool { seat0, workers, acks, poisoned: None }
     }
 
+    /// Message buffers this pool's free lists have had to make so far.
+    pub(crate) fn buffers_made(&self) -> usize {
+        self.seat0.ep.made.load(Ordering::Relaxed)
+    }
+
     /// Run one step: `pes[0]` on the calling thread, every other PE on
     /// its worker. Panics, naming the PE, if any PE's step panicked — and
     /// at once on every later call.
@@ -484,9 +483,9 @@ impl Drop for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{ArrayDecl, Distribution, Shape, ShiftKind};
+    use hpf_ir::{ArrayDecl, ArrayId, Distribution, Shape, ShiftKind};
     use hpf_runtime::schedule::{overlap_shift_plan, CommAction, Transfer};
-    use hpf_runtime::Machine;
+    use hpf_runtime::{Machine, MoveKind};
 
     const U: ArrayId = ArrayId(0);
 
@@ -541,6 +540,37 @@ mod tests {
         assert!(w.ep.stash.is_empty());
         assert_eq!(w.state.subgrid(U).read_region(&[(0, 0), (1, 4)]), buf_c);
         assert_eq!(w.state.stats.msgs_recv, 3);
+    }
+
+    #[test]
+    fn a_self_overwriting_local_is_staged_through_the_free_list() {
+        let mut m = Machine::new(MachineConfig::grid([1, 1]));
+        m.alloc(U, &ArrayDecl::user("U", Shape::new([8, 8]), Distribution::block(2))).unwrap();
+        m.fill(U, |p| (p[0] * 10 + p[1]) as f64);
+        // Rows 1..=3 onto rows 2..=4 of the same array: run by run it would
+        // read row 2 after writing it.
+        let (from, to) = (vec![(1, 3), (1, 8)], vec![(2, 4), (1, 8)]);
+        let mut want = m.pes[0].subgrid(U).clone();
+        want.write_region(&to, &want.read_region(&from));
+        let plan = vec![CommAction::Transfer(Transfer {
+            src_pe: 0,
+            dst_pe: 0,
+            src_local: from,
+            dst_local: to,
+        })];
+        let scheds = [m.compile_comm(U, U, plan, MoveKind::Overlap)];
+        assert!(!scheds[0].transfers[0].direct);
+        let mut ep = Endpoint::fabric(1, false).remove(0);
+        let halves = [Halves::of(&scheds[0], 0)];
+        let ctx =
+            StepCtx { items: &[], scheds: &scheds, scalars: &[], cfg: &m.cfg, split_phase: false };
+        let mut w = Worker { state: &mut m.pes[0], ctx: &ctx, ep: &mut ep, halves: &halves };
+        w.comm_post(0);
+        assert_eq!(*w.state.subgrid(U), want);
+        // The buffer went home; the next post takes it back and makes none.
+        w.comm_post(0);
+        assert_eq!(w.ep.made.load(Ordering::Relaxed), 1);
+        assert_eq!(w.state.stats.wrap_bytes, 2 * 3 * 8 * 8);
     }
 
     /// An 8x8 array over 2x1 PEs and the two halo exchanges along the

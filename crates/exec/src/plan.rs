@@ -4,12 +4,12 @@
 //! engine, nest backend, tracing, extra checking — then walks the compiled
 //! node program once, allocates every array it references, and compiles
 //! each communication op against the allocated subgrids into a
-//! [`CompiledComm`] — neighbor PEs, RSD-extended bounds, flat pack/unpack
-//! index lists, and pooled message buffers are all resolved here, at plan
-//! time. Each subsequent [`ExecPlan::step`] then executes one sweep of the
-//! kernel on the configured engine with **zero** per-step subgrid math,
-//! plan recomputation, or buffer allocation — the persistent-communication
-//! pattern of `MPI_Send_init`-style halo exchange.
+//! [`CompiledComm`] — neighbor PEs, RSD-extended bounds and the strided box
+//! of every region are all resolved here, at plan time. Each subsequent
+//! [`ExecPlan::step`] then executes one sweep of the kernel on the configured
+//! engine with **zero** per-step subgrid math, plan recomputation, or buffer
+//! allocation — the persistent-communication pattern of `MPI_Send_init`-style
+//! halo exchange.
 //!
 //! One walker, `step_items`, interprets the step program for every engine.
 //! It is generic over a `Fabric` — how a compiled schedule is exchanged and
@@ -264,6 +264,8 @@ impl ExecPlan {
             }),
             pool: None,
         };
+        // What a sequential step stages, so that the first allocates nothing.
+        machine.reserve_staging(plan.pooled_bytes());
         if cfg.engine == Engine::ThreadedOverlap {
             let items = std::mem::take(&mut plan.items);
             plan.items = fuse_windows(machine, items, &plan.scheds);
@@ -311,7 +313,7 @@ impl ExecPlan {
     pub fn step(&mut self, machine: &mut Machine) {
         let begin = self.metrics.as_ref().map(|m| m.begin(machine));
         if self.engine == Engine::Sequential {
-            let ExecPlan { items, scheds, scalars, .. } = self;
+            let ExecPlan { items, scheds, scalars, .. } = &*self;
             step_items(&mut Direct { machine, scheds, scalars }, items);
         } else {
             self.step_threaded(machine);
@@ -356,9 +358,24 @@ impl ExecPlan {
         self.kernel_execs_per_step
     }
 
-    /// Bytes held by the pooled message buffers across all schedules.
+    /// Bytes of message staging the machine holds once this plan has stepped
+    /// on the sequential engine: one buffer, as large as the largest staged
+    /// transfer. None on the threaded engines, whose messages travel in
+    /// endpoint buffers ([`ExecPlan::endpoint_buffers`]).
     pub fn pooled_bytes(&self) -> usize {
-        self.scheds.iter().map(|s| s.pooled_bytes()).sum()
+        let sequential = self.engine == Engine::Sequential;
+        self.scheds.iter().filter(|_| sequential).map(|s| s.pooled_bytes()).max().unwrap_or(0)
+    }
+
+    /// Bytes the schedules hold: descriptors plus [`ExecPlan::pooled_bytes`].
+    pub fn schedule_bytes(&self) -> usize {
+        self.scheds.iter().map(|s| s.descriptor_bytes()).sum::<usize>() + self.pooled_bytes()
+    }
+
+    /// Message buffers the threaded engines' free lists have made so far;
+    /// all are home again at a step boundary, so also how many they hold.
+    pub fn endpoint_buffers(&self) -> usize {
+        self.pool.as_ref().map_or(0, Pool::buffers_made)
     }
 
     /// Split-phase windows one step executes (zero unless built for
@@ -470,17 +487,7 @@ fn compile_items(
                 ));
             }
             NodeItem::Nest(nest) => {
-                let kernels: Vec<Option<CompiledNest>> = match backend {
-                    Backend::Interp => Vec::new(),
-                    Backend::Bytecode => {
-                        let t0 = machine.driver_tracer().now();
-                        let kernels: Vec<Option<CompiledNest>> =
-                            machine.pes.iter().map(|pe| compile_nest(nest, pe, scalars)).collect();
-                        machine.driver_tracer().record(SpanKind::KernelCompile, t0);
-                        kernels
-                    }
-                };
-                *compiled += kernels.iter().flatten().count() as u64;
+                let kernels = compile_kernels(machine, nest, scalars, backend, compiled);
                 out.push(PlanItem::Nest { nest: nest.clone(), kernels });
             }
             NodeItem::TimeLoop { iters, body } => out.push(PlanItem::TimeLoop {
@@ -490,6 +497,27 @@ fn compile_items(
         }
     }
     Ok(out)
+}
+
+/// Under the bytecode backend, one kernel of `nest` per PE (`None` where
+/// codegen declines, counted in `compiled` where not) and VM scratch to fit.
+fn compile_kernels(
+    machine: &mut Machine,
+    nest: &LoopNest,
+    scalars: &[f64],
+    backend: Backend,
+    compiled: &mut u64,
+) -> Vec<Option<CompiledNest>> {
+    if backend == Backend::Interp {
+        return Vec::new();
+    }
+    let t0 = machine.driver_tracer().now();
+    let kernels: Vec<Option<CompiledNest>> = (machine.pes.iter_mut())
+        .map(|pe| compile_nest(nest, pe, scalars).inspect(|k| k.reserve_scratch(&mut pe.vm)))
+        .collect();
+    machine.driver_tracer().record(SpanKind::KernelCompile, t0);
+    *compiled += kernels.iter().flatten().count() as u64;
+    kernels
 }
 
 fn push_sched(scheds: &mut Vec<CompiledComm>, sched: CompiledComm) -> PlanItem {
@@ -538,18 +566,7 @@ fn build_superstep_items(
     let mut nests = Vec::new();
     for item in body {
         if let NodeItem::Nest(nest) = item {
-            let kernels: Vec<Option<CompiledNest>> = match backend {
-                Backend::Interp => Vec::new(),
-                Backend::Bytecode => {
-                    let t0 = machine.driver_tracer().now();
-                    let kernels: Vec<Option<CompiledNest>> =
-                        machine.pes.iter().map(|pe| compile_nest(nest, pe, scalars)).collect();
-                    machine.driver_tracer().record(SpanKind::KernelCompile, t0);
-                    kernels
-                }
-            };
-            *compiled += kernels.iter().flatten().count() as u64;
-            nests.push((nest.clone(), kernels));
+            nests.push((nest.clone(), compile_kernels(machine, nest, scalars, backend, compiled)));
         }
     }
     let pe_exts: Vec<Vec<i64>> = machine
@@ -901,17 +918,17 @@ pub(crate) trait Fabric {
 
 /// The direct-copy fabric of the sequential engine: the calling thread
 /// owns the whole machine, so an exchange is `Machine::apply_compiled`
-/// (which packs, copies, and unpacks through the schedule's pooled
-/// buffers) and every PE is computed here, one after the other.
+/// (same-PE transfers copied in place, messages staged through the
+/// machine's one buffer) and every PE is computed here, one after the other.
 struct Direct<'a> {
     machine: &'a mut Machine,
-    scheds: &'a mut [CompiledComm],
+    scheds: &'a [CompiledComm],
     scalars: &'a [f64],
 }
 
 impl Fabric for Direct<'_> {
     fn exchange(&mut self, slot: usize) {
-        self.machine.apply_compiled(&mut self.scheds[slot]);
+        self.machine.apply_compiled(&self.scheds[slot]);
     }
 
     fn each_pe(&mut self, mut f: impl FnMut(&mut PeState, &[f64])) {

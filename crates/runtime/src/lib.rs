@@ -33,7 +33,7 @@ pub mod subgrid;
 pub use cost::CostModel;
 pub use dist::{BlockDim, PeGrid};
 pub use error::RtError;
-pub use machine::{ArrayMeta, Machine, MachineConfig, MoveKind, PeState};
+pub use machine::{ArrayMeta, Machine, MachineConfig, MoveKind, PeState, VmScratch};
 pub use schedule::{CommAction, CompiledComm, CompiledFill, CompiledTransfer, Transfer};
 pub use stats::{AggStats, PeStats};
-pub use subgrid::Subgrid;
+pub use subgrid::{StridedBox, Subgrid};

@@ -4,13 +4,14 @@ use crate::cost::CostModel;
 use crate::dist::{BlockDim, PeGrid};
 use crate::error::RtError;
 use crate::schedule::{
-    cshift_plan, overlap_shift_plan, CommAction, CompiledComm, CompiledFill, CompiledTransfer,
-    Geometry, Transfer,
+    cshift_plan, overlap_shift_plan, regions_intersect, CommAction, CompiledComm, CompiledFill,
+    CompiledTransfer, Geometry, Transfer,
 };
 use crate::stats::{AggStats, PeStats};
 use crate::subgrid::Subgrid;
 use hpf_ir::{ArrayDecl, ArrayId, DimDist, Offsets, Rsd, Section, Shape, ShiftKind};
 use hpf_trace::{SpanKind, Trace, Tracer, Track};
+use std::cell::RefCell;
 
 /// Machine configuration.
 #[derive(Clone, Debug)]
@@ -84,6 +85,36 @@ pub struct ArrayMeta {
     pub geom: Geometry,
 }
 
+/// Working storage of the bytecode VM (`hpf-codegen`) on one PE, grown to
+/// the largest kernel's need when a plan is built so that executing a kernel
+/// allocates nothing: the scalar register file, the chunked executor's strip
+/// file, and the `(storage, length)` table of the arrays a running kernel
+/// names. Lent out by [`PeState::with_vm`] only.
+#[derive(Clone, Debug, Default)]
+pub struct VmScratch {
+    regs: Vec<f64>,
+    strips: Vec<f64>,
+    arrs: Vec<(*mut f64, usize)>,
+}
+
+// SAFETY: `arrs` holds pointers only inside `PeState::with_vm`, which fills
+// it from subgrids it has `&mut` to and empties it before returning (a panic
+// in between leaves stale entries that the next call discards unread). A
+// scratch that can be sent or cloned is therefore plain data.
+unsafe impl Send for VmScratch {}
+
+impl VmScratch {
+    /// Make room for `regs` registers, `strips` strip cells and a table of
+    /// `arrays` entries (never shrinks).
+    pub fn reserve(&mut self, regs: usize, strips: usize, arrays: usize) {
+        let grow = |v: &mut Vec<f64>, n: usize| v.resize(v.len().max(n), 0.0);
+        grow(&mut self.regs, regs);
+        grow(&mut self.strips, strips);
+        self.arrs.clear();
+        self.arrs.reserve(arrays);
+    }
+}
+
 /// Per-PE mutable state: subgrids, counters, memory accounting.
 #[derive(Clone, Debug)]
 pub struct PeState {
@@ -107,6 +138,8 @@ pub struct PeState {
     /// records into it, so tracing needs no locks. Disabled (a no-op)
     /// unless [`Machine::enable_tracing`] was called.
     pub tracer: Tracer,
+    /// The bytecode VM's working storage on this PE.
+    pub vm: VmScratch,
 }
 
 impl PeState {
@@ -125,6 +158,59 @@ impl PeState {
             .get_mut(id.0 as usize)
             .and_then(|s| s.as_mut())
             .unwrap_or_else(|| panic!("array {id:?} not allocated on PE {pe}"))
+    }
+
+    /// Lend the VM its storage for one kernel execution: `f(regs, strips,
+    /// arrs, stats)` with `regs` and `strips` zeroed cells of the asked
+    /// lengths and `arrs[i]` the `(storage, length)` of array `arrays[i]`,
+    /// valid for the call.
+    pub fn with_vm<R>(
+        &mut self,
+        (regs, strips): (usize, usize),
+        arrays: &[u32],
+        f: impl FnOnce(&mut [f64], &mut [f64], &[(*mut f64, usize)], &mut PeStats) -> R,
+    ) -> R {
+        let PeState { pe, subgrids, vm, stats, .. } = self;
+        vm.reserve(regs, strips, arrays.len());
+        for &a in arrays {
+            let sub = subgrids[a as usize].as_mut();
+            let raw = sub.unwrap_or_else(|| panic!("array {a} not allocated on PE {pe}")).raw_mut();
+            vm.arrs.push((raw.as_mut_ptr(), raw.len()));
+        }
+        let (regs, strips) = (&mut vm.regs[..regs], &mut vm.strips[..strips]);
+        regs.fill(0.0);
+        strips.fill(0.0);
+        let out = f(regs, strips, &vm.arrs, stats);
+        vm.arrs.clear();
+        out
+    }
+
+    /// Execute a same-PE transfer of `sched`, counting its bytes: from box to
+    /// box when [direct](CompiledTransfer::direct), else packed into `stage`
+    /// (handed back empty) and unpacked. Records no span.
+    pub fn copy_local(&mut self, sched: &CompiledComm, t: &CompiledTransfer, stage: &mut Vec<f64>) {
+        let (src, dst) = (sched.src.0 as usize, sched.dst.0 as usize);
+        if !t.direct {
+            t.src.pack(self.subgrid(sched.src).raw(), stage);
+            t.dst.unpack(self.subgrid_mut(sched.dst).raw_mut(), stage);
+            stage.clear();
+        } else if src == dst {
+            t.src.copy_within(&t.dst, self.subgrid_mut(sched.dst).raw_mut());
+        } else if let Ok([Some(from), Some(to)]) = self.subgrids.get_disjoint_mut([src, dst]) {
+            t.src.copy_to(from.raw(), &t.dst, to.raw_mut());
+        } else {
+            panic!("array {:?} or {:?} not allocated on PE {}", sched.src, sched.dst, self.pe);
+        }
+        self.credit_local(sched.kind, t.src.elements());
+    }
+
+    /// Count `elements` moved within this PE by a plan of this `kind`.
+    fn credit_local(&mut self, kind: MoveKind, elements: usize) {
+        let bytes = (elements * std::mem::size_of::<f64>()) as u64;
+        match kind {
+            MoveKind::FullShift => self.stats.intra_bytes += bytes,
+            MoveKind::Overlap => self.stats.wrap_bytes += bytes,
+        }
     }
 }
 
@@ -173,6 +259,60 @@ pub struct Machine {
     /// Span recorder for driver-side work (schedule builds, kernel
     /// compiles, step envelopes) — the "driver" track.
     driver_tracer: Tracer,
+    /// Staging of [`Machine::apply_compiled`]: empty between transfers,
+    /// with room for the largest staged one of any schedule executed here.
+    stage: Vec<f64>,
+}
+
+thread_local! {
+    /// Array storage of the machine last dropped on this thread, kept for the
+    /// next one built here. A plan rebuilt for the same problem (a tuner's
+    /// candidates, a driver's set-up repetitions) takes its arrays back
+    /// instead of freeing them and asking again: what an allocator is given
+    /// back it either unmaps, so the rebuild pays the page faults, or keeps as
+    /// a hole the next request must fit exactly and, after any small
+    /// allocation in between, no longer does. Blocks of [`SPARE_MIN`] cells
+    /// and more only, and never more than one machine's.
+    static SPARE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Storage below this many cells (1 MiB) goes back to the allocator.
+const SPARE_MIN: usize = 1 << 17;
+
+/// `len` zeros, in a spare block of about that capacity if there is one. A
+/// large request that no spare block suits empties the list first: what is
+/// in it is of no use to the machine being built.
+fn zeroed_storage(len: usize) -> Vec<f64> {
+    let spare = SPARE.with(|spare| {
+        let mut spare = spare.borrow_mut();
+        let suits = |b: &Vec<f64>| b.capacity() >= len && b.capacity() - len <= len / 16;
+        let found = spare.iter().position(suits).map(|i| spare.swap_remove(i));
+        if found.is_none() && len >= SPARE_MIN {
+            spare.clear();
+        }
+        found
+    });
+    match spare {
+        Some(mut block) => {
+            block.resize(len, 0.0);
+            block
+        }
+        None => vec![0.0; len],
+    }
+}
+
+impl Drop for Machine {
+    /// Leave the large arrays to the next machine built on this thread.
+    fn drop(&mut self) {
+        let subgrids = self.pes.iter_mut().flat_map(|pe| pe.subgrids.iter_mut().flatten());
+        let mut blocks: Vec<Vec<f64>> = subgrids.map(Subgrid::take_storage).collect();
+        blocks.retain_mut(|b| {
+            b.clear();
+            b.capacity() >= SPARE_MIN
+        });
+        // A thread's last machine may outlive the thread's list.
+        let _ = SPARE.try_with(|spare| *spare.borrow_mut() = blocks);
+    }
 }
 
 impl Machine {
@@ -188,6 +328,7 @@ impl Machine {
                 cur_bytes: 0,
                 peak_bytes: 0,
                 tracer: Tracer::disabled(),
+                vm: VmScratch::default(),
             })
             .collect();
         Machine {
@@ -207,6 +348,7 @@ impl Machine {
             exchanges_elided: 0,
             redundant_cells: 0,
             driver_tracer: Tracer::disabled(),
+            stage: Vec::new(),
         }
     }
 
@@ -325,7 +467,7 @@ impl Machine {
         }
         for pe in 0..self.num_pes() {
             let owned = Section::new(geom.owned(pe));
-            let sub = Subgrid::new(owned, self.cfg.halo);
+            let sub = Subgrid::with_storage(owned, self.cfg.halo, zeroed_storage);
             let st = &mut self.pes[pe];
             st.cur_bytes += sub.bytes();
             st.peak_bytes = st.peak_bytes.max(st.cur_bytes);
@@ -464,28 +606,29 @@ impl Machine {
 
     fn apply_transfer(&mut self, dst: ArrayId, src: ArrayId, t: &Transfer, kind: MoveKind) {
         let buf = self.pes[t.src_pe].subgrid(src).read_region(&t.src_local);
-        let bytes = (buf.len() * std::mem::size_of::<f64>()) as u64;
         self.pes[t.dst_pe].subgrid_mut(dst).write_region(&t.dst_local, &buf);
         if t.src_pe == t.dst_pe {
-            match kind {
-                MoveKind::FullShift => self.pes[t.src_pe].stats.intra_bytes += bytes,
-                MoveKind::Overlap => self.pes[t.src_pe].stats.wrap_bytes += bytes,
-            }
+            self.pes[t.src_pe].credit_local(kind, buf.len());
         } else {
-            let s = &mut self.pes[t.src_pe].stats;
-            s.msgs_sent += 1;
-            s.bytes_sent += bytes;
-            let r = &mut self.pes[t.dst_pe].stats;
-            r.msgs_recv += 1;
-            r.bytes_recv += bytes;
+            self.credit_message(t.src_pe, t.dst_pe, buf.len());
         }
     }
 
+    /// Count one message of `elements` from `src_pe` to `dst_pe`.
+    fn credit_message(&mut self, src_pe: usize, dst_pe: usize, elements: usize) {
+        let bytes = (elements * std::mem::size_of::<f64>()) as u64;
+        let s = &mut self.pes[src_pe].stats;
+        s.msgs_sent += 1;
+        s.bytes_sent += bytes;
+        let r = &mut self.pes[dst_pe].stats;
+        r.msgs_recv += 1;
+        r.bytes_recv += bytes;
+    }
+
     /// Compile a communication plan against the allocated subgrids into a
-    /// persistent schedule: every region is resolved into flat pack/unpack
-    /// index lists and each transfer gets a pooled message buffer. Executing
-    /// the result via [`Machine::apply_compiled`] performs zero subgrid
-    /// coordinate math and zero allocation per step.
+    /// persistent schedule: every region is resolved into a strided box.
+    /// Executing the result via [`Machine::apply_compiled`] performs zero
+    /// subgrid coordinate math and, with staging reserved, zero allocation.
     pub fn compile_comm(
         &mut self,
         dst: ArrayId,
@@ -499,21 +642,21 @@ impl Machine {
         for action in &plan {
             match action {
                 CommAction::Transfer(t) => {
-                    let src_idx = self.pes[t.src_pe].subgrid(src).region_indices(&t.src_local);
-                    let dst_idx = self.pes[t.dst_pe].subgrid(dst).region_indices(&t.dst_local);
-                    debug_assert_eq!(src_idx.len(), dst_idx.len());
-                    let buf = vec![0.0; src_idx.len()];
+                    let from = self.pes[t.src_pe].subgrid(src).region_box(&t.src_local);
+                    let to = self.pes[t.dst_pe].subgrid(dst).region_box(&t.dst_local);
+                    assert!(from.congruent(&to), "transfer between regions of unlike shape: {t:?}");
+                    let clobbers = src == dst && regions_intersect(&t.src_local, &t.dst_local);
                     transfers.push(CompiledTransfer {
                         src_pe: t.src_pe,
                         dst_pe: t.dst_pe,
-                        src_idx,
-                        dst_idx,
-                        buf,
+                        src: from,
+                        dst: to,
+                        direct: t.src_pe == t.dst_pe && !clobbers,
                     });
                 }
                 CommAction::Fill { pe, local, value } => fills.push(CompiledFill {
                     pe: *pe,
-                    idx: self.pes[*pe].subgrid(dst).region_indices(local),
+                    region: self.pes[*pe].subgrid(dst).region_box(local),
                     value: *value,
                 }),
             }
@@ -523,51 +666,40 @@ impl Machine {
         CompiledComm { dst, src, kind, transfers, fills, actions: plan }
     }
 
-    /// Execute a persistent schedule: pack each transfer through its
-    /// precomputed indices into its pooled buffer, deliver, unpack, apply
-    /// fills. Counter accounting is identical to [`Machine::apply_plan`], so
-    /// a compiled schedule and its uncompiled plan are indistinguishable in
-    /// `AggStats` apart from `schedule_reuses`.
-    pub fn apply_compiled(&mut self, sched: &mut CompiledComm) {
-        for t in &mut sched.transfers {
-            // Pack (sender side).
-            {
-                let t0 = self.pes[t.src_pe].tracer.now();
-                let raw = self.pes[t.src_pe].subgrid(sched.src).raw();
-                for (slot, &i) in t.buf.iter_mut().zip(&t.src_idx) {
-                    *slot = raw[i];
-                }
-                self.pes[t.src_pe].tracer.record(SpanKind::Pack, t0);
-            }
-            // Unpack (receiver side).
-            {
-                let t0 = self.pes[t.dst_pe].tracer.now();
-                let raw = self.pes[t.dst_pe].subgrid_mut(sched.dst).raw_mut();
-                for (&i, &v) in t.dst_idx.iter().zip(&t.buf) {
-                    raw[i] = v;
-                }
-                self.pes[t.dst_pe].tracer.record(SpanKind::Unpack, t0);
-            }
-            let bytes = (t.buf.len() * std::mem::size_of::<f64>()) as u64;
+    /// Make room to stage `bytes` of one message in [`Machine::apply_compiled`].
+    /// A plan built for the sequential engine does it once; a machine stepped
+    /// by the threaded engines, which never come through there, holds none.
+    pub fn reserve_staging(&mut self, bytes: usize) {
+        self.stage.reserve_exact(bytes / std::mem::size_of::<f64>());
+    }
+
+    /// Execute a persistent schedule: copy each same-PE transfer from box
+    /// to box (one `Pack` span), stage each message through this machine's
+    /// buffer (`Pack` on the sender, `Unpack` on the receiver), apply fills.
+    /// Counters are those of [`Machine::apply_plan`], so a compiled schedule
+    /// and its plan differ in `AggStats` by `schedule_reuses` alone. Grows
+    /// the buffer if [`Machine::reserve_staging`] has not made enough room.
+    pub fn apply_compiled(&mut self, sched: &CompiledComm) {
+        self.reserve_staging(sched.pooled_bytes());
+        for t in &sched.transfers {
+            let sender = &mut self.pes[t.src_pe];
+            let t0 = sender.tracer.now();
             if t.src_pe == t.dst_pe {
-                match sched.kind {
-                    MoveKind::FullShift => self.pes[t.src_pe].stats.intra_bytes += bytes,
-                    MoveKind::Overlap => self.pes[t.src_pe].stats.wrap_bytes += bytes,
-                }
-            } else {
-                let s = &mut self.pes[t.src_pe].stats;
-                s.msgs_sent += 1;
-                s.bytes_sent += bytes;
-                let r = &mut self.pes[t.dst_pe].stats;
-                r.msgs_recv += 1;
-                r.bytes_recv += bytes;
+                sender.copy_local(sched, t, &mut self.stage);
+                sender.tracer.record(SpanKind::Pack, t0);
+                continue;
             }
+            t.src.pack(sender.subgrid(sched.src).raw(), &mut self.stage);
+            sender.tracer.record(SpanKind::Pack, t0);
+            let receiver = &mut self.pes[t.dst_pe];
+            let t0 = receiver.tracer.now();
+            t.dst.unpack(receiver.subgrid_mut(sched.dst).raw_mut(), &self.stage);
+            receiver.tracer.record(SpanKind::Unpack, t0);
+            self.credit_message(t.src_pe, t.dst_pe, self.stage.len());
+            self.stage.clear();
         }
         for f in &sched.fills {
-            let raw = self.pes[f.pe].subgrid_mut(sched.dst).raw_mut();
-            for &i in &f.idx {
-                raw[i] = f.value;
-            }
+            f.region.fill(self.pes[f.pe].subgrid_mut(sched.dst).raw_mut(), f.value);
         }
         self.sched_reuses += 1;
     }
@@ -1037,6 +1169,43 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_machines_large_arrays_go_to_the_next_one() {
+        // 724^2 over 2x2: four subgrids of 364^2 cells, just over 1 MiB each.
+        let storage = |m: &Machine| -> Vec<*const f64> {
+            let mut at: Vec<_> = m.pes.iter().map(|pe| pe.subgrid(U).raw().as_ptr()).collect();
+            at.sort();
+            at
+        };
+        let mut m = machine();
+        m.alloc(U, &decl("U", 724)).unwrap();
+        m.fill(U, |p| (p[0] * 1000 + p[1]) as f64);
+        m.overlap_shift(U, 1, 0, None, ShiftKind::Circular).unwrap();
+        let first = storage(&m);
+        drop(m);
+        assert_eq!(SPARE.with(|s| s.borrow().len()), 4);
+        let mut m = machine();
+        m.alloc(U, &decl("U", 724)).unwrap();
+        assert_eq!(storage(&m), first, "the same four blocks");
+        assert!(m.pes.iter().all(|pe| pe.subgrid(U).raw().iter().all(|&c| c == 0.0)));
+        // A second array finds the list empty and is allocated afresh.
+        m.alloc(T, &decl("T", 724)).unwrap();
+        drop(m);
+        assert_eq!(SPARE.with(|s| s.borrow().len()), 8);
+        // Blocks of a size the next machine cannot use are freed, not held;
+        // small arrays are never kept.
+        let mut m = machine();
+        m.alloc(U, &decl("U", 1024)).unwrap();
+        assert_eq!(SPARE.with(|s| s.borrow().len()), 0);
+        drop(m);
+        assert_eq!(SPARE.with(|s| s.borrow().len()), 4);
+        let mut m = machine();
+        m.alloc(U, &decl("U", 8)).unwrap();
+        assert_eq!(SPARE.with(|s| s.borrow().len()), 4, "a small request leaves the list alone");
+        drop(m);
+        assert_eq!(SPARE.with(|s| s.borrow().len()), 0, "the last machine had nothing large");
+    }
+
+    #[test]
     fn copy_offset_reads_halo() {
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
@@ -1087,8 +1256,8 @@ mod tests {
         m2.fill(U, |p| (p[0] * 100 + p[1]) as f64);
         m2.reset_stats();
         let plan = cshift_plan(&m2.meta(U).geom.clone(), 1, 0, ShiftKind::Circular);
-        let mut sched = m2.compile_comm(T, U, plan, MoveKind::FullShift);
-        m2.apply_compiled(&mut sched);
+        let sched = m2.compile_comm(T, U, plan, MoveKind::FullShift);
+        m2.apply_compiled(&sched);
         assert_eq!(m1.gather(T), m2.gather(T));
         // Identical per-PE counters; only the schedule counters differ.
         assert_eq!(m1.stats().per_pe, m2.stats().per_pe);
@@ -1116,8 +1285,8 @@ mod tests {
             m2.cfg.halo,
         )
         .unwrap();
-        let mut sched = m2.compile_comm(U, U, plan, MoveKind::Overlap);
-        m2.apply_compiled(&mut sched);
+        let sched = m2.compile_comm(U, U, plan, MoveKind::Overlap);
+        m2.apply_compiled(&sched);
         // Compare full subgrid storage (halo included) on every PE.
         for pe in 0..4 {
             assert_eq!(m1.pes[pe].subgrid(U).raw(), m2.pes[pe].subgrid(U).raw());
@@ -1134,16 +1303,29 @@ mod tests {
         m.fill(U, |p| (p[0] * 10 + p[1]) as f64);
         m.reset_stats();
         let plan = cshift_plan(&m.meta(U).geom.clone(), 1, 0, ShiftKind::Circular);
-        let mut sched = m.compile_comm(T, U, plan, MoveKind::FullShift);
-        let pooled = sched.pooled_bytes();
-        assert!(pooled > 0);
-        for _ in 0..10 {
-            m.apply_compiled(&mut sched);
+        let sched = m.compile_comm(T, U, plan, MoveKind::FullShift);
+        // Staging is one 4-element row, the largest message; the 3-row
+        // intraprocessor copies go from box to box. The descriptors do not
+        // grow with the array.
+        assert_eq!(sched.pooled_bytes(), 4 * 8);
+        assert_eq!(m.stage.capacity(), 0, "no staging before the first execution");
+        assert!(sched.transfers.iter().all(|t| t.direct == (t.src_pe == t.dst_pe)));
+        let mut big = Machine::new(MachineConfig::sp2_2x2());
+        big.alloc(U, &decl("U", 64)).unwrap();
+        big.alloc(T, &decl("T", 64)).unwrap();
+        let plan = cshift_plan(&big.meta(U).geom.clone(), 1, 0, ShiftKind::Circular);
+        let wide = big.compile_comm(T, U, plan, MoveKind::FullShift);
+        assert_eq!(wide.descriptor_bytes(), sched.descriptor_bytes());
+        m.apply_compiled(&sched);
+        let room = m.stage.capacity();
+        assert!(room >= 4);
+        for _ in 1..10 {
+            m.apply_compiled(&sched);
         }
-        // Built once, reused ten times; buffers never grew.
+        // Built once, reused ten times; the buffer never grew again.
         assert_eq!(m.stats().schedules_built, 1);
         assert_eq!(m.stats().schedule_reuses, 10);
-        assert_eq!(sched.pooled_bytes(), pooled);
+        assert_eq!((m.stage.len(), m.stage.capacity()), (0, room));
         // Ten executions counted like ten uncompiled shifts.
         assert_eq!(m.stats().total_messages(), 10 * 4);
     }

@@ -9,14 +9,16 @@
 //! runs.
 //!
 //! For time-stepped kernels the plan can further be *compiled* against the
-//! allocated subgrids into a [`CompiledComm`]: flat pack/unpack element-index
-//! lists plus a pooled message buffer per transfer. Executing a compiled
-//! schedule is then "pack via precomputed indices → deliver → unpack" with
-//! zero per-step subgrid math and zero per-step allocation — the persistent
-//! halo-exchange pattern of GCL-style stencil libraries and persistent MPI.
+//! allocated subgrids into a [`CompiledComm`]: one O(rank) [`StridedBox`]
+//! per region. Executing it copies run by run — same-PE transfers straight
+//! from box to box, messages through a staging buffer — with zero per-step
+//! subgrid math or allocation: the persistent halo exchange of GCL-style
+//! libraries and persistent MPI, whose requests describe a strided region
+//! rather than enumerate it.
 
 use crate::dist::{BlockDim, PeGrid};
 use crate::error::RtError;
+use crate::subgrid::StridedBox;
 use hpf_ir::{ArrayId, Rsd, ShiftKind};
 
 /// A rectangular region copy between two PEs (or within one PE when
@@ -62,31 +64,30 @@ pub enum CommAction {
     },
 }
 
-/// One [`Transfer`] compiled against allocated subgrids: the region bounds
-/// are resolved into flat storage indices (sender side and receiver side, in
-/// matching row-major order) and the message buffer is allocated once and
-/// pooled across executions.
+/// One [`Transfer`] compiled against allocated subgrids: both regions
+/// resolved into congruent boxes, walked in matching row-major order.
 #[derive(Clone, Debug)]
 pub struct CompiledTransfer {
     /// Sending PE.
     pub src_pe: usize,
     /// Receiving PE.
     pub dst_pe: usize,
-    /// Flat indices into the sender's raw subgrid storage (pack order).
-    pub src_idx: Vec<usize>,
-    /// Flat indices into the receiver's raw subgrid storage (unpack order).
-    pub dst_idx: Vec<usize>,
-    /// Pooled message buffer, `src_idx.len()` elements, reused every step.
-    pub buf: Vec<f64>,
+    /// The region in the sender's subgrid of the source array.
+    pub src: StridedBox,
+    /// The region in the receiver's subgrid of the destination array.
+    pub dst: StridedBox,
+    /// A same-PE transfer that cannot overwrite what it has yet to read (two
+    /// arrays, or disjoint regions of one): copied run to run, never staged.
+    pub direct: bool,
 }
 
-/// A boundary-value fill compiled to flat storage indices.
+/// A boundary-value fill compiled to a box.
 #[derive(Clone, Debug)]
 pub struct CompiledFill {
     /// PE whose subgrid is filled.
     pub pe: usize,
-    /// Flat indices into that PE's raw subgrid storage.
-    pub idx: Vec<usize>,
+    /// The region in that PE's subgrid of the destination array.
+    pub region: StridedBox,
     /// Fill value.
     pub value: f64,
 }
@@ -95,9 +96,9 @@ pub struct CompiledFill {
 /// persistent-schedule analogue of `MPI_Send_init`/`MPI_Recv_init`. Built by
 /// [`crate::Machine::compile_comm`]; executed by
 /// [`crate::Machine::apply_compiled`], or by the threaded engines' workers
-/// through the same index lists. The original [`CommAction`] list is
-/// retained for the geometric checks (dependencies between schedules, the
-/// plan verifier) that reason about regions rather than indices.
+/// through the same boxes. The original [`CommAction`] list is retained as
+/// the geometric source of truth for the checks (`depends_on`, the plan
+/// verifier) that reason about regions, not storage.
 #[derive(Clone, Debug)]
 pub struct CompiledComm {
     /// Destination array.
@@ -106,9 +107,9 @@ pub struct CompiledComm {
     pub src: ArrayId,
     /// Accounting class of self-transfers.
     pub kind: crate::machine::MoveKind,
-    /// Transfers with precomputed pack/unpack indices and pooled buffers.
+    /// Transfers, in plan order.
     pub transfers: Vec<CompiledTransfer>,
-    /// Constant fills with precomputed indices.
+    /// Constant fills, in plan order.
     pub fills: Vec<CompiledFill>,
     /// The uncompiled plan this was built from.
     pub actions: Vec<CommAction>,
@@ -117,13 +118,28 @@ pub struct CompiledComm {
 impl CompiledComm {
     /// Total elements moved per execution.
     pub fn elements(&self) -> usize {
-        self.transfers.iter().map(|t| t.src_idx.len()).sum()
+        self.transfers.iter().map(|t| t.src.elements()).sum()
     }
 
-    /// Bytes held by the pooled buffers (the allocation executing the
-    /// schedule avoids re-making every step).
+    /// Bytes of staging an execution needs: the largest transfer that is
+    /// packed and unpacked rather than copied directly.
     pub fn pooled_bytes(&self) -> usize {
-        self.transfers.iter().map(|t| t.buf.len() * std::mem::size_of::<f64>()).sum()
+        let staged = self.transfers.iter().filter(|t| !t.direct).map(|t| t.src.elements());
+        staged.max().unwrap_or(0) * std::mem::size_of::<f64>()
+    }
+
+    /// Bytes the schedule itself holds, heap included: its boxes and the
+    /// plan they were compiled from. Independent of how much it moves.
+    pub fn descriptor_bytes(&self) -> usize {
+        use std::mem::size_of_val as sz;
+        let boxes = self.transfers.iter().map(|t| t.src.heap_bytes() + t.dst.heap_bytes());
+        let fills = self.fills.iter().map(|f| f.region.heap_bytes());
+        let plan = self.actions.iter().map(|a| match a {
+            CommAction::Transfer(t) => sz(&t.src_local[..]) + sz(&t.dst_local[..]),
+            CommAction::Fill { local, .. } => sz(&local[..]),
+        });
+        let tables = sz(&self.transfers[..]) + sz(&self.fills[..]) + sz(&self.actions[..]);
+        tables + boxes.chain(fills).chain(plan).sum::<usize>()
     }
 
     /// Would posting this schedule's sends before `earlier`'s receives have

@@ -21,6 +21,16 @@ pub struct Subgrid {
 impl Subgrid {
     /// Allocate a zero-filled subgrid for a global owned range.
     pub fn new(owned: Section, halo: usize) -> Self {
+        Subgrid::with_storage(owned, halo, |len| vec![0.0; len])
+    }
+
+    /// [`Subgrid::new`] on storage of the caller's making: `storage(len)`
+    /// must return `len` zeros.
+    pub fn with_storage(
+        owned: Section,
+        halo: usize,
+        storage: impl FnOnce(usize) -> Vec<f64>,
+    ) -> Self {
         let ext: Vec<usize> = (0..owned.rank()).map(|d| owned.extent(d) as usize).collect();
         let padded: Vec<usize> = ext.iter().map(|&e| e + 2 * halo).collect();
         let mut strides = vec![1usize; ext.len()];
@@ -28,7 +38,15 @@ impl Subgrid {
             strides[d] = strides[d + 1] * padded[d + 1];
         }
         let len: usize = padded.iter().product();
-        Subgrid { owned, halo, ext, strides, data: vec![0.0; len] }
+        let data = storage(len);
+        assert_eq!(data.len(), len, "storage of the wrong length");
+        Subgrid { owned, halo, ext, strides, data }
+    }
+
+    /// Give up the storage, leaving an unusable husk: for a machine being
+    /// dropped, which hands its arrays on instead of freeing them.
+    pub fn take_storage(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.data)
     }
 
     /// Number of dimensions.
@@ -129,53 +147,29 @@ impl Subgrid {
     /// local 1-based and may extend into the halo.
     pub fn read_region(&self, ranges: &[(i64, i64)]) -> Vec<f64> {
         let mut out = Vec::with_capacity(region_len(ranges));
-        let mut cur: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        if ranges.iter().any(|&(lo, hi)| hi < lo) {
-            return out;
-        }
-        loop {
-            out.push(self.get(&cur));
-            if !advance(&mut cur, ranges) {
-                break;
-            }
-        }
+        self.region_box(ranges).pack(&self.data, &mut out);
         out
     }
 
     /// Scatter a row-major buffer into a rectangular local region.
     pub fn write_region(&mut self, ranges: &[(i64, i64)], buf: &[f64]) {
-        assert_eq!(buf.len(), region_len(ranges), "buffer/region size mismatch");
-        if buf.is_empty() {
-            return;
-        }
-        let mut cur: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        let mut i = 0;
-        loop {
-            self.set(&cur, buf[i]);
-            i += 1;
-            if !advance(&mut cur, ranges) {
-                break;
-            }
-        }
+        self.region_box(ranges).unpack(&mut self.data, buf);
     }
 
-    /// Flat storage indices of a rectangular local region, in the same
-    /// row-major order as [`Subgrid::read_region`] / [`Subgrid::write_region`].
-    /// This is what persistent communication schedules precompute so that
-    /// executing a shift needs no per-step subgrid coordinate math.
-    pub fn region_indices(&self, ranges: &[(i64, i64)]) -> Vec<usize> {
-        let mut out = Vec::with_capacity(region_len(ranges));
-        if ranges.iter().any(|&(lo, hi)| hi < lo) {
-            return out;
+    /// A rectangular local region resolved against this subgrid's strides:
+    /// what a persistent schedule keeps of it, to execute with no index math.
+    pub fn region_box(&self, ranges: &[(i64, i64)]) -> StridedBox {
+        let extents = ranges.iter().map(|&(lo, hi)| (hi - lo + 1).max(0) as usize);
+        let mut dims: Vec<_> = extents.zip(self.strides.iter().copied()).collect();
+        let empty = dims.iter().any(|d| d.0 == 0);
+        dims.retain(|d| d.0 != 1);
+        if dims.is_empty() {
+            dims.push((1, 1));
         }
-        let mut cur: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            out.push(self.index(&cur));
-            if !advance(&mut cur, ranges) {
-                break;
-            }
-        }
-        out
+        let at =
+            |end: fn(&(i64, i64)) -> i64| self.index(&ranges.iter().map(end).collect::<Vec<_>>());
+        debug_assert!(empty || at(|r| r.1) < self.data.len(), "region off the subgrid");
+        StridedBox { base: if empty { 0 } else { at(|r| r.0) }, dims }
     }
 
     /// Overwrite every ghost cell with `value`, leaving owned elements
@@ -195,16 +189,7 @@ impl Subgrid {
     /// Fill a rectangular local region with a constant (used for `EOSHIFT`
     /// boundary values).
     pub fn fill_region(&mut self, ranges: &[(i64, i64)], value: f64) {
-        if ranges.iter().any(|&(lo, hi)| hi < lo) {
-            return;
-        }
-        let mut cur: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            self.set(&cur, value);
-            if !advance(&mut cur, ranges) {
-                break;
-            }
-        }
+        self.region_box(ranges).fill(&mut self.data, value);
     }
 }
 
@@ -256,21 +241,100 @@ impl OwnedRows {
     }
 }
 
+/// A rectangular region of one subgrid's storage as an O(rank) descriptor:
+/// its first cell's storage index and a `(count, stride)` per dimension,
+/// outermost first, extent-1 dimensions dropped. Cells are visited in
+/// row-major order, a *run* along the innermost kept dimension at a time (a
+/// slice copy at stride 1, a strided scalar loop for a column face); boxes of
+/// equal extents walk in lockstep whatever their strides.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StridedBox {
+    base: usize,
+    dims: Vec<(usize, usize)>,
+}
+
+impl StridedBox {
+    /// Number of cells.
+    pub fn elements(&self) -> usize {
+        self.dims.iter().map(|d| d.0).product()
+    }
+
+    /// Heap bytes behind this descriptor.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.dims[..])
+    }
+
+    /// Do both boxes have the same extents (and so the same runs)?
+    pub fn congruent(&self, other: &StridedBox) -> bool {
+        self.dims.iter().map(|d| d.0).eq(other.dims.iter().map(|d| d.0))
+    }
+
+    /// Call `f(a, b, n, sa, sb)` for every run of `self` and the congruent
+    /// `other`: `n` cells from index `a`, `sa` apart, and from `b`, `sb` apart.
+    fn runs(&self, other: &StridedBox, mut f: impl FnMut(usize, usize, usize, usize, usize)) {
+        debug_assert!(self.congruent(other));
+        let (&(n, sa), &(_, sb)) = (self.dims.last().unwrap(), other.dims.last().unwrap());
+        if self.elements() > 0 {
+            self.walk(other, 0, (self.base, other.base), &mut |a, b| f(a, b, n, sa, sb));
+        }
+    }
+
+    /// The outer dimensions' odometer behind [`StridedBox::runs`], from `d`.
+    fn walk(&self, o: &Self, d: usize, at: (usize, usize), f: &mut impl FnMut(usize, usize)) {
+        if d + 1 == self.dims.len() {
+            return f(at.0, at.1);
+        }
+        let ((n, sa), (_, sb)) = (self.dims[d], o.dims[d]);
+        (0..n).for_each(|i| self.walk(o, d + 1, (at.0 + i * sa, at.1 + i * sb), f));
+    }
+
+    /// Append the region's cells of `raw` to `out`.
+    pub fn pack(&self, raw: &[f64], out: &mut Vec<f64>) {
+        self.runs(self, |a, _, n, s, _| match s {
+            1 => out.extend_from_slice(&raw[a..a + n]),
+            _ => out.extend(raw[a..].iter().step_by(s).take(n)),
+        });
+    }
+
+    /// Overwrite the region's cells of `raw` with `buf` (as packed).
+    pub fn unpack(&self, raw: &mut [f64], mut buf: &[f64]) {
+        assert_eq!(buf.len(), self.elements(), "buffer/region size mismatch");
+        self.runs(self, |a, _, n, s, _| {
+            let run;
+            (run, buf) = buf.split_at(n);
+            match s {
+                1 => raw[a..a + n].copy_from_slice(run),
+                _ => raw[a..].iter_mut().step_by(s).zip(run).for_each(|(c, &v)| *c = v),
+            }
+        });
+    }
+
+    /// Overwrite the region's cells of `raw` with `value`.
+    pub fn fill(&self, raw: &mut [f64], value: f64) {
+        self.runs(self, |a, _, n, s, _| (0..n).for_each(|i| raw[a + i * s] = value));
+    }
+
+    /// Copy the region's cells of `from` to the congruent `dst` in `to`.
+    pub fn copy_to(&self, from: &[f64], dst: &StridedBox, to: &mut [f64]) {
+        self.runs(dst, |a, b, n, sa, sb| match (sa, sb) {
+            (1, 1) => to[b..b + n].copy_from_slice(&from[a..a + n]),
+            _ => (0..n).for_each(|i| to[b + i * sb] = from[a + i * sa]),
+        });
+    }
+
+    /// Copy the region's cells to the congruent `dst` of the same storage. The
+    /// regions must be disjoint: a later run would read cells already written.
+    pub fn copy_within(&self, dst: &StridedBox, raw: &mut [f64]) {
+        self.runs(dst, |a, b, n, sa, sb| match (sa, sb) {
+            (1, 1) => raw.copy_within(a..a + n, b),
+            _ => (0..n).for_each(|i| raw[b + i * sb] = raw[a + i * sa]),
+        });
+    }
+}
+
 /// Number of points in a local region.
 pub fn region_len(ranges: &[(i64, i64)]) -> usize {
     ranges.iter().map(|&(lo, hi)| (hi - lo + 1).max(0) as usize).product()
-}
-
-/// Advance a row-major cursor; returns false when exhausted.
-fn advance(cur: &mut [i64], ranges: &[(i64, i64)]) -> bool {
-    for d in (0..cur.len()).rev() {
-        cur[d] += 1;
-        if cur[d] <= ranges[d].1 {
-            return true;
-        }
-        cur[d] = ranges[d].0;
-    }
-    false
 }
 
 #[cfg(test)]
@@ -373,20 +437,36 @@ mod tests {
     }
 
     #[test]
-    fn region_indices_match_region_order() {
+    fn boxes_agree_with_each_other() {
+        // `read_region` and friends go through the box themselves (the tests
+        // above pin them to hand-written values; `tests/persistent_schedule`
+        // holds every box operation to a point-by-point walk). Here: the
+        // direct copies against pack + unpack, between congruent boxes of
+        // unlike strides and within one subgrid.
         let mut g = grid();
-        let ranges = [(0i64, 2i64), (1, 4)];
-        let mut v = 0.0;
-        // Distinct values over the region (including a halo row).
-        let idx = g.region_indices(&ranges);
-        for &i in &idx {
-            v += 1.0;
-            g.raw_mut()[i] = v;
+        for (i, c) in g.raw_mut().iter_mut().enumerate() {
+            *c = i as f64;
         }
-        // read_region enumerates the same cells in the same order.
-        let read = g.read_region(&ranges);
-        assert_eq!(read, (1..=idx.len()).map(|i| i as f64).collect::<Vec<_>>());
-        assert!(g.region_indices(&[(2, 1), (1, 4)]).is_empty());
+        let b = g.region_box(&[(0, 2), (1, 4)]);
+        let mut packed = vec![-1.0];
+        b.pack(g.raw(), &mut packed);
+        assert_eq!((b.elements(), packed[0], packed.len()), (12, -1.0, 13), "pack appends");
+        assert_eq!(g.region_box(&[(2, 1), (1, 4)]).elements(), 0);
+        // A column face onto a column face of a wider subgrid.
+        let (from, to) = ([(1, 2), (1, 1)], [(2, 3), (7, 7)]);
+        let mut wide = Subgrid::new(Section::new([(1, 3), (1, 6)]), 1);
+        let mut staged = wide.clone();
+        g.region_box(&from).copy_to(g.raw(), &wide.region_box(&to), wide.raw_mut());
+        staged.write_region(&to, &g.read_region(&from));
+        assert_eq!(wide, staged);
+        assert_eq!(wide.get(&[3, 7]), g.get(&[2, 1]));
+        let (src, dst) = (g.region_box(&[(1, 2), (4, 4)]), g.region_box(&[(1, 2), (0, 0)]));
+        assert!(src.congruent(&dst) && !src.congruent(&g.region_box(&[(1, 1), (1, 4)])));
+        let mut staged = g.clone();
+        staged.write_region(&[(1, 2), (0, 0)], &g.read_region(&[(1, 2), (4, 4)]));
+        src.copy_within(&dst, g.raw_mut());
+        assert_eq!(g, staged);
+        assert_eq!(g.get(&[2, 0]), g.get(&[2, 4]));
     }
 
     #[test]

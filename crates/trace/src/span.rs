@@ -11,8 +11,8 @@ use std::time::Instant;
 pub enum SpanKind {
     /// One compile-pipeline pass (normalize, offset, …) — compile track.
     Pass = 0,
-    /// Building one persistent communication schedule (index lists,
-    /// pooled buffers) — driver track.
+    /// Building one persistent communication schedule (one strided box per
+    /// region) — driver track.
     ScheduleBuild = 1,
     /// Compiling one loop nest to bytecode kernels across PEs — driver
     /// track.
@@ -21,11 +21,11 @@ pub enum SpanKind {
     KernelExec = 3,
     /// One full subgrid sweep of a nest by the interpreter backend.
     Compute = 4,
-    /// Gathering one transfer's source elements into its pooled buffer
-    /// (sender side).
+    /// Packing one message's source box into the staging buffer (sender
+    /// side) — or, alone, one same-PE transfer copied from box to box.
     Pack = 5,
-    /// Scattering one transfer's buffer into the destination overlap area
-    /// (receiver side).
+    /// Unpacking one message from the staging buffer into its destination
+    /// box (receiver side).
     Unpack = 6,
     /// Posting a comm op's sends (split-phase: pack + enqueue, no wait).
     CommPost = 7,

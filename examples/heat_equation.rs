@@ -4,7 +4,7 @@
 //! This example drives the time loop through the *persistent-schedule* Plan
 //! API: the kernel is compiled as a single sweep, the communication
 //! schedules are compiled once at `build()`, and every call to `step()` is
-//! just pack/send/unpack through pooled buffers plus the fused subgrid
+//! just box-to-box copies and staged messages plus the fused subgrid
 //! loops — no per-step machine setup, allocation, or subgrid math.
 //!
 //! ```text
@@ -40,8 +40,9 @@ fn main() {
         .build()
         .expect("schedules compile");
     println!(
-        "schedules: {} compiled at build, {} pooled buffer bytes",
+        "schedules: {} compiled at build, {} bytes ({} of them message staging)",
         plan.comm_count(),
+        plan.schedule_bytes(),
         plan.pooled_bytes()
     );
 

@@ -47,8 +47,9 @@ fn main() {
         .build()
         .expect("schedules compile");
     println!(
-        "schedules: {} compiled at build, {} pooled buffer bytes",
+        "schedules: {} compiled at build, {} bytes ({} of them message staging)",
         plan.comm_count(),
+        plan.schedule_bytes(),
         plan.pooled_bytes()
     );
 

@@ -114,3 +114,109 @@ fn allocation_failure_is_all_or_nothing() {
     }
     assert!(machine.pes[0].cur_bytes >= before);
 }
+
+/// The paper's Figure 11 case again, for what `mem_budget` does not see: the
+/// schedules of its twelve full shifts. Each used to hold an index list per
+/// side and a buffer — three times the bytes of the temporary it fills;
+/// compiled to boxes, all twelve together take a fraction of one array.
+#[test]
+fn full_shift_schedules_are_small_beside_the_arrays() {
+    let kernel =
+        Kernel::compile(&hpf_stencil::presets::nine_point_cshift(64), naive::naive_options())
+            .unwrap();
+    let plan = kernel.plan(MachineConfig::sp2_2x2()).init("SRC", |_| 1.0).build().unwrap();
+    assert_eq!(plan.comm_count(), 12, "twelve full shifts");
+    let arrays: usize = plan.stats().peak_bytes.iter().sum();
+    let schedules = plan.schedule_bytes();
+    assert!(schedules * 8 < arrays, "{schedules} bytes of schedule beside {arrays} of arrays");
+    // One staged message at a time: a 32-element row or column.
+    assert_eq!(plan.pooled_bytes(), 32 * 8);
+    assert!(schedules > plan.pooled_bytes());
+}
+
+/// Problem 9 at N = 256, three steps: what the arrays occupy and
+/// everything the machine counts, as the index-list schedules counted it —
+/// on the paper's 2x2 grid (messages only) and on 4x1 (half the exchanges
+/// are wraps within a PE).
+#[test]
+fn problem9_counters_are_those_of_the_index_list_schedules() {
+    use hpf_stencil::runtime::PeStats;
+    let kernel =
+        Kernel::compile(&hpf_stencil::presets::problem9(256), CompileOptions::full()).unwrap();
+    let base = PeStats {
+        loads: 1179648,
+        stores: 196608,
+        flops: 1572864,
+        iters: 98304,
+        allocs: 4,
+        ..PeStats::default()
+    };
+    let cases = [
+        (
+            [2, 2],
+            270400,
+            PeStats { msgs_sent: 48, msgs_recv: 48, bytes_sent: 49536, bytes_recv: 49536, ..base },
+        ),
+        (
+            [4, 1],
+            272448,
+            PeStats {
+                msgs_sent: 24,
+                msgs_recv: 24,
+                bytes_sent: 49152,
+                bytes_recv: 49152,
+                wrap_bytes: 12672,
+                ..base
+            },
+        ),
+    ];
+    for (grid, peak, total) in cases {
+        for engine in [Engine::Sequential, Engine::Threaded] {
+            let mut plan = kernel
+                .plan(MachineConfig::grid(grid))
+                .init("U", |p| (p[0] * 3 + p[1]) as f64 * 0.01)
+                .engine(engine)
+                .backend(hpf_stencil::Backend::Bytecode)
+                .build()
+                .unwrap();
+            plan.iterate(3);
+            let st = plan.stats();
+            assert_eq!(st.peak_bytes, [peak; 4], "{grid:?} {engine:?}");
+            assert_eq!(st.total(), total, "{grid:?} {engine:?}");
+            assert_eq!(
+                (st.schedules_built, st.schedule_reuses, st.kernels_compiled, st.kernel_execs),
+                (4, 12, 4, 12)
+            );
+        }
+    }
+}
+
+/// A machine dropped on a thread leaves its large arrays to the next one
+/// built there (`runtime::machine`'s spare list, whose unit test holds the
+/// blocks to all zeros): a plan rebuilt on storage that other values and
+/// another layout have been through computes what it did on fresh storage,
+/// and accounts the same memory.
+#[test]
+fn a_rebuilt_plan_takes_the_dropped_arrays_back_zeroed() {
+    // N = 768 over four PEs: subgrids of 1.1 MiB, large enough to be kept.
+    let kernel =
+        Kernel::compile(&hpf_stencil::presets::problem9(768), CompileOptions::full()).unwrap();
+    let run = |grid: [usize; 2], scale: f64| {
+        let mut plan = kernel
+            .plan(MachineConfig::grid(grid))
+            .init("U", move |p| (p[0] * 3 + p[1]) as f64 * scale)
+            .backend(hpf_stencil::Backend::Bytecode)
+            .build()
+            .unwrap();
+        plan.step();
+        (plan.gather("T").unwrap(), plan.stats().peak_bytes)
+    };
+    let first = run([2, 2], 0.01);
+    // Other values, another layout of the same storage, then the first again.
+    run([2, 2], -7.5);
+    run([4, 1], 1e300);
+    let again = run([2, 2], 0.01);
+    assert_eq!(first.1, again.1, "memory accounting does not see the hand-over");
+    // The first run had the thread's list empty: fresh storage, the reference.
+    assert!(first.0.iter().zip(&again.0).all(|(a, b)| a.to_bits() == b.to_bits()));
+}

@@ -1,6 +1,7 @@
 //! Lifecycle of a threaded plan's worker pool, observed from outside: how
-//! many OS threads the process has, and that keeping them across steps
-//! changes nothing a step computes or counts.
+//! many OS threads the process has, how many message buffers its free
+//! lists hold, and that keeping both across steps changes nothing a step
+//! computes or counts.
 //!
 //! Everything lives in one `#[test]`: the thread count is a property of
 //! the process, and the test harness starts and retires a thread per test.
@@ -8,6 +9,7 @@
 use hpf_stencil::{
     presets, AggStats, Backend, CompileOptions, Engine, ExecConfig, Kernel, MachineConfig, Plan,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// OS threads of this process (`None` where `/proc` does not say).
 fn os_threads() -> Option<usize> {
@@ -82,6 +84,14 @@ fn worker_threads_follow_the_plan_lifecycle() {
                         "{what}"
                     );
                     let (got, want) = (par.stats(), seq.stats());
+                    // Every buffer is home again at a step boundary, so the
+                    // free lists hold what one step's messages needed at
+                    // most — however many steps ran, and with nothing
+                    // cycled through them by the copies within a PE.
+                    let per_step = (got.total_messages() / par.steps()) as usize;
+                    let held = par.endpoint_buffers();
+                    assert!((1..=per_step).contains(&held), "{what}: {held} of {per_step}");
+                    assert_eq!(seq.endpoint_buffers(), 0, "no free lists on the sequential engine");
                     if engine == Engine::Threaded {
                         assert_eq!(got, want, "{what}");
                     } else {
@@ -93,6 +103,45 @@ fn worker_threads_follow_the_plan_lifecycle() {
             }
         }
     }
+
+    // A step whose transfers all stay within their PE borrows no buffer at
+    // all: a 1x1 grid only wraps, as does a shift along a one-PE axis.
+    let along_rows = Kernel::compile(
+        "PARAM N = 16\nREAL U(N,N), T(N,N)\nT = CSHIFT(U,1,1) + CSHIFT(U,-1,1)\n",
+        CompileOptions::full(),
+    )
+    .unwrap();
+    for (kernel, grid) in [(&kernel, [1, 1]), (&along_rows, [1, 2])] {
+        let mut local = build(kernel, grid, threaded);
+        local.iterate(1000);
+        let st = local.stats();
+        assert!(st.total_messages() == 0 && st.total().wrap_bytes > 0, "{grid:?}: only wraps");
+        assert_eq!(local.endpoint_buffers(), 0, "{grid:?}");
+        grew_by(grid[0] * grid[1] - 1);
+    }
+    grew_by(0);
+
+    // A PE that panics in the middle of such a copy (it has lost its array)
+    // fails the step, naming itself, and poisons the plan: the next step
+    // fails at once with the same message, and dropping still joins.
+    {
+        let mut plan = build(&along_rows, [1, 2], threaded);
+        plan.step();
+        let u = along_rows.array_id("U").unwrap().0 as usize;
+        plan.machine.pes[1].subgrids[u] = None;
+        let failures: Vec<String> = (0..2)
+            .map(|_| {
+                let failed = catch_unwind(AssertUnwindSafe(|| {
+                    plan.step();
+                }));
+                *failed.unwrap_err().downcast::<String>().expect("a message")
+            })
+            .collect();
+        assert!(failures[0].starts_with("PE 1 panicked during a step"), "{}", failures[0]);
+        assert_eq!(failures[1], failures[0]);
+        grew_by(1);
+    }
+    grew_by(0);
 
     // Two live plans stepped in turn keep a pool each and do not mix up.
     let mut reference = build(&kernel, [2, 2], ExecConfig::new());
