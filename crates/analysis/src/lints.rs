@@ -118,6 +118,12 @@ fn halo_block(
                 check_read(symbols, state, src, halo, out);
                 state.remove(dst);
             }
+            // The swap hands `dst` the source's ghosts and the source the
+            // destination's; neither is counted on (the source is dead).
+            Stmt::Rebind { dst, src } => {
+                state.remove(dst);
+                state.remove(src);
+            }
             Stmt::TimeLoop { body, .. } => {
                 // First pass: diagnoses reads of the first iteration. Its
                 // exit state is the loop's steady-state entry (fills
@@ -285,7 +291,9 @@ pub fn temp_dataflow(p: &Program) -> Vec<Diagnostic> {
                 read[src.array.0 as usize] = true;
                 written[dst.0 as usize] = true;
             }
-            Stmt::ShiftAssign { dst, .. } => written[dst.0 as usize] = true,
+            Stmt::ShiftAssign { dst, .. } | Stmt::Rebind { dst, .. } => {
+                written[dst.0 as usize] = true;
+            }
             Stmt::OverlapShift { .. } | Stmt::TimeLoop { .. } => {}
         }
     });
@@ -311,7 +319,9 @@ pub fn temp_dataflow(p: &Program) -> Vec<Diagnostic> {
             p.for_each_stmt(&mut |s| {
                 let writes_it = match s {
                     Stmt::Compute { lhs, .. } => lhs == &id,
-                    Stmt::Copy { dst, .. } | Stmt::ShiftAssign { dst, .. } => dst == &id,
+                    Stmt::Copy { dst, .. }
+                    | Stmt::ShiftAssign { dst, .. }
+                    | Stmt::Rebind { dst, .. } => dst == &id,
                     _ => false,
                 };
                 if writes_it {
@@ -364,7 +374,7 @@ fn classify(symbols: &SymbolTable, s: &Stmt) -> StmtClass {
             let decl = symbols.array(*dst);
             StmtClass::Compute(Section::full(&decl.shape), decl.dist.clone())
         }
-        Stmt::TimeLoop { .. } => StmtClass::Single,
+        Stmt::Rebind { .. } | Stmt::TimeLoop { .. } => StmtClass::Single,
     }
 }
 

@@ -1,6 +1,6 @@
 //! The compile-and-run API.
 
-use hpf_exec::{plan::apply_swaps, Backend, Engine, ExecConfig, ExecPlan, Reference};
+use hpf_exec::{Aliases, Backend, Engine, ExecConfig, ExecPlan, Reference};
 use hpf_frontend::{compile_source, Checked, FrontError};
 use hpf_ir::ArrayId;
 use hpf_passes::{compile, CompileOptions, Compiled, NUM_PASSES, PASS_NAMES};
@@ -181,7 +181,6 @@ impl Kernel {
             config,
             inits: Vec::new(),
             exec_cfg: ExecConfig::new(),
-            swaps: Vec::new(),
             tuner: None,
         }
     }
@@ -301,7 +300,6 @@ pub struct Planner<'k> {
     config: MachineConfig,
     inits: Vec<(String, InitFn)>,
     exec_cfg: ExecConfig,
-    swaps: Vec<(String, String)>,
     tuner: Option<hpf_tune::Tuner>,
 }
 
@@ -358,22 +356,14 @@ impl<'k> Planner<'k> {
         self
     }
 
-    /// Swap the storage of two identically-distributed arrays after every
-    /// step — the zero-copy double-buffer flip for Jacobi-style kernels
-    /// whose source computes `b` from `a` without an explicit copy-back.
-    pub fn swap(mut self, a: &str, b: &str) -> Self {
-        self.swaps.push((a.to_string(), b.to_string()));
-        self
-    }
-
     /// Set the communication-avoiding superstep depth `k` (default 1, the
     /// classic exchange-every-step schedule): the machine's overlap area is
     /// deepened to the schedule's deep-fill depth automatically, one deep
     /// exchange then covers `k` sub-steps, and trapezoid boundary cells are
     /// redundantly recomputed instead of received. Results stay bitwise
     /// identical to the classic schedule. An ineligible kernel — or one
-    /// whose deep halo would not fit the per-PE subgrids, or a plan with
-    /// per-step [`Planner::swap`]s — falls back to `k = 1`;
+    /// whose deep halo would not fit the per-PE subgrids — falls back to
+    /// `k = 1`;
     /// [`Plan::superstep_diags`] explains any fallback. For driver-stepped
     /// flat kernels one step then covers `k` logical sweeps
     /// ([`Plan::logical_steps_per_step`], [`Run::logical_steps`]).
@@ -408,7 +398,7 @@ impl<'k> Planner<'k> {
                 // The program never references this array; nothing to check.
                 continue;
             }
-            let got = run.machine.gather(id);
+            let got = run.machine.gather(run.aliases.resolve(id));
             let want = &reference.arrays[&id].data;
             let diff = hpf_exec::max_abs_diff(&got, want);
             if diff > tol {
@@ -435,14 +425,7 @@ impl<'k> Planner<'k> {
         // stats reset below, so they survive into `Plan::stats`.
         let mut tuned: Option<(u64, u64, u64)> = None;
         if exec_cfg.auto {
-            let mut tuner =
-                self.tuner.clone().unwrap_or_else(|| hpf_tune::Tuner::new(config.clone()));
-            if !self.swaps.is_empty() {
-                // Per-step buffer swaps are superstep-incompatible at the
-                // plan level (see the SS009 gate below); keep the tuner
-                // from wasting timings on depths this plan cannot use.
-                tuner = tuner.supersteps(vec![1]);
-            }
+            let tuner = self.tuner.clone().unwrap_or_else(|| hpf_tune::Tuner::new(config.clone()));
             let outcome = self.kernel.tune(&tuner)?;
             config.grid = hpf_runtime::PeGrid::new(outcome.best.grid.clone());
             let best = outcome.best.exec_config();
@@ -452,19 +435,7 @@ impl<'k> Planner<'k> {
                 Some((outcome.cache_hit as u64, (!outcome.cache_hit) as u64, outcome.search_ns));
         }
         let node = &self.kernel.compiled.node;
-        // Superstep gating: the plan applies double-buffer swaps once per
-        // plan step, but a depth-k superstep runs k logical steps inside
-        // one plan step — per-logical-step swaps cannot interleave with
-        // the sub-steps, so swaps force the classic schedule.
         let mut gate_diags = Vec::new();
-        if exec_cfg.superstep > 1 && !self.swaps.is_empty() {
-            gate_diags.push(hpf_ir::Diagnostic::warning(
-                hpf_exec::superstep::SS009,
-                "superstep depth > 1 cannot interleave per-step double-buffer swaps with its \
-                 sub-steps; falling back to the classic schedule",
-            ));
-            exec_cfg = exec_cfg.superstep(1);
-        }
         // Deep-halo sizing: a depth-k superstep needs the overlap area
         // allocated to the deep-fill depth. An ineligible kernel returns
         // `None` and keeps the base halo — `ExecPlan::build` then records
@@ -528,24 +499,7 @@ impl<'k> Planner<'k> {
         if let Some((hits, misses, search_ns)) = tuned {
             machine.note_tune(hits, misses, search_ns);
         }
-        let mut swaps = Vec::with_capacity(self.swaps.len());
-        for (a, b) in &self.swaps {
-            let (ia, ib) = (self.kernel.array_id(a)?, self.kernel.array_id(b)?);
-            if !machine.is_allocated(ia) || !machine.is_allocated(ib) {
-                let missing = if machine.is_allocated(ia) { b } else { a };
-                return Err(CoreError::UnknownArray(missing.clone()));
-            }
-            swaps.push((ia, ib));
-        }
-        Ok(Plan {
-            kernel: self.kernel,
-            machine,
-            exec,
-            swaps,
-            gate_diags,
-            steps: 0,
-            wall: Duration::ZERO,
-        })
+        Ok(Plan { kernel: self.kernel, machine, exec, gate_diags, steps: 0, wall: Duration::ZERO })
     }
 }
 
@@ -553,14 +507,18 @@ impl<'k> Planner<'k> {
 /// step it, inspect or overwrite its warm state, step it again. Dropping the
 /// plan (or [`Plan::into_run`]) releases nothing until the machine goes too —
 /// arrays live on the machine, schedules on the plan.
+///
+/// A rotated copy-back (`U = T` turned into a storage swap) leaves `T`'s
+/// storage stale at a step boundary, though its value is `U`'s. The plan's
+/// observers — [`Plan::gather`], [`Plan::fill`], [`Plan::scatter`] — see
+/// the program's values; the raw [`Plan::machine`] sees storage.
 pub struct Plan<'k> {
     kernel: &'k Kernel,
     /// The machine carrying the arrays and counters (public for direct
     /// access to subgrids and per-PE state).
     pub machine: Machine,
     exec: ExecPlan,
-    swaps: Vec<(ArrayId, ArrayId)>,
-    /// Core-level superstep fallback diagnostics (swap and halo gates),
+    /// Core-level superstep fallback diagnostics (the halo-fit gate),
     /// reported alongside the exec planner's via [`Plan::superstep_diags`].
     gate_diags: Vec<hpf_ir::Diagnostic>,
     steps: u64,
@@ -569,14 +527,12 @@ pub struct Plan<'k> {
 
 impl Plan<'_> {
     /// Run one sweep of the kernel on the configured engine, reusing every
-    /// compiled schedule, then apply the configured double-buffer swaps.
-    /// With tracing on, the whole sweep is enveloped by a
-    /// [`SpanKind::Step`] span on the driver track.
+    /// compiled schedule. With tracing on, the whole sweep is enveloped by
+    /// a [`SpanKind::Step`] span on the driver track.
     pub fn step(&mut self) -> &mut Self {
         let started = Instant::now();
         let t0 = self.machine.driver_tracer().now();
         self.exec.step(&mut self.machine);
-        apply_swaps(&mut self.machine, &self.swaps);
         self.machine.driver_tracer().record(SpanKind::Step, t0);
         self.steps += 1;
         self.wall += started.elapsed();
@@ -598,24 +554,33 @@ impl Plan<'_> {
     }
 
     /// Gather a named array's current (warm) state into a dense row-major
-    /// buffer.
+    /// buffer — through a rotation alias, the live array's.
     pub fn gather(&self, name: &str) -> Result<Vec<f64>, CoreError> {
-        Ok(self.machine.gather(self.kernel.array_id(name)?))
+        let id = self.kernel.array_id(name)?;
+        Ok(self.machine.gather(self.exec.resolve(id)))
     }
 
     /// Overwrite a named array's warm state from a function of the global
     /// coordinates (e.g. to re-seed between sweeps without rebuilding).
     pub fn fill(&mut self, name: &str, f: impl Fn(&[i64]) -> f64) -> Result<(), CoreError> {
-        let id = self.kernel.array_id(name)?;
+        let id = self.writable(name)?;
         self.machine.fill(id, f);
         Ok(())
     }
 
     /// Overwrite a named array's warm state from a dense row-major buffer.
     pub fn scatter(&mut self, name: &str, data: &[f64]) -> Result<(), CoreError> {
-        let id = self.kernel.array_id(name)?;
+        let id = self.writable(name)?;
         self.machine.scatter(id, data);
         Ok(())
+    }
+
+    /// Prepare `name` for a write through the plan
+    /// ([`ExecPlan::unalias_for_write`]).
+    fn writable(&mut self, name: &str) -> Result<ArrayId, CoreError> {
+        let id = self.kernel.array_id(name)?;
+        self.exec.unalias_for_write(&mut self.machine, id);
+        Ok(id)
     }
 
     /// Steps executed so far.
@@ -662,8 +627,8 @@ impl Plan<'_> {
 
     /// Why the requested [`Planner::superstep`] depth fell back to the
     /// classic schedule: the exec planner's `SS00x` eligibility
-    /// diagnostics plus the core-level swap (SS009) and halo-fit (SS008)
-    /// gates. Empty when no fallback happened (or none was requested).
+    /// diagnostics plus the core-level halo-fit (SS008) gate. Empty when no
+    /// fallback happened (or none was requested).
     pub fn superstep_diags(&self) -> Vec<hpf_ir::Diagnostic> {
         let mut out = self.gate_diags.clone();
         out.extend(self.exec.superstep_diags().iter().cloned());
@@ -760,6 +725,7 @@ impl Plan<'_> {
         Run {
             schedule_bytes: self.schedule_bytes(),
             pooled_bytes: self.pooled_bytes(),
+            aliases: self.exec.aliases().clone(),
             machine: self.machine,
             wall: self.wall,
             trace,
@@ -773,8 +739,12 @@ impl Plan<'_> {
 
 /// A finished run.
 pub struct Run {
-    /// The machine in its final state (arrays, counters).
+    /// The machine in its final state (arrays, counters). A rotated
+    /// copy-back's source holds stale storage here; [`Run::gather`] reads
+    /// its value.
     pub machine: Machine,
+    /// The plan's rotation aliases when it finished ([`Plan`]).
+    aliases: Aliases,
     /// Wall-clock time of the executor.
     pub wall: Duration,
     /// The recorded event trace, when the run was configured with tracing
@@ -799,10 +769,11 @@ pub struct Run {
 }
 
 impl Run {
-    /// Gather a named array into a dense row-major buffer.
+    /// Gather a named array into a dense row-major buffer — through a
+    /// rotation alias, the live array's.
     pub fn gather(&self, kernel: &Kernel, name: &str) -> Vec<f64> {
         let id = kernel.array_id(name).expect("known array");
-        self.machine.gather(id)
+        self.machine.gather(self.aliases.resolve(id))
     }
 
     /// Aggregated execution counters.
@@ -1087,23 +1058,30 @@ mod tests {
         assert_eq!(plan.stats().total().allocs, allocs_after_10);
     }
 
+    /// A Jacobi step written with its copy-back statement: the copy
+    /// rotates, so the double buffer flips without a copy sweep.
+    fn double_buffer(n: usize) -> Kernel {
+        let src = format!(
+            "PARAM N = {n}\nREAL SRC(N,N), DST(N,N)\n\
+             DST = 0.2 * (SRC + CSHIFT(SRC,1,1) + CSHIFT(SRC,-1,1) + CSHIFT(SRC,1,2) \
+             + CSHIFT(SRC,-1,2))\nSRC = DST\n"
+        );
+        let kernel = Kernel::compile(&src, CompileOptions::full()).unwrap();
+        assert_eq!(kernel.stats().rotated, 1, "{}", kernel.listing());
+        assert_eq!(kernel.stats().nests, 1, "no copy nest is left");
+        kernel
+    }
+
     #[test]
-    fn plan_swap_drives_double_buffer_jacobi() {
-        // five_point computes DST from SRC once; swapping them after each
-        // step makes it a time-stepped Jacobi without a copy-back statement.
-        let kernel = Kernel::compile(&presets::five_point(8), CompileOptions::full()).unwrap();
+    fn plan_copy_back_rotates_into_a_double_buffer() {
+        let kernel = double_buffer(8);
         let init = |p: &[i64]| ((p[0] * 3 + p[1]) as f64).cos();
-        let mut plan = kernel
-            .plan(MachineConfig::sp2_2x2())
-            .init("SRC", init)
-            .swap("SRC", "DST")
-            .build()
-            .unwrap();
-        plan.step();
-        let src_after_1 = plan.gather("SRC").unwrap();
-        // One unswapped step gives the same values in DST.
-        let run = kernel.runner(MachineConfig::sp2_2x2()).init("SRC", init).run().unwrap();
-        assert_eq!(src_after_1, run.gather(&kernel, "DST"));
+        let mut plan = kernel.plan(MachineConfig::sp2_2x2()).init("SRC", init).build().unwrap();
+        plan.iterate(3);
+        let oracle = kernel.oracle().init("SRC", init).run_steps(3);
+        for name in ["SRC", "DST"] {
+            assert_eq!(plan.gather(name).unwrap(), oracle.array_named(name).data, "{name}");
+        }
     }
 
     #[test]
@@ -1179,28 +1157,22 @@ mod tests {
     }
 
     #[test]
-    fn superstep_with_swaps_falls_back_with_ss009() {
-        // Per-step double-buffer swaps cannot interleave with sub-steps.
-        let kernel = Kernel::compile(&presets::five_point(16), CompileOptions::full()).unwrap();
+    fn superstep_tiles_a_rotating_double_buffer() {
+        // The rebind runs inside every sub-step, so the double buffer tiles
+        // in time like any other flat kernel.
+        let kernel = double_buffer(16);
         let init = |p: &[i64]| ((p[0] + 2 * p[1]) as f64).cos();
-        let mut gated = kernel
-            .plan(MachineConfig::sp2_2x2())
-            .init("SRC", init)
-            .swap("SRC", "DST")
-            .superstep(4)
-            .build()
-            .unwrap();
-        assert!(gated.superstep_diags().iter().any(|d| d.code == "SS009"));
-        assert_eq!(gated.supersteps_per_step(), 0);
-        let mut classic = kernel
-            .plan(MachineConfig::sp2_2x2())
-            .init("SRC", init)
-            .swap("SRC", "DST")
-            .build()
-            .unwrap();
-        gated.iterate(3);
-        classic.iterate(3);
-        assert_eq!(gated.gather("SRC").unwrap(), classic.gather("SRC").unwrap());
+        let mut tiled =
+            kernel.plan(MachineConfig::sp2_2x2()).init("SRC", init).superstep(4).build().unwrap();
+        assert!(tiled.superstep_diags().is_empty(), "{:?}", tiled.superstep_diags());
+        assert_eq!(tiled.supersteps_per_step(), 1);
+        let mut classic = kernel.plan(MachineConfig::sp2_2x2()).init("SRC", init).build().unwrap();
+        tiled.iterate(3);
+        classic.iterate(12);
+        for name in ["SRC", "DST"] {
+            assert_eq!(tiled.gather(name).unwrap(), classic.gather(name).unwrap(), "{name}");
+        }
+        assert!(tiled.verify_static().is_empty(), "{:?}", tiled.verify_static());
     }
 
     #[test]

@@ -372,9 +372,11 @@ fn main() {
                 out!("temporaries created  : {}", s.normalize.temps);
                 out!("shifts -> overlap    : {}", s.offset.converted);
                 out!("repair copies        : {}", s.offset.copies_inserted);
+                out!("copies rotated       : {}", s.rotated);
                 out!("comm ops (final)     : {}", s.comm_ops);
                 out!("loop nests (final)   : {}", s.nests);
                 out!("arrays allocated     : {}", s.arrays_allocated);
+                out!("arrays written per step : {}", s.arrays_written);
                 out!(
                     "loads per point      : {} -> {}",
                     s.memopt.loads_before,

@@ -72,12 +72,12 @@ pub struct ExecConfig {
     /// rejected kernel or window.
     pub check: bool,
     /// Ask the planning layer to auto-tune this run: enumerate the legal
-    /// (PE grid, engine, backend, superstep depth) space with `hpf-tune`,
-    /// consult the persistent tuning cache, and overwrite `engine`/
-    /// `backend`/`superstep` (and the machine's grid) with the winner
-    /// before building. Resolved *above* [`crate::ExecPlan::build`] — the
-    /// plan builder itself ignores this flag and uses the embedded
-    /// engine/backend as-is.
+    /// (PE grid, engine, superstep depth) space with `hpf-tune`, consult
+    /// the persistent tuning cache, and overwrite `engine`/`superstep` (and
+    /// the machine's grid) with the winner before building. The backend is
+    /// not searched: every candidate, and so the winner, runs bytecode.
+    /// Resolved *above* [`crate::ExecPlan::build`] — the plan builder
+    /// itself ignores this flag and uses the embedded engine/backend as-is.
     pub auto: bool,
     /// Superstep depth `k`: amortize one deep halo exchange over `k`
     /// logical time steps by redundantly recomputing boundary cells on a
@@ -174,7 +174,8 @@ impl ExecConfig {
     /// `threaded-overlap`), a backend (`interp`, `bytecode`), or both
     /// joined with `-` (e.g. `threaded-bytecode`,
     /// `threaded-overlap-interp`), or `auto` (auto-tune: the planning
-    /// layer picks grid, engine, backend, and superstep depth). Engine names are
+    /// layer picks grid, engine and superstep depth, on the bytecode
+    /// backend). Engine names are
     /// matched longest first so `threaded-overlap` is not misread as
     /// `threaded` plus an unknown backend. `hpfsc` and the bench driver
     /// share this parser, so one spelling works everywhere.

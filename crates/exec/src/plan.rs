@@ -33,7 +33,7 @@ use crate::par::{Pool, StepCtx, Worker};
 use crate::superstep::{self, SsShape, SuperstepSchedule};
 use hpf_analysis::overlap::{split_region, RegionSplit};
 use hpf_codegen::{compile_nest, reads_before_def, CompiledNest};
-use hpf_ir::{ArrayId, Diagnostic, ShiftKind};
+use hpf_ir::{ArrayId, Diagnostic, Section, ShiftKind};
 use hpf_passes::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram};
 use hpf_passes::memopt::iteration_local;
 use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan, regions_intersect, CommAction};
@@ -82,11 +82,23 @@ pub(crate) enum PlanItem {
         /// then run the whole nest).
         splits: Vec<Option<RegionSplit>>,
     },
+    /// A storage rotation: every PE swaps the two arrays' subgrids, so
+    /// `dst` holds `src`'s values and `src` is dead until its next full
+    /// definition (PL005 re-proves that from the items).
+    Rebind {
+        /// The array that takes over `src`'s storage.
+        dst: ArrayId,
+        /// The array left holding `dst`'s stale storage.
+        src: ArrayId,
+        /// Both arrays' whole index space: a nest storing `src` over
+        /// exactly this space redefines it.
+        full: Section,
+    },
     /// Repeat the body (a `DO n TIMES` loop folded into one step).
     TimeLoop { iters: usize, body: Vec<PlanItem> },
     /// A depth-`k` superstep (communication-avoiding temporal tile, see
     /// [`crate::superstep`]): execute the deep-fill schedules once, then
-    /// run the body nests `k` times with trapezoidally shrinking ghost
+    /// run the body `k` times with trapezoidally shrinking ghost
     /// expansions and **no** communication — sub-step `j` redundantly
     /// recomputes neighbor-owned boundary cells from the deep halo.
     Superstep {
@@ -94,11 +106,12 @@ pub(crate) enum PlanItem {
         k: usize,
         /// Deep-fill schedule slots, in plan order.
         comms: Vec<usize>,
-        /// Body nests in order, with per-PE kernels as in
-        /// [`PlanItem::Nest`], shared by every sub-step.
-        nests: Vec<(LoopNest, Vec<Option<CompiledNest>>)>,
+        /// One sub-step: [`PlanItem::Nest`]s (with per-PE kernels, shared by
+        /// every sub-step) and [`PlanItem::Rebind`]s, in program order.
+        body: Vec<PlanItem>,
         /// `expansions[j][n]`: per-dimension `(below, above)` ghost
-        /// expansion of nest `n` in sub-step `j` — the trapezoid.
+        /// expansion of the body's `n`-th nest in sub-step `j` — the
+        /// trapezoid.
         expansions: Vec<Vec<Vec<(i64, i64)>>>,
         /// Per-PE owned extents of the (single) iteration space, captured
         /// at build time so the PL004 verifier can map compiled schedule
@@ -109,6 +122,17 @@ pub(crate) enum PlanItem {
         /// steps of the same body.
         elided: u64,
     },
+}
+
+/// The nests of a superstep body with their per-PE kernels, in order (the
+/// `n` of `expansions[j][n]`).
+pub(crate) fn body_nests(
+    body: &[PlanItem],
+) -> impl Iterator<Item = (&LoopNest, &[Option<CompiledNest>])> {
+    body.iter().filter_map(|item| match item {
+        PlanItem::Nest { nest, kernels } => Some((nest, &kernels[..])),
+        _ => None,
+    })
 }
 
 /// A kernel compiled against one machine: allocated arrays, persistent
@@ -148,6 +172,11 @@ pub struct ExecPlan {
     /// Why the requested superstep depth fell back to the classic `k = 1`
     /// schedule (empty when it did not).
     superstep_diags: Vec<Diagnostic>,
+    /// The rotation aliases every step leaves behind.
+    step_aliases: Aliases,
+    /// The aliases in force now: none before the first step, then
+    /// `step_aliases` less what writes from outside broke since.
+    aliases: Aliases,
     /// Metrics collection state ([`ExecConfig::metrics`]); `None` keeps
     /// stepping metric-free.
     metrics: Option<Box<crate::metrics::MetricsState>>,
@@ -259,6 +288,8 @@ impl ExecPlan {
             redundant_cells_per_step: 0,
             logical_steps,
             superstep_diags,
+            step_aliases: Aliases::after_step(&node.items),
+            aliases: Aliases::default(),
             metrics: cfg.metrics.then(|| {
                 Box::new(crate::metrics::MetricsState::new(cfg.label(), machine.pes.len()))
             }),
@@ -318,6 +349,7 @@ impl ExecPlan {
         } else {
             self.step_threaded(machine);
         }
+        self.aliases.clone_from(&self.step_aliases);
         // Machine-wide counters are credited here, once per step, so every
         // engine reports identical numbers.
         machine.note_kernel_execs(self.kernel_execs_per_step);
@@ -429,6 +461,34 @@ impl ExecPlan {
         &self.superstep_diags
     }
 
+    /// The storage rotation's observation map in force now: empty before
+    /// the first step and when the program rotates nothing, the same after
+    /// every step, and thinned by [`ExecPlan::unalias_for_write`].
+    pub fn aliases(&self) -> &Aliases {
+        &self.aliases
+    }
+
+    /// The array whose storage holds `id`'s value now ([`Aliases::resolve`]).
+    pub fn resolve(&self, id: ArrayId) -> ArrayId {
+        self.aliases.resolve(id)
+    }
+
+    /// Prepare `id` for a write from outside the step program. Every alias
+    /// the write would break ends first: an array standing for `id`'s value
+    /// gets it copied into its own storage, once, and `id` itself, if it
+    /// stood for another array, has a value of its own from now on.
+    pub fn unalias_for_write(&mut self, machine: &mut Machine, id: ArrayId) {
+        let stale: Vec<ArrayId> =
+            self.aliases.0.iter().filter(|&&(_, live)| live == id).map(|&(dead, _)| dead).collect();
+        self.aliases.written(id);
+        if !stale.is_empty() {
+            let value = machine.gather(id);
+            for dead in stale {
+                machine.scatter(dead, &value);
+            }
+        }
+    }
+
     /// One sweep on the SPMD engines: every PE walks the step program as
     /// a channel [`Worker`] over the precompiled schedules (no per-step
     /// geometry or RSD math), PE 0 on the calling thread and the others on
@@ -490,6 +550,7 @@ fn compile_items(
                 let kernels = compile_kernels(machine, nest, scalars, backend, compiled);
                 out.push(PlanItem::Nest { nest: nest.clone(), kernels });
             }
+            NodeItem::Rebind { dst, src } => out.push(rebind_item(machine, *dst, *src)?),
             NodeItem::TimeLoop { iters, body } => out.push(PlanItem::TimeLoop {
                 iters: *iters,
                 body: compile_items(machine, body, scheds, scalars, backend, compiled)?,
@@ -523,6 +584,75 @@ fn compile_kernels(
 fn push_sched(scheds: &mut Vec<CompiledComm>, sched: CompiledComm) -> PlanItem {
     scheds.push(sched);
     PlanItem::Comm(scheds.len() - 1)
+}
+
+/// A rebind of two arrays the machine lets trade storage.
+fn rebind_item(machine: &Machine, dst: ArrayId, src: ArrayId) -> Result<PlanItem, RtError> {
+    machine.check_rebind(dst, src)?;
+    Ok(PlanItem::Rebind { dst, src, full: Section::full(&machine.meta(dst).shape) })
+}
+
+/// What storage rotation leaves for an observer at a step boundary:
+/// `(dead, live)` pairs where a rebind handed `dead`'s storage away, so it
+/// holds stale data, while its value — what the oracle has — is `live`'s.
+/// [`ExecPlan::resolve`] reads through it; [`ExecPlan::unalias_for_write`]
+/// ends the pairs a write from outside the step program would break.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Aliases(Vec<(ArrayId, ArrayId)>);
+
+impl Aliases {
+    /// The array whose storage holds `id`'s value: `id` itself, or the live
+    /// array a rotation left it standing for.
+    pub fn resolve(&self, id: ArrayId) -> ArrayId {
+        self.0.iter().find(|(dead, _)| *dead == id).map_or(id, |&(_, live)| live)
+    }
+
+    /// A rebind: `src` stands for `dst` from now on, and so does whatever
+    /// stood for `src`.
+    fn rebind(&mut self, dst: ArrayId, src: ArrayId) {
+        self.written(dst);
+        for (_, live) in self.0.iter_mut().filter(|(_, live)| *live == src) {
+            *live = dst;
+        }
+        self.0.push((src, dst));
+    }
+
+    /// A write to `a`: it is live again, and whatever stood for its old
+    /// value stands for nothing.
+    fn written(&mut self, a: ArrayId) {
+        self.0.retain(|&(dead, live)| dead != a && live != a);
+    }
+
+    /// The map after one step of the node program. A time loop is walked
+    /// twice at most: what a rebind in its body leaves behind is redefined
+    /// before the next iteration reaches it again, so the second pass is
+    /// the last one's.
+    fn after_step(items: &[NodeItem]) -> Aliases {
+        fn walk(items: &[NodeItem], aliases: &mut Aliases) {
+            for item in items {
+                match item {
+                    NodeItem::Rebind { dst, src } => aliases.rebind(*dst, *src),
+                    NodeItem::Nest(nest) => {
+                        for i in &nest.body {
+                            if let Instr::Store { array, .. } = i {
+                                aliases.written(*array);
+                            }
+                        }
+                    }
+                    NodeItem::Comm(CommOp::FullShift { dst, .. }) => aliases.written(*dst),
+                    NodeItem::Comm(CommOp::Overlap { .. }) => {}
+                    NodeItem::TimeLoop { iters, body } => {
+                        for _ in 0..(*iters).min(2) {
+                            walk(body, aliases);
+                        }
+                    }
+                }
+            }
+        }
+        let mut aliases = Aliases::default();
+        walk(items, &mut aliases);
+        aliases
+    }
 }
 
 /// Compile a legal [`SuperstepSchedule`] against the machine: the deep
@@ -563,27 +693,31 @@ fn build_superstep_items(
         scheds.push(machine.compile_comm(f.array, f.array, plan, MoveKind::Overlap));
         comms.push(scheds.len() - 1);
     }
-    let mut nests = Vec::new();
+    // The sub-step: the body's nests and rebinds (its comms are the deep
+    // fills above).
+    let mut sub = Vec::new();
     for item in body {
-        if let NodeItem::Nest(nest) = item {
-            nests.push((nest.clone(), compile_kernels(machine, nest, scalars, backend, compiled)));
+        match item {
+            NodeItem::Nest(nest) => sub.push(PlanItem::Nest {
+                nest: nest.clone(),
+                kernels: compile_kernels(machine, nest, scalars, backend, compiled),
+            }),
+            NodeItem::Rebind { dst, src } => sub.push(rebind_item(machine, *dst, *src)?),
+            _ => {}
         }
     }
+    let first = body_nests(&sub).next().map(|(nest, _)| nest);
     let pe_exts: Vec<Vec<i64>> = machine
         .pes
         .iter()
         .map(|pe| {
-            nests
-                .first()
-                .and_then(|(nest, _)| nest_local_bounds(pe, nest))
-                .map(|(_, hi)| hi)
-                .unwrap_or_default()
+            first.and_then(|nest| nest_local_bounds(pe, nest)).map(|(_, hi)| hi).unwrap_or_default()
         })
         .collect();
     let tile = PlanItem::Superstep {
         k: ss.k,
         comms,
-        nests,
+        body: sub,
         expansions: ss.expansions.clone(),
         pe_exts,
         elided: ss.elided(),
@@ -603,19 +737,28 @@ fn build_superstep_items(
 }
 
 /// Run one PE's compute half of a superstep: every sub-step's nests over
-/// their trapezoid expansions, under one [`SpanKind::Superstep`] span. The
-/// sub-steps exchange nothing, so PEs proceed fully independently.
+/// their trapezoid expansions, and its rebinds, under one
+/// [`SpanKind::Superstep`] span. The sub-steps exchange nothing, so PEs
+/// proceed fully independently.
 fn run_superstep_pe(
     state: &mut PeState,
-    nests: &[(LoopNest, Vec<Option<CompiledNest>>)],
+    body: &[PlanItem],
     expansions: &[Vec<Vec<(i64, i64)>>],
     scalars: &[f64],
 ) {
     let t0 = state.tracer.now();
     for sub in expansions {
-        for ((nest, kernels), expand) in nests.iter().zip(sub) {
-            let kernel = kernels.get(state.pe).and_then(|k| k.as_ref());
-            let _ = backend::run_nest_expanded(state, nest, kernel, scalars, expand);
+        let mut expand = sub.iter();
+        for item in body {
+            match item {
+                PlanItem::Nest { nest, kernels } => {
+                    let kernel = kernels.get(state.pe).and_then(|k| k.as_ref());
+                    let e = expand.next().expect("one expansion per nest");
+                    let _ = backend::run_nest_expanded(state, nest, kernel, scalars, e);
+                }
+                PlanItem::Rebind { dst, src, .. } => state.swap_subgrids(*dst, *src),
+                _ => unreachable!("a superstep body holds nests and rebinds only"),
+            }
         }
     }
     state.tracer.record(SpanKind::Superstep, t0);
@@ -630,11 +773,11 @@ fn count_superstep(machine: &Machine, items: &[PlanItem]) -> (u64, u64, u64) {
     let mut acc = (0u64, 0u64, 0u64);
     for item in items {
         match item {
-            PlanItem::Superstep { nests, expansions, elided, .. } => {
+            PlanItem::Superstep { body, expansions, elided, .. } => {
                 acc.0 += 1;
                 acc.1 += *elided;
                 for sub in expansions {
-                    for ((nest, _), expand) in nests.iter().zip(sub) {
+                    for ((nest, _), expand) in body_nests(body).zip(sub) {
                         for state in &machine.pes {
                             let Some((lo, hi)) = nest_local_bounds(state, nest) else { continue };
                             let owned: u64 =
@@ -823,7 +966,7 @@ fn count_comm_execs(items: &[PlanItem]) -> u64 {
         .iter()
         .map(|i| match i {
             PlanItem::Comm(_) => 1,
-            PlanItem::Nest { .. } => 0,
+            PlanItem::Nest { .. } | PlanItem::Rebind { .. } => 0,
             PlanItem::Overlap { comms, .. } | PlanItem::Superstep { comms, .. } => {
                 comms.len() as u64
             }
@@ -836,13 +979,12 @@ fn count_kernel_execs(items: &[PlanItem]) -> u64 {
     items
         .iter()
         .map(|i| match i {
-            PlanItem::Comm(_) => 0,
+            PlanItem::Comm(_) | PlanItem::Rebind { .. } => 0,
             PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
                 kernels.iter().flatten().count() as u64
             }
-            PlanItem::Superstep { nests, expansions, .. } => {
-                expansions.len() as u64
-                    * nests.iter().map(|(_, ks)| ks.iter().flatten().count() as u64).sum::<u64>()
+            PlanItem::Superstep { body, expansions, .. } => {
+                expansions.len() as u64 * count_kernel_execs(body)
             }
             PlanItem::TimeLoop { iters, body } => *iters as u64 * count_kernel_execs(body),
         })
@@ -1064,6 +1206,10 @@ pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
                     f.each_pe(|pe, scalars| run_nest_traced(pe, nest, kernels, scalars));
                 }
             }
+            // Every blocking exchange has completed, and a window drains
+            // before the walker moves on, so no message is in flight: each
+            // PE swaps its own two subgrids. No span is recorded.
+            PlanItem::Rebind { dst, src, .. } => f.each_pe(|pe, _| pe.swap_subgrids(*dst, *src)),
             PlanItem::TimeLoop { iters, body } => {
                 for _ in 0..*iters {
                     step_items(f, body);
@@ -1073,21 +1219,13 @@ pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
             // single deep fill stays on the blocking protocol. Sub-steps
             // exchange nothing, so each PE runs all of its sub-steps
             // before the next PE starts.
-            PlanItem::Superstep { comms, nests, expansions, .. } => {
+            PlanItem::Superstep { comms, body, expansions, .. } => {
                 for &i in comms {
                     f.exchange(i);
                 }
-                f.each_pe(|pe, scalars| run_superstep_pe(pe, nests, expansions, scalars));
+                f.each_pe(|pe, scalars| run_superstep_pe(pe, body, expansions, scalars));
             }
         }
-    }
-}
-
-/// Swap pairs applied after each step — the double-buffer flip for
-/// Jacobi-style kernels written without an explicit copy-back statement.
-pub fn apply_swaps(machine: &mut Machine, swaps: &[(ArrayId, ArrayId)]) {
-    for &(a, b) in swaps {
-        machine.swap_subgrids(a, b);
     }
 }
 
@@ -1328,7 +1466,6 @@ ENDDO
             assert!(pe.count(SpanKind::Interior) > 0, "{}", pe.name);
             assert!(pe.count(SpanKind::Boundary) > 0, "{}", pe.name);
             assert!(pe.count(SpanKind::CommPost) > 0, "{}", pe.name);
-            assert!(pe.count(SpanKind::KernelExec) > 0, "{}", pe.name);
         }
         let driver = summary.track("driver").expect("driver track");
         assert!(driver.count(SpanKind::ScheduleBuild) > 0);
@@ -1369,27 +1506,61 @@ ENDDO
     }
 
     #[test]
-    fn swaps_flip_buffers_each_step() {
-        // U and T have identical distribution; swapping after a step makes
-        // T's fresh values the next step's U without copying.
+    fn rotated_copy_back_swaps_storage_and_leaves_an_alias() {
+        // JACOBI's `U = T` rotates: a step runs one nest, then every PE
+        // hands T's subgrid to U; T keeps U's old storage and stands for U.
+        let (mut m, compiled, u) = setup(JACOBI, Stage::MemOpt, &[2, 2]);
+        let t = compiled.node.symbols.lookup_array("T").unwrap();
+        assert_eq!(compiled.node.nest_count(), 1, "no copy-back nest");
+        let cfg = ExecConfig::new().backend(Backend::Bytecode);
+        let mut plan = ExecPlan::build(&mut m, &compiled.node, &cfg).unwrap();
+        assert_eq!(plan.resolve(t), t, "every array is live before the first step");
+        assert_eq!(plan.kernel_execs_per_step(), 4, "one kernel per PE, no copy sweep");
+        let storage = |m: &Machine, a| -> Vec<*const f64> {
+            m.pes.iter().map(|pe| pe.subgrid(a).raw().as_ptr()).collect()
+        };
+        let u_before = storage(&m, u);
+        plan.step(&mut m);
+        assert_eq!(storage(&m, t), u_before, "U's old storage is T's now");
+        assert_eq!(plan.resolve(t), u);
+        assert_eq!(m.gather(u), oracle_u(JACOBI, 1));
+        // A write to U first copies U's value into T's own storage.
+        plan.unalias_for_write(&mut m, u);
+        assert_eq!(plan.resolve(t), t);
+        assert_eq!(m.gather(t), oracle_u(JACOBI, 1));
+    }
+
+    #[test]
+    fn traced_plain_nests_record_kernel_exec_spans() {
+        // `S = T + 1` reads T after `U = T`, so the copy cannot rotate and
+        // runs, fused with S's compute, as a plain nest after the stencil's
+        // (windowed, under the overlap engine) one. Every compiled plain
+        // nest records a KernelExec span on its PE's track.
         let src = r#"
-PARAM N = 8
-REAL U(N,N), T(N,N)
+PARAM N = 16
+REAL U(N,N), T(N,N), S(N,N)
 REAL C = 0.25
 T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) + CSHIFT(U,-1,2))
+U = T
+S = T + 1
 "#;
-        let checked = compile_source(src).unwrap();
-        let compiled = compile(&checked, CompileOptions::full());
-        let u = checked.symbols.lookup_array("U").unwrap();
-        let t = checked.symbols.lookup_array("T").unwrap();
-        let mut m = Machine::new(MachineConfig::sp2_2x2());
-        m.alloc(u, checked.symbols.array(u)).unwrap();
-        m.fill(u, init);
-        let mut plan = ExecPlan::build(&mut m, &compiled.node, &ExecConfig::new()).unwrap();
-        plan.step(&mut m);
-        let after_one = m.gather(t);
-        apply_swaps(&mut m, &[(u, t)]);
-        assert_eq!(m.gather(u), after_one, "swap moved T's result into U");
+        for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+            let (mut m, compiled, u) = setup(src, Stage::MemOpt, &[2, 2]);
+            assert_eq!(compiled.node.nest_count(), 2, "the copy nest survives");
+            let cfg = ExecConfig::new().engine(engine).backend(Backend::Bytecode).trace(true);
+            let mut plan = ExecPlan::build(&mut m, &compiled.node, &cfg).unwrap();
+            for _ in 0..2 {
+                plan.step(&mut m);
+            }
+            assert_eq!(plan.aliases(), &Aliases::default(), "nothing rotated");
+            let summary = m.take_trace().summary();
+            let tracks = summary.pe_tracks();
+            assert_eq!(tracks.len(), 4, "{engine:?}");
+            for pe in tracks {
+                assert!(pe.count(SpanKind::KernelExec) > 0, "{engine:?} {}", pe.name);
+            }
+            assert_eq!(m.gather(u), oracle_u(src, 2), "{engine:?}");
+        }
     }
 
     /// Like [`setup`] at `Stage::MemOpt`, but with a `halo`-deep overlap

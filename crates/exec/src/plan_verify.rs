@@ -38,7 +38,19 @@
 //!   array's validity to the freshly computed box. An uncovered ghost
 //!   point means a sub-step would consume stale or poison halo data. This
 //!   independently re-checks the geometry `crate::superstep`'s planner
-//!   proved, but against the compiled schedules rather than the plan.
+//!   proved, but against the compiled schedules rather than the plan. A
+//!   rebind inside the sub-step swaps the two arrays' valid boxes.
+//!
+//! [Rebind items](crate::plan::PlanItem::Rebind) carry a fifth:
+//!
+//! - **PL005 — dead source.** After a rebind, its source holds the
+//!   destination's stale storage. Scanning the items that follow — to the
+//!   end of the enclosing list, then around the wrap (a step repeats, a
+//!   loop iterates, a superstep's deep fills and sub-step repeat) — no
+//!   nest, schedule or rebind may read the source before an item fully
+//!   defines it; a source still dead when its loop exits must not be read
+//!   anywhere outside that loop. Re-derived from the built items,
+//!   independently of the storage-rotation pass that placed the rebind.
 //!
 //! Blocking items need no checking — a plain [`PlanItem::Comm`] completes
 //! before the next item starts, and non-split PEs inside a window drain
@@ -47,15 +59,17 @@
 //! verifier (`hpf_codegen::verify`): debug and checked builds verify every
 //! plan; checked builds fail hard on any diagnostic, unchecked builds
 //! demote the offending kernel to the interpreter or the offending window
-//! to the blocking comm-then-nest path.
+//! to the blocking comm-then-nest path. A stale binding has no safe
+//! demotion: it fails every build.
 
-use crate::plan::{ExecPlan, PlanItem};
+use crate::plan::{body_nests, ExecPlan, PlanItem};
 use hpf_analysis::superstep::{uncovered_ghost, FillBox, GhostNeed};
 use hpf_codegen::CompiledNest;
 use hpf_ir::diag::Diagnostic;
+use hpf_ir::{ArrayId, Section};
 use hpf_passes::loopir::{Instr, LoopNest};
 use hpf_runtime::schedule::{regions_intersect, CommAction};
-use hpf_runtime::{CompiledComm, RtError};
+use hpf_runtime::{CompiledComm, MoveKind, RtError};
 use std::collections::HashMap;
 
 /// An Overlap window's interior sweep may read a cell an in-flight receive
@@ -70,6 +84,9 @@ pub const PL003: &str = "PL003";
 /// earlier sub-step's expanded sweep wrote — the trapezoid would consume
 /// stale (or poison) halo data.
 pub const PL004: &str = "PL004";
+/// A rebind's source is read before its next full definition — the reader
+/// would see the destination's stale storage.
+pub const PL005: &str = "PL005";
 
 impl ExecPlan {
     /// Run the plan-level race checker over the whole step program,
@@ -80,10 +97,47 @@ impl ExecPlan {
     pub fn verify(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         verify_items(&self.items, &self.scheds, &mut out);
+        verify_program_rebinds(&self.items, &self.scheds, &mut out);
         for item in &self.items {
             collect_kernel_diags(item, &mut out);
         }
         out
+    }
+
+    /// Insert a rebind in front of the first nest (or window) that loads
+    /// one array and stores another, making the loaded array the dead
+    /// source the nest then reads — the stale-binding fault for the
+    /// mutation-kill suite (PL005). Returns `false` when no nest qualifies.
+    #[doc(hidden)]
+    pub fn corrupt_stale_binding(&mut self) -> bool {
+        // See corrupt_clear_barriers on why this is not a match guard.
+        #[allow(clippy::collapsible_match)]
+        fn walk(items: &mut Vec<PlanItem>) -> bool {
+            for i in 0..items.len() {
+                match &mut items[i] {
+                    PlanItem::Nest { nest, .. } | PlanItem::Overlap { nest, .. } => {
+                        let loaded = load_radii(nest).into_iter().map(|(a, _)| a);
+                        let stored = stored(nest);
+                        let pair = loaded
+                            .filter_map(|src| stored.iter().find(|&&d| d != src).map(|&d| (d, src)))
+                            .next();
+                        if let Some((dst, src)) = pair {
+                            let full = nest.space.clone();
+                            items.insert(i, PlanItem::Rebind { dst, src, full });
+                            return true;
+                        }
+                    }
+                    PlanItem::TimeLoop { body, .. } | PlanItem::Superstep { body, .. } => {
+                        if walk(body) {
+                            return true;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            false
+        }
+        walk(&mut self.items)
     }
 
     /// Corrupt the first window that has a dependency barrier by clearing
@@ -223,18 +277,7 @@ fn collect_kernel_diags(item: &PlanItem, out: &mut Vec<Diagnostic>) {
                 }
             }
         }
-        PlanItem::Superstep { nests, .. } => {
-            for (_, kernels) in nests {
-                for (pe, kernel) in kernels.iter().enumerate() {
-                    if let Some(k) = kernel {
-                        out.extend(
-                            k.verify().into_iter().map(|d| d.note(format!("kernel for PE {pe}"))),
-                        );
-                    }
-                }
-            }
-        }
-        PlanItem::TimeLoop { body, .. } => {
+        PlanItem::TimeLoop { body, .. } | PlanItem::Superstep { body, .. } => {
             for item in body {
                 collect_kernel_diags(item, out);
             }
@@ -243,20 +286,167 @@ fn collect_kernel_diags(item: &PlanItem, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Walk the item tree checking every Overlap window.
+/// Walk the item tree checking every Overlap window and Superstep.
 fn verify_items(items: &[PlanItem], scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
     for (w, item) in items.iter().enumerate() {
         match item {
             PlanItem::Overlap { comms, barriers, pre_drain, nest, splits, .. } => {
                 verify_window(w, comms, barriers, pre_drain, nest, splits, scheds, out);
             }
-            PlanItem::Superstep { k, comms, nests, expansions, pe_exts, .. } => {
-                verify_superstep(w, *k, comms, nests, expansions, pe_exts, scheds, out);
+            PlanItem::Superstep { k, comms, body, expansions, pe_exts, .. } => {
+                verify_superstep(w, *k, comms, body, expansions, pe_exts, scheds, out);
             }
             PlanItem::TimeLoop { body, .. } => verify_items(body, scheds, out),
             _ => {}
         }
     }
+}
+
+/// One position of a repeating item list as PL005 scans it: a plan item,
+/// or one of a superstep's deep fills (which run before its sub-step).
+#[derive(Clone, Copy)]
+enum Step<'a> {
+    Item(&'a PlanItem),
+    Comm(usize),
+}
+
+fn steps_of(items: &[PlanItem]) -> Vec<Step<'_>> {
+    items.iter().map(Step::Item).collect()
+}
+
+/// What a step does to a rebind's dead source `b`.
+#[derive(PartialEq)]
+enum Next {
+    /// Leaves it alone.
+    Untouched,
+    /// Defines all of it without reading it: it is live again.
+    Killed,
+    /// Reads it, or defines only part of it (or a loop touches it).
+    Blocked,
+}
+
+fn next(step: Step<'_>, b: ArrayId, full: &Section, scheds: &[CompiledComm]) -> Next {
+    let comm = |slot: usize| {
+        let s = &scheds[slot];
+        if s.src == b || (s.dst == b && s.kind == MoveKind::Overlap) {
+            Next::Blocked
+        } else if s.dst == b {
+            Next::Killed // a full shift writes every owned element
+        } else {
+            Next::Untouched
+        }
+    };
+    let nest = |nest: &LoopNest| {
+        let loads = load_radii(nest).iter().any(|(a, _)| *a == b);
+        match (loads, stored(nest).contains(&b)) {
+            (true, _) => Next::Blocked,
+            (false, true) if nest.space == *full => Next::Killed,
+            (false, true) => Next::Blocked,
+            (false, false) => Next::Untouched,
+        }
+    };
+    // A loop entered from outside: its first iteration's first touch.
+    let first_pass =
+        |steps: Vec<Step<'_>>| first(&steps, b, full, scheds).unwrap_or(Next::Untouched);
+    match step {
+        Step::Comm(slot) | Step::Item(&PlanItem::Comm(slot)) => comm(slot),
+        Step::Item(PlanItem::Nest { nest: n, .. }) => nest(n),
+        Step::Item(PlanItem::Overlap { comms, nest: n, .. }) => {
+            if comms.iter().any(|&c| comm(c) != Next::Untouched) {
+                Next::Blocked
+            } else {
+                nest(n)
+            }
+        }
+        Step::Item(PlanItem::Rebind { dst, src, .. }) => match (*src == b, *dst == b) {
+            (true, _) => Next::Blocked,
+            (false, true) => Next::Killed,
+            (false, false) => Next::Untouched,
+        },
+        Step::Item(PlanItem::TimeLoop { iters: 0, .. }) => Next::Untouched,
+        Step::Item(PlanItem::TimeLoop { body, .. }) => first_pass(steps_of(body)),
+        Step::Item(PlanItem::Superstep { comms, body, .. }) => {
+            first_pass(superstep_steps(comms, body))
+        }
+    }
+}
+
+/// The first thing `steps` do to `b`, in order; `None` when they leave it
+/// alone.
+fn first(steps: &[Step<'_>], b: ArrayId, full: &Section, scheds: &[CompiledComm]) -> Option<Next> {
+    steps.iter().map(|&s| next(s, b, full, scheds)).find(|n| *n != Next::Untouched)
+}
+
+/// A superstep's scan order: its deep fills, then one sub-step.
+fn superstep_steps<'a>(comms: &[usize], body: &'a [PlanItem]) -> Vec<Step<'a>> {
+    comms.iter().map(|&c| Step::Comm(c)).chain(body.iter().map(Step::Item)).collect()
+}
+
+/// One list on the path from the step program down to a rebind: its steps,
+/// the position the path leaves it at, and whether it repeats on its own
+/// (a loop body or a superstep's sub-step) rather than with the step.
+struct Frame<'a> {
+    steps: Vec<Step<'a>>,
+    at: usize,
+    repeats: bool,
+}
+
+/// What first happens to `b` on every path out of the innermost frame's
+/// position, worst first: to the end of its list, then around the wrap —
+/// for a repeating list both the next iteration and the exit into the
+/// enclosing list; for the step program, the next step. A path that meets
+/// the rebind itself again meets a read of `b`.
+fn after(frames: &[Frame<'_>], b: ArrayId, full: &Section, scheds: &[CompiledComm]) -> Next {
+    let Some((frame, outer)) = frames.split_last() else { return Next::Blocked };
+    if let Some(n) = first(&frame.steps[frame.at + 1..], b, full, scheds) {
+        return n;
+    }
+    let again = first(&frame.steps[..=frame.at], b, full, scheds).unwrap_or(Next::Blocked);
+    if frame.repeats && again == Next::Killed {
+        after(outer, b, full, scheds)
+    } else {
+        again
+    }
+}
+
+/// PL005 over every rebind below the innermost frame (module docs).
+fn verify_rebinds<'a>(
+    frames: &mut Vec<Frame<'a>>,
+    scheds: &[CompiledComm],
+    out: &mut Vec<Diagnostic>,
+) {
+    let steps = frames.last().expect("the step program's frame").steps.clone();
+    for (p, step) in steps.into_iter().enumerate() {
+        frames.last_mut().unwrap().at = p;
+        let Step::Item(item) = step else { continue };
+        let inner = match item {
+            PlanItem::Rebind { src, full, .. } => {
+                if after(frames, *src, full, scheds) == Next::Blocked {
+                    out.push(Diagnostic::error(
+                        PL005,
+                        format!(
+                            "rebind at item {p}: its source {src:?} is read (or only partly \
+                             defined) before its next full definition — the reader would see \
+                             the destination's stale storage"
+                        ),
+                    ));
+                }
+                continue;
+            }
+            PlanItem::TimeLoop { body, .. } => steps_of(body),
+            PlanItem::Superstep { comms, body, .. } => superstep_steps(comms, body),
+            _ => continue,
+        };
+        frames.push(Frame { steps: inner, at: 0, repeats: true });
+        verify_rebinds(frames, scheds, out);
+        frames.pop();
+    }
+}
+
+/// [`verify_rebinds`] over a whole step program.
+fn verify_program_rebinds(items: &[PlanItem], scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
+    let mut frames = vec![Frame { steps: steps_of(items), at: 0, repeats: false }];
+    verify_rebinds(&mut frames, scheds, out);
 }
 
 /// The per-dimension read radii of the nest's semantic unit body: how far
@@ -347,20 +537,20 @@ fn verify_superstep(
     w: usize,
     k: usize,
     comms: &[usize],
-    nests: &[(LoopNest, Vec<Option<CompiledNest>>)],
+    body: &[PlanItem],
     expansions: &[Vec<Vec<(i64, i64)>>],
     pe_exts: &[Vec<i64>],
     scheds: &[CompiledComm],
     out: &mut Vec<Diagnostic>,
 ) {
-    if expansions.len() != k || expansions.iter().any(|sub| sub.len() != nests.len()) {
+    let nests = body_nests(body).count();
+    if expansions.len() != k || expansions.iter().any(|sub| sub.len() != nests) {
         out.push(Diagnostic::error(
             PL004,
             format!(
                 "superstep {w}: malformed trapezoid tables ({} sub-steps for depth {k}, \
-                 {} nests)",
+                 {nests} nests)",
                 expansions.len(),
-                nests.len()
             ),
         ));
         return;
@@ -384,7 +574,21 @@ fn verify_superstep(
             }
         }
         for (j, sub) in expansions.iter().enumerate() {
-            for (n, ((nest, _), expand)) in nests.iter().zip(sub).enumerate() {
+            let mut n = 0;
+            for item in body {
+                let nest = match item {
+                    PlanItem::Nest { nest, .. } => nest,
+                    // The swap carries each array's valid boxes along with
+                    // its storage.
+                    PlanItem::Rebind { dst, src, .. } => {
+                        let (d, s) = (valid.remove(dst), valid.remove(src));
+                        valid.extend(d.map(|v| (*src, v)).into_iter().chain(s.map(|v| (*dst, v))));
+                        continue;
+                    }
+                    _ => continue,
+                };
+                let (nest_no, expand) = (n, &sub[n]);
+                n += 1;
                 for (array, radii) in load_radii(nest) {
                     let need: GhostNeed = expand
                         .iter()
@@ -397,7 +601,7 @@ fn verify_superstep(
                         out.push(Diagnostic::error(
                             PL004,
                             format!(
-                                "superstep {w}: PE {pe} sub-step {j} nest {n} reads ghost \
+                                "superstep {w}: PE {pe} sub-step {j} nest {nest_no} reads ghost \
                                  cell at depth {witness:?} that neither the deep fill nor an \
                                  earlier sub-step's expanded sweep wrote (need {need:?}) — \
                                  the trapezoid would consume stale halo data"
@@ -531,7 +735,8 @@ fn verify_window(
 /// plan that verifies clean. A rejected superstep whose body chains
 /// through comm-less intermediate arrays has no such demotion (the chain
 /// ghosts exist only through the expanded sweeps), so it fails the build
-/// even unchecked rather than run a plan known wrong.
+/// even unchecked rather than run a plan known wrong — as does a stale
+/// binding (PL005), which no demotion repairs.
 pub(crate) fn enforce(
     items: &mut Vec<PlanItem>,
     scheds: &[CompiledComm],
@@ -540,6 +745,9 @@ pub(crate) fn enforce(
     let mut report = Vec::new();
     let mut hard = false;
     demote_items(items, scheds, checked, &mut report, &mut hard);
+    let stale = report.len();
+    verify_program_rebinds(items, scheds, &mut report);
+    hard |= report.len() > stale;
     if (checked || hard) && !report.is_empty() {
         let report =
             report.iter().map(|d| format!("{}: {}", d.code, d.message)).collect::<Vec<_>>();
@@ -553,19 +761,32 @@ pub(crate) fn enforce(
 /// refilled by a deep-fill schedule. A comm-less chain array (problem-9
 /// style shifted temporaries) gets its ghosts only from the expanded
 /// sweeps the demotion drops.
-fn superstep_demotable(
-    comms: &[usize],
-    nests: &[(LoopNest, Vec<Option<CompiledNest>>)],
-    scheds: &[CompiledComm],
-) -> bool {
-    let stored_any: Vec<hpf_ir::ArrayId> =
-        nests.iter().flat_map(|(nest, _)| stored(nest)).collect();
-    nests
-        .iter()
+fn superstep_demotable(comms: &[usize], body: &[PlanItem], scheds: &[CompiledComm]) -> bool {
+    let stored_any: Vec<hpf_ir::ArrayId> = body_nests(body).flat_map(|(n, _)| stored(n)).collect();
+    body_nests(body)
         .flat_map(|(nest, _)| load_radii(nest))
         .filter(|(_, radii)| radii.iter().any(|&(lo, hi)| lo > 0 || hi > 0))
         .filter(|(a, _)| stored_any.contains(a))
         .all(|(a, _)| comms.iter().any(|&slot| scheds[slot].dst == a))
+}
+
+/// Kernel obligations (`BV*`) of one nest's per-PE kernels; unchecked, a
+/// rejected kernel falls back to the interpreter.
+fn demote_kernels(
+    kernels: &mut [Option<CompiledNest>],
+    checked: bool,
+    report: &mut Vec<Diagnostic>,
+) {
+    for (pe, kernel) in kernels.iter_mut().enumerate() {
+        let Some(k) = kernel else { continue };
+        let diags = k.verify();
+        if !diags.is_empty() {
+            report.extend(diags.into_iter().map(|d| d.note(format!("kernel for PE {pe}"))));
+            if !checked {
+                *kernel = None;
+            }
+        }
+    }
 }
 
 fn demote_items(
@@ -579,33 +800,18 @@ fn demote_items(
     for mut item in old {
         // Kernel obligations first: a demoted window keeps its kernels, so
         // they must hold either way.
-        if let PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } = &mut item {
-            for (pe, kernel) in kernels.iter_mut().enumerate() {
-                let Some(k) = kernel else { continue };
-                let diags = k.verify();
-                if !diags.is_empty() {
-                    report.extend(diags.into_iter().map(|d| d.note(format!("kernel for PE {pe}"))));
-                    if !checked {
-                        *kernel = None; // fall back to the interpreter
+        match &mut item {
+            PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
+                demote_kernels(kernels, checked, report);
+            }
+            PlanItem::Superstep { body, .. } => {
+                for sub in body {
+                    if let PlanItem::Nest { kernels, .. } = sub {
+                        demote_kernels(kernels, checked, report);
                     }
                 }
             }
-        }
-        if let PlanItem::Superstep { nests, .. } = &mut item {
-            for (_, kernels) in nests {
-                for (pe, kernel) in kernels.iter_mut().enumerate() {
-                    let Some(k) = kernel else { continue };
-                    let diags = k.verify();
-                    if !diags.is_empty() {
-                        report.extend(
-                            diags.into_iter().map(|d| d.note(format!("kernel for PE {pe}"))),
-                        );
-                        if !checked {
-                            *kernel = None; // fall back to the interpreter
-                        }
-                    }
-                }
-            }
+            _ => {}
         }
         match item {
             PlanItem::Overlap { comms, barriers, pre_drain, nest, kernels, splits } => {
@@ -640,32 +846,25 @@ fn demote_items(
                     }
                 }
             }
-            PlanItem::Superstep { k, comms, nests, expansions, pe_exts, elided } => {
+            PlanItem::Superstep { k, comms, body, expansions, pe_exts, elided } => {
                 let mut diags = Vec::new();
                 verify_superstep(
                     items.len(),
                     k,
                     &comms,
-                    &nests,
+                    &body,
                     &expansions,
                     &pe_exts,
                     scheds,
                     &mut diags,
                 );
                 if diags.is_empty() {
-                    items.push(PlanItem::Superstep {
-                        k,
-                        comms,
-                        nests,
-                        expansions,
-                        pe_exts,
-                        elided,
-                    });
+                    items.push(PlanItem::Superstep { k, comms, body, expansions, pe_exts, elided });
                 } else {
                     report.extend(diags);
                     if checked {
                         // The build aborts; no replacement item needed.
-                    } else if superstep_demotable(&comms, &nests, scheds) {
+                    } else if superstep_demotable(&comms, &body, scheds) {
                         // Blocking demotion: re-run the deep fills before
                         // every sub-step and sweep owned cells only. The
                         // deep fills subsume each sub-step's classic ghost
@@ -673,15 +872,7 @@ fn demote_items(
                         // over-deep refills — correct, merely slower.
                         items.push(PlanItem::TimeLoop {
                             iters: k,
-                            body: comms
-                                .into_iter()
-                                .map(PlanItem::Comm)
-                                .chain(
-                                    nests
-                                        .into_iter()
-                                        .map(|(nest, kernels)| PlanItem::Nest { nest, kernels }),
-                                )
-                                .collect(),
+                            body: comms.into_iter().map(PlanItem::Comm).chain(body).collect(),
                         });
                     } else {
                         *hard = true;
@@ -829,6 +1020,24 @@ U = T
             panic!("expected VerificationFailed")
         };
         assert!(report.contains(PL004), "{report}");
+    }
+
+    #[test]
+    fn stale_binding_trips_pl005_and_fails_even_unchecked() {
+        // Both fixtures rotate their copy-back, and both rebinds verify.
+        let (_, mut flat) = overlapped_plan(JACOBI16);
+        let (_, mut tiled) = superstep_plan(2);
+        for plan in [&mut flat, &mut tiled] {
+            assert!(plan.verify().is_empty(), "{:?}", plan.verify());
+            assert!(plan.corrupt_stale_binding(), "a nest loads U and stores T");
+            let d = plan.verify();
+            assert!(codes(&d).contains(&PL005), "{d:?}");
+            let err = enforce(&mut plan.items, &plan.scheds, false).unwrap_err();
+            let RtError::VerificationFailed { report } = err else {
+                panic!("expected VerificationFailed")
+            };
+            assert!(report.contains(PL005), "{report}");
+        }
     }
 
     #[test]

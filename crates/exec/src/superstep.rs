@@ -76,9 +76,9 @@ pub const SS007: &str = "SS007";
 /// SS008: the machine's allocated halo is shallower than the deep-fill
 /// depth the schedule requires (size the machine with [`superstep_halo`]).
 pub const SS008: &str = "SS008";
-/// SS009: the plan applies per-step double-buffer swaps, which cannot
-/// interleave with the `k` sub-steps inside one superstep (used by the
-/// planning layer above; never produced by [`plan_superstep`] itself).
+/// SS009: a storage rebind precedes a communication op in the tiled body.
+/// The deep fills run before sub-step 0, so they would fill the storage the
+/// rebind is about to hand to another array.
 pub const SS009: &str = "SS009";
 
 /// Which program form the superstep tiles (see module docs).
@@ -253,6 +253,15 @@ fn tile_shape(node: &NodeProgram, k: usize) -> Result<(SsShape, &[NodeItem]), Ve
 /// Per-item eligibility over the tiled body.
 fn check_body(node: &NodeProgram, body: &[NodeItem]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    let first_rebind = body.iter().position(|i| matches!(i, NodeItem::Rebind { .. }));
+    let last_comm = body.iter().rposition(|i| matches!(i, NodeItem::Comm(_)));
+    if first_rebind.zip(last_comm).is_some_and(|(r, c)| r < c) {
+        diags.push(Diagnostic::warning(
+            SS009,
+            "a storage rebind precedes a communication op; the deep fills run before the \
+             first sub-step and cannot follow it",
+        ));
+    }
     for item in body {
         match item {
             NodeItem::Comm(CommOp::FullShift { src, .. }) => diags.push(Diagnostic::warning(
@@ -304,6 +313,7 @@ fn check_body(node: &NodeProgram, body: &[NodeItem]) -> Vec<Diagnostic> {
                     ));
                 }
             }
+            NodeItem::Rebind { .. } => {}
             NodeItem::TimeLoop { .. } => unreachable!("tile_shape rejected nested loops"),
         }
     }
@@ -339,23 +349,31 @@ type Expansions = Vec<Vec<Vec<(i64, i64)>>>;
 /// the expansion is the ghost depth later sub-steps still need of the
 /// arrays it writes; each read at offset `o` then demands the read array's
 /// ghosts out to `expansion + |o|`, and the written arrays' requirement
-/// resets (the expanded sweep freshly computes their ghosts). Returns the
+/// resets (the expanded sweep freshly computes their ghosts). A rebind
+/// swaps two arrays' storage, so it swaps their requirements. Returns the
 /// per-sub-step per-nest expansions and the residual requirement at the
 /// start — the deep-fill depth per array.
 fn backward_requirements(node: &NodeProgram, body: &[NodeItem], k: usize) -> (Expansions, Req) {
-    let nests: Vec<&LoopNest> = body
-        .iter()
-        .filter_map(|i| match i {
-            NodeItem::Nest(n) => Some(n),
-            _ => None,
-        })
-        .collect();
+    let nests = body.iter().filter(|i| matches!(i, NodeItem::Nest(_))).count();
     let mut req: Req = HashMap::new();
-    let mut expansions = vec![vec![Vec::new(); nests.len()]; k];
+    let mut expansions = vec![vec![Vec::new(); nests]; k];
     for j in (0..k).rev() {
-        let mut n_idx = nests.len();
+        let mut n_idx = nests;
         for item in body.iter().rev() {
-            let NodeItem::Nest(nest) = item else { continue };
+            let nest = match item {
+                NodeItem::Nest(nest) => nest,
+                NodeItem::Rebind { dst, src } => {
+                    let (d, s) = (req.remove(&dst.0), req.remove(&src.0));
+                    if let Some(need) = d {
+                        req.insert(src.0, need);
+                    }
+                    if let Some(need) = s {
+                        req.insert(dst.0, need);
+                    }
+                    continue;
+                }
+                _ => continue,
+            };
             n_idx -= 1;
             let rank = nest.order.len();
             let written = stored_arrays(nest);

@@ -27,7 +27,9 @@ pub fn writes_interior(stmt: &Stmt, array: ArrayId) -> bool {
 /// not kill.
 pub fn kills(stmt: &Stmt, array: ArrayId, full_space: &crate::Section) -> bool {
     match stmt {
-        Stmt::ShiftAssign { dst, .. } | Stmt::Copy { dst, .. } => *dst == array,
+        Stmt::ShiftAssign { dst, .. } | Stmt::Copy { dst, .. } | Stmt::Rebind { dst, .. } => {
+            *dst == array
+        }
         Stmt::Compute { lhs, space, .. } => *lhs == array && space == full_space,
         _ => false,
     }

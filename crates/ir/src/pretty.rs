@@ -88,6 +88,10 @@ fn stmt_into(symbols: &SymbolTable, s: &Stmt, level: usize, out: &mut String) {
             };
             writeln!(out, "{} = {}", symbols.array(*dst).name, srcname).unwrap();
         }
+        Stmt::Rebind { dst, src } => {
+            let (d, s) = (&symbols.array(*dst).name, &symbols.array(*src).name);
+            writeln!(out, "CALL REBIND({d} <- {s})").unwrap();
+        }
         Stmt::TimeLoop { iters, body } => {
             writeln!(out, "DO {iters} TIMES").unwrap();
             for s in body {
@@ -254,5 +258,6 @@ mod tests {
             body: vec![Stmt::Copy { dst: v, src: OperandRef::aligned(u, 2) }],
         };
         assert_eq!(stmt(&t, &s), "DO 5 TIMES\n  T = U\nENDDO");
+        assert_eq!(stmt(&t, &Stmt::Rebind { dst: u, src: v }), "CALL REBIND(U <- T)");
     }
 }

@@ -21,8 +21,9 @@ pub enum ShiftKind {
 ///
 /// Programs arrive from normalization containing only [`Stmt::ShiftAssign`],
 /// [`Stmt::Compute`] and [`Stmt::TimeLoop`]; the optimization passes
-/// introduce [`Stmt::OverlapShift`] and (when an offset-array criterion is
-/// violated) [`Stmt::Copy`].
+/// introduce [`Stmt::OverlapShift`], (when an offset-array criterion is
+/// violated) [`Stmt::Copy`], and (for a whole-array copy whose source dies)
+/// [`Stmt::Rebind`].
 #[derive(Clone, PartialEq, Debug)]
 pub enum Stmt {
     /// `DST = CSHIFT(SRC, SHIFT=k, DIM=d)` on whole arrays — the normal-form
@@ -87,6 +88,19 @@ pub enum Stmt {
         src: OperandRef,
     },
 
+    /// `CALL REBIND(DST <- SRC)`: a whole-array copy `DST = SRC` executed as
+    /// a storage swap — `DST` takes over `SRC`'s storage and `SRC` is left
+    /// holding `DST`'s stale values. Legal only where `SRC` is dead: nothing
+    /// reads it before its next full definition (the storage-rotation pass
+    /// proves this). For dependences it reads `SRC` and writes `DST`,
+    /// exactly like the copy it replaces.
+    Rebind {
+        /// The array that takes the value (and the storage) of `src`.
+        dst: ArrayId,
+        /// The array whose value moves; dead until its next full definition.
+        src: ArrayId,
+    },
+
     /// A counted serial loop around a block of statements (a time-stepping
     /// loop). The body is a basic block as far as the stencil pipeline is
     /// concerned; passes run on it independently.
@@ -101,7 +115,7 @@ pub enum Stmt {
 /// A memory resource touched by a statement, at the granularity the
 /// dependence graph needs: an array's interior (owned subgrid elements) or
 /// one side of its overlap area in one dimension.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Resource {
     /// The owned elements of an array.
     Interior(ArrayId),
@@ -152,13 +166,14 @@ impl Stmt {
                 out.push(Resource::Interior(src.array));
                 ghost_resources(src.array, &src.offsets, &mut out);
             }
+            Stmt::Rebind { src, .. } => out.push(Resource::Interior(*src)),
             Stmt::TimeLoop { body, .. } => {
                 for s in body {
                     out.extend(s.reads());
                 }
             }
         }
-        out.sort_unstable_by_key(|r| format!("{r:?}"));
+        out.sort_unstable();
         out.dedup();
         out
     }
@@ -172,14 +187,16 @@ impl Stmt {
                 out.push(Resource::Ghost(*array, *dim, shift.signum() as i8));
             }
             Stmt::Compute { lhs, .. } => out.push(Resource::Interior(*lhs)),
-            Stmt::Copy { dst, .. } => out.push(Resource::Interior(*dst)),
+            Stmt::Copy { dst, .. } | Stmt::Rebind { dst, .. } => {
+                out.push(Resource::Interior(*dst));
+            }
             Stmt::TimeLoop { body, .. } => {
                 for s in body {
                     out.extend(s.writes());
                 }
             }
         }
-        out.sort_unstable_by_key(|r| format!("{r:?}"));
+        out.sort_unstable();
         out.dedup();
         out
     }
@@ -271,6 +288,15 @@ mod tests {
         assert!(reads.contains(&Resource::Ghost(U, 0, 1)));
         assert_eq!(s.writes(), vec![Resource::Interior(T)]);
         assert!(!s.is_comm());
+    }
+
+    #[test]
+    fn rebind_sets_match_the_copy_it_replaces() {
+        let copy = Stmt::Copy { dst: U, src: OperandRef::aligned(T, 2) };
+        let rebind = Stmt::Rebind { dst: U, src: T };
+        assert_eq!(rebind.reads(), copy.reads());
+        assert_eq!(rebind.writes(), copy.writes());
+        assert!(!rebind.is_comm());
     }
 
     #[test]

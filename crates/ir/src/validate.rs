@@ -236,6 +236,18 @@ fn check_stmt(symbols: &SymbolTable, s: &Stmt, w: i64, out: &mut Vec<Diagnostic>
                 );
             }
         }
+        Stmt::Rebind { dst, src } => {
+            if !check_array(symbols, *dst, out) || !check_array(symbols, *src, out) {
+                return;
+            }
+            let (d, s) = (symbols.array(*dst), symbols.array(*src));
+            if d.shape != s.shape || d.dist != s.dist {
+                out.push(Diagnostic::error(
+                    IR002,
+                    format!("rebind of {} to {}: shapes or distributions differ", d.name, s.name),
+                ));
+            }
+        }
         Stmt::TimeLoop { .. } => {} // bodies visited by the caller
     }
 }

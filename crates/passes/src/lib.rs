@@ -14,6 +14,8 @@
 //!    intraprocessor component of shifts by letting source and destination
 //!    share storage, moving off-processor data into overlap areas
 //!    (`OVERLAP_SHIFT`) and rewriting uses as annotated offset references.
+//!    [`rotate`] extends the same storage sharing to whole-array copies
+//!    whose source dies: the copy becomes a per-PE storage swap.
 //! 3. [`partition`] — *context partitioning* (§3.2): Kennedy–McKinley typed
 //!    fusion over the statement dependence graph groups congruent array
 //!    statements (enabling maximal legal loop fusion) and groups
@@ -38,6 +40,7 @@ pub mod normalize;
 pub mod offset;
 pub mod partition;
 pub mod pipeline;
+pub mod rotate;
 pub mod scalarize;
 pub mod unioning;
 

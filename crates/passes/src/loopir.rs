@@ -259,6 +259,14 @@ pub enum NodeItem {
     Comm(CommOp),
     /// A subgrid loop nest (purely local).
     Nest(LoopNest),
+    /// `CALL REBIND(DST <- SRC)`: every PE swaps the two arrays' storage
+    /// (purely local, O(1) per PE) — the lowered [`hpf_ir::Stmt::Rebind`].
+    Rebind {
+        /// The array that takes over `src`'s storage.
+        dst: ArrayId,
+        /// The array left holding `dst`'s stale storage.
+        src: ArrayId,
+    },
     /// A counted serial loop.
     TimeLoop {
         /// Iterations.
@@ -313,6 +321,28 @@ impl NodeProgram {
             }
         });
         n
+    }
+
+    /// Distinct arrays whose owned elements one step writes: those a nest
+    /// stores or a full shift fills. A rebind moves storage and writes none.
+    pub fn arrays_written(&self) -> usize {
+        let mut written: Vec<ArrayId> = Vec::new();
+        self.for_each_item(&mut |it| match it {
+            NodeItem::Nest(nest) => {
+                for i in &nest.body {
+                    if let Instr::Store { array, .. } = i {
+                        if !written.contains(array) {
+                            written.push(*array);
+                        }
+                    }
+                }
+            }
+            NodeItem::Comm(CommOp::FullShift { dst, .. }) if !written.contains(dst) => {
+                written.push(*dst);
+            }
+            _ => {}
+        });
+        written.len()
     }
 }
 

@@ -55,7 +55,7 @@ pub fn run(node: &mut NodeProgram, opts: MemOptOptions) -> MemOptStats {
             match it {
                 NodeItem::Nest(nest) => optimize_nest(nest, opts, stats),
                 NodeItem::TimeLoop { body, .. } => walk(body, opts, stats),
-                NodeItem::Comm(_) => {}
+                NodeItem::Comm(_) | NodeItem::Rebind { .. } => {}
             }
         }
     }

@@ -60,6 +60,11 @@ fn items_into(symbols: &SymbolTable, items: &[NodeItem], level: usize, out: &mut
                 writeln!(out, ")").unwrap();
             }
             NodeItem::Nest(nest) => nest_into(symbols, nest, level, out),
+            NodeItem::Rebind { dst, src } => {
+                indent(level, out);
+                let (d, s) = (&symbols.array(*dst).name, &symbols.array(*src).name);
+                writeln!(out, "CALL REBIND({d} <- {s})").unwrap();
+            }
             NodeItem::TimeLoop { iters, body } => {
                 indent(level, out);
                 writeln!(out, "DO {iters} TIMES").unwrap();

@@ -20,7 +20,7 @@ pub enum StmtClass {
     Comm,
     /// Array compute statements keyed by iteration space + distribution.
     Compute(Section, Distribution),
-    /// Statements that never share a group (time loops).
+    /// Statements that never share a group (time loops, storage rebinds).
     Single,
 }
 
@@ -44,7 +44,7 @@ pub fn classify(symbols: &SymbolTable, s: &Stmt) -> StmtClass {
             let decl = symbols.array(*dst);
             StmtClass::Compute(Section::full(&decl.shape), decl.dist.clone())
         }
-        Stmt::TimeLoop { .. } => StmtClass::Single,
+        Stmt::Rebind { .. } | Stmt::TimeLoop { .. } => StmtClass::Single,
     }
 }
 

@@ -10,6 +10,7 @@ use crate::memopt::{self, MemOptOptions, MemOptStats};
 use crate::normalize::{self, NormalizeStats, TempPolicy};
 use crate::offset::{self, OffsetStats};
 use crate::partition::{self, PartitionStats};
+use crate::rotate;
 use crate::scalarize::{self, ScalarizeOptions, ScalarizeStats};
 use crate::unioning::{self, UnioningStats};
 use hpf_frontend::Checked;
@@ -184,6 +185,9 @@ pub struct PipelineStats {
     pub normalize: NormalizeStats,
     /// Offset arrays (zeroed when disabled).
     pub offset: OffsetStats,
+    /// Whole-array copies storage rotation turned into rebinds (zero when
+    /// offset arrays are disabled).
+    pub rotated: usize,
     /// Context partitioning (zeroed when disabled).
     pub partition: PartitionStats,
     /// Communication unioning (zeroed when disabled).
@@ -198,6 +202,9 @@ pub struct PipelineStats {
     pub nests: usize,
     /// Arrays the node program allocates.
     pub arrays_allocated: usize,
+    /// Arrays whose owned elements one step of the node program writes
+    /// ([`NodeProgram::arrays_written`]).
+    pub arrays_written: usize,
     /// Per-pass wall time and checking effort, indexed like [`PASS_NAMES`].
     pub pass_timings: [PassTiming; NUM_PASSES],
 }
@@ -312,6 +319,9 @@ pub fn compile(checked: &Checked, options: CompileOptions) -> Compiled {
     stats.pass_timings[0].wall_ns = lap();
     if options.offset_arrays {
         stats.offset = offset::run(&mut program, halo);
+        // Storage rotation rides with offset arrays: the same storage
+        // sharing, applied to whole-array copies instead of shifts.
+        stats.rotated = rotate::run(&mut program);
         if checking {
             check_pass(
                 &mut stats.pass_timings[1],
@@ -378,6 +388,7 @@ pub fn compile(checked: &Checked, options: CompileOptions) -> Compiled {
     stats.comm_ops = node.comm_count();
     stats.nests = node.nest_count();
     stats.arrays_allocated = node.live_arrays.len();
+    stats.arrays_written = node.arrays_written();
     let compiled = Compiled { array_ir: program, node, stats, options };
     if checking {
         let need = compiled.required_halo();

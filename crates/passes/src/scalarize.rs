@@ -110,6 +110,10 @@ fn lower_block(
                 }));
                 i += 1;
             }
+            Stmt::Rebind { dst, src } => {
+                items.push(NodeItem::Rebind { dst: *dst, src: *src });
+                i += 1;
+            }
             Stmt::TimeLoop { iters, body } => {
                 let inner = lower_block(symbols, body, opts, stats);
                 items.push(NodeItem::TimeLoop { iters: *iters, body: inner });

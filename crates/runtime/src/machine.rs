@@ -9,7 +9,7 @@ use crate::schedule::{
 };
 use crate::stats::{AggStats, PeStats};
 use crate::subgrid::Subgrid;
-use hpf_ir::{ArrayDecl, ArrayId, DimDist, Offsets, Rsd, Section, Shape, ShiftKind};
+use hpf_ir::{ArrayDecl, ArrayId, DimDist, Rsd, Section, Shape, ShiftKind};
 use hpf_trace::{SpanKind, Trace, Tracer, Track};
 use std::cell::RefCell;
 
@@ -202,6 +202,13 @@ impl PeState {
             panic!("array {:?} or {:?} not allocated on PE {}", sched.src, sched.dst, self.pe);
         }
         self.credit_local(sched.kind, t.src.elements());
+    }
+
+    /// Swap the storage of two arrays on this PE: `a` takes `b`'s subgrid
+    /// and `b` takes `a`'s — a storage rotation, O(1) and moving no data.
+    /// The plan checks their geometries once ([`Machine::check_rebind`]).
+    pub fn swap_subgrids(&mut self, a: ArrayId, b: ArrayId) {
+        self.subgrids.swap(a.0 as usize, b.0 as usize);
     }
 
     /// Count `elements` moved within this PE by a plan of this `kind`.
@@ -759,24 +766,18 @@ impl Machine {
         self.tune_search_ns += search_ns;
     }
 
-    /// Swap the storage of two identically-distributed arrays on every PE —
-    /// the zero-copy double-buffer flip of Jacobi-style time steps. Panics if
-    /// either array is unallocated or their geometries differ.
-    pub fn swap_subgrids(&mut self, a: ArrayId, b: ArrayId) {
-        if a == b {
-            return;
+    /// Check that two allocated arrays may trade storage on every PE
+    /// ([`PeState::swap_subgrids`], a storage rotation): they must have the
+    /// same geometry.
+    pub fn check_rebind(&self, a: ArrayId, b: ArrayId) -> Result<(), RtError> {
+        let (ma, mb) = (self.meta(a), self.meta(b));
+        if ma.geom != mb.geom {
+            return Err(RtError::BadDistribution(format!(
+                "{} and {} cannot trade storage: different distributions",
+                ma.name, mb.name
+            )));
         }
-        assert_eq!(
-            self.meta(a).geom,
-            self.meta(b).geom,
-            "swap_subgrids: {} and {} have different distributions",
-            self.meta(a).name,
-            self.meta(b).name
-        );
-        let (ia, ib) = (a.0 as usize, b.0 as usize);
-        for st in &mut self.pes {
-            st.subgrids.swap(ia, ib);
-        }
+        Ok(())
     }
 
     /// Full `DST = CSHIFT(SRC, SHIFT=s, DIM=d)` (or `EOSHIFT`): both the
@@ -809,46 +810,6 @@ impl Machine {
         let plan = overlap_shift_plan(&geom, shift, dim, rsd, kind, self.cfg.halo)?;
         self.apply_plan(id, id, &plan, MoveKind::Overlap);
         Ok(())
-    }
-
-    /// Whole-array copy `DST = SRC<offsets>`; purely local (reads halo cells
-    /// for non-zero offsets). Counts as a subgrid loop.
-    pub fn copy_offset(&mut self, dst: ArrayId, src: ArrayId, offsets: &Offsets) {
-        for pe in 0..self.num_pes() {
-            let sub_src = match &self.pes[pe].subgrids[src.0 as usize] {
-                Some(s) => s.clone(),
-                None => panic!("src not allocated"),
-            };
-            if sub_src.is_empty() {
-                continue;
-            }
-            let ext = sub_src.ext.clone();
-            let st = &mut self.pes[pe];
-            let sub_dst = st.subgrid_mut(dst);
-            let ranges: Vec<(i64, i64)> = ext.iter().map(|&e| (1, e as i64)).collect();
-            let mut cur: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
-            let mut n = 0u64;
-            loop {
-                let from: Vec<i64> = cur.iter().zip(&offsets.0).map(|(&l, &o)| l + o).collect();
-                sub_dst.set(&cur, sub_src.get(&from));
-                n += 1;
-                let mut done = true;
-                for d in (0..cur.len()).rev() {
-                    cur[d] += 1;
-                    if cur[d] <= ranges[d].1 {
-                        done = false;
-                        break;
-                    }
-                    cur[d] = ranges[d].0;
-                }
-                if done {
-                    break;
-                }
-            }
-            st.stats.loads += n;
-            st.stats.stores += n;
-            st.stats.iters += n;
-        }
     }
 
     /// Aggregated statistics.
@@ -1206,21 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_offset_reads_halo() {
-        let mut m = machine();
-        m.alloc(U, &decl("U", 8)).unwrap();
-        m.alloc(T, &decl("T", 8)).unwrap();
-        m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
-        m.overlap_shift(U, 1, 0, None, ShiftKind::Circular).unwrap();
-        m.copy_offset(T, U, &Offsets::new([1, 0]));
-        // T(i,j) = U(i+1,j) with circular wrap via the halo.
-        assert_eq!(m.get(T, &[4, 2]), 502.0);
-        assert_eq!(m.get(T, &[8, 3]), 103.0); // wraps to row 1
-        let agg = m.stats();
-        assert!(agg.total().loads >= 64);
-    }
-
-    #[test]
     fn modeled_time_positive_after_comm() {
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
@@ -1337,20 +1283,23 @@ mod tests {
         m.alloc(T, &decl("T", 8)).unwrap();
         m.fill(U, |_| 1.0);
         m.fill(T, |_| 2.0);
-        m.swap_subgrids(U, T);
+        m.check_rebind(U, T).unwrap();
+        for pe in &mut m.pes {
+            pe.swap_subgrids(U, T);
+        }
         assert_eq!(m.get(U, &[1, 1]), 2.0);
         assert_eq!(m.get(T, &[1, 1]), 1.0);
-        m.swap_subgrids(U, U); // no-op
+        m.pes[0].swap_subgrids(U, U); // no-op
         assert_eq!(m.get(U, &[1, 1]), 2.0);
     }
 
     #[test]
-    #[should_panic(expected = "different distributions")]
-    fn swap_subgrids_rejects_mismatched_geometry() {
+    fn rebind_check_rejects_mismatched_geometry() {
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
         m.alloc(T, &decl("T", 12)).unwrap();
-        m.swap_subgrids(U, T);
+        let err = m.check_rebind(U, T).unwrap_err();
+        assert!(err.to_string().contains("different distributions"), "{err}");
     }
 
     #[test]

@@ -116,11 +116,6 @@ pub struct CompiledComm {
 }
 
 impl CompiledComm {
-    /// Total elements moved per execution.
-    pub fn elements(&self) -> usize {
-        self.transfers.iter().map(|t| t.src.elements()).sum()
-    }
-
     /// Bytes of staging an execution needs: the largest transfer that is
     /// packed and unpacked rather than copied directly.
     pub fn pooled_bytes(&self) -> usize {

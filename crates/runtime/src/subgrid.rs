@@ -100,12 +100,6 @@ impl Subgrid {
         &self.strides
     }
 
-    /// Flat storage index of a local coordinate (ghost cells allowed) — for
-    /// executors that precompute access deltas.
-    pub fn flat_index(&self, local: &[i64]) -> usize {
-        self.index(local)
-    }
-
     /// Raw storage (padded, row-major).
     pub fn raw(&self) -> &[f64] {
         &self.data

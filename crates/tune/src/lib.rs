@@ -168,9 +168,8 @@ impl Tuner {
     /// `{1, 2, 4, 8}`). Depths the kernel's superstep planner rejects —
     /// wrong loop shape, non-shift communication, iteration-crossing data
     /// flow — are dropped before enumeration, so an ineligible kernel
-    /// searches the classic depth-1 space only; callers whose plans are
-    /// superstep-incompatible for plan-level reasons (e.g. per-step buffer
-    /// swaps) pass `vec![1]`.
+    /// searches the classic depth-1 space only; `vec![1]` searches no
+    /// supersteps at all.
     pub fn supersteps(mut self, ks: Vec<usize>) -> Tuner {
         self.supersteps = ks;
         self

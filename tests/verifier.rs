@@ -16,9 +16,9 @@
 //!    nothing wrote, a fold's store aimed at another lane's tap) and of an
 //!    execution plan
 //!    (cleared drain barriers, widened interior sweeps, duplicated
-//!    buffer posts, widened superstep trapezoids) is rejected with the
-//!    matching `BV*` / `PL*` diagnostic. A verifier that misses the
-//!    faults it was built to catch is equally useless.
+//!    buffer posts, widened superstep trapezoids, stale storage bindings)
+//!    is rejected with the matching `BV*` / `PL*` diagnostic. A verifier
+//!    that misses the faults it was built to catch is equally useless.
 
 use hpf_bench::workload::{generate, WorkloadSpec};
 use hpf_stencil::codegen::{compile_nest, verify_nest, CompiledNest, Fault};
@@ -368,6 +368,28 @@ fn widened_trapezoids_are_killed() {
         assert!(plan.corrupt_widen_trapezoid(), "fixture must carry a trapezoid to widen");
         let diags = plan.verify();
         assert!(diags.iter().any(|d| d.code == "PL004"), "expected PL004, got {diags:?}");
+    }
+}
+
+/// A rebind inserted where its source is still read — a stale binding,
+/// whose reader would see another array's storage — must trip the
+/// dead-source rule (PL005) on the built plan, whatever the engine and
+/// superstep depth, before any step runs.
+#[test]
+fn stale_bindings_are_killed() {
+    let kernel = Kernel::compile(&presets::jacobi(16, 4), CompileOptions::full()).unwrap();
+    for (engine, k) in
+        [(Engine::Sequential, 1), (Engine::ThreadedOverlap, 1), (Engine::Sequential, 2)]
+    {
+        let mut machine = Machine::new(MachineConfig::with_grid(vec![2, 2]).halo(k));
+        let cfg = ExecConfig::new().engine(engine).backend(Backend::Bytecode).superstep(k);
+        let mut plan =
+            hpf_stencil::exec::ExecPlan::build(&mut machine, &kernel.compiled.node, &cfg).unwrap();
+        assert_eq!(plan.supersteps_per_step() > 0, k > 1, "fixture must tile at k={k}");
+        assert!(plan.verify().is_empty(), "the rotated copy-back verifies clean");
+        assert!(plan.corrupt_stale_binding(), "fixture must have a nest reading U");
+        let diags = plan.verify();
+        assert!(diags.iter().any(|d| d.code == "PL005"), "{engine:?} k={k}: got {diags:?}");
     }
 }
 
