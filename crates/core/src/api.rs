@@ -637,8 +637,9 @@ impl Plan<'_> {
 
     /// Run the static verifiers over the built plan — the bytecode
     /// verifier's `BV*` obligations on every compiled kernel and the race
-    /// checker's `PL*` obligations on every overlap window and superstep
-    /// (trapezoid coverage, PL004) — and return
+    /// checker's `PL*` obligations on every overlap window, superstep
+    /// (trapezoid coverage, PL004), rebind (PL005) and compiled schedule
+    /// (box geometry, PL006) — and return
     /// the diagnostics (empty = machine-checked safe). `ExecPlan::build`
     /// already enforces this in debug/checked builds; this re-runs it for
     /// observation, e.g. behind `hpfsc --verify`.

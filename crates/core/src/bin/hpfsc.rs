@@ -48,11 +48,11 @@ options:
   --deny-warnings       exit 3 when linting reports any warning
   --verify              machine-check the compiled program: run the
                         bytecode verifier (BV001-BV004) over every per-PE
-                        kernel and the plan-level race checker
-                        (PL001-PL004) over every overlap window and
-                        superstep of a threaded-overlap-bytecode plan on
-                        the --grid machine; print any diagnostics, exit 5
-                        on failure
+                        kernel and the plan-level checker (PL001-PL006)
+                        over every overlap window, superstep, rebind and
+                        compiled schedule of a threaded-overlap-bytecode
+                        plan on the --grid machine; print any
+                        diagnostics, exit 5 on failure
   --run                 execute on the simulated machine, verified against
                         the reference interpreter
   --grid RxC            PE grid for --run (default: 2x2)
@@ -406,7 +406,7 @@ fn main() {
 
     if verify {
         // Verify the most aggressive configuration regardless of --engine:
-        // overlap windows give the race checker (PL001-PL004) something to
+        // overlap windows give the plan checker (PL001-PL006) something to
         // prove and compiled bytecode kernels give the bytecode verifier
         // (BV001-BV004) something to prove. An unchecked build cannot be
         // rejected at build time, so every diagnostic reaches the report.

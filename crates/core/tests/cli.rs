@@ -173,6 +173,26 @@ fn dropped_shift_fails_the_verified_run() {
     let _ = std::fs::remove_file(path);
 }
 
+/// A section copy between arrays of different shapes is a run failure that
+/// names both arrays, not a panic. A debug build's pipeline invariant
+/// checks stop at the statement (IR002) before the plan builder sees it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "the debug pipeline's IR002 check stops it first")]
+fn a_nest_over_arrays_of_different_shapes_fails_the_run() {
+    for (i, stmt) in ["A(1:8,1:8) = B", "B = A(1:8,1:8)"].iter().enumerate() {
+        let name = format!("hpfsc-cli-{}-unlike-{i}.f90", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, format!("REAL A(10,10), B(8,8)\n{stmt}\n")).unwrap();
+        for grid in ["1x1", "2x2"] {
+            let out = hpfsc(&[path.to_str().unwrap(), "--run", "--grid", grid]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{stmt} on {grid}: {err}");
+            assert!(err.contains("cannot share a loop nest"), "{stmt} on {grid}: {err}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[test]
 fn bad_engine_names_the_flag_and_lists_choices() {
     let out = hpfsc(&["--engine", "warp9"]);

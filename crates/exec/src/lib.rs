@@ -14,7 +14,7 @@
 //!   full-RHS-before-assignment);
 //! * [`plan`] — the machine executor: an [`ExecPlan`] allocates the arrays,
 //!   compiles every communication operation once against the allocated
-//!   subgrids (flat pack/unpack index lists, pooled buffers), and then
+//!   subgrids (one strided box per region, copied run by run), and then
 //!   steps the node program any number of times on the `hpf-runtime`
 //!   machine simulator with zero per-step setup.
 //!

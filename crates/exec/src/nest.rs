@@ -62,10 +62,7 @@ pub fn scalar_values(symbols: &hpf_ir::SymbolTable) -> Vec<f64> {
 /// compiler — the split-phase engine derives its interior/boundary regions
 /// from these.
 pub fn nest_local_bounds(pe: &PeState, nest: &LoopNest) -> Option<(Vec<i64>, Vec<i64>)> {
-    let probe = nest.body.iter().find_map(|i| match i {
-        Instr::Load { array, .. } | Instr::Store { array, .. } => Some(*array),
-        _ => None,
-    })?;
+    let probe = nest.body.iter().find_map(Instr::array)?;
     let sub = pe.subgrids.get(probe.0 as usize)?.as_ref()?;
     let (owned, ext) = (&sub.owned, &sub.ext);
     if ext.contains(&0) {
@@ -153,14 +150,7 @@ pub fn expand_bounds(
     hi: &[i64],
     expand: &[(i64, i64)],
 ) -> (Vec<i64>, Vec<i64>) {
-    let probe = nest
-        .body
-        .iter()
-        .find_map(|i| match i {
-            Instr::Load { array, .. } | Instr::Store { array, .. } => Some(*array),
-            _ => None,
-        })
-        .expect("nest bodies access at least one array");
+    let probe = nest.body.iter().find_map(Instr::array).expect("nests access an array");
     let sub = pe.subgrids[probe.0 as usize].as_ref().expect("allocated");
     let halo = sub.halo as i64;
     let lo_x: Vec<i64> = lo.iter().zip(expand).map(|(&l, &(e, _))| (l - e).max(1 - halo)).collect();
@@ -177,14 +167,7 @@ pub fn expand_bounds(
 /// register machine over the box `lo..=hi` (local, inclusive). Jammed/unit
 /// grouping is decided against these bounds.
 fn exec_nest_over(pe: &mut PeState, nest: &LoopNest, scalars: &[f64], lo: &[i64], hi: &[i64]) {
-    let probe = nest
-        .body
-        .iter()
-        .find_map(|i| match i {
-            Instr::Load { array, .. } | Instr::Store { array, .. } => Some(*array),
-            _ => None,
-        })
-        .expect("nest bodies access at least one array");
+    let probe = nest.body.iter().find_map(Instr::array).expect("nests access an array");
     let (strides, halo) = {
         let sub = pe.subgrid(probe);
         (sub.strides().to_vec(), sub.halo)

@@ -36,7 +36,7 @@ use hpf_codegen::{compile_nest, reads_before_def, CompiledNest};
 use hpf_ir::{ArrayId, Diagnostic, Section, ShiftKind};
 use hpf_passes::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram};
 use hpf_passes::memopt::iteration_local;
-use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan, regions_intersect, CommAction};
+use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan, regions_intersect};
 use hpf_runtime::{CompiledComm, Machine, MoveKind, PeState, RtError};
 use hpf_trace::SpanKind;
 
@@ -113,11 +113,6 @@ pub(crate) enum PlanItem {
         /// expansion of the body's `n`-th nest in sub-step `j` — the
         /// trapezoid.
         expansions: Vec<Vec<Vec<(i64, i64)>>>,
-        /// Per-PE owned extents of the (single) iteration space, captured
-        /// at build time so the PL004 verifier can map compiled schedule
-        /// regions into ghost-depth coordinates without the machine (empty
-        /// for a PE that owns no block).
-        pe_exts: Vec<Vec<i64>>,
         /// Exchange executions this item elides relative to `k` classic
         /// steps of the same body.
         elided: u64,
@@ -145,27 +140,8 @@ pub struct ExecPlan {
     scalars: Vec<f64>,
     /// The engine [`ExecPlan::step`] dispatches to, fixed at build time.
     engine: Engine,
-    comm_execs_per_step: u64,
-    kernel_execs_per_step: u64,
-    /// Split-phase windows one step executes (time-loop weighted; zero
-    /// unless built for [`Engine::ThreadedOverlap`]).
-    overlap_windows_per_step: u64,
-    /// Interior points one step computes before draining receives, summed
-    /// over PEs (time-loop weighted).
-    interior_cells_per_step: u64,
-    /// Boundary-strip points one step computes after draining receives,
-    /// summed over split PEs (time-loop weighted).
-    boundary_cells_per_step: u64,
-    /// Superstep executions one step performs (time-loop weighted; zero
-    /// unless built with [`ExecConfig::superstep`] depth > 1 on an
-    /// eligible kernel).
-    supersteps_per_step: u64,
-    /// Exchange executions one step elides relative to the classic
-    /// schedule (time-loop weighted).
-    exchanges_elided_per_step: u64,
-    /// Ghost-zone points one step redundantly recomputes across all PEs
-    /// and sub-steps (time-loop weighted).
-    redundant_cells_per_step: u64,
+    /// What one step executes, counted once the plan is verified.
+    per_step: PerStep,
     /// Logical stencil steps one [`ExecPlan::step`] covers: the superstep
     /// depth `k` for a flat (driver-stepped) program tiled in time, else 1.
     logical_steps: usize,
@@ -213,6 +189,19 @@ impl ExecPlan {
         machine: &mut Machine,
         node: &NodeProgram,
         cfg: &ExecConfig,
+    ) -> Result<ExecPlan, RtError> {
+        Self::build_with_fault(machine, node, cfg, |_| {})
+    }
+
+    /// [`ExecPlan::build`] with `fault` applied to the plan just before its
+    /// static verification: how the mutation-kill suite shows that a
+    /// corrupted plan never leaves a checked build.
+    #[doc(hidden)]
+    pub fn build_with_fault(
+        machine: &mut Machine,
+        node: &NodeProgram,
+        cfg: &ExecConfig,
+        fault: impl FnOnce(&mut ExecPlan),
     ) -> Result<ExecPlan, RtError> {
         // Trace and metrics share the recorders: both need them on, only
         // a trace needs the event timeline as well as the folds.
@@ -278,14 +267,7 @@ impl ExecPlan {
             scheds,
             scalars,
             engine: cfg.engine,
-            comm_execs_per_step: 0,
-            kernel_execs_per_step: 0,
-            overlap_windows_per_step: 0,
-            interior_cells_per_step: 0,
-            boundary_cells_per_step: 0,
-            supersteps_per_step: 0,
-            exchanges_elided_per_step: 0,
-            redundant_cells_per_step: 0,
+            per_step: PerStep::default(),
             logical_steps,
             superstep_diags,
             step_aliases: Aliases::after_step(&node.items),
@@ -301,6 +283,7 @@ impl ExecPlan {
             let items = std::mem::take(&mut plan.items);
             plan.items = fuse_windows(machine, items, &plan.scheds);
         }
+        fault(&mut plan);
         // Static verification (BV* kernel obligations, PL* plan-level
         // races): always in debug builds, and on demand via `cfg.check`.
         // Checked builds fail hard; otherwise a rejected kernel falls back
@@ -309,18 +292,7 @@ impl ExecPlan {
         if cfg.check || cfg!(debug_assertions) {
             crate::plan_verify::enforce(&mut plan.items, &plan.scheds, cfg.check)?;
         }
-        if cfg.engine == Engine::ThreadedOverlap {
-            let (windows, interior, boundary) = count_overlap(&plan.items);
-            plan.overlap_windows_per_step = windows;
-            plan.interior_cells_per_step = interior;
-            plan.boundary_cells_per_step = boundary;
-        }
-        plan.comm_execs_per_step = count_comm_execs(&plan.items);
-        plan.kernel_execs_per_step = count_kernel_execs(&plan.items);
-        let (supersteps, elided, redundant) = count_superstep(machine, &plan.items);
-        plan.supersteps_per_step = supersteps;
-        plan.exchanges_elided_per_step = elided;
-        plan.redundant_cells_per_step = redundant;
+        plan.per_step.add(machine, &plan.items, 1);
         Ok(plan)
     }
 
@@ -352,8 +324,8 @@ impl ExecPlan {
         self.aliases.clone_from(&self.step_aliases);
         // Machine-wide counters are credited here, once per step, so every
         // engine reports identical numbers.
-        machine.note_kernel_execs(self.kernel_execs_per_step);
-        machine.note_superstep(self.exchanges_elided_per_step, self.redundant_cells_per_step);
+        machine.note_kernel_execs(self.per_step.kernel_execs);
+        machine.note_superstep(self.per_step.elided, self.per_step.redundant);
         if let Some(begin) = begin {
             let logical = self.logical_steps;
             if let Some(m) = self.metrics.as_mut() {
@@ -381,13 +353,13 @@ impl ExecPlan {
 
     /// Schedule executions one step performs (counts time-loop repeats).
     pub fn comm_execs_per_step(&self) -> u64 {
-        self.comm_execs_per_step
+        self.per_step.comm_execs
     }
 
     /// Compiled-kernel executions one step performs across all PEs
     /// (time-loop weighted; zero under the interpreter backend).
     pub fn kernel_execs_per_step(&self) -> u64 {
-        self.kernel_execs_per_step
+        self.per_step.kernel_execs
     }
 
     /// Bytes of message staging the machine holds once this plan has stepped
@@ -413,35 +385,35 @@ impl ExecPlan {
     /// Split-phase windows one step executes (zero unless built for
     /// [`Engine::ThreadedOverlap`]).
     pub fn overlap_windows_per_step(&self) -> u64 {
-        self.overlap_windows_per_step
+        self.per_step.windows
     }
 
     /// Interior points one step computes while halo messages are in flight.
     pub fn interior_cells_per_step(&self) -> u64 {
-        self.interior_cells_per_step
+        self.per_step.interior
     }
 
     /// Boundary-strip points one step computes after the receives drain.
     pub fn boundary_cells_per_step(&self) -> u64 {
-        self.boundary_cells_per_step
+        self.per_step.boundary
     }
 
     /// Superstep executions one step performs (zero unless built with
     /// [`ExecConfig::superstep`] depth > 1 on an eligible kernel).
     pub fn supersteps_per_step(&self) -> u64 {
-        self.supersteps_per_step
+        self.per_step.supersteps
     }
 
     /// Exchange executions one step elides relative to the classic
     /// schedule of the same program.
     pub fn exchanges_elided_per_step(&self) -> u64 {
-        self.exchanges_elided_per_step
+        self.per_step.elided
     }
 
     /// Ghost-zone points one step redundantly recomputes (the trapezoid
     /// price of the elided exchanges), summed over PEs and sub-steps.
     pub fn redundant_cells_per_step(&self) -> u64 {
-        self.redundant_cells_per_step
+        self.per_step.redundant
     }
 
     /// Logical stencil steps one [`ExecPlan::step`] covers. This is the
@@ -505,13 +477,10 @@ impl ExecPlan {
         pool.step(&mut machine.pes, &ctx);
         // Workers deliver messages themselves, bypassing `apply_compiled`
         // and its reuse accounting; credit the reuses here.
-        machine.note_schedule_reuses(self.comm_execs_per_step);
+        machine.note_schedule_reuses(self.per_step.comm_execs);
         if split_phase {
-            machine.note_overlap(
-                self.overlap_windows_per_step,
-                self.interior_cells_per_step,
-                self.boundary_cells_per_step,
-            );
+            let n = &self.per_step;
+            machine.note_overlap(n.windows, n.interior, n.boundary);
         }
     }
 }
@@ -550,7 +519,7 @@ fn compile_items(
                 let kernels = compile_kernels(machine, nest, scalars, backend, compiled);
                 out.push(PlanItem::Nest { nest: nest.clone(), kernels });
             }
-            NodeItem::Rebind { dst, src } => out.push(rebind_item(machine, *dst, *src)?),
+            NodeItem::Rebind { dst, src } => out.push(rebind_item(machine, *dst, *src)),
             NodeItem::TimeLoop { iters, body } => out.push(PlanItem::TimeLoop {
                 iters: *iters,
                 body: compile_items(machine, body, scheds, scalars, backend, compiled)?,
@@ -586,10 +555,9 @@ fn push_sched(scheds: &mut Vec<CompiledComm>, sched: CompiledComm) -> PlanItem {
     PlanItem::Comm(scheds.len() - 1)
 }
 
-/// A rebind of two arrays the machine lets trade storage.
-fn rebind_item(machine: &Machine, dst: ArrayId, src: ArrayId) -> Result<PlanItem, RtError> {
-    machine.check_rebind(dst, src)?;
-    Ok(PlanItem::Rebind { dst, src, full: Section::full(&machine.meta(dst).shape) })
+/// A rebind of two arrays of one geometry (checked by `validate::allocate`).
+fn rebind_item(machine: &Machine, dst: ArrayId, src: ArrayId) -> PlanItem {
+    PlanItem::Rebind { dst, src, full: Section::full(&machine.meta(dst).shape) }
 }
 
 /// What storage rotation leaves for an observer at a step boundary:
@@ -633,11 +601,7 @@ impl Aliases {
                 match item {
                     NodeItem::Rebind { dst, src } => aliases.rebind(*dst, *src),
                     NodeItem::Nest(nest) => {
-                        for i in &nest.body {
-                            if let Instr::Store { array, .. } = i {
-                                aliases.written(*array);
-                            }
-                        }
+                        nest.stored().into_iter().for_each(|a| aliases.written(a))
                     }
                     NodeItem::Comm(CommOp::FullShift { dst, .. }) => aliases.written(*dst),
                     NodeItem::Comm(CommOp::Overlap { .. }) => {}
@@ -702,24 +666,15 @@ fn build_superstep_items(
                 nest: nest.clone(),
                 kernels: compile_kernels(machine, nest, scalars, backend, compiled),
             }),
-            NodeItem::Rebind { dst, src } => sub.push(rebind_item(machine, *dst, *src)?),
+            NodeItem::Rebind { dst, src } => sub.push(rebind_item(machine, *dst, *src)),
             _ => {}
         }
     }
-    let first = body_nests(&sub).next().map(|(nest, _)| nest);
-    let pe_exts: Vec<Vec<i64>> = machine
-        .pes
-        .iter()
-        .map(|pe| {
-            first.and_then(|nest| nest_local_bounds(pe, nest)).map(|(_, hi)| hi).unwrap_or_default()
-        })
-        .collect();
     let tile = PlanItem::Superstep {
         k: ss.k,
         comms,
         body: sub,
         expansions: ss.expansions.clone(),
-        pe_exts,
         elided: ss.elided(),
     };
     match ss.shape {
@@ -764,41 +719,83 @@ fn run_superstep_pe(
     state.tracer.record(SpanKind::Superstep, t0);
 }
 
-/// `(superstep execs, exchanges elided, redundant ghost points)` one step
-/// performs, time-loop weighted. The redundant count is the deterministic
-/// sum over PEs, sub-steps, and nests of the storage-clamped expanded box
-/// minus the owned box — exactly what `run_nest_expanded` computes, so it
-/// can be credited identically by every engine.
-fn count_superstep(machine: &Machine, items: &[PlanItem]) -> (u64, u64, u64) {
-    let mut acc = (0u64, 0u64, 0u64);
-    for item in items {
-        match item {
-            PlanItem::Superstep { body, expansions, elided, .. } => {
-                acc.0 += 1;
-                acc.1 += *elided;
-                for sub in expansions {
-                    for ((nest, _), expand) in body_nests(body).zip(sub) {
-                        for state in &machine.pes {
-                            let Some((lo, hi)) = nest_local_bounds(state, nest) else { continue };
-                            let owned: u64 =
-                                lo.iter().zip(&hi).map(|(&l, &h)| (h - l + 1) as u64).product();
-                            let (lo_x, hi_x) = expand_bounds(state, nest, &lo, &hi, expand);
-                            let total: u64 =
-                                lo_x.iter().zip(&hi_x).map(|(&l, &h)| (h - l + 1) as u64).product();
-                            acc.2 += total - owned;
-                        }
+/// What one [`ExecPlan::step`] executes, summed over PEs and weighted by
+/// time-loop iterations: counted from the verified items at build, then
+/// credited identically by every engine.
+#[derive(Clone, Copy, Debug, Default)]
+struct PerStep {
+    /// Schedule executions.
+    comm_execs: u64,
+    /// Compiled-kernel executions (none under the interpreter backend).
+    kernel_execs: u64,
+    /// Split-phase windows, the points their interiors compute while the
+    /// receives are in flight, and the points their boundary strips compute
+    /// after (split PEs only).
+    windows: u64,
+    interior: u64,
+    boundary: u64,
+    /// Supersteps, the exchanges they elide against `k` classic steps, and
+    /// the ghost points their trapezoids recompute.
+    supersteps: u64,
+    elided: u64,
+    redundant: u64,
+}
+
+impl PerStep {
+    /// Count what `items` execute, `times` over.
+    fn add(&mut self, machine: &Machine, items: &[PlanItem], times: u64) {
+        let kernels = |k: &[Option<CompiledNest>]| times * k.iter().flatten().count() as u64;
+        for item in items {
+            match item {
+                PlanItem::Comm(_) => self.comm_execs += times,
+                PlanItem::Nest { kernels: k, .. } => self.kernel_execs += kernels(k),
+                PlanItem::Overlap { comms, kernels: k, splits, .. } => {
+                    self.comm_execs += times * comms.len() as u64;
+                    self.kernel_execs += kernels(k);
+                    self.windows += times;
+                    for s in splits.iter().flatten() {
+                        self.interior += times * s.interior_cells();
+                        self.boundary += times * s.boundary_cells();
                     }
                 }
+                PlanItem::Rebind { .. } => {}
+                PlanItem::TimeLoop { iters, body } => {
+                    self.add(machine, body, times * *iters as u64)
+                }
+                PlanItem::Superstep { comms, body, expansions, elided, .. } => {
+                    self.comm_execs += times * comms.len() as u64;
+                    self.add(machine, body, times * expansions.len() as u64);
+                    self.supersteps += times;
+                    self.elided += times * elided;
+                    self.redundant += times * redundant_cells(machine, body, expansions);
+                }
             }
-            PlanItem::TimeLoop { iters, body } => {
-                let (s, e, r) = count_superstep(machine, body);
-                let n = *iters as u64;
-                acc = (acc.0 + n * s, acc.1 + n * e, acc.2 + n * r);
-            }
-            _ => {}
         }
     }
-    acc
+}
+
+/// Ghost points one superstep's sweeps recompute, summed over sub-steps,
+/// nests and PEs: the storage-clamped expanded box minus the owned box,
+/// exactly what `run_nest_expanded` computes.
+fn redundant_cells(
+    machine: &Machine,
+    body: &[PlanItem],
+    expansions: &[Vec<Vec<(i64, i64)>>],
+) -> u64 {
+    let points = |lo: &[i64], hi: &[i64]| -> u64 {
+        lo.iter().zip(hi).map(|(&l, &h)| (h - l + 1) as u64).product()
+    };
+    let mut cells = 0;
+    for sub in expansions {
+        for ((nest, _), expand) in body_nests(body).zip(sub) {
+            for state in &machine.pes {
+                let Some((lo, hi)) = nest_local_bounds(state, nest) else { continue };
+                let (lo_x, hi_x) = expand_bounds(state, nest, &lo, &hi, expand);
+                cells += points(&lo_x, &hi_x) - points(&lo, &hi);
+            }
+        }
+    }
+    cells
 }
 
 /// Rewrite a compiled item list, fusing each maximal run of consecutive
@@ -897,7 +894,7 @@ type SplitPlan = (Vec<Option<RegionSplit>>, Vec<i64>, Vec<i64>);
 /// Returns the per-PE splits plus the unit body's per-dimension read radii
 /// `(read_lo, read_hi)`.
 fn derive_splits(machine: &Machine, nest: &LoopNest) -> Option<SplitPlan> {
-    let unit = nest.unroll.as_ref().map_or(&nest.body, |u| &u.unit_body);
+    let unit = nest.unit_body();
     if !iteration_local(unit) || reads_before_def(unit) || reads_before_def(&nest.body) {
         return None;
     }
@@ -936,8 +933,9 @@ fn derive_splits(machine: &Machine, nest: &LoopNest) -> Option<SplitPlan> {
 /// cells that PE's interior reads — the interior box expanded by the
 /// nest's per-dimension read radii. Local copies and fills execute in the
 /// post half and non-split PEs drain everything before their nest, so only
-/// receiving transfers on split PEs matter. Regions and bounds share the
-/// 1-based local coordinate frame (owned cells `1..=ext`, ghosts outside).
+/// receiving transfers on split PEs matter. Their decoded boxes and the
+/// bounds share the 1-based local coordinate frame (owned cells `1..=ext`,
+/// ghosts outside); a box that does not decode keeps its receive blocking.
 fn comm_overlappable(
     sched: &CompiledComm,
     splits: &[Option<RegionSplit>],
@@ -952,68 +950,8 @@ fn comm_overlappable(
             .enumerate()
             .map(|(d, &(l, h))| (l - read_lo[d], h + read_hi[d]))
             .collect();
-        sched.actions.iter().all(|a| match a {
-            CommAction::Transfer(t) if t.dst_pe == pe && t.src_pe != pe => {
-                !regions_intersect(&read, &t.dst_local)
-            }
-            _ => true,
-        })
+        sched.received(pe).all(|w| w.is_some_and(|w| !regions_intersect(&read, &w)))
     })
-}
-
-fn count_comm_execs(items: &[PlanItem]) -> u64 {
-    items
-        .iter()
-        .map(|i| match i {
-            PlanItem::Comm(_) => 1,
-            PlanItem::Nest { .. } | PlanItem::Rebind { .. } => 0,
-            PlanItem::Overlap { comms, .. } | PlanItem::Superstep { comms, .. } => {
-                comms.len() as u64
-            }
-            PlanItem::TimeLoop { iters, body } => *iters as u64 * count_comm_execs(body),
-        })
-        .sum()
-}
-
-fn count_kernel_execs(items: &[PlanItem]) -> u64 {
-    items
-        .iter()
-        .map(|i| match i {
-            PlanItem::Comm(_) | PlanItem::Rebind { .. } => 0,
-            PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
-                kernels.iter().flatten().count() as u64
-            }
-            PlanItem::Superstep { body, expansions, .. } => {
-                expansions.len() as u64 * count_kernel_execs(body)
-            }
-            PlanItem::TimeLoop { iters, body } => *iters as u64 * count_kernel_execs(body),
-        })
-        .sum()
-}
-
-/// `(windows, interior cells, boundary cells)` one step executes, summed
-/// over PEs and time-loop weighted. PEs on the blocking path inside a
-/// window contribute to neither cell count.
-fn count_overlap(items: &[PlanItem]) -> (u64, u64, u64) {
-    let mut acc = (0u64, 0u64, 0u64);
-    for item in items {
-        match item {
-            PlanItem::Overlap { splits, .. } => {
-                acc.0 += 1;
-                for s in splits.iter().flatten() {
-                    acc.1 += s.interior_cells();
-                    acc.2 += s.boundary_cells();
-                }
-            }
-            PlanItem::TimeLoop { iters, body } => {
-                let (w, i, b) = count_overlap(body);
-                let n = *iters as u64;
-                acc = (acc.0 + n * w, acc.1 + n * i, acc.2 + n * b);
-            }
-            _ => {}
-        }
-    }
-    acc
 }
 
 /// Run a nest sweep on one PE through its compiled kernel where one exists
@@ -1189,7 +1127,7 @@ impl Fabric for Worker<'_> {
 }
 
 /// Execute the step program on a fabric — the only interpreter of
-/// [`PlanItem`]s, so every engine reads the program the PL001–PL004
+/// [`PlanItem`]s, so every engine reads the program the PL001–PL006
 /// verifier checked the same way.
 pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
     for item in items {

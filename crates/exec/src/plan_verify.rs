@@ -13,10 +13,11 @@
 //!   interior reads. The read set is the interior box expanded by the
 //!   nest's per-dimension read radii, re-derived here from the unit body's
 //!   load/store offsets (not taken from the fuser); the write set is each
-//!   in-flight schedule's cross-PE unpack regions. Geometric
-//!   [`regions_intersect`] decides. An in-flight message sits in the stash
-//!   until drained, so the hazard is staleness: the interior would consume
-//!   pre-exchange ghost values the post-interior drain then overwrites.
+//!   in-flight schedule's cross-PE unpack boxes, decoded
+//!   ([`CompiledComm::received`]). Geometric [`regions_intersect`] decides.
+//!   An in-flight message sits in the stash until drained, so the hazard is
+//!   staleness: the interior would consume pre-exchange ghost values the
+//!   post-interior drain then overwrites.
 //! - **PL002 — drain order under corner forwarding.** When schedule `c`'s
 //!   sends read ghost cells an earlier schedule `e`'s receives write
 //!   ([`CompiledComm::depends_on`]), `e` must be fully drained before `c`
@@ -31,15 +32,16 @@
 //!
 //! - **PL004 — trapezoid coverage.** For every PE, a forward simulation in
 //!   ghost-depth coordinates replays the superstep: the deep-fill
-//!   schedules' *compiled* unpack/fill regions establish each array's
-//!   valid ghost boxes, then every sub-step's reads (expansion plus
+//!   schedules' *compiled* unpack/fill boxes, decoded against each PE's
+//!   extents in the geometry they carry, establish each array's valid
+//!   ghost boxes, then every sub-step's reads (expansion plus
 //!   per-array read radii, re-derived from the unit body — not taken from
 //!   the planner) must be covered before its stores reset the written
 //!   array's validity to the freshly computed box. An uncovered ghost
 //!   point means a sub-step would consume stale or poison halo data. This
 //!   independently re-checks the geometry `crate::superstep`'s planner
-//!   proved, but against the compiled schedules rather than the plan. A
-//!   rebind inside the sub-step swaps the two arrays' valid boxes.
+//!   proved, but against the boxes the engines execute rather than the
+//!   plan. A rebind inside the sub-step swaps the two arrays' valid boxes.
 //!
 //! [Rebind items](crate::plan::PlanItem::Rebind) carry a fifth:
 //!
@@ -52,6 +54,15 @@
 //!   anywhere outside that loop. Re-derived from the built items,
 //!   independently of the storage-rotation pass that placed the rebind.
 //!
+//! Every compiled schedule carries a sixth:
+//!
+//! - **PL006 — schedule geometry.** Every box of every transfer and fill
+//!   decodes ([`CompiledComm::section`]) to a section of its PE's subgrid,
+//!   and each transfer's two sections have equal extents. The rules above
+//!   read schedules only through that decoder, and only where they happen
+//!   to look; this one holds every box the engines execute to a region a
+//!   plan could have described.
+//!
 //! Blocking items need no checking — a plain [`PlanItem::Comm`] completes
 //! before the next item starts, and non-split PEs inside a window drain
 //! everything before their nest. The checker is wired into
@@ -59,8 +70,8 @@
 //! verifier (`hpf_codegen::verify`): debug and checked builds verify every
 //! plan; checked builds fail hard on any diagnostic, unchecked builds
 //! demote the offending kernel to the interpreter or the offending window
-//! to the blocking comm-then-nest path. A stale binding has no safe
-//! demotion: it fails every build.
+//! to the blocking comm-then-nest path. A stale binding or a box that is no
+//! section has no safe demotion: it fails every build.
 
 use crate::plan::{body_nests, ExecPlan, PlanItem};
 use hpf_analysis::superstep::{uncovered_ghost, FillBox, GhostNeed};
@@ -68,7 +79,7 @@ use hpf_codegen::CompiledNest;
 use hpf_ir::diag::Diagnostic;
 use hpf_ir::{ArrayId, Section};
 use hpf_passes::loopir::{Instr, LoopNest};
-use hpf_runtime::schedule::{regions_intersect, CommAction};
+use hpf_runtime::schedule::regions_intersect;
 use hpf_runtime::{CompiledComm, MoveKind, RtError};
 use std::collections::HashMap;
 
@@ -87,6 +98,9 @@ pub const PL004: &str = "PL004";
 /// A rebind's source is read before its next full definition — the reader
 /// would see the destination's stale storage.
 pub const PL005: &str = "PL005";
+/// A compiled box is no section of its PE's subgrid, or a transfer's two
+/// boxes cover sections of different extents.
+pub const PL006: &str = "PL006";
 
 impl ExecPlan {
     /// Run the plan-level race checker over the whole step program,
@@ -98,6 +112,7 @@ impl ExecPlan {
         let mut out = Vec::new();
         verify_items(&self.items, &self.scheds, &mut out);
         verify_program_rebinds(&self.items, &self.scheds, &mut out);
+        verify_schedules(&self.scheds, &mut out);
         for item in &self.items {
             collect_kernel_diags(item, &mut out);
         }
@@ -110,34 +125,19 @@ impl ExecPlan {
     /// mutation-kill suite (PL005). Returns `false` when no nest qualifies.
     #[doc(hidden)]
     pub fn corrupt_stale_binding(&mut self) -> bool {
-        // See corrupt_clear_barriers on why this is not a match guard.
-        #[allow(clippy::collapsible_match)]
-        fn walk(items: &mut Vec<PlanItem>) -> bool {
-            for i in 0..items.len() {
-                match &mut items[i] {
-                    PlanItem::Nest { nest, .. } | PlanItem::Overlap { nest, .. } => {
-                        let loaded = load_radii(nest).into_iter().map(|(a, _)| a);
-                        let stored = stored(nest);
-                        let pair = loaded
-                            .filter_map(|src| stored.iter().find(|&&d| d != src).map(|&d| (d, src)))
-                            .next();
-                        if let Some((dst, src)) = pair {
-                            let full = nest.space.clone();
-                            items.insert(i, PlanItem::Rebind { dst, src, full });
-                            return true;
-                        }
-                    }
-                    PlanItem::TimeLoop { body, .. } | PlanItem::Superstep { body, .. } => {
-                        if walk(body) {
-                            return true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            false
-        }
-        walk(&mut self.items)
+        first_edit(&mut self.items, &mut |items, i| {
+            let (PlanItem::Nest { nest, .. } | PlanItem::Overlap { nest, .. }) = &items[i] else {
+                return false;
+            };
+            let stored = nest.stored();
+            let pair = load_radii(nest)
+                .into_iter()
+                .find_map(|(src, _)| stored.iter().find(|&&d| d != src).map(|&d| (d, src)));
+            let Some((dst, src)) = pair else { return false };
+            let full = nest.space.clone();
+            items.insert(i, PlanItem::Rebind { dst, src, full });
+            true
+        })
     }
 
     /// Corrupt the first window that has a dependency barrier by clearing
@@ -145,27 +145,13 @@ impl ExecPlan {
     /// suite (PL002). Returns `false` when the plan has no such window.
     #[doc(hidden)]
     pub fn corrupt_clear_barriers(&mut self) -> bool {
-        // The recursive `if walk(body)` cannot become a match guard:
-        // guards only get a shared borrow and `walk` mutates.
-        #[allow(clippy::collapsible_match)]
-        fn walk(items: &mut [PlanItem]) -> bool {
-            for item in items {
-                match item {
-                    PlanItem::Overlap { barriers, .. } if barriers.contains(&true) => {
-                        barriers.iter_mut().for_each(|b| *b = false);
-                        return true;
-                    }
-                    PlanItem::TimeLoop { body, .. } => {
-                        if walk(body) {
-                            return true;
-                        }
-                    }
-                    _ => {}
-                }
+        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
+            PlanItem::Overlap { barriers, .. } if barriers.contains(&true) => {
+                barriers.iter_mut().for_each(|b| *b = false);
+                true
             }
-            false
-        }
-        walk(&mut self.items)
+            _ => false,
+        })
     }
 
     /// Corrupt the first window that overlaps anything by widening every
@@ -174,33 +160,17 @@ impl ExecPlan {
     /// keeps a receive in flight.
     #[doc(hidden)]
     pub fn corrupt_widen_interior(&mut self) -> bool {
-        // See corrupt_clear_barriers on why this is not a match guard.
-        #[allow(clippy::collapsible_match)]
-        fn walk(items: &mut [PlanItem]) -> bool {
-            for item in items {
-                match item {
-                    PlanItem::Overlap { pre_drain, splits, .. }
-                        if pre_drain.contains(&false) && splits.iter().any(|s| s.is_some()) =>
-                    {
-                        for split in splits.iter_mut().flatten() {
-                            for r in &mut split.interior {
-                                r.0 -= 8;
-                                r.1 += 8;
-                            }
-                        }
-                        return true;
-                    }
-                    PlanItem::TimeLoop { body, .. } => {
-                        if walk(body) {
-                            return true;
-                        }
-                    }
-                    _ => {}
+        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
+            PlanItem::Overlap { pre_drain, splits, .. }
+                if pre_drain.contains(&false) && splits.iter().any(|s| s.is_some()) =>
+            {
+                for r in splits.iter_mut().flatten().flat_map(|s| &mut s.interior) {
+                    *r = (r.0 - 8, r.1 + 8);
                 }
+                true
             }
-            false
-        }
-        walk(&mut self.items)
+            _ => false,
+        })
     }
 
     /// Corrupt the first window by posting its first schedule twice with no
@@ -208,28 +178,15 @@ impl ExecPlan {
     /// Returns `false` when the plan has no window.
     #[doc(hidden)]
     pub fn corrupt_duplicate_post(&mut self) -> bool {
-        // See corrupt_clear_barriers on why this is not a match guard.
-        #[allow(clippy::collapsible_match)]
-        fn walk(items: &mut [PlanItem]) -> bool {
-            for item in items {
-                match item {
-                    PlanItem::Overlap { comms, barriers, pre_drain, .. } if !comms.is_empty() => {
-                        comms.insert(1, comms[0]);
-                        barriers.insert(1, false);
-                        pre_drain.insert(1, pre_drain[0]);
-                        return true;
-                    }
-                    PlanItem::TimeLoop { body, .. } => {
-                        if walk(body) {
-                            return true;
-                        }
-                    }
-                    _ => {}
-                }
+        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
+            PlanItem::Overlap { comms, barriers, pre_drain, .. } if !comms.is_empty() => {
+                comms.insert(1, comms[0]);
+                barriers.insert(1, false);
+                pre_drain.insert(1, pre_drain[0]);
+                true
             }
-            false
-        }
-        walk(&mut self.items)
+            _ => false,
+        })
     }
 
     /// Corrupt the first superstep by widening every sub-step's trapezoid
@@ -238,30 +195,55 @@ impl ExecPlan {
     /// has no superstep item.
     #[doc(hidden)]
     pub fn corrupt_widen_trapezoid(&mut self) -> bool {
-        // See corrupt_clear_barriers on why this is not a match guard.
-        #[allow(clippy::collapsible_match)]
-        fn walk(items: &mut [PlanItem]) -> bool {
-            for item in items {
-                match item {
-                    PlanItem::Superstep { expansions, .. } => {
-                        for r in expansions.iter_mut().flatten().flatten() {
-                            r.0 += 8;
-                            r.1 += 8;
-                        }
-                        return true;
-                    }
-                    PlanItem::TimeLoop { body, .. } => {
-                        if walk(body) {
-                            return true;
-                        }
-                    }
-                    _ => {}
+        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
+            PlanItem::Superstep { expansions, .. } => {
+                for r in expansions.iter_mut().flatten().flatten() {
+                    *r = (r.0 + 8, r.1 + 8);
                 }
+                true
             }
-            false
-        }
-        walk(&mut self.items)
+            _ => false,
+        })
     }
+
+    /// Corrupt the source box of the first transfer the step program runs:
+    /// one more than its outermost dimension's stride (`stride`) or count —
+    /// the box faults for the mutation-kill suite (PL006). Returns `false`
+    /// when the plan runs no transfer.
+    #[doc(hidden)]
+    pub fn corrupt_box(&mut self, stride: bool) -> bool {
+        let scheds = &mut self.scheds;
+        first_edit(&mut self.items, &mut |items, i| {
+            let slots = match &items[i] {
+                PlanItem::Comm(slot) => std::slice::from_ref(slot),
+                PlanItem::Overlap { comms, .. } | PlanItem::Superstep { comms, .. } => comms,
+                _ => return false,
+            };
+            let Some(&slot) = slots.iter().find(|&&s| !scheds[s].transfers.is_empty()) else {
+                return false;
+            };
+            scheds[slot].transfers[0].src.corrupt(stride);
+            true
+        })
+    }
+}
+
+/// Apply the first edit `f` makes, visiting every item list of the step
+/// program depth first: `f(list, i)` may change `list[i]` or insert before
+/// it, and says whether it did. The one walk behind the mutation hooks.
+fn first_edit(
+    items: &mut Vec<PlanItem>,
+    f: &mut impl FnMut(&mut Vec<PlanItem>, usize) -> bool,
+) -> bool {
+    (0..items.len()).any(|i| {
+        f(items, i)
+            || match &mut items[i] {
+                PlanItem::TimeLoop { body, .. } | PlanItem::Superstep { body, .. } => {
+                    first_edit(body, &mut *f)
+                }
+                _ => false,
+            }
+    })
 }
 
 /// Kernel-level (`BV*`) diagnostics of every compiled kernel in the item
@@ -293,8 +275,8 @@ fn verify_items(items: &[PlanItem], scheds: &[CompiledComm], out: &mut Vec<Diagn
             PlanItem::Overlap { comms, barriers, pre_drain, nest, splits, .. } => {
                 verify_window(w, comms, barriers, pre_drain, nest, splits, scheds, out);
             }
-            PlanItem::Superstep { k, comms, body, expansions, pe_exts, .. } => {
-                verify_superstep(w, *k, comms, body, expansions, pe_exts, scheds, out);
+            PlanItem::Superstep { k, comms, body, expansions, .. } => {
+                verify_superstep(w, *k, comms, body, expansions, scheds, out);
             }
             PlanItem::TimeLoop { body, .. } => verify_items(body, scheds, out),
             _ => {}
@@ -338,7 +320,7 @@ fn next(step: Step<'_>, b: ArrayId, full: &Section, scheds: &[CompiledComm]) -> 
     };
     let nest = |nest: &LoopNest| {
         let loads = load_radii(nest).iter().any(|(a, _)| *a == b);
-        match (loads, stored(nest).contains(&b)) {
+        match (loads, nest.stored().contains(&b)) {
             (true, _) => Next::Blocked,
             (false, true) if nest.space == *full => Next::Killed,
             (false, true) => Next::Blocked,
@@ -453,10 +435,9 @@ fn verify_program_rebinds(items: &[PlanItem], scheds: &[CompiledComm], out: &mut
 /// outside the iteration box its loads and stores reach. Re-derived from
 /// the instruction stream, independently of the fuser's copy.
 fn read_radii(nest: &LoopNest) -> (Vec<i64>, Vec<i64>) {
-    let unit = nest.unroll.as_ref().map_or(&nest.body, |u| &u.unit_body);
     let rank = nest.order.len();
     let (mut lo, mut hi) = (vec![0i64; rank], vec![0i64; rank]);
-    for i in unit {
+    for i in nest.unit_body() {
         if let Instr::Load { offsets, .. } | Instr::Store { offsets, .. } = i {
             for (d, &o) in offsets.iter().enumerate() {
                 lo[d] = lo[d].max(-o);
@@ -472,10 +453,9 @@ fn read_radii(nest: &LoopNest) -> (Vec<i64>, Vec<i64>) {
 /// `(below, above)` per dimension. Re-derived from the instruction stream,
 /// independently of the superstep planner.
 fn load_radii(nest: &LoopNest) -> Vec<(hpf_ir::ArrayId, Vec<(i64, i64)>)> {
-    let unit = nest.unroll.as_ref().map_or(&nest.body, |u| &u.unit_body);
     let rank = nest.order.len();
     let mut out: Vec<(hpf_ir::ArrayId, Vec<(i64, i64)>)> = Vec::new();
-    for i in unit {
+    for i in nest.unit_body() {
         let Instr::Load { array, offsets, .. } = i else { continue };
         if !out.iter().any(|(a, _)| a == array) {
             out.push((*array, vec![(0, 0); rank]));
@@ -484,20 +464,6 @@ fn load_radii(nest: &LoopNest) -> Vec<(hpf_ir::ArrayId, Vec<(i64, i64)>)> {
         for (d, &o) in offsets.iter().enumerate() {
             radii[d].0 = radii[d].0.max(-o);
             radii[d].1 = radii[d].1.max(o);
-        }
-    }
-    out
-}
-
-/// Arrays the nest's unit body stores, in first-store order.
-fn stored(nest: &LoopNest) -> Vec<hpf_ir::ArrayId> {
-    let unit = nest.unroll.as_ref().map_or(&nest.body, |u| &u.unit_body);
-    let mut out = Vec::new();
-    for i in unit {
-        if let Instr::Store { array, .. } = i {
-            if !out.contains(array) {
-                out.push(*array);
-            }
         }
     }
     out
@@ -528,18 +494,16 @@ fn depth_box(region: &[(i64, i64)], exts: &[i64]) -> FillBox {
 
 /// Check one Superstep item's trapezoid-coverage obligation (PL004): for
 /// every PE, replay the superstep forward in ghost-depth coordinates. The
-/// deep-fill schedules' compiled unpack/fill regions establish each
-/// array's valid ghost boxes; each sub-step's reads (expansion plus read
-/// radii) must be covered, and its stores reset the written arrays'
-/// validity to exactly the freshly computed box.
-#[allow(clippy::too_many_arguments)]
+/// deep-fill schedules' decoded unpack/fill boxes establish each array's
+/// valid ghost boxes; each sub-step's reads (expansion plus read radii)
+/// must be covered, and its stores reset the written arrays' validity to
+/// exactly the freshly computed box.
 fn verify_superstep(
     w: usize,
     k: usize,
     comms: &[usize],
     body: &[PlanItem],
     expansions: &[Vec<Vec<(i64, i64)>>],
-    pe_exts: &[Vec<i64>],
     scheds: &[CompiledComm],
     out: &mut Vec<Diagnostic>,
 ) {
@@ -555,23 +519,20 @@ fn verify_superstep(
         ));
         return;
     }
-    for (pe, exts) in pe_exts.iter().enumerate() {
-        if exts.is_empty() {
-            continue; // this PE owns no block of the iteration space
-        }
-        // Ghost boxes the deep fills establish on this PE, per array, read
-        // off the compiled schedules (wrap-around self-transfers included).
+    // Every PE with a block of the deep fills' geometry; with no fills the
+    // replay is the same on every PE, so one stands for all.
+    let geom = comms.first().map(|&slot| &scheds[slot].geom);
+    let pes = (0..geom.map_or(1, |g| g.grid.num_pes()))
+        .filter(|&pe| !geom.is_some_and(|g| g.is_empty(pe)));
+    for pe in pes {
+        // Ghost boxes the deep fills establish on this PE, per array, decoded
+        // from the compiled boxes (wrap-around self-transfers included).
         let mut valid: HashMap<hpf_ir::ArrayId, Vec<FillBox>> = HashMap::new();
         for &slot in comms {
-            for action in &scheds[slot].actions {
-                let (dst_pe, local) = match action {
-                    CommAction::Transfer(t) => (t.dst_pe, &t.dst_local),
-                    CommAction::Fill { pe, local, .. } => (*pe, local),
-                };
-                if dst_pe == pe {
-                    valid.entry(scheds[slot].dst).or_default().push(depth_box(local, exts));
-                }
-            }
+            let s = &scheds[slot];
+            let exts: Vec<i64> = s.geom.extents(pe).into_iter().map(|e| e as i64).collect();
+            let boxes = s.writes(pe).flatten().map(|region| depth_box(&region, &exts));
+            valid.entry(s.dst).or_default().extend(boxes);
         }
         for (j, sub) in expansions.iter().enumerate() {
             let mut n = 0;
@@ -613,7 +574,7 @@ fn verify_superstep(
                 // The expanded sweep freshly computes the written arrays'
                 // ghosts out to the expansion box — and nothing beyond it.
                 let computed: FillBox = expand.iter().map(|&(lo, hi)| (-lo, hi)).collect();
-                for array in stored(nest) {
+                for array in nest.stored() {
                     valid.insert(array, vec![computed.clone()]);
                 }
             }
@@ -706,19 +667,49 @@ fn verify_window(
             if pre_drain[ci] {
                 continue;
             }
-            for action in &scheds[slot].actions {
-                let CommAction::Transfer(t) = action else { continue };
-                if t.dst_pe == pe && t.src_pe != pe && regions_intersect(&read, &t.dst_local) {
+            // A box that does not decode cannot be shown disjoint.
+            for unpack in scheds[slot].received(pe) {
+                if unpack.as_ref().is_none_or(|u| regions_intersect(&read, u)) {
                     out.push(Diagnostic::error(
                         PL001,
                         format!(
                             "window {w}: PE {pe} interior sweep reads cells schedule {slot}'s \
-                             in-flight receive writes (unpack region {:?} vs read box {:?}) — \
-                             the interior would consume stale ghost values",
-                            t.dst_local, read
+                             in-flight receive writes (unpack region {unpack:?} vs read box \
+                             {read:?}) — the interior would consume stale ghost values"
                         ),
                     ));
                 }
+            }
+        }
+    }
+}
+
+/// Check every compiled schedule's geometry (PL006): each transfer's two
+/// boxes decode to sections of equal extents, each fill's box to a section.
+fn verify_schedules(scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
+    let extents = |r: &[(i64, i64)]| r.iter().map(|&(lo, hi)| hi - lo).collect::<Vec<_>>();
+    for (slot, s) in scheds.iter().enumerate() {
+        let mut reject = |what: String| {
+            out.push(Diagnostic::error(
+                PL006,
+                format!(
+                    "schedule {slot}: {what} — the engines would move cells no shift describes"
+                ),
+            ))
+        };
+        for (i, t) in s.transfers.iter().enumerate() {
+            match (s.section(t.src_pe, &t.src), s.section(t.dst_pe, &t.dst)) {
+                (Some(from), Some(to)) if extents(&from) == extents(&to) => {}
+                (from, to) => reject(format!(
+                    "transfer {i} (PE {} to PE {}) is no section-to-section move of one shape \
+                     ({from:?} to {to:?})",
+                    t.src_pe, t.dst_pe
+                )),
+            }
+        }
+        for (i, f) in s.fills.iter().enumerate() {
+            if s.section(f.pe, &f.region).is_none() {
+                reject(format!("fill {i} on PE {} is no section of its subgrid", f.pe));
             }
         }
     }
@@ -735,8 +726,9 @@ fn verify_window(
 /// plan that verifies clean. A rejected superstep whose body chains
 /// through comm-less intermediate arrays has no such demotion (the chain
 /// ghosts exist only through the expanded sweeps), so it fails the build
-/// even unchecked rather than run a plan known wrong — as does a stale
-/// binding (PL005), which no demotion repairs.
+/// even unchecked rather than run a plan known wrong — as do a stale
+/// binding (PL005) and a box that is no section (PL006), which no demotion
+/// repairs.
 pub(crate) fn enforce(
     items: &mut Vec<PlanItem>,
     scheds: &[CompiledComm],
@@ -747,6 +739,7 @@ pub(crate) fn enforce(
     demote_items(items, scheds, checked, &mut report, &mut hard);
     let stale = report.len();
     verify_program_rebinds(items, scheds, &mut report);
+    verify_schedules(scheds, &mut report);
     hard |= report.len() > stale;
     if (checked || hard) && !report.is_empty() {
         let report =
@@ -762,7 +755,7 @@ pub(crate) fn enforce(
 /// style shifted temporaries) gets its ghosts only from the expanded
 /// sweeps the demotion drops.
 fn superstep_demotable(comms: &[usize], body: &[PlanItem], scheds: &[CompiledComm]) -> bool {
-    let stored_any: Vec<hpf_ir::ArrayId> = body_nests(body).flat_map(|(n, _)| stored(n)).collect();
+    let stored_any: Vec<hpf_ir::ArrayId> = body_nests(body).flat_map(|(n, _)| n.stored()).collect();
     body_nests(body)
         .flat_map(|(nest, _)| load_radii(nest))
         .filter(|(_, radii)| radii.iter().any(|&(lo, hi)| lo > 0 || hi > 0))
@@ -846,20 +839,11 @@ fn demote_items(
                     }
                 }
             }
-            PlanItem::Superstep { k, comms, body, expansions, pe_exts, elided } => {
+            PlanItem::Superstep { k, comms, body, expansions, elided } => {
                 let mut diags = Vec::new();
-                verify_superstep(
-                    items.len(),
-                    k,
-                    &comms,
-                    &body,
-                    &expansions,
-                    &pe_exts,
-                    scheds,
-                    &mut diags,
-                );
+                verify_superstep(items.len(), k, &comms, &body, &expansions, scheds, &mut diags);
                 if diags.is_empty() {
-                    items.push(PlanItem::Superstep { k, comms, body, expansions, pe_exts, elided });
+                    items.push(PlanItem::Superstep { k, comms, body, expansions, elided });
                 } else {
                     report.extend(diags);
                     if checked {

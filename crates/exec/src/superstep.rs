@@ -37,7 +37,8 @@
 //!    cell the trapezoid reads; an uncovered witness point makes the kernel
 //!    ineligible rather than silently wrong. The plan verifier's PL004 rule
 //!    (see [`crate::plan_verify`]) later re-simulates the *compiled*
-//!    schedule actions against the same geometry as a defense in depth.
+//!    schedule boxes, decoded, against the same geometry as a defense in
+//!    depth.
 //!
 //! The execution half lives in [`crate::plan`]: a [`PlanItem::Superstep`]
 //! item carries the deep-fill schedule slots, the body nests, and the
@@ -48,7 +49,7 @@
 use hpf_analysis::superstep::{uncovered_ghost, FillBox};
 use hpf_codegen::reads_before_def;
 use hpf_ir::{ArrayId, Diagnostic, Rsd, Section, ShiftKind};
-use hpf_passes::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram};
+use hpf_passes::loopir::{CommOp, Instr, NodeItem, NodeProgram};
 use hpf_passes::memopt::iteration_local;
 use std::collections::HashMap;
 
@@ -283,7 +284,7 @@ fn check_body(node: &NodeProgram, body: &[NodeItem]) -> Vec<Diagnostic> {
                 )),
             NodeItem::Comm(CommOp::Overlap { .. }) => {}
             NodeItem::Nest(nest) => {
-                for a in stored_arrays(nest) {
+                for a in nest.stored() {
                     let decl = node.symbols.array(a);
                     if nest.space != Section::full(&decl.shape) {
                         diags.push(Diagnostic::warning(
@@ -296,7 +297,7 @@ fn check_body(node: &NodeProgram, body: &[NodeItem]) -> Vec<Diagnostic> {
                         ));
                     }
                 }
-                let unit = unit_body(nest);
+                let unit = nest.unit_body();
                 let zero_stores = unit.iter().all(|i| match i {
                     Instr::Store { offsets, .. } => offsets.iter().all(|&o| o == 0),
                     _ => true,
@@ -318,23 +319,6 @@ fn check_body(node: &NodeProgram, body: &[NodeItem]) -> Vec<Diagnostic> {
         }
     }
     diags
-}
-
-/// The semantic per-point body (the pre-jam unit body for unrolled nests).
-fn unit_body(nest: &LoopNest) -> &[Instr] {
-    nest.unroll.as_ref().map_or(&nest.body, |u| &u.unit_body)
-}
-
-fn stored_arrays(nest: &LoopNest) -> Vec<ArrayId> {
-    let mut out = Vec::new();
-    for i in unit_body(nest) {
-        if let Instr::Store { array, .. } = i {
-            if !out.contains(array) {
-                out.push(*array);
-            }
-        }
-    }
-    out
 }
 
 /// Per-array ghost-validity requirement, `(lo, hi)` layers per dimension,
@@ -376,7 +360,7 @@ fn backward_requirements(node: &NodeProgram, body: &[NodeItem], k: usize) -> (Ex
             };
             n_idx -= 1;
             let rank = nest.order.len();
-            let written = stored_arrays(nest);
+            let written = nest.stored();
             // The nest's expansion: the widest ghost need of anything it
             // writes, per dimension and side.
             let mut e = vec![(0i64, 0i64); rank];
@@ -396,7 +380,7 @@ fn backward_requirements(node: &NodeProgram, body: &[NodeItem], k: usize) -> (Ex
             for a in &written {
                 req.remove(&a.0);
             }
-            for i in unit_body(nest) {
+            for i in nest.unit_body() {
                 let Instr::Load { array, offsets, .. } = i else { continue };
                 let need = req.entry(array.0).or_insert_with(|| vec![(0, 0); rank]);
                 for (d, &o) in offsets.iter().enumerate() {

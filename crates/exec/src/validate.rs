@@ -4,7 +4,9 @@
 //! * [`check_halo`] — every offset access in the node program must fit
 //!   inside the machine's overlap width, or a kernel compiled for a wider
 //!   halo would silently read the wrong subgrid cells;
-//! * [`allocate`] — that check, then every array the program references;
+//! * [`allocate`] — that check, then every array the program references,
+//!   then that every nest, full shift and rebind pairs only arrays of one
+//!   geometry (unlike blocks would index one array with another's strides);
 //! * [`prevalidate_comms`] — checked builds only: construct every
 //!   overlap-shift plan once so a malformed shift is reported before any
 //!   schedule is compiled.
@@ -20,8 +22,7 @@ fn check_halo(machine: &Machine, node: &NodeProgram) -> Result<(), RtError> {
     let mut worst: Option<(i64, usize)> = None;
     node.for_each_item(&mut |item| {
         if let NodeItem::Nest(nest) = item {
-            let unit = nest.unroll.as_ref().map_or(&nest.body, |u| &u.unit_body);
-            for i in unit {
+            for i in nest.unit_body() {
                 if let Instr::Load { offsets, .. } = i {
                     for (d, &o) in offsets.iter().enumerate() {
                         if o.abs() > halo && worst.is_none_or(|(w, _)| o.abs() > w) {
@@ -41,7 +42,7 @@ fn check_halo(machine: &Machine, node: &NodeProgram) -> Result<(), RtError> {
 /// Allocate every array the node program references (inputs may already be
 /// allocated by the caller; those are left untouched), after checking that
 /// the machine's overlap width can serve every offset access the program
-/// performs.
+/// performs; then check that the arrays each item pairs share a geometry.
 pub fn allocate(machine: &mut Machine, node: &NodeProgram) -> Result<(), RtError> {
     check_halo(machine, node)?;
     for id in &node.live_arrays {
@@ -49,7 +50,28 @@ pub fn allocate(machine: &mut Machine, node: &NodeProgram) -> Result<(), RtError
             machine.alloc(*id, node.symbols.array(*id))?;
         }
     }
-    Ok(())
+    check_geometry(machine, node)
+}
+
+/// Reject an item over arrays of unlike geometry: a nest runs each PE's
+/// points through one subgrid layout, a full shift resolves its two boxes
+/// against one, and a rebind swaps whole subgrids.
+fn check_geometry(machine: &Machine, node: &NodeProgram) -> Result<(), RtError> {
+    let mut result = Ok(());
+    node.for_each_item(&mut |item| {
+        let (arrays, what): (Vec<_>, _) = match item {
+            NodeItem::Nest(n) => (n.body.iter().filter_map(Instr::array).collect(), "a loop nest"),
+            NodeItem::Comm(CommOp::FullShift { dst, src, .. }) => (vec![*src, *dst], "a shift"),
+            NodeItem::Rebind { dst, src } => (vec![*dst, *src], "storage"),
+            _ => return,
+        };
+        if result.is_ok() {
+            let what = format!("cannot share {what}");
+            result =
+                arrays.iter().try_for_each(|&b| machine.check_same_geometry(arrays[0], b, &what));
+        }
+    });
+    result
 }
 
 /// Build every overlap-shift communication plan in the item tree once,

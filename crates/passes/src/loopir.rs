@@ -115,6 +115,14 @@ impl Instr {
         }
     }
 
+    /// The array a load or store accesses.
+    pub fn array(&self) -> Option<ArrayId> {
+        match self {
+            Instr::Load { array, .. } | Instr::Store { array, .. } => Some(*array),
+            _ => None,
+        }
+    }
+
     /// Registers the instruction reads.
     pub fn sources(&self) -> Vec<Reg> {
         match self {
@@ -192,10 +200,29 @@ pub struct LoopNest {
 }
 
 impl LoopNest {
+    /// The semantic per-point body: an unrolled nest's pre-jam unit body (the
+    /// jammed body is `factor` unit iterations interleaved), else the body.
+    pub fn unit_body(&self) -> &[Instr] {
+        self.unroll.as_ref().map_or(&self.body, |u| &u.unit_body)
+    }
+
+    /// Arrays the unit body stores, in first-store order.
+    pub fn stored(&self) -> Vec<ArrayId> {
+        let mut out = Vec::new();
+        for i in self.unit_body() {
+            if let Instr::Store { array, .. } = i {
+                if !out.contains(array) {
+                    out.push(*array);
+                }
+            }
+        }
+        out
+    }
+
     /// Arithmetic operations per point of the (unit) body.
     pub fn flops_per_point(&self) -> usize {
-        let body = self.unroll.as_ref().map_or(&self.body, |u| &u.unit_body);
-        body.iter()
+        self.unit_body()
+            .iter()
             .filter(|i| {
                 matches!(
                     i,
@@ -210,14 +237,12 @@ impl LoopNest {
 
     /// Loads per point of the (unit) body.
     pub fn loads_per_point(&self) -> usize {
-        let body = self.unroll.as_ref().map_or(&self.body, |u| &u.unit_body);
-        body.iter().filter(|i| matches!(i, Instr::Load { .. })).count()
+        self.unit_body().iter().filter(|i| matches!(i, Instr::Load { .. })).count()
     }
 
     /// Stores per point of the (unit) body.
     pub fn stores_per_point(&self) -> usize {
-        let body = self.unroll.as_ref().map_or(&self.body, |u| &u.unit_body);
-        body.iter().filter(|i| matches!(i, Instr::Store { .. })).count()
+        self.unit_body().iter().filter(|i| matches!(i, Instr::Store { .. })).count()
     }
 }
 

@@ -206,7 +206,7 @@ impl PeState {
 
     /// Swap the storage of two arrays on this PE: `a` takes `b`'s subgrid
     /// and `b` takes `a`'s — a storage rotation, O(1) and moving no data.
-    /// The plan checks their geometries once ([`Machine::check_rebind`]).
+    /// The plan checks their geometries once ([`Machine::check_same_geometry`]).
     pub fn swap_subgrids(&mut self, a: ArrayId, b: ArrayId) {
         self.subgrids.swap(a.0 as usize, b.0 as usize);
     }
@@ -633,9 +633,15 @@ impl Machine {
     }
 
     /// Compile a communication plan against the allocated subgrids into a
-    /// persistent schedule: every region is resolved into a strided box.
-    /// Executing the result via [`Machine::apply_compiled`] performs zero
-    /// subgrid coordinate math and, with staging reserved, zero allocation.
+    /// persistent schedule: every region is resolved into a strided box, and
+    /// the plan is dropped. Executing the result via
+    /// [`Machine::apply_compiled`] performs zero subgrid coordinate math and,
+    /// with staging reserved, zero allocation.
+    ///
+    /// # Panics
+    ///
+    /// When `src` and `dst` differ in geometry, or a transfer's two regions
+    /// in shape.
     pub fn compile_comm(
         &mut self,
         dst: ArrayId,
@@ -644,9 +650,12 @@ impl Machine {
         kind: MoveKind,
     ) -> CompiledComm {
         let t0 = self.driver_tracer.now();
+        self.check_same_geometry(src, dst, "cannot share a schedule")
+            .unwrap_or_else(|e| panic!("{e}"));
+        let geom = self.meta(src).geom.clone();
         let mut transfers = Vec::new();
         let mut fills = Vec::new();
-        for action in &plan {
+        for action in plan {
             match action {
                 CommAction::Transfer(t) => {
                     let from = self.pes[t.src_pe].subgrid(src).region_box(&t.src_local);
@@ -662,15 +671,16 @@ impl Machine {
                     });
                 }
                 CommAction::Fill { pe, local, value } => fills.push(CompiledFill {
-                    pe: *pe,
-                    region: self.pes[*pe].subgrid(dst).region_box(local),
-                    value: *value,
+                    pe,
+                    region: self.pes[pe].subgrid(dst).region_box(&local),
+                    value,
                 }),
             }
         }
+        let halo = self.pes[0].subgrid(src).halo;
         self.sched_built += 1;
         self.driver_tracer.record(SpanKind::ScheduleBuild, t0);
-        CompiledComm { dst, src, kind, transfers, fills, actions: plan }
+        CompiledComm { dst, src, kind, transfers, fills, geom, halo }
     }
 
     /// Make room to stage `bytes` of one message in [`Machine::apply_compiled`].
@@ -766,14 +776,16 @@ impl Machine {
         self.tune_search_ns += search_ns;
     }
 
-    /// Check that two allocated arrays may trade storage on every PE
-    /// ([`PeState::swap_subgrids`], a storage rotation): they must have the
-    /// same geometry.
-    pub fn check_rebind(&self, a: ArrayId, b: ArrayId) -> Result<(), RtError> {
+    /// Check that two allocated arrays have the same geometry, so every PE
+    /// holds the same block of both in subgrids of one layout: what a storage
+    /// rotation ([`PeState::swap_subgrids`]) needs of its two arrays, a loop
+    /// nest of every array it accesses, and a schedule of its source and
+    /// destination. `what` says which, as in "cannot share a loop nest".
+    pub fn check_same_geometry(&self, a: ArrayId, b: ArrayId, what: &str) -> Result<(), RtError> {
         let (ma, mb) = (self.meta(a), self.meta(b));
         if ma.geom != mb.geom {
             return Err(RtError::BadDistribution(format!(
-                "{} and {} cannot trade storage: different distributions",
+                "{} and {} {what}: different shapes or distributions",
                 ma.name, mb.name
             )));
         }
@@ -1283,7 +1295,7 @@ mod tests {
         m.alloc(T, &decl("T", 8)).unwrap();
         m.fill(U, |_| 1.0);
         m.fill(T, |_| 2.0);
-        m.check_rebind(U, T).unwrap();
+        m.check_same_geometry(U, T, "cannot trade storage").unwrap();
         for pe in &mut m.pes {
             pe.swap_subgrids(U, T);
         }
@@ -1298,8 +1310,8 @@ mod tests {
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
         m.alloc(T, &decl("T", 12)).unwrap();
-        let err = m.check_rebind(U, T).unwrap_err();
-        assert!(err.to_string().contains("different distributions"), "{err}");
+        let err = m.check_same_geometry(U, T, "cannot trade storage").unwrap_err();
+        assert!(err.to_string().contains("U and T cannot trade storage: different"), "{err}");
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //!
 //! For time-stepped kernels the plan can further be *compiled* against the
 //! allocated subgrids into a [`CompiledComm`]: one O(rank) [`StridedBox`]
-//! per region. Executing it copies run by run — same-PE transfers straight
-//! from box to box, messages through a staging buffer — with zero per-step
-//! subgrid math or allocation: the persistent halo exchange of GCL-style
-//! libraries and persistent MPI, whose requests describe a strided region
-//! rather than enumerate it.
+//! per region, and nothing else of the plan. Executing it copies run by run
+//! — same-PE transfers straight from box to box, messages through a staging
+//! buffer — with zero per-step subgrid math or allocation: the persistent
+//! halo exchange of GCL-style libraries and persistent MPI, whose requests
+//! describe a strided region rather than enumerate it. Whatever reasons
+//! about regions (`depends_on`, the plan verifier) decodes the boxes back
+//! into sections ([`CompiledComm::section`]), so it reads what executes.
 
 use crate::dist::{BlockDim, PeGrid};
 use crate::error::RtError;
@@ -94,11 +96,11 @@ pub struct CompiledFill {
 
 /// A communication operation compiled once and executed many times: the
 /// persistent-schedule analogue of `MPI_Send_init`/`MPI_Recv_init`. Built by
-/// [`crate::Machine::compile_comm`]; executed by
-/// [`crate::Machine::apply_compiled`], or by the threaded engines' workers
-/// through the same boxes. The original [`CommAction`] list is retained as
-/// the geometric source of truth for the checks (`depends_on`, the plan
-/// verifier) that reason about regions, not storage.
+/// [`crate::Machine::compile_comm`], which keeps its boxes and none of the
+/// plan; executed by [`crate::Machine::apply_compiled`], or by the threaded
+/// engines' workers through the same boxes. The boxes are the one account
+/// of what it moves: the checks that reason about regions decode them
+/// against the geometry and halo they were resolved with.
 #[derive(Clone, Debug)]
 pub struct CompiledComm {
     /// Destination array.
@@ -111,8 +113,10 @@ pub struct CompiledComm {
     pub transfers: Vec<CompiledTransfer>,
     /// Constant fills, in plan order.
     pub fills: Vec<CompiledFill>,
-    /// The uncompiled plan this was built from.
-    pub actions: Vec<CommAction>,
+    /// The geometry `src` and `dst` share.
+    pub geom: Geometry,
+    /// Ghost layers of the subgrids the boxes index.
+    pub halo: usize,
 }
 
 impl CompiledComm {
@@ -124,17 +128,36 @@ impl CompiledComm {
     }
 
     /// Bytes the schedule itself holds, heap included: its boxes and the
-    /// plan they were compiled from. Independent of how much it moves.
+    /// geometry they decode against. Independent of how much it moves.
     pub fn descriptor_bytes(&self) -> usize {
         use std::mem::size_of_val as sz;
         let boxes = self.transfers.iter().map(|t| t.src.heap_bytes() + t.dst.heap_bytes());
         let fills = self.fills.iter().map(|f| f.region.heap_bytes());
-        let plan = self.actions.iter().map(|a| match a {
-            CommAction::Transfer(t) => sz(&t.src_local[..]) + sz(&t.dst_local[..]),
-            CommAction::Fill { local, .. } => sz(&local[..]),
-        });
-        let tables = sz(&self.transfers[..]) + sz(&self.fills[..]) + sz(&self.actions[..]);
-        tables + boxes.chain(fills).chain(plan).sum::<usize>()
+        let geom = sz(&self.geom.dims[..]) + sz(&self.geom.grid.dims[..]);
+        sz(&self.transfers[..]) + sz(&self.fills[..]) + geom + boxes.chain(fills).sum::<usize>()
+    }
+
+    /// The local region box `b` covers on `pe`'s subgrid of either array
+    /// ([`StridedBox::section`] against that PE's extents); `None` when it
+    /// is no section of that subgrid, or `pe` is off the grid.
+    pub fn section(&self, pe: usize, b: &StridedBox) -> Option<Vec<(i64, i64)>> {
+        let on_grid = pe < self.geom.grid.num_pes();
+        on_grid.then(|| b.section(&self.geom.extents(pe), self.halo)).flatten()
+    }
+
+    /// The regions this schedule writes on `pe`, decoded: its transfers'
+    /// destinations there, messages and same-PE copies alike, then its fills.
+    pub fn writes(&self, pe: usize) -> impl Iterator<Item = Option<Vec<(i64, i64)>>> + '_ {
+        let copies = self.transfers.iter().filter(move |t| t.dst_pe == pe).map(|t| &t.dst);
+        let fills = self.fills.iter().filter(move |f| f.pe == pe).map(|f| &f.region);
+        copies.chain(fills).map(move |b| self.section(pe, b))
+    }
+
+    /// The regions this schedule's messages (transfers from another PE)
+    /// write on `pe`, decoded.
+    pub fn received(&self, pe: usize) -> impl Iterator<Item = Option<Vec<(i64, i64)>>> + '_ {
+        let messages = self.transfers.iter().filter(move |t| t.dst_pe == pe && t.src_pe != pe);
+        messages.map(move |t| self.section(pe, &t.dst))
     }
 
     /// Would posting this schedule's sends before `earlier`'s receives have
@@ -145,23 +168,17 @@ impl CompiledComm {
     /// exchanges: a dim-2 overlap shift sends corner cells that the dim-1
     /// shift's receives deposited, so its post half must wait for the dim-1
     /// receives to drain. Independent exchanges (5-point stencils, disjoint
-    /// arrays) report `false` and may stay in flight together.
+    /// arrays) report `false` and may stay in flight together. A box that
+    /// does not decode may touch anything, so it depends.
     pub fn depends_on(&self, earlier: &CompiledComm) -> bool {
-        if self.src != earlier.dst {
-            return false;
-        }
-        self.actions.iter().any(|a| {
-            let read = match a {
-                CommAction::Transfer(t) => t,
-                CommAction::Fill { .. } => return false,
-            };
-            earlier.actions.iter().any(|e| match e {
-                CommAction::Transfer(w) if w.src_pe != w.dst_pe && w.dst_pe == read.src_pe => {
-                    regions_intersect(&read.src_local, &w.dst_local)
-                }
-                _ => false,
+        self.src == earlier.dst
+            && self.transfers.iter().any(|t| {
+                let read = self.section(t.src_pe, &t.src);
+                earlier.received(t.src_pe).any(|w| match (&read, w) {
+                    (Some(r), Some(w)) => regions_intersect(r, &w),
+                    _ => true,
+                })
             })
-        })
     }
 }
 
@@ -325,9 +342,9 @@ pub fn cshift_plan(geom: &Geometry, shift: i64, dim: usize, kind: ShiftKind) -> 
             continue;
         }
         // Needed source rows: [dlo+s, dhi+s]; split into wrap pieces.
-        let (k_range, wrap_allowed): (&[i64], bool) = match kind {
-            ShiftKind::Circular => (&[0, 1], true),
-            ShiftKind::EndOff(_) => (&[0], false),
+        let k_range: &[i64] = match kind {
+            ShiftKind::Circular => &[0, 1],
+            ShiftKind::EndOff(_) => &[0],
         };
         for &k in k_range {
             let plo = (dlo + s).max(1 + k * n);
@@ -362,7 +379,6 @@ pub fn cshift_plan(geom: &Geometry, shift: i64, dim: usize, kind: ShiftKind) -> 
                     dst_local,
                 }));
             }
-            let _ = wrap_allowed;
         }
         // End-off boundary fills: destination rows whose source falls
         // outside [1, n].

@@ -78,8 +78,8 @@ pub struct AggStats {
     pub per_pe: Vec<PeStats>,
     /// Peak memory use per PE in bytes.
     pub peak_bytes: Vec<usize>,
-    /// Persistent communication schedules compiled (index lists + buffers
-    /// precomputed). Machine-wide, incremented once per comm op at plan time.
+    /// Persistent communication schedules compiled (a strided box per
+    /// region). Machine-wide, incremented once per comm op at plan time.
     pub schedules_built: u64,
     /// Executions of an already-compiled schedule — each one is a shift that
     /// paid zero subgrid math and zero buffer allocation. After `n` steps of

@@ -32,12 +32,8 @@ impl Subgrid {
         storage: impl FnOnce(usize) -> Vec<f64>,
     ) -> Self {
         let ext: Vec<usize> = (0..owned.rank()).map(|d| owned.extent(d) as usize).collect();
-        let padded: Vec<usize> = ext.iter().map(|&e| e + 2 * halo).collect();
-        let mut strides = vec![1usize; ext.len()];
-        for d in (0..ext.len().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * padded[d + 1];
-        }
-        let len: usize = padded.iter().product();
+        let strides = layout_strides(&ext, halo);
+        let len: usize = ext.iter().map(|&e| e + 2 * halo).product();
         let data = storage(len);
         assert_eq!(data.len(), len, "storage of the wrong length");
         Subgrid { owned, halo, ext, strides, data }
@@ -154,12 +150,8 @@ impl Subgrid {
     /// what a persistent schedule keeps of it, to execute with no index math.
     pub fn region_box(&self, ranges: &[(i64, i64)]) -> StridedBox {
         let extents = ranges.iter().map(|&(lo, hi)| (hi - lo + 1).max(0) as usize);
-        let mut dims: Vec<_> = extents.zip(self.strides.iter().copied()).collect();
-        let empty = dims.iter().any(|d| d.0 == 0);
-        dims.retain(|d| d.0 != 1);
-        if dims.is_empty() {
-            dims.push((1, 1));
-        }
+        let empty = region_len(ranges) == 0;
+        let dims = kept_dims(extents, &self.strides);
         let at =
             |end: fn(&(i64, i64)) -> i64| self.index(&ranges.iter().map(end).collect::<Vec<_>>());
         debug_assert!(empty || at(|r| r.1) < self.data.len(), "region off the subgrid");
@@ -263,6 +255,43 @@ impl StridedBox {
         self.dims.iter().map(|d| d.0).eq(other.dims.iter().map(|d| d.0))
     }
 
+    /// The local region this box was resolved from on a subgrid of owned
+    /// extents `ext` with `halo` ghost layers: the inverse of
+    /// [`Subgrid::region_box`], in O(rank), against the layout's own strides.
+    /// `None` when no region of that layout resolves to this box (a stride
+    /// that is not the layout's, kept dimensions that do not line up, a
+    /// region that runs past the storage) and for a box of no cells.
+    pub fn section(&self, ext: &[usize], halo: usize) -> Option<Vec<(i64, i64)>> {
+        let strides = layout_strides(ext, halo);
+        // Each kept dimension is the next one of the layout with its stride.
+        let (mut count, mut next) = (vec![1usize; ext.len()], 0);
+        for &(n, s) in &self.dims {
+            next += strides.get(next..)?.iter().position(|&t| t == s)?;
+            count[next] = n;
+            next += 1;
+        }
+        let mut rest = self.base;
+        let mut region = Vec::with_capacity(ext.len());
+        for d in 0..ext.len() {
+            let at = rest.checked_div(strides[d])?;
+            rest %= strides[d];
+            if count[d] == 0 || at + count[d] > ext[d] + 2 * halo {
+                return None;
+            }
+            let lo = at as i64 + 1 - halo as i64;
+            region.push((lo, lo + count[d] as i64 - 1));
+        }
+        (kept_dims(count.into_iter(), &strides) == self.dims).then_some(region)
+    }
+
+    /// Fault injection for the plan verifier's mutation-kill suite: one more
+    /// than the outermost dimension's stride (`stride`) or count.
+    #[doc(hidden)]
+    pub fn corrupt(&mut self, stride: bool) {
+        let d = &mut self.dims[0];
+        *(if stride { &mut d.1 } else { &mut d.0 }) += 1;
+    }
+
     /// Call `f(a, b, n, sa, sb)` for every run of `self` and the congruent
     /// `other`: `n` cells from index `a`, `sa` apart, and from `b`, `sb` apart.
     fn runs(&self, other: &StridedBox, mut f: impl FnMut(usize, usize, usize, usize, usize)) {
@@ -324,6 +353,27 @@ impl StridedBox {
             _ => (0..n).for_each(|i| raw[b + i * sb] = raw[a + i * sa]),
         });
     }
+}
+
+/// Row-major strides of a subgrid of owned extents `ext` with `halo` ghost
+/// layers on every side.
+fn layout_strides(ext: &[usize], halo: usize) -> Vec<usize> {
+    let mut strides = vec![1usize; ext.len()];
+    for d in (0..ext.len().saturating_sub(1)).rev() {
+        strides[d] = strides[d + 1] * (ext[d + 1] + 2 * halo);
+    }
+    strides
+}
+
+/// A box's `(count, stride)` list for a region of `counts` cells per
+/// dimension on a layout of `strides`: extent-1 dimensions dropped, and one
+/// `(1, 1)` standing for a single cell.
+fn kept_dims(counts: impl Iterator<Item = usize>, strides: &[usize]) -> Vec<(usize, usize)> {
+    let mut dims: Vec<_> = counts.zip(strides.iter().copied()).filter(|d| d.0 != 1).collect();
+    if dims.is_empty() {
+        dims.push((1, 1));
+    }
+    dims
 }
 
 /// Number of points in a local region.
@@ -461,6 +511,22 @@ mod tests {
         src.copy_within(&dst, g.raw_mut());
         assert_eq!(g, staged);
         assert_eq!(g.get(&[2, 0]), g.get(&[2, 4]));
+    }
+
+    #[test]
+    fn a_box_decodes_only_against_its_own_layout() {
+        // Every padded row (halo 1 over 2 owned), the last two columns.
+        let g = grid();
+        let region = [(0, 3), (4, 5)];
+        let b = g.region_box(&region);
+        assert_eq!(b.section(&g.ext, 1), Some(region.to_vec()));
+        assert_eq!(b.section(&[2, 5], 1), None, "another layout's strides");
+        let (mut longer, mut strided) = (b.clone(), b.clone());
+        longer.corrupt(false);
+        strided.corrupt(true);
+        assert_eq!(longer.section(&g.ext, 1), None, "one row past the storage");
+        assert_eq!(strided.section(&g.ext, 1), None, "a stride no dimension has");
+        assert_eq!(g.region_box(&[(2, 1), (1, 4)]).section(&g.ext, 1), None, "no cells");
     }
 
     #[test]

@@ -64,6 +64,35 @@ C = B * B + EOSHIFT(A + B, SHIFT=1, DIM=2, BOUNDARY=1.0)
         .unwrap();
 }
 
+/// A section copy between arrays of different shapes puts both in one
+/// loop nest, whose every PE would index one array with the other's strides
+/// (wrong values one way, an out-of-bounds panic the other). Building the
+/// plan refuses it instead, naming both arrays, on every engine and grid.
+/// (The pipeline's own invariant checks, on by default in debug builds,
+/// flag the statement as IR002 before any plan exists; they are off here so
+/// that the plan builder is what is tested, in every build.)
+#[test]
+fn a_nest_over_arrays_of_different_shapes_is_refused() {
+    use hpf_stencil::{CoreError, Engine, Kernel, MachineConfig, RtError};
+    for stmt in ["A(1:8,1:8) = B", "B = A(1:8,1:8)"] {
+        let src = format!("REAL A(10,10), B(8,8)\n{stmt}\n");
+        let options = CompileOptions::full().check_invariants(false);
+        let kernel = Kernel::compile(&src, options).unwrap();
+        for grid in [[1, 1], [2, 2]] {
+            for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+                let built = std::panic::catch_unwind(|| {
+                    kernel.plan(MachineConfig::grid(grid)).engine(engine).build().err()
+                });
+                let Ok(Some(CoreError::Runtime(RtError::BadDistribution(why)))) = built else {
+                    panic!("{stmt} on {grid:?} {engine:?}: expected a refusal, got {built:?}");
+                };
+                let named = ["A and B", "B and A"].iter().any(|both| why.starts_with(both));
+                assert!(named, "{stmt}: {why}");
+            }
+        }
+    }
+}
+
 /// A PE whose step panics must fail `Plan::step` on the calling thread —
 /// its peers are blocked waiting for messages it will never send — poison
 /// the plan, and still let it drop. Each phase runs on a helper thread

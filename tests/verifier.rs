@@ -14,17 +14,17 @@
 //!    registers, forced vectorization, and the accumulator fold's own
 //!    three: a tap pushed outside the envelope, a link reading a register
 //!    nothing wrote, a fold's store aimed at another lane's tap) and of an
-//!    execution plan
-//!    (cleared drain barriers, widened interior sweeps, duplicated
-//!    buffer posts, widened superstep trapezoids, stale storage bindings)
-//!    is rejected with the matching `BV*` / `PL*` diagnostic. A verifier
-//!    that misses the faults it was built to catch is equally useless.
+//!    execution plan (cleared drain barriers, widened interior sweeps,
+//!    duplicated buffer posts, widened superstep trapezoids, stale storage
+//!    bindings, a compiled box's stride or count off by one) is rejected
+//!    with the matching `BV*` / `PL*` diagnostic. A verifier that misses
+//!    the faults it was built to catch is equally useless.
 
 use hpf_bench::workload::{generate, WorkloadSpec};
 use hpf_stencil::codegen::{compile_nest, verify_nest, CompiledNest, Fault};
 use hpf_stencil::exec::nest::scalar_values;
 use hpf_stencil::passes::{CompileOptions, NodeItem};
-use hpf_stencil::{presets, Backend, Engine, ExecConfig, Kernel, Machine, MachineConfig};
+use hpf_stencil::{presets, Backend, Engine, ExecConfig, Kernel, Machine, MachineConfig, RtError};
 use proptest::prelude::*;
 
 /// Compile `src` through the full pipeline and return every bytecode
@@ -390,6 +390,45 @@ fn stale_bindings_are_killed() {
         assert!(plan.corrupt_stale_binding(), "fixture must have a nest reading U");
         let diags = plan.verify();
         assert!(diags.iter().any(|d| d.code == "PL005"), "{engine:?} k={k}: got {diags:?}");
+    }
+}
+
+/// A compiled box corrupted in its stride or its count is no longer a
+/// section of its PE's subgrid, or no longer the shape of its transfer's
+/// other box: a checked `ExecPlan::build` must refuse the plan with PL006 —
+/// on a blocking sequential plan, an overlap-window plan and a depth-2
+/// superstep of Problem 9 alike, before any step runs.
+#[test]
+fn corrupted_box_strides_and_counts_are_killed() {
+    let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
+    let node = &kernel.compiled.node;
+    let deep = hpf_stencil::exec::superstep_halo(node, 2).expect("Problem 9 tiles at depth 2");
+    for (engine, k) in
+        [(Engine::Sequential, 1), (Engine::ThreadedOverlap, 1), (Engine::Sequential, 2)]
+    {
+        let cfg = ExecConfig::new()
+            .engine(engine)
+            .backend(Backend::Bytecode)
+            .superstep(k)
+            .check_invariants(true);
+        let machine = || Machine::new(MachineConfig::with_grid(vec![2, 2]).halo(deep));
+        let plan = hpf_stencil::exec::ExecPlan::build(&mut machine(), node, &cfg).unwrap();
+        let shape = (plan.overlap_windows_per_step() > 0, plan.supersteps_per_step() > 0);
+        assert_eq!(shape, (engine == Engine::ThreadedOverlap, k > 1), "{engine:?} k={k}");
+        for stride in [true, false] {
+            let mut applied = false;
+            let built =
+                hpf_stencil::exec::ExecPlan::build_with_fault(&mut machine(), node, &cfg, |p| {
+                    applied = p.corrupt_box(stride)
+                });
+            assert!(applied, "{engine:?} k={k}: the plan runs a transfer");
+            match built {
+                Err(RtError::VerificationFailed { report }) => {
+                    assert!(report.contains("PL006"), "{engine:?} k={k} stride={stride}: {report}")
+                }
+                other => panic!("{engine:?} k={k} stride={stride}: expected PL006, got {other:?}"),
+            }
+        }
     }
 }
 
