@@ -1,6 +1,6 @@
 //! The kernel bytecode and the body compiler.
 //!
-//! A loop-nest body ([`Instr`] list) is lowered once per (nest, PE-layout)
+//! A loop-nest body ([`Instr`] list) is lowered once per (nest, layout)
 //! into a flat [`Op`] sequence:
 //!
 //! - array offsets become precomputed flat-index deltas (like the

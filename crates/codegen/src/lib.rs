@@ -6,13 +6,13 @@
 //! interpreter. This crate adds the compiled alternative — the "backend"
 //! half of a stencil-DSL compilation stack:
 //!
-//! 1. [`compile_nest`] lowers a nest once per (nest, PE layout) into a
-//!    [`CompiledNest`]: a compact register bytecode ([`Op`]) with offsets
-//!    flattened to index deltas, coefficients constant-folded into
-//!    immediates, single-definition constants hoisted to per-execution
-//!    preloads, WHERE masks fused into predicated stores, and every
-//!    accumulation lowered to one accumulator fold ([`Op::Chain`]) whose
-//!    operands are memory taps, registers, immediates or `imm × x`
+//! 1. [`compile_spmd`] lowers a nest once per subgrid layout, into a
+//!    [`CompiledNest`] per PE that shares it: a compact register bytecode
+//!    ([`Op`]) with offsets flattened to index deltas, coefficients
+//!    constant-folded into immediates, single-definition constants hoisted
+//!    to per-execution preloads, WHERE masks fused into predicated stores,
+//!    and every accumulation lowered to one accumulator fold ([`Op::Chain`])
+//!    whose operands are memory taps, registers, immediates or `imm × x`
 //!    products (two roundings — never FMA) and whose result goes straight
 //!    to a store or a register.
 //! 2. [`exec_compiled`] runs the bytecode over `Subgrid` storage row by
@@ -31,11 +31,11 @@
 //!
 //! Nests the compiler cannot prove safe to specialize (mixed subgrid
 //! layouts, index-range overflow) report `None` from [`compile_nest`] and
-//! stay on the interpreter — per (nest, PE), not per program.
+//! stay on the interpreter — per (nest, layout), not per program.
 //!
 //! Every invariant the unchecked executors rely on is machine-checked by
-//! the [`verify`] module's abstract interpreter (`BV001`–`BV004`), run in
-//! debug/checked builds and by `hpfsc --verify`.
+//! the [`verify`] module's abstract interpreter (`BV001`–`BV004`), once per
+//! shared code, in debug/checked builds and by `hpfsc --verify`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -47,8 +47,11 @@ pub mod verify;
 mod vm;
 
 pub use bytecode::{reads_before_def, ChainDst, KernelCode, Link, Op, Operand, Reg, Slot};
-pub use verify::{verify_nest, Fault, BV001, BV002, BV003, BV004};
-pub use vm::{compile_nest, exec_compiled, exec_compiled_over, exec_compiled_range, CompiledNest};
+pub use verify::{inject_shared, verify_kernels, verify_nest, Fault, BV001, BV002, BV003, BV004};
+pub use vm::{
+    compile_nest, compile_spmd, exec_compiled, exec_compiled_over, exec_compiled_range,
+    CompiledNest,
+};
 
 #[cfg(test)]
 mod tests {

@@ -16,23 +16,24 @@ impl CompiledNest {
         }
         let bounds: Vec<String> =
             self.lo.iter().zip(&self.hi).map(|(l, h)| format!("{l}:{h}")).collect();
+        let code = &*self.code;
         let _ = writeln!(
             s,
             "  local bounds ({}), loop order {:?}, unroll {}, {} strip registers, {} preloads{}",
             bounds.join(","),
-            self.order,
-            self.factor,
-            self.regs,
-            self.preloads.len(),
-            if self.strict { ", strict" } else { "" }
+            code.order,
+            code.factor,
+            code.regs,
+            code.preloads.len(),
+            if code.strict { ", strict" } else { "" }
         );
-        for &(r, v) in &self.preloads {
+        for &(r, v) in &code.preloads {
             let _ = writeln!(s, "    preload r{r} = {v}");
         }
-        let slot = |arr: u16| array_name(self.arrays[arr as usize]);
-        self.body(&mut s, "jammed", &self.jammed, self.factor, self.jam_vec, &slot);
-        if let Some(unit) = &self.unit {
-            self.body(&mut s, "unit", unit, 1, self.unit_vec, &slot);
+        let slot = |arr: u16| array_name(code.arrays[arr as usize]);
+        self.body(&mut s, "jammed", &code.jammed, code.factor, code.jam_vec, &slot);
+        if let Some(unit) = &code.unit {
+            self.body(&mut s, "unit", unit, 1, code.unit_vec, &slot);
         }
         s
     }
@@ -46,7 +47,7 @@ impl CompiledNest {
         vec: bool,
         slot: &dyn Fn(u16) -> String,
     ) {
-        let how = match (self.strict, vec) {
+        let how = match (self.code.strict, vec) {
             (true, _) => "strict",
             (false, true) => "chunked",
             (false, false) => "scalar",

@@ -57,8 +57,9 @@
 //! (HS001/HS002 in `hpf-analysis`), not the verifier's.
 
 use crate::bytecode::{ChainDst, KernelCode, Link, Op, Operand, Reg, Slot};
-use crate::vm::{CompiledNest, LANES};
+use crate::vm::{CompiledNest, NestCode, LANES};
 use hpf_ir::diag::Diagnostic;
+use std::sync::Arc;
 
 /// Register/slot discipline violation (out-of-range operand, read before
 /// definition in fast mode, write to a preloaded register).
@@ -77,20 +78,54 @@ pub const BV004: &str = "BV004";
 /// error diagnostic (empty = the kernel is proven safe for the unchecked
 /// executors). Empty nests are trivially clean: execution is a no-op.
 pub fn verify_nest(cn: &CompiledNest) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if cn.empty {
-        return out;
-    }
-    if !structure_ok(cn, &mut out) {
-        return out;
-    }
+    verify_shared(&[cn])
+}
 
-    let geom = Geometry::of(cn);
-    for body in geom.bodies(cn) {
-        check_registers(cn, &body, &mut out);
-        check_bounds(cn, &geom, &body, &mut out);
+/// Verify one nest's per-PE kernels, each distinct code once for all the PEs
+/// that share it: each code's PEs, in order, with its diagnostics.
+pub fn verify_kernels(kernels: &[Option<CompiledNest>]) -> Vec<(Vec<usize>, Vec<Diagnostic>)> {
+    let mut groups: Vec<(Vec<usize>, Vec<&CompiledNest>)> = Vec::new();
+    for (pe, k) in kernels.iter().enumerate().filter_map(|(pe, k)| Some((pe, k.as_ref()?))) {
+        match groups.iter_mut().find(|(_, g)| Arc::ptr_eq(&g[0].code, &k.code)) {
+            Some((pes, g)) => {
+                pes.push(pe);
+                g.push(k);
+            }
+            None => groups.push((vec![pe], vec![k])),
+        }
+    }
+    groups.into_iter().map(|(pes, g)| (pes, verify_shared(&g))).collect()
+}
+
+/// Verify kernels that run one shared code, each over its own bounds: each
+/// body is proven once, over the widest box it runs on any sharer (the hull
+/// of its boxes), which holds every sharer's rows.
+fn verify_shared(sharers: &[&CompiledNest]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let live: Vec<&CompiledNest> = sharers.iter().copied().filter(|k| !k.empty).collect();
+    let Some(first) = live.first() else { return out };
+    let cn = &*first.code;
+    if !live.iter().all(|k| structure_ok(cn, &k.lo, &k.hi, &mut out)) {
+        return out;
+    }
+    // Each body's box over every sharer: the hull of the boxes it runs.
+    let mut bodies: Vec<BodyView> = Vec::new();
+    for k in &live {
+        for body in Geometry::of(cn, &k.lo, &k.hi).bodies(cn, &k.lo, &k.hi) {
+            let Some(b) = bodies.iter_mut().find(|b| b.name == body.name) else {
+                bodies.push(body);
+                continue;
+            };
+            for d in 0..b.lo.len() {
+                (b.lo[d], b.hi[d]) = (b.lo[d].min(body.lo[d]), b.hi[d].max(body.hi[d]));
+            }
+        }
+    }
+    for body in &bodies {
+        check_registers(cn, body, &mut out);
+        check_bounds(cn, body, &mut out);
         if body.vec {
-            check_chunk_safety(&body, &mut out);
+            check_chunk_safety(body, &mut out);
         }
     }
     check_strict_discipline(cn, &mut out);
@@ -106,16 +141,16 @@ impl CompiledNest {
 
 /// Dimension tables must agree on rank and the loop order must be a
 /// permutation — everything later indexes through them.
-fn structure_ok(cn: &CompiledNest, out: &mut Vec<Diagnostic>) -> bool {
-    let rank = cn.lo.len();
-    if cn.hi.len() != rank || cn.strides.len() != rank || cn.order.len() != rank || rank == 0 {
+fn structure_ok(cn: &NestCode, lo: &[i64], hi: &[i64], out: &mut Vec<Diagnostic>) -> bool {
+    let rank = lo.len();
+    if hi.len() != rank || cn.strides.len() != rank || cn.order.len() != rank || rank == 0 {
         out.push(Diagnostic::error(
             BV001,
             format!(
                 "malformed kernel: dimension tables disagree on rank \
                  (lo {}, hi {}, strides {}, order {})",
-                cn.lo.len(),
-                cn.hi.len(),
+                lo.len(),
+                hi.len(),
                 cn.strides.len(),
                 cn.order.len()
             ),
@@ -159,9 +194,9 @@ struct Geometry {
 }
 
 impl Geometry {
-    fn of(cn: &CompiledNest) -> Geometry {
+    fn of(cn: &NestCode, lo: &[i64], hi: &[i64]) -> Geometry {
         let d0 = cn.order[0];
-        let n0 = (cn.hi[d0] - cn.lo[d0] + 1).max(0);
+        let n0 = (hi[d0] - lo[d0] + 1).max(0);
         let groups = n0 / cn.factor;
         let rem = n0 - groups * cn.factor;
         let inner = *cn.order.last().unwrap();
@@ -173,28 +208,26 @@ impl Geometry {
         Geometry { d0, groups, rem, jam_step, unit_step }
     }
 
-    /// The bodies the executor can actually reach, with each one's
-    /// outermost-index range (group starts for the jammed body, remainder
-    /// points for the unit body).
-    fn bodies<'a>(&self, cn: &'a CompiledNest) -> Vec<BodyView<'a>> {
+    /// The bodies the executor can actually reach over the bounds
+    /// `lo..=hi`, each with the box of its row points: the outermost index
+    /// is restricted to group starts for the jammed body, remainder points
+    /// for the unit body.
+    fn bodies<'a>(&self, cn: &'a NestCode, lo: &[i64], hi: &[i64]) -> Vec<BodyView<'a>> {
+        let view = |name, code, vec, step, outer: (i64, i64)| {
+            let (mut lo, mut hi) = (lo.to_vec(), hi.to_vec());
+            (lo[self.d0], hi[self.d0]) = outer;
+            BodyView { name, code, vec, step, lo, hi }
+        };
         let mut v = Vec::new();
+        let first = lo[self.d0];
         if self.groups > 0 {
-            v.push(BodyView {
-                name: "jammed",
-                code: &cn.jammed,
-                vec: cn.jam_vec,
-                step: self.jam_step,
-                outer: (cn.lo[self.d0], cn.lo[self.d0] + (self.groups - 1) * cn.factor),
-            });
+            let outer = (first, first + (self.groups - 1) * cn.factor);
+            v.push(view("jammed", &cn.jammed, cn.jam_vec, self.jam_step, outer));
         }
         if self.rem > 0 {
-            v.push(BodyView {
-                name: "unit",
-                code: cn.unit.as_ref().unwrap_or(&cn.jammed),
-                vec: cn.unit_vec,
-                step: self.unit_step,
-                outer: (cn.lo[self.d0] + self.groups * cn.factor, cn.hi[self.d0]),
-            });
+            let unit = cn.unit.as_ref().unwrap_or(&cn.jammed);
+            let outer = (first + self.groups * cn.factor, hi[self.d0]);
+            v.push(view("unit", unit, cn.unit_vec, self.unit_step, outer));
         }
         v
     }
@@ -208,8 +241,9 @@ struct BodyView<'a> {
     vec: bool,
     /// Flat-index step between consecutive chunk lanes.
     step: i64,
-    /// Inclusive range of the outermost loop index this body covers.
-    outer: (i64, i64),
+    /// Inclusive box of the points this body's rows cover.
+    lo: Vec<i64>,
+    hi: Vec<i64>,
 }
 
 /// A chain's operands (`first`, then each link's) — empty when its link
@@ -287,7 +321,7 @@ fn op_mems(op: &Op, links: &[Link]) -> Vec<(Slot, i32, bool)> {
 /// is the set of defined registers, seeded with the preloads; each op must
 /// read only defined registers (fast mode), stay inside the register file
 /// and slot table, and never define a preloaded register.
-fn check_registers(cn: &CompiledNest, body: &BodyView, out: &mut Vec<Diagnostic>) {
+fn check_registers(cn: &NestCode, body: &BodyView, out: &mut Vec<Diagnostic>) {
     let regs = cn.regs;
     let mut defined = vec![false; regs];
     for &(r, _) in &cn.preloads {
@@ -384,7 +418,7 @@ fn check_registers(cn: &CompiledNest, body: &BodyView, out: &mut Vec<Diagnostic>
 
 /// BV002: a strict (loop-carried) kernel must be the interpreter-faithful
 /// translation — no preloads, no fused ops, no chunked execution.
-fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
+fn check_strict_discipline(cn: &NestCode, out: &mut Vec<Diagnostic>) {
     if !cn.strict {
         return;
     }
@@ -433,7 +467,7 @@ fn check_strict_discipline(cn: &CompiledNest, out: &mut Vec<Diagnostic>) {
 /// BV003: (a) every memory delta inside the declared envelope; (b) interval
 /// analysis proving the extreme flat indices of every reachable row stay
 /// inside `[0, len)`.
-fn check_bounds(cn: &CompiledNest, geom: &Geometry, body: &BodyView, out: &mut Vec<Diagnostic>) {
+fn check_bounds(cn: &NestCode, body: &BodyView, out: &mut Vec<Diagnostic>) {
     let (dmin, dmax) = (body.code.min_delta, body.code.max_delta);
     for (i, op) in body.code.ops.iter().enumerate() {
         for (_, delta, _) in op_mems(op, &body.code.links) {
@@ -452,17 +486,15 @@ fn check_bounds(cn: &CompiledNest, geom: &Geometry, body: &BodyView, out: &mut V
     }
 
     // Extreme base indices over the body's reachable iteration points:
-    // per-dimension contribution intervals of `(point + halo - 1) * stride`,
-    // with the outermost dimension restricted to this body's range. Rows
-    // advance along the innermost dimension, whose full range is already
-    // part of the interval, so `base + delta` bounds every row access —
-    // including the column-major thin-strip walk, which visits the same
-    // point set in a different order.
+    // per-dimension contribution intervals of `(point + halo - 1) * stride`
+    // over the body's box. Rows advance along the innermost dimension,
+    // whose full range is already part of the interval, so `base + delta`
+    // bounds every row access — including the column-major thin-strip
+    // walk, which visits the same point set in a different order.
     let (mut min_base, mut max_base) = (0i64, 0i64);
-    for d in 0..cn.lo.len() {
-        let (dlo, dhi) = if d == geom.d0 { body.outer } else { (cn.lo[d], cn.hi[d]) };
-        let a = (dlo + cn.halo - 1) * cn.strides[d];
-        let b = (dhi + cn.halo - 1) * cn.strides[d];
+    for d in 0..body.lo.len() {
+        let a = (body.lo[d] + cn.halo - 1) * cn.strides[d];
+        let b = (body.hi[d] + cn.halo - 1) * cn.strides[d];
         min_base += a.min(b);
         max_base += a.max(b);
     }
@@ -621,30 +653,11 @@ impl CompiledNest {
     /// it does not apply (out-of-range positions, no matching op, or the
     /// fault would change nothing).
     pub fn inject(&mut self, fault: Fault) -> bool {
-        fn body_mut(cn: &mut CompiledNest, unit: bool) -> &mut KernelCode {
+        fn body_mut(cn: &mut NestCode, unit: bool) -> &mut KernelCode {
             if unit {
                 cn.unit.as_mut().unwrap_or(&mut cn.jammed)
             } else {
                 &mut cn.jammed
-            }
-        }
-        /// Is the `KernelCode` the fault would mutate reachable by the
-        /// executor? Faults on dead code (an empty kernel, a remainder
-        /// body that never runs, a jammed body with zero groups) change
-        /// nothing observable, so they do not apply. Note the shared-code
-        /// cases: when `unit` is `None` both body views execute the
-        /// jammed `KernelCode`.
-        fn body_live(cn: &CompiledNest, unit: bool) -> bool {
-            if cn.empty || cn.order.is_empty() {
-                return false;
-            }
-            let g = Geometry::of(cn);
-            if unit && cn.unit.is_some() {
-                g.rem > 0
-            } else if unit {
-                g.groups > 0 || g.rem > 0
-            } else {
-                g.groups > 0 || (cn.unit.is_none() && g.rem > 0)
             }
         }
         /// Positions of the body's chain ops.
@@ -664,15 +677,32 @@ impl CompiledNest {
                 _ => None,
             }
         }
-        if self.empty || self.order.is_empty() {
+        if self.empty || self.code.order.is_empty() {
             return false;
         }
+        // Is the `KernelCode` the fault would mutate reachable by the
+        // executor? Faults on dead code (a remainder body that never runs, a
+        // jammed body with zero groups) change nothing observable, so they
+        // do not apply. Note the shared-code cases: when `unit` is `None`
+        // both body views execute the jammed `KernelCode`.
+        let g = Geometry::of(&self.code, &self.lo, &self.hi);
+        let has_unit = self.code.unit.is_some();
+        let body_live = |unit: bool| {
+            if unit && has_unit {
+                g.rem > 0
+            } else if unit {
+                g.groups > 0 || g.rem > 0
+            } else {
+                g.groups > 0 || (!has_unit && g.rem > 0)
+            }
+        };
+        let cn = Arc::make_mut(&mut self.code);
         match fault {
             Fault::SwapOps { unit, i, j } => {
-                if !body_live(self, unit) {
+                if !body_live(unit) {
                     return false;
                 }
-                let code = body_mut(self, unit);
+                let code = body_mut(cn, unit);
                 if i == j || i >= code.ops.len() || j >= code.ops.len() {
                     return false;
                 }
@@ -693,10 +723,10 @@ impl CompiledNest {
                 true
             }
             Fault::PerturbDelta { unit, i, by } => {
-                if by == 0 || !body_live(self, unit) {
+                if by == 0 || !body_live(unit) {
                     return false;
                 }
-                let code = body_mut(self, unit);
+                let code = body_mut(cn, unit);
                 let plain = code.ops.iter_mut().filter_map(|op| match op {
                     Op::Load { delta, .. }
                     | Op::Store { delta, .. }
@@ -708,10 +738,10 @@ impl CompiledNest {
                 true
             }
             Fault::PerturbChainTap { unit, chain, tap, by } => {
-                if by == 0 || !body_live(self, unit) {
+                if by == 0 || !body_live(unit) {
                     return false;
                 }
-                let code = body_mut(self, unit);
+                let code = body_mut(cn, unit);
                 let Some((first, links, _)) = chain_mut(code, chain) else { return false };
                 let taps = std::iter::once(first).chain(links.iter_mut().map(|l| &mut l.x));
                 let deltas = taps.filter_map(|o| match o {
@@ -723,14 +753,14 @@ impl CompiledNest {
                 true
             }
             Fault::LinkReadsUnwritten { unit, chain } => {
-                if self.strict || !body_live(self, unit) {
+                if cn.strict || !body_live(unit) {
                     return false;
                 }
-                let mut written = vec![false; self.regs];
-                for &(r, _) in &self.preloads {
+                let mut written = vec![false; cn.regs];
+                for &(r, _) in &cn.preloads {
                     written[r as usize] = true;
                 }
-                let code = body_mut(self, unit);
+                let code = body_mut(cn, unit);
                 let Some(at) = chain_positions(code).nth(chain) else { return false };
                 for r in code.ops[..at].iter().filter_map(op_dst) {
                     written[r as usize] = true;
@@ -741,12 +771,11 @@ impl CompiledNest {
                 true
             }
             Fault::ChainStoreAliasesTap { unit, chain } => {
-                if !body_live(self, unit) {
+                if !body_live(unit) {
                     return false;
                 }
-                let g = Geometry::of(self);
                 let step = if unit { g.unit_step } else { g.jam_step };
-                let code = body_mut(self, unit);
+                let code = body_mut(cn, unit);
                 let Some((first, links, dst)) = chain_mut(code, chain) else { return false };
                 let tap = std::iter::once(&*first).chain(links.iter().map(|l| &l.x)).find_map(
                     |o| match *o {
@@ -769,10 +798,10 @@ impl CompiledNest {
                 true
             }
             Fault::ShrinkDeclaredDeltas { unit } => {
-                if !body_live(self, unit) {
+                if !body_live(unit) {
                     return false;
                 }
-                let code = body_mut(self, unit);
+                let code = body_mut(cn, unit);
                 if code.min_delta == 0 && code.max_delta == 0 {
                     return false;
                 }
@@ -781,10 +810,10 @@ impl CompiledNest {
                 true
             }
             Fault::RetargetReg { unit, i, reg } => {
-                if !body_live(self, unit) {
+                if !body_live(unit) {
                     return false;
                 }
-                let code = body_mut(self, unit);
+                let code = body_mut(cn, unit);
                 let Some(op) = code.ops.get_mut(i) else { return false };
                 match op {
                     Op::Store { src, .. } => *src = reg,
@@ -809,15 +838,33 @@ impl CompiledNest {
                 true
             }
             Fault::ForceVectorized => {
-                if self.jam_vec && self.unit_vec {
+                if cn.jam_vec && cn.unit_vec {
                     return false;
                 }
-                self.jam_vec = true;
-                self.unit_vec = true;
+                cn.jam_vec = true;
+                cn.unit_vec = true;
                 true
             }
         }
     }
+}
+
+/// Apply `fault` to the first of one nest's per-PE `kernels` and the code it
+/// runs on every PE that shares it — a layout miscompiled once — for the
+/// mutation-kill suite; `false` when the fault does not apply.
+#[doc(hidden)]
+pub fn inject_shared(kernels: &mut [Option<CompiledNest>], fault: Fault) -> bool {
+    let Some(first) = kernels.iter_mut().flatten().next() else { return false };
+    let sound = Arc::clone(&first.code);
+    if !first.inject(fault) {
+        first.code = sound;
+        return false;
+    }
+    let faulty = Arc::clone(&first.code);
+    for k in kernels.iter_mut().flatten().filter(|k| Arc::ptr_eq(&k.code, &sound)) {
+        k.code = Arc::clone(&faulty);
+    }
+    true
 }
 
 #[cfg(test)]
@@ -843,10 +890,7 @@ mod tests {
             min_delta = min_delta.min(d as i64);
             max_delta = max_delta.max(d as i64);
         }
-        CompiledNest {
-            empty: false,
-            lo: vec![lo],
-            hi: vec![hi],
+        let code = NestCode {
             strides: vec![1],
             halo: 1,
             order: vec![0],
@@ -861,8 +905,13 @@ mod tests {
             jam_vec: false,
             unit_vec: false,
             strict: false,
-            compile_ns: 0,
-        }
+        };
+        CompiledNest { empty: false, lo: vec![lo], hi: vec![hi], code: Arc::new(code) }
+    }
+
+    /// The code `cn` runs, made its own to corrupt by hand.
+    fn code_mut(cn: &mut CompiledNest) -> &mut NestCode {
+        Arc::make_mut(&mut cn.code)
     }
 
     fn copy_ops() -> Vec<Op> {
@@ -883,7 +932,7 @@ mod tests {
     fn empty_kernel_is_trivially_clean() {
         let mut cn = kernel_1d(copy_ops(), 1, 1, 16);
         cn.empty = true;
-        cn.regs = 0; // even nonsense fields are unreachable
+        code_mut(&mut cn).regs = 0; // even nonsense fields are unreachable
         assert!(cn.verify().is_empty());
     }
 
@@ -911,7 +960,7 @@ mod tests {
     #[test]
     fn bv001_allows_read_before_def_in_strict_mode() {
         let mut cn = kernel_1d(vec![Op::Store { arr: 0, delta: 0, src: 0 }], 1, 1, 16);
-        cn.strict = true;
+        code_mut(&mut cn).strict = true;
         assert!(cn.verify().is_empty());
     }
 
@@ -923,7 +972,7 @@ mod tests {
             1,
             16,
         );
-        cn.preloads = vec![(0, 2.0)];
+        code_mut(&mut cn).preloads = vec![(0, 2.0)];
         let d = cn.verify();
         assert_eq!(codes(&d), vec![BV001], "{d:?}");
         assert!(d[0].message.contains("preloaded"));
@@ -945,8 +994,8 @@ mod tests {
             1,
             16,
         );
-        cn.strict = true;
-        cn.preloads = vec![(0, 3.0)];
+        code_mut(&mut cn).strict = true;
+        code_mut(&mut cn).preloads = vec![(0, 3.0)];
         let d = cn.verify();
         assert!(codes(&d).contains(&BV002), "{d:?}");
         assert!(d.iter().any(|x| x.message.contains("fused")));
@@ -1010,7 +1059,7 @@ mod tests {
     #[test]
     fn bv002_flags_forced_vectorization_of_strict_kernels() {
         let mut cn = kernel_1d(copy_ops(), 1, 1, 16);
-        cn.strict = true;
+        code_mut(&mut cn).strict = true;
         assert!(cn.inject(Fault::ForceVectorized));
         let d = cn.verify();
         assert_eq!(codes(&d), vec![BV002], "{d:?}");
@@ -1069,7 +1118,7 @@ mod tests {
     #[test]
     fn bv001_flags_link_ranges_outside_the_table() {
         let mut cn = fold_kernel();
-        cn.jammed.ops[0] = match cn.jammed.ops[0] {
+        code_mut(&mut cn).jammed.ops[0] = match code_mut(&mut cn).jammed.ops[0] {
             Op::Chain { first, lo, dst, .. } => Op::Chain { first, lo, hi: 9, dst },
             other => other,
         };
@@ -1096,7 +1145,7 @@ mod tests {
         assert!(d[0].message.contains("before any definition"));
         // Strict kernels carry register state: there is nothing to catch.
         let mut strict = fold_kernel();
-        strict.strict = true;
+        code_mut(&mut strict).strict = true;
         assert!(!strict.inject(Fault::LinkReadsUnwritten { unit: false, chain: 0 }));
     }
 
@@ -1108,8 +1157,8 @@ mod tests {
         let d = cn.verify();
         assert!(codes(&d).contains(&BV004), "{d:?}");
         // The scalar executor runs the same body point by point: no BV004.
-        cn.jam_vec = false;
-        cn.unit_vec = false;
+        code_mut(&mut cn).jam_vec = false;
+        code_mut(&mut cn).unit_vec = false;
         assert!(!codes(&cn.verify()).contains(&BV004));
     }
 
@@ -1151,8 +1200,8 @@ mod tests {
             Op::Store { arr: 1, delta: 1, src: 1 },
         ];
         let mut cn = kernel_1d(ops, 2, 1, 16);
-        cn.factor = 2;
-        cn.unit = Some(KernelCode {
+        code_mut(&mut cn).factor = 2;
+        code_mut(&mut cn).unit = Some(KernelCode {
             ops: copy_ops()
                 .iter()
                 .map(|op| match *op {
@@ -1168,7 +1217,7 @@ mod tests {
             stores: 1,
             flops: 0,
         });
-        cn.regs = 3;
+        code_mut(&mut cn).regs = 3;
         assert!(cn.verify().is_empty(), "{:?}", cn.verify());
         // Widening the bound pushes the remainder row out of the subgrid.
         assert!(cn.inject(Fault::WidenBounds { dim: 0, by: 2 }));

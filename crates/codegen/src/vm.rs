@@ -1,10 +1,10 @@
-//! The kernel VM: per-PE compiled nests and their execution over subgrid
-//! storage.
+//! The kernel VM: compiled nests and their execution over subgrid storage.
 //!
-//! [`compile_nest`] specializes one loop nest against one PE's subgrid
-//! layout: SPMD bounds reduction, flat-index deltas, constant preloads, and
-//! the jammed/unit (interior/boundary) body split are all resolved at
-//! compile time. [`exec_compiled`] then walks the iteration space *by rows*
+//! [`compile_nest`] specializes one loop nest against one subgrid layout:
+//! flat-index deltas, constant preloads, and the jammed/unit
+//! (interior/boundary) body split are all resolved at compile time, and the
+//! code is shared by every PE with that layout ([`compile_spmd`]), each
+//! with its own SPMD bounds. [`exec_compiled`] then walks the iteration space *by rows*
 //! (maximal runs of the innermost loop): each row performs **one** bounds
 //! check — `base + min_delta` and `last_base + max_delta` against the flat
 //! slice — and when it passes, the whole row executes with unchecked
@@ -34,9 +34,11 @@ use crate::bytecode::{
     compile_body, reads_before_def, BodyCx, ChainDst, KernelCode, Op, Operand, Slot,
 };
 use hpf_ir::expr::CmpOp;
+use hpf_ir::ArrayId;
 use hpf_ir::BinOp;
 use hpf_passes::loopir::{Instr, LoopNest};
-use hpf_runtime::{PeState, PeStats, VmScratch};
+use hpf_runtime::{PeState, PeStats, Subgrid, VmScratch};
+use std::sync::Arc;
 
 /// Chunk width of the vectorized row executor: each op runs over this many
 /// consecutive row points before the VM dispatches the next op, amortizing
@@ -44,17 +46,12 @@ use hpf_runtime::{PeState, PeStats, VmScratch};
 /// auto-vectorizes.
 pub(crate) const LANES: usize = 32;
 
-/// One loop nest compiled for one PE's subgrid layout. Build with
-/// [`compile_nest`]; execute (many times) with [`exec_compiled`]. Fields are
-/// crate-visible so the static verifier (`crate::verify`) can re-derive the
-/// executor's safety obligations from the same data the executor runs on.
+/// One loop nest compiled for one subgrid layout (strides, halo, flat
+/// length), shared by every PE with that layout: the SPMD node program.
+/// Fields are crate-visible so the static verifier (`crate::verify`) can
+/// re-derive the executor's obligations from the data the executor runs on.
 #[derive(Clone, Debug)]
-pub struct CompiledNest {
-    /// This PE owns no part of the iteration space: execution is a no-op.
-    pub(crate) empty: bool,
-    /// Local loop bounds (inclusive), per dimension.
-    pub(crate) lo: Vec<i64>,
-    pub(crate) hi: Vec<i64>,
+pub(crate) struct NestCode {
     /// Row-major strides of every referenced subgrid (layouts verified equal).
     pub(crate) strides: Vec<i64>,
     /// Ghost-layer width of the shared layout.
@@ -84,63 +81,106 @@ pub struct CompiledNest {
     /// Bodies share one register file with the interpreter's persistent
     /// numbering (loop-carried state): no hoisting, fold growth or chunking.
     pub(crate) strict: bool,
-    /// Wall nanoseconds [`compile_nest`] spent producing this kernel.
-    pub(crate) compile_ns: u64,
+}
+
+/// One loop nest compiled for one PE: its layout's shared code plus the PE's
+/// own loop bounds. Build with [`compile_nest`] or [`compile_spmd`];
+/// execute (many times) with [`exec_compiled`].
+#[derive(Clone, Debug)]
+pub struct CompiledNest {
+    /// This PE owns no part of the iteration space: execution is a no-op.
+    pub(crate) empty: bool,
+    /// Local loop bounds (inclusive), per dimension.
+    pub(crate) lo: Vec<i64>,
+    pub(crate) hi: Vec<i64>,
+    /// The code of this PE's layout.
+    pub(crate) code: Arc<NestCode>,
 }
 
 impl CompiledNest {
-    /// Wall nanoseconds spent compiling this kernel (one nest on one PE) —
-    /// the per-kernel term behind the driver track's kernel-compile spans.
-    pub fn compile_ns(&self) -> u64 {
-        self.compile_ns
-    }
-
-    /// Length of the strip register file the chunked executor needs.
-    fn strip_len(&self) -> usize {
-        if self.jam_vec || self.unit_vec {
-            self.regs.max(1) * LANES
-        } else {
-            0
-        }
-    }
-
     /// Grow a PE's VM scratch to what executing this kernel needs. A plan
     /// does this for every kernel it compiles, so its steps allocate nothing;
     /// a kernel run outside a plan grows it on its first execution.
     pub fn reserve_scratch(&self, vm: &mut VmScratch) {
-        vm.reserve(self.regs.max(1), self.strip_len(), self.arrays.len());
+        vm.reserve(self.code.regs.max(1), self.code.strip_len(), self.code.arrays.len());
     }
+
+    /// `code` over `sub`'s part of the nest's iteration space, in local
+    /// coordinates: O(rank).
+    fn bind(code: Arc<NestCode>, nest: &LoopNest, sub: &Subgrid) -> CompiledNest {
+        let rank = sub.ext.len();
+        let mut empty = sub.ext.contains(&0);
+        let (mut lo, mut hi) = (vec![0i64; rank], vec![0i64; rank]);
+        for d in 0..rank {
+            let (olo, _) = sub.owned.dim(d);
+            let (slo, shi) = nest.space.dim(d);
+            lo[d] = (slo - olo + 1).max(1);
+            hi[d] = (shi - olo + 1).min(sub.ext[d] as i64);
+            empty |= hi[d] < lo[d];
+        }
+        CompiledNest { empty, lo, hi, code }
+    }
+}
+
+/// The subgrid of the first array `nest` references on `pe`, when every one
+/// it references is allocated there with that layout (the VM reuses one
+/// base index and one flat length for all of them).
+fn layout<'a>(nest: &LoopNest, pe: &'a PeState) -> Option<&'a Subgrid> {
+    let bodies: [&[Instr]; 2] =
+        [&nest.body, nest.unroll.as_ref().map_or(&[][..], |u| &u.unit_body)];
+    let mut arrays = bodies.into_iter().flatten().filter_map(|i| match i {
+        Instr::Load { array, .. } | Instr::Store { array, .. } => Some(*array),
+        _ => None,
+    });
+    let sub_of = |a: ArrayId| pe.subgrids.get(a.0 as usize)?.as_ref();
+    let sub = sub_of(arrays.next()?)?;
+    arrays.all(|a| sub_of(a).is_some_and(|s| same_layout(s, sub))).then_some(sub)
+}
+
+/// Do `a` and `b` share strides, halo and flat length?
+fn same_layout(a: &Subgrid, b: &Subgrid) -> bool {
+    a.strides() == b.strides() && a.halo == b.halo && a.raw().len() == b.raw().len()
 }
 
 /// Compile `nest` for the layout `pe` holds. Arrays referenced by the body
 /// must already be allocated. Returns `None` when the nest cannot be
 /// compiled — referenced subgrids disagree on layout, index ranges overflow
 /// the bytecode, or the unroll annotation is malformed — in which case the
-/// caller falls back to the interpreter for this (nest, PE) pair.
+/// caller falls back to the interpreter for this nest on this layout.
 pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<CompiledNest> {
-    let t0 = std::time::Instant::now();
-    let probe = nest.body.iter().find_map(|i| match i {
-        Instr::Load { array, .. } | Instr::Store { array, .. } => Some(*array),
-        _ => None,
-    })?;
-    let sub = pe.subgrids.get(probe.0 as usize)?.as_ref()?;
-    let (owned, ext, strides, halo, len) =
-        (sub.owned.clone(), sub.ext.clone(), sub.strides().to_vec(), sub.halo, sub.raw().len());
+    compile_spmd(nest, std::slice::from_ref(pe), scalars).0.pop()?
+}
 
-    // Every referenced array must share the probe's layout: the VM reuses
-    // one base index and one flat length for all of them.
-    let bodies: [&[Instr]; 2] =
-        [&nest.body, nest.unroll.as_ref().map_or(&[][..], |u| &u.unit_body)];
-    for i in bodies.iter().flat_map(|b| b.iter()) {
-        if let Instr::Load { array, .. } | Instr::Store { array, .. } = i {
-            let s = pe.subgrids.get(array.0 as usize)?.as_ref()?;
-            if s.strides() != strides.as_slice() || s.halo != halo || s.raw().len() != len {
-                return None;
-            }
-        }
-    }
+/// [`compile_nest`] for every PE of `pes`, compiling once per distinct
+/// layout, whose PEs share the code: the per-PE kernels and how many codes
+/// were compiled.
+pub fn compile_spmd(
+    nest: &LoopNest,
+    pes: &[PeState],
+    scalars: &[f64],
+) -> (Vec<Option<CompiledNest>>, usize) {
+    let mut codes: Vec<(&Subgrid, Arc<NestCode>)> = Vec::new();
+    let kernels = (pes.iter())
+        .map(|pe| {
+            let sub = layout(nest, pe)?;
+            let code = match codes.iter().find(|(s, _)| same_layout(s, sub)) {
+                Some((_, code)) => Arc::clone(code),
+                None => {
+                    codes.push((sub, Arc::new(compile_code(nest, sub, scalars)?)));
+                    Arc::clone(&codes.last()?.1)
+                }
+            };
+            Some(CompiledNest::bind(code, nest, sub))
+        })
+        .collect();
+    (kernels, codes.len())
+}
 
-    let rank = ext.len();
+/// Lower `nest` for `sub`'s layout ([`compile_nest`]'s work less the
+/// per-PE bounds).
+fn compile_code(nest: &LoopNest, sub: &Subgrid, scalars: &[f64]) -> Option<NestCode> {
+    let (strides, halo, len) = (sub.strides(), sub.halo, sub.raw().len());
+    let rank = sub.ext.len();
     if nest.order.len() != rank {
         return None;
     }
@@ -154,32 +194,21 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
         None => 1,
     };
 
-    let mut empty = ext.contains(&0);
-    let mut lo = vec![0i64; rank];
-    let mut hi = vec![0i64; rank];
-    for d in 0..rank {
-        let (olo, _) = owned.dim(d);
-        let (slo, shi) = nest.space.dim(d);
-        lo[d] = (slo - olo + 1).max(1);
-        hi[d] = (shi - olo + 1).min(ext[d] as i64);
-        if hi[d] < lo[d] {
-            empty = true;
-        }
-    }
-
     // Hoisting constants out of the per-point code is only sound when no
     // body observes register state it did not write itself; otherwise fall
     // back to a strict translation sharing one register numbering, exactly
     // like the interpreter's persistent register file.
+    let bodies: [&[Instr]; 2] =
+        [&nest.body, nest.unroll.as_ref().map_or(&[][..], |u| &u.unit_body)];
     let strict = bodies.iter().any(|b| reads_before_def(b));
     let jr = nest.regs;
     let ur = nest.unroll.as_ref().map_or(0, |u| u.unit_regs);
     let unit_base = if strict { 0 } else { jr };
 
     let mut cx = BodyCx::with_min_regs(if strict { jr.max(ur) } else { 0 });
-    let jammed = compile_body(&nest.body, &strides, scalars, 0, strict, &mut cx)?;
+    let jammed = compile_body(&nest.body, strides, scalars, 0, strict, &mut cx)?;
     let unit = match &nest.unroll {
-        Some(u) => Some(compile_body(&u.unit_body, &strides, scalars, unit_base, strict, &mut cx)?),
+        Some(u) => Some(compile_body(&u.unit_body, strides, scalars, unit_base, strict, &mut cx)?),
         None => None,
     };
 
@@ -199,10 +228,7 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
     let jam_vec = !strict && vector_safe(&jammed, jam_step);
     let unit_vec = !strict && vector_safe(unit.as_ref().unwrap_or(&jammed), unit_step);
 
-    Some(CompiledNest {
-        empty,
-        lo,
-        hi,
+    Some(NestCode {
         strides: istrides,
         halo: halo as i64,
         order: nest.order.clone(),
@@ -217,8 +243,18 @@ pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<Co
         jam_vec,
         unit_vec,
         strict,
-        compile_ns: t0.elapsed().as_nanos() as u64,
     })
+}
+
+impl NestCode {
+    /// Length of the strip register file the chunked executor needs.
+    fn strip_len(&self) -> usize {
+        if self.jam_vec || self.unit_vec {
+            self.regs.max(1) * LANES
+        } else {
+            0
+        }
+    }
 }
 
 /// May `code` execute op-at-a-time over a `LANES`-wide chunk of a row with
@@ -256,18 +292,18 @@ fn vector_safe(code: &KernelCode, step: i64) -> bool {
 impl CompiledNest {
     /// The compiled (jammed, unit) bodies (for tests and debugging).
     pub fn bodies(&self) -> (&KernelCode, Option<&KernelCode>) {
-        (&self.jammed, self.unit.as_ref())
+        (&self.code.jammed, self.code.unit.as_ref())
     }
 
     /// Constants hoisted out of the per-point code.
     pub fn preload_count(&self) -> usize {
-        self.preloads.len()
+        self.code.preloads.len()
     }
 
     /// May the (jammed, unit) bodies use the chunked row executor? (For
     /// tests and debugging.)
     pub fn vectorized(&self) -> (bool, bool) {
-        (self.jam_vec, self.unit_vec)
+        (self.code.jam_vec, self.code.unit_vec)
     }
 
     /// Was this nest compiled in strict mode (a body reads registers it did
@@ -275,7 +311,7 @@ impl CompiledNest {
     /// take no hoisting, fold growth or chunking — the discipline BV002
     /// checks.
     pub fn strict(&self) -> bool {
-        self.strict
+        self.code.strict
     }
 
     /// The declared `[min_delta, max_delta]` flat-index envelope of the
@@ -283,7 +319,8 @@ impl CompiledNest {
     /// bounds proof hoists, and the soundness precondition BV003 re-checks
     /// against the actual memory ops.
     pub fn declared_deltas(&self, unit: bool) -> (i64, i64) {
-        let k = if unit { self.unit.as_ref().unwrap_or(&self.jammed) } else { &self.jammed };
+        let (jammed, unit_code) = self.bodies();
+        let k = if unit { unit_code.unwrap_or(jammed) } else { jammed };
         (k.min_delta, k.max_delta)
     }
 
@@ -378,15 +415,16 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorde
     // Raw slice table `arrs`. Distinct `ArrayId`s own distinct allocations,
     // so the pointers never alias each other; ops execute strictly in order,
     // so same-array load/store ordering is preserved.
-    pe.with_vm((cn.regs.max(1), cn.strip_len()), &cn.arrays, |regs, strips, arrs, stats| {
-        exec_frame(cn, lo, hi, reorder_ok, (regs, strips, arrs), stats)
+    let code = &*cn.code;
+    pe.with_vm((code.regs.max(1), code.strip_len()), &code.arrays, |regs, strips, arrs, stats| {
+        exec_frame(code, lo, hi, reorder_ok, (regs, strips, arrs), stats)
     })
 }
 
 /// [`exec_over`] on the VM storage the PE lent: zeroed `regs` and `strips`,
 /// and the storage table `arrs` of `cn.arrays`.
 fn exec_frame(
-    cn: &CompiledNest,
+    cn: &NestCode,
     lo: &[i64],
     hi: &[i64],
     reorder_ok: bool,

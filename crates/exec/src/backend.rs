@@ -2,13 +2,13 @@
 //! interpreter or with bytecode kernels compiled by `hpf-codegen`.
 //!
 //! The backend is orthogonal to the [`Engine`](crate::Engine) choice: kernels
-//! are compiled once per (nest, PE) at plan build, shared read-only by
-//! worker threads, and reused across plan steps. A nest the codegen cannot
-//! specialize (see `hpf_codegen::compile_nest`) falls back to the
-//! interpreter for that (nest, PE) pair only. Both backends are bitwise
-//! identical and produce the same per-PE counters; the only observable
-//! difference is the `kernels_compiled` / `kernel_execs` pair in
-//! `AggStats`.
+//! are compiled once per (nest, subgrid layout) at plan build, shared
+//! read-only by the PEs of that layout and their worker threads, and reused
+//! across plan steps. A nest the codegen cannot specialize (see
+//! `hpf_codegen::compile_spmd`) falls back to the interpreter for that
+//! (nest, layout) only. Both backends are bitwise identical and produce the
+//! same per-PE counters; the only observable difference is the
+//! `kernels_compiled` / `kernel_execs` pair in `AggStats`.
 
 use crate::nest::{exec_nest, exec_nest_expanded, exec_nest_range, expand_bounds};
 use hpf_codegen::{exec_compiled, exec_compiled_over, exec_compiled_range, CompiledNest};

@@ -32,7 +32,7 @@ use crate::nest::{expand_bounds, nest_local_bounds, scalar_values};
 use crate::par::{Pool, StepCtx, Worker};
 use crate::superstep::{self, SsShape, SuperstepSchedule};
 use hpf_analysis::overlap::{split_region, RegionSplit};
-use hpf_codegen::{compile_nest, reads_before_def, CompiledNest};
+use hpf_codegen::{compile_spmd, reads_before_def, CompiledNest};
 use hpf_ir::{ArrayId, Diagnostic, Section, ShiftKind};
 use hpf_passes::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram};
 use hpf_passes::memopt::iteration_local;
@@ -530,7 +530,9 @@ fn compile_items(
 }
 
 /// Under the bytecode backend, one kernel of `nest` per PE (`None` where
-/// codegen declines, counted in `compiled` where not) and VM scratch to fit.
+/// codegen declines), compiled once per distinct layout (each compile
+/// counted in `compiled`) and shared by that layout's PEs, and VM scratch to
+/// fit.
 fn compile_kernels(
     machine: &mut Machine,
     nest: &LoopNest,
@@ -542,11 +544,12 @@ fn compile_kernels(
         return Vec::new();
     }
     let t0 = machine.driver_tracer().now();
-    let kernels: Vec<Option<CompiledNest>> = (machine.pes.iter_mut())
-        .map(|pe| compile_nest(nest, pe, scalars).inspect(|k| k.reserve_scratch(&mut pe.vm)))
-        .collect();
+    let (kernels, codes) = compile_spmd(nest, &machine.pes, scalars);
+    for (pe, kernel) in machine.pes.iter_mut().zip(&kernels) {
+        kernel.iter().for_each(|k| k.reserve_scratch(&mut pe.vm));
+    }
     machine.driver_tracer().record(SpanKind::KernelCompile, t0);
-    *compiled += kernels.iter().flatten().count() as u64;
+    *compiled += codes as u64;
     kernels
 }
 
@@ -1453,7 +1456,9 @@ ENDDO
         let cfg = ExecConfig::new().backend(Backend::Bytecode);
         let mut plan = ExecPlan::build(&mut m, &compiled.node, &cfg).unwrap();
         assert_eq!(plan.resolve(t), t, "every array is live before the first step");
-        assert_eq!(plan.kernel_execs_per_step(), 4, "one kernel per PE, no copy sweep");
+        // One nest: one layout on the dividing 2x2 grid, run by 4 PEs.
+        assert_eq!(m.stats().kernels_compiled, 1, "one kernel per nest and layout");
+        assert_eq!(plan.kernel_execs_per_step(), 4, "one execution per PE, no copy sweep");
         let storage = |m: &Machine, a| -> Vec<*const f64> {
             m.pes.iter().map(|pe| pe.subgrid(a).raw().as_ptr()).collect()
         };

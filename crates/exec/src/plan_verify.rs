@@ -75,7 +75,7 @@
 
 use crate::plan::{body_nests, ExecPlan, PlanItem};
 use hpf_analysis::superstep::{uncovered_ghost, FillBox, GhostNeed};
-use hpf_codegen::CompiledNest;
+use hpf_codegen::{inject_shared, verify_kernels, CompiledNest, Fault};
 use hpf_ir::diag::Diagnostic;
 use hpf_ir::{ArrayId, Section};
 use hpf_passes::loopir::{Instr, LoopNest};
@@ -206,6 +206,19 @@ impl ExecPlan {
         })
     }
 
+    /// Apply `fault` to the first nest's compiled code on every PE that
+    /// shares it — a layout miscompiled once, for the mutation-kill suite
+    /// (BV*). Returns `false` when the fault does not apply.
+    #[doc(hidden)]
+    pub fn corrupt_kernel(&mut self, fault: Fault) -> bool {
+        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
+            PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
+                inject_shared(kernels, fault)
+            }
+            _ => false,
+        })
+    }
+
     /// Corrupt the source box of the first transfer the step program runs:
     /// one more than its outermost dimension's stride (`stride`) or count —
     /// the box faults for the mutation-kill suite (PL006). Returns `false`
@@ -247,16 +260,12 @@ fn first_edit(
 }
 
 /// Kernel-level (`BV*`) diagnostics of every compiled kernel in the item
-/// tree, annotated with the owning PE.
+/// tree, each shared code's annotated with the PEs that run it.
 fn collect_kernel_diags(item: &PlanItem, out: &mut Vec<Diagnostic>) {
     match item {
         PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
-            for (pe, kernel) in kernels.iter().enumerate() {
-                if let Some(k) = kernel {
-                    out.extend(
-                        k.verify().into_iter().map(|d| d.note(format!("kernel for PE {pe}"))),
-                    );
-                }
+            for (pes, diags) in verify_kernels(kernels) {
+                out.extend(diags.into_iter().map(|d| d.note(format!("kernel of PEs {pes:?}"))));
             }
         }
         PlanItem::TimeLoop { body, .. } | PlanItem::Superstep { body, .. } => {
@@ -763,20 +772,19 @@ fn superstep_demotable(comms: &[usize], body: &[PlanItem], scheds: &[CompiledCom
         .all(|(a, _)| comms.iter().any(|&slot| scheds[slot].dst == a))
 }
 
-/// Kernel obligations (`BV*`) of one nest's per-PE kernels; unchecked, a
-/// rejected kernel falls back to the interpreter.
+/// Kernel obligations (`BV*`) of one nest's per-PE kernels, proven once per
+/// shared code; unchecked, a rejected code falls back to the interpreter on
+/// every PE that shares it.
 fn demote_kernels(
     kernels: &mut [Option<CompiledNest>],
     checked: bool,
     report: &mut Vec<Diagnostic>,
 ) {
-    for (pe, kernel) in kernels.iter_mut().enumerate() {
-        let Some(k) = kernel else { continue };
-        let diags = k.verify();
+    for (pes, diags) in verify_kernels(kernels) {
         if !diags.is_empty() {
-            report.extend(diags.into_iter().map(|d| d.note(format!("kernel for PE {pe}"))));
+            report.extend(diags.into_iter().map(|d| d.note(format!("kernel of PEs {pes:?}"))));
             if !checked {
-                *kernel = None;
+                pes.into_iter().for_each(|pe| kernels[pe] = None);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! therefore acyclic, which is the precondition the paper notes.
 
 use crate::stmt::{Resource, Stmt};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Dependence classification.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -76,36 +76,60 @@ impl DepGraph {
                 _ => false,
             }
         };
+        // Per resource, the statements seen so far that write it and that read
+        // it: statement j's predecessors are the union of these lists over
+        // its own reads and writes, each pair visited once per shared
+        // resource instead of once per statement pair.
+        let mut index: HashMap<&Resource, (Vec<usize>, Vec<usize>)> = HashMap::new();
+        // kinds[i]: the dependence kinds found so far from i to j (bit per
+        // `DepKind` in edge order), with `found` the i's it is nonzero for.
+        let mut kinds = vec![0u8; n];
+        let mut found = Vec::new();
         let mut edges = Vec::new();
         let mut succ = vec![Vec::new(); n];
         let mut pred = vec![Vec::new(); n];
-        let mut seen: HashSet<(usize, usize)> = HashSet::new();
         for j in 0..n {
-            let rj: HashSet<&Resource> = reads[j].iter().collect();
-            let wj: HashSet<&Resource> = writes[j].iter().collect();
-            for i in 0..j {
-                let wi: HashSet<&Resource> = writes[i].iter().collect();
-                let ri: HashSet<&Resource> = reads[i].iter().collect();
-                let mut kinds = Vec::new();
-                if wi.iter().any(|r| rj.contains(*r)) {
-                    kinds.push(DepKind::True);
+            let mut mark = |i: usize, bit: u8| {
+                if kinds[i] == 0 {
+                    found.push(i);
                 }
-                if ri.iter().any(|r| wj.contains(*r) && !idempotent_ghost_write(&block[j], r)) {
-                    kinds.push(DepKind::Anti);
+                kinds[i] |= bit;
+            };
+            for r in &reads[j] {
+                for &i in index.get(r).map_or(&[][..], |(w, _)| w) {
+                    mark(i, 1);
                 }
-                if wi.iter().any(|r| {
-                    wj.contains(*r)
-                        && !(idempotent_ghost_write(&block[i], r)
-                            && idempotent_ghost_write(&block[j], r))
-                }) {
-                    kinds.push(DepKind::Output);
+            }
+            for r in &writes[j] {
+                let Some((w, rd)) = index.get(r) else { continue };
+                if !idempotent_ghost_write(&block[j], r) {
+                    rd.iter().for_each(|&i| mark(i, 2));
                 }
-                for kind in kinds {
-                    edges.push(DepEdge { src: i, dst: j, kind });
+                for &i in w {
+                    if !(idempotent_ghost_write(&block[i], r)
+                        && idempotent_ghost_write(&block[j], r))
+                    {
+                        mark(i, 4);
+                    }
                 }
-                if edges.iter().any(|e| e.src == i && e.dst == j) && seen.insert((i, j)) {
-                    succ[i].push(j);
-                    pred[j].push(i);
+            }
+            found.sort_unstable();
+            for i in found.drain(..) {
+                for (bit, kind) in [(1, DepKind::True), (2, DepKind::Anti), (4, DepKind::Output)] {
+                    if kinds[i] & bit != 0 {
+                        edges.push(DepEdge { src: i, dst: j, kind });
+                    }
+                }
+                kinds[i] = 0;
+                succ[i].push(j);
+                pred[j].push(i);
+            }
+            let accesses = writes[j].iter().map(|r| (r, true));
+            for (r, write) in accesses.chain(reads[j].iter().map(|r| (r, false))) {
+                let (writers, readers) = index.entry(r).or_default();
+                let list = if write { writers } else { readers };
+                if list.last() != Some(&j) {
+                    list.push(j);
                 }
             }
         }
@@ -120,52 +144,6 @@ impl DepGraph {
     /// Direct predecessors of a statement.
     pub fn pred(&self, i: usize) -> &[usize] {
         &self.pred[i]
-    }
-
-    /// True when an edge `src → dst` of any kind exists.
-    pub fn has_edge(&self, src: usize, dst: usize) -> bool {
-        self.succ[src].contains(&dst)
-    }
-
-    /// Transitive reachability: is `to` reachable from `from`?
-    pub fn reaches(&self, from: usize, to: usize) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut stack = vec![from];
-        let mut visited = vec![false; self.n];
-        while let Some(v) = stack.pop() {
-            for &s in &self.succ[v] {
-                if s == to {
-                    return true;
-                }
-                if !visited[s] {
-                    visited[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
-    }
-
-    /// A topological order of the statements (program order is always one
-    /// because edges only point forward, but this validates acyclicity).
-    pub fn topo_order(&self) -> Vec<usize> {
-        let mut indeg: Vec<usize> = (0..self.n).map(|i| self.pred[i].len()).collect();
-        let mut ready: Vec<usize> = (0..self.n).filter(|&i| indeg[i] == 0).collect();
-        ready.reverse();
-        let mut out = Vec::with_capacity(self.n);
-        while let Some(v) = ready.pop() {
-            out.push(v);
-            for &s in &self.succ[v] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        assert_eq!(out.len(), self.n, "dependence graph must be acyclic");
-        out
     }
 
     /// Check whether a permutation of the block preserves every dependence
@@ -233,8 +211,9 @@ mod tests {
         // compute1 -> compute2: true (T), output (T).
         assert!(g.edges.iter().any(|e| e.src == 1 && e.dst == 2 && e.kind == DepKind::True));
         assert!(g.edges.iter().any(|e| e.src == 1 && e.dst == 2 && e.kind == DepKind::Output));
-        assert!(g.has_edge(0, 1));
-        assert!(g.reaches(0, 2));
+        // Both computes read RIP: the shift reaches the second directly.
+        assert_eq!((g.succ(0), g.succ(1), g.succ(2)), (&[1, 2][..], &[2][..], &[][..]));
+        assert_eq!((g.pred(0), g.pred(1), g.pred(2)), (&[][..], &[0][..], &[0, 1][..]));
     }
 
     #[test]
@@ -257,8 +236,7 @@ mod tests {
             Stmt::ShiftAssign { dst: T, src: U, shift: -1, dim: 0, kind: ShiftKind::Circular },
         ];
         let g = DepGraph::build(&block);
-        assert!(!g.has_edge(0, 1));
-        assert!(!g.reaches(0, 1));
+        assert!(g.succ(0).is_empty() && g.pred(1).is_empty());
     }
 
     #[test]
@@ -323,14 +301,14 @@ mod tests {
             kind: ShiftKind::Circular,
         };
         let g = DepGraph::build(&[mk(1), mk(-1)]);
-        assert!(!g.has_edge(0, 1));
+        assert!(g.succ(0).is_empty());
     }
 
     #[test]
-    fn topo_order_and_validity() {
+    fn edges_point_forward_and_order_validity() {
         let g = DepGraph::build(&sample_block());
-        let order = g.topo_order();
-        assert!(g.order_is_valid(&order));
+        assert!((0..g.n).all(|j| g.pred(j).iter().all(|&i| i < j)));
+        assert!((0..g.n).all(|i| g.succ(i).iter().all(|&j| i < j)));
         assert!(g.order_is_valid(&[0, 1, 2]));
         assert!(!g.order_is_valid(&[1, 0, 2])); // violates shift->use
         assert!(!g.order_is_valid(&[0, 2, 1])); // violates T chain

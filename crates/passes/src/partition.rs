@@ -53,18 +53,21 @@ pub fn classify(symbols: &SymbolTable, s: &Stmt) -> StmtClass {
 /// over-fusion guard): some array is written by one statement and read at a
 /// non-zero offset by the other.
 pub fn fusion_preventing(earlier: &Stmt, later: &Stmt) -> bool {
-    offset_conflict(earlier, later) || offset_conflict(later, earlier)
+    offset_conflict(&interior_writes(earlier), later)
+        || offset_conflict(&interior_writes(later), earlier)
 }
 
-fn offset_conflict(writer: &Stmt, reader: &Stmt) -> bool {
-    let writes: Vec<ArrayId> = writer
-        .writes()
-        .into_iter()
-        .filter_map(|r| match r {
-            Resource::Interior(a) => Some(a),
-            _ => None,
-        })
-        .collect();
+/// The arrays whose owned elements `s` writes.
+fn interior_writes(s: &Stmt) -> Vec<ArrayId> {
+    let interior = |r| match r {
+        Resource::Interior(a) => Some(a),
+        _ => None,
+    };
+    s.writes().into_iter().filter_map(interior).collect()
+}
+
+/// Does `reader` read an array of `writes` at a non-zero offset?
+fn offset_conflict(writes: &[ArrayId], reader: &Stmt) -> bool {
     let mut conflict = false;
     let mut check = |array: ArrayId, offsets: &hpf_ir::Offsets| {
         if writes.contains(&array) && !offsets.is_zero() {
@@ -89,14 +92,17 @@ pub fn post_conditions() -> &'static [hpf_analysis::Check] {
 
 /// Partition (reorder) every basic block of the program.
 pub fn run(program: &mut Program) -> PartitionStats {
-    let mut diags = Vec::new();
-    run_checked(program, &mut diags)
+    run_checked(program, None)
 }
 
-/// Like [`run`], but appends an FP001 diagnostic to `diags` for every pair
-/// of statements the pass grouped whose fusion would be illegal — the
-/// pass's own post-condition over the grouping it actually built.
-pub fn run_checked(program: &mut Program, diags: &mut Vec<hpf_ir::Diagnostic>) -> PartitionStats {
+/// Like [`run`], but with `diags` appends an FP001 diagnostic to it for
+/// every pair of statements the pass grouped whose fusion would be illegal
+/// — the pass's own post-condition over the grouping it actually built,
+/// computed only when asked for.
+pub fn run_checked(
+    program: &mut Program,
+    mut diags: Option<&mut Vec<hpf_ir::Diagnostic>>,
+) -> PartitionStats {
     let mut stats = PartitionStats::default();
     let symbols = program.symbols.clone();
     program.for_each_block_mut(&mut |block, _| {
@@ -107,7 +113,9 @@ pub fn run_checked(program: &mut Program, diags: &mut Vec<hpf_ir::Diagnostic>) -
                 stats.moved += 1;
             }
         }
-        diags.extend(hpf_analysis::check_partition_groups(&symbols, &reordered, &groups));
+        if let Some(diags) = diags.as_deref_mut() {
+            diags.extend(hpf_analysis::check_partition_groups(&symbols, &reordered, &groups));
+        }
         *block = reordered;
     });
     stats
@@ -133,6 +141,10 @@ pub fn partition_block_groups(
     }
     let graph = DepGraph::build(block);
     let classes: Vec<StmtClass> = block.iter().map(|s| classify(symbols, s)).collect();
+    let writes: Vec<Vec<ArrayId>> = block.iter().map(interior_writes).collect();
+    let prevents = |a: usize, b: usize| {
+        offset_conflict(&writes[a], &block[b]) || offset_conflict(&writes[b], &block[a])
+    };
 
     // groups[g] = (class, member statement indices in insertion order)
     let mut groups: Vec<(StmtClass, Vec<usize>)> = Vec::new();
@@ -145,7 +157,7 @@ pub fn partition_block_groups(
         let mut earliest = 0usize;
         for &p in graph.pred(s) {
             let g = group_of[p];
-            let bump = classes[p] != classes[s] || fusion_preventing(&block[p], &block[s]);
+            let bump = classes[p] != classes[s] || prevents(p, s);
             earliest = earliest.max(if bump { g + 1 } else { g });
         }
         // Join the first same-class group at or after `earliest` whose
@@ -154,7 +166,7 @@ pub fn partition_block_groups(
         for g in earliest..groups.len() {
             if groups[g].0 == classes[s]
                 && !matches!(classes[s], StmtClass::Single)
-                && groups[g].1.iter().all(|&m| !fusion_preventing(&block[m], &block[s]))
+                && groups[g].1.iter().all(|&m| !prevents(m, s))
             {
                 groups[g].1.push(s);
                 group_of[s] = g;

@@ -338,7 +338,7 @@ pub fn compile(checked: &Checked, options: CompileOptions) -> Compiled {
             // Group legality needs the member lists the pass actually built,
             // so the check rides along inside the pass.
             let mut diags = Vec::new();
-            stats.partition = partition::run_checked(&mut program, &mut diags);
+            stats.partition = partition::run_checked(&mut program, Some(&mut diags));
             diags.extend(hpf_analysis::run_checks(&program, halo, partition::post_conditions()));
             stats.pass_timings[2].checks += 1 + partition::post_conditions().len() as u32;
             stats.pass_timings[2].diagnostics += diags.len() as u32;

@@ -272,32 +272,29 @@ pub struct Machine {
 }
 
 thread_local! {
-    /// Array storage of the machine last dropped on this thread, kept for the
-    /// next one built here. A plan rebuilt for the same problem (a tuner's
-    /// candidates, a driver's set-up repetitions) takes its arrays back
-    /// instead of freeing them and asking again: what an allocator is given
-    /// back it either unmaps, so the rebuild pays the page faults, or keeps as
-    /// a hole the next request must fit exactly and, after any small
+    /// Array storage of the machines dropped on this thread, oldest first,
+    /// kept for the next ones built here. A plan rebuilt for the same problem
+    /// (a tuner's candidates, a driver's set-up repetitions) takes its arrays
+    /// back instead of freeing them and asking again: what an allocator is
+    /// given back it either unmaps, so the rebuild pays the page faults, or
+    /// keeps as a hole the next request must fit exactly and, after any small
     /// allocation in between, no longer does. Blocks of [`SPARE_MIN`] cells
-    /// and more only, and never more than one machine's.
-    static SPARE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+    /// and more only. A dropped machine's blocks join the list, which then
+    /// gives up its oldest until it holds at most its cap: twice the large
+    /// storage of the largest machine dropped here. So set-ups that cycle
+    /// through machines of several sizes keep the blocks of all of them.
+    static SPARE: RefCell<(Vec<Vec<f64>>, usize)> = const { RefCell::new((Vec::new(), 0)) };
 }
 
 /// Storage below this many cells (1 MiB) goes back to the allocator.
 const SPARE_MIN: usize = 1 << 17;
 
-/// `len` zeros, in a spare block of about that capacity if there is one. A
-/// large request that no spare block suits empties the list first: what is
-/// in it is of no use to the machine being built.
+/// `len` zeros, in a spare block of about that capacity if there is one.
 fn zeroed_storage(len: usize) -> Vec<f64> {
     let spare = SPARE.with(|spare| {
-        let mut spare = spare.borrow_mut();
+        let (spare, _) = &mut *spare.borrow_mut();
         let suits = |b: &Vec<f64>| b.capacity() >= len && b.capacity() - len <= len / 16;
-        let found = spare.iter().position(suits).map(|i| spare.swap_remove(i));
-        if found.is_none() && len >= SPARE_MIN {
-            spare.clear();
-        }
-        found
+        spare.iter().position(suits).map(|i| spare.remove(i))
     });
     match spare {
         Some(mut block) => {
@@ -317,8 +314,17 @@ impl Drop for Machine {
             b.clear();
             b.capacity() >= SPARE_MIN
         });
+        let twice = 2 * blocks.iter().map(Vec::capacity).sum::<usize>();
         // A thread's last machine may outlive the thread's list.
-        let _ = SPARE.try_with(|spare| *spare.borrow_mut() = blocks);
+        let _ = SPARE.try_with(|spare| {
+            let (spare, cap) = &mut *spare.borrow_mut();
+            *cap = twice.max(*cap);
+            spare.extend(blocks);
+            let mut held: usize = spare.iter().map(Vec::capacity).sum();
+            while held > *cap {
+                held -= spare.remove(0).capacity();
+            }
+        });
     }
 }
 
@@ -1143,39 +1149,68 @@ mod tests {
 
     #[test]
     fn a_dropped_machines_large_arrays_go_to_the_next_one() {
-        // 724^2 over 2x2: four subgrids of 364^2 cells, just over 1 MiB each.
         let storage = |m: &Machine| -> Vec<*const f64> {
-            let mut at: Vec<_> = m.pes.iter().map(|pe| pe.subgrid(U).raw().as_ptr()).collect();
+            let subgrids = m.pes.iter().flat_map(|pe| pe.subgrids.iter().flatten());
+            let mut at: Vec<_> = subgrids.map(|s| s.raw().as_ptr()).collect();
             at.sort();
             at
         };
-        let mut m = machine();
-        m.alloc(U, &decl("U", 724)).unwrap();
-        m.fill(U, |p| (p[0] * 1000 + p[1]) as f64);
-        m.overlap_shift(U, 1, 0, None, ShiftKind::Circular).unwrap();
-        let first = storage(&m);
+        let spare = || SPARE.with(|s| s.borrow().0.iter().map(|b| b.as_ptr()).collect::<Vec<_>>());
+        let held = || SPARE.with(|s| s.borrow().0.iter().map(Vec::capacity).sum::<usize>());
+        let build = |shapes: &[[usize; 2]]| {
+            let mut m = machine();
+            for (a, &shape) in shapes.iter().enumerate() {
+                let decl = ArrayDecl::user("A", Shape::new(shape), Distribution::block(2));
+                m.alloc(ArrayId(a as u32), &decl).unwrap();
+            }
+            m
+        };
+        // Drop `m` after writing its arrays: the list keeps at most twice
+        // the storage of the largest machine dropped so far.
+        let mut cap = 0;
+        let mut drop_used = |mut m: Machine| {
+            let cells: usize = (m.pes.iter().flat_map(|pe| pe.subgrids.iter().flatten()))
+                .map(|s| s.raw().len())
+                .sum();
+            cap = cap.max(2 * cells);
+            for a in 0..m.pes[0].subgrids.len() as u32 {
+                m.fill(ArrayId(a), |p| (p[0] * 1000 + p[1]) as f64);
+            }
+            drop(m);
+            assert!(held() <= cap, "{} cells held over a cap of {cap}", held());
+        };
+        // Two sizes of machine over 2x2 with 1 059 968 cells each, in blocks
+        // of 1 MiB and more: `wide`, one 724x1452 array (four 364x728
+        // subgrids), and `square`, two 724x724 arrays (eight of 364x364).
+        let (wide, square) = (&[[724, 1452]][..], &[[724, 724], [724, 724]][..]);
+        // First round: every block is new, and a request no spare block
+        // suits leaves the list alone.
+        let mut first = Vec::new();
+        for shapes in [wide, square] {
+            let m = build(shapes);
+            first.push(storage(&m));
+            drop_used(m);
+        }
+        assert_eq!(spare().len(), 12, "both machines' blocks kept");
+        // Second round: each size takes back its own blocks, zeroed.
+        for (shapes, blocks) in [wide, square].into_iter().zip(first) {
+            let m = build(shapes);
+            assert_eq!(storage(&m), blocks, "the same blocks");
+            for pe in &m.pes {
+                assert!(pe.subgrids.iter().flatten().all(|s| s.raw().iter().all(|&c| c == 0.0)));
+            }
+            drop_used(m);
+        }
+        // A third size past the cap: the oldest blocks go, the newest stay.
+        let m = build(&[[760, 760], [760, 760]]);
+        let newest = storage(&m);
+        drop_used(m);
+        assert!(newest.iter().all(|b| spare().contains(b)));
+        assert!(spare().len() < 12 + newest.len(), "some older blocks given up");
+        // Small arrays are never kept.
+        let m = build(&[[8, 8], [724, 724]]);
         drop(m);
-        assert_eq!(SPARE.with(|s| s.borrow().len()), 4);
-        let mut m = machine();
-        m.alloc(U, &decl("U", 724)).unwrap();
-        assert_eq!(storage(&m), first, "the same four blocks");
-        assert!(m.pes.iter().all(|pe| pe.subgrid(U).raw().iter().all(|&c| c == 0.0)));
-        // A second array finds the list empty and is allocated afresh.
-        m.alloc(T, &decl("T", 724)).unwrap();
-        drop(m);
-        assert_eq!(SPARE.with(|s| s.borrow().len()), 8);
-        // Blocks of a size the next machine cannot use are freed, not held;
-        // small arrays are never kept.
-        let mut m = machine();
-        m.alloc(U, &decl("U", 1024)).unwrap();
-        assert_eq!(SPARE.with(|s| s.borrow().len()), 0);
-        drop(m);
-        assert_eq!(SPARE.with(|s| s.borrow().len()), 4);
-        let mut m = machine();
-        m.alloc(U, &decl("U", 8)).unwrap();
-        assert_eq!(SPARE.with(|s| s.borrow().len()), 4, "a small request leaves the list alone");
-        drop(m);
-        assert_eq!(SPARE.with(|s| s.borrow().len()), 0, "the last machine had nothing large");
+        assert!(SPARE.with(|s| s.borrow().0.iter().all(|b| b.capacity() >= SPARE_MIN)));
     }
 
     #[test]

@@ -85,9 +85,9 @@ pub struct AggStats {
     /// paid zero subgrid math and zero buffer allocation. After `n` steps of
     /// a plan with `c` comm ops, this reads `n * c`.
     pub schedule_reuses: u64,
-    /// Loop nests compiled to bytecode kernels, counted per (nest, PE)
-    /// pair. Machine-wide, incremented at backend compile time; zero under
-    /// the interpreter backend.
+    /// Bytecode kernels compiled: one per (nest, subgrid layout), shared by
+    /// the PEs with that layout. Machine-wide, incremented at backend compile
+    /// time; zero under the interpreter backend.
     pub kernels_compiled: u64,
     /// Executions of an already-compiled bytecode kernel (one nest sweep on
     /// one PE). Plans compile once and grow only this counter per step.

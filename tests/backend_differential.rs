@@ -283,13 +283,48 @@ fn bytecode_backend_reports_kernel_counters() {
         .run()
         .unwrap();
     let st = run.stats();
-    assert!(st.kernels_compiled > 0, "nests compiled to bytecode");
-    assert_eq!(st.kernel_execs, st.kernels_compiled, "one sweep executes each kernel once");
+    // One nest and one layout on the dividing 2x2 grid: compiled once, and
+    // one sweep runs it on each of the 4 PEs.
+    assert_eq!(st.kernels_compiled, 1, "one kernel per nest and layout");
+    assert_eq!(st.kernel_execs, 4, "one execution per nest, PE and step");
     // The interpreter backend never touches these counters.
     let run =
         kernel.runner(MachineConfig::sp2_2x2()).init("U", |p| (p[0] + p[1]) as f64).run().unwrap();
     assert_eq!(run.stats().kernels_compiled, 0);
     assert_eq!(run.stats().kernel_execs, 0);
+}
+
+/// One kernel per nest and layout, not per PE: Problem 9 at N=64 on the
+/// non-dividing 3x3 grid has subgrids of 22, 22 and 20 cells per dimension,
+/// four layouts, so its one nest compiles four times for nine PEs — and
+/// every engine still computes the interpreter's bits and counters.
+#[test]
+fn non_dividing_grid_compiles_one_kernel_per_layout() {
+    let kernel = Kernel::compile(&presets::problem9(64), CompileOptions::full()).unwrap();
+    let grid = [3, 3];
+    let (want, want_stats) = run_combo(&kernel, &grid, Engine::Sequential, Backend::Interp, &["T"]);
+    let (u, t) = (kernel.array_id("U").unwrap(), kernel.array_id("T").unwrap());
+    for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+        let run = kernel
+            .runner(MachineConfig::with_grid(grid.to_vec()))
+            .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
+            .engine(engine)
+            .backend(Backend::Bytecode)
+            .run()
+            .unwrap();
+        let mut layouts: Vec<(Vec<usize>, usize)> = (run.machine.pes.iter())
+            .map(|pe| (pe.subgrid(u).strides().to_vec(), pe.subgrid(u).raw().len()))
+            .collect();
+        layouts.sort();
+        layouts.dedup();
+        assert_eq!(layouts.len(), 4, "22, 22, 20 cells per dimension");
+        let st = run.stats();
+        assert_eq!(st.kernels_compiled, 4, "{engine:?}: one kernel per layout");
+        assert_eq!(st.kernel_execs, 9, "{engine:?}: one execution per PE");
+        let got = run.machine.gather(t);
+        assert!(got.iter().zip(&want[0].1).all(|(a, b)| a.to_bits() == b.to_bits()), "{engine:?}");
+        assert_eq!(st.per_pe, want_stats, "{engine:?}");
+    }
 }
 
 #[test]
@@ -304,9 +339,10 @@ fn bytecode_plan_compiles_once_and_reuses_across_steps() {
         .unwrap();
     plan.iterate(5);
     let st = plan.stats();
-    assert!(st.kernels_compiled > 0);
-    // Compiled once at build; each of the 5 steps re-executes every kernel.
-    assert_eq!(st.kernel_execs, 5 * st.kernels_compiled);
+    // Jacobi's one nest (its copy-back rotates) and one layout: compiled once
+    // at build; each of the 5 steps runs it on every one of the 4 PEs.
+    assert_eq!(st.kernels_compiled, 1);
+    assert_eq!(st.kernel_execs, 5 * 4);
     // And the stepped state matches an interpreter-backend plan bitwise.
     let mut plan_i = kernel.plan(MachineConfig::sp2_2x2()).init("U", init).build().unwrap();
     plan_i.iterate(5);

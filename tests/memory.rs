@@ -183,9 +183,11 @@ fn problem9_counters_are_those_of_the_index_list_schedules() {
             let st = plan.stats();
             assert_eq!(st.peak_bytes, [peak; 4], "{grid:?} {engine:?}");
             assert_eq!(st.total(), total, "{grid:?} {engine:?}");
+            // One nest, one layout per dividing grid: compiled once, run by
+            // 4 PEs in each of 3 steps.
             assert_eq!(
                 (st.schedules_built, st.schedule_reuses, st.kernels_compiled, st.kernel_execs),
-                (4, 12, 4, 12)
+                (4, 12, 1, 12)
             );
         }
     }

@@ -432,6 +432,60 @@ fn corrupted_box_strides_and_counts_are_killed() {
     }
 }
 
+/// A kernel is compiled once per layout, so a fault in it is a fault on
+/// every PE that runs it: on the 2x2 grid, where Problem 9's one nest has
+/// one layout, a checked build refuses the plan naming all four PEs, and an
+/// unchecked debug build runs the nest on the interpreter on all four,
+/// computing what the clean plan computes.
+#[test]
+fn a_fault_in_a_shared_kernel_demotes_every_sharer() {
+    let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
+    let node = &kernel.compiled.node;
+    let machine = || {
+        let mut m = Machine::new(MachineConfig::with_grid(vec![2, 2]));
+        hpf_stencil::exec::allocate(&mut m, node).unwrap();
+        let u = kernel.array_id("U").unwrap();
+        m.fill(u, |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin());
+        m
+    };
+    let fault = Fault::ShrinkDeclaredDeltas { unit: false };
+    let cfg = ExecConfig::new().backend(Backend::Bytecode);
+    let (mut clean_m, mut faulty_m) = (machine(), machine());
+    let mut clean = hpf_stencil::exec::ExecPlan::build(&mut clean_m, node, &cfg).unwrap();
+    assert_eq!(clean.kernel_execs_per_step(), 4, "one shared kernel, four PEs");
+
+    let checked = hpf_stencil::exec::ExecPlan::build_with_fault(
+        &mut machine(),
+        node,
+        &cfg.check_invariants(true),
+        |p| assert!(p.corrupt_kernel(fault), "Problem 9's jammed body has an envelope"),
+    );
+    match checked {
+        Err(RtError::VerificationFailed { report }) => {
+            // One proof of the shared code, not one per PE.
+            let mut one = kernels_of(&presets::problem9(16), &[2, 2]).remove(0);
+            assert!(one.inject(fault));
+            let diags = verify_nest(&one);
+            assert!(diags.iter().all(|d| d.code == "BV003"), "{diags:?}");
+            assert_eq!(report.lines().count(), diags.len(), "{report}");
+        }
+        other => panic!("expected BV003, got {other:?}"),
+    }
+    if cfg!(debug_assertions) {
+        let mut demoted =
+            hpf_stencil::exec::ExecPlan::build_with_fault(&mut faulty_m, node, &cfg, |p| {
+                assert!(p.corrupt_kernel(fault))
+            })
+            .unwrap();
+        assert_eq!(demoted.kernel_execs_per_step(), 0, "every sharer runs the interpreter");
+        assert!(demoted.verify().is_empty(), "{:?}", demoted.verify());
+        clean.step(&mut clean_m);
+        demoted.step(&mut faulty_m);
+        let t = kernel.array_id("T").unwrap();
+        assert_eq!(clean_m.gather(t), faulty_m.gather(t));
+    }
+}
+
 const COMBOS: [(Engine, Backend); 6] = [
     (Engine::Sequential, Backend::Interp),
     (Engine::Sequential, Backend::Bytecode),
