@@ -18,10 +18,6 @@
 //! * **Diagnostics** (re-exported from `hpf-ir`): everything is reported as
 //!   [`Diagnostic`]s with stable codes and source spans, rendered as text or
 //!   JSON (`hpfsc --lint --emit diag-json`).
-//! * **Overlap regions** ([`overlap`]): the geometric complement of the
-//!   ghost-liveness dataflow — split a PE's owned block into the interior
-//!   computable while halo messages are in flight and the boundary strips
-//!   that must wait, used by the split-phase overlapped engine.
 //! * **Superstep coverage** ([`superstep`]): depth-coordinate geometry for
 //!   communication-avoiding superstep schedules — does a candidate set of
 //!   deep halo fills cover every ghost cell the `k` trapezoid sub-steps
@@ -29,7 +25,6 @@
 
 pub mod coverage;
 pub mod lints;
-pub mod overlap;
 pub mod superstep;
 
 pub use hpf_ir::diag::{render_json, render_text, sort};

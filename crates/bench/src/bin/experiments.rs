@@ -4,7 +4,7 @@
 //! ```text
 //! experiments [--exp all|comm-count|temp-storage|fig11|fig17|fig18|robustness|ablation|history|fig7to10|fuzz]
 //!             [--n SIZE] [--sizes a,b,c]
-//!             [--engine seq|threaded|threaded-overlap] [--json]
+//!             [--engine seq|threaded] [--json]
 //! ```
 //!
 //! `--exp all` (the default) prints the seven paper tables. `--exp
@@ -14,8 +14,8 @@
 //! performance is not measured here: that is `benchmark/`'s job.
 //!
 //! `--engine` accepts the same specs as `hpfsc` (parsed by
-//! [`ExecConfig::from_cli_str`]): an engine (`seq`, `threaded`,
-//! `threaded-overlap`), a backend, or a pair like `threaded-bytecode`.
+//! [`ExecConfig::from_cli_str`]): an engine (`seq`, `threaded`), a
+//! backend, or a pair like `threaded-bytecode`.
 //!
 //! Exit codes: 0 success; 1 unknown experiment or history I/O failure;
 //! 2 usage error.
@@ -42,7 +42,7 @@ const EXPERIMENTS: &[&str] = &[
 
 fn usage() -> String {
     format!(
-        "usage: experiments [--exp {}] [--n SIZE] [--sizes a,b,c] [--engine seq|threaded|threaded-overlap] [--json]",
+        "usage: experiments [--exp {}] [--n SIZE] [--sizes a,b,c] [--engine seq|threaded] [--json]",
         EXPERIMENTS.join("|")
     )
 }

@@ -89,7 +89,7 @@ fn help_lists_exactly_the_experiments_and_flags() {
         help.trim_end(),
         format!(
             "usage: experiments [--exp {}] [--n SIZE] [--sizes a,b,c] \
-             [--engine seq|threaded|threaded-overlap] [--json]",
+             [--engine seq|threaded] [--json]",
             EXPERIMENTS.join("|")
         )
     );

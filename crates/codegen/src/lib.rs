@@ -48,10 +48,7 @@ mod vm;
 
 pub use bytecode::{reads_before_def, ChainDst, KernelCode, Link, Op, Operand, Reg, Slot};
 pub use verify::{inject_shared, verify_kernels, verify_nest, Fault, BV001, BV002, BV003, BV004};
-pub use vm::{
-    compile_nest, compile_spmd, exec_compiled, exec_compiled_over, exec_compiled_range,
-    CompiledNest,
-};
+pub use vm::{compile_nest, compile_spmd, exec_compiled, exec_compiled_over, CompiledNest};
 
 #[cfg(test)]
 mod tests {

@@ -326,9 +326,8 @@ impl CompiledNest {
 
     /// Local loop bounds (inclusive, per dimension) this nest was compiled
     /// for — the PE's intersection of the iteration space with its owned
-    /// block. Empty nests report `None`. Callers slicing the space for
-    /// split-phase execution ([`exec_compiled_range`]) derive their
-    /// sub-ranges from these.
+    /// block. Empty nests report `None`. Superstep sweeps
+    /// ([`exec_compiled_over`]) expand these into the ghost layers.
     pub fn local_bounds(&self) -> Option<(&[i64], &[i64])> {
         if self.empty {
             None
@@ -344,37 +343,7 @@ pub fn exec_compiled(pe: &mut PeState, cn: &CompiledNest) {
     if cn.empty {
         return;
     }
-    exec_over(pe, cn, &cn.lo, &cn.hi, false);
-}
-
-/// Execute a compiled nest over a sub-range of its local iteration space:
-/// `region[d]` is an inclusive local index range, clipped against the
-/// compiled bounds. The split-phase engine uses this to run a nest's
-/// interior while halo messages are in flight and its boundary strips
-/// afterwards. Counter accounting matches [`exec_compiled`] piecewise —
-/// callers that tile the space with factor-aligned pieces (see
-/// `hpf_analysis::overlap`) observe the exact full-sweep counters.
-///
-/// The caller asserts the nest is iteration-local over the region (the
-/// split-phase eligibility conditions), so the walk order inside the box is
-/// unobservable: thin-row boxes — a split boundary's column strips — run
-/// column-major, which computes identical per-point values and identical
-/// counters (see `exec_over`).
-pub fn exec_compiled_range(pe: &mut PeState, cn: &CompiledNest, region: &[(i64, i64)]) {
-    if cn.empty {
-        return;
-    }
-    debug_assert_eq!(region.len(), cn.lo.len());
-    let mut lo = cn.lo.clone();
-    let mut hi = cn.hi.clone();
-    for (d, &(rlo, rhi)) in region.iter().enumerate() {
-        lo[d] = lo[d].max(rlo);
-        hi[d] = hi[d].min(rhi);
-        if hi[d] < lo[d] {
-            return;
-        }
-    }
-    exec_over(pe, cn, &lo, &hi, true);
+    exec_over(pe, cn, &cn.lo, &cn.hi);
 }
 
 /// Execute a compiled nest over an explicit local box `lo..=hi` that may
@@ -386,9 +355,9 @@ pub fn exec_compiled_range(pe: &mut PeState, cn: &CompiledNest, region: &[(i64, 
 /// also lands in storage (expansion + read radius ≤ halo — the superstep
 /// legality conditions); rows violating that fall back to the checked
 /// executor and panic exactly like the interpreter would. Iteration order
-/// is the compiled row-major order (no thin-box transposition): ghost
-/// points overlap neighbor-owned points, so order stays observable-safe
-/// only by matching the interpreter walk exactly.
+/// is the compiled row-major order: ghost points overlap neighbor-owned
+/// points, so order stays observable-safe only by matching the interpreter
+/// walk exactly.
 pub fn exec_compiled_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64]) {
     if cn.empty {
         return;
@@ -397,27 +366,19 @@ pub fn exec_compiled_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &
     if lo.iter().zip(hi).any(|(l, h)| h < l) {
         return;
     }
-    exec_over(pe, cn, lo, hi, false);
+    exec_over(pe, cn, lo, hi);
 }
 
-/// Below this many points per row, a `reorder_ok` box runs column-major:
-/// the per-row dispatch (bounds proof + op loop set-up) would otherwise
-/// dominate rows of a handful of points.
-const TRANSPOSE_MAX_ROW: i64 = 8;
-
-/// The executor body behind [`exec_compiled`] / [`exec_compiled_range`]:
+/// The executor body behind [`exec_compiled`] / [`exec_compiled_over`]:
 /// runs the bytecode over the box `lo..=hi` (local, inclusive). Jammed/unit
-/// grouping is decided against these bounds, so a factor-aligned sub-box
-/// reproduces the full sweep's grouping restricted to it. `reorder_ok`
-/// means the caller proved iteration order inside the box unobservable
-/// (iteration-local body), letting thin-row boxes run column-major.
-fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64], reorder_ok: bool) {
+/// grouping is decided against these bounds.
+fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64]) {
     // Raw slice table `arrs`. Distinct `ArrayId`s own distinct allocations,
     // so the pointers never alias each other; ops execute strictly in order,
     // so same-array load/store ordering is preserved.
     let code = &*cn.code;
     pe.with_vm((code.regs.max(1), code.strip_len()), &code.arrays, |regs, strips, arrs, stats| {
-        exec_frame(code, lo, hi, reorder_ok, (regs, strips, arrs), stats)
+        exec_frame(code, lo, hi, (regs, strips, arrs), stats)
     })
 }
 
@@ -427,7 +388,6 @@ fn exec_frame(
     cn: &NestCode,
     lo: &[i64],
     hi: &[i64],
-    reorder_ok: bool,
     (regs, strips, arrs): (&mut [f64], &mut [f64], &[(*mut f64, usize)]),
     stats: &mut PeStats,
 ) {
@@ -498,50 +458,6 @@ fn exec_frame(
             let ubase = base + jam_steps * cn.factor * stride;
             let unit = cn.unit.as_ref().unwrap_or(&cn.jammed);
             row(unit, cn.unit_vec, ubase, rest, stride, &mut unit_execs);
-        } else if reorder_ok
-            && hi[inner] - lo[inner] + 1 < TRANSPOSE_MAX_ROW
-            && hi[d0] - lo[d0] > hi[inner] - lo[inner]
-        {
-            // Thin-row box (a split boundary's column strip): walk it
-            // column-major — per (middle, inner) point one long run along
-            // the outermost dimension, reusing the row-major walk's exact
-            // jammed/unit decomposition. Same kernels, same execution
-            // counts, same per-point values; only the (unobservable) order
-            // changes, and the per-op dispatch amortizes over the long run
-            // instead of being paid per 2-3-point row.
-            let mids: Vec<usize> = cn.order[1..rank - 1].to_vec();
-            let n0 = hi[d0] - lo[d0] + 1;
-            let jam_steps = n0 / cn.factor;
-            let rest = n0 - jam_steps * cn.factor;
-            let stride0 = cn.strides[d0];
-            let unit = cn.unit.as_ref().unwrap_or(&cn.jammed);
-            let mut point = lo.to_vec();
-            'cols: loop {
-                for j in lo[inner]..=hi[inner] {
-                    point[inner] = j;
-                    point[d0] = lo[d0];
-                    let base = base_of(&point);
-                    row(
-                        &cn.jammed,
-                        cn.jam_vec,
-                        base,
-                        jam_steps,
-                        cn.factor * stride0,
-                        &mut jammed_execs,
-                    );
-                    let ubase = base + jam_steps * cn.factor * stride0;
-                    row(unit, cn.unit_vec, ubase, rest, stride0, &mut unit_execs);
-                }
-                for idx in (0..mids.len()).rev() {
-                    let d = mids[idx];
-                    point[d] += 1;
-                    if point[d] <= hi[d] {
-                        continue 'cols;
-                    }
-                    point[d] = lo[d];
-                }
-                break;
-            }
         } else {
             // Middle dims: everything between the (possibly unrolled)
             // outermost loop and the innermost row dimension.

@@ -69,13 +69,7 @@ fn compile_passes_track(stats: &hpf_passes::PipelineStats) -> Track {
         if pt.wall_ns == 0 && pt.checks == 0 {
             continue; // pass disabled at this stage
         }
-        events.push(Event {
-            kind: SpanKind::Pass,
-            start_ns: t,
-            dur_ns: pt.wall_ns,
-            modeled_ns: 0.0,
-            hidden_ns: 0.0,
-        });
+        events.push(Event { kind: SpanKind::Pass, start_ns: t, dur_ns: pt.wall_ns });
         t += pt.wall_ns;
     }
     Track { name: "compile-passes".to_string(), events, dropped: 0 }
@@ -155,12 +149,8 @@ impl Kernel {
     }
 
     /// Auto-tune this kernel: run `tuner` ([`hpf_tune::Tuner::best`]) over
-    /// the compiled node program, with the split-phase overlap engine
-    /// additionally gated on the kernel's halo-safety lints being clean —
-    /// exactly the gate a manual [`Engine::ThreadedOverlap`] selection gets.
+    /// the compiled node program.
     pub fn tune(&self, tuner: &hpf_tune::Tuner) -> Result<hpf_tune::TuneOutcome, CoreError> {
-        let allow = tuner.overlap_allowed() && !hpf_analysis::has_errors(&self.lint());
-        let tuner = tuner.clone().allow_overlap(allow);
         Ok(tuner.best(&self.compiled.node, &self.tune_seed())?)
     }
 
@@ -449,18 +439,8 @@ impl<'k> Planner<'k> {
         // The pipeline's `check_invariants` option (on by default in debug
         // builds) promotes the plan to a checked build: communication plans
         // are prevalidated and the static verifiers (BV*/PL*) fail hard
-        // instead of demoting rejected kernels and windows.
+        // instead of demoting rejected kernels and supersteps.
         exec_cfg.check = exec_cfg.check || self.kernel.compiled.options.check_invariants;
-        // Split-phase overlap is gated on the static halo-safety lints:
-        // only a kernel whose offset reads are all proven covered (HS001)
-        // and within the halo (HS002) may compute its interior while halo
-        // messages are in flight. Anything unproven takes the
-        // fully-blocking threaded engine — same results, no overlap.
-        if exec_cfg.engine == Engine::ThreadedOverlap
-            && hpf_analysis::has_errors(&self.kernel.lint())
-        {
-            exec_cfg.engine = Engine::Threaded;
-        }
         let attempt = |config: MachineConfig,
                        exec_cfg: &ExecConfig|
          -> Result<(Machine, ExecPlan), CoreError> {
@@ -539,8 +519,7 @@ impl Plan<'_> {
         self
     }
 
-    /// The engine stepping this plan (after any lint-gated fallback from
-    /// the overlapped engine to the blocking one).
+    /// The engine stepping this plan.
     pub fn engine(&self) -> Engine {
         self.exec.engine()
     }
@@ -598,13 +577,6 @@ impl Plan<'_> {
         self.exec.comm_count()
     }
 
-    /// Split-phase overlap windows one step executes (zero unless the plan
-    /// was built for [`Engine::ThreadedOverlap`] and kept its windows
-    /// through lint gating and verification).
-    pub fn overlap_windows_per_step(&self) -> u64 {
-        self.exec.overlap_windows_per_step()
-    }
-
     /// Logical stencil steps one [`Plan::step`] covers: the superstep depth
     /// `k` for a flat (driver-stepped) kernel tiled in time by
     /// [`Planner::superstep`], else 1. Drivers stepping to a target count
@@ -636,11 +608,10 @@ impl Plan<'_> {
     }
 
     /// Run the static verifiers over the built plan — the bytecode
-    /// verifier's `BV*` obligations on every compiled kernel and the race
-    /// checker's `PL*` obligations on every overlap window, superstep
-    /// (trapezoid coverage, PL004), rebind (PL005) and compiled schedule
-    /// (box geometry, PL006) — and return
-    /// the diagnostics (empty = machine-checked safe). `ExecPlan::build`
+    /// verifier's `BV*` obligations on every compiled kernel and the plan
+    /// checker's `PL*` obligations on every superstep (trapezoid coverage,
+    /// PL004), rebind (PL005) and compiled schedule (box geometry, PL006) —
+    /// and return the diagnostics (empty = machine-checked safe). `ExecPlan::build`
     /// already enforces this in debug/checked builds; this re-runs it for
     /// observation, e.g. behind `hpfsc --verify`.
     pub fn verify_static(&self) -> Vec<hpf_ir::Diagnostic> {
@@ -649,7 +620,7 @@ impl Plan<'_> {
 
     /// Bytes of message staging held for sequential steps (allocated by
     /// the first): one buffer, as large as the largest staged transfer.
-    /// Zero on the threaded engines, which stage in endpoint buffers.
+    /// Zero on the threaded engine, which stages in endpoint buffers.
     pub fn pooled_bytes(&self) -> usize {
         self.exec.pooled_bytes()
     }
@@ -661,7 +632,7 @@ impl Plan<'_> {
         self.exec.schedule_bytes()
     }
 
-    /// Message buffers the threaded engines' free lists have made so far;
+    /// Message buffers the threaded engine's free lists have made so far;
     /// all are home, and held, at a step boundary. Zero on the sequential
     /// engine and before the first threaded step.
     pub fn endpoint_buffers(&self) -> usize {
@@ -693,9 +664,8 @@ impl Plan<'_> {
 
     /// Cost-model drift report joining modeled component costs against
     /// measured span walls; `None` unless the plan was built with metrics.
-    /// Its `modeled_time_ns` and `hidden_comm_ns` reconcile exactly with
-    /// [`CostModel::modeled_time_ns`](hpf_runtime::CostModel::modeled_time_ns)
-    /// and the sum of `AggStats::hidden_comm_ns`.
+    /// Its `modeled_time_ns` reconciles exactly with
+    /// [`CostModel::modeled_time_ns`](hpf_runtime::CostModel::modeled_time_ns).
     pub fn drift_report(&self) -> Option<DriftReport> {
         self.exec.drift_report(&self.machine)
     }
@@ -831,54 +801,13 @@ mod tests {
             .engine(Engine::Sequential)
             .run()
             .unwrap();
-        for engine in [Engine::Threaded, Engine::ThreadedOverlap] {
-            let b = kernel
-                .runner(MachineConfig::sp2_2x2())
-                .init("U", init)
-                .engine(engine)
-                .run()
-                .unwrap();
-            assert_eq!(a.gather(&kernel, "U"), b.gather(&kernel, "U"), "{engine:?}");
-        }
-    }
-
-    #[test]
-    fn overlap_engine_overlaps_clean_kernels_and_falls_back_on_dirty() {
-        let kernel = Kernel::compile(&presets::jacobi(16, 3), CompileOptions::full()).unwrap();
-        let init = |p: &[i64]| ((p[0] * 3 + p[1]) as f64).sin();
-        let mut plan = kernel
-            .plan(MachineConfig::sp2_2x2())
+        let b = kernel
+            .runner(MachineConfig::sp2_2x2())
             .init("U", init)
-            .engine(Engine::ThreadedOverlap)
-            .build()
+            .engine(Engine::Threaded)
+            .run()
             .unwrap();
-        plan.iterate(2);
-        let st = plan.stats();
-        assert!(st.overlapped_steps > 0, "lint-clean kernel overlaps");
-        assert!(st.interior_cells > 0 && st.boundary_cells > 0);
-
-        // Dropping an overlap shift makes HS001 fire; the planner must take
-        // the conservative fully-blocking path (no windows), yet execution
-        // still matches the sequential engine on the (now-broken) kernel.
-        let mut dirty = kernel.clone();
-        assert!(dirty.drop_overlap_shift(0));
-        assert!(hpf_analysis::has_errors(&dirty.lint()));
-        let mut p_ovl = dirty
-            .plan(MachineConfig::sp2_2x2())
-            .init("U", init)
-            .engine(Engine::ThreadedOverlap)
-            .build()
-            .unwrap();
-        let mut p_seq = dirty
-            .plan(MachineConfig::sp2_2x2())
-            .init("U", init)
-            .engine(Engine::Sequential)
-            .build()
-            .unwrap();
-        p_ovl.iterate(2);
-        p_seq.iterate(2);
-        assert_eq!(p_ovl.stats().overlapped_steps, 0, "fallback overlaps nothing");
-        assert_eq!(p_ovl.gather("U").unwrap(), p_seq.gather("U").unwrap());
+        assert_eq!(a.gather(&kernel, "U"), b.gather(&kernel, "U"));
     }
 
     #[test]
@@ -888,7 +817,7 @@ mod tests {
         let run = kernel
             .runner(MachineConfig::sp2_2x2())
             .init("U", init)
-            .config(ExecConfig::from_cli_str("threaded-overlap-bytecode").unwrap().trace(true))
+            .config(ExecConfig::from_cli_str("threaded-bytecode").unwrap().trace(true))
             .run()
             .unwrap();
         let trace = run.trace.as_ref().expect("tracing was configured");
@@ -899,16 +828,11 @@ mod tests {
         assert_eq!(driver.count(SpanKind::Step), 1, "one step envelope");
         assert!(driver.count(SpanKind::ScheduleBuild) > 0);
         assert_eq!(summary.pe_tracks().len(), 4);
-        assert_eq!(
-            summary.hidden_comm_ns(),
-            run.stats().hidden_comm_ns,
-            "trace-derived hidden credit reproduces the counter"
-        );
         // An untraced run carries no trace and identical results.
         let plain = kernel
             .runner(MachineConfig::sp2_2x2())
             .init("U", init)
-            .engine(Engine::ThreadedOverlap)
+            .engine(Engine::Threaded)
             .backend(Backend::Bytecode)
             .run()
             .unwrap();
@@ -924,7 +848,7 @@ mod tests {
         let mut plan = kernel
             .plan(MachineConfig::sp2_2x2())
             .init("U", init)
-            .engine(Engine::ThreadedOverlap)
+            .engine(Engine::Threaded)
             .metrics(true)
             .build()
             .unwrap();
@@ -942,7 +866,6 @@ mod tests {
         let agg = plan.stats();
         let cost = &plan.machine.cfg.cost;
         assert_eq!(drift.modeled_time_ns, cost.modeled_time_ns(&agg));
-        assert_eq!(drift.hidden_comm_ns, agg.hidden_comm_ns.iter().sum::<f64>());
         let run = plan.into_run();
         assert!(run.trace.is_none(), "metrics alone never surface a trace");
         assert!(run.metrics.is_some() && run.drift.is_some());
@@ -1004,7 +927,7 @@ mod tests {
         // calls whose state is carried forward by hand, on both engines.
         let kernel = Kernel::compile(&presets::jacobi(16, 1), CompileOptions::full()).unwrap();
         let init = |p: &[i64]| ((p[0] * 5 + p[1] * 3) as f64).sin();
-        for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+        for engine in [Engine::Sequential, Engine::Threaded] {
             let mut plan = kernel
                 .plan(MachineConfig::sp2_2x2())
                 .init("U", init)

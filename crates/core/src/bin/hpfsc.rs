@@ -9,7 +9,7 @@
 //! hpfsc [FILE] [--stage original|offset|partition|unioning|full]
 //!              [--emit ir|node|bytecode|stats|diag-json] [--lint] [--deny-warnings]
 //!              [--verify] [--run] [--grid RxC] [--halo W] [--superstep K]
-//!              [--engine seq|threaded|threaded-overlap|interp|bytecode|auto|...]
+//!              [--engine seq|threaded|interp|bytecode|auto|...]
 //!              [--trace[=FILE]] [--metrics[=FILE]] [--report] [--tune[=FILE]]
 //!              [--print-input NAME[:N]] [--naive] [--drop-shift K] [--help]
 //! ```
@@ -46,16 +46,17 @@ options:
   --lint                run the static analyzer (HS/CU/DF/FP lints) and
                         report diagnostics with source spans
   --deny-warnings       exit 3 when linting reports any warning
-  --verify              machine-check the compiled program: run the
-                        bytecode verifier (BV001-BV004) over every per-PE
-                        kernel and the plan-level checker (PL001-PL006)
-                        over every overlap window, superstep, rebind and
-                        compiled schedule of a threaded-overlap-bytecode
-                        plan on the --grid machine; print any
-                        diagnostics, exit 5 on failure
+  --verify              machine-check the compiled program: build a
+                        threaded-bytecode plan on the --grid machine, run
+                        the bytecode verifier (BV001-BV004) over every
+                        compiled kernel and the plan checker
+                        (PL004-PL006) over every superstep, rebind and
+                        compiled schedule; print any diagnostics, exit 5
+                        on failure
   --run                 execute on the simulated machine, verified against
                         the reference interpreter
-  --grid RxC            PE grid for --run (default: 2x2)
+  --grid RxC            PE grid for --run, every extent at least 1
+                        (default: 2x2)
   --halo W              overlap-area width (default: 1)
   --superstep K         communication-avoiding superstep depth for --run
                         and --verify: exchange deep halos once per K time
@@ -64,9 +65,8 @@ options:
                         ineligible kernel falls back to K=1 with an SS###
                         diagnostic (default: 1)
   --engine SPEC         executor and nest backend for --run: an engine
-                        (seq, threaded, threaded-overlap), a backend
-                        (interp, bytecode), or both joined with '-'
-                        (e.g. threaded-bytecode, threaded-overlap-bytecode);
+                        (seq, threaded), a backend (interp, bytecode),
+                        or both joined with '-' (e.g. threaded-bytecode);
                         'auto' picks grid, engine, and superstep depth
                         with the auto-tuner (see --tune);
                         default: seq-interp
@@ -216,9 +216,11 @@ fn main() {
             "--run" => run = true,
             "--grid" => {
                 let g = args.next().unwrap_or_else(|| usage_error("--grid needs an argument"));
+                let bad =
+                    || usage_error(&format!("bad --grid {g}: every extent must be at least 1"));
                 grid = g
                     .split(['x', ','])
-                    .map(|s| s.parse().unwrap_or_else(|_| usage_error(&format!("bad --grid {g}"))))
+                    .map(|s| s.parse().ok().filter(|&n: &usize| n >= 1).unwrap_or_else(bad))
                     .collect();
             }
             "--halo" => {
@@ -405,13 +407,13 @@ fn main() {
     }
 
     if verify {
-        // Verify the most aggressive configuration regardless of --engine:
-        // overlap windows give the plan checker (PL001-PL006) something to
-        // prove and compiled bytecode kernels give the bytecode verifier
-        // (BV001-BV004) something to prove. An unchecked build cannot be
-        // rejected at build time, so every diagnostic reaches the report.
+        // Verify one configuration regardless of --engine: compiled
+        // bytecode kernels give the bytecode verifier (BV001-BV004)
+        // something to prove, and the plan checker (PL004-PL006) proves
+        // the supersteps, rebinds and schedules. An unchecked build cannot
+        // be rejected at build time, so every diagnostic reaches the report.
         let vcfg = ExecConfig::new()
-            .engine(hpf_core::Engine::ThreadedOverlap)
+            .engine(hpf_core::Engine::Threaded)
             .backend(Backend::Bytecode)
             .superstep(superstep)
             .check_invariants(false);
@@ -421,11 +423,8 @@ fn main() {
                 let vdiags = plan.verify_static();
                 if vdiags.is_empty() {
                     out!(
-                        "! verified: {} per-PE kernels, {} overlap windows per step \
-                         ({:?} grid)",
-                        grid.iter().product::<usize>(),
-                        plan.overlap_windows_per_step(),
-                        grid
+                        "! verified: kernels compiled: {}, {grid:?} grid",
+                        plan.stats().kernels_compiled
                     );
                     if plan.supersteps_per_step() > 0 {
                         out!(

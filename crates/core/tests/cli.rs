@@ -203,6 +203,39 @@ fn bad_engine_names_the_flag_and_lists_choices() {
     for choice in ["seq", "threaded", "interp", "bytecode"] {
         assert!(text.contains(choice), "stderr must list choice {choice}: {text}");
     }
+    // The deleted split-phase engine's spelling is just another bad value.
+    let out = hpfsc(&["--engine", "threaded-overlap"]);
+    assert_eq!(out.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&out.stderr);
+    let error = text.lines().next().unwrap_or_default();
+    assert!(error.contains("--engine") && error.contains("'threaded-overlap'"), "{text}");
+    assert!(!error.contains("threaded-overlap,"), "choices must not offer it: {error}");
+    assert!(!text.contains("threaded-overlap-"), "usage must not offer it: {text}");
+}
+
+#[test]
+fn a_grid_extent_below_one_is_a_usage_error() {
+    let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels/problem9.f90");
+    for grid in ["0x2", "2x0", "0"] {
+        for mode in ["--run", "--verify", "--tune"] {
+            let out = hpfsc(&[kernel, mode, "--grid", grid]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{mode} --grid {grid}: {err}");
+            assert!(err.contains(&format!("bad --grid {grid}")), "{mode} --grid {grid}: {err}");
+        }
+    }
+}
+
+#[test]
+fn verify_reports_the_kernels_the_plan_compiled() {
+    // One kernel per nest and subgrid layout: Problem 9's one nest has one
+    // layout on the dividing 2x2 grid.
+    let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels/problem9.f90");
+    let out = hpfsc(&[kernel, "--verify", "--grid", "2x2"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let verified: Vec<&str> = text.lines().filter(|l| l.starts_with("! verified:")).collect();
+    assert_eq!(verified, ["! verified: kernels compiled: 1, [2, 2] grid"], "{text}");
 }
 
 #[test]
@@ -243,17 +276,18 @@ fn tune_prints_the_bytecode_space_and_a_best_line_that_names_the_winner() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     let summary = text.lines().find(|l| l.starts_with("! tune:")).expect("a ! tune: line");
-    assert!(summary.contains("searched 36 candidates, "), "{summary}");
+    assert!(summary.contains("searched 24 candidates, "), "{summary}");
     assert!(summary.contains(" probes, timed 8, "), "{summary}");
     // Candidate rows: `[*] grid config ss modeled measured`, all bytecode.
     let header = text.lines().position(|l| l.contains("modeled ms")).expect("a table header");
     let rows: Vec<&str> =
         text.lines().skip(header + 1).take_while(|l| !l.starts_with('!')).collect();
-    assert_eq!(rows.len(), 36, "{text}");
+    assert_eq!(rows.len(), 24, "{text}");
     let name = |row: &str| -> Vec<String> {
         row.trim_start_matches('*').split_whitespace().take(3).map(String::from).collect()
     };
     assert!(rows.iter().all(|r| name(r)[1].ends_with("-bytecode")), "{text}");
+    assert!(!text.contains("overlap"), "the split-phase engine is gone:\n{text}");
     let starred: Vec<&&str> = rows.iter().filter(|r| r.starts_with('*')).collect();
     assert_eq!(starred.len(), 1, "{text}");
     // The `! best:` line is the starred row's `Candidate::label()`, depth

@@ -10,8 +10,8 @@
 //! same per-PE counters; the only observable difference is the
 //! `kernels_compiled` / `kernel_execs` pair in `AggStats`.
 
-use crate::nest::{exec_nest, exec_nest_expanded, exec_nest_range, expand_bounds};
-use hpf_codegen::{exec_compiled, exec_compiled_over, exec_compiled_range, CompiledNest};
+use crate::nest::{exec_nest, exec_nest_expanded, expand_bounds};
+use hpf_codegen::{exec_compiled, exec_compiled_over, CompiledNest};
 use hpf_passes::loopir::LoopNest;
 use hpf_runtime::PeState;
 
@@ -49,25 +49,6 @@ pub(crate) fn run_nest(
     match kernel {
         Some(k) => exec_compiled(pe, k),
         None => exec_nest(pe, nest, scalars),
-    }
-}
-
-/// Run one nest on one PE restricted to a sub-rectangle of its local
-/// iteration space (local subgrid coordinates, inclusive). Used by the
-/// split-phase overlapped engine to execute interior regions and boundary
-/// strips separately; the region is clipped against the nest's local
-/// bounds by the callee.
-#[inline]
-pub(crate) fn run_nest_range(
-    pe: &mut PeState,
-    nest: &LoopNest,
-    kernel: Option<&CompiledNest>,
-    scalars: &[f64],
-    region: &[(i64, i64)],
-) {
-    match kernel {
-        Some(k) => exec_compiled_range(pe, k, region),
-        None => exec_nest_range(pe, nest, scalars, region),
     }
 }
 

@@ -17,22 +17,20 @@ pub enum Engine {
     /// One OS thread per PE with channel-based message passing; results are
     /// bitwise identical to [`Engine::Sequential`].
     Threaded,
-    /// [`Engine::Threaded`] with split-phase halo exchange: each PE posts
-    /// its sends, computes the interior of its block while the messages are
-    /// in flight, drains the receives in plan order, then computes the
-    /// boundary strips. Callers gate this on the halo-safety lints
-    /// (HS001/HS002): an unproven kernel must take a blocking engine
-    /// instead. Results stay bitwise identical to both blocking engines.
-    ThreadedOverlap,
 }
 
 impl Engine {
+    /// The old name of the split-phase overlap engine, which never beat
+    /// [`Engine::Threaded`] and was deleted: it now names that engine.
+    #[deprecated(note = "the split-phase overlap engine is gone: use Engine::Threaded")]
+    #[allow(non_upper_case_globals)]
+    pub const ThreadedOverlap: Engine = Engine::Threaded;
+
     /// Short name, as accepted by `hpfsc --engine` and printed by benches.
     pub fn label(self) -> &'static str {
         match self {
             Engine::Sequential => "seq",
             Engine::Threaded => "threaded",
-            Engine::ThreadedOverlap => "threaded-overlap",
         }
     }
 }
@@ -42,9 +40,9 @@ impl Engine {
 ///
 /// ```
 /// use hpf_exec::{Backend, Engine, ExecConfig};
-/// let cfg = ExecConfig::new().engine(Engine::ThreadedOverlap).backend(Backend::Bytecode);
-/// assert_eq!(cfg.label(), "threaded-overlap-bytecode");
-/// assert_eq!(ExecConfig::from_cli_str("threaded-overlap-bytecode").unwrap(), cfg);
+/// let cfg = ExecConfig::new().engine(Engine::Threaded).backend(Backend::Bytecode);
+/// assert_eq!(cfg.label(), "threaded-bytecode");
+/// assert_eq!(ExecConfig::from_cli_str("threaded-bytecode").unwrap(), cfg);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExecConfig {
@@ -54,8 +52,8 @@ pub struct ExecConfig {
     /// bytecode kernels). Bitwise-identical results either way.
     pub backend: Backend,
     /// When set, the plan keeps a per-PE event timeline: every schedule
-    /// build, pack/unpack, comm post/drain, interior/boundary sweep and
-    /// kernel compile/exec records a span into a preallocated ring of
+    /// build, pack/unpack, comm post/drain, superstep and kernel
+    /// compile/exec records a span into a preallocated ring of
     /// `hpf_trace::RING_CAPACITY` events per track.
     pub trace: bool,
     /// When set, the plan collects metrics: per-PE span-latency
@@ -69,7 +67,7 @@ pub struct ExecConfig {
     /// Checked build: pre-validate every communication plan (shift widths
     /// against the halo) before any schedule is compiled, and make the
     /// static verifiers (BV*/PL*) fail the build instead of demoting the
-    /// rejected kernel or window.
+    /// rejected kernel.
     pub check: bool,
     /// Ask the planning layer to auto-tune this run: enumerate the legal
     /// (PE grid, engine, superstep depth) space with `hpf-tune`, consult
@@ -170,15 +168,13 @@ impl ExecConfig {
         }
     }
 
-    /// Parse a `--engine` argument: an engine (`seq`, `threaded`,
-    /// `threaded-overlap`), a backend (`interp`, `bytecode`), or both
-    /// joined with `-` (e.g. `threaded-bytecode`,
-    /// `threaded-overlap-interp`), or `auto` (auto-tune: the planning
-    /// layer picks grid, engine and superstep depth, on the bytecode
-    /// backend). Engine names are
-    /// matched longest first so `threaded-overlap` is not misread as
-    /// `threaded` plus an unknown backend. `hpfsc` and the bench driver
-    /// share this parser, so one spelling works everywhere.
+    /// Parse a `--engine` argument: an engine (`seq`, `threaded`), a
+    /// backend (`interp`, `bytecode`), or both joined with `-` (e.g.
+    /// `threaded-bytecode`), or `auto` (auto-tune: the planning layer picks
+    /// grid, engine and superstep depth, on the bytecode backend). Engine
+    /// names are matched longest first so `sequential` is not misread as
+    /// `seq` plus an unknown backend. `hpfsc` and the bench driver share
+    /// this parser, so one spelling works everywhere.
     pub fn from_cli_str(spec: &str) -> Result<ExecConfig, String> {
         if spec == "auto" {
             return Ok(ExecConfig::auto());
@@ -186,7 +182,6 @@ impl ExecConfig {
         let mut cfg = ExecConfig::new();
         let mut rest = spec;
         for (name, engine) in [
-            ("threaded-overlap", Engine::ThreadedOverlap),
             ("threaded", Engine::Threaded),
             ("par", Engine::Threaded),
             ("sequential", Engine::Sequential),
@@ -209,12 +204,10 @@ impl ExecConfig {
                     &[
                         "seq",
                         "threaded",
-                        "threaded-overlap",
                         "interp",
                         "bytecode",
                         "auto",
-                        "engine-backend pairs like seq-bytecode, threaded-interp, \
-                         threaded-overlap-bytecode",
+                        "engine-backend pairs like seq-bytecode, threaded-interp",
                     ],
                 )),
             },
@@ -253,7 +246,7 @@ mod tests {
 
     #[test]
     fn cli_round_trips_every_combination() {
-        for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+        for engine in [Engine::Sequential, Engine::Threaded] {
             for backend in [Backend::Interp, Backend::Bytecode] {
                 let cfg = ExecConfig::new().engine(engine).backend(backend);
                 let parsed = ExecConfig::from_cli_str(&cfg.label()).unwrap();
@@ -274,9 +267,6 @@ mod tests {
         let ti = ExecConfig::from_cli_str("threaded-interp").unwrap();
         assert_eq!(ti.engine, Engine::Threaded);
         assert_eq!(ti.backend, Backend::Interp);
-        let tob = ExecConfig::from_cli_str("threaded-overlap-bytecode").unwrap();
-        assert_eq!(tob.engine, Engine::ThreadedOverlap);
-        assert_eq!(tob.backend, Backend::Bytecode);
     }
 
     #[test]
@@ -293,7 +283,9 @@ mod tests {
 
     #[test]
     fn cli_rejects_garbage() {
-        for bad in ["", "fast", "threaded-", "threaded-turbo", "seq-bytecode-extra"] {
+        for bad in
+            ["", "fast", "threaded-", "threaded-turbo", "seq-bytecode-extra", "threaded-overlap"]
+        {
             assert!(ExecConfig::from_cli_str(bad).is_err(), "{bad:?} should not parse");
         }
     }

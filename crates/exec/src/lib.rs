@@ -22,8 +22,8 @@
 //! backend ([`Backend`]), per-PE event tracing, invariant checking — built
 //! with [`ExecPlan::build`] and stepped with [`ExecPlan::step`]. One step
 //! walker serves every engine: the sequential engine visits every PE on the
-//! calling thread and moves messages by direct copy; the threaded engines
-//! run one OS thread per PE over channels, through the *same* compiled
+//! calling thread and moves messages by direct copy; the threaded engine
+//! runs one OS thread per PE over channels, through the *same* compiled
 //! schedules — threads the plan starts on its first step and keeps,
 //! parked between steps, until it drops. Orthogonally, loop nests are evaluated by the tree
 //! interpreter or by compiled bytecode kernels ([`Backend`]). Every

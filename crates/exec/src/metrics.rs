@@ -41,11 +41,6 @@ fn pe_walls(p: &PeState) -> [u64; NUM_KINDS] {
     p.tracer.fold().map(Fold::wall_sums).unwrap_or_default()
 }
 
-/// Apply `f` to every PE's fold and sum the results.
-fn sum_folds(machine: &Machine, f: impl Fn(&Fold) -> f64) -> f64 {
-    machine.pes.iter().filter_map(|p| p.tracer.fold()).map(f).sum()
-}
-
 impl MetricsState {
     pub(crate) fn new(label: String, pes: usize) -> Self {
         MetricsState(MetricsSnapshot { config: label, pes, ..MetricsSnapshot::default() })
@@ -88,48 +83,41 @@ impl MetricsState {
 
     /// Join the machine's aggregate counters, priced by its cost model,
     /// against the measured per-kind wall sums. The report's
-    /// `modeled_time_ns` and `hidden_comm_ns` are taken straight from
-    /// [`CostModel::modeled_time_ns`] and `AggStats::hidden_comm_ns`, so
-    /// they reconcile with those sources exactly.
+    /// `modeled_time_ns` is taken straight from
+    /// [`CostModel::modeled_time_ns`], so it reconciles with it exactly.
     pub(crate) fn drift_report(&self, machine: &Machine) -> DriftReport {
         use SpanKind::*;
         let agg = machine.stats();
         let cost = &machine.cfg.cost;
         let t = agg.total();
-        let hidden_modeled: f64 = agg.hidden_comm_ns.iter().sum();
-        let measured = |kinds: &[SpanKind]| sum_folds(machine, |f| f.wall_ns(kinds) as f64);
+        let measured = |kinds: &[SpanKind]| -> f64 {
+            machine
+                .pes
+                .iter()
+                .filter_map(|p| p.tracer.fold())
+                .map(|f| f.wall_ns(kinds) as f64)
+                .sum()
+        };
         let components = vec![
             DriftComponent {
                 name: "compute",
                 modeled_ns: compute_modeled_ns(cost, &t),
-                measured_ns: measured(&[Compute, KernelExec, Interior, Boundary, Superstep]),
-                model_only: false,
+                measured_ns: measured(&[Compute, KernelExec, Superstep]),
             },
             DriftComponent {
                 name: "msg-latency",
                 modeled_ns: (t.msgs_sent + t.msgs_recv) as f64 * cost.alpha_ns,
                 measured_ns: measured(&[CommPost, CommDrain]),
-                model_only: false,
             },
             DriftComponent {
                 name: "bandwidth",
                 modeled_ns: (t.bytes_sent + t.bytes_recv) as f64 * cost.beta_ns_per_byte
                     + (t.intra_bytes + t.wrap_bytes) as f64 * cost.copy_ns_per_byte,
                 measured_ns: measured(&[Pack, Unpack]),
-                model_only: false,
-            },
-            // Both sides are modeled: the counter-side credit against the
-            // same credit read back off the drain spans' fold.
-            DriftComponent {
-                name: "hidden-credit",
-                modeled_ns: hidden_modeled,
-                measured_ns: sum_folds(machine, Fold::hidden_ns),
-                model_only: true,
             },
         ];
         DriftReport {
             components,
-            hidden_comm_ns: hidden_modeled,
             modeled_time_ns: cost.modeled_time_ns(&agg),
             measured_wall_ns: self.0.series.total_wall_ns(),
         }

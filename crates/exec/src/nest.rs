@@ -59,8 +59,7 @@ pub fn scalar_values(symbols: &hpf_ir::SymbolTable) -> Vec<f64> {
 /// global iteration space with the owned region, translated to local
 /// coordinates (inclusive). `None` when the PE owns nothing of the space.
 /// Mirrors the bounds reduction of [`exec_nest`] and of the bytecode
-/// compiler — the split-phase engine derives its interior/boundary regions
-/// from these.
+/// compiler.
 pub fn nest_local_bounds(pe: &PeState, nest: &LoopNest) -> Option<(Vec<i64>, Vec<i64>)> {
     let probe = nest.body.iter().find_map(Instr::array)?;
     let sub = pe.subgrids.get(probe.0 as usize)?.as_ref()?;
@@ -89,27 +88,6 @@ pub fn exec_nest(pe: &mut PeState, nest: &LoopNest, scalars: &[f64]) {
     let Some((lo, hi)) = nest_local_bounds(pe, nest) else {
         return; // this PE owns nothing of the space
     };
-    exec_nest_over(pe, nest, scalars, &lo, &hi);
-}
-
-/// Execute one loop nest over a sub-range of this PE's local iteration
-/// space: `region[d]` is an inclusive local index range, clipped against
-/// the PE's bounds. The interpreter twin of
-/// `hpf_codegen::exec_compiled_range`; counter accounting matches
-/// [`exec_nest`] piecewise for factor-aligned tilings (see
-/// `hpf_analysis::overlap`).
-pub fn exec_nest_range(pe: &mut PeState, nest: &LoopNest, scalars: &[f64], region: &[(i64, i64)]) {
-    let Some((mut lo, mut hi)) = nest_local_bounds(pe, nest) else {
-        return;
-    };
-    debug_assert_eq!(region.len(), lo.len());
-    for (d, &(rlo, rhi)) in region.iter().enumerate() {
-        lo[d] = lo[d].max(rlo);
-        hi[d] = hi[d].min(rhi);
-        if hi[d] < lo[d] {
-            return;
-        }
-    }
     exec_nest_over(pe, nest, scalars, &lo, &hi);
 }
 
@@ -163,7 +141,7 @@ pub fn expand_bounds(
     (lo_x, hi_x)
 }
 
-/// The interpreter body behind [`exec_nest`] / [`exec_nest_range`]: run the
+/// The interpreter body behind [`exec_nest`] / [`exec_nest_expanded`]: run the
 /// register machine over the box `lo..=hi` (local, inclusive). Jammed/unit
 /// grouping is decided against these bounds.
 fn exec_nest_over(pe: &mut PeState, nest: &LoopNest, scalars: &[f64], lo: &[i64], hi: &[i64]) {

@@ -1,5 +1,5 @@
-//! The channel fabric: the message-passing protocol the threaded engines
-//! run, one OS thread per PE, over the same deterministic compiled
+//! The channel fabric: the message-passing protocol the threaded engine
+//! runs, one OS thread per PE, over the same deterministic compiled
 //! schedules as the direct-copy fabric — results are bitwise identical —
 //! and the persistent worker pool that runs it.
 //!
@@ -18,7 +18,7 @@
 //! would overwrite its own source: that one is staged like a message. A
 //! steady-state step allocates nothing.
 //!
-//! **Pool.** A plan built for a threaded engine owns a [`Pool`]: PEs − 1
+//! **Pool.** A plan built for the threaded engine owns a [`Pool`]: PEs − 1
 //! worker threads started on its first step and joined when it drops, each
 //! holding its PE's [`Endpoint`] for the plan's lifetime. A step hands
 //! every worker one [`Job`] (its `&mut PeState` plus the shared step
@@ -35,7 +35,7 @@
 //! 30 µs, and Problem 9 has four of them per step.
 
 use crate::plan::{step_items, PlanItem};
-use hpf_runtime::{CompiledComm, MachineConfig, PeState};
+use hpf_runtime::{CompiledComm, PeState};
 use hpf_trace::SpanKind;
 use std::any::Any;
 use std::collections::HashMap;
@@ -205,10 +205,6 @@ pub(crate) struct StepCtx<'a> {
     pub(crate) items: &'a [PlanItem],
     pub(crate) scheds: &'a [CompiledComm],
     pub(crate) scalars: &'a [f64],
-    pub(crate) cfg: &'a MachineConfig,
-    /// Whether overlap windows run split-phase (the plan was built for
-    /// `Engine::ThreadedOverlap`) or as their unfused blocking sequence.
-    pub(crate) split_phase: bool,
 }
 
 /// One PE's walker over the step program: its state and the step tables
@@ -221,8 +217,8 @@ pub(crate) struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    /// Split-phase first half of the schedule at `slot`: post all sends
-    /// (phase 1), then apply self-transfers and local fills (phase 2).
+    /// First half of the schedule at `slot`: post all sends (phase 1),
+    /// then apply self-transfers and local fills (phase 2).
     /// Channels are unbounded, so this never blocks. Returns the sequence
     /// number the sends were tagged with; pass it to
     /// [`Worker::comm_finish`] to drain the receives.
@@ -257,20 +253,13 @@ impl Worker<'_> {
         seq
     }
 
-    /// Split-phase second half: block receiving this PE's incoming
-    /// transfers, in plan order (phase 3), matching messages by
-    /// `(seq, sender)` with a stash for out-of-order arrivals. Records one
+    /// Second half: block receiving this PE's incoming transfers, in plan
+    /// order (phase 3), matching messages by `(seq, sender)` with a stash
+    /// for out-of-order arrivals — a peer that has finished this exchange
+    /// may already have posted the next one's. Records one
     /// [`SpanKind::CommDrain`] span for the whole drain.
     pub(crate) fn comm_finish(&mut self, slot: usize, seq: u64) {
         let t0 = self.state.tracer.now();
-        self.comm_finish_quiet(slot, seq);
-        self.state.tracer.record(SpanKind::CommDrain, t0);
-    }
-
-    /// [`Worker::comm_finish`] without the span: the overlap engine drains
-    /// a whole window under a single drain span carrying the cost-model
-    /// attribution, so its per-comm drains must not record their own.
-    pub(crate) fn comm_finish_quiet(&mut self, slot: usize, seq: u64) {
         let sched = &self.ctx.scheds[slot];
         for t in self.halves[slot].recvs.iter().map(|&i| &sched.transfers[i]) {
             let buf = self.ep.recv_tagged(seq, t.src_pe);
@@ -279,6 +268,7 @@ impl Worker<'_> {
             self.state.stats.bytes_recv += (buf.len() * 8) as u64;
             self.ep.give_back(t.src_pe, buf);
         }
+        self.state.tracer.record(SpanKind::CommDrain, t0);
     }
 }
 
@@ -485,7 +475,7 @@ mod tests {
     use super::*;
     use hpf_ir::{ArrayDecl, ArrayId, Distribution, Shape, ShiftKind};
     use hpf_runtime::schedule::{overlap_shift_plan, CommAction, Transfer};
-    use hpf_runtime::{Machine, MoveKind};
+    use hpf_runtime::{Machine, MachineConfig, MoveKind};
 
     const U: ArrayId = ArrayId(0);
 
@@ -525,8 +515,7 @@ mod tests {
         ep.txs.clear();
         ep.homes = (0..3).map(|_| channel().0).collect();
         let halves: Vec<Halves> = scheds.iter().map(|s| Halves::of(s, 0)).collect();
-        let ctx =
-            StepCtx { items: &[], scheds: &scheds, scalars: &[], cfg: &m.cfg, split_phase: false };
+        let ctx = StepCtx { items: &[], scheds: &scheds, scalars: &[] };
         let mut w = Worker { state: &mut m.pes[0], ctx: &ctx, ep: &mut ep, halves: &halves };
         w.comm_finish(0, 0);
         // (seq, sender) matching applied each buffer to its own plan entry
@@ -562,8 +551,7 @@ mod tests {
         assert!(!scheds[0].transfers[0].direct);
         let mut ep = Endpoint::fabric(1, false).remove(0);
         let halves = [Halves::of(&scheds[0], 0)];
-        let ctx =
-            StepCtx { items: &[], scheds: &scheds, scalars: &[], cfg: &m.cfg, split_phase: false };
+        let ctx = StepCtx { items: &[], scheds: &scheds, scalars: &[] };
         let mut w = Worker { state: &mut m.pes[0], ctx: &ctx, ep: &mut ep, halves: &halves };
         w.comm_post(0);
         assert_eq!(*w.state.subgrid(U), want);
@@ -593,7 +581,7 @@ mod tests {
     }
 
     fn step(pool: &mut Pool, m: &mut Machine, scheds: &[CompiledComm], items: &[PlanItem]) {
-        let ctx = StepCtx { items, scheds, scalars: &[], cfg: &m.cfg, split_phase: false };
+        let ctx = StepCtx { items, scheds, scalars: &[] };
         pool.step(&mut m.pes, &ctx);
     }
 

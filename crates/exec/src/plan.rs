@@ -16,27 +16,24 @@
 //! which PEs the calling thread computes for — with two impls: the
 //! direct-copy fabric (the sequential engine: one thread visits every PE
 //! and messages are direct copies) and the channel fabric (the threaded
-//! engines: one thread per PE, kept by the plan's worker pool from its
-//! first step until it drops). All engines are bitwise identical and
+//! engine: one thread per PE, kept by the plan's worker pool from its
+//! first step until it drops). Both engines are bitwise identical and
 //! produce the same per-PE counters.
 //!
 //! With tracing enabled ([`ExecConfig::trace`]) every step additionally
 //! records per-PE spans — kernel execution, pack/unpack, comm post/drain,
-//! and the overlap engine's interior/boundary sweeps — on the machine's
-//! `hpf_trace` recorders, plus schedule-build and kernel-compile spans on
-//! the driver track at build time.
+//! supersteps — on the machine's `hpf_trace` recorders, plus schedule-build
+//! and kernel-compile spans on the driver track at build time.
 
 use crate::backend::{self, Backend};
 use crate::config::{Engine, ExecConfig};
 use crate::nest::{expand_bounds, nest_local_bounds, scalar_values};
 use crate::par::{Pool, StepCtx, Worker};
 use crate::superstep::{self, SsShape, SuperstepSchedule};
-use hpf_analysis::overlap::{split_region, RegionSplit};
-use hpf_codegen::{compile_spmd, reads_before_def, CompiledNest};
+use hpf_codegen::{compile_spmd, CompiledNest};
 use hpf_ir::{ArrayId, Diagnostic, Section, ShiftKind};
-use hpf_passes::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram};
-use hpf_passes::memopt::iteration_local;
-use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan, regions_intersect};
+use hpf_passes::loopir::{CommOp, LoopNest, NodeItem, NodeProgram};
+use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan};
 use hpf_runtime::{CompiledComm, Machine, MoveKind, PeState, RtError};
 use hpf_trace::SpanKind;
 
@@ -52,36 +49,6 @@ pub(crate) enum PlanItem {
     /// kernel where one exists (`kernels` is empty under the interpreter
     /// backend and per-PE `None` where codegen declined the nest).
     Nest { nest: LoopNest, kernels: Vec<Option<CompiledNest>> },
-    /// A split-phase overlap window (fused when building for
-    /// [`Engine::ThreadedOverlap`]): a run
-    /// of consecutive overlap-shift schedules fused with the nest that
-    /// consumes them. The overlapped engine posts every schedule's send
-    /// half, runs the nest's interior while messages are in flight, drains
-    /// the receives in plan order, then runs the boundary strips. The
-    /// blocking engines execute it exactly like the unfused sequence.
-    Overlap {
-        /// Schedule slots, in plan order.
-        comms: Vec<usize>,
-        /// `barriers[i]`: drain every pending receive before posting
-        /// `comms[i]` — set when that schedule's sends read ghost cells an
-        /// earlier schedule's receives write (corner forwarding; see
-        /// `CompiledComm::depends_on`).
-        barriers: Vec<bool>,
-        /// `pre_drain[i]`: `comms[i]`'s receives must complete before the
-        /// interior runs, because its unpack writes ghost cells the
-        /// interior reads (halo along a dimension the split does not
-        /// shrink). Only comms with `pre_drain[i] == false` stay in flight
-        /// across the interior sweep.
-        pre_drain: Vec<bool>,
-        /// The nest, as in [`PlanItem::Nest`].
-        nest: LoopNest,
-        /// Per-PE compiled kernels, as in [`PlanItem::Nest`].
-        kernels: Vec<Option<CompiledNest>>,
-        /// Per-PE interior/boundary split; `None` means that PE's interior
-        /// is degenerate and it takes the fully-blocking path (drain first,
-        /// then run the whole nest).
-        splits: Vec<Option<RegionSplit>>,
-    },
     /// A storage rotation: every PE swaps the two arrays' subgrids, so
     /// `dst` holds `src`'s values and `src` is dead until its next full
     /// definition (PL005 re-proves that from the items).
@@ -172,14 +139,6 @@ impl ExecPlan {
     /// compiled to a per-PE bytecode kernel here, once, and every
     /// subsequent step reuses the kernels — the loop-nest analogue of the
     /// persistent communication schedules.
-    ///
-    /// For [`Engine::ThreadedOverlap`] the plan then fuses every maximal
-    /// run of consecutive overlap-shift schedules with the eligible nest
-    /// that follows it into a split-phase [window](PlanItem::Overlap),
-    /// computing each PE's interior/boundary split once, here at plan
-    /// time. Callers gate that engine on halo-safety (HS001/HS002) being
-    /// lint-clean — an unproven program must be built for a blocking
-    /// engine instead.
     ///
     /// An unresolved [`ExecConfig::auto`] flag is ignored here: auto-tuning
     /// is resolved by the planning layer above (`hpf-core`'s `Planner`,
@@ -279,16 +238,11 @@ impl ExecPlan {
         };
         // What a sequential step stages, so that the first allocates nothing.
         machine.reserve_staging(plan.pooled_bytes());
-        if cfg.engine == Engine::ThreadedOverlap {
-            let items = std::mem::take(&mut plan.items);
-            plan.items = fuse_windows(machine, items, &plan.scheds);
-        }
         fault(&mut plan);
-        // Static verification (BV* kernel obligations, PL* plan-level
-        // races): always in debug builds, and on demand via `cfg.check`.
-        // Checked builds fail hard; otherwise a rejected kernel falls back
-        // to the interpreter and a rejected window to the blocking path —
-        // the counters below then describe the demoted plan.
+        // Static verification (BV* kernel obligations, PL* plan rules):
+        // always in debug builds, and on demand via `cfg.check`. Checked
+        // builds fail hard; otherwise a rejected kernel falls back to the
+        // interpreter — the counters below then describe the demoted plan.
         if cfg.check || cfg!(debug_assertions) {
             crate::plan_verify::enforce(&mut plan.items, &plan.scheds, cfg.check)?;
         }
@@ -308,7 +262,7 @@ impl ExecPlan {
     ///
     /// # Panics
     ///
-    /// On the threaded engines, when a PE's step panics: the panic is
+    /// On the threaded engine, when a PE's step panics: the panic is
     /// re-raised here, naming the PE, after every other PE has abandoned
     /// the step. The plan is then poisoned — every later `step` panics at
     /// once with the same message — and the machine's arrays are
@@ -364,7 +318,7 @@ impl ExecPlan {
 
     /// Bytes of message staging the machine holds once this plan has stepped
     /// on the sequential engine: one buffer, as large as the largest staged
-    /// transfer. None on the threaded engines, whose messages travel in
+    /// transfer. None on the threaded engine, whose messages travel in
     /// endpoint buffers ([`ExecPlan::endpoint_buffers`]).
     pub fn pooled_bytes(&self) -> usize {
         let sequential = self.engine == Engine::Sequential;
@@ -376,26 +330,10 @@ impl ExecPlan {
         self.scheds.iter().map(|s| s.descriptor_bytes()).sum::<usize>() + self.pooled_bytes()
     }
 
-    /// Message buffers the threaded engines' free lists have made so far;
+    /// Message buffers the threaded engine's free lists have made so far;
     /// all are home again at a step boundary, so also how many they hold.
     pub fn endpoint_buffers(&self) -> usize {
         self.pool.as_ref().map_or(0, Pool::buffers_made)
-    }
-
-    /// Split-phase windows one step executes (zero unless built for
-    /// [`Engine::ThreadedOverlap`]).
-    pub fn overlap_windows_per_step(&self) -> u64 {
-        self.per_step.windows
-    }
-
-    /// Interior points one step computes while halo messages are in flight.
-    pub fn interior_cells_per_step(&self) -> u64 {
-        self.per_step.interior
-    }
-
-    /// Boundary-strip points one step computes after the receives drain.
-    pub fn boundary_cells_per_step(&self) -> u64 {
-        self.per_step.boundary
     }
 
     /// Superstep executions one step performs (zero unless built with
@@ -464,24 +402,14 @@ impl ExecPlan {
     /// One sweep on the SPMD engines: every PE walks the step program as
     /// a channel [`Worker`] over the precompiled schedules (no per-step
     /// geometry or RSD math), PE 0 on the calling thread and the others on
-    /// the plan's [`Pool`], which the first call starts. A plan built for
-    /// [`Engine::ThreadedOverlap`] runs its [windows](PlanItem::Overlap)
-    /// split-phase; the only observable difference from the blocking
-    /// engines is the `overlapped_steps` / `interior_cells` /
-    /// `boundary_cells` counters and the hidden-communication credit.
+    /// the plan's [`Pool`], which the first call starts.
     fn step_threaded(&mut self, machine: &mut Machine) {
-        let split_phase = self.engine == Engine::ThreadedOverlap;
         let ExecPlan { items, scheds, scalars, pool, .. } = self;
         let pool = pool.get_or_insert_with(|| Pool::start(machine.num_pes(), scheds));
-        let ctx = StepCtx { items, scheds, scalars, cfg: &machine.cfg, split_phase };
-        pool.step(&mut machine.pes, &ctx);
+        pool.step(&mut machine.pes, &StepCtx { items, scheds, scalars });
         // Workers deliver messages themselves, bypassing `apply_compiled`
         // and its reuse accounting; credit the reuses here.
         machine.note_schedule_reuses(self.per_step.comm_execs);
-        if split_phase {
-            let n = &self.per_step;
-            machine.note_overlap(n.windows, n.interior, n.boundary);
-        }
     }
 }
 
@@ -731,12 +659,6 @@ struct PerStep {
     comm_execs: u64,
     /// Compiled-kernel executions (none under the interpreter backend).
     kernel_execs: u64,
-    /// Split-phase windows, the points their interiors compute while the
-    /// receives are in flight, and the points their boundary strips compute
-    /// after (split PEs only).
-    windows: u64,
-    interior: u64,
-    boundary: u64,
     /// Supersteps, the exchanges they elide against `k` classic steps, and
     /// the ghost points their trapezoids recompute.
     supersteps: u64,
@@ -752,15 +674,6 @@ impl PerStep {
             match item {
                 PlanItem::Comm(_) => self.comm_execs += times,
                 PlanItem::Nest { kernels: k, .. } => self.kernel_execs += kernels(k),
-                PlanItem::Overlap { comms, kernels: k, splits, .. } => {
-                    self.comm_execs += times * comms.len() as u64;
-                    self.kernel_execs += kernels(k);
-                    self.windows += times;
-                    for s in splits.iter().flatten() {
-                        self.interior += times * s.interior_cells();
-                        self.boundary += times * s.boundary_cells();
-                    }
-                }
                 PlanItem::Rebind { .. } => {}
                 PlanItem::TimeLoop { iters, body } => {
                     self.add(machine, body, times * *iters as u64)
@@ -801,162 +714,6 @@ fn redundant_cells(
     cells
 }
 
-/// Rewrite a compiled item list, fusing each maximal run of consecutive
-/// overlap-shift schedules followed by an eligible nest into a split-phase
-/// [window](PlanItem::Overlap). Runs broken by any other item (a full
-/// shift, a time loop, an ineligible nest) are flushed back as plain comm
-/// items — the conservative fully-blocking path.
-fn fuse_windows(machine: &Machine, items: Vec<PlanItem>, scheds: &[CompiledComm]) -> Vec<PlanItem> {
-    let mut out = Vec::with_capacity(items.len());
-    let mut run: Vec<usize> = Vec::new();
-    let flush = |out: &mut Vec<PlanItem>, run: &mut Vec<usize>| {
-        out.extend(run.drain(..).map(PlanItem::Comm));
-    };
-    for item in items {
-        match item {
-            PlanItem::Comm(i) if scheds[i].kind == MoveKind::Overlap => run.push(i),
-            PlanItem::Nest { nest, kernels } if !run.is_empty() => {
-                let derived = derive_splits(machine, &nest);
-                let pre_drain: Vec<bool> = derived
-                    .as_ref()
-                    .map(|(splits, read_lo, read_hi)| {
-                        run.iter()
-                            .map(|&c| !comm_overlappable(&scheds[c], splits, read_lo, read_hi))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                match derived {
-                    // A window where every receive would have to drain
-                    // before the interior overlaps nothing: keep it on the
-                    // blocking path so the counters stay meaningful.
-                    Some((splits, _, _)) if !pre_drain.iter().all(|&b| b) => {
-                        let barriers = run
-                            .iter()
-                            .enumerate()
-                            .map(|(ci, &c)| {
-                                run[..ci].iter().any(|&e| scheds[c].depends_on(&scheds[e]))
-                            })
-                            .collect();
-                        out.push(PlanItem::Overlap {
-                            comms: std::mem::take(&mut run),
-                            barriers,
-                            pre_drain,
-                            nest,
-                            kernels,
-                            splits,
-                        });
-                    }
-                    _ => {
-                        flush(&mut out, &mut run);
-                        out.push(PlanItem::Nest { nest, kernels });
-                    }
-                }
-            }
-            PlanItem::TimeLoop { iters, body } => {
-                flush(&mut out, &mut run);
-                out.push(PlanItem::TimeLoop { iters, body: fuse_windows(machine, body, scheds) });
-            }
-            other => {
-                flush(&mut out, &mut run);
-                out.push(other);
-            }
-        }
-    }
-    flush(&mut out, &mut run);
-    out
-}
-
-/// Per-PE interior/boundary splits plus the unit body's per-dimension read
-/// radii `(read_lo, read_hi)`.
-type SplitPlan = (Vec<Option<RegionSplit>>, Vec<i64>, Vec<i64>);
-
-/// Decide split-phase eligibility for a nest and compute each PE's
-/// interior/boundary split. `None` means the whole nest takes the blocking
-/// path; a per-PE `None` inside the vector means only that PE does (its
-/// interior is degenerate).
-///
-/// Eligibility is judged on the semantic unit body (the pre-jam body for
-/// unrolled nests — the jammed body is `factor` independent unit iterations
-/// interleaved, so unit-level properties govern):
-/// * [`iteration_local`] — every iteration's loads and stores of written
-///   arrays hit only its own point, so iterations commute and interior
-///   stores stay inside owned cells;
-/// * no [`reads_before_def`] in either body — the interpreter and VM share
-///   one register file across points, so a register read before its
-///   definition would carry state across the interior/boundary seam.
-///
-/// The interior shrink per dimension is the widest load/store offset of the
-/// unit body in that dimension: interior accesses then stay within owned
-/// storage, untouched by the in-flight receives (which write ghost cells
-/// only) — [`comm_overlappable`] double-checks that geometrically per
-/// schedule and pre-drains any receive whose unpack would intersect the
-/// interior's read region. Jammed accesses need no extra margin — a jammed
-/// access at group start `i`, copy `k` is the unit access at point `i + k`,
-/// and every group point lies inside the interior.
-///
-/// Returns the per-PE splits plus the unit body's per-dimension read radii
-/// `(read_lo, read_hi)`.
-fn derive_splits(machine: &Machine, nest: &LoopNest) -> Option<SplitPlan> {
-    let unit = nest.unit_body();
-    if !iteration_local(unit) || reads_before_def(unit) || reads_before_def(&nest.body) {
-        return None;
-    }
-    let rank = nest.order.len();
-    let mut read_lo = vec![0i64; rank];
-    let mut read_hi = vec![0i64; rank];
-    for i in unit {
-        if let Instr::Load { offsets, .. } | Instr::Store { offsets, .. } = i {
-            for (d, &o) in offsets.iter().enumerate() {
-                read_lo[d] = read_lo[d].max(-o);
-                read_hi[d] = read_hi[d].max(o);
-            }
-        }
-    }
-    let shrink_lo = read_lo.clone();
-    let shrink_hi = read_hi.clone();
-    let factor = nest.unroll.as_ref().map_or(1, |u| u.factor as i64);
-    let splits: Vec<Option<RegionSplit>> = machine
-        .pes
-        .iter()
-        .map(|pe| {
-            let (lo, hi) = nest_local_bounds(pe, nest)?;
-            split_region(&lo, &hi, &shrink_lo, &shrink_hi, &nest.order, factor)
-        })
-        .collect();
-    // A window where no PE can split would overlap nothing: keep it on the
-    // blocking path so the counters stay meaningful.
-    if splits.iter().all(|s| s.is_none()) {
-        return None;
-    }
-    Some((splits, read_lo, read_hi))
-}
-
-/// May this schedule's receives stay in flight while the interior runs?
-/// Yes iff on every split PE, no cross-PE unpack region intersects the
-/// cells that PE's interior reads — the interior box expanded by the
-/// nest's per-dimension read radii. Local copies and fills execute in the
-/// post half and non-split PEs drain everything before their nest, so only
-/// receiving transfers on split PEs matter. Their decoded boxes and the
-/// bounds share the 1-based local coordinate frame (owned cells `1..=ext`,
-/// ghosts outside); a box that does not decode keeps its receive blocking.
-fn comm_overlappable(
-    sched: &CompiledComm,
-    splits: &[Option<RegionSplit>],
-    read_lo: &[i64],
-    read_hi: &[i64],
-) -> bool {
-    splits.iter().enumerate().all(|(pe, split)| {
-        let Some(split) = split else { return true };
-        let read: Vec<(i64, i64)> = split
-            .interior
-            .iter()
-            .enumerate()
-            .map(|(d, &(l, h))| (l - read_lo[d], h + read_hi[d]))
-            .collect();
-        sched.received(pe).all(|w| w.is_some_and(|w| !regions_intersect(&read, &w)))
-    })
-}
-
 /// Run a nest sweep on one PE through its compiled kernel where one exists
 /// (`kernels` is indexed by PE), recording a [`SpanKind::KernelExec`] span
 /// when it does and [`SpanKind::Compute`] when the interpreter evaluates
@@ -984,19 +741,6 @@ pub(crate) trait Fabric {
     /// Run `f` on every PE this fabric computes for, in PE order, handing
     /// it the plan's scalar values.
     fn each_pe(&mut self, f: impl FnMut(&mut PeState, &[f64]));
-
-    /// Execute a [window](PlanItem::Overlap) split-phase and return
-    /// `true`; or execute nothing and return `false` when this fabric has
-    /// no split phase — the walker then runs the window's unfused sequence.
-    fn overlap_window(
-        &mut self,
-        comms: &[usize],
-        barriers: &[bool],
-        pre_drain: &[bool],
-        nest: &LoopNest,
-        kernels: &[Option<CompiledNest>],
-        splits: &[Option<RegionSplit>],
-    ) -> bool;
 }
 
 /// The direct-copy fabric of the sequential engine: the calling thread
@@ -1019,21 +763,9 @@ impl Fabric for Direct<'_> {
             f(pe, self.scalars);
         }
     }
-
-    fn overlap_window(
-        &mut self,
-        _: &[usize],
-        _: &[bool],
-        _: &[bool],
-        _: &LoopNest,
-        _: &[Option<CompiledNest>],
-        _: &[Option<RegionSplit>],
-    ) -> bool {
-        false
-    }
 }
 
-/// The channel fabric of the threaded engines: this worker computes its
+/// The channel fabric of the threaded engine: this worker computes its
 /// own PE only, and an exchange is the post/finish message protocol of
 /// [`crate::par`].
 impl Fabric for Worker<'_> {
@@ -1045,92 +777,10 @@ impl Fabric for Worker<'_> {
     fn each_pe(&mut self, mut f: impl FnMut(&mut PeState, &[f64])) {
         f(self.state, self.ctx.scalars);
     }
-
-    /// Post every schedule's send half (draining pending receives first
-    /// wherever a dependency barrier demands it), compute the nest's
-    /// interior while the messages are in flight, drain the remaining
-    /// receives in plan order, then compute the boundary strips. A PE
-    /// whose interior is degenerate drains immediately and runs the whole
-    /// nest — the blocking protocol.
-    fn overlap_window(
-        &mut self,
-        comms: &[usize],
-        barriers: &[bool],
-        pre_drain: &[bool],
-        nest: &LoopNest,
-        kernels: &[Option<CompiledNest>],
-        splits: &[Option<RegionSplit>],
-    ) -> bool {
-        if !self.ctx.split_phase {
-            return false;
-        }
-        let scalars = self.ctx.scalars;
-        let drain = |w: &mut Self, pending: &mut Vec<(usize, u64)>| {
-            for (ci, seq) in pending.drain(..) {
-                w.comm_finish(comms[ci], seq);
-            }
-        };
-        let mut pending: Vec<(usize, u64)> = Vec::with_capacity(comms.len());
-        for (ci, &slot) in comms.iter().enumerate() {
-            if barriers[ci] {
-                drain(self, &mut pending);
-            }
-            let seq = self.comm_post(slot);
-            pending.push((ci, seq));
-        }
-        let Some(split) = splits.get(self.state.pe).and_then(|s| s.as_ref()) else {
-            drain(self, &mut pending);
-            run_nest_traced(self.state, nest, kernels, scalars);
-            return true;
-        };
-        let kernel = kernels.get(self.state.pe).and_then(|k| k.as_ref());
-        // Receives whose unpack writes cells the interior reads (halo
-        // along unshrunk dimensions) must land first; the rest stay in
-        // flight across the interior sweep.
-        let mut in_flight: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
-        for (ci, seq) in pending.drain(..) {
-            if pre_drain[ci] {
-                self.comm_finish(comms[ci], seq);
-            } else {
-                in_flight.push((ci, seq));
-            }
-        }
-        // Snapshot counters around the interior sweep and the drain: the
-        // cost model credits the receive time that was covered by
-        // interior compute (the latency split-phase hides; DESIGN.md §5d).
-        let pre = self.state.stats;
-        let t_int = self.state.tracer.now();
-        backend::run_nest_range(self.state, nest, kernel, scalars, &split.interior);
-        let t_int_end = self.state.tracer.now();
-        let mid = self.state.stats;
-        // The window's receives drain under one span (the per-comm spans
-        // stay quiet) so the drain's modeled attribution is the same
-        // per-window quantity the hidden-credit counter is built from.
-        let t_drn = self.state.tracer.now();
-        for (ci, seq) in in_flight.drain(..) {
-            self.comm_finish_quiet(comms[ci], seq);
-        }
-        let t_drn_end = self.state.tracer.now();
-        let post = self.state.stats;
-        let t_bnd = self.state.tracer.now();
-        for strip in &split.boundary {
-            backend::run_nest_range(self.state, nest, kernel, scalars, strip);
-        }
-        self.state.tracer.record(SpanKind::Boundary, t_bnd);
-        let cost = &self.ctx.cfg.cost;
-        let interior_ns = cost.pe_time_ns(&mid.delta_since(&pre));
-        let recv_ns = cost.pe_time_ns(&post.delta_since(&mid));
-        let hidden = recv_ns.min(interior_ns);
-        self.state.overlap_hidden_ns += hidden;
-        let tracer = &mut self.state.tracer;
-        tracer.record_at(SpanKind::Interior, t_int, t_int_end, interior_ns, 0.0);
-        tracer.record_at(SpanKind::CommDrain, t_drn, t_drn_end, recv_ns, hidden);
-        true
-    }
 }
 
 /// Execute the step program on a fabric — the only interpreter of
-/// [`PlanItem`]s, so every engine reads the program the PL001–PL006
+/// [`PlanItem`]s, so every engine reads the program the PL004–PL006
 /// verifier checked the same way.
 pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
     for item in items {
@@ -1139,27 +789,18 @@ pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
             PlanItem::Nest { nest, kernels } => {
                 f.each_pe(|pe, scalars| run_nest_traced(pe, nest, kernels, scalars));
             }
-            PlanItem::Overlap { comms, barriers, pre_drain, nest, kernels, splits } => {
-                if !f.overlap_window(comms, barriers, pre_drain, nest, kernels, splits) {
-                    for &i in comms {
-                        f.exchange(i);
-                    }
-                    f.each_pe(|pe, scalars| run_nest_traced(pe, nest, kernels, scalars));
-                }
-            }
-            // Every blocking exchange has completed, and a window drains
-            // before the walker moves on, so no message is in flight: each
-            // PE swaps its own two subgrids. No span is recorded.
+            // Each exchange before it has completed on this PE's side (its
+            // sends are packed copies, its receives unpacked), so each PE
+            // swaps its own two subgrids. No span is recorded.
             PlanItem::Rebind { dst, src, .. } => f.each_pe(|pe, _| pe.swap_subgrids(*dst, *src)),
             PlanItem::TimeLoop { iters, body } => {
                 for _ in 0..*iters {
                     step_items(f, body);
                 }
             }
-            // Supersteps already avoid (k-1)/k of all communication; the
-            // single deep fill stays on the blocking protocol. Sub-steps
-            // exchange nothing, so each PE runs all of its sub-steps
-            // before the next PE starts.
+            // Supersteps avoid (k-1)/k of all communication with one deep
+            // fill. Sub-steps exchange nothing, so each PE runs all of its
+            // sub-steps before the next PE starts.
             PlanItem::Superstep { comms, body, expansions, .. } => {
                 for &i in comms {
                     f.exchange(i);
@@ -1186,8 +827,7 @@ T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) + CSHIFT(U,-1,2))
 U = T
 "#;
 
-    // Large enough that each PE's 8x8 block keeps a factor-aligned interior
-    // after shrinking by the stencil radius (8x8 blocks over 2x2 do not).
+    // Large enough for a depth-4 superstep's trapezoid on 2x2.
     const JACOBI16: &str = r#"
 PARAM N = 16
 REAL U(N,N), T(N,N)
@@ -1200,12 +840,7 @@ U = T
         ((p[0] * 31 + p[1] * 7) as f64).sin()
     }
 
-    /// Shorthand: the split-phase overlapped engine on a given backend.
-    fn ovl(backend: Backend) -> ExecConfig {
-        ExecConfig::new().engine(Engine::ThreadedOverlap).backend(backend)
-    }
-
-    /// Shorthand: the blocking threaded engine.
+    /// Shorthand: the threaded engine.
     fn par() -> ExecConfig {
         ExecConfig::new().engine(Engine::Threaded)
     }
@@ -1290,123 +925,21 @@ ENDDO
     }
 
     #[test]
-    fn overlapped_plan_fuses_windows_and_steps_bitwise_equal() {
-        for backend in [Backend::Interp, Backend::Bytecode] {
-            for stage in [Stage::Original, Stage::MemOpt] {
-                let (mut m_seq, compiled, u) = setup(JACOBI16, stage, &[2, 2]);
-                let mut p_seq = ExecPlan::build(
-                    &mut m_seq,
-                    &compiled.node,
-                    &ExecConfig::new().backend(backend),
-                )
-                .unwrap();
-                let (mut m_ovl, compiled2, _) = setup(JACOBI16, stage, &[2, 2]);
-                let mut p_ovl =
-                    ExecPlan::build(&mut m_ovl, &compiled2.node, &ovl(backend)).unwrap();
-                if stage == Stage::MemOpt {
-                    // Only the optimized pipeline emits overlap shifts; at
-                    // Stage::Original every CSHIFT is a full-shift copy and
-                    // the plan has nothing to fuse.
-                    assert!(
-                        p_ovl.overlap_windows_per_step() > 0,
-                        "JACOBI at {stage:?} should fuse at least one window"
-                    );
-                    assert!(p_ovl.interior_cells_per_step() > 0);
-                    assert!(p_ovl.boundary_cells_per_step() > 0);
-                }
-                for _ in 0..4 {
-                    p_seq.step(&mut m_seq);
-                    p_ovl.step(&mut m_ovl);
-                }
-                assert_eq!(m_seq.gather(u), m_ovl.gather(u), "{backend:?} {stage:?}");
-                assert_eq!(m_seq.stats().per_pe, m_ovl.stats().per_pe, "{backend:?} {stage:?}");
-                let st = m_ovl.stats();
-                assert_eq!(st.overlapped_steps, 4 * p_ovl.overlap_windows_per_step());
-                assert_eq!(st.interior_cells, 4 * p_ovl.interior_cells_per_step());
-                assert_eq!(st.boundary_cells, 4 * p_ovl.boundary_cells_per_step());
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_steps_record_hidden_comm_credit() {
-        // Same kernel, same counters on every PE — but the split-phase
-        // engine hides receive time behind measured interior compute, so it
-        // records a positive per-PE credit and its modeled time is strictly
-        // below the blocking plan's. Blocking engines record zero.
-        let (mut m_blk, compiled, _) = setup(JACOBI16, Stage::MemOpt, &[2, 2]);
-        let mut p_blk = ExecPlan::build(&mut m_blk, &compiled.node, &par()).unwrap();
-        let (mut m_ovl, c2, _) = setup(JACOBI16, Stage::MemOpt, &[2, 2]);
-        let mut p_ovl = ExecPlan::build(&mut m_ovl, &c2.node, &ovl(Backend::Interp)).unwrap();
-        assert!(p_ovl.overlap_windows_per_step() > 0);
-        for _ in 0..3 {
-            p_blk.step(&mut m_blk);
-            p_ovl.step(&mut m_ovl);
-        }
-        let st_blk = m_blk.stats();
-        let st_ovl = m_ovl.stats();
-        assert_eq!(st_blk.per_pe, st_ovl.per_pe, "counters stay engine-independent");
-        assert!(st_blk.hidden_comm_ns.iter().all(|&h| h == 0.0));
-        assert!(
-            st_ovl.hidden_comm_ns.iter().all(|&h| h > 0.0),
-            "every split PE hid some receive time: {:?}",
-            st_ovl.hidden_comm_ns
-        );
-        let cost = hpf_runtime::CostModel::sp2();
-        assert!(cost.modeled_time_ns(&st_ovl) < cost.modeled_time_ns(&st_blk));
-        // The credit can never exceed what a receive actually costs.
-        for (pe, s) in st_ovl.per_pe.iter().enumerate() {
-            let recv_only = hpf_runtime::PeStats {
-                msgs_recv: s.msgs_recv,
-                bytes_recv: s.bytes_recv,
-                ..Default::default()
-            };
-            assert!(st_ovl.hidden_comm_ns[pe] <= cost.pe_time_ns(&recv_only));
-        }
-    }
-
-    #[test]
-    fn window_degenerate_interior_takes_blocking_path() {
-        // A 4-row space shrunk by 1 on each side over a 4x1 grid leaves a
-        // single owned row per PE along dim 0 — factor alignment then
-        // consumes the interior on every PE, so no window is fused and the
-        // plan still steps correctly.
-        let (mut m_seq, compiled, u) = setup(JACOBI, Stage::MemOpt, &[4, 1]);
-        let mut p_seq = ExecPlan::build(&mut m_seq, &compiled.node, &ExecConfig::new()).unwrap();
-        let (mut m_ovl, c2, _) = setup(JACOBI, Stage::MemOpt, &[4, 1]);
-        let mut p_ovl = ExecPlan::build(&mut m_ovl, &c2.node, &ovl(Backend::Interp)).unwrap();
-        assert_eq!(p_ovl.overlap_windows_per_step(), 0, "degenerate interiors: no window");
-        for _ in 0..3 {
-            p_seq.step(&mut m_seq);
-            p_ovl.step(&mut m_ovl);
-        }
-        assert_eq!(m_seq.gather(u), m_ovl.gather(u));
-        assert_eq!(m_seq.stats().per_pe, m_ovl.stats().per_pe);
-    }
-
-    #[test]
-    fn traced_overlap_plan_spans_reproduce_hidden_credit() {
-        // With tracing on, every overlap window records an Interior span
-        // and one window-drain CommDrain span carrying the cost-model
-        // attribution — summing the drains' hidden_ns per PE reproduces
-        // the always-on hidden_comm_ns counters exactly.
+    fn traced_threaded_plan_records_comm_and_driver_spans() {
+        // Every PE records its comm post/drain and kernel spans; the
+        // driver track carries the build's schedule and kernel compiles.
         let (mut m, compiled, u) = setup(JACOBI16, Stage::MemOpt, &[2, 2]);
-        let cfg = ovl(Backend::Bytecode).trace(true);
+        let cfg = par().backend(Backend::Bytecode).trace(true);
         let mut plan = ExecPlan::build(&mut m, &compiled.node, &cfg).unwrap();
-        assert_eq!(plan.engine(), Engine::ThreadedOverlap);
         assert!(m.tracing_enabled());
         for _ in 0..3 {
             plan.step(&mut m);
         }
-        let stats = m.stats();
         let summary = m.take_trace().summary();
-        let derived = summary.hidden_comm_ns();
-        assert_eq!(derived, stats.hidden_comm_ns, "trace-derived hidden == counter");
-        assert!(derived.iter().all(|&h| h > 0.0));
         for pe in summary.pe_tracks() {
-            assert!(pe.count(SpanKind::Interior) > 0, "{}", pe.name);
-            assert!(pe.count(SpanKind::Boundary) > 0, "{}", pe.name);
-            assert!(pe.count(SpanKind::CommPost) > 0, "{}", pe.name);
+            for kind in [SpanKind::CommPost, SpanKind::CommDrain, SpanKind::KernelExec] {
+                assert!(pe.count(kind) > 0, "{} {kind:?}", pe.name);
+            }
         }
         let driver = summary.track("driver").expect("driver track");
         assert!(driver.count(SpanKind::ScheduleBuild) > 0);
@@ -1477,8 +1010,8 @@ ENDDO
     fn traced_plain_nests_record_kernel_exec_spans() {
         // `S = T + 1` reads T after `U = T`, so the copy cannot rotate and
         // runs, fused with S's compute, as a plain nest after the stencil's
-        // (windowed, under the overlap engine) one. Every compiled plain
-        // nest records a KernelExec span on its PE's track.
+        // one. Every compiled plain nest records a KernelExec span on its
+        // PE's track.
         let src = r#"
 PARAM N = 16
 REAL U(N,N), T(N,N), S(N,N)
@@ -1487,7 +1020,7 @@ T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) + CSHIFT(U,-1,2))
 U = T
 S = T + 1
 "#;
-        for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+        for engine in [Engine::Sequential, Engine::Threaded] {
             let (mut m, compiled, u) = setup(src, Stage::MemOpt, &[2, 2]);
             assert_eq!(compiled.node.nest_count(), 2, "the copy nest survives");
             let cfg = ExecConfig::new().engine(engine).backend(Backend::Bytecode).trace(true);
@@ -1534,7 +1067,7 @@ S = T + 1
         let want = m_ref.gather(u);
         for k in [2usize, 4] {
             for backend in [Backend::Interp, Backend::Bytecode] {
-                for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+                for engine in [Engine::Sequential, Engine::Threaded] {
                     let (mut m, c, _) = setup_deep(JACOBI16, &[2, 2], k);
                     let cfg = ExecConfig::new().engine(engine).backend(backend).superstep(k);
                     let mut plan = ExecPlan::build(&mut m, &c.node, &cfg).unwrap();

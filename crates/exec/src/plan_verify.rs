@@ -1,33 +1,10 @@
-//! The plan-level race checker: a happens-before analysis over the step
-//! program that machine-checks the split-phase overlap engine's ordering
-//! assumptions before any worker thread runs.
+//! The plan-level checker: static obligations over the step program,
+//! machine-checked before any worker thread runs, each reported as a
+//! standard `Diagnostic`. The rules are numbered from PL004: the first
+//! three codes belonged to a deleted split-phase engine and are retired,
+//! not reused.
 //!
-//! For every [Overlap window](crate::plan::PlanItem::Overlap) the checker
-//! reconstructs the per-PE event chain the overlapped engine executes —
-//! post (with dependency-barrier drains), pre-drain, interior sweep, quiet
-//! drain of in-flight receives, boundary strips — and verifies three
-//! obligations, each reported as a standard `Diagnostic`:
-//!
-//! - **PL001 — interior/receive disjointness.** On every split PE, no
-//!   receive left in flight across the interior sweep may write a cell the
-//!   interior reads. The read set is the interior box expanded by the
-//!   nest's per-dimension read radii, re-derived here from the unit body's
-//!   load/store offsets (not taken from the fuser); the write set is each
-//!   in-flight schedule's cross-PE unpack boxes, decoded
-//!   ([`CompiledComm::received`]). Geometric [`regions_intersect`] decides.
-//!   An in-flight message sits in the stash until drained, so the hazard is
-//!   staleness: the interior would consume pre-exchange ghost values the
-//!   post-interior drain then overwrites.
-//! - **PL002 — drain order under corner forwarding.** When schedule `c`'s
-//!   sends read ghost cells an earlier schedule `e`'s receives write
-//!   ([`CompiledComm::depends_on`]), `e` must be fully drained before `c`
-//!   posts — i.e. some dependency barrier must fire in between. Posting
-//!   `c` early would pack stale corner values.
-//! - **PL003 — buffer-pool aliasing.** A schedule's pooled message buffers
-//!   are single-occupancy: the same schedule slot must not be posted again
-//!   while a previous post is still in flight (no barrier in between).
-//!
-//! [Superstep items](crate::plan::PlanItem::Superstep) carry a fourth
+//! [Superstep items](crate::plan::PlanItem::Superstep) carry the first
 //! obligation:
 //!
 //! - **PL004 — trapezoid coverage.** For every PE, a forward simulation in
@@ -43,7 +20,7 @@
 //!   proved, but against the boxes the engines execute rather than the
 //!   plan. A rebind inside the sub-step swaps the two arrays' valid boxes.
 //!
-//! [Rebind items](crate::plan::PlanItem::Rebind) carry a fifth:
+//! [Rebind items](crate::plan::PlanItem::Rebind) carry a second:
 //!
 //! - **PL005 — dead source.** After a rebind, its source holds the
 //!   destination's stale storage. Scanning the items that follow — to the
@@ -54,7 +31,7 @@
 //!   anywhere outside that loop. Re-derived from the built items,
 //!   independently of the storage-rotation pass that placed the rebind.
 //!
-//! Every compiled schedule carries a sixth:
+//! Every compiled schedule carries a third:
 //!
 //! - **PL006 — schedule geometry.** Every box of every transfer and fill
 //!   decodes ([`CompiledComm::section`]) to a section of its PE's subgrid,
@@ -63,14 +40,13 @@
 //!   to look; this one holds every box the engines execute to a region a
 //!   plan could have described.
 //!
-//! Blocking items need no checking — a plain [`PlanItem::Comm`] completes
-//! before the next item starts, and non-split PEs inside a window drain
-//! everything before their nest. The checker is wired into
+//! Exchanges need no ordering check — a [`PlanItem::Comm`] completes
+//! before the next item starts. The checker is wired into
 //! [`ExecPlan::build`](crate::ExecPlan::build) together with the bytecode
 //! verifier (`hpf_codegen::verify`): debug and checked builds verify every
 //! plan; checked builds fail hard on any diagnostic, unchecked builds
-//! demote the offending kernel to the interpreter or the offending window
-//! to the blocking comm-then-nest path. A stale binding or a box that is no
+//! demote the offending kernel to the interpreter and the offending
+//! superstep to a deep-refill loop. A stale binding or a box that is no
 //! section has no safe demotion: it fails every build.
 
 use crate::plan::{body_nests, ExecPlan, PlanItem};
@@ -79,18 +55,9 @@ use hpf_codegen::{inject_shared, verify_kernels, CompiledNest, Fault};
 use hpf_ir::diag::Diagnostic;
 use hpf_ir::{ArrayId, Section};
 use hpf_passes::loopir::{Instr, LoopNest};
-use hpf_runtime::schedule::regions_intersect;
 use hpf_runtime::{CompiledComm, MoveKind, RtError};
 use std::collections::HashMap;
 
-/// An Overlap window's interior sweep may read a cell an in-flight receive
-/// writes.
-pub const PL001: &str = "PL001";
-/// A schedule posts before a schedule it depends on (corner forwarding)
-/// has drained.
-pub const PL002: &str = "PL002";
-/// A schedule's pooled buffers are posted again while still in flight.
-pub const PL003: &str = "PL003";
 /// A superstep sub-step reads a ghost cell neither the deep fill nor an
 /// earlier sub-step's expanded sweep wrote — the trapezoid would consume
 /// stale (or poison) halo data.
@@ -103,11 +70,10 @@ pub const PL005: &str = "PL005";
 pub const PL006: &str = "PL006";
 
 impl ExecPlan {
-    /// Run the plan-level race checker over the whole step program,
-    /// returning every violated obligation (empty = the plan's overlap
-    /// windows are proven race-free). Kernel-level (`BV*`) obligations are
-    /// covered separately by `CompiledNest::verify`; [`ExecPlan::verify`]
-    /// reports both families.
+    /// Run the plan-level checker over the whole step program, returning
+    /// every violated obligation (empty = the plan is proven). Kernel-level
+    /// (`BV*`) obligations are covered separately by
+    /// `CompiledNest::verify`; [`ExecPlan::verify`] reports both families.
     pub fn verify(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         verify_items(&self.items, &self.scheds, &mut out);
@@ -119,14 +85,14 @@ impl ExecPlan {
         out
     }
 
-    /// Insert a rebind in front of the first nest (or window) that loads
-    /// one array and stores another, making the loaded array the dead
-    /// source the nest then reads — the stale-binding fault for the
-    /// mutation-kill suite (PL005). Returns `false` when no nest qualifies.
+    /// Insert a rebind in front of the first nest that loads one array and
+    /// stores another, making the loaded array the dead source the nest
+    /// then reads — the stale-binding fault for the mutation-kill suite
+    /// (PL005). Returns `false` when no nest qualifies.
     #[doc(hidden)]
     pub fn corrupt_stale_binding(&mut self) -> bool {
         first_edit(&mut self.items, &mut |items, i| {
-            let (PlanItem::Nest { nest, .. } | PlanItem::Overlap { nest, .. }) = &items[i] else {
+            let PlanItem::Nest { nest, .. } = &items[i] else {
                 return false;
             };
             let stored = nest.stored();
@@ -137,55 +103,6 @@ impl ExecPlan {
             let full = nest.space.clone();
             items.insert(i, PlanItem::Rebind { dst, src, full });
             true
-        })
-    }
-
-    /// Corrupt the first window that has a dependency barrier by clearing
-    /// all its barriers — the drain-reorder fault for the mutation-kill
-    /// suite (PL002). Returns `false` when the plan has no such window.
-    #[doc(hidden)]
-    pub fn corrupt_clear_barriers(&mut self) -> bool {
-        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
-            PlanItem::Overlap { barriers, .. } if barriers.contains(&true) => {
-                barriers.iter_mut().for_each(|b| *b = false);
-                true
-            }
-            _ => false,
-        })
-    }
-
-    /// Corrupt the first window that overlaps anything by widening every
-    /// split PE's interior box, so the interior sweep reads cells the
-    /// in-flight receives write (PL001). Returns `false` when no window
-    /// keeps a receive in flight.
-    #[doc(hidden)]
-    pub fn corrupt_widen_interior(&mut self) -> bool {
-        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
-            PlanItem::Overlap { pre_drain, splits, .. }
-                if pre_drain.contains(&false) && splits.iter().any(|s| s.is_some()) =>
-            {
-                for r in splits.iter_mut().flatten().flat_map(|s| &mut s.interior) {
-                    *r = (r.0 - 8, r.1 + 8);
-                }
-                true
-            }
-            _ => false,
-        })
-    }
-
-    /// Corrupt the first window by posting its first schedule twice with no
-    /// barrier in between — the buffer-pool aliasing fault (PL003).
-    /// Returns `false` when the plan has no window.
-    #[doc(hidden)]
-    pub fn corrupt_duplicate_post(&mut self) -> bool {
-        first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
-            PlanItem::Overlap { comms, barriers, pre_drain, .. } if !comms.is_empty() => {
-                comms.insert(1, comms[0]);
-                barriers.insert(1, false);
-                pre_drain.insert(1, pre_drain[0]);
-                true
-            }
-            _ => false,
         })
     }
 
@@ -212,9 +129,7 @@ impl ExecPlan {
     #[doc(hidden)]
     pub fn corrupt_kernel(&mut self, fault: Fault) -> bool {
         first_edit(&mut self.items, &mut |items, i| match &mut items[i] {
-            PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
-                inject_shared(kernels, fault)
-            }
+            PlanItem::Nest { kernels, .. } => inject_shared(kernels, fault),
             _ => false,
         })
     }
@@ -229,7 +144,7 @@ impl ExecPlan {
         first_edit(&mut self.items, &mut |items, i| {
             let slots = match &items[i] {
                 PlanItem::Comm(slot) => std::slice::from_ref(slot),
-                PlanItem::Overlap { comms, .. } | PlanItem::Superstep { comms, .. } => comms,
+                PlanItem::Superstep { comms, .. } => comms,
                 _ => return false,
             };
             let Some(&slot) = slots.iter().find(|&&s| !scheds[s].transfers.is_empty()) else {
@@ -263,7 +178,7 @@ fn first_edit(
 /// tree, each shared code's annotated with the PEs that run it.
 fn collect_kernel_diags(item: &PlanItem, out: &mut Vec<Diagnostic>) {
     match item {
-        PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
+        PlanItem::Nest { kernels, .. } => {
             for (pes, diags) in verify_kernels(kernels) {
                 out.extend(diags.into_iter().map(|d| d.note(format!("kernel of PEs {pes:?}"))));
             }
@@ -277,13 +192,10 @@ fn collect_kernel_diags(item: &PlanItem, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Walk the item tree checking every Overlap window and Superstep.
+/// Walk the item tree checking every Superstep.
 fn verify_items(items: &[PlanItem], scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
     for (w, item) in items.iter().enumerate() {
         match item {
-            PlanItem::Overlap { comms, barriers, pre_drain, nest, splits, .. } => {
-                verify_window(w, comms, barriers, pre_drain, nest, splits, scheds, out);
-            }
             PlanItem::Superstep { k, comms, body, expansions, .. } => {
                 verify_superstep(w, *k, comms, body, expansions, scheds, out);
             }
@@ -342,13 +254,6 @@ fn next(step: Step<'_>, b: ArrayId, full: &Section, scheds: &[CompiledComm]) -> 
     match step {
         Step::Comm(slot) | Step::Item(&PlanItem::Comm(slot)) => comm(slot),
         Step::Item(PlanItem::Nest { nest: n, .. }) => nest(n),
-        Step::Item(PlanItem::Overlap { comms, nest: n, .. }) => {
-            if comms.iter().any(|&c| comm(c) != Next::Untouched) {
-                Next::Blocked
-            } else {
-                nest(n)
-            }
-        }
         Step::Item(PlanItem::Rebind { dst, src, .. }) => match (*src == b, *dst == b) {
             (true, _) => Next::Blocked,
             (false, true) => Next::Killed,
@@ -438,23 +343,6 @@ fn verify_rebinds<'a>(
 fn verify_program_rebinds(items: &[PlanItem], scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
     let mut frames = vec![Frame { steps: steps_of(items), at: 0, repeats: false }];
     verify_rebinds(&mut frames, scheds, out);
-}
-
-/// The per-dimension read radii of the nest's semantic unit body: how far
-/// outside the iteration box its loads and stores reach. Re-derived from
-/// the instruction stream, independently of the fuser's copy.
-fn read_radii(nest: &LoopNest) -> (Vec<i64>, Vec<i64>) {
-    let rank = nest.order.len();
-    let (mut lo, mut hi) = (vec![0i64; rank], vec![0i64; rank]);
-    for i in nest.unit_body() {
-        if let Instr::Load { offsets, .. } | Instr::Store { offsets, .. } = i {
-            for (d, &o) in offsets.iter().enumerate() {
-                lo[d] = lo[d].max(-o);
-                hi[d] = hi[d].max(o);
-            }
-        }
-    }
-    (lo, hi)
 }
 
 /// Per-array read radii of the nest's semantic unit body, in first-load
@@ -591,108 +479,6 @@ fn verify_superstep(
     }
 }
 
-/// Check one Overlap window's happens-before obligations (PL001–PL003).
-#[allow(clippy::too_many_arguments)]
-fn verify_window(
-    w: usize,
-    comms: &[usize],
-    barriers: &[bool],
-    pre_drain: &[bool],
-    nest: &LoopNest,
-    splits: &[Option<hpf_analysis::overlap::RegionSplit>],
-    scheds: &[CompiledComm],
-    out: &mut Vec<Diagnostic>,
-) {
-    if barriers.len() != comms.len() || pre_drain.len() != comms.len() {
-        out.push(Diagnostic::error(
-            PL002,
-            format!(
-                "window {w}: malformed event tables ({} comms, {} barriers, {} pre-drains)",
-                comms.len(),
-                barriers.len(),
-                pre_drain.len()
-            ),
-        ));
-        return;
-    }
-
-    // A barrier at post `j` drains everything still pending, so the post of
-    // `comms[e]` happens-before the post of `comms[ci]` *with a drain in
-    // between* iff some barrier fires in (e, ci].
-    let drained_between = |e: usize, ci: usize| barriers[e + 1..=ci].iter().any(|&b| b);
-
-    for ci in 0..comms.len() {
-        for e in 0..ci {
-            // PL002: dependency order. `depends_on` is the corner-forwarding
-            // relation — comms[ci]'s sends pack ghost cells comms[e]'s
-            // receives write.
-            if scheds[comms[ci]].depends_on(&scheds[comms[e]]) && !drained_between(e, ci) {
-                out.push(Diagnostic::error(
-                    PL002,
-                    format!(
-                        "window {w}: schedule {} posts before schedule {} it depends on \
-                         has drained — its sends would pack stale corner values",
-                        comms[ci], comms[e]
-                    ),
-                ));
-            }
-            // PL003: single-occupancy pooled buffers.
-            if comms[ci] == comms[e] && !drained_between(e, ci) {
-                out.push(Diagnostic::error(
-                    PL003,
-                    format!(
-                        "window {w}: schedule {} is posted at positions {e} and {ci} with no \
-                         drain in between — its pooled message buffers would be aliased",
-                        comms[ci]
-                    ),
-                ));
-            }
-        }
-    }
-
-    // PL001: on every split PE, every receive still in flight across the
-    // interior sweep must be disjoint from the cells the interior reads.
-    let (read_lo, read_hi) = read_radii(nest);
-    for (pe, split) in splits.iter().enumerate() {
-        let Some(split) = split else { continue };
-        if split.interior.len() != read_lo.len() {
-            out.push(Diagnostic::error(
-                PL001,
-                format!(
-                    "window {w}: PE {pe} interior rank {} != nest rank {}",
-                    split.interior.len(),
-                    read_lo.len()
-                ),
-            ));
-            continue;
-        }
-        let read: Vec<(i64, i64)> = split
-            .interior
-            .iter()
-            .enumerate()
-            .map(|(d, &(l, h))| (l - read_lo[d], h + read_hi[d]))
-            .collect();
-        for (ci, &slot) in comms.iter().enumerate() {
-            if pre_drain[ci] {
-                continue;
-            }
-            // A box that does not decode cannot be shown disjoint.
-            for unpack in scheds[slot].received(pe) {
-                if unpack.as_ref().is_none_or(|u| regions_intersect(&read, u)) {
-                    out.push(Diagnostic::error(
-                        PL001,
-                        format!(
-                            "window {w}: PE {pe} interior sweep reads cells schedule {slot}'s \
-                             in-flight receive writes (unpack region {unpack:?} vs read box \
-                             {read:?}) — the interior would consume stale ghost values"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 /// Check every compiled schedule's geometry (PL006): each transfer's two
 /// boxes decode to sections of equal extents, each fill's box to a section.
 fn verify_schedules(scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
@@ -725,12 +511,11 @@ fn verify_schedules(scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
 }
 
 /// Enforcement behind [`ExecPlan::build`](crate::ExecPlan::build): verify
-/// every compiled kernel (`BV*`), every Overlap window, and every
-/// Superstep item (`PL*`). With `checked` set, any diagnostic aborts the
-/// build with [`RtError::VerificationFailed`]; otherwise each rejected
-/// kernel falls back to the interpreter (`kernels[pe] = None`), each
-/// rejected window is demoted to the blocking comm-then-nest sequence, and
-/// each rejected superstep to a `k`-iteration time loop that re-runs the
+/// every compiled kernel (`BV*`) and every Superstep item (`PL*`). With
+/// `checked` set, any diagnostic aborts the build with
+/// [`RtError::VerificationFailed`]; otherwise each rejected kernel falls
+/// back to the interpreter (`kernels[pe] = None`) and each rejected
+/// superstep to a `k`-iteration time loop that re-runs the
 /// deep fills before each sub-step's owned-only sweeps — all leaving a
 /// plan that verifies clean. A rejected superstep whose body chains
 /// through comm-less intermediate arrays has no such demotion (the chain
@@ -799,12 +584,10 @@ fn demote_items(
 ) {
     let old = std::mem::take(items);
     for mut item in old {
-        // Kernel obligations first: a demoted window keeps its kernels, so
-        // they must hold either way.
+        // Kernel obligations first: a demoted superstep keeps its kernels,
+        // so they must hold either way.
         match &mut item {
-            PlanItem::Nest { kernels, .. } | PlanItem::Overlap { kernels, .. } => {
-                demote_kernels(kernels, checked, report);
-            }
+            PlanItem::Nest { kernels, .. } => demote_kernels(kernels, checked, report),
             PlanItem::Superstep { body, .. } => {
                 for sub in body {
                     if let PlanItem::Nest { kernels, .. } = sub {
@@ -815,38 +598,6 @@ fn demote_items(
             _ => {}
         }
         match item {
-            PlanItem::Overlap { comms, barriers, pre_drain, nest, kernels, splits } => {
-                let mut diags = Vec::new();
-                verify_window(
-                    items.len(),
-                    &comms,
-                    &barriers,
-                    &pre_drain,
-                    &nest,
-                    &splits,
-                    scheds,
-                    &mut diags,
-                );
-                if diags.is_empty() {
-                    items.push(PlanItem::Overlap {
-                        comms,
-                        barriers,
-                        pre_drain,
-                        nest,
-                        kernels,
-                        splits,
-                    });
-                } else {
-                    report.extend(diags);
-                    if !checked {
-                        // Blocking demotion: each schedule completes before
-                        // the next item starts, so every PL* hazard is
-                        // structurally gone.
-                        items.extend(comms.into_iter().map(PlanItem::Comm));
-                        items.push(PlanItem::Nest { nest, kernels });
-                    }
-                }
-            }
             PlanItem::Superstep { k, comms, body, expansions, elided } => {
                 let mut diags = Vec::new();
                 verify_superstep(items.len(), k, &comms, &body, &expansions, scheds, &mut diags);
@@ -898,8 +649,7 @@ U = T
 "#;
 
     /// 9-point stencil (the paper's problem 9): the diagonal neighbors go
-    /// through shifted temporaries, so the fused window's schedules forward
-    /// corners and carry dependency barriers.
+    /// through shifted temporaries, so its schedules forward corners.
     const NINE_POINT16: &str = r#"
 PARAM N = 16
 REAL U(N,N), T(N,N), RIP(N,N), RIN(N,N)
@@ -909,14 +659,14 @@ T = U + RIP + RIN + CSHIFT(U,-1,2) + CSHIFT(U,1,2) + CSHIFT(RIP,-1,2) + CSHIFT(R
 U = T
 "#;
 
-    fn overlapped_plan(src: &str) -> (Machine, ExecPlan) {
+    fn threaded_plan(src: &str) -> (Machine, ExecPlan) {
         let checked = compile_source(src).unwrap();
         let compiled = compile(&checked, CompileOptions::upto(Stage::MemOpt));
         let u = checked.symbols.lookup_array("U").unwrap();
         let mut m = Machine::new(MachineConfig::with_grid(vec![2, 2]));
         m.alloc(u, checked.symbols.array(u)).unwrap();
         m.fill(u, |p| ((p[0] * 31 + p[1] * 7) as f64).sin());
-        let cfg = ExecConfig::new().engine(Engine::ThreadedOverlap).backend(Backend::Bytecode);
+        let cfg = ExecConfig::new().engine(Engine::Threaded).backend(Backend::Bytecode);
         let plan = ExecPlan::build(&mut m, &compiled.node, &cfg).unwrap();
         (m, plan)
     }
@@ -943,34 +693,9 @@ U = T
     #[test]
     fn compiler_built_plans_verify_clean() {
         for src in [JACOBI16, NINE_POINT16] {
-            let (_, plan) = overlapped_plan(src);
-            assert!(plan.overlap_windows_per_step() > 0, "fixture must fuse a window");
+            let (_, plan) = threaded_plan(src);
             assert!(plan.verify().is_empty(), "{:?}", plan.verify());
         }
-    }
-
-    #[test]
-    fn cleared_barriers_trip_pl002() {
-        let (_, mut plan) = overlapped_plan(NINE_POINT16);
-        assert!(plan.corrupt_clear_barriers(), "9-point window must carry barriers");
-        let d = plan.verify();
-        assert!(codes(&d).contains(&PL002), "{d:?}");
-    }
-
-    #[test]
-    fn widened_interior_trips_pl001() {
-        let (_, mut plan) = overlapped_plan(JACOBI16);
-        assert!(plan.corrupt_widen_interior());
-        let d = plan.verify();
-        assert!(codes(&d).contains(&PL001), "{d:?}");
-    }
-
-    #[test]
-    fn duplicate_post_trips_pl003() {
-        let (_, mut plan) = overlapped_plan(JACOBI16);
-        assert!(plan.corrupt_duplicate_post());
-        let d = plan.verify();
-        assert!(codes(&d).contains(&PL003), "{d:?}");
     }
 
     #[test]
@@ -1017,7 +742,7 @@ U = T
     #[test]
     fn stale_binding_trips_pl005_and_fails_even_unchecked() {
         // Both fixtures rotate their copy-back, and both rebinds verify.
-        let (_, mut flat) = overlapped_plan(JACOBI16);
+        let (_, mut flat) = threaded_plan(JACOBI16);
         let (_, mut tiled) = superstep_plan(2);
         for plan in [&mut flat, &mut tiled] {
             assert!(plan.verify().is_empty(), "{:?}", plan.verify());
@@ -1030,29 +755,5 @@ U = T
             };
             assert!(report.contains(PL005), "{report}");
         }
-    }
-
-    #[test]
-    fn checked_build_rejects_corrupted_kernel_via_enforce() {
-        // Corrupt a window, then re-run enforcement in unchecked mode: the
-        // window is demoted to blocking and the plan verifies clean again.
-        let (_, mut plan) = overlapped_plan(JACOBI16);
-        assert!(plan.corrupt_widen_interior());
-        assert!(!plan.verify().is_empty());
-        let items = &mut plan.items;
-        let scheds = &plan.scheds;
-        enforce(items, scheds, false).unwrap();
-        assert!(plan.verify().is_empty(), "{:?}", plan.verify());
-
-        // Checked enforcement on a corrupted plan fails hard.
-        let (_, mut plan) = overlapped_plan(JACOBI16);
-        assert!(plan.corrupt_duplicate_post());
-        let items = &mut plan.items;
-        let scheds = &plan.scheds;
-        let err = enforce(items, scheds, true).unwrap_err();
-        let RtError::VerificationFailed { report } = err else {
-            panic!("expected VerificationFailed")
-        };
-        assert!(report.contains(PL003), "{report}");
     }
 }

@@ -84,23 +84,10 @@ impl CostModel {
     /// Modeled time of a run: the slowest PE (critical path).
     ///
     /// `pe_time_ns` charges every counter serially, which matches the
-    /// blocking engines: a PE that posts a receive stalls until the message
-    /// arrives. Split-phase exchange windows break that assumption — the
-    /// receive is in flight while the PE computes its interior — so each
-    /// overlapped window records the modeled receive time that was actually
-    /// covered by measured interior compute (`AggStats::hidden_comm_ns`,
-    /// exact counter deltas, `min(recv_ns, interior_ns)` per window) and
-    /// that credit is subtracted here per PE. Blocking engines record zero
-    /// hidden time, so their modeled time is unchanged.
+    /// engines' blocking exchange: a PE that posts a receive stalls until
+    /// the message arrives.
     pub fn modeled_time_ns(&self, agg: &AggStats) -> f64 {
-        agg.per_pe
-            .iter()
-            .enumerate()
-            .map(|(pe, s)| {
-                let hidden = agg.hidden_comm_ns.get(pe).copied().unwrap_or(0.0);
-                (self.pe_time_ns(s) - hidden).max(0.0)
-            })
-            .fold(0.0, f64::max)
+        agg.per_pe.iter().map(|s| self.pe_time_ns(s)).fold(0.0, f64::max)
     }
 
     /// Modeled time in milliseconds.
@@ -188,21 +175,6 @@ mod tests {
         let agg =
             AggStats { per_pe: vec![fast, slow, fast], peak_bytes: vec![], ..Default::default() };
         assert_eq!(m.modeled_time_ns(&agg), m.pe_time_ns(&slow));
-    }
-
-    #[test]
-    fn hidden_comm_credit_reduces_modeled_time() {
-        let m = CostModel::sp2();
-        let s = PeStats { msgs_recv: 2, loads: 1_000, ..Default::default() };
-        let serial = AggStats { per_pe: vec![s], peak_bytes: vec![], ..Default::default() };
-        let overlapped = AggStats {
-            per_pe: vec![s],
-            peak_bytes: vec![],
-            hidden_comm_ns: vec![m.alpha_ns], // one receive hid behind compute
-            ..Default::default()
-        };
-        assert_eq!(m.modeled_time_ns(&serial), m.pe_time_ns(&s));
-        assert_eq!(m.modeled_time_ns(&overlapped), m.pe_time_ns(&s) - m.alpha_ns);
     }
 
     #[test]

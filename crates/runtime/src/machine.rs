@@ -124,17 +124,13 @@ pub struct PeState {
     pub subgrids: Vec<Option<Subgrid>>,
     /// Execution counters.
     pub stats: PeStats,
-    /// Modeled receive nanoseconds hidden behind interior compute by
-    /// split-phase exchange windows on this PE (see `AggStats::hidden_comm_ns`).
-    /// Kept outside `stats` so per-PE counters stay identical across engines.
-    pub overlap_hidden_ns: f64,
     /// Currently allocated bytes.
     pub cur_bytes: usize,
     /// Peak allocated bytes.
     pub peak_bytes: usize,
     /// Span recorder for this PE's timeline ("PE n" track). Single writer:
     /// only the thread currently driving this PE (the sequential engine on
-    /// the main thread, or this PE's worker under the threaded engines)
+    /// the main thread, or this PE's worker under the threaded engine)
     /// records into it, so tracing needs no locks. Disabled (a no-op)
     /// unless [`Machine::enable_tracing`] was called.
     pub tracer: Tracer,
@@ -247,12 +243,6 @@ pub struct Machine {
     kernels_built: u64,
     /// Executions of already-compiled bytecode kernels (machine-wide).
     kernel_execs: u64,
-    /// Split-phase windows executed with interior/boundary overlap.
-    overlapped_steps: u64,
-    /// Points computed in interior regions of overlapped windows.
-    interior_cells: u64,
-    /// Points computed in boundary strips of overlapped windows.
-    boundary_cells: u64,
     /// Auto-tuner cache hits credited to this machine's run.
     tune_hits: u64,
     /// Auto-tuner cache misses (full searches) credited to this run.
@@ -337,7 +327,6 @@ impl Machine {
                 pe,
                 subgrids: Vec::new(),
                 stats: PeStats::default(),
-                overlap_hidden_ns: 0.0,
                 cur_bytes: 0,
                 peak_bytes: 0,
                 tracer: Tracer::disabled(),
@@ -352,9 +341,6 @@ impl Machine {
             sched_reuses: 0,
             kernels_built: 0,
             kernel_execs: 0,
-            overlapped_steps: 0,
-            interior_cells: 0,
-            boundary_cells: 0,
             tune_hits: 0,
             tune_misses: 0,
             tune_search_ns: 0,
@@ -691,7 +677,7 @@ impl Machine {
 
     /// Make room to stage `bytes` of one message in [`Machine::apply_compiled`].
     /// A plan built for the sequential engine does it once; a machine stepped
-    /// by the threaded engines, which never come through there, holds none.
+    /// by the threaded engine, which never comes through there, holds none.
     pub fn reserve_staging(&mut self, bytes: usize) {
         self.stage.reserve_exact(bytes / std::mem::size_of::<f64>());
     }
@@ -748,23 +734,12 @@ impl Machine {
         self.kernel_execs += n;
     }
 
-    /// Record split-phase overlap work performed by the overlapped engine:
-    /// `windows` exchange windows ran with sends posted before the interior
-    /// sweep, computing `interior` points while messages were in flight and
-    /// `boundary` points after the receives drained. Credited once per step
-    /// after the worker join, like schedule reuses.
-    pub fn note_overlap(&mut self, windows: u64, interior: u64, boundary: u64) {
-        self.overlapped_steps += windows;
-        self.interior_cells += interior;
-        self.boundary_cells += boundary;
-    }
-
     /// Record superstep work performed by the executors: per executed
     /// superstep of depth `k`, the `(k-1) * comms` halo exchanges the
     /// classic schedule would have issued but the deep-halo schedule did
     /// not, and the points the trapezoid sub-step sweeps recomputed
     /// redundantly (outside the owning PE's region). Credited by the plan
-    /// driver after the step, like [`Machine::note_overlap`].
+    /// driver after the step, like [`Machine::note_kernel_execs`].
     pub fn note_superstep(&mut self, exchanges_elided: u64, redundant_cells: u64) {
         self.exchanges_elided += exchanges_elided;
         self.redundant_cells += redundant_cells;
@@ -839,10 +814,6 @@ impl Machine {
             schedule_reuses: self.sched_reuses,
             kernels_compiled: self.kernels_built,
             kernel_execs: self.kernel_execs,
-            overlapped_steps: self.overlapped_steps,
-            interior_cells: self.interior_cells,
-            boundary_cells: self.boundary_cells,
-            hidden_comm_ns: self.pes.iter().map(|p| p.overlap_hidden_ns).collect(),
             tune_cache_hits: self.tune_hits,
             tune_cache_misses: self.tune_misses,
             tune_search_ns: self.tune_search_ns,
@@ -855,16 +826,12 @@ impl Machine {
     pub fn reset_stats(&mut self) {
         for p in &mut self.pes {
             p.stats = PeStats::default();
-            p.overlap_hidden_ns = 0.0;
             p.peak_bytes = p.cur_bytes;
         }
         self.sched_built = 0;
         self.sched_reuses = 0;
         self.kernels_built = 0;
         self.kernel_execs = 0;
-        self.overlapped_steps = 0;
-        self.interior_cells = 0;
-        self.boundary_cells = 0;
         self.tune_hits = 0;
         self.tune_misses = 0;
         self.tune_search_ns = 0;

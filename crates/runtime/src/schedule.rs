@@ -15,8 +15,8 @@
 //! buffer — with zero per-step subgrid math or allocation: the persistent
 //! halo exchange of GCL-style libraries and persistent MPI, whose requests
 //! describe a strided region rather than enumerate it. Whatever reasons
-//! about regions (`depends_on`, the plan verifier) decodes the boxes back
-//! into sections ([`CompiledComm::section`]), so it reads what executes.
+//! about regions (the plan verifier) decodes the boxes back into sections
+//! ([`CompiledComm::section`]), so it reads what executes.
 
 use crate::dist::{BlockDim, PeGrid};
 use crate::error::RtError;
@@ -151,34 +151,6 @@ impl CompiledComm {
         let copies = self.transfers.iter().filter(move |t| t.dst_pe == pe).map(|t| &t.dst);
         let fills = self.fills.iter().filter(move |f| f.pe == pe).map(|f| &f.region);
         copies.chain(fills).map(move |b| self.section(pe, b))
-    }
-
-    /// The regions this schedule's messages (transfers from another PE)
-    /// write on `pe`, decoded.
-    pub fn received(&self, pe: usize) -> impl Iterator<Item = Option<Vec<(i64, i64)>>> + '_ {
-        let messages = self.transfers.iter().filter(move |t| t.dst_pe == pe && t.src_pe != pe);
-        messages.map(move |t| self.section(pe, &t.dst))
-    }
-
-    /// Would posting this schedule's sends before `earlier`'s receives have
-    /// completed read stale data? True when some PE's outgoing (or local
-    /// self-) transfer of this schedule reads a region that an incoming
-    /// remote transfer of `earlier` writes on that PE, on the same array.
-    /// This is exactly the corner-forwarding pattern of RSD-extended
-    /// exchanges: a dim-2 overlap shift sends corner cells that the dim-1
-    /// shift's receives deposited, so its post half must wait for the dim-1
-    /// receives to drain. Independent exchanges (5-point stencils, disjoint
-    /// arrays) report `false` and may stay in flight together. A box that
-    /// does not decode may touch anything, so it depends.
-    pub fn depends_on(&self, earlier: &CompiledComm) -> bool {
-        self.src == earlier.dst
-            && self.transfers.iter().any(|t| {
-                let read = self.section(t.src_pe, &t.src);
-                earlier.received(t.src_pe).any(|w| match (&read, w) {
-                    (Some(r), Some(w)) => regions_intersect(r, &w),
-                    _ => true,
-                })
-            })
     }
 }
 

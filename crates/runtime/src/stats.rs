@@ -33,27 +33,6 @@ pub struct PeStats {
 }
 
 impl PeStats {
-    /// Counter deltas since an earlier snapshot. All counters are
-    /// monotonically increasing, so this isolates the work done between two
-    /// snapshots of the same PE — the split-phase executor uses it to
-    /// attribute modeled time to the interior sweep vs the receive drain.
-    pub fn delta_since(&self, base: &PeStats) -> PeStats {
-        PeStats {
-            msgs_sent: self.msgs_sent - base.msgs_sent,
-            msgs_recv: self.msgs_recv - base.msgs_recv,
-            bytes_sent: self.bytes_sent - base.bytes_sent,
-            bytes_recv: self.bytes_recv - base.bytes_recv,
-            intra_bytes: self.intra_bytes - base.intra_bytes,
-            wrap_bytes: self.wrap_bytes - base.wrap_bytes,
-            loads: self.loads - base.loads,
-            strided_loads: self.strided_loads - base.strided_loads,
-            stores: self.stores - base.stores,
-            flops: self.flops - base.flops,
-            iters: self.iters - base.iters,
-            allocs: self.allocs - base.allocs,
-        }
-    }
-
     /// Add another PE's counters into this one.
     pub fn merge(&mut self, other: &PeStats) {
         self.msgs_sent += other.msgs_sent;
@@ -92,30 +71,6 @@ pub struct AggStats {
     /// Executions of an already-compiled bytecode kernel (one nest sweep on
     /// one PE). Plans compile once and grow only this counter per step.
     pub kernel_execs: u64,
-    /// Split-phase exchange windows executed with interior/boundary overlap
-    /// (sends posted, interior computed while messages were in flight,
-    /// receives drained, boundary strips computed). Machine-wide; zero on
-    /// the blocking engines and on the conservative-fallback path.
-    pub overlapped_steps: u64,
-    /// Points computed in interior regions (before receives were drained)
-    /// across all overlapped windows and PEs.
-    pub interior_cells: u64,
-    /// Points computed in boundary strips (after receives were drained)
-    /// across all overlapped windows and PEs.
-    pub boundary_cells: u64,
-    /// Per-PE modeled receive nanoseconds hidden behind interior compute by
-    /// split-phase exchange windows: per window, `min(recv_ns, interior_ns)`
-    /// where both terms come from the cost model applied to exact counter
-    /// deltas around the interior sweep and the drain. This value is
-    /// trace-derived: the overlap engine computes the per-window credit at
-    /// the span-recording boundary of the window's drain, accumulates it
-    /// here, and (with tracing on) attaches the same number to the drain's
-    /// `hpf_trace` span — so `TraceSummary::hidden_comm_ns()` reproduces
-    /// this vector exactly and the counter is just the always-on aggregate
-    /// view of the span data. Zero on the blocking engines; the per-PE
-    /// `PeStats` themselves stay engine-independent. Empty when no machine
-    /// has run (e.g. hand-built aggregates).
-    pub hidden_comm_ns: Vec<f64>,
     /// Auto-tuner lookups answered from the persistent on-disk tuning
     /// cache (no candidate enumerated or timed). Machine-wide; zero unless
     /// the plan was resolved through `ExecConfig::auto()` / `Tuner::best`.
@@ -170,7 +125,7 @@ impl AggStats {
 }
 
 /// The per-PE summary table (`--trace` text output): one row per PE with
-/// its message/byte/compute counters and the hidden-communication credit.
+/// its message/byte/compute counters.
 /// Rendered through the shared [`hpf_trace::table::TextTable`] helper.
 impl std::fmt::Display for AggStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -185,10 +140,8 @@ impl std::fmt::Display for AggStats {
             ("loads", Align::Right),
             ("stores", Align::Right),
             ("flops", Align::Right),
-            ("hidden-ms", Align::Right),
         ]);
         for (pe, s) in self.per_pe.iter().enumerate() {
-            let hidden_ms = self.hidden_comm_ns.get(pe).copied().unwrap_or(0.0) / 1e6;
             t.row([
                 pe.to_string(),
                 s.msgs_sent.to_string(),
@@ -199,21 +152,13 @@ impl std::fmt::Display for AggStats {
                 s.loads.to_string(),
                 s.stores.to_string(),
                 s.flops.to_string(),
-                format!("{hidden_ms:.3}"),
             ]);
         }
         f.write_str(&t.render())?;
         write!(
             f,
-            "schedules: {} built, {} reused | kernels: {} compiled, {} execs | \
-             overlap: {} windows, {} interior / {} boundary cells",
-            self.schedules_built,
-            self.schedule_reuses,
-            self.kernels_compiled,
-            self.kernel_execs,
-            self.overlapped_steps,
-            self.interior_cells,
-            self.boundary_cells
+            "schedules: {} built, {} reused | kernels: {} compiled, {} execs",
+            self.schedules_built, self.schedule_reuses, self.kernels_compiled, self.kernel_execs,
         )?;
         // Superstep and tune counters join the footer line only when their
         // feature ran, keeping classic output (and its line count) unchanged.
@@ -277,13 +222,12 @@ mod tests {
                 PeStats { msgs_recv: 1, bytes_recv: 1024, ..Default::default() },
             ],
             peak_bytes: vec![0, 0],
-            hidden_comm_ns: vec![1_500_000.0, 0.0],
             schedules_built: 3,
             ..Default::default()
         };
         let table = agg.to_string();
-        assert!(table.contains("hidden-ms"));
-        assert!(table.contains("1.500"), "hidden credit in ms: {table}");
+        assert!(table.contains("KB-sent"));
+        assert!(table.contains("2.0"), "bytes sent in KB: {table}");
         assert!(table.contains("schedules: 3 built"));
         assert_eq!(table.lines().count(), 1 + 2 + 1, "header + 2 PEs + footer");
         assert!(!table.contains("tune:"), "untuned runs keep the old footer");

@@ -40,16 +40,9 @@ impl Trace {
         }
         for (tid, track) in self.tracks.iter().enumerate() {
             for e in &track.events {
-                let mut args = String::new();
-                if e.modeled_ns != 0.0 || e.hidden_ns != 0.0 {
-                    args = format!(
-                        ",\"args\":{{\"modeled_ns\":{:.1},\"hidden_ns\":{:.1}}}",
-                        e.modeled_ns, e.hidden_ns
-                    );
-                }
                 evs.push(format!(
                     "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                     \"name\":\"{}\",\"cat\":\"{}\"{args}}}",
+                     \"name\":\"{}\",\"cat\":\"{}\"}}",
                     us(e.start_ns),
                     us(e.dur_ns),
                     e.kind.label(),
@@ -73,32 +66,14 @@ mod tests {
             tracks: vec![
                 Track {
                     name: "driver".into(),
-                    events: vec![Event {
-                        kind: SpanKind::Step,
-                        start_ns: 0,
-                        dur_ns: 5_000,
-                        modeled_ns: 0.0,
-                        hidden_ns: 0.0,
-                    }],
+                    events: vec![Event { kind: SpanKind::Step, start_ns: 0, dur_ns: 5_000 }],
                     dropped: 0,
                 },
                 Track {
                     name: "PE 0".into(),
                     events: vec![
-                        Event {
-                            kind: SpanKind::Interior,
-                            start_ns: 1_000,
-                            dur_ns: 2_000,
-                            modeled_ns: 900.0,
-                            hidden_ns: 0.0,
-                        },
-                        Event {
-                            kind: SpanKind::CommDrain,
-                            start_ns: 3_000,
-                            dur_ns: 500,
-                            modeled_ns: 700.0,
-                            hidden_ns: 700.0,
-                        },
+                        Event { kind: SpanKind::KernelExec, start_ns: 1_000, dur_ns: 2_000 },
+                        Event { kind: SpanKind::CommDrain, start_ns: 3_000, dur_ns: 500 },
                     ],
                     dropped: 0,
                 },
@@ -163,9 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_span_carries_hidden_args() {
+    fn spans_carry_their_category_and_no_args() {
         let j = sample().to_chrome_json();
-        assert!(j.contains("\"hidden_ns\":700.0"));
-        assert!(j.contains("\"cat\":\"comm\""));
+        assert!(j.contains("\"name\":\"comm-drain\",\"cat\":\"comm\"}"), "{j}");
+        assert!(j.contains("\"name\":\"kernel-exec\",\"cat\":\"compute\"}"), "{j}");
     }
 }

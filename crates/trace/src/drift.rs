@@ -32,15 +32,6 @@ pub struct DriftComponent {
     /// Measured wall nanoseconds in the matching span kinds, summed
     /// over PEs.
     pub measured_ns: f64,
-    /// True when both sides come from the model (the hidden-credit
-    /// component pairs the counter-accumulated credit against the same
-    /// credit read back off the drain spans). Such components are
-    /// excluded from the median normalizer — their ratio sits at 1.0 by
-    /// construction and would drag the center away from the true
-    /// model-to-host scale — and are judged by raw ratio instead, where
-    /// any departure from 1.0 means the two accounts disagree (e.g. ring
-    /// overflow lost spans).
-    pub model_only: bool,
 }
 
 impl DriftComponent {
@@ -63,9 +54,6 @@ impl DriftComponent {
 pub struct DriftReport {
     /// Per-component pairings, in a fixed presentation order.
     pub components: Vec<DriftComponent>,
-    /// Total hidden-communication credit in modeled ns — reconciles
-    /// exactly with the sum of `AggStats::hidden_comm_ns`.
-    pub hidden_comm_ns: f64,
     /// The model's bottom line for the run — reconciles exactly with
     /// `CostModel::modeled_time_ns` on the run's aggregate counters.
     pub modeled_time_ns: f64,
@@ -95,7 +83,7 @@ impl DriftReport {
         let mut ratios: Vec<f64> = self
             .components
             .iter()
-            .filter(|c| !c.model_only && c.modeled_ns > 0.0 && c.measured_ns > 0.0)
+            .filter(|c| c.modeled_ns > 0.0 && c.measured_ns > 0.0)
             .map(DriftComponent::ratio)
             .collect();
         if ratios.is_empty() {
@@ -112,12 +100,7 @@ impl DriftReport {
 
     /// A component's ratio normalized by [`DriftReport::center_ratio`]:
     /// 1.0 means it drifts exactly as much as the typical component.
-    /// Model-only components are already scale-free, so their raw ratio
-    /// is returned unchanged.
     pub fn normalized_ratio(&self, c: &DriftComponent) -> f64 {
-        if c.model_only {
-            return c.ratio();
-        }
         let center = self.center_ratio();
         if center > 0.0 && center.is_finite() {
             c.ratio() / center
@@ -130,7 +113,7 @@ impl DriftReport {
     /// with no measured spans is never flagged: each engine records a
     /// given cost under the span kinds its protocol actually exercises
     /// (the sequential engine never waits on messages, the threaded
-    /// engines pack inside their post spans), so an empty measured side
+    /// engine packs inside its post spans), so an empty measured side
     /// means *no evidence*, not infinite drift.
     pub fn is_flagged(&self, c: &DriftComponent) -> bool {
         if c.measured_ns <= 0.0 {
@@ -167,10 +150,9 @@ impl DriftReport {
             ]);
         }
         t.line(format!(
-            "(modeled {:.3} ms total, hidden credit {:.3} ms, measured wall {:.3} ms; \
+            "(modeled {:.3} ms total, measured wall {:.3} ms; \
              rel = component ratio / median ratio, band {:.2}..{:.2})",
             self.modeled_time_ns / 1e6,
-            self.hidden_comm_ns / 1e6,
             self.measured_wall_ns as f64 / 1e6,
             BAND.0,
             BAND.1,
@@ -196,7 +178,6 @@ impl DriftReport {
             .collect();
         Value::Object(vec![
             ("components".into(), Value::Array(comps)),
-            ("hidden_comm_ns".into(), Value::Number(self.hidden_comm_ns)),
             ("modeled_time_ns".into(), Value::Number(self.modeled_time_ns)),
             ("measured_wall_ns".into(), Value::Number(self.measured_wall_ns as f64)),
             ("band".into(), Value::Array(vec![Value::Number(BAND.0), Value::Number(BAND.1)])),
@@ -228,30 +209,15 @@ mod tests {
     use super::*;
 
     fn report(components: Vec<DriftComponent>) -> DriftReport {
-        DriftReport {
-            components,
-            hidden_comm_ns: 0.0,
-            modeled_time_ns: 0.0,
-            measured_wall_ns: 1_000_000,
-        }
+        DriftReport { components, modeled_time_ns: 0.0, measured_wall_ns: 1_000_000 }
     }
 
     #[test]
     fn uniform_scale_factor_is_not_drift() {
         // Model is 100x the wall everywhere: every normalized ratio is 1.
         let r = report(vec![
-            DriftComponent {
-                name: "compute",
-                modeled_ns: 100_000.0,
-                measured_ns: 1_000.0,
-                model_only: false,
-            },
-            DriftComponent {
-                name: "bandwidth",
-                modeled_ns: 50_000.0,
-                measured_ns: 500.0,
-                model_only: false,
-            },
+            DriftComponent { name: "compute", modeled_ns: 100_000.0, measured_ns: 1_000.0 },
+            DriftComponent { name: "bandwidth", modeled_ns: 50_000.0, measured_ns: 500.0 },
         ]);
         assert!(r.flagged().is_empty(), "{:?}", r.flagged());
         assert!((r.overall_ratio() - 100.0).abs() < 1e-9);
@@ -261,24 +227,9 @@ mod tests {
     fn a_mispriced_component_is_flagged() {
         // Bandwidth drifts 10x beyond the run's overall factor.
         let r = report(vec![
-            DriftComponent {
-                name: "compute",
-                modeled_ns: 100_000.0,
-                measured_ns: 1_000.0,
-                model_only: false,
-            },
-            DriftComponent {
-                name: "compute2",
-                modeled_ns: 100_000.0,
-                measured_ns: 1_000.0,
-                model_only: false,
-            },
-            DriftComponent {
-                name: "bandwidth",
-                modeled_ns: 1_000_000.0,
-                measured_ns: 500.0,
-                model_only: false,
-            },
+            DriftComponent { name: "compute", modeled_ns: 100_000.0, measured_ns: 1_000.0 },
+            DriftComponent { name: "compute2", modeled_ns: 100_000.0, measured_ns: 1_000.0 },
+            DriftComponent { name: "bandwidth", modeled_ns: 1_000_000.0, measured_ns: 500.0 },
         ]);
         let flagged = r.flagged();
         assert_eq!(flagged.len(), 1);
@@ -292,18 +243,8 @@ mod tests {
     fn zero_modeled_with_real_wall_is_flagged() {
         // The model prices a component at zero that measurably costs time.
         let r = report(vec![
-            DriftComponent {
-                name: "compute",
-                modeled_ns: 100_000.0,
-                measured_ns: 1_000.0,
-                model_only: false,
-            },
-            DriftComponent {
-                name: "bandwidth",
-                modeled_ns: 0.0,
-                measured_ns: 1_000.0,
-                model_only: false,
-            },
+            DriftComponent { name: "compute", modeled_ns: 100_000.0, measured_ns: 1_000.0 },
+            DriftComponent { name: "bandwidth", modeled_ns: 0.0, measured_ns: 1_000.0 },
         ]);
         assert_eq!(r.flagged().len(), 1);
         assert_eq!(r.flagged()[0].name, "bandwidth");
@@ -311,12 +252,7 @@ mod tests {
 
     #[test]
     fn idle_components_are_never_flagged() {
-        let r = report(vec![DriftComponent {
-            name: "hidden",
-            modeled_ns: 0.0,
-            measured_ns: 0.0,
-            model_only: false,
-        }]);
+        let r = report(vec![DriftComponent { name: "idle", modeled_ns: 0.0, measured_ns: 0.0 }]);
         assert!(r.flagged().is_empty());
         assert_eq!(r.components[0].ratio(), 1.0);
     }
@@ -324,20 +260,10 @@ mod tests {
     #[test]
     fn unmeasured_components_render_as_dash_and_null_never_inf() {
         // The sequential engine records no comm-post/comm-drain span, the
-        // overlap engine no pack/unpack: modeled > 0, nothing measured.
+        // threaded engine no pack/unpack: modeled > 0, nothing measured.
         let r = report(vec![
-            DriftComponent {
-                name: "compute",
-                modeled_ns: 100_000.0,
-                measured_ns: 1_000.0,
-                model_only: false,
-            },
-            DriftComponent {
-                name: "msg-latency",
-                modeled_ns: 5.0,
-                measured_ns: 0.0,
-                model_only: false,
-            },
+            DriftComponent { name: "compute", modeled_ns: 100_000.0, measured_ns: 1_000.0 },
+            DriftComponent { name: "msg-latency", modeled_ns: 5.0, measured_ns: 0.0 },
         ]);
         assert!(r.flagged().is_empty(), "no evidence is not drift");
         assert_eq!(r.center_ratio(), 100.0, "the unmeasured component stays out of the median");

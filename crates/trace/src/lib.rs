@@ -4,8 +4,8 @@
 //!
 //! The simulator's evaluation layer reasons from aggregate counters
 //! ([`hpf-runtime`'s `AggStats`]), but attributing a step's wall time on
-//! each PE — how long packs took, how much of a drain hid behind interior
-//! compute — needs measurement. This crate is that observability layer:
+//! each PE — how long packs took, how long a PE waited in a drain — needs
+//! measurement. This crate is that observability layer:
 //!
 //! * [`Tracer`] — a per-PE span recorder. Each worker thread owns exactly
 //!   one tracer (single writer), so recording is lock-free by construction:
@@ -17,11 +17,11 @@
 //!   branch — no clock read, no write — so instrumented code paths cost
 //!   nothing measurable.
 //! * [`SpanKind`] — the span taxonomy: compile passes, schedule builds,
-//!   kernel compiles, pack/unpack, comm post/drain, interior/boundary
-//!   sweeps, whole compute sweeps, and step envelopes.
-//! * [`Fold`] — per-kind count, wall [`Histogram`], modeled and hidden
-//!   nanoseconds: the one aggregation of span events, updated online by
-//!   the tracer and replayed offline by [`Trace::summary`].
+//!   kernel compiles, pack/unpack, comm post/drain, whole compute sweeps,
+//!   supersteps, and step envelopes.
+//! * [`Fold`] — one wall [`Histogram`] per kind: the one aggregation of
+//!   span events, updated online by the tracer and replayed offline by
+//!   [`Trace::summary`].
 //! * [`Trace`] / [`Track`] — the collected timeline: one track per PE plus
 //!   driver/compile tracks, all sharing one process-wide epoch
 //!   ([`now_ns`]) so cross-thread timestamps line up.
@@ -30,8 +30,7 @@
 //!   the bundled mini JSON parser ([`json`]) — which doubles as the
 //!   workspace's shared JSON module (`hpf-tune` reads and writes its
 //!   on-disk tuning cache through it). [`TraceSummary`] is its per-track
-//!   aggregate view, including the trace-derived hidden-communication
-//!   credit ([`TraceSummary::hidden_comm_ns`]).
+//!   aggregate view.
 //! * [`MetricsSnapshot`] — the folds of a run frozen for export with its
 //!   [`StepSeries`] (JSON `hpf-metrics/v1`, Prometheus text, tables), and
 //!   [`DriftReport`] — the cost model's components joined against the
@@ -51,7 +50,7 @@ pub mod summary;
 pub mod table;
 
 pub use drift::{DriftComponent, DriftReport};
-pub use fold::{Fold, KindStats};
+pub use fold::Fold;
 pub use histogram::Histogram;
 pub use sample::{StepSample, StepSeries};
 pub use snapshot::MetricsSnapshot;

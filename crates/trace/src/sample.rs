@@ -17,8 +17,8 @@ pub struct StepSample {
     pub step: u64,
     /// Wall nanoseconds for the whole step (driver view).
     pub wall_ns: u64,
-    /// Wall ns in compute spans (interpreter sweeps, kernel executions,
-    /// interior and boundary sweeps), summed over PEs.
+    /// Wall ns in compute spans (interpreter sweeps and kernel
+    /// executions), summed over PEs.
     pub compute_ns: u64,
     /// Wall ns packing and unpacking halo buffers, summed over PEs.
     pub pack_ns: u64,
@@ -26,9 +26,6 @@ pub struct StepSample {
     pub send_ns: u64,
     /// Wall ns draining receives, summed over PEs.
     pub drain_ns: u64,
-    /// Wall ns in boundary-strip sweeps alone (also included in
-    /// `compute_ns`; split out because overlap quality is about this).
-    pub boundary_ns: u64,
     /// Wall ns inside superstep envelopes, summed over PEs.
     pub superstep_ns: u64,
     /// Bytes sent between PEs during the step.
@@ -50,10 +47,9 @@ impl StepSample {
     pub fn add_pe(&mut self, wall: &[u64; NUM_KINDS]) {
         use SpanKind::*;
         let w = |k: SpanKind| wall[k as usize];
-        let compute = w(Compute) + w(KernelExec) + w(Interior) + w(Boundary);
+        let compute = w(Compute) + w(KernelExec);
         let pack = w(Pack) + w(Unpack);
         self.compute_ns += compute;
-        self.boundary_ns += w(Boundary);
         self.pack_ns += pack;
         self.send_ns += w(CommPost);
         self.drain_ns += w(CommDrain);
@@ -166,7 +162,7 @@ mod tests {
         let mut wall = [0u64; NUM_KINDS];
         for (k, ns) in [
             (SpanKind::KernelExec, 300),
-            (SpanKind::Boundary, 100),
+            (SpanKind::Compute, 100),
             (SpanKind::Pack, 40),
             (SpanKind::Unpack, 10),
             (SpanKind::CommPost, 20),
@@ -178,7 +174,7 @@ mod tests {
         let mut s = StepSample { wall_ns: 1000, ..Default::default() };
         s.add_pe(&wall);
         s.add_pe(&[0; NUM_KINDS]);
-        assert_eq!((s.compute_ns, s.boundary_ns, s.pack_ns), (400, 100, 50));
+        assert_eq!((s.compute_ns, s.pack_ns), (400, 50));
         assert_eq!((s.send_ns, s.drain_ns, s.superstep_ns), (20, 30, 0));
         assert_eq!(s.busy, vec![0.5, 0.0]);
     }

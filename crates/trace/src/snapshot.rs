@@ -16,7 +16,7 @@ use crate::table::{Align, TextTable};
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// The execution-config label the run used (e.g.
-    /// `threaded-overlap-bytecode`).
+    /// `threaded-bytecode`).
     pub config: String,
     /// Number of PEs.
     pub pes: usize,
@@ -214,7 +214,6 @@ fn series_json(s: &StepSeries) -> Value {
                 ("pack_ns".into(), Value::Number(x.pack_ns as f64)),
                 ("send_ns".into(), Value::Number(x.send_ns as f64)),
                 ("drain_ns".into(), Value::Number(x.drain_ns as f64)),
-                ("boundary_ns".into(), Value::Number(x.boundary_ns as f64)),
                 ("superstep_ns".into(), Value::Number(x.superstep_ns as f64)),
                 ("bytes_moved".into(), Value::Number(x.bytes_moved as f64)),
                 ("imbalance".into(), Value::Number(x.imbalance)),
@@ -237,7 +236,7 @@ mod tests {
     fn fold(spans: &[(SpanKind, u64)]) -> Fold {
         let mut f = Fold::default();
         for &(kind, dur_ns) in spans {
-            f.add(&Event { kind, start_ns: 0, dur_ns, modeled_ns: 0.0, hidden_ns: 0.0 });
+            f.add(&Event { kind, start_ns: 0, dur_ns });
         }
         f
     }
@@ -312,6 +311,6 @@ mod tests {
         assert!(hist.contains("compute"), "{hist}");
         assert!(hist.contains("pack"), "{hist}");
         // Merged: both PEs' compute spans in one row.
-        assert_eq!(s.merged_pe_registry().kind(SpanKind::Compute).wall.count(), 3);
+        assert_eq!(s.merged_pe_registry().kind(SpanKind::Compute).count(), 3);
     }
 }

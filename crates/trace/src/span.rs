@@ -27,25 +27,19 @@ pub enum SpanKind {
     /// Unpacking one message from the staging buffer into its destination
     /// box (receiver side).
     Unpack = 6,
-    /// Posting a comm op's sends (split-phase: pack + enqueue, no wait).
+    /// Posting a comm op's sends (pack + enqueue, no wait).
     CommPost = 7,
     /// Draining a comm op's receives (the blocking half of an exchange).
     CommDrain = 8,
-    /// Interior sweep of a split-phase exchange window (runs while
-    /// messages are in flight).
-    Interior = 9,
-    /// Boundary-strip sweeps of a split-phase exchange window (run after
-    /// the drain).
-    Boundary = 10,
     /// One whole plan step — driver track envelope.
-    Step = 11,
+    Step = 9,
     /// One communication-avoiding superstep: the deep halo exchange plus
     /// the `k` trapezoid sub-step sweeps it amortizes (per-PE tracks).
-    Superstep = 12,
+    Superstep = 10,
 }
 
 /// Number of span kinds (array-index bound for per-kind aggregates).
-pub const NUM_KINDS: usize = 13;
+pub const NUM_KINDS: usize = 11;
 
 impl SpanKind {
     /// Every kind, in `repr` order.
@@ -59,8 +53,6 @@ impl SpanKind {
         SpanKind::Unpack,
         SpanKind::CommPost,
         SpanKind::CommDrain,
-        SpanKind::Interior,
-        SpanKind::Boundary,
         SpanKind::Step,
         SpanKind::Superstep,
     ];
@@ -77,8 +69,6 @@ impl SpanKind {
             SpanKind::Unpack => "unpack",
             SpanKind::CommPost => "comm-post",
             SpanKind::CommDrain => "comm-drain",
-            SpanKind::Interior => "interior",
-            SpanKind::Boundary => "boundary",
             SpanKind::Step => "step",
             SpanKind::Superstep => "superstep",
         }
@@ -89,9 +79,7 @@ impl SpanKind {
         match self {
             SpanKind::Pass | SpanKind::ScheduleBuild | SpanKind::KernelCompile => "compile",
             SpanKind::Pack | SpanKind::Unpack | SpanKind::CommPost | SpanKind::CommDrain => "comm",
-            SpanKind::KernelExec | SpanKind::Compute | SpanKind::Interior | SpanKind::Boundary => {
-                "compute"
-            }
+            SpanKind::KernelExec | SpanKind::Compute => "compute",
             SpanKind::Step | SpanKind::Superstep => "step",
         }
     }
@@ -106,15 +94,6 @@ pub struct Event {
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
-    /// Modeled nanoseconds attributed to the span by the cost model
-    /// (e.g. a drain's modeled receive time, an interior sweep's modeled
-    /// compute time). Zero when the span carries no model attribution.
-    pub modeled_ns: f64,
-    /// Modeled receive nanoseconds hidden behind interior compute —
-    /// nonzero only on [`SpanKind::CommDrain`] spans recorded by the
-    /// split-phase overlap engine (`min(recv_ns, interior_ns)` for the
-    /// window the drain closed).
-    pub hidden_ns: f64,
 }
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -193,40 +172,9 @@ impl Tracer {
     /// Close a span opened at `start_ns` (a [`Tracer::now`] value).
     #[inline]
     pub fn record(&mut self, kind: SpanKind, start_ns: u64) {
-        self.record_modeled(kind, start_ns, 0.0, 0.0);
-    }
-
-    /// Close a span and attach cost-model attribution (`modeled_ns`) and,
-    /// for overlap-window drains, the hidden-communication credit.
-    #[inline]
-    pub fn record_modeled(
-        &mut self,
-        kind: SpanKind,
-        start_ns: u64,
-        modeled_ns: f64,
-        hidden_ns: f64,
-    ) {
-        if self.is_enabled() {
-            self.record_at(kind, start_ns, now_ns(), modeled_ns, hidden_ns);
-        }
-    }
-
-    /// Record a span whose end was observed before its attribution was
-    /// known (the overlap engine measures the drain, then computes the
-    /// hidden credit from counter deltas, then records): both endpoints
-    /// are explicit [`Tracer::now`] values.
-    #[inline]
-    pub fn record_at(
-        &mut self,
-        kind: SpanKind,
-        start_ns: u64,
-        end_ns: u64,
-        modeled_ns: f64,
-        hidden_ns: f64,
-    ) {
         let Some(fold) = self.fold.as_deref_mut() else { return };
-        let dur_ns = end_ns.saturating_sub(start_ns);
-        let ev = Event { kind, start_ns, dur_ns, modeled_ns, hidden_ns };
+        let dur_ns = now_ns().saturating_sub(start_ns);
+        let ev = Event { kind, start_ns, dur_ns };
         fold.add(&ev);
         if let Some(ring) = &mut self.ring {
             if ring.len() < RING_CAPACITY {
@@ -277,8 +225,7 @@ mod tests {
         assert!(!t.is_enabled());
         assert_eq!(t.now(), 0);
         t.record(SpanKind::Pack, 0);
-        t.record_modeled(SpanKind::CommDrain, 0, 10.0, 5.0);
-        t.record_at(SpanKind::Interior, 0, 9, 1.0, 0.0);
+        t.record(SpanKind::CommDrain, 0);
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
         assert!(t.fold().is_none() && !t.has_timeline());
@@ -294,19 +241,17 @@ mod tests {
         let a = t.now();
         t.record(SpanKind::Pack, a);
         let b = t.now();
-        t.record_modeled(SpanKind::CommDrain, b, 42.0, 7.0);
+        t.record(SpanKind::CommDrain, b);
         assert_eq!(t.ring.as_ref().unwrap().len(), 2);
         let (evs, dropped) = t.drain();
         assert_eq!(dropped, 0);
         assert_eq!(evs.len(), 2);
         assert!(evs.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
         assert_eq!(evs[1].kind, SpanKind::CommDrain);
-        assert_eq!(evs[1].modeled_ns, 42.0);
-        assert_eq!(evs[1].hidden_ns, 7.0);
         assert!(t.is_empty());
         assert!(t.is_enabled());
         // Draining the timeline leaves the fold alone.
-        assert_eq!(t.fold().unwrap().kind(SpanKind::CommDrain).hidden_ns, 7.0);
+        assert_eq!(t.fold().unwrap().kind(SpanKind::CommDrain).count(), 1);
     }
 
     #[test]
@@ -315,13 +260,13 @@ mod tests {
         t.enable(true);
         let cap_before = t.ring.as_ref().unwrap().capacity();
         for _ in 0..RING_CAPACITY + 3 {
-            t.record_at(SpanKind::Compute, 0, 1, 0.0, 0.0);
+            t.record(SpanKind::Compute, now_ns());
         }
         assert_eq!(t.ring.as_ref().unwrap().len(), RING_CAPACITY);
         assert_eq!(t.dropped(), 3);
         assert_eq!(t.ring.as_ref().unwrap().capacity(), cap_before);
         // The fold saw every span, dropped from the timeline or not.
-        let seen = t.fold().unwrap().kind(SpanKind::Compute).wall.count();
+        let seen = t.fold().unwrap().kind(SpanKind::Compute).count();
         assert_eq!(seen, RING_CAPACITY as u64 + 3);
     }
 
@@ -330,16 +275,13 @@ mod tests {
         let mut t = Tracer::disabled();
         t.enable(false);
         for _ in 0..RING_CAPACITY + 3 {
-            t.record_at(SpanKind::Pack, 0, 2, 0.0, 0.0);
+            t.record(SpanKind::Pack, 0);
         }
         assert!(t.is_enabled() && !t.has_timeline());
         assert!(t.is_empty() && t.dropped() == 0);
         assert_eq!(t.drain(), (Vec::new(), 0));
-        let pack = &t.fold().unwrap().kind(SpanKind::Pack).wall;
-        assert_eq!(
-            (pack.count(), pack.sum()),
-            (RING_CAPACITY as u64 + 3, 2 * (RING_CAPACITY as u64 + 3))
-        );
+        let pack = &t.fold().unwrap().kind(SpanKind::Pack);
+        assert_eq!(pack.count(), RING_CAPACITY as u64 + 3);
     }
 
     #[test]

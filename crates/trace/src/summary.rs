@@ -55,22 +55,12 @@ pub struct TrackSummary {
 impl TrackSummary {
     /// Span count for one kind.
     pub fn count(&self, k: SpanKind) -> u64 {
-        self.fold.kind(k).wall.count()
+        self.fold.kind(k).count()
     }
 
     /// Total wall nanoseconds for one kind.
     pub fn wall_ns(&self, k: SpanKind) -> u64 {
-        self.fold.kind(k).wall.sum()
-    }
-
-    /// Total modeled nanoseconds for one kind.
-    pub fn modeled_ns(&self, k: SpanKind) -> f64 {
-        self.fold.kind(k).modeled_ns
-    }
-
-    /// Total hidden nanoseconds for one kind.
-    pub fn hidden_ns(&self, k: SpanKind) -> f64 {
-        self.fold.kind(k).hidden_ns
+        self.fold.kind(k).sum()
     }
 
     /// Is this a per-PE track (vs driver/compile)?
@@ -97,15 +87,6 @@ impl TraceSummary {
         self.tracks.iter().filter(|t| t.is_pe()).collect()
     }
 
-    /// The trace-derived hidden-communication view: per PE, the hidden
-    /// credit carried by that PE's overlap-window drain spans. With
-    /// tracing on, this reproduces `AggStats::hidden_comm_ns` exactly —
-    /// both are sums of the same per-window `min(recv_ns, interior_ns)`
-    /// values, one accumulated in a counter, one read back off the spans.
-    pub fn hidden_comm_ns(&self) -> Vec<f64> {
-        self.pe_tracks().iter().map(|t| t.hidden_ns(SpanKind::CommDrain)).collect()
-    }
-
     /// Total wall nanoseconds for one kind across all tracks.
     pub fn total_wall_ns(&self, k: SpanKind) -> u64 {
         self.tracks.iter().map(|t| t.wall_ns(k)).sum()
@@ -129,11 +110,9 @@ impl TraceSummary {
     /// drops are never silent in the rendered view.
     pub fn render_table(&self, steps: u64) -> String {
         let steps = steps.max(1) as f64;
-        const COLS: [SpanKind; 8] = [
+        const COLS: [SpanKind; 6] = [
             SpanKind::Compute,
             SpanKind::KernelExec,
-            SpanKind::Interior,
-            SpanKind::Boundary,
             SpanKind::Pack,
             SpanKind::Unpack,
             SpanKind::CommPost,
@@ -144,7 +123,6 @@ impl TraceSummary {
         for k in COLS {
             columns.push((k.label(), Align::Right));
         }
-        columns.push(("hidden", Align::Right));
         let mut table = TextTable::new(&columns);
         for t in self.pe_tracks() {
             let events: u64 = t.fold.hists().map(|(_, h)| h.count()).sum();
@@ -152,15 +130,12 @@ impl TraceSummary {
             for k in COLS {
                 row.push(format!("{:.1}", t.wall_ns(k) as f64 / steps / 1e3));
             }
-            row.push(format!("{:.1}", t.hidden_ns(SpanKind::CommDrain) / steps / 1e3));
             table.row(row);
             if t.dropped > 0 {
                 table.line(format!("  ({} spans dropped: ring full)", t.dropped));
             }
         }
-        table.line(
-            "(per-PE wall microseconds per step; hidden = modeled comm hidden behind interior compute)",
-        );
+        table.line("(per-PE wall microseconds per step)");
         let dropped = self.total_dropped();
         if dropped > 0 {
             table.line(format!(
@@ -177,7 +152,7 @@ mod tests {
     use super::*;
 
     fn ev(kind: SpanKind, start: u64, dur: u64) -> Event {
-        Event { kind, start_ns: start, dur_ns: dur, modeled_ns: 0.0, hidden_ns: 0.0 }
+        Event { kind, start_ns: start, dur_ns: dur }
     }
 
     fn sample() -> Trace {
@@ -192,27 +167,15 @@ mod tests {
                     name: "PE 0".into(),
                     events: vec![
                         ev(SpanKind::Pack, 120, 30),
-                        ev(SpanKind::Interior, 160, 200),
-                        Event {
-                            kind: SpanKind::CommDrain,
-                            start_ns: 360,
-                            dur_ns: 50,
-                            modeled_ns: 400.0,
-                            hidden_ns: 250.0,
-                        },
-                        ev(SpanKind::Boundary, 420, 60),
+                        ev(SpanKind::KernelExec, 160, 200),
+                        ev(SpanKind::CommDrain, 360, 50),
+                        ev(SpanKind::Superstep, 420, 60),
                     ],
                     dropped: 2,
                 },
                 Track {
                     name: "PE 1".into(),
-                    events: vec![Event {
-                        kind: SpanKind::CommDrain,
-                        start_ns: 300,
-                        dur_ns: 40,
-                        modeled_ns: 100.0,
-                        hidden_ns: 100.0,
-                    }],
+                    events: vec![ev(SpanKind::CommDrain, 300, 40)],
                     dropped: 0,
                 },
             ],
@@ -225,17 +188,10 @@ mod tests {
         assert_eq!(s.tracks.len(), 3);
         let pe0 = s.track("PE 0").unwrap();
         assert_eq!(pe0.count(SpanKind::Pack), 1);
-        assert_eq!(pe0.wall_ns(SpanKind::Interior), 200);
-        assert_eq!(pe0.modeled_ns(SpanKind::CommDrain), 400.0);
+        assert_eq!(pe0.wall_ns(SpanKind::KernelExec), 200);
         assert_eq!(pe0.dropped, 2);
         assert_eq!(s.total_wall_ns(SpanKind::CommDrain), 90);
         assert_eq!(s.total_count(SpanKind::CommDrain), 2);
-    }
-
-    #[test]
-    fn hidden_view_is_per_pe_drain_credit() {
-        let s = sample().summary();
-        assert_eq!(s.hidden_comm_ns(), vec![250.0, 100.0]);
     }
 
     #[test]
@@ -253,7 +209,7 @@ mod tests {
         assert!(table.contains("PE 0"));
         assert!(table.contains("PE 1"));
         assert!(table.contains("dropped"));
-        assert!(table.contains("interior"));
+        assert!(table.contains("comm-drain"));
         assert!(table.contains("warning: 2 spans lost"), "{table}");
         assert!(table.contains("truncated at 65536 events per track"), "{table}");
         assert!(!table.contains("TraceConfig"), "{table}");

@@ -5,9 +5,8 @@
 //! The compilation pipeline fixes *what* a stencil computes; this crate
 //! picks *how to run it*. For a (kernel, machine, problem-size) triple the
 //! [`Tuner`] enumerates the legal configuration space — every PE-grid
-//! factorization of the core count, every engine (`seq`/`threaded`/
-//! `threaded-overlap`), and the superstep depths the kernel is eligible
-//! for — prunes it with the machine's analytic cost model (one model probe
+//! factorization of the core count, both engines (`seq`/`threaded`), and
+//! the superstep depths the kernel is eligible for — prunes it with the machine's analytic cost model (one model probe
 //! per *counter class*, see [`Tuner::best`]), then empirically times the
 //! top-K surviving candidates with short warm-state plan runs (one warmup
 //! step, then min-of-R timed steps, reusing [`hpf_exec::ExecPlan`] so
@@ -103,7 +102,6 @@ pub struct Tuner {
     top_k: usize,
     reps: usize,
     cache: Option<PathBuf>,
-    allow_overlap: bool,
     supersteps: Vec<usize>,
 }
 
@@ -112,15 +110,13 @@ impl Tuner {
     /// candidates with min-of-3 step timings, consider
     /// communication-avoiding superstep depths {1, 2, 4, 8}
     /// (depths the kernel is ineligible for are dropped before the search),
-    /// allow the split-phase overlap engine, and persist decisions in
-    /// [`DEFAULT_CACHE_FILE`].
+    /// and persist decisions in [`DEFAULT_CACHE_FILE`].
     pub fn new(base: MachineConfig) -> Tuner {
         Tuner {
             base,
             top_k: 8,
             reps: 3,
             cache: Some(PathBuf::from(DEFAULT_CACHE_FILE)),
-            allow_overlap: true,
             supersteps: vec![1, 2, 4, 8],
         }
     }
@@ -147,21 +143,6 @@ impl Tuner {
     pub fn no_cache(mut self) -> Tuner {
         self.cache = None;
         self
-    }
-
-    /// Gate the split-phase overlap engine (callers pass `false` when the
-    /// kernel's halo-safety lints are not clean, exactly as they would for
-    /// a manual [`hpf_exec::Engine::ThreadedOverlap`] choice).
-    pub fn allow_overlap(mut self, allow: bool) -> Tuner {
-        self.allow_overlap = allow;
-        self
-    }
-
-    /// Whether the split-phase overlap engine is currently in the search
-    /// space (callers compose this with their own gates, e.g. the
-    /// halo-safety lints).
-    pub fn overlap_allowed(&self) -> bool {
-        self.allow_overlap
     }
 
     /// The communication-avoiding superstep depths to search (default
@@ -191,12 +172,9 @@ impl Tuner {
     /// otherwise enumerate the space, prune with one cost-model probe per
     /// counter class, empirically time the top-K survivors, persist the
     /// winner, and return the full candidate table. The model reads only
-    /// the per-PE counters and the split-phase hidden-receive credit, so
-    /// per (grid, depth) `seq` and `threaded` are one class, probed on the
-    /// sequential engine (no worker pool is started to read counters), and
-    /// `threaded-overlap` is its own class only when its built plan fused
-    /// a split-phase window — without one it earns no credit and inherits
-    /// the blocking class's number.
+    /// the per-PE counters, which both engines produce identically, so per
+    /// (grid, depth) `seq` and `threaded` are one class, probed on the
+    /// sequential engine (no worker pool is started to read counters).
     ///
     /// Candidates whose plan cannot be built (e.g. an illegal distribution
     /// for that mesh) are kept in the table with infinite modeled time but
@@ -247,31 +225,21 @@ impl Tuner {
             });
         }
 
-        let mut candidates = enumerate(pes, rank, self.allow_overlap, &depths);
+        let mut candidates = enumerate(pes, rank, &depths);
 
-        // Model-probe pruning, one probe per counter class: the blocking
-        // class of each (grid, depth) once, then the overlap candidates
-        // that fused a window. A failed build prices as infinity.
-        let mut blocking = BTreeMap::new();
-        let mut probes = 0usize;
+        // Model-probe pruning, one probe per counter class: each (grid,
+        // depth) once. A failed build prices as infinity.
+        let mut classes = BTreeMap::new();
         let mut first_err: Option<RtError> = None;
         for c in &mut candidates {
-            let mut probe = |engine| {
-                let ms = self.model_probe(node, c, engine).unwrap_or_else(|e| {
+            c.modeled_ms = *classes.entry((c.grid.clone(), c.superstep)).or_insert_with(|| {
+                self.model_probe(node, c).unwrap_or_else(|e| {
                     first_err.get_or_insert(e);
-                    Some(f64::INFINITY)
-                });
-                probes += ms.is_some() as usize;
-                ms
-            };
-            let ms = *blocking
-                .entry((c.grid.clone(), c.superstep))
-                .or_insert_with(|| probe(Engine::Sequential).unwrap_or(f64::INFINITY));
-            c.modeled_ms = match c.engine {
-                Engine::ThreadedOverlap if ms.is_finite() => probe(c.engine).unwrap_or(ms),
-                _ => ms,
-            };
+                    f64::INFINITY
+                })
+            });
         }
+        let probes = classes.len();
         candidates.sort_by(|a, b| {
             a.modeled_ms.total_cmp(&b.modeled_ms).then_with(|| a.label().cmp(&b.label()))
         });
@@ -376,26 +344,17 @@ impl Tuner {
         cfg
     }
 
-    /// One cost-model probe: build `c`'s plan for `engine`, reset the
-    /// counters so plan-build costs are excluded, run one step, and read
-    /// the modeled per-step time, normalized per logical step so
-    /// driver-stepped superstep plans compete fairly with depth 1. `None`
-    /// (nothing stepped) for an overlap plan that fused no window.
-    fn model_probe(
-        &self,
-        node: &NodeProgram,
-        c: &Candidate,
-        engine: Engine,
-    ) -> Result<Option<f64>, RtError> {
+    /// One cost-model probe: build `c`'s plan on the sequential engine,
+    /// reset the counters so plan-build costs are excluded, run one step,
+    /// and read the modeled per-step time, normalized per logical step so
+    /// driver-stepped superstep plans compete fairly with depth 1.
+    fn model_probe(&self, node: &NodeProgram, c: &Candidate) -> Result<f64, RtError> {
         let mut machine = Machine::new(self.candidate_machine(node, c));
-        let cfg = c.exec_config().engine(engine);
+        let cfg = c.exec_config().engine(Engine::Sequential);
         let mut plan = ExecPlan::build(&mut machine, node, &cfg)?;
-        if engine == Engine::ThreadedOverlap && plan.overlap_windows_per_step() == 0 {
-            return Ok(None);
-        }
         machine.reset_stats();
         plan.step(&mut machine);
-        Ok(Some(machine.modeled_time_ms() / plan.logical_steps_per_step() as f64))
+        Ok(machine.modeled_time_ms() / plan.logical_steps_per_step() as f64)
     }
 }
 
@@ -489,15 +448,10 @@ END
     }
 
     #[test]
-    fn overlap_gate_removes_the_split_phase_engine() {
+    fn exhaustive_search_times_every_buildable_candidate() {
         let node = node_for(12);
-        let tuner = Tuner::new(MachineConfig::grid([2, 2]))
-            .no_cache()
-            .allow_overlap(false)
-            .exhaustive()
-            .reps(1);
+        let tuner = Tuner::new(MachineConfig::grid([2, 2])).no_cache().exhaustive().reps(1);
         let out = tuner.best(&node, "s").unwrap();
-        assert!(out.candidates.iter().all(|c| c.engine != Engine::ThreadedOverlap));
         // Deep-superstep candidates whose halo cannot fit the 12-point
         // subgrids fail to build; exhaustive times everything buildable.
         let buildable = out.candidates.iter().filter(|c| c.modeled_ms.is_finite()).count();
@@ -535,27 +489,26 @@ END
 
     #[test]
     fn rendered_rows_tell_every_candidate_apart() {
-        // 3 grids x 3 engines x 4 depths: grid, config and the `ss` column
+        // 3 grids x 2 engines x 4 depths: grid, config and the `ss` column
         // together must name each candidate, or rows that differ only in
         // depth read as repeats.
         let tuner = Tuner::new(MachineConfig::grid([2, 2])).no_cache().top_k(1).reps(1);
         let out = tuner.best(&node_for(16), "s").unwrap();
-        assert_eq!(out.candidates.len(), 36);
+        assert_eq!(out.candidates.len(), 24);
         assert!(out.candidates.iter().all(|c| c.exec_config().backend == Backend::Bytecode));
-        // One probe per counter class: 12 blocking (grid, depth) classes,
-        // plus the overlap plans that fused a window — never one per
-        // candidate.
-        assert!((12..=24).contains(&out.probes), "{} probes", out.probes);
+        // One probe per counter class, the 12 (grid, depth) pairs — never
+        // one per candidate.
+        assert_eq!(out.probes, 12);
         let table = out.render_table();
         let mut lines = table.lines();
         let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
         assert_eq!(header[..3], ["grid", "config", "ss"], "{table}");
         let mut names: Vec<Vec<&str>> =
             lines.map(|l| l.trim_start_matches('*').split_whitespace().take(3).collect()).collect();
-        assert_eq!(names.len(), 36, "{table}");
+        assert_eq!(names.len(), 24, "{table}");
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), 36, "two rows name the same candidate:\n{table}");
+        assert_eq!(names.len(), 24, "two rows name the same candidate:\n{table}");
     }
 
     #[test]
@@ -601,9 +554,10 @@ END
             };
             TuneCache { entries: vec![entry] }.store(&path).unwrap();
         };
-        // A v3 file the parent wrote with an interpreter winner: outside
-        // the space now — searched afresh, and the entry rewritten.
-        for stale in ["seq", "threaded", "threaded-overlap-interp"] {
+        // A v3 file the parent wrote with an interpreter winner, or one
+        // naming the deleted split-phase engine: outside the space now —
+        // searched afresh, and the entry rewritten.
+        for stale in ["seq", "threaded", "threaded-overlap-interp", "threaded-overlap-bytecode"] {
             write(stale);
             let out = tuner.best(&node, "s").unwrap();
             assert!(!out.cache_hit && out.timed > 0, "{stale} must not warm-hit");

@@ -83,25 +83,14 @@ pub fn factorizations(pes: usize, rank: usize) -> Vec<Vec<usize>> {
 
 /// Enumerate the full candidate space for `pes` processors arranged in
 /// rank-`rank` meshes: every grid factorization × every engine × every
-/// communication-avoiding superstep depth in `supersteps`. The split-phase
-/// threaded-overlap engine is included only when `allow_overlap` (callers
-/// gate it on the halo-safety lints, exactly like manual engine choice);
-/// callers pass only superstep depths the kernel is eligible for (an empty
-/// slice means the classic depth 1). Modeled and measured fields start unset.
-pub fn enumerate(
-    pes: usize,
-    rank: usize,
-    allow_overlap: bool,
-    supersteps: &[usize],
-) -> Vec<Candidate> {
-    let mut engines = vec![Engine::Sequential, Engine::Threaded];
-    if allow_overlap {
-        engines.push(Engine::ThreadedOverlap);
-    }
+/// communication-avoiding superstep depth in `supersteps`. Callers pass
+/// only superstep depths the kernel is eligible for (an empty slice means
+/// the classic depth 1). Modeled and measured fields start unset.
+pub fn enumerate(pes: usize, rank: usize, supersteps: &[usize]) -> Vec<Candidate> {
     let depths: &[usize] = if supersteps.is_empty() { &[1] } else { supersteps };
     let mut out = Vec::new();
     for grid in factorizations(pes, rank) {
-        for &engine in &engines {
+        for engine in [Engine::Sequential, Engine::Threaded] {
             for &superstep in depths {
                 out.push(Candidate {
                     grid: grid.clone(),
@@ -133,19 +122,15 @@ mod tests {
 
     #[test]
     fn enumerate_counts_the_matrix() {
-        // 3 grids x 3 engines = 9.
-        let cands = enumerate(4, 2, true, &[1]);
-        assert_eq!(cands.len(), 3 * 3);
-        // Without overlap the split-phase engine disappears entirely.
-        let blocking = enumerate(4, 2, false, &[1]);
-        assert_eq!(blocking.len(), 3 * 2);
-        assert!(blocking.iter().all(|c| c.engine != Engine::ThreadedOverlap));
+        // 3 grids x 2 engines = 6.
+        let cands = enumerate(4, 2, &[1]);
+        assert_eq!(cands.len(), 3 * 2);
         // Superstep depths multiply the whole matrix; empty means depth 1.
-        let deep = enumerate(4, 2, true, &[1, 2, 4]);
+        let deep = enumerate(4, 2, &[1, 2, 4]);
         assert_eq!(deep.len(), 3 * cands.len());
-        assert_eq!(enumerate(4, 2, true, &[1, 2, 4, 8]).len(), 36, "Problem 9 on 4 PEs");
-        assert_eq!(enumerate(4, 2, true, &[]).len(), cands.len());
-        assert!(enumerate(4, 2, true, &[]).iter().all(|c| c.superstep == 1));
+        assert_eq!(enumerate(4, 2, &[1, 2, 4, 8]).len(), 24, "Problem 9 on 4 PEs");
+        assert_eq!(enumerate(4, 2, &[]).len(), cands.len());
+        assert!(enumerate(4, 2, &[]).iter().all(|c| c.superstep == 1));
     }
 
     #[test]

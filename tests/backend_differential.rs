@@ -1,11 +1,11 @@
 //! Differential testing of the compiled-kernel backend: any kernel, at any
 //! pipeline stage, on any grid, must produce **bitwise-identical** results
-//! under the bytecode backend and the tree interpreter, on the sequential,
-//! threaded, and split-phase threaded-overlap engines — the interpreter on
-//! the sequential engine is the oracle everything else is checked against.
-//! Per-PE operation counters must agree too, since the bytecode VM
-//! bulk-counts the same loads/stores/flops/iters and the overlap engine
-//! computes the same points through the same schedules, merely reordered.
+//! under the bytecode backend and the tree interpreter, on the sequential
+//! and threaded engines — the interpreter on the sequential engine is the
+//! oracle everything else is checked against. Per-PE operation counters
+//! must agree too, since the bytecode VM bulk-counts the same
+//! loads/stores/flops/iters and the threaded engine runs the same
+//! schedules.
 
 use hpf_bench::workload::{generate, WorkloadSpec};
 use hpf_stencil::passes::{CompileOptions, Stage};
@@ -13,13 +13,11 @@ use hpf_stencil::runtime::PeStats;
 use hpf_stencil::{presets, AggStats, Backend, Engine, Kernel, MachineConfig};
 use proptest::prelude::*;
 
-const COMBOS: [(Engine, Backend); 6] = [
+const COMBOS: [(Engine, Backend); 4] = [
     (Engine::Sequential, Backend::Interp),
     (Engine::Sequential, Backend::Bytecode),
     (Engine::Threaded, Backend::Interp),
     (Engine::Threaded, Backend::Bytecode),
-    (Engine::ThreadedOverlap, Backend::Interp),
-    (Engine::ThreadedOverlap, Backend::Bytecode),
 ];
 
 /// Run one (engine, backend) combination; return the gathered outputs (only
@@ -65,7 +63,7 @@ proptest! {
 
     /// The headline invariant of the codegen backend: random stencil
     /// kernels (shift chains, EOSHIFT boundaries, WHERE masks, accumulation
-    /// statements, time loops) are bitwise-equal across all six
+    /// statements, time loops) are bitwise-equal across all four
     /// engine × backend combinations, with identical per-PE counters.
     #[test]
     fn random_kernels_bitwise_equal_across_backends(
@@ -112,11 +110,10 @@ fn problem9_bitwise_equal_every_stage_and_combo() {
 
 #[test]
 fn lint_dirty_kernel_takes_fallback_yet_stays_bitwise_equal() {
-    // Deleting an OVERLAP_SHIFT makes the kernel halo-unsafe (HS001), so
-    // the overlap engine's lint gate must refuse to split it and fall back
-    // to the blocking plan. All engines then execute the *same* broken node
-    // program — results still agree bitwise across every combination (they
-    // are wrong relative to the source semantics, but identically so).
+    // Deleting an OVERLAP_SHIFT makes the kernel halo-unsafe (HS001). All
+    // engines still execute the *same* broken node program — results agree
+    // bitwise across every combination (they are wrong relative to the
+    // source semantics, but identically so).
     let mut kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     assert!(kernel.drop_overlap_shift(0), "Problem 9 has shifts to drop");
     assert!(
@@ -304,7 +301,7 @@ fn non_dividing_grid_compiles_one_kernel_per_layout() {
     let grid = [3, 3];
     let (want, want_stats) = run_combo(&kernel, &grid, Engine::Sequential, Backend::Interp, &["T"]);
     let (u, t) = (kernel.array_id("U").unwrap(), kernel.array_id("T").unwrap());
-    for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+    for engine in [Engine::Sequential, Engine::Threaded] {
         let run = kernel
             .runner(MachineConfig::with_grid(grid.to_vec()))
             .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())

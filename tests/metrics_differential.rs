@@ -6,8 +6,7 @@
 //! the sampler may read the trace rings but never perturb execution.
 //! The drift report must reconcile exactly with its sources: its
 //! `modeled_time_ns` equals `CostModel::modeled_time_ns` on the run's
-//! aggregate counters and its `hidden_comm_ns` equals the sum of
-//! `AggStats::hidden_comm_ns`. Metrics alone keep no timeline: trace
+//! aggregate counters. Metrics alone keep no timeline: trace
 //! consumers see an untraced run, and the histograms never stop counting
 //! however long the run.
 
@@ -17,13 +16,11 @@ use hpf_stencil::{
 };
 use proptest::prelude::*;
 
-const COMBOS: [(Engine, Backend); 6] = [
+const COMBOS: [(Engine, Backend); 4] = [
     (Engine::Sequential, Backend::Interp),
     (Engine::Sequential, Backend::Bytecode),
     (Engine::Threaded, Backend::Interp),
     (Engine::Threaded, Backend::Bytecode),
-    (Engine::ThreadedOverlap, Backend::Interp),
-    (Engine::ThreadedOverlap, Backend::Bytecode),
 ];
 
 /// Step the kernel `steps` times under `cfg`, initializing `input`;
@@ -95,11 +92,6 @@ fn drift_report_reconciles_with_cost_model_and_counters() {
             drift.modeled_time_ns,
             cost.modeled_time_ns(&agg),
             "modeled total diverged under {engine:?}/{backend:?}"
-        );
-        assert_eq!(
-            drift.hidden_comm_ns,
-            agg.hidden_comm_ns.iter().sum::<f64>(),
-            "hidden credit diverged under {engine:?}/{backend:?}"
         );
         // Every component pairs a finite modeled cost with a finite
         // measured wall; the measured side never exceeds... nothing — it

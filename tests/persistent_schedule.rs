@@ -14,14 +14,11 @@
 //!    through a `StridedBox` (pack, unpack, fill, copy between and within
 //!    subgrids) equals the same region visited one point at a time, in
 //!    row-major order, through `Subgrid::get`/`set`. Decoded, a box gives
-//!    its region back, and `depends_on` over the boxes is the relation the
-//!    plans they were compiled from describe.
+//!    its region back.
 
 use hpf_stencil::ir::{ArrayDecl, ArrayId, Distribution, Rsd, Section, Shape, ShiftKind};
 use hpf_stencil::passes::CompileOptions;
-use hpf_stencil::runtime::schedule::{
-    cshift_plan, overlap_shift_plan, regions_intersect, CommAction, Transfer,
-};
+use hpf_stencil::runtime::schedule::{cshift_plan, overlap_shift_plan, CommAction, Transfer};
 use hpf_stencil::runtime::subgrid::region_len;
 use hpf_stencil::runtime::{MoveKind, Subgrid};
 use hpf_stencil::{Engine, Kernel, Machine, MachineConfig};
@@ -457,57 +454,7 @@ proptest! {
         prop_assert_eq!(m.stats().per_pe, uncompiled.stats().per_pe);
         // Same-PE transfers of a real plan never overwrite their source.
         prop_assert!(sched.transfers.iter().all(|t| t.direct == (t.src_pe == t.dst_pe)));
-
-        // `depends_on` read off the boxes is the relation read off the
-        // plans, for every ordered pair of this schedule and U's unit
-        // exchanges along each dimension, plain and with RSD corners.
-        let exchange = |d: usize, corners: bool| {
-            let mut rsd = Rsd::none(rank);
-            for e in (0..rank).filter(|&e| corners && e != d) {
-                rsd.extend(e, -1);
-                rsd.extend(e, 1);
-            }
-            overlap_shift_plan(&geom, 1, d, Some(&rsd), ShiftKind::Circular, halo).unwrap()
-        };
-        let mut scheds = vec![(sched, plan)];
-        for (d, corners) in (0..rank).flat_map(|d| [(d, false), (d, true)]) {
-            let plan = exchange(d, corners);
-            scheds.push((m.compile_comm(u, u, plan.clone(), MoveKind::Overlap), plan));
-        }
-        for (later, later_plan) in &scheds {
-            for (earlier, earlier_plan) in &scheds {
-                let want = later.src == earlier.dst && reads_what_arrives(later_plan, earlier_plan);
-                prop_assert_eq!(later.depends_on(earlier), want, "{:?} after {:?}", later_plan, earlier_plan);
-            }
-        }
-        if rank > 1 {
-            // Dim-1 sends forward the dim-0 ghost rows' corners, which arrive
-            // by message whenever dim 0 spans two PEs; plain they are disjoint.
-            let spans = (0..geom.grid.dims[0]).filter(|&k| geom.dims[0].extent(k) > 0).count() > 1;
-            prop_assert_eq!(scheds[4].0.depends_on(&scheds[1].0), spans);
-            prop_assert!(!scheds[3].0.depends_on(&scheds[1].0));
-        }
     }
-}
-
-fn transfers(plan: &[CommAction]) -> impl Iterator<Item = &Transfer> {
-    plan.iter().filter_map(|a| match a {
-        CommAction::Transfer(t) => Some(t),
-        CommAction::Fill { .. } => None,
-    })
-}
-
-/// Does some transfer of `later` read, on its sending PE, a region a
-/// message of `earlier` writes there? `CompiledComm::depends_on` on the
-/// plans, as it read them before schedules kept only their boxes.
-fn reads_what_arrives(later: &[CommAction], earlier: &[CommAction]) -> bool {
-    transfers(later).any(|r| {
-        transfers(earlier).any(|w| {
-            w.src_pe != w.dst_pe
-                && w.dst_pe == r.src_pe
-                && regions_intersect(&r.src_local, &w.dst_local)
-        })
-    })
 }
 
 /// A hand-built transfer no planner emits: `U(2:4, :) = U(1:3, :)` inside

@@ -79,7 +79,7 @@ fn a_nest_over_arrays_of_different_shapes_is_refused() {
         let options = CompileOptions::full().check_invariants(false);
         let kernel = Kernel::compile(&src, options).unwrap();
         for grid in [[1, 1], [2, 2]] {
-            for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+            for engine in [Engine::Sequential, Engine::Threaded] {
                 let built = std::panic::catch_unwind(|| {
                     kernel.plan(MachineConfig::grid(grid)).engine(engine).build().err()
                 });
@@ -105,43 +105,42 @@ fn panicking_pe_fails_the_step_and_poisons_the_plan() {
     use std::time::Duration;
 
     let message = |e: Box<dyn std::any::Any + Send>| e.downcast_ref::<String>().cloned();
-    for engine in [Engine::Threaded, Engine::ThreadedOverlap] {
-        // PE 3 runs on a worker thread, PE 0 on the calling one.
-        for victim in [3usize, 0] {
-            let (report, phases) = channel();
-            std::thread::spawn(move || {
-                let kernel = Kernel::compile(&presets::problem9(32), CompileOptions::full())
-                    .expect("Problem 9 compiles");
-                let mut plan = kernel
-                    .plan(MachineConfig::sp2_2x2())
-                    .init("U", |p| (p[0] * 3 + p[1]) as f64 * 0.01)
-                    .engine(engine)
-                    .build()
-                    .expect("plan builds");
-                plan.step();
-                // The victim loses its copy of U: its next exchange panics
-                // before it has sent anything.
-                let u = kernel.array_id("U").expect("U exists").0 as usize;
-                plan.machine.pes[victim].subgrids[u] = None;
-                for _ in 0..2 {
-                    let failed = catch_unwind(AssertUnwindSafe(|| {
-                        plan.step();
-                    }));
-                    report.send(failed.err().and_then(message)).unwrap();
-                }
-                drop(plan);
-                report.send(None).unwrap();
-            });
-            let next = |what: &str| {
-                phases
-                    .recv_timeout(Duration::from_secs(5))
-                    .unwrap_or_else(|_| panic!("{engine:?}, victim PE {victim}: {what} hung"))
-            };
-            let first = next("the failing step").expect("the step must panic with a message");
-            assert!(first.starts_with(&format!("PE {victim} panicked during a step")), "{first}");
-            let second = next("the step after it").expect("a poisoned plan keeps failing");
-            assert_eq!(second, first, "same message, at once");
-            assert_eq!(next("dropping the plan"), None);
-        }
+    let engine = Engine::Threaded;
+    // PE 3 runs on a worker thread, PE 0 on the calling one.
+    for victim in [3usize, 0] {
+        let (report, phases) = channel();
+        std::thread::spawn(move || {
+            let kernel = Kernel::compile(&presets::problem9(32), CompileOptions::full())
+                .expect("Problem 9 compiles");
+            let mut plan = kernel
+                .plan(MachineConfig::sp2_2x2())
+                .init("U", |p| (p[0] * 3 + p[1]) as f64 * 0.01)
+                .engine(engine)
+                .build()
+                .expect("plan builds");
+            plan.step();
+            // The victim loses its copy of U: its next exchange panics
+            // before it has sent anything.
+            let u = kernel.array_id("U").expect("U exists").0 as usize;
+            plan.machine.pes[victim].subgrids[u] = None;
+            for _ in 0..2 {
+                let failed = catch_unwind(AssertUnwindSafe(|| {
+                    plan.step();
+                }));
+                report.send(failed.err().and_then(message)).unwrap();
+            }
+            drop(plan);
+            report.send(None).unwrap();
+        });
+        let next = |what: &str| {
+            phases
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{engine:?}, victim PE {victim}: {what} hung"))
+        };
+        let first = next("the failing step").expect("the step must panic with a message");
+        assert!(first.starts_with(&format!("PE {victim} panicked during a step")), "{first}");
+        let second = next("the step after it").expect("a poisoned plan keeps failing");
+        assert_eq!(second, first, "same message, at once");
+        assert_eq!(next("dropping the plan"), None);
     }
 }

@@ -196,7 +196,7 @@ fn check_matrix_point(
 #[test]
 fn generated_copy_patterns_match_the_oracle_across_the_matrix() {
     const GRIDS: [&[usize]; 4] = [&[1, 1], &[2, 2], &[4, 1], &[3, 2]];
-    const ENGINES: [Engine; 3] = [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap];
+    const ENGINES: [Engine; 2] = [Engine::Sequential, Engine::Threaded];
     for (seed, pattern) in PATTERNS.into_iter().enumerate() {
         // 13 does not divide over 3 or 4 PEs; rank 3 stays small.
         let n = if pattern.rank() == 3 { 7 } else { 13 };
@@ -421,7 +421,7 @@ fn a_rebind_before_a_shift_falls_back_from_the_superstep() {
     assert_eq!(plan.supersteps_per_step(), 0);
     assert!(plan.superstep_diags().iter().any(|d| d.code == "SS009"));
     let mut memo = HashMap::new();
-    for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+    for engine in [Engine::Sequential, Engine::Threaded] {
         check_matrix_point(&kernel, &mut memo, &[2, 2], 2, engine, 2);
     }
 }
@@ -436,7 +436,7 @@ fn rotated_kernels_keep_their_supersteps() {
         let mut classic =
             kernel.plan(grid_of(&[2, 2], rank)).init("U", init_for(0)).build().unwrap();
         classic.iterate(k);
-        for engine in [Engine::Sequential, Engine::Threaded, Engine::ThreadedOverlap] {
+        for engine in [Engine::Sequential, Engine::Threaded] {
             let mut tiled = kernel
                 .plan(grid_of(&[2, 2], rank))
                 .init("U", init_for(0))

@@ -12,13 +12,11 @@ use hpf_stencil::trace::json::{self, Value};
 use hpf_stencil::trace::Trace;
 use hpf_stencil::{presets, Backend, CompileOptions, Engine, ExecConfig, Kernel, MachineConfig};
 
-const COMBOS: [(Engine, Backend); 6] = [
+const COMBOS: [(Engine, Backend); 4] = [
     (Engine::Sequential, Backend::Interp),
     (Engine::Sequential, Backend::Bytecode),
     (Engine::Threaded, Backend::Interp),
     (Engine::Threaded, Backend::Bytecode),
-    (Engine::ThreadedOverlap, Backend::Interp),
-    (Engine::ThreadedOverlap, Backend::Bytecode),
 ];
 
 /// Step Problem 9 `steps` times under `cfg`; return the gathered output,

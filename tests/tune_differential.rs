@@ -12,7 +12,7 @@ use hpf_stencil::passes::loopir::{NodeItem, Unroll};
 use hpf_stencil::runtime::PeStats;
 use hpf_stencil::tune::Candidate;
 use hpf_stencil::{
-    presets, CompileOptions, Engine, ExecConfig, Kernel, Machine, MachineConfig, TuneOutcome, Tuner,
+    presets, CompileOptions, ExecConfig, Kernel, Machine, MachineConfig, TuneOutcome, Tuner,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -130,12 +130,9 @@ fn assert_candidates_verify(kernel: &Kernel, candidates: &[Candidate]) {
 /// The class-sharing rule, checked instead of trusted: every candidate's
 /// modeled time must be bit-equal to what *its own* plan (its engine, its
 /// depth, bytecode) reads when built, stats-reset and stepped once — so
-/// `seq` standing in for `threaded`, an overlap plan with windows probed on
-/// its own, and one without inheriting the blocking number are all exact.
-/// Returns how many overlap candidates carried a window.
-fn assert_modeled_matches_own_plan(kernel: &Kernel, candidates: &[Candidate]) -> usize {
+/// `seq` standing in for `threaded` is exact.
+fn assert_modeled_matches_own_plan(kernel: &Kernel, candidates: &[Candidate]) {
     let node = &kernel.compiled.node;
-    let mut windowed = 0;
     for c in candidates {
         let mut mcfg = c.machine_config(&base_config());
         if let Some(h) = superstep_halo(node, c.superstep).filter(|_| c.superstep > 1) {
@@ -146,7 +143,6 @@ fn assert_modeled_matches_own_plan(kernel: &Kernel, candidates: &[Candidate]) ->
             assert!(c.modeled_ms.is_infinite(), "{} does not build but was priced", c.label());
             continue;
         };
-        windowed += (plan.overlap_windows_per_step() > 0) as usize;
         machine.reset_stats();
         plan.step(&mut machine);
         let own = machine.modeled_time_ms() / plan.logical_steps_per_step() as f64;
@@ -158,7 +154,6 @@ fn assert_modeled_matches_own_plan(kernel: &Kernel, candidates: &[Candidate]) ->
             c.modeled_ms
         );
     }
-    windowed
 }
 
 proptest! {
@@ -185,10 +180,10 @@ proptest! {
 fn problem9_tuned_matches_default_and_all_candidates_verify() {
     let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     let outcome = assert_tuned_matches_default(&kernel);
-    // 4 PEs in rank-2 meshes: 3 factorizations x 3 engines — Problem 9
-    // is lint-clean, so overlap is in play — x 4 superstep depths (the
-    // flat shift chain is eligible at every searched depth), all bytecode.
-    assert_eq!(outcome.candidates.len(), 36);
+    // 4 PEs in rank-2 meshes: 3 factorizations x 2 engines x 4 superstep
+    // depths (the flat shift chain is eligible at every searched depth),
+    // all bytecode.
+    assert_eq!(outcome.candidates.len(), 24);
     assert_candidates_verify(&kernel, &outcome.candidates);
 }
 
@@ -196,20 +191,18 @@ fn problem9_tuned_matches_default_and_all_candidates_verify() {
 fn shared_probes_price_every_candidate_exactly() {
     let p9 = Kernel::compile(&presets::problem9(32), CompileOptions::full()).unwrap();
     let out = p9.tune(&test_tuner().exhaustive()).unwrap();
-    assert_eq!(out.candidates.len(), 36);
-    let windowed = assert_modeled_matches_own_plan(&p9, &out.candidates);
-    // 12 blocking (grid, depth) classes plus one probe per overlap plan
-    // that fused a window: both sides of the overlap rule are exercised,
-    // and the count is pinned — 36 candidates never cost 36 probes.
-    assert_eq!(out.probes, 12 + windowed);
-    assert_eq!(out.probes, 15, "Problem 9 on 4 PEs: only the depth-1 plans carry windows");
+    assert_eq!(out.candidates.len(), 24);
+    assert_modeled_matches_own_plan(&p9, &out.candidates);
+    // One probe per (grid, depth) class, and the count is pinned — 24
+    // candidates never cost 24 probes.
+    assert_eq!(out.probes, 12);
 
     let spec = WorkloadSpec { n: 12, stmts: 2, time_loop: Some(2), ..Default::default() };
     let gen = Kernel::compile(&generate(&spec, 7), CompileOptions::full()).unwrap();
     let out = gen.tune(&test_tuner().exhaustive()).unwrap();
-    let classes = out.candidates.len() / 3;
-    let windowed = assert_modeled_matches_own_plan(&gen, &out.candidates);
-    assert_eq!(out.probes, classes + windowed);
+    let classes = out.candidates.len() / 2;
+    assert_modeled_matches_own_plan(&gen, &out.candidates);
+    assert_eq!(out.probes, classes);
 }
 
 #[test]
@@ -363,14 +356,15 @@ fn auto_config_resolves_through_the_planner_and_counts_in_stats() {
 }
 
 #[test]
-fn lint_dirty_kernel_is_never_tuned_onto_the_overlap_engine() {
+fn a_lint_dirty_kernel_tunes_without_a_lint_gate() {
+    // Tuning runs no lint: a halo-unsafe kernel, no longer eligible for a
+    // superstep, searches every grid on both engines at depth 1, each
+    // candidate priced by its own plan.
     let mut kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     assert!(kernel.drop_overlap_shift(0), "Problem 9 has shifts to drop");
     assert!(hpf_stencil::analysis::has_errors(&kernel.lint()));
     let outcome = kernel.tune(&test_tuner().exhaustive()).unwrap();
-    assert!(
-        outcome.candidates.iter().all(|c| c.engine != Engine::ThreadedOverlap),
-        "halo-unsafe kernels must not see the split-phase engine"
-    );
-    assert_ne!(outcome.best.engine, Engine::ThreadedOverlap);
+    assert_eq!(outcome.candidates.len(), 3 * 2);
+    assert!(outcome.candidates.iter().all(|c| c.superstep == 1));
+    assert_modeled_matches_own_plan(&kernel, &outcome.candidates);
 }

@@ -14,8 +14,7 @@
 //!    registers, forced vectorization, and the accumulator fold's own
 //!    three: a tap pushed outside the envelope, a link reading a register
 //!    nothing wrote, a fold's store aimed at another lane's tap) and of an
-//!    execution plan (cleared drain barriers, widened interior sweeps,
-//!    duplicated buffer posts, widened superstep trapezoids, stale storage
+//!    execution plan (widened superstep trapezoids, stale storage
 //!    bindings, a compiled box's stride or count off by one) is rejected
 //!    with the matching `BV*` / `PL*` diagnostic. A verifier that misses
 //!    the faults it was built to catch is equally useless.
@@ -217,29 +216,6 @@ fn forced_vectorization_is_killed() {
     assert!(applied > 0, "corpus must contain scalar kernels");
 }
 
-/// The 9-point star via shifted temporaries: its overlap windows carry
-/// corner-forwarding drain dependencies, so the plan-level faults below
-/// all have something to corrupt.
-const NINE_POINT16: &str = "\
-PARAM N = 16
-REAL U(N,N), T(N,N), RIP(N,N), RIN(N,N)
-RIP = CSHIFT(U,SHIFT=+1,DIM=1)
-RIN = CSHIFT(U,SHIFT=-1,DIM=1)
-T = U + RIP + RIN + CSHIFT(U,-1,2) + CSHIFT(U,1,2) + CSHIFT(RIP,-1,2) + CSHIFT(RIP,1,2) + CSHIFT(RIN,-1,2) + CSHIFT(RIN,1,2)
-U = T
-";
-
-fn overlapped_plan() -> hpf_stencil::exec::ExecPlan {
-    let kernel = Kernel::compile(NINE_POINT16, CompileOptions::full()).unwrap();
-    let mut machine = Machine::new(MachineConfig::with_grid(vec![2, 2]));
-    let cfg = ExecConfig::new().engine(Engine::ThreadedOverlap).backend(Backend::Bytecode);
-    let plan =
-        hpf_stencil::exec::ExecPlan::build(&mut machine, &kernel.compiled.node, &cfg).unwrap();
-    assert!(plan.overlap_windows_per_step() > 0, "fixture must produce overlap windows");
-    assert!(plan.verify().is_empty(), "compiler-built plan must verify clean");
-    plan
-}
-
 /// Every fold of every body, by index, for the three chain faults below.
 fn for_each_chain(cn: &CompiledNest, mut f: impl FnMut(bool, usize)) {
     let is_chain =
@@ -320,36 +296,6 @@ fn chain_stores_aliasing_another_lanes_tap_are_killed() {
     assert!(applied > 0, "corpus must contain chunked folds with taps");
 }
 
-/// Drain-reorder fault: clearing the barriers that order dependent drains
-/// must trip the happens-before check (PL002).
-#[test]
-fn cleared_drain_barriers_are_killed() {
-    let mut plan = overlapped_plan();
-    assert!(plan.corrupt_clear_barriers(), "fixture must carry drain-order barriers");
-    let diags = plan.verify();
-    assert!(diags.iter().any(|d| d.code == "PL002"), "expected PL002, got {diags:?}");
-}
-
-/// Widening an interior sweep into cells a pending receive writes must
-/// trip the race check (PL001).
-#[test]
-fn widened_interiors_are_killed() {
-    let mut plan = overlapped_plan();
-    assert!(plan.corrupt_widen_interior(), "fixture must have split PEs");
-    let diags = plan.verify();
-    assert!(diags.iter().any(|d| d.code == "PL001"), "expected PL001, got {diags:?}");
-}
-
-/// Posting the same pooled buffer twice without an intervening drain must
-/// trip the aliasing check (PL003).
-#[test]
-fn duplicated_posts_are_killed() {
-    let mut plan = overlapped_plan();
-    assert!(plan.corrupt_duplicate_post(), "fixture must have a post to duplicate");
-    let diags = plan.verify();
-    assert!(diags.iter().any(|d| d.code == "PL003"), "expected PL003, got {diags:?}");
-}
-
 /// Widening a superstep trapezoid makes a fused sub-step claim ghost cells
 /// the deep exchange never filled: the per-PE forward coverage simulation
 /// must trip PL004, at every eligible depth.
@@ -378,9 +324,7 @@ fn widened_trapezoids_are_killed() {
 #[test]
 fn stale_bindings_are_killed() {
     let kernel = Kernel::compile(&presets::jacobi(16, 4), CompileOptions::full()).unwrap();
-    for (engine, k) in
-        [(Engine::Sequential, 1), (Engine::ThreadedOverlap, 1), (Engine::Sequential, 2)]
-    {
+    for (engine, k) in [(Engine::Sequential, 1), (Engine::Threaded, 1), (Engine::Sequential, 2)] {
         let mut machine = Machine::new(MachineConfig::with_grid(vec![2, 2]).halo(k));
         let cfg = ExecConfig::new().engine(engine).backend(Backend::Bytecode).superstep(k);
         let mut plan =
@@ -396,16 +340,14 @@ fn stale_bindings_are_killed() {
 /// A compiled box corrupted in its stride or its count is no longer a
 /// section of its PE's subgrid, or no longer the shape of its transfer's
 /// other box: a checked `ExecPlan::build` must refuse the plan with PL006 —
-/// on a blocking sequential plan, an overlap-window plan and a depth-2
-/// superstep of Problem 9 alike, before any step runs.
+/// on a sequential plan, a threaded plan and a depth-2 superstep of
+/// Problem 9 alike, before any step runs.
 #[test]
 fn corrupted_box_strides_and_counts_are_killed() {
     let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     let node = &kernel.compiled.node;
     let deep = hpf_stencil::exec::superstep_halo(node, 2).expect("Problem 9 tiles at depth 2");
-    for (engine, k) in
-        [(Engine::Sequential, 1), (Engine::ThreadedOverlap, 1), (Engine::Sequential, 2)]
-    {
+    for (engine, k) in [(Engine::Sequential, 1), (Engine::Threaded, 1), (Engine::Sequential, 2)] {
         let cfg = ExecConfig::new()
             .engine(engine)
             .backend(Backend::Bytecode)
@@ -413,8 +355,8 @@ fn corrupted_box_strides_and_counts_are_killed() {
             .check_invariants(true);
         let machine = || Machine::new(MachineConfig::with_grid(vec![2, 2]).halo(deep));
         let plan = hpf_stencil::exec::ExecPlan::build(&mut machine(), node, &cfg).unwrap();
-        let shape = (plan.overlap_windows_per_step() > 0, plan.supersteps_per_step() > 0);
-        assert_eq!(shape, (engine == Engine::ThreadedOverlap, k > 1), "{engine:?} k={k}");
+        let shape = (plan.engine(), plan.supersteps_per_step() > 0);
+        assert_eq!(shape, (engine, k > 1), "{engine:?} k={k}");
         for stride in [true, false] {
             let mut applied = false;
             let built =
@@ -486,13 +428,11 @@ fn a_fault_in_a_shared_kernel_demotes_every_sharer() {
     }
 }
 
-const COMBOS: [(Engine, Backend); 6] = [
+const COMBOS: [(Engine, Backend); 4] = [
     (Engine::Sequential, Backend::Interp),
     (Engine::Sequential, Backend::Bytecode),
     (Engine::Threaded, Backend::Interp),
     (Engine::Threaded, Backend::Bytecode),
-    (Engine::ThreadedOverlap, Backend::Interp),
-    (Engine::ThreadedOverlap, Backend::Bytecode),
 ];
 
 proptest! {
