@@ -172,14 +172,6 @@ pub struct KernelCode {
     pub min_delta: i64,
     /// Most positive flat-index delta any memory operand applies.
     pub max_delta: i64,
-    /// Loads per point of the *source* body (counter accounting matches the
-    /// interpreter even when folding removed ops).
-    pub loads: u64,
-    /// Stores per point of the source body.
-    pub stores: u64,
-    /// Flops per point of the source body (`Bin` + `Neg`, the interpreter's
-    /// counting rule).
-    pub flops: u64,
 }
 
 impl KernelCode {
@@ -529,7 +521,7 @@ impl Lower<'_> {
     /// Drop the loads every reader replaced by a tap and the preloads every
     /// reader replaced by an immediate, move the folds' links into one
     /// table, and size the register file by what is still named.
-    fn finish(mut self, body: &[Instr]) -> KernelCode {
+    fn finish(mut self) -> KernelCode {
         for (q, &(idx, _)) in &self.def_at {
             let all_folded = self.facts.reads.contains_key(q) && self.live.get(q) == Some(&0);
             if all_folded && matches!(self.out[idx], Pre::Op(Op::Load { .. })) {
@@ -566,15 +558,8 @@ impl Lower<'_> {
             min_delta = min_delta.min(d as i64);
             max_delta = max_delta.max(d as i64);
         });
-        let count = |f: fn(&Instr) -> bool| body.iter().filter(|i| f(i)).count() as u64;
-        KernelCode {
-            min_delta,
-            max_delta,
-            loads: count(|i| matches!(i, Instr::Load { .. })),
-            stores: count(|i| matches!(i, Instr::Store { .. })),
-            flops: count(|i| matches!(i, Instr::Bin { .. } | Instr::Neg { .. })),
-            ..code
-        }
+        (code.min_delta, code.max_delta) = (min_delta, max_delta);
+        code
     }
 }
 
@@ -674,7 +659,7 @@ pub fn compile_body(
             },
         }
     }
-    Some(lw.finish(body))
+    Some(lw.finish())
 }
 
 #[cfg(test)]
@@ -820,7 +805,6 @@ mod tests {
         );
         assert!(cx.preloads.is_empty());
         assert_eq!((cx.max_reg, k.min_delta, k.max_delta), (7, -1, 1));
-        assert_eq!((k.loads, k.stores, k.flops), (3, 1, 5), "counters come from the source body");
     }
 
     #[test]
@@ -1010,6 +994,5 @@ mod tests {
         let (k, _) = compile(&body, &[10, 1]);
         assert_eq!(k.min_delta, -10);
         assert_eq!(k.max_delta, 11);
-        assert_eq!((k.loads, k.stores, k.flops), (2, 1, 1));
     }
 }

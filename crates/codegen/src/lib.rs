@@ -56,7 +56,7 @@ mod tests {
     use hpf_ir::expr::CmpOp;
     use hpf_ir::{ArrayDecl, ArrayId, BinOp, Distribution, Section, Shape, ShiftKind};
     use hpf_passes::loopir::{Instr, LoopNest, Unroll};
-    use hpf_runtime::{Machine, MachineConfig, PeStats};
+    use hpf_runtime::{Machine, MachineConfig};
 
     const U: ArrayId = ArrayId(0);
     const T: ArrayId = ArrayId(1);
@@ -97,10 +97,6 @@ mod tests {
         assert_eq!(m.get(T, &[2, 2]), 202.0);
         assert_eq!(m.get(T, &[7, 7]), 707.0);
         assert_eq!(m.get(T, &[1, 1]), 0.0, "outside the space untouched");
-        let agg = m.stats();
-        assert_eq!(agg.total().loads, 36);
-        assert_eq!(agg.total().stores, 36);
-        assert_eq!(agg.total().iters, 36);
     }
 
     #[test]
@@ -135,7 +131,6 @@ mod tests {
         assert_eq!(cn.bodies().0.ops.len(), 1);
         run_all(&mut m, &nest, &[2.5]);
         assert_eq!(m.get(T, &[3, 4]), 2.5 * 304.0);
-        assert_eq!(m.stats().total().flops, 64, "flops counted from the source body");
     }
 
     #[test]
@@ -200,7 +195,6 @@ mod tests {
             }
         }
         assert_eq!(m.get(T, &[8, 1]), 0.0);
-        assert_eq!(m.stats().total().loads, 56);
     }
 
     #[test]
@@ -232,13 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn strided_order_counts_penalty() {
+    fn column_order_copies_every_point() {
         let mut m = machine();
         let mut nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![0, 0]);
         nest.order = vec![1, 0];
         run_all(&mut m, &nest, &[]);
-        let s = m.stats().total();
-        assert_eq!(s.strided_loads, s.loads);
         assert_eq!(m.get(T, &[5, 6]), 506.0);
     }
 
@@ -248,10 +240,10 @@ mod tests {
         let nest = copy_nest(Section::new([(1, 2), (1, 2)]), vec![0, 0]);
         // PE 3 owns (5:8,5:8): no intersection.
         let mut m = m_probe;
-        m.reset_stats();
         let cn = compile_nest(&nest, &m.pes[3], &[]).unwrap();
+        assert_eq!(cn.local_bounds(), None);
         exec_compiled(&mut m.pes[3], &cn);
-        assert_eq!(m.pes[3].stats, PeStats::default());
+        assert!(m.pes[3].subgrid(T).raw().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -895,12 +895,11 @@ mod tests {
             halo: 1,
             order: vec![0],
             factor: 1,
-            jammed: KernelCode { ops, links, min_delta, max_delta, loads: 1, stores: 1, flops: 0 },
+            jammed: KernelCode { ops, links, min_delta, max_delta },
             unit: None,
             arrays: vec![0, 1],
             regs,
             preloads: vec![],
-            strided: false,
             len: 18,
             jam_vec: false,
             unit_vec: false,
@@ -1213,9 +1212,6 @@ mod tests {
             links: vec![],
             min_delta: 0,
             max_delta: 0,
-            loads: 1,
-            stores: 1,
-            flops: 0,
         });
         code_mut(&mut cn).regs = 3;
         assert!(cn.verify().is_empty(), "{:?}", cn.verify());

@@ -26,9 +26,9 @@
 //! strip-register round trip per tap.
 //!
 //! Execution order, operation order, and rounding are identical to the tree
-//! interpreter (`hpf-exec`'s `exec_nest`): results are bitwise equal and the
-//! `PeStats` counters match, because they are derived from the *source*
-//! body with the interpreter's own counting rules.
+//! interpreter (`hpf-exec`'s `exec_nest`): results are bitwise equal. Like
+//! the interpreter, the VM counts nothing: a plan counts what each sweep
+//! does when it is built.
 
 use crate::bytecode::{
     compile_body, reads_before_def, BodyCx, ChainDst, KernelCode, Op, Operand, Slot,
@@ -37,7 +37,7 @@ use hpf_ir::expr::CmpOp;
 use hpf_ir::ArrayId;
 use hpf_ir::BinOp;
 use hpf_passes::loopir::{Instr, LoopNest};
-use hpf_runtime::{PeState, PeStats, Subgrid, VmScratch};
+use hpf_runtime::{PeState, Subgrid, VmScratch};
 use std::sync::Arc;
 
 /// Chunk width of the vectorized row executor: each op runs over this many
@@ -70,8 +70,6 @@ pub(crate) struct NestCode {
     pub(crate) regs: usize,
     /// Constants written once per execution.
     pub(crate) preloads: Vec<(u16, f64)>,
-    /// Innermost loop is not over the storage-contiguous dimension.
-    pub(crate) strided: bool,
     /// Flat length of every referenced subgrid.
     pub(crate) len: usize,
     /// Jammed rows may run through the chunked (vectorized) executor.
@@ -238,7 +236,6 @@ fn compile_code(nest: &LoopNest, sub: &Subgrid, scalars: &[f64]) -> Option<NestC
         arrays: cx.arrays,
         regs: cx.max_reg + 1,
         preloads: cx.preloads,
-        strided: *nest.order.last()? != rank - 1 && rank > 1,
         len,
         jam_vec,
         unit_vec,
@@ -377,8 +374,8 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64]) {
     // so the pointers never alias each other; ops execute strictly in order,
     // so same-array load/store ordering is preserved.
     let code = &*cn.code;
-    pe.with_vm((code.regs.max(1), code.strip_len()), &code.arrays, |regs, strips, arrs, stats| {
-        exec_frame(code, lo, hi, (regs, strips, arrs), stats)
+    pe.with_vm((code.regs.max(1), code.strip_len()), &code.arrays, |regs, strips, arrs| {
+        exec_frame(code, lo, hi, (regs, strips, arrs))
     })
 }
 
@@ -389,7 +386,6 @@ fn exec_frame(
     lo: &[i64],
     hi: &[i64],
     (regs, strips, arrs): (&mut [f64], &mut [f64], &[(*mut f64, usize)]),
-    stats: &mut PeStats,
 ) {
     for &(r, v) in &cn.preloads {
         regs[r as usize] = v;
@@ -410,100 +406,79 @@ fn exec_frame(
         point.iter().zip(&cn.strides).map(|(&l, &s)| (l + cn.halo - 1) * s).sum()
     };
 
-    let mut jammed_execs = 0u64;
-    let mut unit_execs = 0u64;
-    {
-        let mut row = |kernel: &KernelCode,
-                       vec_ok: bool,
-                       base: i64,
-                       count: i64,
-                       step: i64,
-                       execs: &mut u64| {
-            if count <= 0 {
-                return;
-            }
-            *execs += count as u64;
-            let first = base + kernel.min_delta;
-            let last = base + (count - 1) * step + kernel.max_delta;
-            if first >= 0 && (last as u64) < cn.len as u64 {
-                // SAFETY: every flat index this row touches lies in
-                // [first, last] ⊆ [0, len); register and slot indices were
-                // validated at compile time. The chunked executor is only
-                // entered when `vector_safe` proved the op-at-a-time
-                // interleaving unobservable.
-                unsafe {
-                    if vec_ok {
-                        run_row_vec(kernel, arrs, strips, base, count, step)
-                    } else {
-                        run_row::<false>(kernel, arrs, regs, base, count, step)
-                    }
-                }
-            } else {
-                // Out-of-layout access (a halo violation the lints would
-                // flag): run checked, panicking like the interpreter.
-                // SAFETY: register and slot indices were validated at
-                // compile time; CHECKED = true asserts every memory index
-                // before touching it, so no out-of-bounds access occurs.
-                unsafe { run_row::<true>(kernel, arrs, regs, base, count, step) }
-            }
-        };
-
-        if rank == 1 {
-            let n = hi[d0] - lo[d0] + 1;
-            let jam_steps = n / cn.factor;
-            let rest = n - jam_steps * cn.factor;
-            let base = base_of(&[lo[d0]]);
-            let stride = cn.strides[d0];
-            row(&cn.jammed, cn.jam_vec, base, jam_steps, cn.factor * stride, &mut jammed_execs);
-            let ubase = base + jam_steps * cn.factor * stride;
-            let unit = cn.unit.as_ref().unwrap_or(&cn.jammed);
-            row(unit, cn.unit_vec, ubase, rest, stride, &mut unit_execs);
-        } else {
-            // Middle dims: everything between the (possibly unrolled)
-            // outermost loop and the innermost row dimension.
-            let mids: Vec<usize> = cn.order[1..rank - 1].to_vec();
-            let row_len = hi[inner] - lo[inner] + 1;
-            let row_step = cn.strides[inner];
-            let mut point = lo.to_vec();
-            let mut i = lo[d0];
-            while i <= hi[d0] {
-                let use_jammed = i + cn.factor - 1 <= hi[d0];
-                let (kernel, vec_ok, execs) = if use_jammed {
-                    (&cn.jammed, cn.jam_vec, &mut jammed_execs)
+    let mut row = |kernel: &KernelCode, vec_ok: bool, base: i64, count: i64, step: i64| {
+        if count <= 0 {
+            return;
+        }
+        let first = base + kernel.min_delta;
+        let last = base + (count - 1) * step + kernel.max_delta;
+        if first >= 0 && (last as u64) < cn.len as u64 {
+            // SAFETY: every flat index this row touches lies in
+            // [first, last] ⊆ [0, len); register and slot indices were
+            // validated at compile time. The chunked executor is only
+            // entered when `vector_safe` proved the op-at-a-time
+            // interleaving unobservable.
+            unsafe {
+                if vec_ok {
+                    run_row_vec(kernel, arrs, strips, base, count, step)
                 } else {
-                    (cn.unit.as_ref().unwrap_or(&cn.jammed), cn.unit_vec, &mut unit_execs)
-                };
-                point[d0] = i;
-                for &d in &mids {
+                    run_row::<false>(kernel, arrs, regs, base, count, step)
+                }
+            }
+        } else {
+            // Out-of-layout access (a halo violation the lints would
+            // flag): run checked, panicking like the interpreter.
+            // SAFETY: register and slot indices were validated at
+            // compile time; CHECKED = true asserts every memory index
+            // before touching it, so no out-of-bounds access occurs.
+            unsafe { run_row::<true>(kernel, arrs, regs, base, count, step) }
+        }
+    };
+
+    if rank == 1 {
+        let n = hi[d0] - lo[d0] + 1;
+        let jam_steps = n / cn.factor;
+        let rest = n - jam_steps * cn.factor;
+        let base = base_of(&[lo[d0]]);
+        let stride = cn.strides[d0];
+        row(&cn.jammed, cn.jam_vec, base, jam_steps, cn.factor * stride);
+        let ubase = base + jam_steps * cn.factor * stride;
+        let unit = cn.unit.as_ref().unwrap_or(&cn.jammed);
+        row(unit, cn.unit_vec, ubase, rest, stride);
+    } else {
+        // Middle dims: everything between the (possibly unrolled)
+        // outermost loop and the innermost row dimension.
+        let mids: Vec<usize> = cn.order[1..rank - 1].to_vec();
+        let row_len = hi[inner] - lo[inner] + 1;
+        let row_step = cn.strides[inner];
+        let mut point = lo.to_vec();
+        let mut i = lo[d0];
+        while i <= hi[d0] {
+            let use_jammed = i + cn.factor - 1 <= hi[d0];
+            let (kernel, vec_ok) = if use_jammed {
+                (&cn.jammed, cn.jam_vec)
+            } else {
+                (cn.unit.as_ref().unwrap_or(&cn.jammed), cn.unit_vec)
+            };
+            point[d0] = i;
+            for &d in &mids {
+                point[d] = lo[d];
+            }
+            'mids: loop {
+                point[inner] = lo[inner];
+                row(kernel, vec_ok, base_of(&point), row_len, row_step);
+                for idx in (0..mids.len()).rev() {
+                    let d = mids[idx];
+                    point[d] += 1;
+                    if point[d] <= hi[d] {
+                        continue 'mids;
+                    }
                     point[d] = lo[d];
                 }
-                'mids: loop {
-                    point[inner] = lo[inner];
-                    row(kernel, vec_ok, base_of(&point), row_len, row_step, execs);
-                    for idx in (0..mids.len()).rev() {
-                        let d = mids[idx];
-                        point[d] += 1;
-                        if point[d] <= hi[d] {
-                            continue 'mids;
-                        }
-                        point[d] = lo[d];
-                    }
-                    break;
-                }
-                i += if use_jammed { cn.factor } else { 1 };
+                break;
             }
+            i += if use_jammed { cn.factor } else { 1 };
         }
-    }
-
-    // Bulk counters, the interpreter's accounting exactly.
-    let unit_counts = cn.unit.as_ref().unwrap_or(&cn.jammed);
-    let s = stats;
-    s.loads += jammed_execs * cn.jammed.loads + unit_execs * unit_counts.loads;
-    s.stores += jammed_execs * cn.jammed.stores + unit_execs * unit_counts.stores;
-    s.flops += jammed_execs * cn.jammed.flops + unit_execs * unit_counts.flops;
-    s.iters += jammed_execs + unit_execs;
-    if cn.strided {
-        s.strided_loads += jammed_execs * cn.jammed.loads + unit_execs * unit_counts.loads;
     }
 }
 

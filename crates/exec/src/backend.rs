@@ -6,8 +6,8 @@
 //! read-only by the PEs of that layout and their worker threads, and reused
 //! across plan steps. A nest the codegen cannot specialize (see
 //! `hpf_codegen::compile_spmd`) falls back to the interpreter for that
-//! (nest, layout) only. Both backends are bitwise identical and produce the
-//! same per-PE counters; the only observable difference is the
+//! (nest, layout) only. Both backends are bitwise identical, and neither
+//! counts: the plan does, at build; the only observable difference is the
 //! `kernels_compiled` / `kernel_execs` pair in `AggStats`.
 
 use crate::nest::{exec_nest, exec_nest_expanded, expand_bounds};
@@ -56,8 +56,7 @@ pub(crate) fn run_nest(
 /// region by `expand[d] = (below, above)` layers per side — a superstep
 /// trapezoid sub-step sweep, which redundantly recomputes neighbor-owned
 /// cells from deep-halo data. Both backends compute the identical
-/// storage-clamped box (see `exec_nest_expanded`). Returns the number of
-/// redundant (beyond-owned) points computed.
+/// storage-clamped box (see `exec_nest_expanded`).
 #[inline]
 pub(crate) fn run_nest_expanded(
     pe: &mut PeState,
@@ -65,16 +64,12 @@ pub(crate) fn run_nest_expanded(
     kernel: Option<&CompiledNest>,
     scalars: &[f64],
     expand: &[(i64, i64)],
-) -> u64 {
+) {
     match kernel {
         Some(k) => {
-            let Some((lo, hi)) = k.local_bounds() else { return 0 };
-            let (lo, hi) = (lo.to_vec(), hi.to_vec());
-            let (lo_x, hi_x) = expand_bounds(pe, nest, &lo, &hi, expand);
-            let owned: u64 = lo.iter().zip(&hi).map(|(&l, &h)| (h - l + 1) as u64).product();
-            let total: u64 = lo_x.iter().zip(&hi_x).map(|(&l, &h)| (h - l + 1) as u64).product();
-            exec_compiled_over(pe, k, &lo_x, &hi_x);
-            total - owned
+            let Some((lo, hi)) = k.local_bounds() else { return };
+            let (lo, hi) = expand_bounds(pe, nest, lo, hi, expand);
+            exec_compiled_over(pe, k, &lo, &hi);
         }
         None => exec_nest_expanded(pe, nest, scalars, expand),
     }

@@ -99,23 +99,18 @@ pub fn exec_nest(pe: &mut PeState, nest: &LoopNest, scalars: &[f64]) {
 /// cells from deep-halo data, writing the results into this PE's own ghost
 /// storage so later sub-steps can read them without communicating. Callers
 /// must guarantee (superstep legality + PL004) that every read from the
-/// expanded region stays inside allocated storage. Returns the number of
-/// points beyond the unexpanded bounds that were computed (the redundant
-/// work the cost model charges).
+/// expanded region stays inside allocated storage.
 pub fn exec_nest_expanded(
     pe: &mut PeState,
     nest: &LoopNest,
     scalars: &[f64],
     expand: &[(i64, i64)],
-) -> u64 {
+) {
     let Some((lo, hi)) = nest_local_bounds(pe, nest) else {
-        return 0;
+        return;
     };
     let (lo_x, hi_x) = expand_bounds(pe, nest, &lo, &hi, expand);
-    let owned: u64 = lo.iter().zip(&hi).map(|(&l, &h)| (h - l + 1) as u64).product();
-    let total: u64 = lo_x.iter().zip(&hi_x).map(|(&l, &h)| (h - l + 1) as u64).product();
     exec_nest_over(pe, nest, scalars, &lo_x, &hi_x);
-    total - owned
 }
 
 /// The storage-clamped expanded bounds [`exec_nest_expanded`] runs over
@@ -163,10 +158,6 @@ fn exec_nest_over(pe: &mut PeState, nest: &LoopNest, scalars: &[f64], lo: &[i64]
     let max_regs = nest.regs.max(nest.unroll.as_ref().map_or(0, |u| u.unit_regs));
     let mut regs = vec![0.0f64; max_regs.max(1)];
 
-    // Counters (bulk-updated at the end).
-    let mut jammed_execs = 0u64;
-    let mut unit_execs = 0u64;
-
     // Iterate the loops in `order`, outermost first. The unrolled loop (if
     // any) is order[0] with the given factor; remainder points run the unit
     // body.
@@ -197,11 +188,6 @@ fn exec_nest_over(pe: &mut PeState, nest: &LoopNest, scalars: &[f64], lo: &[i64]
         'outer: loop {
             let base = base_of(&point);
             exec_body(pe, body, base, &mut regs);
-            if use_jammed {
-                jammed_execs += 1;
-            } else {
-                unit_execs += 1;
-            }
             // Advance the inner odometer (last of `order` fastest).
             for idx in (0..inner_dims.len()).rev() {
                 let d = inner_dims[idx];
@@ -214,29 +200,6 @@ fn exec_nest_over(pe: &mut PeState, nest: &LoopNest, scalars: &[f64], lo: &[i64]
             break;
         }
         i += step;
-    }
-
-    // Bulk counters.
-    let count = |body: &[Instr]| {
-        let loads = body.iter().filter(|x| matches!(x, Instr::Load { .. })).count() as u64;
-        let stores = body.iter().filter(|x| matches!(x, Instr::Store { .. })).count() as u64;
-        let flops =
-            body.iter().filter(|x| matches!(x, Instr::Bin { .. } | Instr::Neg { .. })).count()
-                as u64;
-        (loads, stores, flops)
-    };
-    let (jl, js, jf) = count(&nest.body);
-    let (ul, us, uf) = nest.unroll.as_ref().map(|u| count(&u.unit_body)).unwrap_or((0, 0, 0));
-    let s = &mut pe.stats;
-    s.loads += jammed_execs * jl + unit_execs * ul;
-    s.stores += jammed_execs * js + unit_execs * us;
-    s.flops += jammed_execs * jf + unit_execs * uf;
-    s.iters += jammed_execs + unit_execs;
-    // Stride penalty: the innermost loop should run over the
-    // storage-contiguous (last) dimension; otherwise every load walks a
-    // large stride (what loop permutation fixes).
-    if *order.last().unwrap() != rank - 1 && rank > 1 {
-        s.strided_loads += jammed_execs * jl + unit_execs * ul;
     }
 }
 
@@ -312,18 +275,12 @@ mod tests {
         assert_eq!(m.get(T, &[7, 7]), 707.0);
         assert_eq!(m.get(T, &[1, 1]), 0.0, "outside the space untouched");
         assert_eq!(m.get(T, &[8, 4]), 0.0);
-        // Each PE computed a 3x3 chunk: loads counted.
-        let agg = m.stats();
-        assert_eq!(agg.total().loads, 36);
-        assert_eq!(agg.total().stores, 36);
-        assert_eq!(agg.total().iters, 36);
     }
 
     #[test]
     fn offset_load_reads_halo() {
         let mut m = machine();
         m.overlap_shift(U, 1, 0, None, hpf_ir::ShiftKind::Circular).unwrap();
-        m.reset_stats();
         let nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![1, 0]);
         for pe in 0..4 {
             exec_nest(&mut m.pes[pe], &nest, &[]);
@@ -352,7 +309,6 @@ mod tests {
             exec_nest(&mut m.pes[pe], &nest, &[2.5]);
         }
         assert_eq!(m.get(T, &[3, 4]), 2.5 * 304.0);
-        assert_eq!(m.stats().total().flops, 64);
     }
 
     #[test]
@@ -381,39 +337,28 @@ mod tests {
             }
         }
         assert_eq!(m.get(T, &[8, 1]), 0.0);
-        // Loads: 7*8 = 56 points, one load each (jammed counts 2).
-        assert_eq!(m.stats().total().loads, 56);
     }
 
     #[test]
-    fn strided_order_counts_penalty() {
+    fn column_order_copies_every_point() {
         let mut m = machine();
         let mut nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![0, 0]);
         nest.order = vec![1, 0]; // innermost = dim 0: strided for row-major
         for pe in 0..4 {
             exec_nest(&mut m.pes[pe], &nest, &[]);
         }
-        let s = m.stats().total();
-        assert_eq!(s.strided_loads, s.loads);
-        // Natural order: no penalty.
-        m.reset_stats();
-        let nest2 = copy_nest(Section::new([(1, 8), (1, 8)]), vec![0, 0]);
-        for pe in 0..4 {
-            exec_nest(&mut m.pes[pe], &nest2, &[]);
-        }
-        assert_eq!(m.stats().total().strided_loads, 0);
+        assert_eq!(m.gather(T), m.gather(U));
     }
 
     #[test]
-    fn expanded_nest_computes_ghost_points_and_counts_them() {
+    fn expanded_nest_computes_ghost_points() {
         let mut m = machine();
         // Full-space copy expanded by the halo depth on every side: each
-        // PE's 4x4 block grows to 6x6 (halo 1), so 20 points per PE are
-        // redundant ghost-region recomputation.
+        // PE's 4x4 block grows to 6x6 (halo 1), writing T's ghost ring.
         let nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![0, 0]);
+        m.overlap_shift(U, 1, 0, None, hpf_ir::ShiftKind::Circular).unwrap();
         for pe in 0..4 {
-            let redundant = exec_nest_expanded(&mut m.pes[pe], &nest, &[], &[(1, 1), (1, 1)]);
-            assert_eq!(redundant, 36 - 16);
+            exec_nest_expanded(&mut m.pes[pe], &nest, &[], &[(1, 1), (1, 1)]);
         }
         // Owned results match the unexpanded sweep.
         for i in 1..=8i64 {
@@ -421,13 +366,8 @@ mod tests {
                 assert_eq!(m.get(T, &[i, j]), (i * 100 + j) as f64, "at ({i},{j})");
             }
         }
-        assert_eq!(m.stats().total().iters, 4 * 36, "expanded points all counted");
-        // Zero expansion is exactly exec_nest.
-        let mut m2 = machine();
-        for pe in 0..4 {
-            assert_eq!(exec_nest_expanded(&mut m2.pes[pe], &nest, &[], &[(0, 0), (0, 0)]), 0);
-        }
-        assert_eq!(m2.stats().total().iters, 64);
+        // PE 0's ghost row below its block holds the neighbour's row 5.
+        assert_eq!(m.pes[0].subgrid(T).get(&[5, 2]), 502.0);
     }
 
     #[test]
@@ -436,6 +376,6 @@ mod tests {
         let nest = copy_nest(Section::new([(1, 2), (1, 2)]), vec![0, 0]);
         // PE 3 owns (5:8,5:8): no intersection.
         exec_nest(&mut m.pes[3], &nest, &[]);
-        assert_eq!(m.pes[3].stats.loads, 0);
+        assert!(m.pes[3].subgrid(T).raw().iter().all(|&v| v == 0.0));
     }
 }

@@ -4,8 +4,8 @@ use crate::cost::CostModel;
 use crate::dist::{BlockDim, PeGrid};
 use crate::error::RtError;
 use crate::schedule::{
-    cshift_plan, overlap_shift_plan, regions_intersect, CommAction, CompiledComm, CompiledFill,
-    CompiledTransfer, Geometry, Transfer,
+    credit_transfer, cshift_plan, overlap_shift_plan, regions_intersect, CommAction, CompiledComm,
+    CompiledFill, CompiledTransfer, Geometry, Transfer,
 };
 use crate::stats::{AggStats, PeStats};
 use crate::subgrid::Subgrid;
@@ -157,16 +157,16 @@ impl PeState {
     }
 
     /// Lend the VM its storage for one kernel execution: `f(regs, strips,
-    /// arrs, stats)` with `regs` and `strips` zeroed cells of the asked
-    /// lengths and `arrs[i]` the `(storage, length)` of array `arrays[i]`,
-    /// valid for the call.
+    /// arrs)` with `regs` and `strips` zeroed cells of the asked lengths and
+    /// `arrs[i]` the `(storage, length)` of array `arrays[i]`, valid for the
+    /// call.
     pub fn with_vm<R>(
         &mut self,
         (regs, strips): (usize, usize),
         arrays: &[u32],
-        f: impl FnOnce(&mut [f64], &mut [f64], &[(*mut f64, usize)], &mut PeStats) -> R,
+        f: impl FnOnce(&mut [f64], &mut [f64], &[(*mut f64, usize)]) -> R,
     ) -> R {
-        let PeState { pe, subgrids, vm, stats, .. } = self;
+        let PeState { pe, subgrids, vm, .. } = self;
         vm.reserve(regs, strips, arrays.len());
         for &a in arrays {
             let sub = subgrids[a as usize].as_mut();
@@ -176,14 +176,14 @@ impl PeState {
         let (regs, strips) = (&mut vm.regs[..regs], &mut vm.strips[..strips]);
         regs.fill(0.0);
         strips.fill(0.0);
-        let out = f(regs, strips, &vm.arrs, stats);
+        let out = f(regs, strips, &vm.arrs);
         vm.arrs.clear();
         out
     }
 
-    /// Execute a same-PE transfer of `sched`, counting its bytes: from box to
-    /// box when [direct](CompiledTransfer::direct), else packed into `stage`
-    /// (handed back empty) and unpacked. Records no span.
+    /// Execute a same-PE transfer of `sched`: from box to box when
+    /// [direct](CompiledTransfer::direct), else packed into `stage` (handed
+    /// back empty) and unpacked. Records no span and counts nothing.
     pub fn copy_local(&mut self, sched: &CompiledComm, t: &CompiledTransfer, stage: &mut Vec<f64>) {
         let (src, dst) = (sched.src.0 as usize, sched.dst.0 as usize);
         if !t.direct {
@@ -197,7 +197,6 @@ impl PeState {
         } else {
             panic!("array {:?} or {:?} not allocated on PE {}", sched.src, sched.dst, self.pe);
         }
-        self.credit_local(sched.kind, t.src.elements());
     }
 
     /// Swap the storage of two arrays on this PE: `a` takes `b`'s subgrid
@@ -205,15 +204,6 @@ impl PeState {
     /// The plan checks their geometries once ([`Machine::check_same_geometry`]).
     pub fn swap_subgrids(&mut self, a: ArrayId, b: ArrayId) {
         self.subgrids.swap(a.0 as usize, b.0 as usize);
-    }
-
-    /// Count `elements` moved within this PE by a plan of this `kind`.
-    fn credit_local(&mut self, kind: MoveKind, elements: usize) {
-        let bytes = (elements * std::mem::size_of::<f64>()) as u64;
-        match kind {
-            MoveKind::FullShift => self.stats.intra_bytes += bytes,
-            MoveKind::Overlap => self.stats.wrap_bytes += bytes,
-        }
     }
 }
 
@@ -606,22 +596,8 @@ impl Machine {
     fn apply_transfer(&mut self, dst: ArrayId, src: ArrayId, t: &Transfer, kind: MoveKind) {
         let buf = self.pes[t.src_pe].subgrid(src).read_region(&t.src_local);
         self.pes[t.dst_pe].subgrid_mut(dst).write_region(&t.dst_local, &buf);
-        if t.src_pe == t.dst_pe {
-            self.pes[t.src_pe].credit_local(kind, buf.len());
-        } else {
-            self.credit_message(t.src_pe, t.dst_pe, buf.len());
-        }
-    }
-
-    /// Count one message of `elements` from `src_pe` to `dst_pe`.
-    fn credit_message(&mut self, src_pe: usize, dst_pe: usize, elements: usize) {
-        let bytes = (elements * std::mem::size_of::<f64>()) as u64;
-        let s = &mut self.pes[src_pe].stats;
-        s.msgs_sent += 1;
-        s.bytes_sent += bytes;
-        let r = &mut self.pes[dst_pe].stats;
-        r.msgs_recv += 1;
-        r.bytes_recv += bytes;
+        let (pes, elements) = ((t.src_pe, t.dst_pe), buf.len());
+        credit_transfer(kind, pes, elements, |pe, counts| self.pes[pe].stats.merge(counts));
     }
 
     /// Compile a communication plan against the allocated subgrids into a
@@ -682,13 +658,23 @@ impl Machine {
         self.stage.reserve_exact(bytes / std::mem::size_of::<f64>());
     }
 
-    /// Execute a persistent schedule: copy each same-PE transfer from box
-    /// to box (one `Pack` span), stage each message through this machine's
-    /// buffer (`Pack` on the sender, `Unpack` on the receiver), apply fills.
+    /// Execute a persistent schedule and count it: [`Machine::run_compiled`]
+    /// plus the schedule's [credit](CompiledComm::credit) and one reuse.
     /// Counters are those of [`Machine::apply_plan`], so a compiled schedule
-    /// and its plan differ in `AggStats` by `schedule_reuses` alone. Grows
-    /// the buffer if [`Machine::reserve_staging`] has not made enough room.
+    /// and its plan differ in `AggStats` by `schedule_reuses` alone.
     pub fn apply_compiled(&mut self, sched: &CompiledComm) {
+        self.run_compiled(sched);
+        sched.credit(|pe, counts| self.pes[pe].stats.merge(counts));
+        self.sched_reuses += 1;
+    }
+
+    /// Execute a persistent schedule, counting nothing: copy each same-PE
+    /// transfer from box to box (one `Pack` span), stage each message
+    /// through this machine's buffer (`Pack` on the sender, `Unpack` on the
+    /// receiver), apply fills. A plan step runs its schedules through here
+    /// and credits what they move once per step. Grows the buffer if
+    /// [`Machine::reserve_staging`] has not made enough room.
+    pub fn run_compiled(&mut self, sched: &CompiledComm) {
         self.reserve_staging(sched.pooled_bytes());
         for t in &sched.transfers {
             let sender = &mut self.pes[t.src_pe];
@@ -704,19 +690,16 @@ impl Machine {
             let t0 = receiver.tracer.now();
             t.dst.unpack(receiver.subgrid_mut(sched.dst).raw_mut(), &self.stage);
             receiver.tracer.record(SpanKind::Unpack, t0);
-            self.credit_message(t.src_pe, t.dst_pe, self.stage.len());
             self.stage.clear();
         }
         for f in &sched.fills {
             f.region.fill(self.pes[f.pe].subgrid_mut(sched.dst).raw_mut(), f.value);
         }
-        self.sched_reuses += 1;
     }
 
     /// Record schedule executions performed outside [`Machine::apply_compiled`]
-    /// (the SPMD engine delivers messages on worker threads but reuses the
-    /// same precompiled plans; its driver credits the reuses here so both
-    /// engines report identical counters).
+    /// (a plan step runs its schedules uncounted, on either engine, and
+    /// credits the reuses here once per step).
     pub fn note_schedule_reuses(&mut self, n: u64) {
         self.sched_reuses += n;
     }

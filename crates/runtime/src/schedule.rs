@@ -20,6 +20,8 @@
 
 use crate::dist::{BlockDim, PeGrid};
 use crate::error::RtError;
+use crate::machine::MoveKind;
+use crate::stats::PeStats;
 use crate::subgrid::StridedBox;
 use hpf_ir::{ArrayId, Rsd, ShiftKind};
 
@@ -108,7 +110,7 @@ pub struct CompiledComm {
     /// Source array (equal to `dst` for overlap shifts).
     pub src: ArrayId,
     /// Accounting class of self-transfers.
-    pub kind: crate::machine::MoveKind,
+    pub kind: MoveKind,
     /// Transfers, in plan order.
     pub transfers: Vec<CompiledTransfer>,
     /// Constant fills, in plan order.
@@ -125,6 +127,14 @@ impl CompiledComm {
     pub fn pooled_bytes(&self) -> usize {
         let staged = self.transfers.iter().filter(|t| !t.direct).map(|t| t.src.elements());
         staged.max().unwrap_or(0) * std::mem::size_of::<f64>()
+    }
+
+    /// Count one execution of this schedule through `add(pe, counts)`, by
+    /// [`credit_transfer`]'s rule. Fills count nothing.
+    pub fn credit(&self, mut add: impl FnMut(usize, &PeStats)) {
+        for t in &self.transfers {
+            credit_transfer(self.kind, (t.src_pe, t.dst_pe), t.src.elements(), &mut add);
+        }
     }
 
     /// Bytes the schedule itself holds, heap included: its boxes and the
@@ -151,6 +161,29 @@ impl CompiledComm {
         let copies = self.transfers.iter().filter(move |t| t.dst_pe == pe).map(|t| &t.dst);
         let fills = self.fills.iter().filter(move |f| f.pe == pe).map(|f| &f.region);
         copies.chain(fills).map(move |b| self.section(pe, b))
+    }
+}
+
+/// Count one transfer of `elements` from PE `src` to PE `dst` through
+/// `add(pe, counts)`: between two PEs, one message of its bytes on each
+/// side; within one PE, intraprocessor (full shift) or wrap (overlap) copy
+/// bytes.
+pub(crate) fn credit_transfer(
+    kind: MoveKind,
+    (src, dst): (usize, usize),
+    elements: usize,
+    mut add: impl FnMut(usize, &PeStats),
+) {
+    let bytes = (elements * std::mem::size_of::<f64>()) as u64;
+    if src == dst {
+        let local = match kind {
+            MoveKind::FullShift => PeStats { intra_bytes: bytes, ..PeStats::default() },
+            MoveKind::Overlap => PeStats { wrap_bytes: bytes, ..PeStats::default() },
+        };
+        add(src, &local);
+    } else {
+        add(src, &PeStats { msgs_sent: 1, bytes_sent: bytes, ..PeStats::default() });
+        add(dst, &PeStats { msgs_recv: 1, bytes_recv: bytes, ..PeStats::default() });
     }
 }
 

@@ -1,7 +1,9 @@
 //! Execution counters, per PE and aggregated.
 
-/// Counters for one PE. The executors and the machine's data-movement
-/// operations increment these; the cost model converts them to modeled time.
+/// Counters for one PE; the cost model converts them to modeled time. A
+/// plan counts what one step does when it is built and credits that once
+/// per step; the machine's standalone data-movement operations count as
+/// they go.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PeStats {
     /// Messages sent to another PE.
@@ -35,18 +37,23 @@ pub struct PeStats {
 impl PeStats {
     /// Add another PE's counters into this one.
     pub fn merge(&mut self, other: &PeStats) {
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_recv += other.msgs_recv;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_recv += other.bytes_recv;
-        self.intra_bytes += other.intra_bytes;
-        self.wrap_bytes += other.wrap_bytes;
-        self.loads += other.loads;
-        self.strided_loads += other.strided_loads;
-        self.stores += other.stores;
-        self.flops += other.flops;
-        self.iters += other.iters;
-        self.allocs += other.allocs;
+        self.merge_times(other, 1);
+    }
+
+    /// Add `times` copies of another PE's counters into this one.
+    pub fn merge_times(&mut self, other: &PeStats, times: u64) {
+        self.msgs_sent += times * other.msgs_sent;
+        self.msgs_recv += times * other.msgs_recv;
+        self.bytes_sent += times * other.bytes_sent;
+        self.bytes_recv += times * other.bytes_recv;
+        self.intra_bytes += times * other.intra_bytes;
+        self.wrap_bytes += times * other.wrap_bytes;
+        self.loads += times * other.loads;
+        self.strided_loads += times * other.strided_loads;
+        self.stores += times * other.stores;
+        self.flops += times * other.flops;
+        self.iters += times * other.iters;
+        self.allocs += times * other.allocs;
     }
 }
 

@@ -6,11 +6,14 @@
 //! picks *how to run it*. For a (kernel, machine, problem-size) triple the
 //! [`Tuner`] enumerates the legal configuration space — every PE-grid
 //! factorization of the core count, both engines (`seq`/`threaded`), and
-//! the superstep depths the kernel is eligible for — prunes it with the machine's analytic cost model (one model probe
-//! per *counter class*, see [`Tuner::best`]), then empirically times the
-//! top-K surviving candidates with short warm-state plan runs (one warmup
-//! step, then min-of-R timed steps, reusing [`hpf_exec::ExecPlan`] so
-//! schedules and bytecode kernels compile once per candidate). The nest
+//! the superstep depths the kernel is eligible for — prunes it with the
+//! machine's analytic cost model (one model probe per *counter class*, see
+//! [`Tuner::best`]: a plan build, whose per-step counts the model prices
+//! without stepping it), then empirically times the top-K surviving
+//! candidates with short warm-state plan runs over equal logical work (one
+//! warm-up step, then the fastest of enough timed steps to cover R logical
+//! steps, reusing [`hpf_exec::ExecPlan`] so schedules and bytecode kernels
+//! compile once per candidate). The nest
 //! backend is not searched: the cost model cannot tell the interpreter from
 //! the bytecode VM, the VM wins every measurement, and
 //! [`hpf_exec::Backend::Bytecode`] already falls back to the interpreter for
@@ -31,7 +34,7 @@ pub use space::{enumerate, factorizations, grid_label, Candidate};
 
 use hpf_exec::{Backend, Engine, ExecConfig, ExecPlan};
 use hpf_passes::loopir::NodeProgram;
-use hpf_runtime::{Machine, MachineConfig, RtError};
+use hpf_runtime::{AggStats, Machine, MachineConfig, RtError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -46,8 +49,8 @@ pub struct TuneOutcome {
     /// label), with measurements filled in for the timed top-K. Empty on a
     /// cache hit — nothing was enumerated.
     pub candidates: Vec<Candidate>,
-    /// How many model probes (plan build + one counted step) priced the
-    /// candidates (0 on a cache hit).
+    /// How many model probes (plan builds, whose per-step counts the model
+    /// prices) priced the candidates (0 on a cache hit).
     pub probes: usize,
     /// How many candidates were empirically timed (0 on a cache hit).
     pub timed: usize,
@@ -64,7 +67,8 @@ impl TuneOutcome {
     /// per enumerated candidate (grid, engine-backend, superstep depth `ss`)
     /// in modeled order, the winner marked `*`, un-timed candidates shown
     /// as `-`, failed builds as `build failed` in the column of the stage
-    /// that hit them. Empty on a cache hit — nothing was enumerated.
+    /// that hit them, and the logical steps each timing covered. Empty on a
+    /// cache hit — nothing was enumerated.
     pub fn render_table(&self) -> String {
         use hpf_trace::{Align, TextTable};
         let mut t = TextTable::new(&[
@@ -74,6 +78,7 @@ impl TuneOutcome {
             ("ss", Align::Right),
             ("modeled ms", Align::Right),
             ("measured ms", Align::Right),
+            ("timed steps", Align::Right),
         ]);
         let ms =
             |v: f64| if v.is_finite() { format!("{v:.4}") } else { "build failed".to_string() };
@@ -85,6 +90,7 @@ impl TuneOutcome {
                 c.superstep.to_string(),
                 ms(c.modeled_ms),
                 c.measured_ms.map_or("-".to_string(), ms),
+                c.timed_steps.map_or("-".to_string(), |n| n.to_string()),
             ]);
         }
         t.render()
@@ -107,7 +113,8 @@ pub struct Tuner {
 
 impl Tuner {
     /// A tuner over `base`'s machine: empirically time the 8 best-modeled
-    /// candidates with min-of-3 step timings, consider
+    /// candidates over at least 3 logical steps each (see
+    /// [`Tuner::reps`]), consider
     /// communication-avoiding superstep depths {1, 2, 4, 8}
     /// (depths the kernel is ineligible for are dropped before the search),
     /// and persist decisions in [`DEFAULT_CACHE_FILE`].
@@ -127,7 +134,10 @@ impl Tuner {
         self
     }
 
-    /// Time every step `r` times and keep the minimum (default 3).
+    /// Time each candidate over at least `r` logical steps (default 3):
+    /// after one warm-up step, ⌈r/k⌉ timed steps of a plan covering `k`
+    /// logical steps each, keeping the fastest per logical step — the same
+    /// logical work at every superstep depth.
     pub fn reps(mut self, r: usize) -> Tuner {
         self.reps = r.max(1);
         self
@@ -172,9 +182,9 @@ impl Tuner {
     /// otherwise enumerate the space, prune with one cost-model probe per
     /// counter class, empirically time the top-K survivors, persist the
     /// winner, and return the full candidate table. The model reads only
-    /// the per-PE counters, which both engines produce identically, so per
-    /// (grid, depth) `seq` and `threaded` are one class, probed on the
-    /// sequential engine (no worker pool is started to read counters).
+    /// the per-PE counts a plan makes when it is built, which are the same
+    /// on both engines, so per (grid, depth) `seq` and `threaded` are one
+    /// class, probed by one sequential build that is never stepped.
     ///
     /// Candidates whose plan cannot be built (e.g. an illegal distribution
     /// for that mesh) are kept in the table with infinite modeled time but
@@ -246,7 +256,8 @@ impl Tuner {
 
         // Empirically time the top-K model survivors: fresh machine, one
         // plan build (schedules + bytecode kernels compile once), one
-        // warmup step, then the best of `reps` timed steps.
+        // warm-up step, then the fastest of the timed steps that cover
+        // `reps` logical steps — equal logical work at every depth.
         let mut timed = 0usize;
         for c in candidates.iter_mut().take(self.top_k) {
             if !c.modeled_ms.is_finite() {
@@ -262,16 +273,19 @@ impl Tuner {
                     continue;
                 }
             };
+            // A driver-stepped superstep plan covers k logical steps per
+            // machine step; normalize so depths compete per logical step.
+            let k = plan.logical_steps_per_step();
             plan.step(&mut machine);
             let mut best = f64::INFINITY;
-            for _ in 0..self.reps {
+            let steps = self.reps.div_ceil(k);
+            for _ in 0..steps {
                 let t = Instant::now();
                 plan.step(&mut machine);
                 best = best.min(t.elapsed().as_secs_f64() * 1e3);
             }
-            // A driver-stepped superstep plan covers k logical steps per
-            // machine step; normalize so depths compete per logical step.
-            c.measured_ms = Some(best / plan.logical_steps_per_step() as f64);
+            c.measured_ms = Some(best / k as f64);
+            c.timed_steps = Some(steps * k);
             timed += 1;
         }
 
@@ -328,6 +342,7 @@ impl Tuner {
             superstep: (e.superstep as usize).max(1),
             modeled_ms: e.modeled_ms,
             measured_ms: Some(e.measured_ms),
+            timed_steps: None,
         })
     }
 
@@ -344,17 +359,16 @@ impl Tuner {
         cfg
     }
 
-    /// One cost-model probe: build `c`'s plan on the sequential engine,
-    /// reset the counters so plan-build costs are excluded, run one step,
-    /// and read the modeled per-step time, normalized per logical step so
-    /// driver-stepped superstep plans compete fairly with depth 1.
+    /// One cost-model probe: build `c`'s plan on the sequential engine and
+    /// price the per-PE counts one step of it adds, without stepping it,
+    /// normalized per logical step so driver-stepped superstep plans
+    /// compete fairly with depth 1.
     fn model_probe(&self, node: &NodeProgram, c: &Candidate) -> Result<f64, RtError> {
         let mut machine = Machine::new(self.candidate_machine(node, c));
         let cfg = c.exec_config().engine(Engine::Sequential);
-        let mut plan = ExecPlan::build(&mut machine, node, &cfg)?;
-        machine.reset_stats();
-        plan.step(&mut machine);
-        Ok(machine.modeled_time_ms() / plan.logical_steps_per_step() as f64)
+        let plan = ExecPlan::build(&mut machine, node, &cfg)?;
+        let step = AggStats { per_pe: plan.pe_counts_per_step().to_vec(), ..AggStats::default() };
+        Ok(machine.cfg.cost.modeled_time_ms(&step) / plan.logical_steps_per_step() as f64)
     }
 }
 
@@ -519,6 +533,7 @@ END
             superstep: 1,
             modeled_ms: 1.0,
             measured_ms,
+            timed_steps: measured_ms.filter(|ms: &f64| ms.is_finite()).map(|_| 3),
         };
         let out = TuneOutcome {
             best: c([2, 2], Some(0.5)),
@@ -531,9 +546,32 @@ END
         };
         let table = out.render_table();
         let rows: Vec<&str> = table.lines().skip(1).collect();
-        assert!(rows[0].ends_with("1.0000 build failed") && !rows[0].starts_with('*'), "{table}");
-        assert!(rows[1].starts_with('*') && rows[1].ends_with("0.5000"), "{table}");
-        assert!(rows[2].ends_with('-'), "{table}");
+        fn tail(row: &str, n: usize) -> Vec<&str> {
+            row.split_whitespace().rev().take(n).collect()
+        }
+        assert_eq!(tail(rows[0], 4), ["-", "failed", "build", "1.0000"], "{table}");
+        assert!(!rows[0].starts_with('*'), "{table}");
+        assert!(rows[1].starts_with('*') && tail(rows[1], 2) == ["3", "0.5000"], "{table}");
+        assert_eq!(tail(rows[2], 2), ["-", "-"], "{table}");
+    }
+
+    #[test]
+    fn every_timed_candidate_covers_the_same_logical_steps() {
+        // Problem 9 tiles in time, so a depth-k plan step covers k logical
+        // steps: the default 3 logical steps take three plan steps at
+        // depth 1, two at depth 2 and one at depths 4 and 8.
+        let src = include_str!("../../../kernels/problem9.f90");
+        let checked = hpf_frontend::compile_source(src).unwrap();
+        let node = hpf_passes::compile(&checked, CompileOptions::full()).node;
+        let tuner = Tuner::new(MachineConfig::grid([2, 2])).no_cache().exhaustive();
+        let out = tuner.best(&node, "p9").unwrap();
+        assert_eq!(out.timed, 24);
+        for c in &out.candidates {
+            let want = [(1, 3), (2, 4), (4, 4), (8, 8)].iter().find(|&&(k, _)| k == c.superstep);
+            assert_eq!(c.timed_steps, want.map(|&(_, n)| n), "{}", c.label());
+        }
+        let table = out.render_table();
+        assert!(table.lines().next().unwrap().ends_with("timed steps"), "{table}");
     }
 
     #[test]

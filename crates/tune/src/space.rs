@@ -27,6 +27,9 @@ pub struct Candidate {
     /// `Some(INFINITY)` for one whose probe passed but whose own plan then
     /// failed to build.
     pub measured_ms: Option<f64>,
+    /// The logical steps `measured_ms` was measured over (the timed steps
+    /// times the logical steps each covers); `None` when not timed.
+    pub timed_steps: Option<usize>,
 }
 
 impl Candidate {
@@ -98,6 +101,7 @@ pub fn enumerate(pes: usize, rank: usize, supersteps: &[usize]) -> Vec<Candidate
                     superstep: superstep.max(1),
                     modeled_ms: f64::INFINITY,
                     measured_ms: None,
+                    timed_steps: None,
                 });
             }
         }
@@ -141,6 +145,7 @@ mod tests {
             superstep: 1,
             modeled_ms: f64::INFINITY,
             measured_ms: None,
+            timed_steps: None,
         };
         assert_eq!(c.label(), "2x2 threaded-bytecode");
         assert_eq!(ExecConfig::from_cli_str("threaded-bytecode").unwrap(), c.exec_config());
@@ -155,6 +160,7 @@ mod tests {
             superstep: 1,
             modeled_ms: 0.0,
             measured_ms: None,
+            timed_steps: None,
         };
         let cfg = c.machine_config(&base);
         assert_eq!(cfg.grid.dims, vec![1, 4]);

@@ -10,6 +10,7 @@ use hpf_stencil::{
     presets, Backend, CompileOptions, Engine, ExecConfig, Kernel, MachineConfig, Plan,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// OS threads of this process (`None` where `/proc` does not say).
 fn os_threads() -> Option<usize> {
@@ -31,8 +32,18 @@ fn worker_threads_follow_the_plan_lifecycle() {
     let threaded = ExecConfig::new().engine(Engine::Threaded).backend(Backend::Bytecode);
     let baseline = os_threads();
     // Where `/proc` is missing the counts go unchecked; the rest still runs.
+    // The kernel can still count a joined thread for a moment after
+    // `pthread_join` returns, so the count is polled for up to 2 s before
+    // it must be exact.
     let grew_by = |n: usize| {
-        if let (Some(before), Some(now)) = (baseline, os_threads()) {
+        let Some(before) = baseline else { return };
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut now = os_threads();
+        while now != Some(before + n) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            now = os_threads();
+        }
+        if let Some(now) = now {
             assert_eq!(now, before + n, "OS threads");
         }
     };
