@@ -2,7 +2,7 @@
 //! evaluation, on counters and modeled SP-2 time.
 //!
 //! ```text
-//! experiments [--exp all|comm-count|temp-storage|fig11|fig17|fig18|robustness|ablation|history|fig7to10|fuzz]
+//! experiments [--exp all|comm-count|temp-storage|fig11|fig17|fig18|robustness|ablation|history|fig7to10|fuzz|tune-check]
 //!             [--n SIZE] [--sizes a,b,c]
 //!             [--engine seq|threaded] [--json]
 //! ```
@@ -11,7 +11,10 @@
 //! history` appends the canonical small-suite key metrics (plus host
 //! metadata and git revision) to `BENCH_history.json` in the current
 //! directory — the baseline `benchdiff` compares against. Wall-clock
-//! performance is not measured here: that is `benchmark/`'s job.
+//! performance is not measured here: that is `benchmark/`'s job. The one
+//! exception, `--exp tune-check`, times every tuner candidate of Problem 9
+//! at `--sizes` (default 192,1024,2048) to validate the tuner's host
+//! pricing (see [`hpf_bench::tune_check`]).
 //!
 //! `--engine` accepts the same specs as `hpfsc` (parsed by
 //! [`ExecConfig::from_cli_str`]): an engine (`seq`, `threaded`), a
@@ -38,6 +41,7 @@ const EXPERIMENTS: &[&str] = &[
     "history",
     "fig7to10",
     "fuzz",
+    "tune-check",
 ];
 
 fn usage() -> String {
@@ -50,7 +54,8 @@ fn usage() -> String {
 struct Args {
     exp: String,
     n: usize,
-    sizes: Vec<usize>,
+    /// `--sizes`, when given: each experiment has its own default.
+    sizes: Option<Vec<usize>>,
     engine: Engine,
     json: bool,
 }
@@ -66,7 +71,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         exp: "all".to_string(),
         n: 256,
-        sizes: vec![64, 128, 256, 512],
+        sizes: None,
         engine: Engine::Sequential,
         json: false,
     };
@@ -76,8 +81,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--exp" => args.exp = value()?,
             "--n" => args.n = size("--n", &value()?)?,
             "--sizes" => {
-                args.sizes =
-                    value()?.split(',').map(|s| size("--sizes", s)).collect::<Result<_, _>>()?
+                args.sizes = Some(
+                    value()?.split(',').map(|s| size("--sizes", s)).collect::<Result<_, _>>()?,
+                )
             }
             "--engine" => {
                 args.engine = ExecConfig::from_cli_str(&value()?)
@@ -141,12 +147,26 @@ fn main() {
         }
         return;
     }
+    if args.exp == "tune-check" {
+        let sizes = args.sizes.unwrap_or_else(|| vec![192, 1024, 2048]);
+        let (tables, calib_ms) = hpf_bench::tune_check::tune_check(&sizes);
+        if args.json {
+            println!("{}", hpf_bench::table::tables_to_json(&tables));
+        } else {
+            for t in tables {
+                println!("{}", t.render());
+            }
+            println!("host profile calibration: median {calib_ms:.1} ms of 10");
+        }
+        return;
+    }
+    let sizes = args.sizes.unwrap_or_else(|| vec![64, 128, 256, 512]);
     let paper: [(&str, &dyn Fn() -> Table); 7] = [
         ("comm-count", &comm_count),
         ("temp-storage", &temp_storage),
-        ("fig11", &|| fig11(&args.sizes, args.engine)),
+        ("fig11", &|| fig11(&sizes, args.engine)),
         ("fig17", &|| fig17(args.n, args.engine)),
-        ("fig18", &|| fig18(&args.sizes, args.engine)),
+        ("fig18", &|| fig18(&sizes, args.engine)),
         ("robustness", &robustness),
         ("ablation", &|| ablation(args.n, args.engine)),
     ];

@@ -5,7 +5,7 @@
 use std::process::{Command, Output};
 
 /// Every name `--exp` accepts.
-const EXPERIMENTS: [&str; 11] = [
+const EXPERIMENTS: [&str; 12] = [
     "all",
     "comm-count",
     "temp-storage",
@@ -17,6 +17,7 @@ const EXPERIMENTS: [&str; 11] = [
     "history",
     "fig7to10",
     "fuzz",
+    "tune-check",
 ];
 
 fn experiments(args: &[&str]) -> Output {

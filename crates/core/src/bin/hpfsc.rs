@@ -74,8 +74,9 @@ options:
   --tune[=FILE]         auto-tune this kernel on the --grid machine: search
                         grid x engine x superstep depth (every PE-grid
                         factorization, always on the bytecode backend),
-                        prune with the cost model, time the best-modeled
-                        survivors, print the candidate table, and persist
+                        price every candidate on this host (a calibrated
+                        cost profile; no plan is stepped), print the
+                        decision log, and persist
                         the winner in FILE (default .hpf-tune.json); a
                         warm cache skips the search entirely. With --run,
                         also executes the tuned configuration (same as
@@ -467,25 +468,26 @@ fn main() {
                 let cache_name = tune_file.as_deref().unwrap_or(hpf_core::tune::DEFAULT_CACHE_FILE);
                 if out.cache_hit {
                     out!(
-                        "! tune: cache hit in {cache_name} (key {}) — zero candidates timed",
+                        "! tune: cache hit in {cache_name} (key {}) — zero candidates searched",
                         out.fingerprint
                     );
                 } else {
+                    let host = out.host.expect("a cold search prices on the host");
                     out!(
-                        "! tune: searched {} candidates, {} probes, timed {}, {:.1} ms (key {}, cached in {cache_name})",
+                        "! tune: searched {} candidates, {} probes, priced on host (cores {}, \
+                         message {:.1} us spinning, {:.1} us parked), {:.1} ms (key {}, \
+                         cached in {cache_name})",
                         out.candidates.len(),
                         out.probes,
-                        out.timed,
+                        host.cores,
+                        host.msg_spin_ns / 1e3,
+                        host.msg_park_ns / 1e3,
                         out.search_ns as f64 / 1e6,
                         out.fingerprint
                     );
                     out_raw!("{}", out.render_table());
                 }
-                out!(
-                    "! best: {} ({:.4} ms measured)",
-                    out.best.label(),
-                    out.best.measured_ms.unwrap_or(f64::INFINITY)
-                );
+                out!("! best: {} ({:.4} ms on host)", out.best.label(), out.best.host_ms);
             }
             Err(e) => {
                 eprintln!("hpfsc: --tune failed: {e}");

@@ -296,10 +296,16 @@ fn tune_prints_the_bytecode_space_and_a_best_line_that_names_the_winner() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     let summary = text.lines().find(|l| l.starts_with("! tune:")).expect("a ! tune: line");
-    assert!(summary.contains("searched 24 candidates, "), "{summary}");
-    assert!(summary.contains(" probes, timed 8, "), "{summary}");
-    // Candidate rows: `[*] grid config ss modeled measured`, all bytecode.
-    let header = text.lines().position(|l| l.contains("modeled ms")).expect("a table header");
+    assert!(
+        summary.starts_with("! tune: searched 24 candidates, 12 probes, priced on host (cores "),
+        "{summary}"
+    );
+    // The decision log: `[*] grid config ss sp2-ms host-ms why`, all
+    // bytecode, and nothing measured.
+    let header = text.lines().position(|l| l.contains("sp2 ms")).expect("a table header");
+    let columns: Vec<&str> = text.lines().nth(header).unwrap().split_whitespace().collect();
+    assert_eq!(columns, ["grid", "config", "ss", "sp2", "ms", "host", "ms", "why"], "{text}");
+    assert!(!text.contains("measured") && !text.contains("timed"), "{text}");
     let rows: Vec<&str> =
         text.lines().skip(header + 1).take_while(|l| !l.starts_with('!')).collect();
     assert_eq!(rows.len(), 24, "{text}");
@@ -310,19 +316,27 @@ fn tune_prints_the_bytecode_space_and_a_best_line_that_names_the_winner() {
     assert!(!text.contains("overlap"), "the split-phase engine is gone:\n{text}");
     let starred: Vec<&&str> = rows.iter().filter(|r| r.starts_with('*')).collect();
     assert_eq!(starred.len(), 1, "{text}");
+    assert!(starred[0].ends_with(" winner"), "{text}");
+    // Every other row says how much dearer the host prices it.
+    assert!(rows
+        .iter()
+        .filter(|r| !r.starts_with('*'))
+        .all(|r| r.contains("% ") || r.ends_with('%')));
     // The `! best:` line is the starred row's `Candidate::label()`, depth
-    // included (all eight timed rows are depth-8 plans at this size).
+    // included (a deep superstep wins at this size), with its host price.
     let winner = name(starred[0]);
-    let label = format!("! best: {} {} ss={} (", winner[0], winner[1], winner[2]);
+    let ss = if winner[2] == "1" { String::new() } else { format!(" ss={}", winner[2]) };
+    let label = format!("! best: {} {}{ss} (", winner[0], winner[1]);
     let best = text.lines().find(|l| l.starts_with("! best:")).expect("a ! best: line");
     assert!(best.starts_with(&label), "'{best}' does not name the starred row '{label}'");
+    assert!(best.ends_with(" ms on host)"), "{best}");
 
     // The warm rerun repeats the decision without searching.
     let warm = hpfsc(&[kernel, &tune]);
     assert_eq!(warm.status.code(), Some(0));
     let warm = String::from_utf8(warm.stdout).unwrap();
-    assert!(warm.contains("cache hit") && warm.contains("zero candidates timed"), "{warm}");
-    assert!(!warm.contains("modeled ms"), "a cache hit prints no table:\n{warm}");
+    assert!(warm.contains("cache hit") && warm.contains("zero candidates searched"), "{warm}");
+    assert!(!warm.contains("sp2 ms"), "a cache hit prints no table:\n{warm}");
     assert_eq!(warm.lines().find(|l| l.starts_with("! best:")), Some(best), "{warm}");
     let _ = std::fs::remove_file(cache);
 }

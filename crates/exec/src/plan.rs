@@ -345,6 +345,14 @@ impl ExecPlan {
         &self.per_step.per_pe
     }
 
+    /// Every PE's nest rows one step runs ([`PeStats::iters`]' companion,
+    /// counted at build beside it): the runs of an innermost loop, each of
+    /// which pays the VM's row start-up. No cost model of the paper's
+    /// machine prices them; the tuner's host profile does.
+    pub fn rows_per_step(&self) -> &[u64] {
+        &self.per_step.rows
+    }
+
     /// Bytes of message staging the machine holds once this plan has stepped
     /// on the sequential engine: one buffer, as large as the largest staged
     /// transfer. None on the threaded engine, whose messages travel in
@@ -693,13 +701,19 @@ struct PerStep {
     /// Every PE's counters: each schedule's messages and copy bytes, each
     /// nest's loads, stores, flops and iterations over the box it sweeps.
     per_pe: Vec<PeStats>,
+    /// Every PE's nest rows ([`nest_rows`]), beside its iterations.
+    rows: Vec<u64>,
 }
 
 impl PerStep {
     /// Count one step of `items` on `machine`.
     fn count(machine: &Machine, scheds: &[CompiledComm], items: &[PlanItem]) -> PerStep {
-        let mut counts =
-            PerStep { per_pe: vec![PeStats::default(); machine.pes.len()], ..PerStep::default() };
+        let pes = machine.pes.len();
+        let mut counts = PerStep {
+            per_pe: vec![PeStats::default(); pes],
+            rows: vec![0; pes],
+            ..PerStep::default()
+        };
         counts.add(machine, scheds, items, 1);
         counts
     }
@@ -752,7 +766,8 @@ impl PerStep {
         let points = |lo: &[i64], hi: &[i64]| -> u64 {
             lo.iter().zip(hi).map(|(&l, &h)| (h - l + 1) as u64).product()
         };
-        for (state, counts) in machine.pes.iter().zip(&mut self.per_pe) {
+        for ((state, counts), rows) in machine.pes.iter().zip(&mut self.per_pe).zip(&mut self.rows)
+        {
             let Some((lo, hi)) = nest_local_bounds(state, nest) else { continue };
             let (lo_x, hi_x) = match expand {
                 Some(e) => expand_bounds(state, nest, &lo, &hi, e),
@@ -760,6 +775,7 @@ impl PerStep {
             };
             self.redundant += times * (points(&lo_x, &hi_x) - points(&lo, &hi));
             counts.merge_times(&nest_counts(nest, &lo_x, &hi_x), times);
+            *rows += times * nest_rows(nest, &lo_x, &hi_x);
         }
     }
 }
@@ -791,6 +807,24 @@ fn nest_counts(nest: &LoopNest, lo: &[i64], hi: &[i64]) -> PeStats {
         iters: jammed + unit,
         ..PeStats::default()
     }
+}
+
+/// The rows one sweep of `nest` over the local box `lo..=hi` runs: the
+/// VM's unit of start-up (a bounds proof and a dispatch per row), one per
+/// maximal run of the innermost loop. The outermost loop contributes one
+/// row group per jammed group of `factor` indices and one per remaining
+/// index, each times the extents of the loops between it and the
+/// innermost; a rank-1 sweep is at most one jammed and one unit row.
+fn nest_rows(nest: &LoopNest, lo: &[i64], hi: &[i64]) -> u64 {
+    let (rank, d0) = (lo.len(), nest.order[0]);
+    let extent = |d: usize| (hi[d] - lo[d] + 1).max(0) as u64;
+    let factor = nest.unroll.as_ref().map_or(1, |u| u.factor.max(1)) as u64;
+    let (jammed, unit) = (extent(d0) / factor, extent(d0) % factor);
+    if rank == 1 {
+        return (jammed > 0) as u64 + (unit > 0) as u64;
+    }
+    let mids: u64 = nest.order[1..rank - 1].iter().map(|&d| extent(d)).product();
+    (jammed + unit) * mids
 }
 
 /// Run a nest sweep on one PE through its compiled kernel where one exists
@@ -1065,6 +1099,38 @@ ENDDO
         nest.unroll = None;
         let counts = nest_counts(&nest, &[1, 1], &[4, 4]);
         assert_eq!((counts.loads, counts.strided_loads, counts.iters), (32, 32, 16));
+    }
+
+    #[test]
+    fn nest_rows_count_the_runs_of_the_innermost_loop() {
+        let (u, t) = (ArrayId(0), ArrayId(1));
+        let body = vec![
+            Instr::Load { dst: 0, array: u, offsets: vec![0, 0, 0] },
+            Instr::Store { array: t, offsets: vec![0, 0, 0], src: 0 },
+        ];
+        let unroll = |factor| hpf_passes::loopir::Unroll {
+            dim: 0,
+            factor,
+            unit_body: body.clone(),
+            unit_regs: 1,
+        };
+        let mut nest = LoopNest {
+            space: Section::new([(1, 7), (1, 3), (1, 8)]),
+            order: vec![0, 1, 2],
+            body: body.clone(),
+            regs: 1,
+            unroll: Some(unroll(2)),
+        };
+        // Seven outer indices: three jammed groups and one unit index,
+        // each running a row per index of the middle loop.
+        assert_eq!(nest_rows(&nest, &[1, 1, 1], &[7, 3, 8]), (3 + 1) * 3);
+        nest.unroll = None;
+        assert_eq!(nest_rows(&nest, &[1, 1, 1], &[7, 3, 8]), 7 * 3);
+        // Rank 1: one jammed row and one unit row, or just the one.
+        nest.order = vec![0];
+        nest.unroll = Some(unroll(2));
+        assert_eq!(nest_rows(&nest, &[1], &[7]), 2);
+        assert_eq!(nest_rows(&nest, &[1], &[8]), 1);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!
 //! The modeled time of a run is `max` over PEs of each PE's accumulated
 //! nanoseconds — the SPMD critical path under barrier-synchronised steps.
+//!
+//! [`HostProfile`] fits the same counters to the machine the simulator runs
+//! on, for ranking execution configurations rather than reproducing the
+//! paper: one more term (how many PEs share a core) and the engine in the
+//! formula, since on a host the PEs are threads, not processors.
 
 use crate::stats::{AggStats, PeStats};
 
@@ -132,6 +137,69 @@ impl Default for CostModel {
     }
 }
 
+/// Per-operation costs of *this* host running the simulator, fitted by a
+/// calibration (the tuner's), in nanoseconds — the paper's model form
+/// ([`CostModel`]) plus what a host adds: the VM's start-up per row, the
+/// core count the PEs share, and a message cost that depends on whether
+/// a waiting PE spins (every PE has a core) or parks.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct HostProfile {
+    /// Cores the threads of a plan can run on at once.
+    pub cores: usize,
+    /// VM cost of one array-element load.
+    pub load_ns: f64,
+    /// VM cost of one array-element store.
+    pub store_ns: f64,
+    /// VM cost of one floating-point operation.
+    pub flop_ns: f64,
+    /// VM cost of one loop-body execution.
+    pub iter_ns: f64,
+    /// VM start-up cost of one row (a run of the innermost loop).
+    pub row_ns: f64,
+    /// Cost per byte of a copy: pack, unpack, local and wrap copies.
+    pub copy_ns_per_byte: f64,
+    /// Cost per message endpoint of a threaded exchange whose waits spin
+    /// (no more PEs than cores), the step's hand-off included.
+    pub msg_spin_ns: f64,
+    /// The same when the waits park (more PEs than cores): a parked wait
+    /// lasts until the PE it waits for gets a core back.
+    pub msg_park_ns: f64,
+}
+
+impl HostProfile {
+    /// One PE's work in a step: its nest counters and rows at VM prices
+    /// plus every byte it copies (a message is packed by its sender and
+    /// unpacked by its receiver on both engines).
+    fn pe_work_ns(&self, s: &PeStats, rows: u64) -> f64 {
+        s.loads as f64 * self.load_ns
+            + s.stores as f64 * self.store_ns
+            + s.flops as f64 * self.flop_ns
+            + s.iters as f64 * self.iter_ns
+            + rows as f64 * self.row_ns
+            + (s.bytes_sent + s.bytes_recv + s.intra_bytes + s.wrap_bytes) as f64
+                * self.copy_ns_per_byte
+    }
+
+    /// Price one step of per-PE `counts` and `rows` on this host. The
+    /// sequential engine (`threaded == false`) runs every PE's work on one
+    /// core, one PE after another. The threaded engine spreads it over
+    /// `min(PEs, cores)` cores — no faster than its busiest PE — and pays
+    /// the busiest PE's message endpoints at the spinning or the parked
+    /// cost, by the engine's own rule: waits spin only when every PE has a
+    /// core.
+    pub fn step_ns(&self, counts: &[PeStats], rows: &[u64], threaded: bool) -> f64 {
+        let work = counts.iter().zip(rows).map(|(s, &r)| self.pe_work_ns(s, r));
+        if !threaded {
+            return work.sum();
+        }
+        let (total, busiest) = work.fold((0.0, 0.0f64), |(t, m), w| (t + w, m.max(w)));
+        let pes = counts.len();
+        let msg_ns = if pes <= self.cores { self.msg_spin_ns } else { self.msg_park_ns };
+        let endpoints = counts.iter().map(|s| s.msgs_sent + s.msgs_recv).max().unwrap_or(0);
+        busiest.max(total / pes.min(self.cores).max(1) as f64) + endpoints as f64 * msg_ns
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +270,54 @@ mod tests {
         assert!(m.superstep_gain_ns(4, 8, 4096, 100_000_000, point) < 0.0);
         // compute_only: messages are free, so any redundancy is a loss.
         assert!(CostModel::compute_only().superstep_gain_ns(4, 8, 4096, 1, point) < 0.0);
+    }
+
+    fn profile(cores: usize) -> HostProfile {
+        HostProfile {
+            cores,
+            load_ns: 1.0,
+            store_ns: 2.0,
+            flop_ns: 0.5,
+            iter_ns: 1.0,
+            row_ns: 10.0,
+            copy_ns_per_byte: 0.25,
+            msg_spin_ns: 100.0,
+            msg_park_ns: 1_000.0,
+        }
+    }
+
+    #[test]
+    fn host_work_prices_nest_counters_rows_and_copied_bytes() {
+        let s = PeStats {
+            loads: 4,
+            stores: 2,
+            flops: 2,
+            iters: 1,
+            bytes_sent: 8,
+            bytes_recv: 8,
+            intra_bytes: 8,
+            wrap_bytes: 8,
+            msgs_sent: 1,
+            ..Default::default()
+        };
+        assert_eq!(profile(2).pe_work_ns(&s, 3), 4.0 + 4.0 + 1.0 + 1.0 + 30.0 + 8.0);
+    }
+
+    #[test]
+    fn host_step_puts_the_engine_in_the_formula() {
+        let pe = PeStats { loads: 1_000, msgs_sent: 2, msgs_recv: 2, ..Default::default() };
+        let (counts, rows) = ([pe; 4], [0u64; 4]);
+        // Sequential: every PE's work, one after another, no message cost.
+        assert_eq!(profile(2).step_ns(&counts, &rows, false), 4_000.0);
+        // Two cores for four PEs: half the work each, and parked waits.
+        assert_eq!(profile(2).step_ns(&counts, &rows, true), 2_000.0 + 4.0 * 1_000.0);
+        // A core per PE: the busiest PE, and spinning waits.
+        assert_eq!(profile(4).step_ns(&counts, &rows, true), 1_000.0 + 4.0 * 100.0);
+        // One core: the threads share it and every wait parks.
+        assert_eq!(profile(1).step_ns(&counts, &rows, true), 4_000.0 + 4.0 * 1_000.0);
+        // The busiest PE bounds a skewed step from below.
+        let skewed = [PeStats { loads: 3_000, ..Default::default() }, PeStats::default()];
+        assert_eq!(profile(2).step_ns(&skewed, &[0, 0], true), 3_000.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod schedule;
 pub mod stats;
 pub mod subgrid;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, HostProfile};
 pub use dist::{BlockDim, PeGrid};
 pub use error::RtError;
 pub use machine::{ArrayMeta, Machine, MachineConfig, MoveKind, PeState, VmScratch};

@@ -79,15 +79,15 @@ pub struct AggStats {
     /// one PE). Plans compile once and grow only this counter per step.
     pub kernel_execs: u64,
     /// Auto-tuner lookups answered from the persistent on-disk tuning
-    /// cache (no candidate enumerated or timed). Machine-wide; zero unless
+    /// cache (no candidate enumerated or priced). Machine-wide; zero unless
     /// the plan was resolved through `ExecConfig::auto()` / `Tuner::best`.
     pub tune_cache_hits: u64,
     /// Auto-tuner lookups that missed the cache and ran the full
-    /// cost-model-pruned candidate search.
+    /// candidate search.
     pub tune_cache_misses: u64,
     /// Wall nanoseconds the auto-tuner spent resolving the configuration
-    /// (cache probe, candidate enumeration, model pruning, empirical
-    /// timing). On a cache hit this is just the probe time.
+    /// (cache probe, host calibration, candidate enumeration, probes and
+    /// pricing). On a cache hit this is just the probe time.
     pub tune_search_ns: u64,
     /// Halo exchanges the superstep schedule did *not* perform: for each
     /// executed superstep of depth `k`, the `(k-1) * comms_per_step`

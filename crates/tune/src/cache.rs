@@ -1,10 +1,10 @@
 //! The persistent on-disk tuning cache (`.hpf-tune.json`).
 //!
-//! One JSON object per file: `{"version": 3, "entries": [...]}` with one
+//! One JSON object per file: `{"version": 4, "entries": [...]}` with one
 //! entry per kernel fingerprint, each holding the winning grid, the
 //! `engine-bytecode` label (re-parsed with `ExecConfig::from_cli_str`; one
 //! naming an interpreter configuration is outside the space: stale), the
-//! superstep depth, and the modeled/measured times of the winner. Reads go
+//! superstep depth, and the winner's SP-2 and host prices. Reads go
 //! through the shared [`hpf_trace::json`] parser; writes are a hand-rolled
 //! [`hpf_trace::json::Value::render`] of the same shape, so the file
 //! round-trips through the crate's own machinery. A file that fails to
@@ -18,8 +18,10 @@ use std::path::Path;
 /// Cache format version; bumped when the entry schema changes so stale
 /// files fall back to a fresh search instead of being misread (v2 added
 /// the winning superstep depth; v3 dropped the spawn threshold, which went
-/// with the per-step thread spawn it worked around).
-pub const CACHE_VERSION: u64 = 3;
+/// with the per-step thread spawn it worked around; v4 records the host
+/// price in place of a measurement, under keys that fold in the host's
+/// core count).
+pub const CACHE_VERSION: u64 = 4;
 
 /// The default cache file name, resolved in the working directory.
 pub const DEFAULT_CACHE_FILE: &str = ".hpf-tune.json";
@@ -28,7 +30,7 @@ pub const DEFAULT_CACHE_FILE: &str = ".hpf-tune.json";
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheEntry {
     /// Kernel fingerprint ([`fingerprint`]): normalized IR + machine shape
-    /// + problem size, FNV-1a hashed to 16 hex digits.
+    /// + problem size + host cores, FNV-1a hashed to 16 hex digits.
     pub key: String,
     /// Winning PE mesh.
     pub grid: Vec<usize>,
@@ -39,8 +41,8 @@ pub struct CacheEntry {
     pub superstep: u64,
     /// The winner's modeled step time when it was searched, milliseconds.
     pub modeled_ms: f64,
-    /// The winner's measured step time when it was searched, milliseconds.
-    pub measured_ms: f64,
+    /// The winner's host price of a step when it was searched, milliseconds.
+    pub host_ms: f64,
 }
 
 /// Deterministic 64-bit FNV-1a over a seed string, as 16 hex digits — the
@@ -104,7 +106,7 @@ impl TuneCache {
                 config: string(e.get("config").ok_or("entry missing config")?)?,
                 superstep: num(e.get("superstep").ok_or("entry missing superstep")?)? as u64,
                 modeled_ms: num(e.get("modeled_ms").ok_or("entry missing modeled_ms")?)?,
-                measured_ms: num(e.get("measured_ms").ok_or("entry missing measured_ms")?)?,
+                host_ms: num(e.get("host_ms").ok_or("entry missing host_ms")?)?,
             });
         }
         Ok(out)
@@ -136,7 +138,7 @@ impl TuneCache {
                     ("config".into(), Value::String(e.config.clone())),
                     ("superstep".into(), Value::Number(e.superstep as f64)),
                     ("modeled_ms".into(), Value::Number(e.modeled_ms)),
-                    ("measured_ms".into(), Value::Number(e.measured_ms)),
+                    ("host_ms".into(), Value::Number(e.host_ms)),
                 ])
             })
             .collect();
@@ -178,7 +180,7 @@ mod tests {
             config: "threaded-bytecode".to_string(),
             superstep: 2,
             modeled_ms: 1.25,
-            measured_ms: 0.5,
+            host_ms: 0.5,
         }
     }
 
@@ -219,9 +221,10 @@ mod tests {
             "{\"version\":99,\"entries\":[]}",               // future version
             "{\"version\":1,\"entries\":[]}",                // pre-superstep version
             "{\"version\":2,\"entries\":[]}",                // spawn-threshold version
-            "{\"version\":3}",                               // missing entries
-            "{\"version\":3,\"entries\":[{\"key\":1}]}",     // wrong field type
-            "{\"version\":3,\"entries\":[{\"key\":\"x\"}]}", // missing fields
+            "{\"version\":3,\"entries\":[]}",                // measured-winner version
+            "{\"version\":4}",                               // missing entries
+            "{\"version\":4,\"entries\":[{\"key\":1}]}",     // wrong field type
+            "{\"version\":4,\"entries\":[{\"key\":\"x\"}]}", // missing fields
         ] {
             let r = parse(bad).and_then(|v| TuneCache::from_value(&v));
             assert!(r.is_err(), "{bad} should be rejected");

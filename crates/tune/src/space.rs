@@ -6,8 +6,7 @@ use hpf_exec::{Backend, Engine, ExecConfig};
 use hpf_runtime::{MachineConfig, PeGrid};
 
 /// One point of the configuration space the tuner searches, annotated with
-/// its modeled time (cost-model pruning stage) and, for the top-K
-/// survivors, its empirically measured per-step wall time.
+/// its two prices: the paper's SP-2 model and this host's profile.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Candidate {
     /// PE mesh (a factorization of the machine's core count whose rank
@@ -18,18 +17,16 @@ pub struct Candidate {
     /// Communication-avoiding superstep depth (1 = the classic
     /// exchange-every-step schedule).
     pub superstep: usize,
-    /// Modeled time of one step under the machine's cost model,
-    /// milliseconds. `INFINITY` when the candidate's plan failed to build
-    /// (e.g. a collapsed dimension on a multi-PE axis).
+    /// Modeled time of one logical step under the machine's cost model
+    /// (the SP-2's), milliseconds. `INFINITY` when the candidate's plan
+    /// failed to build (e.g. a collapsed dimension on a multi-PE axis).
     pub modeled_ms: f64,
-    /// Best-of-R measured wall time of one step, milliseconds. `None` for
-    /// candidates never timed (pruned by the model, or failed model probe);
-    /// `Some(INFINITY)` for one whose probe passed but whose own plan then
-    /// failed to build.
-    pub measured_ms: Option<f64>,
-    /// The logical steps `measured_ms` was measured over (the timed steps
-    /// times the logical steps each covers); `None` when not timed.
-    pub timed_steps: Option<usize>,
+    /// This host's price of one logical step on the candidate's engine
+    /// ([`hpf_runtime::HostProfile::step_ns`]), milliseconds — what the
+    /// tuner ranks by. `INFINITY` when the plan failed to build.
+    pub host_ms: f64,
+    /// Why the candidate's plan failed to build; `None` when it built.
+    pub build_error: Option<String>,
 }
 
 impl Candidate {
@@ -88,7 +85,7 @@ pub fn factorizations(pes: usize, rank: usize) -> Vec<Vec<usize>> {
 /// rank-`rank` meshes: every grid factorization × every engine × every
 /// communication-avoiding superstep depth in `supersteps`. Callers pass
 /// only superstep depths the kernel is eligible for (an empty slice means
-/// the classic depth 1). Modeled and measured fields start unset.
+/// the classic depth 1). Both prices start unset (infinite).
 pub fn enumerate(pes: usize, rank: usize, supersteps: &[usize]) -> Vec<Candidate> {
     let depths: &[usize] = if supersteps.is_empty() { &[1] } else { supersteps };
     let mut out = Vec::new();
@@ -100,8 +97,8 @@ pub fn enumerate(pes: usize, rank: usize, supersteps: &[usize]) -> Vec<Candidate
                     engine,
                     superstep: superstep.max(1),
                     modeled_ms: f64::INFINITY,
-                    measured_ms: None,
-                    timed_steps: None,
+                    host_ms: f64::INFINITY,
+                    build_error: None,
                 });
             }
         }
@@ -144,8 +141,8 @@ mod tests {
             engine: Engine::Threaded,
             superstep: 1,
             modeled_ms: f64::INFINITY,
-            measured_ms: None,
-            timed_steps: None,
+            host_ms: f64::INFINITY,
+            build_error: None,
         };
         assert_eq!(c.label(), "2x2 threaded-bytecode");
         assert_eq!(ExecConfig::from_cli_str("threaded-bytecode").unwrap(), c.exec_config());
@@ -159,8 +156,8 @@ mod tests {
             engine: Engine::Threaded,
             superstep: 1,
             modeled_ms: 0.0,
-            measured_ms: None,
-            timed_steps: None,
+            host_ms: 0.0,
+            build_error: None,
         };
         let cfg = c.machine_config(&base);
         assert_eq!(cfg.grid.dims, vec![1, 4]);

@@ -3,8 +3,8 @@
 //! bitwise-identical per-PE counters once the grid is fixed — and every
 //! candidate it emits must build into a plan that passes static
 //! verification. The on-disk cache must be deterministic (stable
-//! fingerprints), effective (a warm hit performs zero candidate timings),
-//! and safe (a corrupted file degrades to a fresh search, never an error).
+//! fingerprints), effective (a warm hit builds and prices nothing), and
+//! safe (a corrupted file degrades to a fresh search, never an error).
 
 use hpf_bench::workload::{generate, WorkloadSpec};
 use hpf_stencil::exec::{superstep_halo, ExecPlan};
@@ -17,9 +17,9 @@ use hpf_stencil::{
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-/// A fast searching tuner (no disk, few timings) over a 2x2 base machine.
+/// A searching tuner (no disk) over a 2x2 base machine.
 fn test_tuner() -> Tuner {
-    Tuner::new(base_config()).no_cache().top_k(4).reps(1)
+    Tuner::new(base_config()).no_cache()
 }
 
 fn base_config() -> MachineConfig {
@@ -113,7 +113,7 @@ fn assert_tuned_matches_default(kernel: &Kernel) -> TuneOutcome {
 }
 
 /// Every candidate that built (finite modeled time) must produce a plan
-/// that passes static verification — the tuner may only time and pick
+/// that passes static verification — the tuner may only pick
 /// machine-checked-safe configurations.
 fn assert_candidates_verify(kernel: &Kernel, candidates: &[Candidate]) {
     for c in candidates.iter().filter(|c| c.modeled_ms.is_finite()) {
@@ -190,7 +190,7 @@ fn problem9_tuned_matches_default_and_all_candidates_verify() {
 #[test]
 fn shared_probes_price_every_candidate_exactly() {
     let p9 = Kernel::compile(&presets::problem9(32), CompileOptions::full()).unwrap();
-    let out = p9.tune(&test_tuner().exhaustive()).unwrap();
+    let out = p9.tune(&test_tuner()).unwrap();
     assert_eq!(out.candidates.len(), 24);
     assert_modeled_matches_own_plan(&p9, &out.candidates);
     // One probe per (grid, depth) class, and the count is pinned — 24
@@ -199,7 +199,7 @@ fn shared_probes_price_every_candidate_exactly() {
 
     let spec = WorkloadSpec { n: 12, stmts: 2, time_loop: Some(2), ..Default::default() };
     let gen = Kernel::compile(&generate(&spec, 7), CompileOptions::full()).unwrap();
-    let out = gen.tune(&test_tuner().exhaustive()).unwrap();
+    let out = gen.tune(&test_tuner()).unwrap();
     let classes = out.candidates.len() / 2;
     assert_modeled_matches_own_plan(&gen, &out.candidates);
     assert_eq!(out.probes, classes);
@@ -227,7 +227,7 @@ fn a_nest_codegen_declines_still_tunes_and_verifies() {
     }
     assert!(declined > 0);
     let outcome = assert_tuned_matches_default(&kernel);
-    assert!(outcome.best.measured_ms.is_some_and(f64::is_finite));
+    assert!(outcome.best.host_ms.is_finite(), "the winner carries a finite host price");
 
     let path = tmp("declined");
     let _ = std::fs::remove_file(&path);
@@ -277,11 +277,11 @@ fn warm_cache_hit_skips_the_search() {
 
     let cold = kernel.tune(&tuner).unwrap();
     assert!(!cold.cache_hit);
-    assert!(cold.timed > 0);
+    assert!(cold.probes > 0 && cold.candidates.len() == 24, "a real search ran");
 
     let warm = kernel.tune(&tuner).unwrap();
     assert!(warm.cache_hit, "second search must hit the cache");
-    assert_eq!(warm.timed, 0, "a cache hit performs zero candidate timings");
+    assert_eq!((warm.timed, warm.probes), (0, 0), "a cache hit builds nothing");
     assert!(warm.candidates.is_empty(), "a cache hit enumerates nothing");
     assert_eq!(warm.best.grid, cold.best.grid);
     assert_eq!(warm.best.exec_config(), cold.best.exec_config());
@@ -292,19 +292,24 @@ fn warm_cache_hit_skips_the_search() {
 #[test]
 fn corrupted_cache_falls_back_to_fresh_search() {
     let kernel = Kernel::compile(&presets::problem9(12), CompileOptions::full()).unwrap();
-    // The last one is a well-formed cache of the previous format (v2,
-    // whose entries carried a spawn threshold): stale, never misread.
+    // The last two are well-formed caches of earlier formats (v2, whose
+    // entries carried a spawn threshold; v3, whose entries carried a
+    // measured time): stale, never misread.
     for garbage in [
         "not json at all",
         "{\"version\":99,\"entries\":[]}",
         "{\"version\":1,\"ent",
         "{\"version\":2,\"entries\":[]}",
+        "{\"version\":3,\"entries\":[]}",
     ] {
         let path = tmp("corrupt");
         std::fs::write(&path, garbage).unwrap();
         let out = kernel.tune(&test_tuner().cache_path(&path)).unwrap();
         assert!(!out.cache_hit, "corrupt cache ({garbage:?}) must not hit");
-        assert!(out.timed > 0, "corrupt cache must trigger a real search");
+        assert!(
+            out.probes > 0 && out.candidates.len() == 24,
+            "corrupt cache must trigger a real search"
+        );
         // The fresh result replaced the garbage with a loadable cache.
         let warm = kernel.tune(&test_tuner().cache_path(&path)).unwrap();
         assert!(warm.cache_hit, "rewritten cache must hit");
@@ -363,7 +368,7 @@ fn a_lint_dirty_kernel_tunes_without_a_lint_gate() {
     let mut kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     assert!(kernel.drop_overlap_shift(0), "Problem 9 has shifts to drop");
     assert!(hpf_stencil::analysis::has_errors(&kernel.lint()));
-    let outcome = kernel.tune(&test_tuner().exhaustive()).unwrap();
+    let outcome = kernel.tune(&test_tuner()).unwrap();
     assert_eq!(outcome.candidates.len(), 3 * 2);
     assert!(outcome.candidates.iter().all(|c| c.superstep == 1));
     assert_modeled_matches_own_plan(&kernel, &outcome.candidates);
