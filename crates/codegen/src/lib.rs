@@ -48,7 +48,7 @@ mod vm;
 
 pub use bytecode::{reads_before_def, ChainDst, KernelCode, Link, Op, Operand, Reg, Slot};
 pub use verify::{inject_shared, verify_kernels, verify_nest, Fault, BV001, BV002, BV003, BV004};
-pub use vm::{compile_nest, compile_spmd, exec_compiled, exec_compiled_over, CompiledNest};
+pub use vm::{compile_nest, compile_spmd, exec_compiled, exec_compiled_over, CompiledNest, Tier};
 
 #[cfg(test)]
 mod tests {

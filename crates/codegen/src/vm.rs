@@ -25,6 +25,10 @@
 //! back, so a stencil statement costs one pass over its taps instead of a
 //! strip-register round trip per tap.
 //!
+//! The row loop is compiled twice, portable and (x86-64) for AVX2, and
+//! [`Tier::active`] picks one per process. Every lane runs the same IEEE
+//! operations at either width, never fused into an FMA: the tiers agree.
+//!
 //! Execution order, operation order, and rounding are identical to the tree
 //! interpreter (`hpf-exec`'s `exec_nest`): results are bitwise equal. Like
 //! the interpreter, the VM counts nothing: a plan counts what each sweep
@@ -45,6 +49,32 @@ use std::sync::Arc;
 /// dispatch cost and exposing straight-line lane loops the optimizer
 /// auto-vectorizes.
 pub(crate) const LANES: usize = 32;
+
+/// The instruction set the chunked row executor runs at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// The target's baseline: SSE2, two doubles per instruction, on x86-64.
+    Portable,
+    /// AVX2, four doubles per instruction (x86-64 hosts that have it).
+    Avx2,
+}
+
+impl Tier {
+    /// The tier of this process: AVX2 where the host has it. The CPU probe
+    /// runs once per process (std caches it); Miri runs the portable tier.
+    pub fn active() -> Tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::is_x86_feature_detected!("avx2") {
+            return Tier::Avx2;
+        }
+        Tier::Portable
+    }
+
+    /// The tier's name in the program's output: `portable` or `avx2`.
+    pub fn name(self) -> &'static str {
+        ["portable", "avx2"][self as usize]
+    }
+}
 
 /// One loop nest compiled for one subgrid layout (strides, halo, flat
 /// length), shared by every PE with that layout: the SPMD node program.
@@ -374,19 +404,36 @@ fn exec_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64]) {
     // so the pointers never alias each other; ops execute strictly in order,
     // so same-array load/store ordering is preserved.
     let code = &*cn.code;
+    // The tier is picked once per execution, not per row or chunk.
     pe.with_vm((code.regs.max(1), code.strip_len()), &code.arrays, |regs, strips, arrs| {
+        #[cfg(target_arch = "x86_64")]
+        if Tier::active() == Tier::Avx2 {
+            // SAFETY: `Tier::active` found AVX2 on this host.
+            return unsafe { exec_frame_avx2(code, lo, hi, (regs, strips, arrs)) };
+        }
         exec_frame(code, lo, hi, (regs, strips, arrs))
     })
 }
 
-/// [`exec_over`] on the VM storage the PE lent: zeroed `regs` and `strips`,
-/// and the storage table `arrs` of `cn.arrays`.
-fn exec_frame(
-    cn: &NestCode,
-    lo: &[i64],
-    hi: &[i64],
-    (regs, strips, arrs): (&mut [f64], &mut [f64], &[(*mut f64, usize)]),
-) {
+/// The VM storage a PE lends one nest execution: zeroed `regs` and
+/// `strips`, and the storage table `arrs` of the nest's arrays.
+type Frame<'a> = (&'a mut [f64], &'a mut [f64], &'a [(*mut f64, usize)]);
+
+/// [`exec_frame`] compiled with AVX2 enabled: the row loop and the chunked
+/// executor inline into it, so its lane loops run four doubles wide.
+///
+/// # Safety
+/// The host must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn exec_frame_avx2(cn: &NestCode, lo: &[i64], hi: &[i64], frame: Frame) {
+    exec_frame(cn, lo, hi, frame)
+}
+
+/// [`exec_over`] on the VM storage the PE lent; each tier's entry inlines it.
+#[inline(always)]
+fn exec_frame(cn: &NestCode, lo: &[i64], hi: &[i64], mut frame: Frame) {
+    let (regs, strips, _) = &mut frame;
     for &(r, v) in &cn.preloads {
         regs[r as usize] = v;
     }
@@ -406,45 +453,16 @@ fn exec_frame(
         point.iter().zip(&cn.strides).map(|(&l, &s)| (l + cn.halo - 1) * s).sum()
     };
 
-    let mut row = |kernel: &KernelCode, vec_ok: bool, base: i64, count: i64, step: i64| {
-        if count <= 0 {
-            return;
-        }
-        let first = base + kernel.min_delta;
-        let last = base + (count - 1) * step + kernel.max_delta;
-        if first >= 0 && (last as u64) < cn.len as u64 {
-            // SAFETY: every flat index this row touches lies in
-            // [first, last] ⊆ [0, len); register and slot indices were
-            // validated at compile time. The chunked executor is only
-            // entered when `vector_safe` proved the op-at-a-time
-            // interleaving unobservable.
-            unsafe {
-                if vec_ok {
-                    run_row_vec(kernel, arrs, strips, base, count, step)
-                } else {
-                    run_row::<false>(kernel, arrs, regs, base, count, step)
-                }
-            }
-        } else {
-            // Out-of-layout access (a halo violation the lints would
-            // flag): run checked, panicking like the interpreter.
-            // SAFETY: register and slot indices were validated at
-            // compile time; CHECKED = true asserts every memory index
-            // before touching it, so no out-of-bounds access occurs.
-            unsafe { run_row::<true>(kernel, arrs, regs, base, count, step) }
-        }
-    };
-
     if rank == 1 {
         let n = hi[d0] - lo[d0] + 1;
         let jam_steps = n / cn.factor;
         let rest = n - jam_steps * cn.factor;
         let base = base_of(&[lo[d0]]);
         let stride = cn.strides[d0];
-        row(&cn.jammed, cn.jam_vec, base, jam_steps, cn.factor * stride);
+        run_line(cn, (&cn.jammed, cn.jam_vec), (base, jam_steps, cn.factor * stride), &mut frame);
         let ubase = base + jam_steps * cn.factor * stride;
         let unit = cn.unit.as_ref().unwrap_or(&cn.jammed);
-        row(unit, cn.unit_vec, ubase, rest, stride);
+        run_line(cn, (unit, cn.unit_vec), (ubase, rest, stride), &mut frame);
     } else {
         // Middle dims: everything between the (possibly unrolled)
         // outermost loop and the innermost row dimension.
@@ -466,7 +484,7 @@ fn exec_frame(
             }
             'mids: loop {
                 point[inner] = lo[inner];
-                row(kernel, vec_ok, base_of(&point), row_len, row_step);
+                run_line(cn, (kernel, vec_ok), (base_of(&point), row_len, row_step), &mut frame);
                 for idx in (0..mids.len()).rev() {
                     let d = mids[idx];
                     point[d] += 1;
@@ -479,6 +497,43 @@ fn exec_frame(
             }
             i += if use_jammed { cn.factor } else { 1 };
         }
+    }
+}
+
+/// One row of `count` points from flat index `base`, `step` apart (chunked
+/// when `vec_ok`). A function, not a closure, so that it inlines into each
+/// tier's entry with its executors: a closure here stays out of line, portable.
+#[inline(always)]
+fn run_line(
+    cn: &NestCode,
+    (kernel, vec_ok): (&KernelCode, bool),
+    (base, count, step): (i64, i64, i64),
+    (regs, strips, arrs): &mut Frame,
+) {
+    if count <= 0 {
+        return;
+    }
+    let first = base + kernel.min_delta;
+    let last = base + (count - 1) * step + kernel.max_delta;
+    if first >= 0 && (last as u64) < cn.len as u64 {
+        // SAFETY: every flat index this row touches lies in [first, last] ⊆
+        // [0, len); register and slot indices were validated at compile time.
+        // The chunked executor is only entered when `vector_safe` proved the
+        // op-at-a-time interleaving unobservable.
+        unsafe {
+            if vec_ok {
+                run_row_vec(kernel, arrs, strips, base, count, step)
+            } else {
+                run_row::<false>(kernel, arrs, regs, base, count, step)
+            }
+        }
+    } else {
+        // Out-of-layout access (a halo violation the lints would flag): run
+        // checked, panicking like the interpreter.
+        // SAFETY: register and slot indices were validated at compile time;
+        // CHECKED = true asserts every memory index before touching it, so no
+        // out-of-bounds access occurs.
+        unsafe { run_row::<true>(kernel, arrs, regs, base, count, step) }
     }
 }
 
@@ -608,6 +663,7 @@ unsafe fn run_row<const CHECKED: bool>(
 /// `LANES` lanes per register with preloads broadcast, and the kernel was
 /// admitted by `vector_safe` for this `step` (re-derived independently by
 /// the bytecode verifier, BV004).
+#[inline(always)]
 unsafe fn run_row_vec(
     code: &KernelCode,
     arrs: &[(*mut f64, usize)],
@@ -731,6 +787,7 @@ unsafe fn lanes_of(
 ///
 /// # Safety
 /// See `run_row_vec`; `sp` must point at `regs * LANES` initialized `f64`s.
+#[inline(always)]
 unsafe fn run_chunk(
     code: &KernelCode,
     arrs: &[(*mut f64, usize)],
@@ -948,7 +1005,8 @@ unsafe fn run_chunk(
 /// the SAFETY comments above with an actual aliasing/UB check of every
 /// raw-pointer path (scalar unchecked, scalar checked, chunked block-move,
 /// chunked strided, predicated store, and the fold's in-place taps, gathered
-/// taps, scaled operands, batched additions and direct stores).
+/// taps, scaled operands, batched additions and direct stores), each chunked
+/// row on every [`Tier`] the host has (only the portable one under Miri).
 #[cfg(test)]
 mod unsafe_row_tests {
     use super::*;
@@ -971,34 +1029,95 @@ mod unsafe_row_tests {
         Link { op, rev, x }
     }
 
+    /// Every tier this host can run: the portable one, and AVX2 where the
+    /// host has it (never under Miri).
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        if Tier::active() == Tier::Avx2 {
+            tiers.push(Tier::Avx2);
+        }
+        tiers
+    }
+
+    /// `run_row_vec` as `tier` compiles it.
+    ///
+    /// # Safety
+    /// `run_row_vec`'s contract; `tier` is one of [`tiers`].
+    unsafe fn run_row_vec_at(
+        tier: Tier,
+        k: &KernelCode,
+        arrs: &[(*mut f64, usize)],
+        strips: &mut [f64],
+        (base, count, step): (i64, i64, i64),
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if tier == Tier::Avx2 {
+            // SAFETY: the caller's contract; `tiers` offers AVX2 only on a
+            // host that has it.
+            return unsafe { run_row_vec_avx2(k, arrs, strips, (base, count, step)) };
+        }
+        // SAFETY: the caller's contract.
+        unsafe { run_row_vec(k, arrs, strips, base, count, step) }
+    }
+
+    /// `run_row_vec` compiled with AVX2 enabled, as `exec_frame_avx2`
+    /// inlines it.
+    ///
+    /// # Safety
+    /// `run_row_vec`'s contract, on a host with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_row_vec_avx2(
+        k: &KernelCode,
+        arrs: &[(*mut f64, usize)],
+        strips: &mut [f64],
+        (base, count, step): (i64, i64, i64),
+    ) {
+        // SAFETY: the caller's contract.
+        unsafe { run_row_vec(k, arrs, strips, base, count, step) }
+    }
+
+    /// Equal bits, or NaN on both sides: two NaN operands leave whichever
+    /// payload the instruction's operand order picks, and the compiler may
+    /// order a commutative operation's operands differently in scalar and
+    /// lane code. No other value may differ.
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan())
+    }
+
     /// Run `k` over the row `(base, count, step)` of `bufs` once through the
-    /// scalar executor and once through the chunked one; both must leave
-    /// the same bits behind. Returns the buffers.
+    /// scalar executor and once through the chunked one of every tier; all
+    /// must leave the same bits behind. Returns the buffers.
     fn both_ways(
         k: &KernelCode,
         regs: usize,
         bufs: &[Vec<f64>],
-        (base, count, step): (i64, i64, i64),
+        row: (i64, i64, i64),
     ) -> Vec<Vec<f64>> {
+        let (base, count, step) = row;
         let mut scalar = bufs.to_vec();
-        let mut chunked = bufs.to_vec();
         {
             let arrs = arrs_of(&mut scalar);
             // SAFETY: the caller passes rows whose every access is in range
             // and kernels whose register/slot operands are in range.
             unsafe { run_row::<false>(k, &arrs, &mut vec![0.0; regs], base, count, step) };
         }
-        {
+        for tier in tiers() {
+            let mut chunked = bufs.to_vec();
             let arrs = arrs_of(&mut chunked);
             // SAFETY: as above; `regs * LANES` zeroed strips, and the test
             // kernels store to arrays they do not read at other deltas.
-            unsafe { run_row_vec(k, &arrs, &mut vec![0.0; regs * LANES], base, count, step) };
+            unsafe { run_row_vec_at(tier, k, &arrs, &mut vec![0.0; regs * LANES], row) };
+            for (a, b) in scalar.iter().zip(&chunked) {
+                assert!(
+                    same_bits(a, b),
+                    "the {} chunked row and the scalar row disagree",
+                    tier.name()
+                );
+            }
         }
-        for (a, b) in scalar.iter().zip(&chunked) {
-            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a), bits(b), "chunked and scalar rows disagree");
-        }
-        chunked
+        scalar
     }
 
     #[test]
@@ -1026,6 +1145,9 @@ mod unsafe_row_tests {
         }
         assert_eq!(bufs[0][0], 0.0);
         assert_eq!(bufs[0][15], 0.0);
+        // The same row through the chunked executor of every tier.
+        let fresh = vec![vec![0.0f64; 16], bufs[1].clone()];
+        assert!(same_bits(&both_ways(&k, 2, &fresh, (1, 14, 1))[0], &bufs[0]));
     }
 
     #[test]
@@ -1179,6 +1301,149 @@ mod unsafe_row_tests {
                 let want = 7.0 / (3.0 - (a * r0 + 0.5 * r0 + r0 + r0)) + -0.0;
                 assert_eq!(out[0][at].to_bits(), want.to_bits(), "step {step} point {j}");
             }
+        }
+    }
+
+    /// A splitmix64 stream: the proptest draws one seed, the kernel and its
+    /// data come from here.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// A value of either sign, signed zeros included.
+        fn value(&mut self) -> f64 {
+            match self.below(16) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (self.below(2001) as f64 - 1000.0) / 64.0,
+            }
+        }
+    }
+
+    /// Reach of the random taps: array 1 is read at deltas in `-R..=R`.
+    const R: i64 = 4;
+
+    /// A random chunk-safe kernel over two arrays: every store goes to
+    /// array 0 at delta 0, the only delta array 0 is read at, and array 1
+    /// is read anywhere within `R`. Every register is defined before it is
+    /// read. Returns the kernel and its register count.
+    fn random_kernel(rng: &mut Rng) -> (KernelCode, usize) {
+        let mut k = KernelCode::default();
+        let mut defined: Vec<u16> = Vec::new();
+        let reg = |rng: &mut Rng, defined: &[u16]| defined[rng.below(defined.len())];
+        let tap = |rng: &mut Rng| match rng.below(4) {
+            0 => (0, 0),
+            _ => (1, rng.below(2 * R as usize + 1) as i32 - R as i32),
+        };
+        let operand = |rng: &mut Rng, defined: &[u16]| match rng.below(5) {
+            0 if !defined.is_empty() => Operand::Reg(reg(rng, defined)),
+            1 => Operand::Imm(rng.value()),
+            2 => {
+                let (arr, delta) = tap(rng);
+                Operand::ImmTap { v: rng.value(), arr, delta }
+            }
+            3 if !defined.is_empty() => Operand::ImmReg { v: rng.value(), r: reg(rng, defined) },
+            _ => {
+                let (arr, delta) = tap(rng);
+                Operand::Tap { arr, delta }
+            }
+        };
+        let cmp = |rng: &mut Rng| {
+            [CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Le, CmpOp::Eq, CmpOp::Ne][rng.below(6)]
+        };
+        for _ in 0..1 + rng.below(8) {
+            let dst = defined.len() as u16;
+            // Ops that read registers wait until one is defined.
+            let op = match rng.below(if defined.is_empty() { 3 } else { 11 }) {
+                0 | 1 => {
+                    let first = operand(rng, &defined);
+                    let lo = k.links.len() as u32;
+                    for _ in 0..rng.below(9) {
+                        // Additions are half of all links, so runs of them
+                        // take the batched path.
+                        let op = match rng.below(8) {
+                            0..=3 => BinOp::Add,
+                            4 => BinOp::Sub,
+                            5 => BinOp::Mul,
+                            _ => BinOp::Div,
+                        };
+                        let x = operand(rng, &defined);
+                        k.links.push(Link { op, rev: rng.below(2) == 0, x });
+                    }
+                    let hi = k.links.len() as u32;
+                    let dst = match rng.below(2) {
+                        0 => ChainDst::Reg(dst),
+                        _ => ChainDst::Store { arr: 0, delta: 0 },
+                    };
+                    Op::Chain { first, lo, hi, dst }
+                }
+                2 => match tap(rng) {
+                    (arr, delta) if rng.below(4) > 0 => Op::Load { dst, arr, delta },
+                    _ => Op::Const { dst, v: rng.value() },
+                },
+                3 => Op::Cmp { op: cmp(rng), dst, a: reg(rng, &defined), b: reg(rng, &defined) },
+                4 => Op::CmpImmR { op: cmp(rng), dst, a: reg(rng, &defined), v: rng.value() },
+                5 => Op::CmpImmL { op: cmp(rng), dst, v: rng.value(), b: reg(rng, &defined) },
+                6 | 7 => {
+                    let (c, t, e) = (reg(rng, &defined), reg(rng, &defined), reg(rng, &defined));
+                    match rng.below(2) {
+                        0 => Op::Select { dst, c, t, e },
+                        _ => Op::SelStore { arr: 0, delta: 0, c, t, e },
+                    }
+                }
+                8 => Op::Neg { dst, src: reg(rng, &defined) },
+                9 => Op::Copy { dst, src: reg(rng, &defined) },
+                _ => Op::Store { arr: 0, delta: 0, src: reg(rng, &defined) },
+            };
+            if matches!(
+                op,
+                Op::Chain { dst: ChainDst::Reg(_), .. }
+                    | Op::Load { .. }
+                    | Op::Const { .. }
+                    | Op::Cmp { .. }
+                    | Op::CmpImmR { .. }
+                    | Op::CmpImmL { .. }
+                    | Op::Select { .. }
+                    | Op::Neg { .. }
+                    | Op::Copy { .. }
+            ) {
+                defined.push(dst);
+            }
+            k.ops.push(op);
+        }
+        (k, defined.len().max(1))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..Default::default()
+        })]
+
+        /// Random folds and the register and predicated ops around them,
+        /// over rows of 1-100 points (no chunk, partial chunks, full ones)
+        /// at steps 1-3: the scalar executor and every tier's chunked one
+        /// leave the same bits.
+        #[test]
+        fn random_kernels_give_the_same_bits_on_every_tier(
+            seed in 0u64..1_000_000,
+            count in 1i64..=100,
+            step in 1i64..=3,
+        ) {
+            let mut rng = Rng(seed);
+            let (k, regs) = random_kernel(&mut rng);
+            assert!(vector_safe(&k, step), "{k:?}");
+            let len = (2 * R + (count - 1) * step + 1) as usize;
+            let bufs: Vec<Vec<f64>> =
+                (0..2).map(|_| (0..len).map(|_| rng.value()).collect()).collect();
+            both_ways(&k, regs, &bufs, (R, count, step));
         }
     }
 }

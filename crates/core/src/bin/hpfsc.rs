@@ -365,6 +365,7 @@ fn main() {
                 match kernel.bytecode_listing(mcfg) {
                     Ok(text) => {
                         out!("! bytecode ({grid:?} grid, halo {halo})");
+                        out!("! vm tier: {}", hpf_core::codegen::Tier::active().name());
                         out_raw!("{text}");
                     }
                     Err(e) => {
@@ -475,11 +476,12 @@ fn main() {
                     let host = out.host.expect("a cold search prices on the host");
                     out!(
                         "! tune: searched {} candidates, {} probes, priced on host (cores {}, \
-                         message {:.1} us spinning, {:.1} us parked), {:.1} ms (key {}, \
-                         cached in {cache_name})",
+                         vm tier {}, message {:.1} us spinning, {:.1} us parked), {:.1} ms \
+                         (key {}, cached in {cache_name})",
                         out.candidates.len(),
                         out.probes,
                         host.cores,
+                        hpf_core::codegen::Tier::active().name(),
                         host.msg_spin_ns / 1e3,
                         host.msg_park_ns / 1e3,
                         out.search_ns as f64 / 1e6,
@@ -623,10 +625,11 @@ fn main() {
                     let drift = r.drift.as_ref().expect("metrics were configured");
                     if report_on {
                         out!(
-                            "\n! run report: {} on {} PEs, {} steps",
+                            "\n! run report: {} on {} PEs, {} steps, vm tier {}",
                             snap.config,
                             snap.pes,
-                            snap.steps
+                            snap.steps,
+                            hpf_core::codegen::Tier::active().name()
                         );
                         out!("\n! per-PE utilization");
                         out_raw!("{}", snap.render_utilization());

@@ -22,6 +22,14 @@ fn write_preset(name: &str) -> PathBuf {
     path
 }
 
+/// `! vm tier: NAME` for the tier this host runs the VM at: `avx2` where
+/// it has AVX2, `portable` elsewhere.
+fn vm_tier_line() -> String {
+    let name = hpf_core::codegen::Tier::active().name();
+    assert!(["avx2", "portable"].contains(&name), "{name}");
+    format!("! vm tier: {name}")
+}
+
 const PRESETS: [&str; 7] = [
     "five-point",
     "nine-point-cshift",
@@ -149,6 +157,8 @@ fn emit_bytecode_lists_problem9_as_a_few_folds() {
     let out = hpfsc(&[path.to_str().unwrap(), "--emit", "bytecode", "--grid", "2x2"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
+    // The header names the instruction set the chunked rows run at.
+    assert_eq!(text.lines().nth(1), Some(vm_tier_line().as_str()), "{text}");
     // "  jammed body: N ops per 2 points, chunked, ..." — one fold per
     // statement instance, not a load/add/store string per tap (30 ops).
     let jammed = text.lines().find(|l| l.contains("jammed body:")).expect("a jammed body line");
@@ -159,6 +169,18 @@ fn emit_bytecode_lists_problem9_as_a_few_folds() {
     assert!(jammed.contains("chunked"), "{jammed}");
     assert!(text.contains("unit body:"), "{text}");
     assert!(text.contains("chain") && text.contains("tap U["), "{text}");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn report_header_names_the_vm_tier() {
+    let path = write_preset("problem9");
+    let out = hpfsc(&[path.to_str().unwrap(), "--run", "--report"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let tier = vm_tier_line().replace("! vm tier: ", ", vm tier ");
+    let want = format!("! run report: seq-bytecode on 4 PEs, 1 steps{tier}");
+    assert!(text.lines().any(|l| l == want), "no '{want}' line:\n{text}");
     let _ = std::fs::remove_file(path);
 }
 
@@ -300,6 +322,10 @@ fn tune_prints_the_bytecode_space_and_a_best_line_that_names_the_winner() {
         summary.starts_with("! tune: searched 24 candidates, 12 probes, priced on host (cores "),
         "{summary}"
     );
+    // The host profile is fitted under the active VM tier, which the cache
+    // key includes.
+    let tier = vm_tier_line().replace("! vm tier: ", ", vm tier ") + ", ";
+    assert!(summary.contains(&tier), "{summary}");
     // The decision log: `[*] grid config ss sp2-ms host-ms why`, all
     // bytecode, and nothing measured.
     let header = text.lines().position(|l| l.contains("sp2 ms")).expect("a table header");

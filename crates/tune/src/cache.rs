@@ -29,8 +29,8 @@ pub const DEFAULT_CACHE_FILE: &str = ".hpf-tune.json";
 /// One cached tuning decision, keyed by the kernel fingerprint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheEntry {
-    /// Kernel fingerprint ([`fingerprint`]): normalized IR + machine shape
-    /// + problem size + host cores, FNV-1a hashed to 16 hex digits.
+    /// Kernel fingerprint ([`fingerprint`]): normalized IR, machine shape,
+    /// problem size, host cores and VM tier, FNV-1a hashed to 16 hex digits.
     pub key: String,
     /// Winning PE mesh.
     pub grid: Vec<usize>,

@@ -20,7 +20,8 @@
 //!
 //! The winner is persisted in an on-disk cache (default
 //! [`cache::DEFAULT_CACHE_FILE`]) keyed by a deterministic kernel
-//! [`fingerprint`] that folds in the host's core count, so subsequent runs
+//! [`fingerprint`] that folds in the host's core count and the VM's
+//! instruction-set tier ([`hpf_codegen::Tier`]), so subsequent runs
 //! of the same kernel on the same machine shape skip the search entirely —
 //! a warm [`Tuner::best`] call builds no plan and calibrates nothing. A
 //! corrupted cache file degrades to a warning plus a fresh search, never
@@ -170,10 +171,10 @@ impl Tuner {
 
     /// Find the best configuration for `node`. `seed` is the
     /// caller-supplied kernel identity (normalized IR listing plus array
-    /// shapes); the tuner extends it with the machine shape and the host's
-    /// core count and hashes it into the cache key, so any change to
-    /// kernel, problem size, PE count, halo or host cores re-keys the
-    /// search.
+    /// shapes); the tuner extends it with the machine shape, the host's
+    /// core count and the VM tier and hashes it into the cache key, so any
+    /// change to kernel, problem size, PE count, halo, host cores or the
+    /// executor the host profile was fitted under re-keys the search.
     ///
     /// Flow: probe the cache (hit → return immediately: no plan built, no
     /// calibration); otherwise fit this process's [`host::profile`] (once
@@ -206,9 +207,10 @@ impl Tuner {
             depths.push(1);
         }
         let key = fingerprint(&format!(
-            "{seed}|pes={pes}|halo={}|ss={depths:?}|cores={}",
+            "{seed}|pes={pes}|halo={}|ss={depths:?}|cores={}|vm={}",
             self.base.halo,
-            host::cores()
+            host::cores(),
+            hpf_codegen::Tier::active().name()
         ));
 
         // Warm path: a cached decision for this fingerprint ends the call
