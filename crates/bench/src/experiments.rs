@@ -45,12 +45,12 @@ pub fn measure(
         .iter()
         .find(|n| kernel.checked.symbols.lookup_array(n).is_some())
         .expect("preset has a known input array");
-    let run = kernel.runner(cfg).init(input_name, input).engine(engine).run()?;
+    let run = kernel.plan(cfg).init(input_name, input).engine(engine).run()?;
     let stats = run.stats();
     let total = stats.total();
     Ok(Measured {
         modeled_ms: run.modeled_ms(),
-        wall_ms: run.wall.as_secs_f64() * 1e3,
+        wall_ms: run.wall().as_secs_f64() * 1e3,
         msgs: stats.total_messages(),
         intra_bytes: stats.total_intra_bytes(),
         loads: total.loads,

@@ -115,7 +115,7 @@ pub fn fuzz_sweep(spec: &WorkloadSpec, cases: u64, base_seed: u64) -> Vec<FuzzOu
                 }
             };
             let result = kernel
-                .runner(MachineConfig::sp2_2x2())
+                .plan(MachineConfig::sp2_2x2())
                 .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
                 .init("V", |p| ((p[0] - 2 * p[1]) as f64 * 0.05).cos())
                 .run_verified(&["T", "S"], 1e-11);

@@ -56,7 +56,8 @@ mod tests {
     use hpf_ir::expr::CmpOp;
     use hpf_ir::{ArrayDecl, ArrayId, BinOp, Distribution, Section, Shape, ShiftKind};
     use hpf_passes::loopir::{Instr, LoopNest, Unroll};
-    use hpf_runtime::{Machine, MachineConfig};
+    use hpf_runtime::schedule::overlap_shift_plan;
+    use hpf_runtime::{Machine, MachineConfig, MoveKind};
 
     const U: ArrayId = ArrayId(0);
     const T: ArrayId = ArrayId(1);
@@ -67,6 +68,15 @@ mod tests {
         m.alloc(T, &ArrayDecl::user("T", Shape::new([8, 8]), Distribution::block(2))).unwrap();
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
         m
+    }
+
+    /// Fill every PE's high ghost row of U along dim 0, circularly, through
+    /// a compiled schedule.
+    fn fill_high_ghosts(m: &mut Machine) {
+        let geom = m.meta(U).geom.clone();
+        let plan = overlap_shift_plan(&geom, 1, 0, None, ShiftKind::Circular, 1).unwrap();
+        let sched = m.compile_comm(U, U, plan, MoveKind::Overlap);
+        m.apply_compiled(&sched);
     }
 
     fn copy_nest(space: Section, offsets: Vec<i64>) -> LoopNest {
@@ -102,7 +112,7 @@ mod tests {
     #[test]
     fn offset_load_reads_halo() {
         let mut m = machine();
-        m.overlap_shift(U, 1, 0, None, ShiftKind::Circular).unwrap();
+        fill_high_ghosts(&mut m);
         m.reset_stats();
         let nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![1, 0]);
         run_all(&mut m, &nest, &[]);

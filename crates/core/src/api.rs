@@ -1,6 +1,6 @@
 //! The compile-and-run API.
 
-use hpf_exec::{Aliases, Backend, Engine, ExecConfig, ExecPlan, Reference};
+use hpf_exec::{Backend, Engine, ExecConfig, ExecPlan, Reference};
 use hpf_frontend::{compile_source, Checked, FrontError};
 use hpf_ir::ArrayId;
 use hpf_passes::{compile, CompileOptions, Compiled, NUM_PASSES, PASS_NAMES};
@@ -154,17 +154,12 @@ impl Kernel {
         Ok(tuner.best(&self.compiled.node, &self.tune_seed())?)
     }
 
-    /// Start configuring a single sweep of this kernel: the same builder
-    /// as [`Kernel::plan`], to be finished with [`Planner::run`] or
-    /// [`Planner::run_verified`] instead of [`Planner::build`].
-    pub fn runner(&self, config: MachineConfig) -> Planner<'_> {
-        self.plan(config)
-    }
-
     /// Start configuring a persistent execution plan for this kernel: the
     /// machine is built once, every communication schedule is compiled once,
     /// and the kernel can then be stepped any number of times with zero
-    /// per-step setup ([`Plan::step`] / [`Plan::iterate`]).
+    /// per-step setup ([`Plan::step`] / [`Plan::iterate`]). Finish with
+    /// [`Planner::build`], or with [`Planner::run`] /
+    /// [`Planner::run_verified`] for a plan stepped once.
     pub fn plan(&self, config: MachineConfig) -> Planner<'_> {
         Planner {
             kernel: self,
@@ -267,7 +262,7 @@ impl OracleRunner<'_> {
 
     /// Interpret the program `steps` times in sequence on the same state —
     /// the oracle for driver-stepped superstep plans, where one machine
-    /// step covers several logical sweeps ([`Run::logical_steps`]).
+    /// step covers several logical sweeps ([`Plan::logical_steps_per_step`]).
     pub fn run_steps(self, steps: usize) -> Reference {
         let mut r = Reference::new(&self.kernel.checked);
         for (name, f) in &self.inits {
@@ -283,8 +278,7 @@ impl OracleRunner<'_> {
 /// Array initializer: a function of the 1-based global coordinates.
 pub type InitFn = std::sync::Arc<dyn Fn(&[i64]) -> f64 + Send + Sync>;
 
-/// Builder for a persistent execution plan ([`Kernel::plan`]), or for one
-/// sweep of it ([`Kernel::runner`]).
+/// Builder for a persistent execution plan ([`Kernel::plan`]).
 pub struct Planner<'k> {
     kernel: &'k Kernel,
     config: MachineConfig,
@@ -323,14 +317,14 @@ impl<'k> Planner<'k> {
         self
     }
 
-    /// Toggle per-PE event tracing ([`Plan::take_trace`], [`Run::trace`]).
+    /// Toggle per-PE event tracing ([`Plan::take_trace`]).
     pub fn trace(mut self, on: bool) -> Self {
         self.exec_cfg = self.exec_cfg.trace(on);
         self
     }
 
     /// Toggle metrics collection ([`Plan::metrics_snapshot`],
-    /// [`Plan::drift_report`]; [`Run::metrics`], [`Run::drift`]).
+    /// [`Plan::drift_report`]).
     /// Observation-only: results and counters are bitwise identical with
     /// metrics on or off.
     pub fn metrics(mut self, on: bool) -> Self {
@@ -356,7 +350,7 @@ impl<'k> Planner<'k> {
     /// `k = 1`;
     /// [`Plan::superstep_diags`] explains any fallback. For driver-stepped
     /// flat kernels one step then covers `k` logical sweeps
-    /// ([`Plan::logical_steps_per_step`], [`Run::logical_steps`]).
+    /// ([`Plan::logical_steps_per_step`]).
     pub fn superstep(mut self, k: usize) -> Self {
         self.exec_cfg = self.exec_cfg.superstep(k);
         self
@@ -364,31 +358,31 @@ impl<'k> Planner<'k> {
 
     /// Execute one sweep: build the plan (allocating input arrays first,
     /// then the remaining arrays — respecting the memory budget, which is
-    /// how Figure 11's exhaustion reproduces), step it once, and finish.
-    pub fn run(self) -> Result<Run, CoreError> {
+    /// how Figure 11's exhaustion reproduces) and step it once.
+    pub fn run(self) -> Result<Plan<'k>, CoreError> {
         let mut plan = self.build()?;
         plan.step();
-        Ok(plan.into_run())
+        Ok(plan)
     }
 
     /// [`Planner::run`], then verify every named output array against the
     /// reference interpreter (exact comparison at `tol = 0.0`: the
     /// executors are deterministic and operation order matches the oracle
     /// for stencil kernels).
-    pub fn run_verified(self, outputs: &[&str], tol: f64) -> Result<Run, CoreError> {
+    pub fn run_verified(self, outputs: &[&str], tol: f64) -> Result<Plan<'k>, CoreError> {
         let kernel = self.kernel;
         let oracle = OracleRunner { kernel, inits: self.inits.clone() };
-        let run = self.run()?;
+        let plan = self.run()?;
         // A driver-stepped superstep plan covers k logical sweeps per
         // machine step; the oracle must cover the same number.
-        let reference = oracle.run_steps(run.logical_steps);
+        let reference = oracle.run_steps(plan.logical_steps_per_step());
         for name in outputs {
             let id = kernel.array_id(name)?;
-            if !run.machine.is_allocated(id) {
+            if !plan.machine.is_allocated(id) {
                 // The program never references this array; nothing to check.
                 continue;
             }
-            let got = run.machine.gather(run.aliases.resolve(id));
+            let got = plan.gather(name)?;
             let want = &reference.arrays[&id].data;
             let diff = hpf_exec::max_abs_diff(&got, want);
             if diff > tol {
@@ -398,7 +392,7 @@ impl<'k> Planner<'k> {
                 });
             }
         }
-        Ok(run)
+        Ok(plan)
     }
 
     /// Build the plan: construct the machine, allocate and fill the input
@@ -425,6 +419,7 @@ impl<'k> Planner<'k> {
                 Some((outcome.cache_hit as u64, (!outcome.cache_hit) as u64, outcome.search_ns));
         }
         let node = &self.kernel.compiled.node;
+        let depth = exec_cfg.superstep;
         let mut gate_diags = Vec::new();
         // Deep-halo sizing: a depth-k superstep needs the overlap area
         // allocated to the deep-fill depth. An ineligible kernel returns
@@ -479,14 +474,21 @@ impl<'k> Planner<'k> {
         if let Some((hits, misses, search_ns)) = tuned {
             machine.note_tune(hits, misses, search_ns);
         }
-        Ok(Plan { kernel: self.kernel, machine, exec, gate_diags, steps: 0, wall: Duration::ZERO })
+        Ok(Plan {
+            kernel: self.kernel,
+            machine,
+            exec,
+            depth,
+            gate_diags,
+            steps: 0,
+            wall: Duration::ZERO,
+        })
     }
 }
 
 /// A kernel bound to one machine with all communication schedules compiled:
-/// step it, inspect or overwrite its warm state, step it again. Dropping the
-/// plan (or [`Plan::into_run`]) releases nothing until the machine goes too —
-/// arrays live on the machine, schedules on the plan.
+/// step it, inspect or overwrite its warm state, step it again. A threaded
+/// plan holds its worker threads from its first step until it drops.
 ///
 /// A rotated copy-back (`U = T` turned into a storage swap) leaves `T`'s
 /// storage stale at a step boundary, though its value is `U`'s. The plan's
@@ -498,6 +500,8 @@ pub struct Plan<'k> {
     /// access to subgrids and per-PE state).
     pub machine: Machine,
     exec: ExecPlan,
+    /// The superstep depth the plan was configured for.
+    depth: usize,
     /// Core-level superstep fallback diagnostics (the halo-fit gate),
     /// reported alongside the exec planner's via [`Plan::superstep_diags`].
     gate_diags: Vec<hpf_ir::Diagnostic>,
@@ -583,6 +587,14 @@ impl Plan<'_> {
     /// divide by this.
     pub fn logical_steps_per_step(&self) -> usize {
         self.exec.logical_steps_per_step()
+    }
+
+    /// The superstep depth the plan was configured for: the
+    /// [`Planner::superstep`] depth, or the tuner's pick under
+    /// [`ExecConfig::auto`]. A depth the kernel cannot be tiled at falls
+    /// back to the classic schedule; [`Plan::superstep_diags`] says why.
+    pub fn superstep_depth(&self) -> usize {
+        self.depth
     }
 
     /// Superstep executions one [`Plan::step`] performs (zero on the
@@ -683,79 +695,6 @@ impl Plan<'_> {
         trace.tracks.insert(0, compile_passes_track(self.kernel.stats()));
         trace
     }
-
-    /// Finish: convert into a [`Run`] (machine state, stepping time, and —
-    /// when tracing or metrics were enabled — the recorded trace, metrics
-    /// snapshot, and drift report).
-    pub fn into_run(mut self) -> Run {
-        let trace = if self.tracing_enabled() { Some(self.take_trace()) } else { None };
-        let metrics = self.metrics_snapshot();
-        let drift = self.drift_report();
-        let logical_steps = self.logical_steps_per_step();
-        let superstep_diags = self.superstep_diags();
-        Run {
-            schedule_bytes: self.schedule_bytes(),
-            pooled_bytes: self.pooled_bytes(),
-            aliases: self.exec.aliases().clone(),
-            machine: self.machine,
-            wall: self.wall,
-            trace,
-            metrics,
-            drift,
-            logical_steps,
-            superstep_diags,
-        }
-    }
-}
-
-/// A finished run.
-pub struct Run {
-    /// The machine in its final state (arrays, counters). A rotated
-    /// copy-back's source holds stale storage here; [`Run::gather`] reads
-    /// its value.
-    pub machine: Machine,
-    /// The plan's rotation aliases when it finished ([`Plan`]).
-    aliases: Aliases,
-    /// Wall-clock time of the executor.
-    pub wall: Duration,
-    /// The recorded event trace, when the run was configured with tracing
-    /// ([`Planner::trace`] / [`ExecConfig::trace`]); `None` otherwise.
-    pub trace: Option<Trace>,
-    /// The metrics snapshot, when the run was configured with metrics
-    /// ([`Planner::metrics`] / [`ExecConfig::metrics`]); `None` otherwise.
-    pub metrics: Option<MetricsSnapshot>,
-    /// The cost-model drift report, when the run was configured with
-    /// metrics; `None` otherwise.
-    pub drift: Option<DriftReport>,
-    /// Logical time steps each machine step covered: the superstep depth
-    /// `k` for a driver-stepped flat superstep plan, 1 otherwise.
-    pub logical_steps: usize,
-    /// Superstep eligibility and fallback diagnostics (SS001-SS009) from
-    /// the plan build; empty unless a superstep depth was requested.
-    pub superstep_diags: Vec<hpf_ir::Diagnostic>,
-    /// [`Plan::schedule_bytes`] of the plan that ran.
-    pub schedule_bytes: usize,
-    /// [`Plan::pooled_bytes`] of the plan that ran.
-    pub pooled_bytes: usize,
-}
-
-impl Run {
-    /// Gather a named array into a dense row-major buffer — through a
-    /// rotation alias, the live array's.
-    pub fn gather(&self, kernel: &Kernel, name: &str) -> Vec<f64> {
-        let id = kernel.array_id(name).expect("known array");
-        self.machine.gather(self.aliases.resolve(id))
-    }
-
-    /// Aggregated execution counters.
-    pub fn stats(&self) -> AggStats {
-        self.machine.stats()
-    }
-
-    /// Modeled execution time under the machine's cost model, milliseconds.
-    pub fn modeled_ms(&self) -> f64 {
-        self.machine.modeled_time_ms()
-    }
 }
 
 #[cfg(test)]
@@ -767,15 +706,16 @@ mod tests {
     #[test]
     fn compile_run_gather() {
         let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
-        let run = kernel
-            .runner(MachineConfig::sp2_2x2())
+        let plan = kernel
+            .plan(MachineConfig::sp2_2x2())
             .init("U", |p| (p[0] * 3 + p[1]) as f64)
             .run()
             .unwrap();
-        let t = run.gather(&kernel, "T");
+        let t = plan.gather("T").unwrap();
         assert_eq!(t.len(), 256);
-        assert!(run.stats().total_messages() > 0);
-        assert!(run.modeled_ms() > 0.0);
+        assert_eq!(plan.steps(), 1);
+        assert!(plan.stats().total_messages() > 0);
+        assert!(plan.modeled_ms() > 0.0);
     }
 
     #[test]
@@ -784,7 +724,7 @@ mod tests {
             let kernel =
                 Kernel::compile(&presets::problem9(12), CompileOptions::upto(stage)).unwrap();
             kernel
-                .runner(MachineConfig::sp2_2x2())
+                .plan(MachineConfig::sp2_2x2())
                 .init("U", |p| ((p[0] * 7 + p[1]) as f64).sin())
                 .run_verified(&["T"], 0.0)
                 .unwrap();
@@ -796,31 +736,32 @@ mod tests {
         let kernel = Kernel::compile(&presets::jacobi(16, 5), CompileOptions::full()).unwrap();
         let init = |p: &[i64]| ((p[0] + 2 * p[1]) as f64).cos();
         let a = kernel
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init("U", init)
             .engine(Engine::Sequential)
             .run()
             .unwrap();
         let b = kernel
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init("U", init)
             .engine(Engine::Threaded)
             .run()
             .unwrap();
-        assert_eq!(a.gather(&kernel, "U"), b.gather(&kernel, "U"));
+        assert_eq!(a.gather("U").unwrap(), b.gather("U").unwrap());
     }
 
     #[test]
     fn traced_run_carries_compile_driver_and_pe_tracks() {
         let kernel = Kernel::compile(&presets::jacobi(16, 3), CompileOptions::full()).unwrap();
         let init = |p: &[i64]| ((p[0] * 3 + p[1]) as f64).sin();
-        let run = kernel
-            .runner(MachineConfig::sp2_2x2())
+        let mut run = kernel
+            .plan(MachineConfig::sp2_2x2())
             .init("U", init)
             .config(ExecConfig::from_cli_str("threaded-bytecode").unwrap().trace(true))
             .run()
             .unwrap();
-        let trace = run.trace.as_ref().expect("tracing was configured");
+        assert!(run.tracing_enabled());
+        let trace = run.take_trace();
         let summary = trace.summary();
         let compile = summary.track("compile-passes").expect("compile track");
         assert!(compile.count(SpanKind::Pass) > 0, "one span per enabled pass");
@@ -829,15 +770,15 @@ mod tests {
         assert!(driver.count(SpanKind::ScheduleBuild) > 0);
         assert_eq!(summary.pe_tracks().len(), 4);
         // An untraced run carries no trace and identical results.
-        let plain = kernel
-            .runner(MachineConfig::sp2_2x2())
+        let mut plain = kernel
+            .plan(MachineConfig::sp2_2x2())
             .init("U", init)
             .engine(Engine::Threaded)
             .backend(Backend::Bytecode)
             .run()
             .unwrap();
-        assert!(plain.trace.is_none());
-        assert_eq!(run.gather(&kernel, "U"), plain.gather(&kernel, "U"));
+        assert!(!plain.tracing_enabled() && plain.take_trace().tracks.is_empty());
+        assert_eq!(run.gather("U").unwrap(), plain.gather("U").unwrap());
         assert_eq!(run.stats().per_pe, plain.stats().per_pe);
     }
 
@@ -866,25 +807,22 @@ mod tests {
         let agg = plan.stats();
         let cost = &plan.machine.cfg.cost;
         assert_eq!(drift.modeled_time_ns, cost.modeled_time_ns(&agg));
-        let run = plan.into_run();
-        assert!(run.trace.is_none(), "metrics alone never surface a trace");
-        assert!(run.metrics.is_some() && run.drift.is_some());
 
         // Metrics + trace together: both surfaces populated.
-        let traced = kernel
-            .runner(MachineConfig::sp2_2x2())
+        let mut traced = kernel
+            .plan(MachineConfig::sp2_2x2())
             .init("U", init)
             .trace(true)
             .metrics(true)
             .run()
             .unwrap();
-        assert!(traced.trace.is_some());
-        assert!(traced.metrics.is_some());
+        assert!(!traced.take_trace().tracks.is_empty());
+        assert!(traced.metrics_snapshot().is_some());
         // Observation-only: identical arrays and counters with metrics off.
-        let plain = kernel.runner(MachineConfig::sp2_2x2()).init("U", init).run().unwrap();
-        assert_eq!(traced.gather(&kernel, "U"), plain.gather(&kernel, "U"));
+        let plain = kernel.plan(MachineConfig::sp2_2x2()).init("U", init).run().unwrap();
+        assert_eq!(traced.gather("U").unwrap(), plain.gather("U").unwrap());
         assert_eq!(traced.stats().per_pe, plain.stats().per_pe);
-        assert!(plain.metrics.is_none() && plain.drift.is_none());
+        assert!(plain.metrics_snapshot().is_none() && plain.drift_report().is_none());
     }
 
     #[test]
@@ -910,7 +848,7 @@ mod tests {
     fn unknown_array_error() {
         let kernel = Kernel::compile(&presets::five_point(8), CompileOptions::full()).unwrap();
         assert!(matches!(
-            kernel.runner(MachineConfig::sp2_2x2()).init("NOPE", |_| 0.0).run(),
+            kernel.plan(MachineConfig::sp2_2x2()).init("NOPE", |_| 0.0).run(),
             Err(CoreError::UnknownArray(_))
         ));
     }
@@ -936,7 +874,7 @@ mod tests {
                 .unwrap();
             plan.iterate(4);
             assert_eq!(plan.steps(), 4);
-            // Chained one-shot runs: each run's U output seeds the next.
+            // Chained one-sweep runs: each run's U output seeds the next.
             let mut state: Vec<f64> = {
                 let n = 16 * 16;
                 let mut v = vec![0.0; n];
@@ -949,12 +887,12 @@ mod tests {
             for _ in 0..4 {
                 let s = state.clone();
                 let run = kernel
-                    .runner(MachineConfig::sp2_2x2())
+                    .plan(MachineConfig::sp2_2x2())
                     .init("U", move |p| s[((p[0] - 1) * 16 + p[1] - 1) as usize])
                     .engine(engine)
                     .run()
                     .unwrap();
-                state = run.gather(&kernel, "U");
+                state = run.gather("U").unwrap();
             }
             assert_eq!(plan.gather("U").unwrap(), state, "engine {engine:?}");
         }

@@ -504,8 +504,8 @@ fn main() {
 
     if run {
         let cfg = MachineConfig::with_grid(grid.clone()).halo(halo);
-        let mut runner = kernel
-            .runner(cfg.clone())
+        let mut planner = kernel
+            .plan(cfg.clone())
             .config(exec_cfg.superstep(superstep).trace(trace_on).metrics(metrics_on || report_on));
         if exec_cfg.auto {
             // Route the resolution through the same cache file --tune uses.
@@ -513,7 +513,7 @@ fn main() {
             if let Some(f) = &tune_file {
                 tuner = tuner.cache_path(f);
             }
-            runner = runner.tuner(tuner);
+            planner = planner.tuner(tuner);
         }
         // Default deterministic initialization for every *user* array the
         // node program touches. Compiler temporaries are always written
@@ -530,7 +530,7 @@ fn main() {
             .map(|decl| decl.name.clone())
             .collect();
         for name in &user_live {
-            runner = runner.init(name, move |p: &[i64]| {
+            planner = planner.init(name, move |p: &[i64]| {
                 p.iter()
                     .enumerate()
                     .map(|(d, &i)| (i * (7 + 3 * d as i64)) as f64 * 0.01)
@@ -541,8 +541,8 @@ fn main() {
         // Verify every live user array against the oracle.
         let outputs: Vec<String> = user_live;
         let output_refs: Vec<&str> = outputs.iter().map(|s| s.as_str()).collect();
-        match runner.run_verified(&output_refs, 0.0) {
-            Ok(r) => {
+        match planner.run_verified(&output_refs, 0.0) {
+            Ok(mut r) => {
                 let stats = r.stats();
                 // Under --engine auto the machine's grid is the tuner's
                 // choice, not the --grid argument; report what actually ran.
@@ -559,16 +559,20 @@ fn main() {
                         stats.tune_search_ns as f64 / 1e6
                     );
                 }
-                if superstep > 1 {
+                // The plan's depth, not --superstep's: under --engine auto
+                // the tuner picks it.
+                let depth = r.superstep_depth();
+                if depth > 1 {
                     // Fallback diagnostics (SS001-SS009) explain why an
                     // ineligible kernel ran at the classic depth instead.
-                    if !r.superstep_diags.is_empty() {
-                        eprint!("{}", analysis::render_text(&r.superstep_diags));
+                    let diags = r.superstep_diags();
+                    if !diags.is_empty() {
+                        eprint!("{}", analysis::render_text(&diags));
                     }
                     out!(
-                        "superstep       : depth {superstep}, {} logical steps per sweep, \
+                        "superstep       : depth {depth}, {} logical steps per sweep, \
                          {} exchanges elided, {} trapezoid cells recomputed",
-                        r.logical_steps,
+                        r.logical_steps_per_step(),
                         stats.exchanges_elided,
                         stats.redundant_cells
                     );
@@ -579,17 +583,17 @@ fn main() {
                 out!("peak mem per PE : {} bytes", stats.max_peak_bytes());
                 out!(
                     "schedule mem    : {} bytes ({} of them message staging)",
-                    r.schedule_bytes,
-                    r.pooled_bytes
+                    r.schedule_bytes(),
+                    r.pooled_bytes()
                 );
                 if exec_cfg.backend == Backend::Bytecode {
                     out!("kernels compiled: {}", stats.kernels_compiled);
                     out!("kernel execs    : {}", stats.kernel_execs);
                 }
                 out!("modeled time    : {:.3} ms", r.modeled_ms());
-                out!("wall clock      : {:.3} ms", r.wall.as_secs_f64() * 1e3);
+                out!("wall clock      : {:.3} ms", r.wall().as_secs_f64() * 1e3);
                 if trace_on {
-                    let trace = r.trace.as_ref().expect("tracing was configured");
+                    let trace = r.take_trace();
                     out!("\n! compile passes");
                     for (name, pt) in PASS_NAMES.iter().zip(kernel.stats().pass_timings.iter()) {
                         if pt.wall_ns == 0 && pt.checks == 0 {
@@ -621,8 +625,8 @@ fn main() {
                     }
                 }
                 if report_on || metrics_on {
-                    let snap = r.metrics.as_ref().expect("metrics were configured");
-                    let drift = r.drift.as_ref().expect("metrics were configured");
+                    let snap = r.metrics_snapshot().expect("metrics were configured");
+                    let drift = r.drift_report().expect("metrics were configured");
                     if report_on {
                         out!(
                             "\n! run report: {} on {} PEs, {} steps, vm tier {}",

@@ -14,16 +14,16 @@
 //!
 //! let source = hpf_core::presets::problem9(64);
 //! let kernel = Kernel::compile(&source, CompileOptions::full()).unwrap();
-//! let run = kernel
-//!     .runner(MachineConfig::sp2_2x2())
+//! let plan = kernel
+//!     .plan(MachineConfig::sp2_2x2())
 //!     .init("U", |p| (p[0] + p[1]) as f64)
 //!     .engine(Engine::Sequential)
 //!     .run()
 //!     .unwrap();
-//! let t = run.gather(&kernel, "T");
+//! let t = plan.gather("T").unwrap();
 //! assert_eq!(t.len(), 64 * 64);
-//! println!("messages: {}", run.stats().total_messages());
-//! println!("modeled:  {:.3} ms", run.modeled_ms());
+//! println!("messages: {}", plan.stats().total_messages());
+//! println!("modeled:  {:.3} ms", plan.modeled_ms());
 //! ```
 //!
 //! The crate re-exports the whole stack: the frontend (`hpf-frontend`), the
@@ -35,7 +35,7 @@
 pub mod api;
 pub mod presets;
 
-pub use api::{CoreError, Kernel, OracleRunner, Plan, Planner, Run};
+pub use api::{CoreError, Kernel, OracleRunner, Plan, Planner};
 
 pub use hpf_analysis as analysis;
 pub use hpf_baselines as baselines;

@@ -366,3 +366,27 @@ fn tune_prints_the_bytecode_space_and_a_best_line_that_names_the_winner() {
     assert_eq!(warm.lines().find(|l| l.starts_with("! best:")), Some(best), "{warm}");
     let _ = std::fs::remove_file(cache);
 }
+
+#[test]
+fn an_auto_run_reports_the_superstep_depth_the_tuner_picked() {
+    let kernel = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels/problem9.f90");
+    let cache = std::env::temp_dir().join(format!("hpfsc-cli-{}-auto.json", std::process::id()));
+    let _ = std::fs::remove_file(&cache);
+    let tune = format!("--tune={}", cache.display());
+    let out = hpfsc(&[kernel, "--run", "--engine", "auto", "--grid", "2x2", &tune]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    // Whatever this host picks, the run summary reports the plan that ran:
+    // a superstep line exactly when the `! best:` line names a depth.
+    let best = text.lines().find(|l| l.starts_with("! best:")).expect("a ! best: line");
+    let depth = best.split_whitespace().find_map(|w| w.strip_prefix("ss="));
+    let line = text.lines().find(|l| l.starts_with("superstep       :"));
+    match (depth, line) {
+        (Some(k), Some(line)) => {
+            assert!(line.starts_with(&format!("superstep       : depth {k}, ")), "{text}")
+        }
+        (None, None) => {}
+        _ => panic!("'{best}' and the superstep line disagree:\n{text}"),
+    }
+    let _ = std::fs::remove_file(cache);
+}

@@ -43,7 +43,7 @@ pub mod verify;
 
 pub use backend::Backend;
 pub use config::{Engine, ExecConfig};
-pub use plan::{Aliases, ExecPlan};
+pub use plan::ExecPlan;
 pub use reference::{DenseArray, Reference};
 pub use superstep::{superstep_diags, superstep_halo};
 pub use validate::allocate;

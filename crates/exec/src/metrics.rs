@@ -9,12 +9,12 @@
 //! [`MetricsSnapshot`] *are* the folds.
 //!
 //! The drift join ([`MetricsState::drift_report`]) prices the run's
-//! aggregate counters with the machine's [`CostModel`] component by
+//! aggregate counters with the machine's [`hpf_runtime::CostModel`] component by
 //! component and pairs each term with the measured wall time of the span
 //! kinds that perform that work. PE-track spans never nest (each engine
 //! records disjoint phases), so per-kind sums partition the busy time.
 
-use hpf_runtime::{CostModel, Machine, PeState, PeStats};
+use hpf_runtime::{Machine, PeState};
 use hpf_trace::{
     now_ns, DriftComponent, DriftReport, Fold, MetricsSnapshot, SpanKind, StepSample, NUM_KINDS,
 };
@@ -84,7 +84,8 @@ impl MetricsState {
     /// Join the machine's aggregate counters, priced by its cost model,
     /// against the measured per-kind wall sums. The report's
     /// `modeled_time_ns` is taken straight from
-    /// [`CostModel::modeled_time_ns`], so it reconciles with it exactly.
+    /// [`hpf_runtime::CostModel::modeled_time_ns`], so it reconciles with it
+    /// exactly.
     pub(crate) fn drift_report(&self, machine: &Machine) -> DriftReport {
         use SpanKind::*;
         let agg = machine.stats();
@@ -101,7 +102,7 @@ impl MetricsState {
         let components = vec![
             DriftComponent {
                 name: "compute",
-                modeled_ns: compute_modeled_ns(cost, &t),
+                modeled_ns: cost.compute_ns(&t),
                 measured_ns: measured(&[Compute, KernelExec, Superstep]),
             },
             DriftComponent {
@@ -122,15 +123,4 @@ impl MetricsState {
             measured_wall_ns: self.0.series.total_wall_ns(),
         }
     }
-}
-
-/// The cost model's pure-compute terms for one counter set — the
-/// non-communication summands of [`CostModel::pe_time_ns`].
-fn compute_modeled_ns(cost: &CostModel, s: &PeStats) -> f64 {
-    s.loads as f64 * cost.load_ns
-        + s.strided_loads as f64 * cost.strided_load_extra_ns
-        + s.stores as f64 * cost.store_ns
-        + s.flops as f64 * cost.flop_ns
-        + s.iters as f64 * cost.iter_ns
-        + s.allocs as f64 * cost.alloc_ns
 }

@@ -236,9 +236,10 @@ fn exec_body(pe: &mut PeState, body: &[CInstr], base: i64, regs: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{ArrayDecl, ArrayId, Distribution, Section, Shape};
+    use hpf_ir::{ArrayDecl, ArrayId, Distribution, Section, Shape, ShiftKind};
     use hpf_passes::loopir::Unroll;
-    use hpf_runtime::{Machine, MachineConfig};
+    use hpf_runtime::schedule::overlap_shift_plan;
+    use hpf_runtime::{Machine, MachineConfig, MoveKind};
 
     const U: ArrayId = ArrayId(0);
     const T: ArrayId = ArrayId(1);
@@ -249,6 +250,15 @@ mod tests {
         m.alloc(T, &ArrayDecl::user("T", Shape::new([8, 8]), Distribution::block(2))).unwrap();
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
         m
+    }
+
+    /// Fill every PE's high ghost row of U along dim 0, circularly, through
+    /// a compiled schedule.
+    fn fill_high_ghosts(m: &mut Machine) {
+        let geom = m.meta(U).geom.clone();
+        let plan = overlap_shift_plan(&geom, 1, 0, None, ShiftKind::Circular, 1).unwrap();
+        let sched = m.compile_comm(U, U, plan, MoveKind::Overlap);
+        m.apply_compiled(&sched);
     }
 
     fn copy_nest(space: Section, offsets: Vec<i64>) -> LoopNest {
@@ -280,7 +290,7 @@ mod tests {
     #[test]
     fn offset_load_reads_halo() {
         let mut m = machine();
-        m.overlap_shift(U, 1, 0, None, hpf_ir::ShiftKind::Circular).unwrap();
+        fill_high_ghosts(&mut m);
         let nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![1, 0]);
         for pe in 0..4 {
             exec_nest(&mut m.pes[pe], &nest, &[]);
@@ -356,7 +366,7 @@ mod tests {
         // Full-space copy expanded by the halo depth on every side: each
         // PE's 4x4 block grows to 6x6 (halo 1), writing T's ghost ring.
         let nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![0, 0]);
-        m.overlap_shift(U, 1, 0, None, hpf_ir::ShiftKind::Circular).unwrap();
+        fill_high_ghosts(&mut m);
         for pe in 0..4 {
             exec_nest_expanded(&mut m.pes[pe], &nest, &[], &[(1, 1), (1, 1)]);
         }

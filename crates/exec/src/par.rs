@@ -475,6 +475,13 @@ mod tests {
 
     const U: ArrayId = ArrayId(0);
 
+    /// The cells of a local region of `sub`, packed.
+    fn region(sub: &hpf_runtime::Subgrid, ranges: &[(i64, i64)]) -> Vec<f64> {
+        let mut out = Vec::new();
+        sub.region_box(ranges).pack(sub.raw(), &mut out);
+        out
+    }
+
     #[test]
     fn stash_applies_permuted_deliveries_in_plan_order() {
         let mut m = Machine::new(MachineConfig::sp2_2x2());
@@ -518,12 +525,12 @@ mod tests {
         // and stashed the future-op message.
         assert!(w.ep.stash.contains_key(&(1, 1)), "future-op message stashed");
         assert_eq!(w.ep.stash.len(), 1);
-        assert_eq!(w.state.subgrid(U).read_region(&[(1, 4), (5, 5)]), buf_a);
-        assert_eq!(w.state.subgrid(U).read_region(&[(5, 5), (1, 4)]), buf_b);
+        assert_eq!(region(w.state.subgrid(U), &[(1, 4), (5, 5)]), buf_a);
+        assert_eq!(region(w.state.subgrid(U), &[(5, 5), (1, 4)]), buf_b);
         // Op 1 drains from the stash without touching the closed channel.
         w.comm_finish(1, 1);
         assert!(w.ep.stash.is_empty());
-        assert_eq!(w.state.subgrid(U).read_region(&[(0, 0), (1, 4)]), buf_c);
+        assert_eq!(region(w.state.subgrid(U), &[(0, 0), (1, 4)]), buf_c);
     }
 
     #[test]
@@ -535,7 +542,8 @@ mod tests {
         // read row 2 after writing it.
         let (from, to) = (vec![(1, 3), (1, 8)], vec![(2, 4), (1, 8)]);
         let mut want = m.pes[0].subgrid(U).clone();
-        want.write_region(&to, &want.read_region(&from));
+        let moved = region(&want, &from);
+        want.region_box(&to).unpack(want.raw_mut(), &moved);
         let plan = vec![CommAction::Transfer(Transfer {
             src_pe: 0,
             dst_pe: 0,

@@ -408,14 +408,10 @@ impl ExecPlan {
         &self.superstep_diags
     }
 
-    /// The storage rotation's observation map in force now: empty before
-    /// the first step and when the program rotates nothing, the same after
-    /// every step, and thinned by [`ExecPlan::unalias_for_write`].
-    pub fn aliases(&self) -> &Aliases {
-        &self.aliases
-    }
-
-    /// The array whose storage holds `id`'s value now ([`Aliases::resolve`]).
+    /// The array whose storage holds `id`'s value now: `id` itself, or the
+    /// live array a rotation left it standing for. Rotation aliases are
+    /// none before the first step and the same after every step, less what
+    /// [`ExecPlan::unalias_for_write`] ends.
     pub fn resolve(&self, id: ArrayId) -> ArrayId {
         self.aliases.resolve(id)
     }
@@ -531,12 +527,12 @@ fn rebind_item(machine: &Machine, dst: ArrayId, src: ArrayId) -> PlanItem {
 /// [`ExecPlan::resolve`] reads through it; [`ExecPlan::unalias_for_write`]
 /// ends the pairs a write from outside the step program would break.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Aliases(Vec<(ArrayId, ArrayId)>);
+struct Aliases(Vec<(ArrayId, ArrayId)>);
 
 impl Aliases {
     /// The array whose storage holds `id`'s value: `id` itself, or the live
     /// array a rotation left it standing for.
-    pub fn resolve(&self, id: ArrayId) -> ArrayId {
+    fn resolve(&self, id: ArrayId) -> ArrayId {
         self.0.iter().find(|(dead, _)| *dead == id).map_or(id, |&(_, live)| live)
     }
 
@@ -1207,7 +1203,7 @@ S = T + 1
             for _ in 0..2 {
                 plan.step(&mut m);
             }
-            assert_eq!(plan.aliases(), &Aliases::default(), "nothing rotated");
+            assert_eq!(plan.aliases, Aliases::default(), "nothing rotated");
             let summary = m.take_trace().summary();
             let tracks = summary.pe_tracks();
             assert_eq!(tracks.len(), 4, "{engine:?}");

@@ -61,24 +61,18 @@ impl CostModel {
         }
     }
 
-    /// A model where communication is free — isolates computation effects
-    /// (used by ablation benches).
-    pub fn compute_only() -> Self {
-        CostModel {
-            alpha_ns: 0.0,
-            beta_ns_per_byte: 0.0,
-            copy_ns_per_byte: 0.0,
-            alloc_ns: 0.0,
-            ..Self::sp2()
-        }
-    }
-
     /// Modeled nanoseconds attributable to one PE's counters.
     pub fn pe_time_ns(&self, s: &PeStats) -> f64 {
         (s.msgs_sent + s.msgs_recv) as f64 * self.alpha_ns
             + (s.bytes_sent + s.bytes_recv) as f64 * self.beta_ns_per_byte
             + (s.intra_bytes + s.wrap_bytes) as f64 * self.copy_ns_per_byte
-            + s.loads as f64 * self.load_ns
+            + self.compute_ns(s)
+    }
+
+    /// The terms of [`CostModel::pe_time_ns`] that move no data: loop
+    /// work and allocations.
+    pub fn compute_ns(&self, s: &PeStats) -> f64 {
+        s.loads as f64 * self.load_ns
             + s.strided_loads as f64 * self.strided_load_extra_ns
             + s.stores as f64 * self.store_ns
             + s.flops as f64 * self.flop_ns
@@ -98,36 +92,6 @@ impl CostModel {
     /// Modeled time in milliseconds.
     pub fn modeled_time_ms(&self, agg: &AggStats) -> f64 {
         self.modeled_time_ns(agg) / 1e6
-    }
-
-    /// Modeled nanoseconds of computing one stencil point given the nest's
-    /// per-point load/store/flop counts (one loop iteration of overhead).
-    /// Prices the redundant trapezoid recompute a superstep schedule pays.
-    pub fn point_ns(&self, loads: u64, stores: u64, flops: u64) -> f64 {
-        loads as f64 * self.load_ns
-            + stores as f64 * self.store_ns
-            + flops as f64 * self.flop_ns
-            + self.iter_ns
-    }
-
-    /// Predicted modeled-time gain, in nanoseconds per superstep on the
-    /// critical-path PE, of one depth-`k` superstep over `k` classic steps:
-    /// the `k-1` elided exchange phases (message endpoints × latency plus
-    /// bytes × bandwidth, both as seen by one PE per classic step) minus the
-    /// price of the `redundant_points` the trapezoid sweeps recompute
-    /// (`point_ns` from [`CostModel::point_ns`]). Positive predicts the
-    /// superstep schedule wins; the tuner uses this to keep or prune deep-k
-    /// candidates without running them.
-    pub fn superstep_gain_ns(
-        &self,
-        k: usize,
-        msgs: u64,
-        bytes: u64,
-        redundant_points: u64,
-        point_ns: f64,
-    ) -> f64 {
-        let per_exchange = msgs as f64 * self.alpha_ns + bytes as f64 * self.beta_ns_per_byte;
-        k.saturating_sub(1) as f64 * per_exchange - redundant_points as f64 * point_ns
     }
 }
 
@@ -233,6 +197,7 @@ mod tests {
         };
         let t = m.pe_time_ns(&s);
         assert_eq!(t, 200.0 + 20.0 + 20.0 + 6.0 + 8.0 + 10.0 + 12.0 + 7.0);
+        assert_eq!(m.compute_ns(&s), 6.0 + 8.0 + 10.0 + 12.0 + 7.0);
     }
 
     #[test]
@@ -243,33 +208,6 @@ mod tests {
         let agg =
             AggStats { per_pe: vec![fast, slow, fast], peak_bytes: vec![], ..Default::default() };
         assert_eq!(m.modeled_time_ns(&agg), m.pe_time_ns(&slow));
-    }
-
-    #[test]
-    fn compute_only_zeroes_comm() {
-        let m = CostModel::compute_only();
-        let s = PeStats {
-            msgs_sent: 100,
-            bytes_sent: 1 << 20,
-            intra_bytes: 1 << 20,
-            ..Default::default()
-        };
-        assert_eq!(m.pe_time_ns(&s), 0.0);
-    }
-
-    #[test]
-    fn superstep_gain_trades_messages_for_redundant_compute() {
-        let m = CostModel::sp2();
-        let point = m.point_ns(5, 1, 6);
-        assert_eq!(point, 5.0 * m.load_ns + m.store_ns + 6.0 * m.flop_ns + m.iter_ns);
-        // Depth 1 elides nothing and recomputes nothing: zero gain.
-        assert_eq!(m.superstep_gain_ns(1, 8, 4096, 0, point), 0.0);
-        // Message latency dominates small redundant regions: depth 4 wins.
-        assert!(m.superstep_gain_ns(4, 8, 4096, 1_000, point) > 0.0);
-        // A huge redundant region swamps the saved latency: depth 4 loses.
-        assert!(m.superstep_gain_ns(4, 8, 4096, 100_000_000, point) < 0.0);
-        // compute_only: messages are free, so any redundancy is a loss.
-        assert!(CostModel::compute_only().superstep_gain_ns(4, 8, 4096, 1, point) < 0.0);
     }
 
     fn profile(cores: usize) -> HostProfile {

@@ -4,12 +4,11 @@ use crate::cost::CostModel;
 use crate::dist::{BlockDim, PeGrid};
 use crate::error::RtError;
 use crate::schedule::{
-    credit_transfer, cshift_plan, overlap_shift_plan, regions_intersect, CommAction, CompiledComm,
-    CompiledFill, CompiledTransfer, Geometry, Transfer,
+    regions_intersect, CommAction, CompiledComm, CompiledFill, CompiledTransfer, Geometry,
 };
 use crate::stats::{AggStats, PeStats};
 use crate::subgrid::Subgrid;
-use hpf_ir::{ArrayDecl, ArrayId, DimDist, Rsd, Section, Shape, ShiftKind};
+use hpf_ir::{ArrayDecl, ArrayId, DimDist, Section, Shape};
 use hpf_trace::{SpanKind, Trace, Tracer, Track};
 use std::cell::RefCell;
 
@@ -580,26 +579,6 @@ impl Machine {
         }
     }
 
-    /// Apply a communication plan moving data from `src` into `dst` (which
-    /// may be the same array, as in overlap shifts), updating counters.
-    pub fn apply_plan(&mut self, dst: ArrayId, src: ArrayId, plan: &[CommAction], kind: MoveKind) {
-        for action in plan {
-            match action {
-                CommAction::Transfer(t) => self.apply_transfer(dst, src, t, kind),
-                CommAction::Fill { pe, local, value } => {
-                    self.pes[*pe].subgrid_mut(dst).fill_region(local, *value);
-                }
-            }
-        }
-    }
-
-    fn apply_transfer(&mut self, dst: ArrayId, src: ArrayId, t: &Transfer, kind: MoveKind) {
-        let buf = self.pes[t.src_pe].subgrid(src).read_region(&t.src_local);
-        self.pes[t.dst_pe].subgrid_mut(dst).write_region(&t.dst_local, &buf);
-        let (pes, elements) = ((t.src_pe, t.dst_pe), buf.len());
-        credit_transfer(kind, pes, elements, |pe, counts| self.pes[pe].stats.merge(counts));
-    }
-
     /// Compile a communication plan against the allocated subgrids into a
     /// persistent schedule: every region is resolved into a strided box, and
     /// the plan is dropped. Executing the result via
@@ -660,8 +639,6 @@ impl Machine {
 
     /// Execute a persistent schedule and count it: [`Machine::run_compiled`]
     /// plus the schedule's [credit](CompiledComm::credit) and one reuse.
-    /// Counters are those of [`Machine::apply_plan`], so a compiled schedule
-    /// and its plan differ in `AggStats` by `schedule_reuses` alone.
     pub fn apply_compiled(&mut self, sched: &CompiledComm) {
         self.run_compiled(sched);
         sched.credit(|pe, counts| self.pes[pe].stats.merge(counts));
@@ -756,38 +733,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Full `DST = CSHIFT(SRC, SHIFT=s, DIM=d)` (or `EOSHIFT`): both the
-    /// interprocessor and the intraprocessor component (paper §2.2).
-    pub fn cshift(
-        &mut self,
-        dst: ArrayId,
-        src: ArrayId,
-        shift: i64,
-        dim: usize,
-        kind: ShiftKind,
-    ) -> Result<(), RtError> {
-        let geom = self.meta(src).geom.clone();
-        let plan = cshift_plan(&geom, shift, dim, kind);
-        self.apply_plan(dst, src, &plan, MoveKind::FullShift);
-        Ok(())
-    }
-
-    /// `CALL OVERLAP_SHIFT(A, SHIFT=s, DIM=d [, rsd])`: interprocessor
-    /// movement only, into the overlap areas.
-    pub fn overlap_shift(
-        &mut self,
-        id: ArrayId,
-        shift: i64,
-        dim: usize,
-        rsd: Option<&Rsd>,
-        kind: ShiftKind,
-    ) -> Result<(), RtError> {
-        let geom = self.meta(id).geom.clone();
-        let plan = overlap_shift_plan(&geom, shift, dim, rsd, kind, self.cfg.halo)?;
-        self.apply_plan(id, id, &plan, MoveKind::Overlap);
-        Ok(())
-    }
-
     /// Aggregated statistics.
     pub fn stats(&self) -> AggStats {
         AggStats {
@@ -846,7 +791,8 @@ pub fn row_major_strides(shape: &Shape) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::Distribution;
+    use crate::schedule::{cshift_plan, overlap_shift_plan};
+    use hpf_ir::{Distribution, ShiftKind};
 
     fn decl(name: &str, n: usize) -> ArrayDecl {
         ArrayDecl::user(name, Shape::new([n, n]), Distribution::block(2))
@@ -858,6 +804,29 @@ mod tests {
 
     const U: ArrayId = ArrayId(0);
     const T: ArrayId = ArrayId(1);
+
+    /// `dst = CSHIFT(src, SHIFT=s, DIM=d)` (or `EOSHIFT`) the way a plan
+    /// moves data: a schedule compiled from the shift's plan, then applied
+    /// and counted.
+    fn shift(m: &mut Machine, dst: ArrayId, src: ArrayId, s: i64, d: usize, kind: ShiftKind) {
+        let plan = cshift_plan(&m.meta(src).geom.clone(), s, d, kind);
+        let sched = m.compile_comm(dst, src, plan, MoveKind::FullShift);
+        m.apply_compiled(&sched);
+    }
+
+    /// `CALL OVERLAP_SHIFT(id, SHIFT=s, DIM=d)` the same way.
+    fn ghost_shift(
+        m: &mut Machine,
+        id: ArrayId,
+        s: i64,
+        d: usize,
+        kind: ShiftKind,
+    ) -> Result<(), RtError> {
+        let plan = overlap_shift_plan(&m.meta(id).geom.clone(), s, d, None, kind, m.cfg.halo)?;
+        let sched = m.compile_comm(id, id, plan, MoveKind::Overlap);
+        m.apply_compiled(&sched);
+        Ok(())
+    }
 
     #[test]
     fn alloc_free_accounting() {
@@ -1010,7 +979,7 @@ mod tests {
         m.alloc(T, &decl("T", 8)).unwrap();
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
         for (s, d) in [(1i64, 0usize), (-1, 0), (3, 1), (-5, 1), (8, 0)] {
-            m.cshift(T, U, s, d, ShiftKind::Circular).unwrap();
+            shift(&mut m, T, U, s, d, ShiftKind::Circular);
             for p in Section::new([(1, 8), (1, 8)]).points() {
                 let mut q = p.clone();
                 q[d] = (q[d] - 1 + s).rem_euclid(8) + 1;
@@ -1025,7 +994,7 @@ mod tests {
         m.alloc(U, &decl("U", 8)).unwrap();
         m.alloc(T, &decl("T", 8)).unwrap();
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
-        m.cshift(T, U, 3, 1, ShiftKind::EndOff(-7.0)).unwrap();
+        shift(&mut m, T, U, 3, 1, ShiftKind::EndOff(-7.0));
         for p in Section::new([(1, 8), (1, 8)]).points() {
             let j = p[1] + 3;
             let want = if (1..=8).contains(&j) { m.get(U, &[p[0], j]) } else { -7.0 };
@@ -1039,7 +1008,7 @@ mod tests {
         m.alloc(U, &decl("U", 8)).unwrap();
         m.alloc(T, &decl("T", 8)).unwrap();
         m.reset_stats();
-        m.cshift(T, U, 1, 0, ShiftKind::Circular).unwrap();
+        shift(&mut m, T, U, 1, 0, ShiftKind::Circular);
         let agg = m.stats();
         // Each PE sends one 4-element row: 4 messages, 32 bytes each.
         assert_eq!(agg.total_messages(), 4);
@@ -1054,7 +1023,7 @@ mod tests {
         m.alloc(U, &decl("U", 8)).unwrap();
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
         m.reset_stats();
-        m.overlap_shift(U, 1, 0, None, ShiftKind::Circular).unwrap();
+        ghost_shift(&mut m, U, 1, 0, ShiftKind::Circular).unwrap();
         // PE 0 owns (1:4,1:4); its dim-0 high ghost row should now hold
         // global row 5 (owned by PE 2).
         let sub = m.pes[0].subgrid(U);
@@ -1071,7 +1040,7 @@ mod tests {
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
-        m.overlap_shift(U, 1, 0, None, ShiftKind::Circular).unwrap();
+        ghost_shift(&mut m, U, 1, 0, ShiftKind::Circular).unwrap();
         // PE 2 owns (5:8, 1:4); its high ghost should hold global row 1.
         let sub = m.pes[2].subgrid(U);
         for j in 1..=4i64 {
@@ -1084,17 +1053,19 @@ mod tests {
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
         m.fill(U, |_| 1.0);
-        m.overlap_shift(U, -1, 1, None, ShiftKind::EndOff(42.0)).unwrap();
-        // PE 0 owns (1:4,1:4) and is at the low edge of dim 1.
-        let sub = m.pes[0].subgrid(U);
-        for i in 1..=4i64 {
-            assert_eq!(sub.get(&[i, 0]), 42.0);
+        m.reset_stats();
+        ghost_shift(&mut m, U, -1, 1, ShiftKind::EndOff(42.0)).unwrap();
+        // PEs 0 and 2 are at the low edge of dim 1: filled, not sent to.
+        // PEs 1 and 3 own columns 5:8: interior edge, they receive data.
+        for (pe, want) in [(0, 42.0), (2, 42.0), (1, 1.0), (3, 1.0)] {
+            let sub = m.pes[pe].subgrid(U);
+            for i in 1..=4i64 {
+                assert_eq!(sub.get(&[i, 0]), want, "PE {pe} row {i}");
+            }
         }
-        // PE 1 owns (1:4,5:8): interior edge, receives data.
-        let sub1 = m.pes[1].subgrid(U);
-        for i in 1..=4i64 {
-            assert_eq!(sub1.get(&[i, 0]), 1.0);
-        }
+        // Fills count nothing: two messages, no local copies.
+        let agg = m.stats();
+        assert_eq!((agg.total_messages(), agg.total_intra_bytes()), (2, 0));
     }
 
     #[test]
@@ -1170,7 +1141,7 @@ mod tests {
         m.alloc(T, &decl("T", 8)).unwrap();
         m.reset_stats();
         assert_eq!(m.modeled_time_ms(), 0.0);
-        m.cshift(T, U, 1, 0, ShiftKind::Circular).unwrap();
+        shift(&mut m, T, U, 1, 0, ShiftKind::Circular);
         assert!(m.modeled_time_ms() > 0.0);
     }
 
@@ -1178,68 +1149,12 @@ mod tests {
     fn shift_too_wide_reports_error() {
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
-        let err = m.overlap_shift(U, 2, 0, None, ShiftKind::Circular).unwrap_err();
+        let err = ghost_shift(&mut m, U, 2, 0, ShiftKind::Circular).unwrap_err();
         assert!(matches!(err, RtError::ShiftTooWide { .. }));
     }
 
     #[test]
-    fn compiled_schedule_matches_apply_plan() {
-        use crate::schedule::cshift_plan;
-        // Uncompiled path.
-        let mut m1 = machine();
-        m1.alloc(U, &decl("U", 8)).unwrap();
-        m1.alloc(T, &decl("T", 8)).unwrap();
-        m1.fill(U, |p| (p[0] * 100 + p[1]) as f64);
-        m1.reset_stats();
-        m1.cshift(T, U, 1, 0, ShiftKind::Circular).unwrap();
-        // Compiled path.
-        let mut m2 = machine();
-        m2.alloc(U, &decl("U", 8)).unwrap();
-        m2.alloc(T, &decl("T", 8)).unwrap();
-        m2.fill(U, |p| (p[0] * 100 + p[1]) as f64);
-        m2.reset_stats();
-        let plan = cshift_plan(&m2.meta(U).geom.clone(), 1, 0, ShiftKind::Circular);
-        let sched = m2.compile_comm(T, U, plan, MoveKind::FullShift);
-        m2.apply_compiled(&sched);
-        assert_eq!(m1.gather(T), m2.gather(T));
-        // Identical per-PE counters; only the schedule counters differ.
-        assert_eq!(m1.stats().per_pe, m2.stats().per_pe);
-        assert_eq!(m2.stats().schedules_built, 1);
-        assert_eq!(m2.stats().schedule_reuses, 1);
-        assert_eq!(m1.stats().schedules_built, 0);
-    }
-
-    #[test]
-    fn compiled_overlap_with_fills_matches() {
-        use crate::schedule::overlap_shift_plan;
-        let mut m1 = machine();
-        m1.alloc(U, &decl("U", 8)).unwrap();
-        m1.fill(U, |p| (p[0] + p[1]) as f64);
-        m1.overlap_shift(U, -1, 1, None, ShiftKind::EndOff(42.0)).unwrap();
-        let mut m2 = machine();
-        m2.alloc(U, &decl("U", 8)).unwrap();
-        m2.fill(U, |p| (p[0] + p[1]) as f64);
-        let plan = overlap_shift_plan(
-            &m2.meta(U).geom.clone(),
-            -1,
-            1,
-            None,
-            ShiftKind::EndOff(42.0),
-            m2.cfg.halo,
-        )
-        .unwrap();
-        let sched = m2.compile_comm(U, U, plan, MoveKind::Overlap);
-        m2.apply_compiled(&sched);
-        // Compare full subgrid storage (halo included) on every PE.
-        for pe in 0..4 {
-            assert_eq!(m1.pes[pe].subgrid(U).raw(), m2.pes[pe].subgrid(U).raw());
-        }
-        assert_eq!(m1.stats().per_pe, m2.stats().per_pe);
-    }
-
-    #[test]
     fn compiled_schedule_reuse_counts_and_pools() {
-        use crate::schedule::cshift_plan;
         let mut m = machine();
         m.alloc(U, &decl("U", 8)).unwrap();
         m.alloc(T, &decl("T", 8)).unwrap();
@@ -1269,7 +1184,7 @@ mod tests {
         assert_eq!(m.stats().schedules_built, 1);
         assert_eq!(m.stats().schedule_reuses, 10);
         assert_eq!((m.stage.len(), m.stage.capacity()), (0, room));
-        // Ten executions counted like ten uncompiled shifts.
+        // Ten executions count ten times one execution's messages.
         assert_eq!(m.stats().total_messages(), 10 * 4);
     }
 
@@ -1301,8 +1216,10 @@ mod tests {
 
     #[test]
     fn memory_mb_and_cost_builder() {
-        let cfg = MachineConfig::grid([4, 1]).memory_mb(1).cost(CostModel::compute_only());
+        let free_comm = CostModel { alpha_ns: 0.0, beta_ns_per_byte: 0.0, ..CostModel::sp2() };
+        let cfg = MachineConfig::grid([4, 1]).memory_mb(1).cost(free_comm);
         assert_eq!(cfg.mem_budget, Some(1 << 20));
+        assert_eq!(cfg.cost, free_comm);
         assert_eq!(cfg.grid.num_pes(), 4);
         // sp2_2x2 is the builder with the paper's knobs.
         let sp2 = MachineConfig::sp2_2x2();

@@ -1,9 +1,9 @@
 //! Execution counters, per PE and aggregated.
 
-/// Counters for one PE; the cost model converts them to modeled time. A
-/// plan counts what one step does when it is built and credits that once
-/// per step; the machine's standalone data-movement operations count as
-/// they go.
+/// Counters for one PE; the cost model converts them to modeled time.
+/// Three things credit them: `Machine::alloc`, a plan step (the plan counts
+/// what one step does when it is built and credits that once per step),
+/// and `Machine::apply_compiled`, which counts the schedule it runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PeStats {
     /// Messages sent to another PE.

@@ -133,21 +133,9 @@ impl Subgrid {
         }
     }
 
-    /// Gather a rectangular local region into a row-major buffer. Ranges are
-    /// local 1-based and may extend into the halo.
-    pub fn read_region(&self, ranges: &[(i64, i64)]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(region_len(ranges));
-        self.region_box(ranges).pack(&self.data, &mut out);
-        out
-    }
-
-    /// Scatter a row-major buffer into a rectangular local region.
-    pub fn write_region(&mut self, ranges: &[(i64, i64)], buf: &[f64]) {
-        self.region_box(ranges).unpack(&mut self.data, buf);
-    }
-
     /// A rectangular local region resolved against this subgrid's strides:
     /// what a persistent schedule keeps of it, to execute with no index math.
+    /// Ranges are local 1-based and may extend into the halo.
     pub fn region_box(&self, ranges: &[(i64, i64)]) -> StridedBox {
         let extents = ranges.iter().map(|&(lo, hi)| (hi - lo + 1).max(0) as usize);
         let empty = region_len(ranges) == 0;
@@ -167,15 +155,11 @@ impl Subgrid {
             return;
         }
         let owned: Vec<(i64, i64)> = self.ext.iter().map(|&e| (1, e as i64)).collect();
-        let saved = self.read_region(&owned);
+        let owned = self.region_box(&owned);
+        let mut saved = Vec::new();
+        owned.pack(&self.data, &mut saved);
         self.data.fill(value);
-        self.write_region(&owned, &saved);
-    }
-
-    /// Fill a rectangular local region with a constant (used for `EOSHIFT`
-    /// boundary values).
-    pub fn fill_region(&mut self, ranges: &[(i64, i64)], value: f64) {
-        self.region_box(ranges).fill(&mut self.data, value);
+        owned.unpack(&mut self.data, &saved);
     }
 }
 
@@ -435,6 +419,18 @@ mod tests {
         assert_eq!(g.to_local(&[4, 8]), vec![2, 4]);
     }
 
+    /// A region's cells, packed.
+    fn read(g: &Subgrid, ranges: &[(i64, i64)]) -> Vec<f64> {
+        let mut out = Vec::new();
+        g.region_box(ranges).pack(g.raw(), &mut out);
+        out
+    }
+
+    /// Overwrite a region's cells with `buf`.
+    fn write(g: &mut Subgrid, ranges: &[(i64, i64)], buf: &[f64]) {
+        g.region_box(ranges).unpack(g.raw_mut(), buf);
+    }
+
     #[test]
     fn region_roundtrip() {
         let mut g = grid();
@@ -445,10 +441,10 @@ mod tests {
                 g.set(&[i, j], v);
             }
         }
-        let r = g.read_region(&[(1, 2), (2, 3)]);
+        let r = read(&g, &[(1, 2), (2, 3)]);
         assert_eq!(r, vec![2.0, 3.0, 6.0, 7.0]);
         let mut g2 = grid();
-        g2.write_region(&[(1, 2), (2, 3)], &r);
+        write(&mut g2, &[(1, 2), (2, 3)], &r);
         assert_eq!(g2.get(&[2, 3]), 7.0);
         assert_eq!(g2.get(&[1, 1]), 0.0);
     }
@@ -456,16 +452,16 @@ mod tests {
     #[test]
     fn region_into_halo() {
         let mut g = grid();
-        g.write_region(&[(0, 0), (1, 4)], &[1.0, 2.0, 3.0, 4.0]);
+        write(&mut g, &[(0, 0), (1, 4)], &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(g.get(&[0, 3]), 3.0);
-        let back = g.read_region(&[(0, 0), (1, 4)]);
+        let back = read(&g, &[(0, 0), (1, 4)]);
         assert_eq!(back, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
-    fn fill_region_constant() {
+    fn box_fill_constant() {
         let mut g = grid();
-        g.fill_region(&[(3, 3), (0, 5)], -2.5);
+        g.region_box(&[(3, 3), (0, 5)]).fill(g.raw_mut(), -2.5);
         assert_eq!(g.get(&[3, 0]), -2.5);
         assert_eq!(g.get(&[3, 5]), -2.5);
         assert_eq!(g.get(&[2, 3]), 0.0);
@@ -474,19 +470,19 @@ mod tests {
     #[test]
     fn empty_region_ops() {
         let mut g = grid();
-        assert!(g.read_region(&[(2, 1), (1, 4)]).is_empty());
-        g.write_region(&[(2, 1), (1, 4)], &[]);
-        g.fill_region(&[(2, 1), (1, 4)], 1.0);
+        assert!(read(&g, &[(2, 1), (1, 4)]).is_empty());
+        write(&mut g, &[(2, 1), (1, 4)], &[]);
+        g.region_box(&[(2, 1), (1, 4)]).fill(g.raw_mut(), 1.0);
         assert_eq!(region_len(&[(2, 1), (1, 4)]), 0);
     }
 
     #[test]
     fn boxes_agree_with_each_other() {
-        // `read_region` and friends go through the box themselves (the tests
-        // above pin them to hand-written values; `tests/persistent_schedule`
-        // holds every box operation to a point-by-point walk). Here: the
-        // direct copies against pack + unpack, between congruent boxes of
-        // unlike strides and within one subgrid.
+        // The tests above pin pack, unpack and fill to hand-written values;
+        // `tests/persistent_schedule` holds every box operation to a
+        // point-by-point walk. Here: the direct copies against pack +
+        // unpack, between congruent boxes of unlike strides and within one
+        // subgrid.
         let mut g = grid();
         for (i, c) in g.raw_mut().iter_mut().enumerate() {
             *c = i as f64;
@@ -501,13 +497,13 @@ mod tests {
         let mut wide = Subgrid::new(Section::new([(1, 3), (1, 6)]), 1);
         let mut staged = wide.clone();
         g.region_box(&from).copy_to(g.raw(), &wide.region_box(&to), wide.raw_mut());
-        staged.write_region(&to, &g.read_region(&from));
+        write(&mut staged, &to, &read(&g, &from));
         assert_eq!(wide, staged);
         assert_eq!(wide.get(&[3, 7]), g.get(&[2, 1]));
         let (src, dst) = (g.region_box(&[(1, 2), (4, 4)]), g.region_box(&[(1, 2), (0, 0)]));
         assert!(src.congruent(&dst) && !src.congruent(&g.region_box(&[(1, 1), (1, 4)])));
         let mut staged = g.clone();
-        staged.write_region(&[(1, 2), (0, 0)], &g.read_region(&[(1, 2), (4, 4)]));
+        write(&mut staged, &[(1, 2), (0, 0)], &read(&g, &[(1, 2), (4, 4)]));
         src.copy_within(&dst, g.raw_mut());
         assert_eq!(g, staged);
         assert_eq!(g.get(&[2, 0]), g.get(&[2, 4]));

@@ -36,13 +36,13 @@ fn main() {
     };
 
     let run = kernel
-        .runner(MachineConfig::sp2_2x2())
+        .plan(MachineConfig::sp2_2x2())
         .init("IMG", stripes)
         .engine(Engine::Threaded)
         .run_verified(&["IMG"], 0.0)
         .expect("verified against the reference interpreter");
 
-    let img = run.gather(&kernel, "IMG");
+    let img = run.gather("IMG").unwrap();
     let mean = img.iter().sum::<f64>() / img.len() as f64;
     let max = img.iter().cloned().fold(f64::MIN, f64::max);
     let min = img.iter().cloned().fold(f64::MAX, f64::min);
@@ -54,5 +54,5 @@ fn main() {
     );
     println!("messages          : {}", run.stats().total_messages());
     println!("modeled SP-2 time : {:.2} ms", run.modeled_ms());
-    println!("wall clock        : {:.2} ms", run.wall.as_secs_f64() * 1e3);
+    println!("wall clock        : {:.2} ms", run.wall().as_secs_f64() * 1e3);
 }

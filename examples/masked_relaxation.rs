@@ -74,14 +74,14 @@ END
     };
 
     let run = kernel
-        .runner(MachineConfig::sp2_2x2())
+        .plan(MachineConfig::sp2_2x2())
         .init("U", hot_ring)
         .init("M", annulus)
         .engine(Engine::Threaded)
         .run_verified(&["U"], 0.0)
         .expect("verified against the reference interpreter");
 
-    let u = run.gather(&kernel, "U");
+    let u = run.gather("U").unwrap();
     let peak = u.iter().cloned().fold(f64::MIN, f64::max);
     println!("after {sweeps} sweeps: peak {peak:.2}");
     println!("outside the domain stays frozen: corner = {}", u[0]);

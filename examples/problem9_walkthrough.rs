@@ -45,7 +45,7 @@ fn main() {
     for stage in Stage::all() {
         let kernel = Kernel::compile(&source, CompileOptions::upto(stage)).unwrap();
         let run = kernel
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init("U", |p| ((p[0] + 3 * p[1]) as f64 * 0.01).cos())
             .engine(Engine::Sequential)
             .run_verified(&["T"], 0.0)
@@ -56,7 +56,7 @@ fn main() {
             "{:<24} {:>12.3} {:>10.3} {:>8.2}x {:>6}",
             stage.label(),
             modeled,
-            run.wall.as_secs_f64() * 1e3,
+            run.wall().as_secs_f64() * 1e3,
             b / modeled,
             run.stats().total_messages()
         );

@@ -80,13 +80,13 @@ fn main() {
     assert_eq!(max_abs_diff(&u, want), 0.0, "plan must match the reference bit for bit");
     println!("  verified            : bitwise equal to the reference interpreter");
 
-    // How much the staged pipeline matters for this kernel (one-shot runs).
+    // How much the staged pipeline matters for this kernel (one-sweep runs).
     println!("\nstage comparison (modeled ms, {steps}-step source):");
     let full_src = hpf_stencil::presets::wave2d(n, steps);
     for stage in Stage::all() {
         let k = Kernel::compile(&full_src, CompileOptions::upto(stage)).unwrap();
         let r = k
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init("U", pulse)
             .init("UPREV", pulse)
             .engine(Engine::Sequential)

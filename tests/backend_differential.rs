@@ -29,15 +29,15 @@ fn run_combo(
     backend: Backend,
     outputs: &[&str],
 ) -> (Vec<(String, Vec<f64>)>, Vec<PeStats>) {
-    let mut runner = kernel
-        .runner(MachineConfig::with_grid(grid.to_vec()))
+    let mut planner = kernel
+        .plan(MachineConfig::with_grid(grid.to_vec()))
         .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
         .engine(engine)
         .backend(backend);
     if kernel.array_id("V").is_ok() {
-        runner = runner.init("V", |p| ((p[0] - 2 * p[1]) as f64 * 0.05).cos());
+        planner = planner.init("V", |p| ((p[0] - 2 * p[1]) as f64 * 0.05).cos());
     }
-    let run = runner.run().unwrap_or_else(|e| panic!("{engine:?}/{backend:?} failed: {e}"));
+    let run = planner.run().unwrap_or_else(|e| panic!("{engine:?}/{backend:?} failed: {e}"));
     let mut arrays = Vec::new();
     for name in outputs {
         let id = kernel.array_id(name).unwrap();
@@ -274,7 +274,7 @@ fn superstep_ineligible_kernel_falls_back_with_diagnostic() {
 fn bytecode_backend_reports_kernel_counters() {
     let kernel = Kernel::compile(&presets::problem9(12), CompileOptions::full()).unwrap();
     let run = kernel
-        .runner(MachineConfig::sp2_2x2())
+        .plan(MachineConfig::sp2_2x2())
         .init("U", |p| (p[0] + p[1]) as f64)
         .backend(Backend::Bytecode)
         .run()
@@ -286,7 +286,7 @@ fn bytecode_backend_reports_kernel_counters() {
     assert_eq!(st.kernel_execs, 4, "one execution per nest, PE and step");
     // The interpreter backend never touches these counters.
     let run =
-        kernel.runner(MachineConfig::sp2_2x2()).init("U", |p| (p[0] + p[1]) as f64).run().unwrap();
+        kernel.plan(MachineConfig::sp2_2x2()).init("U", |p| (p[0] + p[1]) as f64).run().unwrap();
     assert_eq!(run.stats().kernels_compiled, 0);
     assert_eq!(run.stats().kernel_execs, 0);
 }
@@ -303,7 +303,7 @@ fn non_dividing_grid_compiles_one_kernel_per_layout() {
     let (u, t) = (kernel.array_id("U").unwrap(), kernel.array_id("T").unwrap());
     for engine in [Engine::Sequential, Engine::Threaded] {
         let run = kernel
-            .runner(MachineConfig::with_grid(grid.to_vec()))
+            .plan(MachineConfig::with_grid(grid.to_vec()))
             .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
             .engine(engine)
             .backend(Backend::Bytecode)

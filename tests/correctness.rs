@@ -18,11 +18,11 @@ fn check(
     engine: Engine,
 ) {
     let kernel = Kernel::compile(source, CompileOptions::upto(stage)).unwrap();
-    let mut runner = kernel.runner(MachineConfig::with_grid(grid.to_vec()));
+    let mut planner = kernel.plan(MachineConfig::with_grid(grid.to_vec()));
     for name in inputs {
-        runner = runner.init(name, init);
+        planner = planner.init(name, init);
     }
-    runner
+    planner
         .engine(engine)
         .run_verified(outputs, 0.0)
         .unwrap_or_else(|e| panic!("{stage:?} on {grid:?} ({engine:?}): {e}"));
@@ -176,7 +176,7 @@ T = CSHIFT(U,2,1) + CSHIFT(U,-2,2) + CSHIFT(CSHIFT(U,2,1),1,2) + U
 "#;
     let kernel = Kernel::compile(src, CompileOptions::full().halo(2)).unwrap();
     kernel
-        .runner(MachineConfig::sp2_2x2().halo(2))
+        .plan(MachineConfig::sp2_2x2().halo(2))
         .init("U", init)
         .run_verified(&["T"], 0.0)
         .unwrap();
@@ -198,7 +198,7 @@ END
     // (BLOCK,*) on a (4,1) grid: dim-2 shifts are local wraps.
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
     let run = kernel
-        .runner(MachineConfig::with_grid([4, 1]))
+        .plan(MachineConfig::with_grid([4, 1]))
         .init("U", init)
         .run_verified(&["T"], 0.0)
         .unwrap();

@@ -4,8 +4,16 @@
 
 use hpf_stencil::frontend;
 use hpf_stencil::ir::{ArrayDecl, ArrayId, Distribution, Section, Shape, ShiftKind};
-use hpf_stencil::runtime::{Machine, MachineConfig};
+use hpf_stencil::runtime::schedule::{cshift_plan, overlap_shift_plan, CommAction};
+use hpf_stencil::runtime::{Machine, MachineConfig, MoveKind};
 use proptest::prelude::*;
+
+/// Move data by a shift's communication plan the way a plan step does:
+/// compiled into a schedule, then applied.
+fn apply(m: &mut Machine, dst: ArrayId, src: ArrayId, plan: Vec<CommAction>, kind: MoveKind) {
+    let sched = m.compile_comm(dst, src, plan, kind);
+    m.apply_compiled(&sched);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
@@ -50,7 +58,8 @@ proptest! {
         }
         m.fill(U, |q| q[0] as f64);
         let kind = if endoff { ShiftKind::EndOff(-99.0) } else { ShiftKind::Circular };
-        m.cshift(T, U, shift, 0, kind).unwrap();
+        let plan = cshift_plan(&m.meta(U).geom.clone(), shift, 0, kind);
+        apply(&mut m, T, U, plan, MoveKind::FullShift);
         for i in 1..=n as i64 {
             let j = i + shift;
             let want = match kind {
@@ -81,7 +90,9 @@ proptest! {
         // every non-empty PE; that always holds for BLOCK.
         m.fill(U, |q| (q[0] * 1000 + q[1]) as f64);
         let s: i64 = if dir { 1 } else { -1 };
-        m.overlap_shift(U, s, dim, None, ShiftKind::Circular).unwrap();
+        let geom = m.meta(U).geom.clone();
+        let plan = overlap_shift_plan(&geom, s, dim, None, ShiftKind::Circular, 1).unwrap();
+        apply(&mut m, U, U, plan, MoveKind::Overlap);
         // Check every PE's freshly filled ghost layer against the wrapped
         // global values.
         for pe in 0..m.num_pes() {

@@ -5,10 +5,11 @@
 //! the loaded array) that the named kernels never produce.
 
 use hpf_stencil::exec::nest::exec_nest;
-use hpf_stencil::ir::{ArrayDecl, ArrayId, BinOp, Distribution, Section, Shape};
+use hpf_stencil::ir::{ArrayDecl, ArrayId, BinOp, Distribution, Rsd, Section, Shape, ShiftKind};
 use hpf_stencil::passes::loopir::{Instr, LoopNest};
 use hpf_stencil::passes::memopt;
-use hpf_stencil::runtime::{Machine, MachineConfig};
+use hpf_stencil::runtime::schedule::overlap_shift_plan;
+use hpf_stencil::runtime::{Machine, MachineConfig, MoveKind};
 use proptest::prelude::*;
 
 const A: ArrayId = ArrayId(0);
@@ -117,15 +118,21 @@ fn run_nest(nest: &LoopNest) -> Vec<Vec<f64>> {
         m.alloc(id, &ArrayDecl::user(name, Shape::new([8, 8]), Distribution::block(2))).unwrap();
         m.fill(id, |p| ((p[0] * 31 + p[1] * 17 + id.0 as i64 * 7) % 13) as f64 - 6.0);
     }
-    // Deterministic halo contents too (offset loads may read ghosts).
+    // Deterministic halo contents too (offset loads may read ghosts), filled
+    // by compiled schedules as a plan step fills them: rows, then columns
+    // with the corners riding along.
+    let mut rows = Rsd::none(2);
+    rows.extend(0, -1);
+    rows.extend(0, 1);
     for id in [A, B, C] {
-        m.overlap_shift(id, 1, 0, None, hpf_stencil::ir::ShiftKind::Circular).unwrap();
-        m.overlap_shift(id, -1, 0, None, hpf_stencil::ir::ShiftKind::Circular).unwrap();
-        let mut rsd = hpf_stencil::ir::Rsd::none(2);
-        rsd.extend(0, -1);
-        rsd.extend(0, 1);
-        m.overlap_shift(id, 1, 1, Some(&rsd), hpf_stencil::ir::ShiftKind::Circular).unwrap();
-        m.overlap_shift(id, -1, 1, Some(&rsd), hpf_stencil::ir::ShiftKind::Circular).unwrap();
+        for (shift, dim, rsd) in
+            [(1, 0, None), (-1, 0, None), (1, 1, Some(&rows)), (-1, 1, Some(&rows))]
+        {
+            let geom = m.meta(id).geom.clone();
+            let plan = overlap_shift_plan(&geom, shift, dim, rsd, ShiftKind::Circular, 1).unwrap();
+            let sched = m.compile_comm(id, id, plan, MoveKind::Overlap);
+            m.apply_compiled(&sched);
+        }
     }
     for pe in 0..4 {
         exec_nest(&mut m.pes[pe], nest, &[]);

@@ -23,7 +23,7 @@ fn single_statement_exhausts_budget_where_multi_fits() {
             .unwrap();
     let mut cfg = MachineConfig::sp2_2x2();
     cfg.mem_budget = Some(budget);
-    let err = match single.runner(cfg.clone()).init("SRC", |_| 1.0).run() {
+    let err = match single.plan(cfg.clone()).init("SRC", |_| 1.0).run() {
         Err(e) => e,
         Ok(_) => panic!("expected memory exhaustion"),
     };
@@ -32,17 +32,13 @@ fn single_statement_exhausts_budget_where_multi_fits() {
     let mut multi_opts = naive::naive_options();
     multi_opts.temp_policy = TempPolicy::Reuse;
     let multi = Kernel::compile(&hpf_stencil::presets::problem9(n), multi_opts).unwrap();
-    multi
-        .runner(cfg.clone())
-        .init("U", |_| 1.0)
-        .run()
-        .expect("multi-statement form fits the budget");
+    multi.plan(cfg.clone()).init("U", |_| 1.0).run().expect("multi-statement form fits the budget");
 
     // The optimized translation fits in an even smaller budget (U and T).
     let ours = Kernel::compile(&hpf_stencil::presets::problem9(n), CompileOptions::full()).unwrap();
     let mut tight = MachineConfig::sp2_2x2();
     tight.mem_budget = Some(budget_for(n, 3));
-    ours.runner(tight)
+    ours.plan(tight)
         .init("U", |_| 1.0)
         .engine(Engine::Threaded)
         .run()
@@ -70,7 +66,7 @@ fn peak_memory_ordering_across_translations() {
     let n = 32;
     let run = |kernel: &Kernel, input: &str| {
         kernel
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init(input, |_| 1.0)
             .run()
             .unwrap()

@@ -123,22 +123,23 @@ fn drift_report_reconciles_with_cost_model_and_counters() {
 fn metrics_alone_surface_no_trace() {
     let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     let init = |p: &[i64]| ((p[0] * 3 - p[1]) as f64 * 0.11).sin();
-    let metered =
-        kernel.runner(MachineConfig::sp2_2x2()).init("U", init).metrics(true).run().unwrap();
-    assert!(metered.trace.is_none(), "metrics alone surfaced a trace");
-    assert!(metered.metrics.is_some() && metered.drift.is_some());
-    let both = kernel
-        .runner(MachineConfig::sp2_2x2())
+    let mut metered =
+        kernel.plan(MachineConfig::sp2_2x2()).init("U", init).metrics(true).run().unwrap();
+    assert!(!metered.tracing_enabled(), "metrics alone surfaced a trace");
+    assert!(metered.take_trace().tracks.is_empty());
+    assert!(metered.metrics_snapshot().is_some() && metered.drift_report().is_some());
+    let mut both = kernel
+        .plan(MachineConfig::sp2_2x2())
         .init("U", init)
         .metrics(true)
         .trace(true)
         .run()
         .unwrap();
-    let trace = both.trace.as_ref().expect("tracing was configured");
-    assert!(trace.total_events() > 0);
-    assert!(both.metrics.is_some() && both.drift.is_some());
+    assert!(both.tracing_enabled());
+    assert!(both.take_trace().total_events() > 0);
+    assert!(both.metrics_snapshot().is_some() && both.drift_report().is_some());
     // Both runs computed the same thing.
-    assert_eq!(metered.gather(&kernel, "T"), both.gather(&kernel, "T"));
+    assert_eq!(metered.gather("T").unwrap(), both.gather("T").unwrap());
 }
 
 /// Metrics never stop counting: a metrics-only run far longer than a

@@ -30,7 +30,7 @@ fn repair_copy_for_over_wide_chain_executes_correctly() {
     assert_eq!(copies, 1);
     for engine in [Engine::Sequential, Engine::Threaded] {
         kernel
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init("B", init)
             .engine(engine)
             .run_verified(&["A"], 0.0)
@@ -58,7 +58,7 @@ T = CSHIFT(R,1,2)
     assert!(kernel.stats().offset.kept >= 1);
     assert!(kernel.stats().offset.converted >= 1);
     kernel
-        .runner(MachineConfig::sp2_2x2())
+        .plan(MachineConfig::sp2_2x2())
         .init("U", init)
         .run_verified(&["T", "S", "U"], 0.0)
         .unwrap();
@@ -77,7 +77,7 @@ T = EOSHIFT(CSHIFT(U,1,1), 1, 2, BOUNDARY=2.5) + U
     // array must not compose (kinds differ).
     assert_eq!(kernel.stats().offset.converted, 1);
     assert_eq!(kernel.stats().offset.kept, 1);
-    kernel.runner(MachineConfig::sp2_2x2()).init("U", init).run_verified(&["T"], 0.0).unwrap();
+    kernel.plan(MachineConfig::sp2_2x2()).init("U", init).run_verified(&["T"], 0.0).unwrap();
 }
 
 /// End-off cancellation chains (the truncation-destroys-information case
@@ -92,7 +92,7 @@ T = EOSHIFT(EOSHIFT(U,-1,1), 1, 1) + 0.5 * U
     for stage in Stage::all() {
         let kernel = Kernel::compile(src, CompileOptions::upto(stage)).unwrap();
         kernel
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init("U", init)
             .run_verified(&["T"], 0.0)
             .unwrap_or_else(|e| panic!("{stage:?}: {e}"));
@@ -111,7 +111,7 @@ T = CSHIFT(U,1,1) + EOSHIFT(U,1,1) + CSHIFT(U,1,1)
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
     assert!(kernel.stats().offset.kept >= 1);
     kernel
-        .runner(MachineConfig::sp2_2x2())
+        .plan(MachineConfig::sp2_2x2())
         .init("U", init)
         .engine(Engine::Threaded)
         .run_verified(&["T"], 0.0)

@@ -62,6 +62,14 @@ fn worker_threads_follow_the_plan_lifecycle() {
     grew_by(0);
     drop(build(&kernel, [2, 2], threaded));
     grew_by(0);
+    // A one-sweep run hands back the stepped plan, workers and all.
+    {
+        let plan = kernel.plan(MachineConfig::grid([2, 2])).init("U", init).config(threaded);
+        let ran = plan.run().unwrap();
+        assert_eq!(ran.steps(), 1);
+        grew_by(3);
+    }
+    grew_by(0);
 
     // 1 000 steps on the threaded engine x every backend x superstep depth,
     // on a grid with a CPU per PE (waits spin first) and one without

@@ -5,9 +5,18 @@
 
 use hpf_stencil::ir::{ArrayDecl, ArrayId, Distribution, Offsets, Shape, ShiftKind};
 use hpf_stencil::passes::{CompileOptions, Stage};
-use hpf_stencil::runtime::{Machine, MachineConfig};
+use hpf_stencil::runtime::schedule::cshift_plan;
+use hpf_stencil::runtime::{Machine, MachineConfig, MoveKind};
 use hpf_stencil::{Engine, Kernel};
 use proptest::prelude::*;
+
+/// `dst = CSHIFT(src, SHIFT=s, DIM=d)` as a plan runs it: a schedule
+/// compiled from the shift's communication plan, then applied.
+fn cshift(m: &mut Machine, dst: ArrayId, src: ArrayId, s: i64, d: usize) {
+    let plan = cshift_plan(&m.meta(src).geom.clone(), s, d, ShiftKind::Circular);
+    let sched = m.compile_comm(dst, src, plan, MoveKind::FullShift);
+    m.apply_compiled(&sched);
+}
 
 /// One random stencil term: `coeff * CHAIN(src)`, chain of up to two unit
 /// shifts.
@@ -148,7 +157,7 @@ proptest! {
             .unwrap_or_else(|e| panic!("compile failed for:\n{src}\n{e}"));
         let engine = if threaded { Engine::Threaded } else { Engine::Sequential };
         kernel
-            .runner(MachineConfig::with_grid(grid.clone()))
+            .plan(MachineConfig::with_grid(grid.clone()))
             .init("U", |p| ((p[0] * 7 + p[1] * 3) as f64 * 0.1).sin())
             .init("V", |p| ((p[0] - p[1]) as f64 * 0.05).cos())
             .engine(engine)
@@ -175,11 +184,11 @@ proptest! {
         }
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
         // X = cshift(cshift(U, a), b) ; Y = cshift(U, a + b)
-        m.cshift(X, U, a, dim, ShiftKind::Circular).unwrap();
+        cshift(&mut m, X, U, a, dim);
         let x2 = m.gather(X);
         m.scatter(Y, &x2);
-        m.cshift(X, Y, b, dim, ShiftKind::Circular).unwrap();
-        m.cshift(Y, U, a + b, dim, ShiftKind::Circular).unwrap();
+        cshift(&mut m, X, Y, b, dim);
+        cshift(&mut m, Y, U, a + b, dim);
         prop_assert_eq!(m.gather(X), m.gather(Y));
     }
 
@@ -198,11 +207,11 @@ proptest! {
             m.alloc(id, &ArrayDecl::user(name, Shape::new([n, n]), Distribution::block(2))).unwrap();
         }
         m.fill(U, |p| (p[0] * 100 + p[1]) as f64);
-        m.cshift(X, U, a, 0, ShiftKind::Circular).unwrap();
-        m.cshift(Y, X, b, 1, ShiftKind::Circular).unwrap();
+        cshift(&mut m, X, U, a, 0);
+        cshift(&mut m, Y, X, b, 1);
         let dim0_first = m.gather(Y);
-        m.cshift(X, U, b, 1, ShiftKind::Circular).unwrap();
-        m.cshift(Y, X, a, 0, ShiftKind::Circular).unwrap();
+        cshift(&mut m, X, U, b, 1);
+        cshift(&mut m, Y, X, a, 0);
         prop_assert_eq!(dim0_first, m.gather(Y));
     }
 

@@ -27,7 +27,7 @@ END
         for grid in [&[1usize][..], &[2], &[4], &[5]] {
             let kernel = Kernel::compile(src, CompileOptions::upto(stage)).unwrap();
             kernel
-                .runner(MachineConfig::with_grid(grid.to_vec()))
+                .plan(MachineConfig::with_grid(grid.to_vec()))
                 .init("U", init1)
                 .run_verified(&["T"], 0.0)
                 .unwrap_or_else(|e| panic!("{stage:?} {grid:?}: {e}"));
@@ -48,7 +48,7 @@ T = CSHIFT(U,-2,1) + CSHIFT(U,-1,1) + U + CSHIFT(U,1,1) + CSHIFT(U,2,1)
 "#;
     let kernel = Kernel::compile(src, CompileOptions::full().halo(2)).unwrap();
     let run = kernel
-        .runner(MachineConfig::with_grid([4]).halo(2))
+        .plan(MachineConfig::with_grid([4]).halo(2))
         .init("U", init1)
         .engine(Engine::Threaded)
         .run_verified(&["T"], 0.0)
@@ -72,7 +72,7 @@ T = C * (CSHIFT(U,1,1) + CSHIFT(U,-1,1) + CSHIFT(U,1,2) &
         for grid in [&[1usize, 1, 1][..], &[2, 2, 2], &[2, 1, 2], &[1, 4, 1]] {
             let kernel = Kernel::compile(src, CompileOptions::upto(stage)).unwrap();
             kernel
-                .runner(MachineConfig::with_grid(grid.to_vec()))
+                .plan(MachineConfig::with_grid(grid.to_vec()))
                 .init("U", init3)
                 .run_verified(&["T"], 0.0)
                 .unwrap_or_else(|e| panic!("{stage:?} {grid:?}: {e}"));
@@ -93,7 +93,7 @@ T = U + CSHIFT(CSHIFT(CSHIFT(U,1,1),1,2),1,3) + CSHIFT(U,-1,2)
 "#;
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
     let run = kernel
-        .runner(MachineConfig::with_grid([2, 2, 2]))
+        .plan(MachineConfig::with_grid([2, 2, 2]))
         .init("U", init3)
         .engine(Engine::Threaded)
         .run_verified(&["T"], 0.0)
@@ -122,7 +122,7 @@ ENDDO
 "#;
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
     kernel
-        .runner(MachineConfig::with_grid([2, 2, 2]))
+        .plan(MachineConfig::with_grid([2, 2, 2]))
         .init("U", init3)
         .engine(Engine::Threaded)
         .run_verified(&["U"], 0.0)
@@ -133,7 +133,7 @@ ENDDO
 fn rank_mismatch_with_machine_grid_errors() {
     let src = "PARAM N = 8\nREAL U(N,N), T(N,N)\nT = CSHIFT(U,1,1)\n";
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
-    let err = kernel.runner(MachineConfig::with_grid([4])).init("U", |_| 1.0).run();
+    let err = kernel.plan(MachineConfig::with_grid([4])).init("U", |_| 1.0).run();
     assert!(err.is_err(), "2-D arrays on a 1-D mesh must be rejected");
 }
 
@@ -153,6 +153,6 @@ fn required_halo_reflects_offsets() {
     .unwrap();
     assert_eq!(two.compiled.required_halo(), 2);
     // Running the halo-2 kernel on a halo-1 machine errors cleanly.
-    let err = two.runner(MachineConfig::sp2_2x2()).init("U", init1).run();
+    let err = two.plan(MachineConfig::sp2_2x2()).init("U", init1).run();
     assert!(err.is_err(), "undersized halo must be rejected");
 }

@@ -57,7 +57,7 @@ C = B * B + EOSHIFT(A + B, SHIFT=1, DIM=2, BOUNDARY=1.0)
     use hpf_stencil::{Engine, Kernel, MachineConfig};
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
     kernel
-        .runner(MachineConfig::sp2_2x2())
+        .plan(MachineConfig::sp2_2x2())
         .init("A", |p| (p[0] + p[1]) as f64 * 0.1)
         .engine(Engine::Threaded)
         .run_verified(&["B", "C"], 1e-12)

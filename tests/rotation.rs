@@ -317,14 +317,14 @@ fn a_dead_alias_gathers_as_its_live_array() {
     assert_eq!(plan.gather("T").unwrap(), u1, "T reads through its alias");
     let t = kernel.array_id("T").unwrap();
     assert_ne!(plan.machine.gather(t), u1, "T's own storage is stale");
-    // The finished run and the verified runner read through it as well.
-    assert_eq!(plan.into_run().gather(&kernel, "T"), u1);
-    kernel
-        .runner(MachineConfig::sp2_2x2())
+    // So does the plan a verified run returns.
+    let verified = kernel
+        .plan(MachineConfig::sp2_2x2())
         .init("U", init_for(0))
         .init("T", init_for(1))
         .run_verified(&["U", "T"], 0.0)
         .unwrap();
+    assert_eq!(verified.gather("T").unwrap(), u1);
 }
 
 #[test]

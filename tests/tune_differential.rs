@@ -52,15 +52,14 @@ fn run_config(
     let mut plan = planner.build().unwrap_or_else(|e| panic!("build failed: {e}"));
     plan.iterate(steps);
     let logical = plan.logical_steps_per_step() * steps;
-    let run = plan.into_run();
     let mut arrays = Vec::new();
     for name in outputs {
         let Ok(id) = kernel.array_id(name) else { continue };
-        if run.machine.is_allocated(id) {
-            arrays.push((name.to_string(), run.machine.gather(id)));
+        if plan.machine.is_allocated(id) {
+            arrays.push((name.to_string(), plan.machine.gather(id)));
         }
     }
-    (arrays, run.stats().per_pe, logical)
+    (arrays, plan.stats().per_pe, logical)
 }
 
 /// Tune `kernel` and check the winner against the defaults over the same
@@ -232,7 +231,7 @@ fn a_nest_codegen_declines_still_tunes_and_verifies() {
     let path = tmp("declined");
     let _ = std::fs::remove_file(&path);
     let run = kernel
-        .runner(base_config())
+        .plan(base_config())
         .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
         .config(ExecConfig::auto())
         .tuner(test_tuner().cache_path(&path))

@@ -29,7 +29,7 @@ fn variable_coefficient_five_point_all_stages() {
         let kernel = Kernel::compile(VARCOEFF_5PT, CompileOptions::upto(stage)).unwrap();
         for backend in [Backend::Interp, Backend::Bytecode] {
             kernel
-                .runner(MachineConfig::sp2_2x2())
+                .plan(MachineConfig::sp2_2x2())
                 .init("SRC", init_src)
                 .init("C1", |p| 0.1 + 0.001 * p[0] as f64)
                 .init("C2", |p| 0.2 + 0.001 * p[1] as f64)
@@ -67,7 +67,7 @@ DST = CSHIFT(W,1,1) * CSHIFT(SRC,1,2) + W * SRC
     assert_eq!(kernel.stats().comm_ops, 2, "one shift per array");
     for backend in [Backend::Interp, Backend::Bytecode] {
         kernel
-            .runner(MachineConfig::sp2_2x2())
+            .plan(MachineConfig::sp2_2x2())
             .init("SRC", init_src)
             .init("W", |p| (p[0] - p[1]) as f64 * 0.01)
             .backend(backend)

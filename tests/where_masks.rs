@@ -24,12 +24,12 @@ WHERE (U > 0) T = 0
         let kernel = Kernel::compile(src, CompileOptions::upto(stage)).unwrap();
         for backend in [Backend::Interp, Backend::Bytecode] {
             let run = kernel
-                .runner(MachineConfig::sp2_2x2())
+                .plan(MachineConfig::sp2_2x2())
                 .init("U", init)
                 .backend(backend)
                 .run_verified(&["T"], 0.0)
                 .unwrap_or_else(|e| panic!("{stage:?}/{backend:?}: {e}"));
-            let t = run.gather(&kernel, "T");
+            let t = run.gather("T").unwrap();
             let u_ref: Vec<f64> = {
                 let mut v = Vec::new();
                 for i in 1..=12i64 {
@@ -62,7 +62,7 @@ WHERE (CSHIFT(U,1,1) >= U) T = 0.5 * (CSHIFT(U,1,1) + CSHIFT(U,-1,1))
         let kernel = Kernel::compile(src, CompileOptions::upto(stage)).unwrap();
         for backend in [Backend::Interp, Backend::Bytecode] {
             kernel
-                .runner(MachineConfig::sp2_2x2())
+                .plan(MachineConfig::sp2_2x2())
                 .init("U", init)
                 .engine(Engine::Threaded)
                 .backend(backend)
@@ -85,7 +85,7 @@ WHERE (U(2:N-1,2:N-1) /= 0) T(2:N-1,2:N-1) = 1 / U(2:N-1,2:N-1)
 "#;
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
     kernel
-        .runner(MachineConfig::sp2_2x2())
+        .plan(MachineConfig::sp2_2x2())
         .init("U", |p| if (p[0] + p[1]) % 3 == 0 { 0.0 } else { (p[0] * p[1]) as f64 })
         .run_verified(&["T"], 0.0)
         .unwrap();
@@ -104,7 +104,7 @@ WHERE (S > 0) D = 0.5 * CSHIFT(S,1,1) + 0.5 * S
     assert_eq!(cm2::recognize(&checked).unwrap_err(), cm2::RecognizeError::Masked);
     let kernel = Kernel::compile(src, CompileOptions::full()).unwrap();
     assert_eq!(kernel.stats().comm_ops, 1);
-    kernel.runner(MachineConfig::sp2_2x2()).init("S", init).run_verified(&["D"], 0.0).unwrap();
+    kernel.plan(MachineConfig::sp2_2x2()).init("S", init).run_verified(&["D"], 0.0).unwrap();
 }
 
 #[test]
@@ -122,14 +122,14 @@ ENDDO
         let kernel = Kernel::compile(src, CompileOptions::upto(stage)).unwrap();
         for backend in [Backend::Interp, Backend::Bytecode] {
             let run = kernel
-                .runner(MachineConfig::sp2_2x2())
+                .plan(MachineConfig::sp2_2x2())
                 .init("U", |p| if p[0] == 6 && p[1] == 6 { 64.0 } else { 0.0 })
                 .init("M", |p| if p[0] >= 4 && p[0] <= 9 { 1.0 } else { 0.0 })
                 .engine(Engine::Threaded)
                 .backend(backend)
                 .run_verified(&["U", "T"], 0.0)
                 .unwrap_or_else(|e| panic!("{stage:?}/{backend:?}: {e}"));
-            let u = run.gather(&kernel, "U");
+            let u = run.gather("U").unwrap();
             // Outside the masked band, U keeps its initial zeros.
             assert_eq!(u[0], 0.0);
             assert_eq!(u[11 * 12], 0.0);
