@@ -36,7 +36,7 @@ impl ShiftRec {
         let Stmt::OverlapShift { src_offsets, shift, dim, rsd, .. } = s else {
             return None;
         };
-        let rsd = rsd.clone().or_else(|| {
+        let rsd = (*rsd).or_else(|| {
             let mut r = Rsd::none(src_offsets.rank());
             for (e, &o) in src_offsets.0.iter().enumerate() {
                 if e != *dim {
@@ -58,11 +58,11 @@ impl ShiftRec {
 pub fn covered(fills: &[ShiftRec], req: &Offsets) -> bool {
     let rank = req.rank();
     let mut have: Vec<Offsets> = vec![Offsets::zero(rank)];
+    let mut new: Vec<Offsets> = Vec::new();
     for f in fills {
         if f.dim >= rank {
             continue; // malformed; validation reports it separately
         }
-        let mut new: Vec<Offsets> = Vec::new();
         for base in &have {
             // The shift moves data whose other-dimension coordinates lie
             // within the RSD extension; `base` qualifies when every
@@ -80,13 +80,13 @@ pub fn covered(fills: &[ShiftRec], req: &Offsets) -> bool {
             });
             if fits {
                 for k in 1..=f.shift.abs() {
-                    let mut v = base.clone();
+                    let mut v = *base;
                     v.0[f.dim] = f.shift.signum() * k;
                     new.push(v);
                 }
             }
         }
-        for v in new {
+        for v in new.drain(..) {
             if !have.contains(&v) {
                 have.push(v);
             }
@@ -161,7 +161,7 @@ mod tests {
         let mut rsd = Rsd::none(2);
         rsd.extend(0, 1);
         // RSD shift first: dim-0 ghosts not yet filled, corner not covered.
-        let wrong = [overlap(1, 1, Some(rsd.clone())), overlap(1, 0, None)]
+        let wrong = [overlap(1, 1, Some(rsd)), overlap(1, 0, None)]
             .iter()
             .filter_map(ShiftRec::from_stmt)
             .collect::<Vec<_>>();

@@ -16,12 +16,12 @@
 //! §3.2 congruence invariants respectively.
 
 use crate::coverage::{covered, ShiftRec};
+use hpf_ir::hash::HashMap;
 use hpf_ir::stmt::Resource;
 use hpf_ir::{
     ArrayId, Diagnostic, Offsets, OperandRef, Program, Rsd, Section, ShiftKind, Span, Stmt,
     SymbolTable,
 };
-use std::collections::HashMap;
 
 /// Uncovered ghost read.
 pub const HS001: &str = "HS001";
@@ -75,7 +75,7 @@ type HaloState = HashMap<ArrayId, Vec<ShiftRec>>;
 /// (offset beyond the halo). `halo` is the machine's overlap width.
 pub fn halo_safety(p: &Program, halo: i64) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut state = HaloState::new();
+    let mut state = HaloState::default();
     halo_block(&p.symbols, &p.body, &mut state, halo, &mut out);
     // The two-pass loop body analysis revisits statements; drop exact
     // duplicate diagnostics.
@@ -270,11 +270,11 @@ pub fn temp_dataflow(p: &Program) -> Vec<Diagnostic> {
     let mut read = vec![false; n];
     let mut first_read_span: Vec<Option<Span>> = vec![None; n];
     p.for_each_stmt(&mut |s| {
-        for r in s.reads() {
+        s.for_each_read(&mut |r| {
             if let Resource::Interior(a) = r {
                 read[a.0 as usize] = true;
             }
-        }
+        });
         match s {
             Stmt::Compute { lhs, rhs, .. } => {
                 rhs.for_each_ref(&mut |r| {
@@ -367,12 +367,10 @@ enum StmtClass {
 fn classify(symbols: &SymbolTable, s: &Stmt) -> StmtClass {
     match s {
         Stmt::ShiftAssign { .. } | Stmt::OverlapShift { .. } => StmtClass::Comm,
-        Stmt::Compute { lhs, space, .. } => {
-            StmtClass::Compute(space.clone(), symbols.array(*lhs).dist.clone())
-        }
+        Stmt::Compute { lhs, space, .. } => StmtClass::Compute(*space, symbols.array(*lhs).dist),
         Stmt::Copy { dst, .. } => {
             let decl = symbols.array(*dst);
-            StmtClass::Compute(Section::full(&decl.shape), decl.dist.clone())
+            StmtClass::Compute(Section::full(&decl.shape), decl.dist)
         }
         Stmt::Rebind { .. } | Stmt::TimeLoop { .. } => StmtClass::Single,
     }
@@ -386,17 +384,9 @@ pub fn fusion_conflict(a: &Stmt, b: &Stmt) -> bool {
 }
 
 fn offset_conflict(writer: &Stmt, reader: &Stmt) -> bool {
-    let writes: Vec<ArrayId> = writer
-        .writes()
-        .into_iter()
-        .filter_map(|r| match r {
-            Resource::Interior(a) => Some(a),
-            _ => None,
-        })
-        .collect();
     let mut conflict = false;
     let mut check = |array: ArrayId, offsets: &Offsets| {
-        if writes.contains(&array) && !offsets.is_zero() {
+        if !offsets.is_zero() && hpf_ir::defuse::writes_interior(writer, array) {
             conflict = true;
         }
     };

@@ -253,7 +253,7 @@ fn df002_dead_temp_write() {
 fn fp001_bad_explicit_group() {
     let (t, u, v, tmp) = symbols3();
     let space = Section::new([(2, 7), (2, 7)]);
-    let w = Stmt::Compute { lhs: u, space: space.clone(), rhs: Expr::Const(1.0) };
+    let w = Stmt::Compute { lhs: u, space, rhs: Expr::Const(1.0) };
     let r = Stmt::Compute {
         lhs: v,
         space,

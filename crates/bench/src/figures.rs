@@ -27,7 +27,7 @@ pub fn figures_7_to_10(pe: usize) -> String {
     machine
         .alloc(SRC, &ArrayDecl::user("SRC", Shape::new([n, n]), Distribution::block(2)))
         .unwrap();
-    let geom = machine.meta(SRC).geom.clone();
+    let geom = machine.meta(SRC).geom;
     let ext = geom.extents(pe);
     let halo = machine.cfg.halo;
 

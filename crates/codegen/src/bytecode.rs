@@ -28,9 +28,9 @@
 //! exactly; the differential proptests in the workspace root enforce this.
 
 use hpf_ir::expr::CmpOp;
+use hpf_ir::hash::{HashMap, HashSet};
 use hpf_ir::BinOp;
-use hpf_passes::loopir::Instr;
-use std::collections::HashMap;
+use hpf_passes::loopir::{regs_named, Instr};
 
 /// Register index in the VM's register file.
 pub type Reg = u16;
@@ -247,38 +247,39 @@ impl BodyCx {
 /// body sharing the file), so the compiler falls back to a strict
 /// translation with no hoisting.
 pub fn reads_before_def(body: &[Instr]) -> bool {
-    let mut defined = std::collections::HashSet::new();
+    let mut defined = vec![false; regs_named(body)];
     for i in body {
-        if i.sources().iter().any(|s| !defined.contains(s)) {
+        if i.sources().any(|s| !defined[s as usize]) {
             return true;
         }
         if let Some(d) = i.dst() {
-            defined.insert(d);
+            defined[d as usize] = true;
         }
     }
     false
 }
 
-/// Per-register definition and read facts of a source body.
+/// Per-register definition and read facts of a source body, indexed by
+/// source register.
 struct RegFacts {
-    defs: HashMap<Reg, usize>,
-    first_read: HashMap<Reg, usize>,
+    defs: Vec<usize>,
+    /// Body position of the first read (`usize::MAX`: never read).
+    first_read: Vec<usize>,
     /// Read occurrences per register (`r + r` counts two).
-    reads: HashMap<Reg, usize>,
+    reads: Vec<usize>,
 }
 
 impl RegFacts {
     fn of(body: &[Instr]) -> RegFacts {
-        let mut defs: HashMap<Reg, usize> = HashMap::new();
-        let mut first_read = HashMap::new();
-        let mut reads: HashMap<Reg, usize> = HashMap::new();
+        let n = regs_named(body);
+        let (mut defs, mut first_read, mut reads) = (vec![0; n], vec![usize::MAX; n], vec![0; n]);
         for (p, i) in body.iter().enumerate() {
-            for s in i.sources() {
-                first_read.entry(s).or_insert(p);
-                *reads.entry(s).or_insert(0) += 1;
+            for s in i.sources().map(usize::from) {
+                first_read[s] = first_read[s].min(p);
+                reads[s] += 1;
             }
             if let Some(d) = i.dst() {
-                *defs.entry(d).or_insert(0) += 1;
+                defs[d as usize] += 1;
             }
         }
         RegFacts { defs, first_read, reads }
@@ -290,15 +291,15 @@ impl RegFacts {
     /// the interpreter's register file still holds zeros) observes the same
     /// value the interpreter would.
     fn hoistable(&self, r: Reg, pos: usize) -> bool {
-        self.single_def(r) && self.first_read.get(&r).is_none_or(|&fr| fr > pos)
+        self.single_def(r) && self.first_read[r as usize] > pos
     }
 
     fn single_def(&self, r: Reg) -> bool {
-        self.defs.get(&r) == Some(&1)
+        self.defs[r as usize] == 1
     }
 
     fn single_use(&self, r: Reg) -> bool {
-        self.single_def(r) && self.reads.get(&r) == Some(&1)
+        self.single_def(r) && self.reads[r as usize] == 1
     }
 }
 
@@ -352,18 +353,18 @@ enum Pre {
 struct Lower<'a> {
     facts: RegFacts,
     /// Flow-sensitive known-constant values per source register.
-    konst: HashMap<Reg, f64>,
+    konst: Vec<Option<f64>>,
     out: Vec<Pre>,
     /// Source register -> (`out` index, body position) of its definition,
     /// for loads and folds only.
-    def_at: HashMap<Reg, (usize, usize)>,
+    def_at: Vec<Option<(usize, usize)>>,
     /// Location -> body position of the latest store to it. Within one
     /// iteration point distinct deltas are distinct addresses.
     last_store: HashMap<(Slot, i32), usize>,
     /// `cx.preloads[preloads_from..]` are this body's.
     preloads_from: usize,
-    /// Reads of each register that still go through the register.
-    live: HashMap<Reg, usize>,
+    /// Reads of each source register that still go through the register.
+    live: Vec<usize>,
     strides: &'a [usize],
     reg_base: usize,
     strict: bool,
@@ -385,7 +386,7 @@ impl Lower<'_> {
     /// register *does* hold the value at run time, so later ops may keep
     /// referencing it.
     fn const_def(&mut self, dst: Reg, v: f64, pos: usize) -> Option<()> {
-        self.konst.insert(dst, v);
+        self.konst[dst as usize] = Some(v);
         let d = self.rb(dst)?;
         if !self.strict && self.facts.hoistable(dst, pos) {
             self.cx.preloads.push((d, v));
@@ -397,9 +398,9 @@ impl Lower<'_> {
 
     /// Emit the non-constant definition `pre` of `dst`.
     fn def(&mut self, dst: Reg, pos: usize, pre: Pre) {
-        self.konst.remove(&dst);
+        self.konst[dst as usize] = None;
         if matches!(pre, Pre::Chain(_) | Pre::Op(Op::Load { .. })) {
-            self.def_at.insert(dst, (self.out.len(), pos));
+            self.def_at[dst as usize] = Some((self.out.len(), pos));
         }
         self.out.push(pre);
     }
@@ -421,7 +422,7 @@ impl Lower<'_> {
         if self.strict || !self.facts.single_def(q) {
             return None;
         }
-        self.def_at.get(&q).copied()
+        self.def_at[q as usize]
     }
 
     /// Take the fold defining `q` out of the stream so the reader at the
@@ -445,14 +446,14 @@ impl Lower<'_> {
     /// location not stored to since, a scaled operand when `q` is a single-use
     /// `imm × x` product, otherwise the register.
     fn operand(&mut self, q: Reg, t0: &mut usize, stable: &mut bool) -> Option<Operand> {
-        if let Some(&v) = self.konst.get(&q) {
+        if let Some(v) = self.konst[q as usize] {
             return Some(Operand::Imm(v));
         }
         if let Some((idx, pos)) = self.pending(q) {
             match &self.out[idx] {
                 &Pre::Op(Op::Load { arr, delta, .. }) if !self.stored_since((arr, delta), pos) => {
                     *t0 = (*t0).min(pos);
-                    *self.live.get_mut(&q)? -= 1;
+                    self.live[q as usize] -= 1;
                     return Some(Operand::Tap { arr, delta });
                 }
                 Pre::Chain(c) if self.facts.single_use(q) && self.movable(c) => {
@@ -522,8 +523,9 @@ impl Lower<'_> {
     /// reader replaced by an immediate, move the folds' links into one
     /// table, and size the register file by what is still named.
     fn finish(mut self) -> KernelCode {
-        for (q, &(idx, _)) in &self.def_at {
-            let all_folded = self.facts.reads.contains_key(q) && self.live.get(q) == Some(&0);
+        for (q, at) in self.def_at.iter().enumerate() {
+            let Some((idx, _)) = *at else { continue };
+            let all_folded = self.facts.reads[q] > 0 && self.live[q] == 0;
             if all_folded && matches!(self.out[idx], Pre::Op(Op::Load { .. })) {
                 self.out[idx] = Pre::Dead;
             }
@@ -545,7 +547,7 @@ impl Lower<'_> {
                 }
             }
         }
-        let mut named = std::collections::HashSet::new();
+        let mut named = HashSet::default();
         for op in &code.ops {
             op.for_each_reg(&code.links, |r| {
                 named.insert(self.cx.touch(r));
@@ -580,20 +582,21 @@ pub fn compile_body(
     cx: &mut BodyCx,
 ) -> Option<KernelCode> {
     let facts = RegFacts::of(body);
+    let regs = facts.reads.len();
     let mut lw = Lower {
         live: facts.reads.clone(),
         facts,
-        konst: HashMap::new(),
+        konst: vec![None; regs],
         out: Vec::with_capacity(body.len()),
-        def_at: HashMap::new(),
-        last_store: HashMap::new(),
+        def_at: vec![None; regs],
+        last_store: HashMap::default(),
         preloads_from: cx.preloads.len(),
         strides,
         reg_base,
         strict,
         cx,
     };
-    let known = |lw: &Lower, r: &Reg| lw.konst.get(r).copied();
+    let known = |lw: &Lower, r: &Reg| lw.konst[*r as usize];
 
     for (pos, instr) in body.iter().enumerate() {
         match instr {
@@ -677,7 +680,7 @@ mod tests {
     }
 
     fn load(dst: Reg, array: ArrayId, off: i64) -> Instr {
-        Instr::Load { dst, array, offsets: vec![off] }
+        Instr::Load { dst, array, offsets: [off].into() }
     }
 
     fn bin(op: BinOp, dst: Reg, a: Reg, b: Reg) -> Instr {
@@ -685,7 +688,7 @@ mod tests {
     }
 
     fn store(array: ArrayId, off: i64, src: Reg) -> Instr {
-        Instr::Store { array, offsets: vec![off], src }
+        Instr::Store { array, offsets: [off].into(), src }
     }
 
     /// The single chain of a body: first operand, links, destination.
@@ -720,9 +723,9 @@ mod tests {
         // and the constant nobody reads through a register is not preloaded.
         let body = vec![
             Instr::Const { dst: 0, value: 2.5 },
-            Instr::Load { dst: 1, array: A, offsets: vec![0, 0] },
+            Instr::Load { dst: 1, array: A, offsets: [0, 0].into() },
             bin(BinOp::Mul, 2, 0, 1),
-            Instr::Store { array: A, offsets: vec![0, 0], src: 2 },
+            Instr::Store { array: A, offsets: [0, 0].into(), src: 2 },
         ];
         let (k, cx) = compile(&body, &[10, 1]);
         assert!(cx.preloads.is_empty());
@@ -986,10 +989,10 @@ mod tests {
     #[test]
     fn deltas_cover_all_memory_operands() {
         let body = vec![
-            Instr::Load { dst: 0, array: A, offsets: vec![-1, 0] },
-            Instr::Load { dst: 1, array: A, offsets: vec![1, 1] },
+            Instr::Load { dst: 0, array: A, offsets: [-1, 0].into() },
+            Instr::Load { dst: 1, array: A, offsets: [1, 1].into() },
             bin(BinOp::Add, 2, 0, 1),
-            Instr::Store { array: A, offsets: vec![0, 0], src: 2 },
+            Instr::Store { array: A, offsets: [0, 0].into(), src: 2 },
         ];
         let (k, _) = compile(&body, &[10, 1]);
         assert_eq!(k.min_delta, -10);

@@ -73,7 +73,7 @@ mod tests {
     /// Fill every PE's high ghost row of U along dim 0, circularly, through
     /// a compiled schedule.
     fn fill_high_ghosts(m: &mut Machine) {
-        let geom = m.meta(U).geom.clone();
+        let geom = m.meta(U).geom;
         let plan = overlap_shift_plan(&geom, 1, 0, None, ShiftKind::Circular, 1).unwrap();
         let sched = m.compile_comm(U, U, plan, MoveKind::Overlap);
         m.apply_compiled(&sched);
@@ -84,8 +84,8 @@ mod tests {
             space,
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 0, array: U, offsets },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 0 },
+                Instr::Load { dst: 0, array: U, offsets: offsets.into() },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 0 },
             ],
             regs: 1,
             unroll: None,
@@ -127,9 +127,9 @@ mod tests {
             order: vec![0, 1],
             body: vec![
                 Instr::LoadScalar { dst: 0, id: hpf_ir::ScalarId(0) },
-                Instr::Load { dst: 1, array: U, offsets: vec![0, 0] },
+                Instr::Load { dst: 1, array: U, offsets: [0, 0].into() },
                 Instr::Bin { op: BinOp::Mul, dst: 2, a: 0, b: 1 },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 2 },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 2 },
             ],
             regs: 3,
             unroll: None,
@@ -150,16 +150,16 @@ mod tests {
             space: Section::new([(1, 8), (1, 8)]),
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 0, array: U, offsets: vec![0, 0] },
+                Instr::Load { dst: 0, array: U, offsets: [0, 0].into() },
                 Instr::Const { dst: 1, value: 450.0 },
                 Instr::Bin { op: BinOp::Sub, dst: 2, a: 0, b: 1 },
                 Instr::Const { dst: 3, value: 0.0 },
                 Instr::Cmp { op: CmpOp::Gt, dst: 4, a: 2, b: 3 },
                 Instr::Const { dst: 5, value: 2.0 },
                 Instr::Bin { op: BinOp::Mul, dst: 6, a: 5, b: 0 },
-                Instr::Load { dst: 7, array: T, offsets: vec![0, 0] },
+                Instr::Load { dst: 7, array: T, offsets: [0, 0].into() },
                 Instr::Select { dst: 8, c: 4, t: 6, e: 7 },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 8 },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 8 },
             ],
             regs: 9,
             unroll: None,
@@ -180,8 +180,8 @@ mod tests {
     #[test]
     fn unrolled_nest_covers_all_points_with_remainder() {
         let unit = vec![
-            Instr::Load { dst: 0, array: U, offsets: vec![0, 0] },
-            Instr::Store { array: T, offsets: vec![0, 0], src: 0 },
+            Instr::Load { dst: 0, array: U, offsets: [0, 0].into() },
+            Instr::Store { array: T, offsets: [0, 0].into(), src: 0 },
         ];
         let mut jammed = unit.clone();
         let mut second = unit.clone();
@@ -216,9 +216,9 @@ mod tests {
             space: Section::new([(1, 8), (1, 8)]),
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 1, array: U, offsets: vec![0, 0] },
+                Instr::Load { dst: 1, array: U, offsets: [0, 0].into() },
                 Instr::Bin { op: BinOp::Add, dst: 0, a: 0, b: 1 },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 0 },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 0 },
             ],
             regs: 2,
             unroll: None,
@@ -269,12 +269,12 @@ mod tests {
             space: Section::new([(1, 80), (1, 80)]),
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 0, array: U, offsets: vec![0, 0] },
+                Instr::Load { dst: 0, array: U, offsets: [0, 0].into() },
                 Instr::Const { dst: 1, value: 2.0 },
                 Instr::Bin { op: BinOp::Mul, dst: 2, a: 1, b: 0 },
                 Instr::Bin { op: BinOp::Mul, dst: 3, a: 0, b: 0 },
                 Instr::Bin { op: BinOp::Add, dst: 4, a: 2, b: 3 },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 4 },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 4 },
             ],
             regs: 5,
             unroll: None,
@@ -299,8 +299,8 @@ mod tests {
             space: Section::new([(1, 8), (1, 8)]),
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 0, array: T, offsets: vec![0, 1] },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 0 },
+                Instr::Load { dst: 0, array: T, offsets: [0, 1].into() },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 0 },
             ],
             regs: 1,
             unroll: None,
@@ -312,9 +312,9 @@ mod tests {
             space: Section::new([(1, 8), (1, 8)]),
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 1, array: U, offsets: vec![0, 0] },
+                Instr::Load { dst: 1, array: U, offsets: [0, 0].into() },
                 Instr::Bin { op: BinOp::Add, dst: 0, a: 0, b: 1 },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 0 },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 0 },
             ],
             regs: 2,
             unroll: None,
@@ -336,7 +336,7 @@ mod tests {
         {
             let r = 4 * k as u16;
             body.push(Instr::Const { dst: r, value: c });
-            body.push(Instr::Load { dst: r + 1, array: U, offsets: off.to_vec() });
+            body.push(Instr::Load { dst: r + 1, array: U, offsets: off.into() });
             body.push(Instr::Bin { op: BinOp::Mul, dst: r + 2, a: r, b: r + 1 });
             if let Some(prev) = acc {
                 body.push(Instr::Bin { op: BinOp::Add, dst: r + 3, a: prev, b: r + 2 });
@@ -345,7 +345,7 @@ mod tests {
                 acc = Some(r + 2);
             }
         }
-        body.push(Instr::Store { array: T, offsets: vec![0, 0], src: acc.unwrap() });
+        body.push(Instr::Store { array: T, offsets: [0, 0].into(), src: acc.unwrap() });
         let nest = LoopNest {
             space: Section::new([(2, 7), (2, 7)]),
             order: vec![0, 1],

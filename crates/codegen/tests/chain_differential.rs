@@ -93,7 +93,7 @@ fn chain_body(rng: &mut Rng, rank: usize) -> (Vec<Instr>, usize) {
     for _ in 0..2 + rng.below(5) {
         let array = if rng.below(4) == 0 { V } else { U };
         let dst = fresh(&mut defined);
-        body.push(Instr::Load { dst, array, offsets: offsets(rng) });
+        body.push(Instr::Load { dst, array, offsets: offsets(rng).into() });
     }
     for _ in 0..rng.below(3) {
         let dst = fresh(&mut defined);
@@ -123,12 +123,12 @@ fn chain_body(rng: &mut Rng, rank: usize) -> (Vec<Instr>, usize) {
         let src = *defined.last().unwrap();
         if s + 1 < stmts {
             // A store in mid-body, then fresh reads of what it may have hit.
-            body.push(Instr::Store { array: V, offsets: vec![0; rank], src });
+            body.push(Instr::Store { array: V, offsets: vec![0; rank].into(), src });
             let dst = fresh(&mut defined);
             let offs = if rng.below(2) == 0 { vec![0; rank] } else { offsets(rng) };
-            body.push(Instr::Load { dst, array: V, offsets: offs });
+            body.push(Instr::Load { dst, array: V, offsets: offs.into() });
         } else {
-            body.push(Instr::Store { array: T, offsets: vec![0; rank], src });
+            body.push(Instr::Store { array: T, offsets: vec![0; rank].into(), src });
         }
     }
     (body, next as usize)
@@ -269,16 +269,16 @@ proptest! {
 /// lowering the proptests above exercise is the one that actually runs.
 #[test]
 fn a_nine_point_statement_is_one_fold_per_point() {
-    let mut body = vec![Instr::Load { dst: 0, array: U, offsets: vec![0, 0] }];
+    let mut body = vec![Instr::Load { dst: 0, array: U, offsets: [0, 0].into() }];
     let mut acc = 0u16;
     let ring = [(1, 0), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 1), (-1, -1), (-1, 1)];
     for (k, (di, dj)) in ring.into_iter().enumerate() {
         let r = 2 * k as u16 + 1;
-        body.push(Instr::Load { dst: r, array: U, offsets: vec![di, dj] });
+        body.push(Instr::Load { dst: r, array: U, offsets: [di, dj].into() });
         body.push(Instr::Bin { op: BinOp::Add, dst: r + 1, a: acc, b: r });
         acc = r + 1;
     }
-    body.push(Instr::Store { array: T, offsets: vec![0, 0], src: acc });
+    body.push(Instr::Store { array: T, offsets: [0, 0].into(), src: acc });
     let shape = [8, 40];
     let m = machine(&shape, &[1, 1], 1, 7);
     let nest = nest_of(&shape, vec![0, 1], body, 17);

@@ -224,6 +224,12 @@ fn main() {
                     .split(['x', ','])
                     .map(|s| s.parse().ok().filter(|&n: &usize| n >= 1).unwrap_or_else(bad))
                     .collect();
+                if grid.len() > hpf_core::ir::MAX_RANK {
+                    usage_error(&format!(
+                        "bad --grid {g}: at most {} axes, one per array dimension",
+                        hpf_core::ir::MAX_RANK
+                    ));
+                }
             }
             "--halo" => {
                 halo = args

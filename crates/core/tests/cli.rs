@@ -248,6 +248,25 @@ fn a_grid_extent_below_one_is_a_usage_error() {
     }
 }
 
+/// A program of rank 8 is a compile error at its declaration (exit 1),
+/// and a grid of eight axes, which no program can use, a usage error.
+#[test]
+fn rank_eight_is_refused_by_the_frontend_and_the_grid() {
+    let path = std::env::temp_dir().join(format!("hpfsc-cli-{}-rank8.f90", std::process::id()));
+    let dims = ["2"; 8].join(",");
+    std::fs::write(&path, format!("REAL A({dims}), B({dims})\nA = B\n")).unwrap();
+    let out = hpfsc(&[path.to_str().unwrap(), "--run"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("1:6: array A has rank 8") && err.contains("at most 7"), "{err}");
+    let grid = ["1"; 8].join("x");
+    let out = hpfsc(&[path.to_str().unwrap(), "--run", "--grid", &grid]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains(&format!("bad --grid {grid}: at most 7 axes")), "{err}");
+    let _ = std::fs::remove_file(path);
+}
+
 #[test]
 fn verify_reports_the_kernels_the_plan_compiled() {
     // One kernel per nest and subgrid layout: Problem 9's one nest has one

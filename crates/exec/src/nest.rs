@@ -8,7 +8,7 @@
 //! coordinate arithmetic.
 
 use hpf_ir::expr::CmpOp;
-use hpf_ir::BinOp;
+use hpf_ir::{BinOp, Dims};
 use hpf_passes::loopir::{Instr, LoopNest, Reg};
 use hpf_runtime::PeState;
 
@@ -60,7 +60,7 @@ pub fn scalar_values(symbols: &hpf_ir::SymbolTable) -> Vec<f64> {
 /// coordinates (inclusive). `None` when the PE owns nothing of the space.
 /// Mirrors the bounds reduction of [`exec_nest`] and of the bytecode
 /// compiler.
-pub fn nest_local_bounds(pe: &PeState, nest: &LoopNest) -> Option<(Vec<i64>, Vec<i64>)> {
+pub fn nest_local_bounds(pe: &PeState, nest: &LoopNest) -> Option<(Dims<i64>, Dims<i64>)> {
     let probe = nest.body.iter().find_map(Instr::array)?;
     let sub = pe.subgrids.get(probe.0 as usize)?.as_ref()?;
     let (owned, ext) = (&sub.owned, &sub.ext);
@@ -68,8 +68,8 @@ pub fn nest_local_bounds(pe: &PeState, nest: &LoopNest) -> Option<(Vec<i64>, Vec
         return None;
     }
     let rank = ext.len();
-    let mut lo = vec![0i64; rank];
-    let mut hi = vec![0i64; rank];
+    let mut lo = Dims::filled(rank, 0i64);
+    let mut hi = Dims::filled(rank, 0i64);
     for d in 0..rank {
         let (olo, _) = owned.dim(d);
         let (slo, shi) = nest.space.dim(d);
@@ -122,12 +122,12 @@ pub fn expand_bounds(
     lo: &[i64],
     hi: &[i64],
     expand: &[(i64, i64)],
-) -> (Vec<i64>, Vec<i64>) {
+) -> (Dims<i64>, Dims<i64>) {
     let probe = nest.body.iter().find_map(Instr::array).expect("nests access an array");
     let sub = pe.subgrids[probe.0 as usize].as_ref().expect("allocated");
     let halo = sub.halo as i64;
-    let lo_x: Vec<i64> = lo.iter().zip(expand).map(|(&l, &(e, _))| (l - e).max(1 - halo)).collect();
-    let hi_x: Vec<i64> = hi
+    let lo_x = lo.iter().zip(expand).map(|(&l, &(e, _))| (l - e).max(1 - halo)).collect();
+    let hi_x = hi
         .iter()
         .zip(expand)
         .enumerate()
@@ -255,7 +255,7 @@ mod tests {
     /// Fill every PE's high ghost row of U along dim 0, circularly, through
     /// a compiled schedule.
     fn fill_high_ghosts(m: &mut Machine) {
-        let geom = m.meta(U).geom.clone();
+        let geom = m.meta(U).geom;
         let plan = overlap_shift_plan(&geom, 1, 0, None, ShiftKind::Circular, 1).unwrap();
         let sched = m.compile_comm(U, U, plan, MoveKind::Overlap);
         m.apply_compiled(&sched);
@@ -266,8 +266,8 @@ mod tests {
             space,
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 0, array: U, offsets },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 0 },
+                Instr::Load { dst: 0, array: U, offsets: offsets.into() },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 0 },
             ],
             regs: 1,
             unroll: None,
@@ -308,9 +308,9 @@ mod tests {
             order: vec![0, 1],
             body: vec![
                 Instr::LoadScalar { dst: 0, id: hpf_ir::ScalarId(0) },
-                Instr::Load { dst: 1, array: U, offsets: vec![0, 0] },
+                Instr::Load { dst: 1, array: U, offsets: [0, 0].into() },
                 Instr::Bin { op: BinOp::Mul, dst: 2, a: 0, b: 1 },
-                Instr::Store { array: T, offsets: vec![0, 0], src: 2 },
+                Instr::Store { array: T, offsets: [0, 0].into(), src: 2 },
             ],
             regs: 3,
             unroll: None,

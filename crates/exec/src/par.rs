@@ -35,10 +35,10 @@
 //! 30 µs, and Problem 9 has four of them per step.
 
 use crate::plan::{step_items, PlanItem};
+use hpf_ir::hash::HashMap;
 use hpf_runtime::{CompiledComm, PeState};
 use hpf_trace::SpanKind;
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
@@ -148,7 +148,7 @@ impl Endpoint {
                 spent,
                 homes: homes.clone(),
                 seq: 0,
-                stash: HashMap::new(),
+                stash: HashMap::default(),
                 made: made.clone(),
                 spin,
             })
@@ -487,10 +487,11 @@ mod tests {
         let mut m = Machine::new(MachineConfig::sp2_2x2());
         m.alloc(U, &ArrayDecl::user("U", Shape::new([8, 8]), Distribution::block(2))).unwrap();
         let recv = |from: usize, dst_local: Vec<(i64, i64)>| {
+            let dst_local = dst_local.into();
             CommAction::Transfer(Transfer {
                 src_pe: from,
                 dst_pe: 0,
-                src_local: dst_local.clone(),
+                src_local: dst_local,
                 dst_local,
             })
         };
@@ -547,8 +548,8 @@ mod tests {
         let plan = vec![CommAction::Transfer(Transfer {
             src_pe: 0,
             dst_pe: 0,
-            src_local: from,
-            dst_local: to,
+            src_local: from.into(),
+            dst_local: to.into(),
         })];
         let scheds = [m.compile_comm(U, U, plan, MoveKind::Overlap)];
         assert!(!scheds[0].transfers[0].direct);
@@ -571,7 +572,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::grid([2, 1]));
         m.alloc(U, &ArrayDecl::user("U", Shape::new([8, 8]), Distribution::block(2))).unwrap();
         m.fill(U, |p| (p[0] * 10 + p[1]) as f64);
-        let geom = m.meta(U).geom.clone();
+        let geom = m.meta(U).geom;
         let scheds: Vec<CompiledComm> = [1, -1]
             .into_iter()
             .map(|s| {

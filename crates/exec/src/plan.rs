@@ -457,7 +457,7 @@ fn compile_items(
     for item in items {
         match item {
             NodeItem::Comm(CommOp::FullShift { dst, src, shift, dim, kind }) => {
-                let geom = machine.meta(*src).geom.clone();
+                let geom = machine.meta(*src).geom;
                 let plan = cshift_plan(&geom, *shift, *dim, *kind);
                 out.push(push_sched(
                     scheds,
@@ -465,7 +465,7 @@ fn compile_items(
                 ));
             }
             NodeItem::Comm(CommOp::Overlap { array, shift, dim, rsd, kind }) => {
-                let geom = machine.meta(*array).geom.clone();
+                let geom = machine.meta(*array).geom;
                 let plan =
                     overlap_shift_plan(&geom, *shift, *dim, rsd.as_ref(), *kind, machine.cfg.halo)?;
                 out.push(push_sched(
@@ -606,7 +606,7 @@ fn build_superstep_items(
     };
     let mut comms = Vec::with_capacity(ss.deep.len());
     for f in &ss.deep {
-        let geom = machine.meta(f.array).geom.clone();
+        let geom = machine.meta(f.array).geom;
         let plan = overlap_shift_plan(
             &geom,
             f.shift,
@@ -767,7 +767,7 @@ impl PerStep {
             let Some((lo, hi)) = nest_local_bounds(state, nest) else { continue };
             let (lo_x, hi_x) = match expand {
                 Some(e) => expand_bounds(state, nest, &lo, &hi, e),
-                None => (lo.clone(), hi.clone()),
+                None => (lo, hi),
             };
             self.redundant += times * (points(&lo_x, &hi_x) - points(&lo, &hi));
             counts.merge_times(&nest_counts(nest, &lo_x, &hi_x), times);
@@ -1068,9 +1068,9 @@ ENDDO
         use hpf_passes::loopir::Unroll;
         let (u, t) = (ArrayId(0), ArrayId(1));
         let unit = vec![
-            Instr::Load { dst: 0, array: u, offsets: vec![0, 0] },
+            Instr::Load { dst: 0, array: u, offsets: [0, 0].into() },
             Instr::Bin { op: hpf_ir::BinOp::Add, dst: 1, a: 0, b: 0 },
-            Instr::Store { array: t, offsets: vec![0, 0], src: 1 },
+            Instr::Store { array: t, offsets: [0, 0].into(), src: 1 },
         ];
         let mut jammed = unit.clone();
         jammed.extend(unit.iter().cloned().map(|mut i| {
@@ -1101,8 +1101,8 @@ ENDDO
     fn nest_rows_count_the_runs_of_the_innermost_loop() {
         let (u, t) = (ArrayId(0), ArrayId(1));
         let body = vec![
-            Instr::Load { dst: 0, array: u, offsets: vec![0, 0, 0] },
-            Instr::Store { array: t, offsets: vec![0, 0, 0], src: 0 },
+            Instr::Load { dst: 0, array: u, offsets: [0, 0, 0].into() },
+            Instr::Store { array: t, offsets: [0, 0, 0].into(), src: 0 },
         ];
         let unroll = |factor| hpf_passes::loopir::Unroll {
             dim: 0,

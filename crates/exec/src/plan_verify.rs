@@ -53,10 +53,10 @@ use crate::plan::{body_nests, ExecPlan, PlanItem};
 use hpf_analysis::superstep::{uncovered_ghost, FillBox, GhostNeed};
 use hpf_codegen::{inject_shared, verify_kernels, CompiledNest, Fault};
 use hpf_ir::diag::Diagnostic;
+use hpf_ir::hash::HashMap;
 use hpf_ir::{ArrayId, Section};
 use hpf_passes::loopir::{Instr, LoopNest};
 use hpf_runtime::{CompiledComm, MoveKind, RtError};
-use std::collections::HashMap;
 
 /// A superstep sub-step reads a ghost cell neither the deep fill nor an
 /// earlier sub-step's expanded sweep wrote — the trapezoid would consume
@@ -100,7 +100,7 @@ impl ExecPlan {
                 .into_iter()
                 .find_map(|(src, _)| stored.iter().find(|&&d| d != src).map(|&d| (d, src)));
             let Some((dst, src)) = pair else { return false };
-            let full = nest.space.clone();
+            let full = nest.space;
             items.insert(i, PlanItem::Rebind { dst, src, full });
             true
         })
@@ -424,7 +424,7 @@ fn verify_superstep(
     for pe in pes {
         // Ghost boxes the deep fills establish on this PE, per array, decoded
         // from the compiled boxes (wrap-around self-transfers included).
-        let mut valid: HashMap<hpf_ir::ArrayId, Vec<FillBox>> = HashMap::new();
+        let mut valid: HashMap<hpf_ir::ArrayId, Vec<FillBox>> = HashMap::default();
         for &slot in comms {
             let s = &scheds[slot];
             let exts: Vec<i64> = s.geom.extents(pe).into_iter().map(|e| e as i64).collect();

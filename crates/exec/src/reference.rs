@@ -8,8 +8,8 @@
 //! must reproduce this interpreter's results exactly.
 
 use hpf_frontend::{CExpr, CStmt, Checked};
+use hpf_ir::hash::HashMap;
 use hpf_ir::{ArrayId, BinOp, Section, ShiftKind, SymbolTable};
-use std::collections::HashMap;
 
 /// A dense global array (row-major, 1-based logical indices).
 #[derive(Clone, Debug, PartialEq)]
@@ -84,9 +84,9 @@ pub struct Reference {
 impl Reference {
     /// Allocate every declared array, zero-filled.
     pub fn new(checked: &Checked) -> Self {
-        let mut arrays = HashMap::new();
+        let mut arrays = HashMap::default();
         for id in checked.symbols.array_ids() {
-            let shape = checked.symbols.array(id).shape.0.clone();
+            let shape = checked.symbols.array(id).shape.0.to_vec();
             arrays.insert(id, DenseArray::zeros(shape));
         }
         Reference { symbols: checked.symbols.clone(), arrays }

@@ -48,10 +48,10 @@
 
 use hpf_analysis::superstep::{uncovered_ghost, FillBox};
 use hpf_codegen::reads_before_def;
-use hpf_ir::{ArrayId, Diagnostic, Rsd, Section, ShiftKind};
+use hpf_ir::hash::HashMap;
+use hpf_ir::{ArrayId, Diagnostic, Dims, Rsd, Section, ShiftKind};
 use hpf_passes::loopir::{CommOp, Instr, NodeItem, NodeProgram};
 use hpf_passes::memopt::iteration_local;
-use std::collections::HashMap;
 
 /// SS001: the program's time structure does not tile (nested or multiple
 /// time loops, or statements alongside the single time loop).
@@ -339,7 +339,7 @@ type Expansions = Vec<Vec<Vec<(i64, i64)>>>;
 /// start — the deep-fill depth per array.
 fn backward_requirements(node: &NodeProgram, body: &[NodeItem], k: usize) -> (Expansions, Req) {
     let nests = body.iter().filter(|i| matches!(i, NodeItem::Nest(_))).count();
-    let mut req: Req = HashMap::new();
+    let mut req: Req = HashMap::default();
     let mut expansions = vec![vec![Vec::new(); nests]; k];
     for j in (0..k).rev() {
         let mut n_idx = nests;
@@ -419,7 +419,7 @@ fn derive_deep_fills(body: &[NodeItem], residual: &Req) -> Vec<DeepFill> {
             continue;
         }
         let rank = need.len();
-        let mut ext = vec![(0u32, 0u32); rank];
+        let mut ext = Dims::filled(rank, (0u32, 0u32));
         for e in 0..rank {
             if e == *dim {
                 continue;

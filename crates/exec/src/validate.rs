@@ -81,7 +81,7 @@ pub(crate) fn prevalidate_comms(machine: &Machine, items: &[NodeItem]) -> Result
     for item in items {
         match item {
             NodeItem::Comm(CommOp::Overlap { array, shift, dim, rsd, kind }) => {
-                let geom = machine.meta(*array).geom.clone();
+                let geom = machine.meta(*array).geom;
                 overlap_shift_plan(&geom, *shift, *dim, rsd.as_ref(), *kind, machine.cfg.halo)?;
             }
             NodeItem::TimeLoop { body, .. } => prevalidate_comms(machine, body)?,

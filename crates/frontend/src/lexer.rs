@@ -67,9 +67,12 @@ pub struct Token {
 pub fn lex(src: &str) -> Result<Vec<Token>, FrontError> {
     let mut out = Vec::new();
     let mut pending_continuation = false;
+    // Buffers reused from line to line and literal to literal.
+    let (mut bytes, mut line_tokens, mut text) = (Vec::new(), Vec::new(), String::new());
     for (lineno, raw_line) in src.lines().enumerate() {
         let line_no = lineno as u32 + 1;
-        let bytes: Vec<char> = raw_line.chars().collect();
+        bytes.clear();
+        bytes.extend(raw_line.chars());
         let mut i = 0usize;
         // A leading '&' marks the continuation of the previous line.
         while i < bytes.len() && bytes[i].is_whitespace() {
@@ -78,7 +81,6 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FrontError> {
         if i < bytes.len() && bytes[i] == '&' {
             i += 1;
         }
-        let mut line_tokens: Vec<Token> = Vec::new();
         let mut continued = false;
         while i < bytes.len() {
             let c = bytes[i];
@@ -89,8 +91,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FrontError> {
                 }
                 '!' => {
                     // Directive or comment.
-                    let rest: String = bytes[i..].iter().collect();
-                    if rest.to_ascii_uppercase().starts_with("!HPF$") {
+                    let rest = bytes[i..].iter().map(char::to_ascii_uppercase);
+                    if rest.take(5).eq("!HPF$".chars()) {
                         line_tokens.push(Token { tok: Tok::HpfDirective, span });
                         i += 5;
                     } else {
@@ -205,7 +207,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FrontError> {
                             i = save; // 'E' begins an identifier, not an exponent
                         }
                     }
-                    let text: String = bytes[start..i].iter().collect();
+                    text.clear();
+                    text.extend(&bytes[start..i]);
                     if text == "." {
                         return Err(FrontError::new(span, "stray '.'"));
                     }
@@ -227,8 +230,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FrontError> {
                     {
                         i += 1;
                     }
-                    let text: String = bytes[start..i].iter().collect();
-                    line_tokens.push(Token { tok: Tok::Ident(text.to_ascii_uppercase()), span });
+                    let text = bytes[start..i].iter().map(char::to_ascii_uppercase).collect();
+                    line_tokens.push(Token { tok: Tok::Ident(text), span });
                 }
                 other => {
                     return Err(FrontError::new(span, format!("unexpected character '{other}'")));
@@ -241,7 +244,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FrontError> {
             continue;
         }
         let _ = pending_continuation; // tracked via Newline suppression below
-        out.extend(line_tokens);
+        out.append(&mut line_tokens);
         if continued {
             pending_continuation = true;
         } else {

@@ -17,7 +17,7 @@ pub fn parse(toks: &[Token]) -> Result<Ast, FrontError> {
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Tok {
+    fn peek(&self) -> &'a Tok {
         &self.toks[self.pos].tok
     }
 
@@ -105,7 +105,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_newlines();
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Eof => break,
                 Tok::Ident(kw) if kw == "END" => {
                     self.bump();
@@ -363,12 +363,12 @@ impl<'a> Parser<'a> {
         if self.eat(&Tok::Plus) {
             return self.factor();
         }
-        match self.peek().clone() {
-            Tok::Float(v) => {
+        match self.peek() {
+            &Tok::Float(v) => {
                 self.bump();
                 Ok(AstExpr::Num(v))
             }
-            Tok::Int(v) => {
+            &Tok::Int(v) => {
                 self.bump();
                 Ok(AstExpr::Num(v as f64))
             }
@@ -392,7 +392,7 @@ impl<'a> Parser<'a> {
                 } else {
                     None
                 };
-                Ok(AstExpr::Ident { name, section, span })
+                Ok(AstExpr::Ident { name: name.clone(), section, span })
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
         }

@@ -8,8 +8,8 @@
 use crate::ast::*;
 use crate::error::{FrontError, Span};
 use hpf_ir::{
-    ArrayDecl, ArrayId, BinOp, DimDist, Distribution, ScalarDecl, ScalarId, Section, Shape,
-    ShiftKind, SymbolTable,
+    ArrayDecl, ArrayId, BinOp, DimDist, Dims, Distribution, ScalarDecl, ScalarId, Section, Shape,
+    ShiftKind, SymbolTable, MAX_RANK,
 };
 
 /// A checked expression. Array operands carry explicit concrete sections;
@@ -86,7 +86,7 @@ pub enum CStmt {
         /// Concrete LHS section (the iteration space).
         section: Section,
         /// Right-hand side.
-        rhs: CExpr,
+        rhs: Box<CExpr>,
         /// Optional `WHERE` mask; both sides conform to the section.
         mask: Option<Box<(hpf_ir::expr::CmpOp, CExpr, CExpr)>>,
         /// Source position of the statement.
@@ -114,7 +114,7 @@ pub struct Checked {
 
 /// Inferred shape of an expression: `None` = scalar (broadcasts), `Some` =
 /// per-dimension extents.
-type InferredShape = Option<Vec<i64>>;
+type InferredShape = Option<Dims<i64>>;
 
 struct Checker {
     symbols: SymbolTable,
@@ -126,6 +126,16 @@ pub fn check(ast: &Ast) -> Result<Checked, FrontError> {
     let mut symbols = SymbolTable::new();
     // Arrays: evaluate extents, default distribution BLOCK in all dims.
     for a in &ast.arrays {
+        if a.dims.len() > MAX_RANK {
+            return Err(FrontError::new(
+                a.span,
+                format!(
+                    "array {} has rank {}; Fortran 90 allows at most {MAX_RANK} dimensions",
+                    a.name,
+                    a.dims.len()
+                ),
+            ));
+        }
         let mut extents = Vec::new();
         for d in &a.dims {
             let v = d.eval(&ast.params).map_err(|m| FrontError::new(a.span, m))?;
@@ -165,9 +175,7 @@ pub fn check(ast: &Ast) -> Result<Checked, FrontError> {
                 })
                 .collect(),
         );
-        // SymbolTable has no mutation API for decls; rebuild is overkill, so
-        // we go through a setter implemented here via unsafe-free rebuild.
-        set_distribution(&mut symbols, id, dist);
+        symbols.set_distribution(id, dist);
     }
     for (name, value) in &ast.scalars {
         symbols.add_scalar(ScalarDecl { name: name.clone(), value: value.unwrap_or(0.0) });
@@ -175,22 +183,6 @@ pub fn check(ast: &Ast) -> Result<Checked, FrontError> {
     let checker = Checker { symbols, params: ast.params.clone() };
     let stmts = checker.block(&ast.stmts)?;
     Ok(Checked { name: ast.name.clone(), symbols: checker.symbols, stmts })
-}
-
-/// Replace the distribution of one array (rebuilds the table in place).
-fn set_distribution(symbols: &mut SymbolTable, id: ArrayId, dist: Distribution) {
-    let mut rebuilt = SymbolTable::new();
-    for aid in symbols.array_ids() {
-        let mut decl = symbols.array(aid).clone();
-        if aid == id {
-            decl.dist = dist.clone();
-        }
-        rebuilt.add_array(decl);
-    }
-    for sid in symbols.scalar_ids() {
-        rebuilt.add_scalar(symbols.scalar(sid).clone());
-    }
-    *symbols = rebuilt;
 }
 
 impl Checker {
@@ -214,7 +206,7 @@ impl Checker {
                 }
                 let (rhs, shape) = self.expr(rhs)?;
                 if let Some(extents) = shape {
-                    let want: Vec<i64> = (0..sec.rank()).map(|d| sec.extent(d)).collect();
+                    let want = Dims::from_fn(sec.rank(), |d| sec.extent(d));
                     if extents != want {
                         return Err(FrontError::new(
                             *span,
@@ -230,7 +222,7 @@ impl Checker {
                         let (op, a, b) = &**m;
                         let (ca, sa) = self.expr(a)?;
                         let (cb, sb) = self.expr(b)?;
-                        let want: Vec<i64> = (0..sec.rank()).map(|d| sec.extent(d)).collect();
+                        let want = Dims::from_fn(sec.rank(), |d| sec.extent(d));
                         for (side, shape) in [("left", &sa), ("right", &sb)] {
                             if let Some(extents) = shape {
                                 if *extents != want {
@@ -246,7 +238,13 @@ impl Checker {
                         Some(Box::new((*op, ca, cb)))
                     }
                 };
-                Ok(CStmt::Assign { lhs: id, section: sec, rhs, mask: cmask, span: *span })
+                Ok(CStmt::Assign {
+                    lhs: id,
+                    section: sec,
+                    rhs: Box::new(rhs),
+                    mask: cmask,
+                    span: *span,
+                })
             }
             AstStmt::Do { iters, body, span } => {
                 let n = iters.eval(&self.params).map_err(|m| FrontError::new(*span, m))?;
@@ -277,7 +275,7 @@ impl Checker {
                         ),
                     ));
                 }
-                let mut bounds = Vec::new();
+                let mut bounds = Dims::new();
                 for (d, r) in ranges.iter().enumerate() {
                     let b = match r {
                         AstRange::Full => (1, shape.extent(d) as i64),
@@ -332,7 +330,7 @@ impl Checker {
                             format!("section {sec:?} outside bounds of {name} {:?}", decl.shape),
                         ));
                     }
-                    let extents: Vec<i64> = (0..sec.rank()).map(|d| sec.extent(d)).collect();
+                    let extents = Dims::from_fn(sec.rank(), |d| sec.extent(d));
                     Ok((CExpr::Sec { array: id, section: sec, span: *span }, Some(extents)))
                 } else if let Some(id) = self.symbols.lookup_scalar(name) {
                     if section.is_some() {
@@ -412,7 +410,10 @@ mod tests {
     fn distribute_overrides_default() {
         let c = check_src("REAL U(4,4)\n!HPF$ DISTRIBUTE U(BLOCK,*)\n").unwrap();
         let u = c.symbols.lookup_array("U").unwrap();
-        assert_eq!(c.symbols.array(u).dist, Distribution(vec![DimDist::Block, DimDist::Collapsed]));
+        assert_eq!(
+            c.symbols.array(u).dist,
+            Distribution([DimDist::Block, DimDist::Collapsed].into())
+        );
     }
 
     #[test]
@@ -459,7 +460,9 @@ mod tests {
     fn shift_dim_is_zero_based_internally() {
         let c = check_src("REAL A(4,4), B(4,4)\nA = CSHIFT(B, SHIFT=1, DIM=2)\n").unwrap();
         match &c.stmts[0] {
-            CStmt::Assign { rhs: CExpr::Shift { dim, .. }, .. } => assert_eq!(*dim, 1),
+            CStmt::Assign { rhs, .. } => {
+                assert!(matches!(**rhs, CExpr::Shift { dim: 1, .. }), "{rhs:?}")
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -485,9 +488,10 @@ mod tests {
     fn shift_of_expression_allowed() {
         let c = check_src("REAL A(4,4), B(4,4)\nA = CSHIFT(A + B, SHIFT=1, DIM=1)\n").unwrap();
         match &c.stmts[0] {
-            CStmt::Assign { rhs: CExpr::Shift { arg, .. }, .. } => {
-                assert!(matches!(**arg, CExpr::Bin(..)));
-            }
+            CStmt::Assign { rhs, .. } => match &**rhs {
+                CExpr::Shift { arg, .. } => assert!(matches!(**arg, CExpr::Bin(..))),
+                other => panic!("{other:?}"),
+            },
             other => panic!("{other:?}"),
         }
     }

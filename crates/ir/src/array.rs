@@ -1,5 +1,6 @@
 //! Array and scalar symbol declarations, shapes, and HPF distributions.
 
+use crate::dims::Dims;
 use std::fmt;
 
 /// Identifier of an array in a [`crate::SymbolTable`].
@@ -24,12 +25,12 @@ impl fmt::Debug for ScalarId {
 
 /// Extents of an array, one per dimension (Fortran-style, indices are
 /// 1-based and run to the extent inclusive).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(pub Vec<usize>);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape(pub Dims<usize>);
 
 impl Shape {
     /// A new shape from per-dimension extents.
-    pub fn new(extents: impl Into<Vec<usize>>) -> Self {
+    pub fn new(extents: impl Into<Dims<usize>>) -> Self {
         Shape(extents.into())
     }
 
@@ -71,28 +72,29 @@ impl fmt::Debug for Shape {
 ///
 /// Only the two forms the paper uses: `BLOCK` and `*` (collapsed /
 /// replicated along that dimension).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
 pub enum DimDist {
     /// `BLOCK`: the dimension is split into contiguous blocks, one per
     /// processor along the corresponding axis of the PE grid.
+    #[default]
     Block,
     /// `*`: the dimension is not distributed; every PE holds it whole.
     Collapsed,
 }
 
 /// An HPF `DISTRIBUTE` descriptor: one [`DimDist`] per array dimension.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Distribution(pub Vec<DimDist>);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Distribution(pub Dims<DimDist>);
 
 impl Distribution {
     /// `(BLOCK,...,BLOCK)` over `rank` dimensions.
     pub fn block(rank: usize) -> Self {
-        Distribution(vec![DimDist::Block; rank])
+        Distribution(Dims::filled(rank, DimDist::Block))
     }
 
     /// Fully collapsed (replicated on every PE).
     pub fn replicated(rank: usize) -> Self {
-        Distribution(vec![DimDist::Collapsed; rank])
+        Distribution(Dims::filled(rank, DimDist::Collapsed))
     }
 
     /// Number of dimensions covered by the descriptor.
@@ -151,12 +153,7 @@ impl ArrayDecl {
     /// Declare a compiler temporary with the same shape/distribution as a
     /// source array.
     pub fn temp_like(name: impl Into<String>, other: &ArrayDecl) -> Self {
-        ArrayDecl {
-            name: name.into(),
-            shape: other.shape.clone(),
-            dist: other.dist.clone(),
-            temp: true,
-        }
+        ArrayDecl { name: name.into(), shape: other.shape, dist: other.dist, temp: true }
     }
 
     /// Number of dimensions.
@@ -191,7 +188,7 @@ mod tests {
 
     #[test]
     fn distribution_block_dims() {
-        let d = Distribution(vec![DimDist::Block, DimDist::Collapsed, DimDist::Block]);
+        let d = Distribution([DimDist::Block, DimDist::Collapsed, DimDist::Block].into());
         assert_eq!(d.block_dims().collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(format!("{d:?}"), "(BLOCK,*,BLOCK)");
     }

@@ -5,8 +5,8 @@
 //! of a basic block it contains only loop-independent dependences and is
 //! therefore acyclic, which is the precondition the paper notes.
 
+use crate::hash::HashMap;
 use crate::stmt::{Resource, Stmt};
-use std::collections::HashMap;
 
 /// Dependence classification.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -56,10 +56,8 @@ impl DepGraph {
     /// not value-identical.
     pub fn build(block: &[Stmt]) -> DepGraph {
         let n = block.len();
-        let reads: Vec<Vec<Resource>> = block.iter().map(|s| s.reads()).collect();
-        let writes: Vec<Vec<Resource>> = block.iter().map(|s| s.writes()).collect();
         // Arrays whose overlap shifts in this block all share one kind.
-        let mut kind_of: HashMap<crate::ArrayId, Option<crate::ShiftKind>> = HashMap::new();
+        let mut kind_of: HashMap<crate::ArrayId, Option<crate::ShiftKind>> = HashMap::default();
         for s in block {
             if let Stmt::OverlapShift { array, kind, .. } = s {
                 match kind_of.entry(*array).or_insert(Some(*kind)) {
@@ -76,11 +74,39 @@ impl DepGraph {
                 _ => false,
             }
         };
+        // Resources numbered densely: per array, its interior and then the
+        // two sides of each dimension's overlap area.
+        let (mut arrays, mut dims) = (0, 0);
+        let mut size = |r| match r {
+            Resource::Interior(a) => arrays = arrays.max(a.0 as usize + 1),
+            Resource::Ghost(a, d, _) => {
+                (arrays, dims) = (arrays.max(a.0 as usize + 1), dims.max(d + 1))
+            }
+        };
+        block.iter().for_each(|s| {
+            s.for_each_read(&mut size);
+            s.for_each_write(&mut size);
+        });
+        let slots = 1 + 2 * dims;
+        let id = |r: Resource| match r {
+            Resource::Interior(a) => a.0 as usize * slots,
+            Resource::Ghost(a, d, side) => a.0 as usize * slots + 1 + 2 * d + (side > 0) as usize,
+        };
         // Per resource, the statements seen so far that write it and that read
-        // it: statement j's predecessors are the union of these lists over
-        // its own reads and writes, each pair visited once per shared
-        // resource instead of once per statement pair.
-        let mut index: HashMap<&Resource, (Vec<usize>, Vec<usize>)> = HashMap::new();
+        // it, as lists through `links` (newest first): statement j's
+        // predecessors are the union of these lists over its own reads and
+        // writes, each pair visited once per shared resource instead of once
+        // per statement pair.
+        const END: usize = usize::MAX;
+        let mut heads = vec![[END; 2]; arrays * slots];
+        let mut links: Vec<(usize, usize)> = Vec::new();
+        fn list(links: &[(usize, usize)], mut at: usize) -> impl Iterator<Item = usize> + '_ {
+            std::iter::from_fn(move || {
+                let (i, next) = *links.get(at)?;
+                at = next;
+                Some(i)
+            })
+        }
         // kinds[i]: the dependence kinds found so far from i to j (bit per
         // `DepKind` in edge order), with `found` the i's it is nonzero for.
         let mut kinds = vec![0u8; n];
@@ -95,24 +121,21 @@ impl DepGraph {
                 }
                 kinds[i] |= bit;
             };
-            for r in &reads[j] {
-                for &i in index.get(r).map_or(&[][..], |(w, _)| w) {
-                    mark(i, 1);
+            // A resource the statement touches twice marks the same bits twice.
+            block[j].for_each_read(&mut |r| list(&links, heads[id(r)][0]).for_each(|i| mark(i, 1)));
+            block[j].for_each_write(&mut |r| {
+                let [w, rd] = heads[id(r)];
+                if !idempotent_ghost_write(&block[j], &r) {
+                    list(&links, rd).for_each(|i| mark(i, 2));
                 }
-            }
-            for r in &writes[j] {
-                let Some((w, rd)) = index.get(r) else { continue };
-                if !idempotent_ghost_write(&block[j], r) {
-                    rd.iter().for_each(|&i| mark(i, 2));
-                }
-                for &i in w {
-                    if !(idempotent_ghost_write(&block[i], r)
-                        && idempotent_ghost_write(&block[j], r))
+                for i in list(&links, w) {
+                    if !(idempotent_ghost_write(&block[i], &r)
+                        && idempotent_ghost_write(&block[j], &r))
                     {
                         mark(i, 4);
                     }
                 }
-            }
+            });
             found.sort_unstable();
             for i in found.drain(..) {
                 for (bit, kind) in [(1, DepKind::True), (2, DepKind::Anti), (4, DepKind::Output)] {
@@ -124,14 +147,15 @@ impl DepGraph {
                 succ[i].push(j);
                 pred[j].push(i);
             }
-            let accesses = writes[j].iter().map(|r| (r, true));
-            for (r, write) in accesses.chain(reads[j].iter().map(|r| (r, false))) {
-                let (writers, readers) = index.entry(r).or_default();
-                let list = if write { writers } else { readers };
-                if list.last() != Some(&j) {
-                    list.push(j);
+            let mut note = |r, side: usize| {
+                let head = &mut heads[id(r)][side];
+                if links.get(*head).is_none_or(|&(i, _)| i != j) {
+                    links.push((j, *head));
+                    *head = links.len() - 1;
                 }
-            }
+            };
+            block[j].for_each_write(&mut |r| note(r, 0));
+            block[j].for_each_read(&mut |r| note(r, 1));
         }
         DepGraph { n, edges, succ, pred }
     }
@@ -152,13 +176,14 @@ impl DepGraph {
         if order.len() != self.n {
             return false;
         }
-        let mut pos: HashMap<usize, usize> = HashMap::new();
+        let mut pos = vec![usize::MAX; self.n];
         for (p, &s) in order.iter().enumerate() {
-            if pos.insert(s, p).is_some() {
-                return false;
+            match pos.get_mut(s) {
+                Some(slot) if *slot == usize::MAX => *slot = p,
+                _ => return false,
             }
         }
-        self.edges.iter().all(|e| pos.get(&e.src).zip(pos.get(&e.dst)).is_some_and(|(a, b)| a < b))
+        self.edges.iter().all(|e| pos[e.src] < pos[e.dst])
     }
 }
 

@@ -14,12 +14,16 @@ use crate::stmt::{Resource, Stmt};
 
 /// True when `stmt` reads the interior elements of `array`.
 pub fn reads_interior(stmt: &Stmt, array: ArrayId) -> bool {
-    stmt.reads().contains(&Resource::Interior(array))
+    let mut hit = false;
+    stmt.for_each_read(&mut |r| hit |= r == Resource::Interior(array));
+    hit
 }
 
 /// True when `stmt` writes the interior elements of `array`.
 pub fn writes_interior(stmt: &Stmt, array: ArrayId) -> bool {
-    stmt.writes().contains(&Resource::Interior(array))
+    let mut hit = false;
+    stmt.for_each_write(&mut |r| hit |= r == Resource::Interior(array));
+    hit
 }
 
 /// True when `stmt` *completely* redefines `array` (whole-array write), i.e.
@@ -60,13 +64,8 @@ pub fn reached_uses(
     wrap: bool,
 ) -> Vec<UseSite> {
     let mut out = Vec::new();
-    let n = block.len();
-    let positions: Vec<(usize, bool)> = if wrap {
-        (def_idx + 1..n).map(|i| (i, false)).chain((0..def_idx).map(|i| (i, true))).collect()
-    } else {
-        (def_idx + 1..n).map(|i| (i, false)).collect()
-    };
-    for (i, wrapped) in positions {
+    let wrapped = (0..if wrap { def_idx } else { 0 }).map(|i| (i, true));
+    for (i, wrapped) in (def_idx + 1..block.len()).map(|i| (i, false)).chain(wrapped) {
         let s = &block[i];
         if reads_interior(s, dst) {
             out.push(UseSite { stmt: i, wrapped });
@@ -93,12 +92,9 @@ pub fn write_between(
     use_site: UseSite,
     array: ArrayId,
 ) -> Option<usize> {
-    let positions: Vec<usize> = if use_site.wrapped {
-        (def_idx + 1..block.len()).chain(0..use_site.stmt).collect()
-    } else {
-        (def_idx + 1..use_site.stmt).collect()
-    };
-    positions.into_iter().find(|&i| writes_interior(&block[i], array))
+    let (end, wrapped) =
+        if use_site.wrapped { (block.len(), 0..use_site.stmt) } else { (use_site.stmt, 0..0) };
+    (def_idx + 1..end).chain(wrapped).find(|&i| writes_interior(&block[i], array))
 }
 
 #[cfg(test)]

@@ -28,6 +28,8 @@
 //!   context-partitioning pass runs its typed fusion;
 //! * reaching-definition / def-use analysis ([`defuse`]) used by the
 //!   offset-array optimization;
+//! * [`Dims`], the inline per-dimension value every offset, coordinate and
+//!   box is made of, and the workspace's one hasher ([`hash`]);
 //! * an IR validator ([`validate`]) and a pretty printer ([`pretty`]) that
 //!   renders programs in the paper's surface notation.
 
@@ -35,7 +37,9 @@ pub mod array;
 pub mod ddg;
 pub mod defuse;
 pub mod diag;
+pub mod dims;
 pub mod expr;
+pub mod hash;
 pub mod pretty;
 pub mod program;
 pub mod rsd;
@@ -47,6 +51,7 @@ pub mod validate;
 pub use array::{ArrayDecl, ArrayId, DimDist, Distribution, ScalarDecl, ScalarId, Shape};
 pub use ddg::{DepGraph, DepKind};
 pub use diag::{Diagnostic, Severity};
+pub use dims::{Dims, MAX_RANK};
 pub use expr::{BinOp, Expr, OperandRef};
 pub use program::{Program, SymbolTable};
 pub use rsd::Rsd;

@@ -42,6 +42,13 @@ impl SymbolTable {
         &self.scalars[id.0 as usize]
     }
 
+    /// Replace the distribution of an array (of the same rank).
+    pub fn set_distribution(&mut self, id: ArrayId, dist: crate::Distribution) {
+        let decl = &mut self.arrays[id.0 as usize];
+        assert_eq!(decl.dist.rank(), dist.rank(), "distribution rank of {}", decl.name);
+        decl.dist = dist;
+    }
+
     /// Find an array by name.
     pub fn lookup_array(&self, name: &str) -> Option<ArrayId> {
         self.arrays.iter().position(|a| a.name == name).map(|i| ArrayId(i as u32))
@@ -153,16 +160,15 @@ impl Program {
     /// storage reduction the paper reports in §4.2.
     pub fn live_arrays(&self) -> Vec<ArrayId> {
         let mut live = Vec::new();
-        self.for_each_stmt(&mut |s| {
-            for r in s.reads().into_iter().chain(s.writes()) {
-                let a = match r {
-                    crate::stmt::Resource::Interior(a) => a,
-                    crate::stmt::Resource::Ghost(a, ..) => a,
-                };
-                if !live.contains(&a) {
-                    live.push(a);
-                }
+        let mut note = |r| {
+            let (crate::stmt::Resource::Interior(a) | crate::stmt::Resource::Ghost(a, ..)) = r;
+            if !live.contains(&a) {
+                live.push(a);
             }
+        };
+        self.for_each_stmt(&mut |s| {
+            s.for_each_read(&mut note);
+            s.for_each_write(&mut note);
         });
         live.sort_unstable();
         live

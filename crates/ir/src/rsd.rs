@@ -8,22 +8,23 @@
 //! `CALL OVERLAP_SHIFT(U,-1,2,[0:N+1,*])`, whose first dimension has been
 //! extended from `1:N` to `0:N+1`.
 
+use crate::dims::Dims;
 use std::fmt;
 
 /// Per-dimension extension amounts of the transferred section into the
 /// overlap areas: `ext[d] = (lo, hi)` extends dimension `d` by `lo` ghost
 /// layers below the subgrid and `hi` layers above it. The shifted dimension
 /// itself always has `(0, 0)` (printed `*` like the paper).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rsd {
     /// Extension (below, above) per dimension.
-    pub ext: Vec<(u32, u32)>,
+    pub ext: Dims<(u32, u32)>,
 }
 
 impl Rsd {
     /// An RSD with no extension anywhere (equivalent to omitting it).
     pub fn none(rank: usize) -> Self {
-        Rsd { ext: vec![(0, 0); rank] }
+        Rsd { ext: Dims::filled(rank, (0, 0)) }
     }
 
     /// Number of dimensions.
@@ -53,19 +54,21 @@ impl Rsd {
     pub fn union(&self, other: &Rsd) -> Rsd {
         assert_eq!(self.rank(), other.rank());
         Rsd {
-            ext: self
-                .ext
-                .iter()
-                .zip(&other.ext)
-                .map(|(&(al, ah), &(bl, bh))| (al.max(bl), ah.max(bh)))
-                .collect(),
+            ext: Dims::from_fn(self.rank(), |d| {
+                let ((al, ah), (bl, bh)) = (self.ext[d], other.ext[d]);
+                (al.max(bl), ah.max(bh))
+            }),
         }
     }
 
     /// True when this RSD covers (subsumes) `other` in every dimension.
     pub fn covers(&self, other: &Rsd) -> bool {
         self.rank() == other.rank()
-            && self.ext.iter().zip(&other.ext).all(|(&(al, ah), &(bl, bh))| al >= bl && ah >= bh)
+            && self
+                .ext
+                .iter()
+                .zip(other.ext.iter())
+                .all(|(&(al, ah), &(bl, bh))| al >= bl && ah >= bh)
     }
 }
 

@@ -1,28 +1,29 @@
 //! Iteration spaces (array sections) and offset annotations.
 
 use crate::array::Shape;
+use crate::dims::Dims;
 use std::fmt;
 
 /// A rectangular array section / iteration space: per-dimension inclusive
 /// 1-based bounds, the IR analogue of `A(lo1:hi1, lo2:hi2, ...)`.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Section(pub Vec<(i64, i64)>);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Section(pub Dims<(i64, i64)>);
 
 impl Section {
     /// Section covering a whole array of the given shape: `(1:n1, 1:n2, …)`.
     pub fn full(shape: &Shape) -> Self {
-        Section(shape.0.iter().map(|&e| (1, e as i64)).collect())
+        Section(shape.0.map(|e| (1, e as i64)))
     }
 
     /// Section from explicit per-dimension bounds.
-    pub fn new(bounds: impl Into<Vec<(i64, i64)>>) -> Self {
+    pub fn new(bounds: impl Into<Dims<(i64, i64)>>) -> Self {
         Section(bounds.into())
     }
 
     /// Interior section of a shape, shrunk by `margin` on every side:
     /// `(1+margin : n-margin, …)`.
     pub fn interior(shape: &Shape, margin: i64) -> Self {
-        Section(shape.0.iter().map(|&e| (1 + margin, e as i64 - margin)).collect())
+        Section(shape.0.map(|e| (1 + margin, e as i64 - margin)))
     }
 
     /// Number of dimensions.
@@ -54,38 +55,35 @@ impl Section {
     /// Section translated by `off` (element-wise).
     pub fn translate(&self, off: &Offsets) -> Section {
         assert_eq!(self.rank(), off.rank());
-        Section(self.0.iter().zip(&off.0).map(|(&(lo, hi), &o)| (lo + o, hi + o)).collect())
+        Section(Dims::from_fn(self.rank(), |d| (self.0[d].0 + off.0[d], self.0[d].1 + off.0[d])))
     }
 
     /// Intersection with another section of the same rank.
     pub fn intersect(&self, other: &Section) -> Section {
         assert_eq!(self.rank(), other.rank());
-        Section(
-            self.0.iter().zip(&other.0).map(|(&(a, b), &(c, d))| (a.max(c), b.min(d))).collect(),
-        )
+        Section(Dims::from_fn(self.rank(), |d| {
+            let ((a, b), (c, e)) = (self.0[d], other.0[d]);
+            (a.max(c), b.min(e))
+        }))
     }
 
     /// True when the section lies within the array bounds of `shape`.
     pub fn within(&self, shape: &Shape) -> bool {
         self.rank() == shape.rank()
-            && self.0.iter().zip(&shape.0).all(|(&(lo, hi), &e)| lo >= 1 && hi <= e as i64)
+            && self.0.iter().zip(shape.0.iter()).all(|(&(lo, hi), &e)| lo >= 1 && hi <= e as i64)
     }
 
     /// True when `point` (1-based per-dim indices) lies inside the section.
     pub fn contains(&self, point: &[i64]) -> bool {
         point.len() == self.rank()
-            && point.iter().zip(&self.0).all(|(&p, &(lo, hi))| p >= lo && p <= hi)
+            && point.iter().zip(self.0.iter()).all(|(&p, &(lo, hi))| p >= lo && p <= hi)
     }
 
     /// Iterate all points of the section in row-major (last dim fastest)
     /// order. Intended for tests and the reference interpreter; the node
     /// executor uses explicit loop nests instead.
     pub fn points(&self) -> SectionPoints {
-        SectionPoints {
-            section: self.clone(),
-            cur: self.0.iter().map(|&(lo, _)| lo).collect(),
-            done: self.is_empty(),
-        }
+        SectionPoints { section: *self, cur: self.0.map(|(lo, _)| lo), done: self.is_empty() }
     }
 }
 
@@ -105,7 +103,7 @@ impl fmt::Debug for Section {
 /// Iterator over the points of a [`Section`].
 pub struct SectionPoints {
     section: Section,
-    cur: Vec<i64>,
+    cur: Dims<i64>,
     done: bool,
 }
 
@@ -116,7 +114,7 @@ impl Iterator for SectionPoints {
         if self.done {
             return None;
         }
-        let out = self.cur.clone();
+        let out = self.cur.to_vec();
         // Advance row-major: last dimension fastest.
         let rank = self.cur.len();
         let mut d = rank;
@@ -139,23 +137,23 @@ impl Iterator for SectionPoints {
 /// An offset annotation on an array reference — the paper's `U<a1,…,ar>`
 /// notation. `U<+1,0>(i,j)` denotes `U(i+1, j)` with off-processor elements
 /// found in the overlap area.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Offsets(pub Vec<i64>);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Offsets(pub Dims<i64>);
 
 impl Offsets {
     /// All-zero offsets of the given rank (a plain reference).
     pub fn zero(rank: usize) -> Self {
-        Offsets(vec![0; rank])
+        Offsets(Dims::filled(rank, 0))
     }
 
     /// Offsets from explicit per-dimension values.
-    pub fn new(v: impl Into<Vec<i64>>) -> Self {
+    pub fn new(v: impl Into<Dims<i64>>) -> Self {
         Offsets(v.into())
     }
 
     /// A unit offset of `amount` in dimension `dim` (0-based), rank `rank`.
     pub fn unit(rank: usize, dim: usize, amount: i64) -> Self {
-        let mut v = vec![0; rank];
+        let mut v = Dims::filled(rank, 0);
         v[dim] = amount;
         Offsets(v)
     }
@@ -179,7 +177,7 @@ impl Offsets {
     /// and composes additively per dimension, §3.3 of the paper).
     pub fn compose(&self, other: &Offsets) -> Offsets {
         assert_eq!(self.rank(), other.rank());
-        Offsets(self.0.iter().zip(&other.0).map(|(a, b)| a + b).collect())
+        Offsets(Dims::from_fn(self.rank(), |d| self.0[d] + other.0[d]))
     }
 
     /// Largest absolute component — determines the overlap width needed.

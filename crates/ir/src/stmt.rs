@@ -124,78 +124,80 @@ pub enum Resource {
     Ghost(ArrayId, Dim, i8),
 }
 
-/// Push the ghost resources implied by an offset annotation: a reference
+/// Visit the ghost resources implied by an offset annotation: a reference
 /// `U<a1,…,ar>` reads the overlap area of every dimension with a non-zero
 /// offset, on the side of the offset's sign.
-fn ghost_resources(array: ArrayId, offsets: &Offsets, out: &mut Vec<Resource>) {
+fn ghost_resources(array: ArrayId, offsets: &Offsets, f: &mut impl FnMut(Resource)) {
     for (d, &o) in offsets.0.iter().enumerate() {
         if o != 0 {
-            out.push(Resource::Ghost(array, d, o.signum() as i8));
+            f(Resource::Ghost(array, d, o.signum() as i8));
         }
     }
 }
 
 impl Stmt {
-    /// Resources read by the statement (over-approximate, for dependence
-    /// construction). [`Stmt::TimeLoop`] reports the union of its body.
-    pub fn reads(&self) -> Vec<Resource> {
-        let mut out = Vec::new();
+    /// Call `f` for every resource the statement reads (over-approximate,
+    /// for dependence construction), in no particular order and possibly
+    /// more than once. [`Stmt::TimeLoop`] visits its whole body.
+    pub fn for_each_read(&self, f: &mut impl FnMut(Resource)) {
         match self {
-            Stmt::ShiftAssign { src, .. } => out.push(Resource::Interior(*src)),
+            Stmt::ShiftAssign { src, .. } => f(Resource::Interior(*src)),
             Stmt::OverlapShift { array, src_offsets, rsd, .. } => {
-                out.push(Resource::Interior(*array));
-                ghost_resources(*array, src_offsets, &mut out);
+                f(Resource::Interior(*array));
+                ghost_resources(*array, src_offsets, f);
                 if let Some(rsd) = rsd {
                     for (d, &(lo, hi)) in rsd.ext.iter().enumerate() {
                         if lo > 0 {
-                            out.push(Resource::Ghost(*array, d, -1));
+                            f(Resource::Ghost(*array, d, -1));
                         }
                         if hi > 0 {
-                            out.push(Resource::Ghost(*array, d, 1));
+                            f(Resource::Ghost(*array, d, 1));
                         }
                     }
                 }
             }
             Stmt::Compute { rhs, .. } => {
                 rhs.for_each_ref(&mut |r| {
-                    out.push(Resource::Interior(r.array));
-                    ghost_resources(r.array, &r.offsets, &mut out);
+                    f(Resource::Interior(r.array));
+                    ghost_resources(r.array, &r.offsets, f);
                 });
             }
             Stmt::Copy { src, .. } => {
-                out.push(Resource::Interior(src.array));
-                ghost_resources(src.array, &src.offsets, &mut out);
+                f(Resource::Interior(src.array));
+                ghost_resources(src.array, &src.offsets, f);
             }
-            Stmt::Rebind { src, .. } => out.push(Resource::Interior(*src)),
-            Stmt::TimeLoop { body, .. } => {
-                for s in body {
-                    out.extend(s.reads());
-                }
-            }
+            Stmt::Rebind { src, .. } => f(Resource::Interior(*src)),
+            Stmt::TimeLoop { body, .. } => body.iter().for_each(|s| s.for_each_read(f)),
         }
+    }
+
+    /// Call `f` for every resource the statement writes, like
+    /// [`Stmt::for_each_read`].
+    pub fn for_each_write(&self, f: &mut impl FnMut(Resource)) {
+        match self {
+            Stmt::ShiftAssign { dst, .. } => f(Resource::Interior(*dst)),
+            Stmt::OverlapShift { array, shift, dim, .. } => {
+                f(Resource::Ghost(*array, *dim, shift.signum() as i8));
+            }
+            Stmt::Compute { lhs, .. } => f(Resource::Interior(*lhs)),
+            Stmt::Copy { dst, .. } | Stmt::Rebind { dst, .. } => f(Resource::Interior(*dst)),
+            Stmt::TimeLoop { body, .. } => body.iter().for_each(|s| s.for_each_write(f)),
+        }
+    }
+
+    /// The resources [`Stmt::for_each_read`] visits, sorted and distinct.
+    pub fn reads(&self) -> Vec<Resource> {
+        let mut out = Vec::new();
+        self.for_each_read(&mut |r| out.push(r));
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Resources written by the statement.
+    /// The resources [`Stmt::for_each_write`] visits, sorted and distinct.
     pub fn writes(&self) -> Vec<Resource> {
         let mut out = Vec::new();
-        match self {
-            Stmt::ShiftAssign { dst, .. } => out.push(Resource::Interior(*dst)),
-            Stmt::OverlapShift { array, shift, dim, .. } => {
-                out.push(Resource::Ghost(*array, *dim, shift.signum() as i8));
-            }
-            Stmt::Compute { lhs, .. } => out.push(Resource::Interior(*lhs)),
-            Stmt::Copy { dst, .. } | Stmt::Rebind { dst, .. } => {
-                out.push(Resource::Interior(*dst));
-            }
-            Stmt::TimeLoop { body, .. } => {
-                for s in body {
-                    out.extend(s.writes());
-                }
-            }
-        }
+        self.for_each_write(&mut |r| out.push(r));
         out.sort_unstable();
         out.dedup();
         out
@@ -205,17 +207,6 @@ impl Stmt {
     /// congruence class of context partitioning).
     pub fn is_comm(&self) -> bool {
         matches!(self, Stmt::ShiftAssign { .. } | Stmt::OverlapShift { .. })
-    }
-
-    /// The arrays this statement assigns (interior writes only).
-    pub fn assigned_arrays(&self) -> Vec<ArrayId> {
-        self.writes()
-            .into_iter()
-            .filter_map(|r| match r {
-                Resource::Interior(a) => Some(a),
-                Resource::Ghost(..) => None,
-            })
-            .collect()
     }
 }
 
@@ -233,7 +224,6 @@ mod tests {
         assert_eq!(s.reads(), vec![Resource::Interior(U)]);
         assert_eq!(s.writes(), vec![Resource::Interior(T)]);
         assert!(s.is_comm());
-        assert_eq!(s.assigned_arrays(), vec![T]);
     }
 
     #[test]
@@ -253,7 +243,6 @@ mod tests {
         // Writes the low-side ghost of dim 1.
         assert_eq!(s.writes(), vec![Resource::Ghost(U, 1, -1)]);
         assert!(s.is_comm());
-        assert!(s.assigned_arrays().is_empty());
     }
 
     #[test]

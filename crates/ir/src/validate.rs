@@ -376,7 +376,7 @@ mod tests {
         let u = t.add_array(ArrayDecl::user(
             "U",
             Shape::new([8, 8]),
-            Distribution(vec![crate::DimDist::Block, crate::DimDist::Collapsed]),
+            Distribution([crate::DimDist::Block, crate::DimDist::Collapsed].into()),
         ));
         let v = t.add_array(ArrayDecl::user("T", Shape::new([8, 8]), Distribution::block(2)));
         let mut p = Program::new(t);

@@ -8,7 +8,7 @@
 //! (scalar replacement, unroll-and-jam, permutation) rewrite this IR.
 
 use hpf_ir::expr::CmpOp;
-use hpf_ir::{ArrayId, BinOp, Rsd, ScalarId, Section, ShiftKind, SymbolTable};
+use hpf_ir::{ArrayId, BinOp, Dims, Rsd, ScalarId, Section, ShiftKind, SymbolTable};
 
 /// Virtual register index within a loop body.
 pub type Reg = u16;
@@ -39,14 +39,14 @@ pub enum Instr {
         /// Loaded array.
         array: ArrayId,
         /// Per-dimension offsets from the iteration point.
-        offsets: Vec<i64>,
+        offsets: Dims<i64>,
     },
     /// `array[point + offsets] = r[src]`
     Store {
         /// Stored array.
         array: ArrayId,
         /// Per-dimension offsets from the iteration point.
-        offsets: Vec<i64>,
+        offsets: Dims<i64>,
         /// Source register.
         src: Reg,
     },
@@ -123,15 +123,17 @@ impl Instr {
         }
     }
 
-    /// Registers the instruction reads.
-    pub fn sources(&self) -> Vec<Reg> {
-        match self {
-            Instr::Const { .. } | Instr::LoadScalar { .. } | Instr::Load { .. } => vec![],
-            Instr::Store { src, .. } => vec![*src],
-            Instr::Bin { a, b, .. } | Instr::Cmp { a, b, .. } => vec![*a, *b],
-            Instr::Neg { src, .. } | Instr::Copy { src, .. } => vec![*src],
-            Instr::Select { c, t, e, .. } => vec![*c, *t, *e],
-        }
+    /// Registers the instruction reads, in operand order.
+    pub fn sources(&self) -> impl Iterator<Item = Reg> {
+        let (regs, n) = match *self {
+            Instr::Const { .. } | Instr::LoadScalar { .. } | Instr::Load { .. } => ([0; 3], 0),
+            Instr::Store { src, .. } | Instr::Neg { src, .. } | Instr::Copy { src, .. } => {
+                ([src, 0, 0], 1)
+            }
+            Instr::Bin { a, b, .. } | Instr::Cmp { a, b, .. } => ([a, b, 0], 2),
+            Instr::Select { c, t, e, .. } => ([c, t, e], 3),
+        };
+        regs.into_iter().take(n)
     }
 
     /// Remap register operands through `f`.
@@ -167,6 +169,13 @@ impl Instr {
             _ => {}
         }
     }
+}
+
+/// One more than the highest register `body` names: the length of a table
+/// indexed by register.
+pub fn regs_named(body: &[Instr]) -> usize {
+    let named = body.iter().flat_map(|i| i.dst().into_iter().chain(i.sources()));
+    named.max().map_or(0, |r| r as usize + 1)
 }
 
 /// Unroll-and-jam annotation of a loop nest.
@@ -379,15 +388,15 @@ mod tests {
     fn instr_dst_and_sources() {
         let i = Instr::Bin { op: BinOp::Add, dst: 2, a: 0, b: 1 };
         assert_eq!(i.dst(), Some(2));
-        assert_eq!(i.sources(), vec![0, 1]);
-        let s = Instr::Store { array: ArrayId(0), offsets: vec![0, 0], src: 3 };
+        assert!(i.sources().eq([0, 1]));
+        let s = Instr::Store { array: ArrayId(0), offsets: [0, 0].into(), src: 3 };
         assert_eq!(s.dst(), None);
-        assert_eq!(s.sources(), vec![3]);
+        assert!(s.sources().eq([3]));
     }
 
     #[test]
     fn instr_remap_and_shift() {
-        let mut i = Instr::Load { dst: 1, array: ArrayId(0), offsets: vec![0, -1] };
+        let mut i = Instr::Load { dst: 1, array: ArrayId(0), offsets: [0, -1].into() };
         i.remap(&mut |r| r + 10);
         assert_eq!(i.dst(), Some(11));
         i.shift_dim(0, 2);
@@ -403,10 +412,10 @@ mod tests {
             space: Section::new([(1, 4), (1, 4)]),
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 0, array: ArrayId(0), offsets: vec![0, 0] },
-                Instr::Load { dst: 1, array: ArrayId(0), offsets: vec![1, 0] },
+                Instr::Load { dst: 0, array: ArrayId(0), offsets: [0, 0].into() },
+                Instr::Load { dst: 1, array: ArrayId(0), offsets: [1, 0].into() },
                 Instr::Bin { op: BinOp::Add, dst: 2, a: 0, b: 1 },
-                Instr::Store { array: ArrayId(1), offsets: vec![0, 0], src: 2 },
+                Instr::Store { array: ArrayId(1), offsets: [0, 0].into(), src: 2 },
             ],
             regs: 3,
             unroll: None,

@@ -9,8 +9,9 @@
 //! `U(i+1,j)` of a 9-point stencil) are fetched once — the counterpart of
 //! the CM-2 stencil compiler's "multi-stencil swath" (§6).
 
-use crate::loopir::{Instr, LoopNest, NodeItem, NodeProgram, Reg, Unroll};
-use std::collections::HashMap;
+use crate::loopir::{regs_named, Instr, LoopNest, NodeItem, NodeProgram, Reg, Unroll};
+use hpf_ir::hash::HashMap;
+use hpf_ir::Dims;
 
 /// Which memory optimizations to apply.
 #[derive(Clone, Copy, Debug)]
@@ -95,8 +96,7 @@ fn optimize_nest(nest: &mut LoopNest, opts: MemOptOptions, stats: &mut MemOptSta
 /// differing offsets), but the check makes the transformations safe to call
 /// on arbitrary nests.
 pub fn iteration_local(body: &[Instr]) -> bool {
-    use std::collections::HashMap;
-    let mut stored: HashMap<u32, &Vec<i64>> = HashMap::new();
+    let mut stored: HashMap<u32, _> = HashMap::default();
     for i in body {
         if let Instr::Store { array, offsets, .. } = i {
             if let Some(prev) = stored.insert(array.0, offsets) {
@@ -149,12 +149,12 @@ pub fn scalar_replace_body(body: &[Instr], regs: usize) -> (Vec<Instr>, usize) {
         }
         r
     };
-    let mut avail_mem: HashMap<(u32, Vec<i64>), Reg> = HashMap::new();
-    let mut avail_scalar: HashMap<u32, Reg> = HashMap::new();
-    let mut avail_const: HashMap<u64, Reg> = HashMap::new();
-    let mut avail_expr: HashMap<(u8, Reg, Reg), Reg> = HashMap::new();
+    let mut avail_mem: HashMap<(u32, Dims<i64>), Reg> = HashMap::default();
+    let mut avail_scalar: HashMap<u32, Reg> = HashMap::default();
+    let mut avail_const: HashMap<u64, Reg> = HashMap::default();
+    let mut avail_expr: HashMap<(u8, Reg, Reg), Reg> = HashMap::default();
     // Pending (possibly dead) store per element: index into `out`.
-    let mut pending_store: HashMap<(u32, Vec<i64>), usize> = HashMap::new();
+    let mut pending_store: HashMap<(u32, Dims<i64>), usize> = HashMap::default();
     let mut dead: Vec<bool> = Vec::new();
     let mut out: Vec<Instr> = Vec::new();
 
@@ -163,7 +163,7 @@ pub fn scalar_replace_body(body: &[Instr], regs: usize) -> (Vec<Instr>, usize) {
         instr.remap(&mut |r| resolve(&alias, r));
         match &instr {
             Instr::Load { dst, array, offsets } => {
-                let key = (array.0, offsets.clone());
+                let key = (array.0, *offsets);
                 if let Some(&have) = avail_mem.get(&key) {
                     alias[*dst as usize] = have;
                     continue; // load elided
@@ -194,11 +194,11 @@ pub fn scalar_replace_body(body: &[Instr], regs: usize) -> (Vec<Instr>, usize) {
                 avail_expr.insert(key, *dst);
             }
             Instr::Store { array, offsets, src } => {
-                let key = (array.0, offsets.clone());
+                let key = (array.0, *offsets);
                 if let Some(&prev) = pending_store.get(&key) {
                     dead[prev] = true; // overwritten within the iteration
                 }
-                pending_store.insert(key.clone(), out.len());
+                pending_store.insert(key, out.len());
                 avail_mem.insert(key, *src);
             }
             Instr::Cmp { op, dst, a, b } => {
@@ -224,32 +224,23 @@ pub fn scalar_replace_body(body: &[Instr], regs: usize) -> (Vec<Instr>, usize) {
 
 /// Remove instructions whose destination register is never read and which
 /// have no memory effect.
-fn eliminate_dead_defs(body: Vec<Instr>) -> Vec<Instr> {
-    let mut used: HashMap<Reg, bool> = HashMap::new();
-    for i in &body {
-        for s in i.sources() {
-            used.insert(s, true);
-        }
+fn eliminate_dead_defs(mut body: Vec<Instr>) -> Vec<Instr> {
+    let mut used = vec![false; regs_named(&body)];
+    for s in body.iter().flat_map(Instr::sources) {
+        used[s as usize] = true;
     }
-    body.into_iter()
-        .rev()
-        .filter(|i| match i.dst() {
-            None => true,
-            Some(d) => used.get(&d).copied().unwrap_or(false),
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect()
+    body.retain(|i| i.dst().is_none_or(|d| used[d as usize]));
+    body.shrink_to_fit();
+    body
 }
 
 /// Compact register numbers.
 fn renumber(mut body: Vec<Instr>) -> (Vec<Instr>, usize) {
-    let mut map: HashMap<Reg, Reg> = HashMap::new();
+    let mut map: Vec<Option<Reg>> = vec![None; regs_named(&body)];
     let mut next: Reg = 0;
     for i in &mut body {
         i.remap(&mut |r| {
-            *map.entry(r).or_insert_with(|| {
+            *map[r as usize].get_or_insert_with(|| {
                 let v = next;
                 next += 1;
                 v
@@ -386,10 +377,10 @@ END
         use hpf_ir::{ArrayId, BinOp};
         let body = vec![
             Instr::Const { dst: 0, value: 1.0 },
-            Instr::Store { array: ArrayId(0), offsets: vec![0, 0], src: 0 },
-            Instr::Load { dst: 1, array: ArrayId(0), offsets: vec![0, 0] },
+            Instr::Store { array: ArrayId(0), offsets: [0, 0].into(), src: 0 },
+            Instr::Load { dst: 1, array: ArrayId(0), offsets: [0, 0].into() },
             Instr::Bin { op: BinOp::Add, dst: 2, a: 1, b: 1 },
-            Instr::Store { array: ArrayId(1), offsets: vec![0, 0], src: 2 },
+            Instr::Store { array: ArrayId(1), offsets: [0, 0].into(), src: 2 },
         ];
         let (out, _) = scalar_replace_body(&body, 3);
         // The load is forwarded from the store.
@@ -403,9 +394,9 @@ END
         use hpf_ir::ArrayId;
         let body = vec![
             Instr::Const { dst: 0, value: 1.0 },
-            Instr::Store { array: ArrayId(0), offsets: vec![0], src: 0 },
+            Instr::Store { array: ArrayId(0), offsets: [0].into(), src: 0 },
             Instr::Const { dst: 1, value: 2.0 },
-            Instr::Store { array: ArrayId(0), offsets: vec![0], src: 1 },
+            Instr::Store { array: ArrayId(0), offsets: [0].into(), src: 1 },
         ];
         let (out, _) = scalar_replace_body(&body, 2);
         let stores: Vec<_> = out.iter().filter(|i| matches!(i, Instr::Store { .. })).collect();
@@ -417,8 +408,8 @@ END
         use hpf_ir::ArrayId;
         let body = vec![
             Instr::Const { dst: 0, value: 1.0 },
-            Instr::Store { array: ArrayId(0), offsets: vec![0], src: 0 },
-            Instr::Store { array: ArrayId(0), offsets: vec![1], src: 0 },
+            Instr::Store { array: ArrayId(0), offsets: [0].into(), src: 0 },
+            Instr::Store { array: ArrayId(0), offsets: [1].into(), src: 0 },
         ];
         let (out, _) = scalar_replace_body(&body, 1);
         assert_eq!(out.iter().filter(|i| matches!(i, Instr::Store { .. })).count(), 2);
@@ -428,13 +419,13 @@ END
     fn cse_of_repeated_loads_and_exprs() {
         use hpf_ir::{ArrayId, BinOp};
         let body = vec![
-            Instr::Load { dst: 0, array: ArrayId(0), offsets: vec![1] },
-            Instr::Load { dst: 1, array: ArrayId(0), offsets: vec![1] },
+            Instr::Load { dst: 0, array: ArrayId(0), offsets: [1].into() },
+            Instr::Load { dst: 1, array: ArrayId(0), offsets: [1].into() },
             Instr::Bin { op: BinOp::Add, dst: 2, a: 0, b: 1 },
-            Instr::Load { dst: 3, array: ArrayId(0), offsets: vec![1] },
+            Instr::Load { dst: 3, array: ArrayId(0), offsets: [1].into() },
             Instr::Bin { op: BinOp::Add, dst: 4, a: 0, b: 3 },
             Instr::Bin { op: BinOp::Mul, dst: 5, a: 2, b: 4 },
-            Instr::Store { array: ArrayId(1), offsets: vec![0], src: 5 },
+            Instr::Store { array: ArrayId(1), offsets: [0].into(), src: 5 },
         ];
         let (out, regs) = scalar_replace_body(&body, 6);
         assert_eq!(out.iter().filter(|i| matches!(i, Instr::Load { .. })).count(), 1);
@@ -449,8 +440,8 @@ END
             space: Section::new([(1, 5), (1, 4)]),
             order: vec![0, 1],
             body: vec![
-                Instr::Load { dst: 0, array: hpf_ir::ArrayId(0), offsets: vec![0, 0] },
-                Instr::Store { array: hpf_ir::ArrayId(1), offsets: vec![0, 0], src: 0 },
+                Instr::Load { dst: 0, array: hpf_ir::ArrayId(0), offsets: [0, 0].into() },
+                Instr::Store { array: hpf_ir::ArrayId(1), offsets: [0, 0].into(), src: 0 },
             ],
             regs: 1,
             unroll: None,
@@ -480,7 +471,7 @@ END
         let body = vec![
             Instr::Const { dst: 0, value: 1.0 },
             Instr::Const { dst: 1, value: 2.0 }, // never used
-            Instr::Store { array: ArrayId(0), offsets: vec![0], src: 0 },
+            Instr::Store { array: ArrayId(0), offsets: [0].into(), src: 0 },
         ];
         let (out, regs) = scalar_replace_body(&body, 2);
         assert_eq!(out.len(), 2);

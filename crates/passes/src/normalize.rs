@@ -21,7 +21,8 @@
 
 use hpf_frontend::{CExpr, CStmt, Checked};
 use hpf_ir::{
-    ArrayDecl, ArrayId, Expr, OperandRef, Program, Section, ShiftKind, Span, Stmt, SymbolTable,
+    ArrayDecl, ArrayId, Dims, Expr, OperandRef, Program, Section, ShiftKind, Span, Stmt,
+    SymbolTable,
 };
 
 /// Temporary-array allocation policy during normalization.
@@ -113,10 +114,10 @@ impl Normalizer {
             let els = Expr::Ref(OperandRef::aligned(lhs, section.rank()).at(span));
             out.push(Stmt::Compute {
                 lhs,
-                space: section.clone(),
+                space: *section,
                 rhs: Expr::Select(Box::new(cond), Box::new(then), Box::new(els)),
             });
-            self.release(&mut stmt_temps);
+            self.release(stmt_temps);
             return;
         }
         // A whole-array assignment whose RHS is a bare shift is already in
@@ -136,33 +137,31 @@ impl Normalizer {
                         kind: *kind,
                     });
                     self.stats.shifts += 1;
-                    self.release(&mut stmt_temps);
+                    self.release(stmt_temps);
                     return;
                 }
                 // `A = CSHIFT(A, ...)`: shifting in place is unsafe; use the
                 // temporary-based general path instead.
-                self.release(&mut stmt_temps);
+                self.release(stmt_temps);
             }
         }
         let mut stmt_temps = Vec::new();
         let expr = self.expr(rhs, section, out, &mut stmt_temps);
-        out.push(Stmt::Compute { lhs, space: section.clone(), rhs: expr });
+        out.push(Stmt::Compute { lhs, space: *section, rhs: expr });
         // Temps referenced by the compute statement die here.
-        self.release(&mut stmt_temps);
+        self.release(stmt_temps);
     }
 
-    fn release(&mut self, temps: &mut Vec<ArrayId>) {
+    fn release(&mut self, temps: impl IntoIterator<Item = ArrayId>) {
         if self.policy == TempPolicy::Reuse {
-            self.pool.append(temps);
-        } else {
-            temps.clear();
+            self.pool.extend(temps);
         }
     }
 
     /// Take a temp conformant with `like` from the pool or create one.
     fn temp(&mut self, like: ArrayId) -> ArrayId {
-        let shape = self.symbols.array(like).shape.clone();
-        let dist = self.symbols.array(like).dist.clone();
+        let shape = self.symbols.array(like).shape;
+        let dist = self.symbols.array(like).dist;
         if self.policy == TempPolicy::Reuse {
             if let Some(pos) = self.pool.iter().position(|&t| {
                 self.symbols.array(t).shape == shape && self.symbols.array(t).dist == dist
@@ -198,8 +197,7 @@ impl Normalizer {
             CExpr::Sec { array, section, span } => {
                 // Per-dimension offset of the operand section relative to the
                 // iteration space (Figure 4's translation).
-                let deltas: Vec<i64> =
-                    (0..space.rank()).map(|d| section.dim(d).0 - space.dim(d).0).collect();
+                let deltas = Dims::from_fn(space.rank(), |d| section.dim(d).0 - space.dim(d).0);
                 let mut base = *array;
                 for (d, &delta) in deltas.iter().enumerate() {
                     if delta != 0 {
@@ -259,7 +257,7 @@ impl Normalizer {
                 let mut inner_live = Vec::new();
                 let expr = self.expr(other, &full, out, &mut inner_live);
                 out.push(Stmt::Compute { lhs: t, space: full, rhs: expr });
-                self.release(&mut inner_live);
+                self.release(inner_live);
                 t
             }
         }
@@ -285,8 +283,7 @@ impl Normalizer {
         if self.symbols.array(base).temp {
             if let Some(pos) = live.iter().position(|&x| x == base) {
                 live.remove(pos);
-                let mut v = vec![base];
-                self.release(&mut v);
+                self.release([base]);
             }
         }
         live.push(t);

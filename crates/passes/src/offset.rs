@@ -28,9 +28,9 @@
 //! source with an inserted copy ([`hpf_ir::Stmt::Copy`]) — the paper's
 //! criterion-violation repair.
 
-use hpf_ir::defuse::{reached_uses, write_between, UseSite};
+use hpf_ir::defuse::{reached_uses, write_between, writes_interior, UseSite};
+use hpf_ir::hash::HashMap;
 use hpf_ir::{ArrayId, Offsets, OperandRef, Program, Section, ShiftKind, Stmt, SymbolTable};
-use std::collections::HashMap;
 
 /// Statistics reported by the pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,10 +69,10 @@ pub fn run(program: &mut Program, halo: i64) -> OffsetStats {
     // overlap area. Two kinds filling the same ghost region would leave one
     // rewritten use reading the other's values, so claims are exclusive
     // program-wide (conservative but safe).
-    let mut claims: HashMap<(ArrayId, usize, i8), ShiftKind> = HashMap::new();
+    let mut claims: HashMap<(ArrayId, usize, i8), ShiftKind> = HashMap::default();
     process_blocks(
         &mut program.body,
-        &program.symbols.clone(),
+        &program.symbols,
         false,
         halo,
         &block_reads,
@@ -95,13 +95,13 @@ fn collect_block_reads(program: &Program) -> Vec<Vec<ArrayId>> {
             if let Stmt::TimeLoop { body, .. } = s {
                 walk(body, out);
             } else {
-                for r in s.reads() {
+                s.for_each_read(&mut |r| {
                     if let hpf_ir::stmt::Resource::Interior(a) = r {
                         if !out[idx].contains(&a) {
                             out[idx].push(a);
                         }
                     }
-                }
+                });
             }
         }
     }
@@ -150,15 +150,15 @@ fn run_block(
 ) {
     // alias: array -> (base array whose storage it shares, offset
     // annotation, the kind of the shifts that built the annotation)
-    let mut alias: HashMap<ArrayId, (ArrayId, Offsets, ShiftKind)> = HashMap::new();
+    let mut alias: HashMap<ArrayId, (ArrayId, Offsets, ShiftKind)> = HashMap::default();
     let mut i = 0usize;
     while i < block.len() {
-        match block[i].clone() {
+        match block[i] {
             Stmt::ShiftAssign { dst, src, shift, dim, kind } => {
                 // Resolve the source through the alias map (multi-offset).
                 let (base, off0, kind0) = alias
                     .get(&src)
-                    .cloned()
+                    .copied()
                     .unwrap_or_else(|| (src, Offsets::zero(symbols.array(src).rank()), kind));
                 let off1 = off0.compose(&Offsets::unit(off0.rank(), dim, shift));
                 let full = Section::full(&symbols.array(dst).shape);
@@ -195,7 +195,7 @@ fn run_block(
                     let uses = reached_uses(block, i, dst, &full, wrap);
                     block[i] = Stmt::OverlapShift {
                         array: base,
-                        src_offsets: off0.clone(),
+                        src_offsets: off0,
                         shift,
                         dim,
                         rsd: None,
@@ -223,14 +223,14 @@ fn run_block(
                     stats.kept += 1;
                 }
             }
-            other => {
+            ref other => {
                 // Any interior write invalidates aliases that share the
                 // written storage or that were the written array itself.
-                for w in other.writes() {
+                other.for_each_write(&mut |w| {
                     if let hpf_ir::stmt::Resource::Interior(a) = w {
                         alias.retain(|k, (b, ..)| *k != a && *b != a);
                     }
-                }
+                });
             }
         }
         i += 1;
@@ -255,7 +255,7 @@ fn uses_are_safe(
         let stmt = &block[u.stmt];
         match stmt {
             Stmt::Compute { .. } | Stmt::Copy { .. } => {
-                if writes_interior_of(stmt, base) {
+                if writes_interior(stmt, base) {
                     return false;
                 }
                 if !rewritable(stmt, dst) {
@@ -278,10 +278,6 @@ fn uses_are_safe(
         }
     }
     true
-}
-
-fn writes_interior_of(stmt: &Stmt, array: ArrayId) -> bool {
-    stmt.writes().contains(&hpf_ir::stmt::Resource::Interior(array))
 }
 
 /// A use is rewritable when every reference to `dst` carries a zero offset
@@ -312,13 +308,13 @@ fn rewrite_use(stmt: &mut Stmt, dst: ArrayId, base: ArrayId, off: &Offsets) {
             rhs.for_each_ref_mut(&mut |r| {
                 if r.array == dst {
                     r.array = base;
-                    r.offsets = off.clone();
+                    r.offsets = *off;
                 }
             });
         }
         Stmt::Copy { src, .. } if src.array == dst => {
             src.array = base;
-            src.offsets = off.clone();
+            src.offsets = *off;
         }
         // Shift uses resolve through the alias map instead.
         _ => {}
@@ -392,7 +388,7 @@ DST(2:N-1,2:N-1) = C1 * SRC(1:N-2,2:N-1) + C2 * SRC(2:N-1,1:N-2) &
         let mut offsets_seen = Vec::new();
         p.for_each_stmt(&mut |s| {
             if let Stmt::Compute { rhs, .. } = s {
-                rhs.for_each_ref(&mut |r| offsets_seen.push(r.offsets.clone()));
+                rhs.for_each_ref(&mut |r| offsets_seen.push(r.offsets));
             }
         });
         assert!(offsets_seen.contains(&Offsets::new([-1, 0])));
@@ -559,7 +555,7 @@ T = T + CSHIFT(U,-1,1)
         let mut seen = Vec::new();
         p.for_each_stmt(&mut |s| {
             if let Stmt::Compute { rhs, .. } = s {
-                rhs.for_each_ref(&mut |r| seen.push((r.array, r.offsets.clone())));
+                rhs.for_each_ref(&mut |r| seen.push((r.array, r.offsets)));
             }
         });
         assert!(seen.iter().any(|(_, o)| o == &Offsets::new([1, 0])));

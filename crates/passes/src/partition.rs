@@ -8,7 +8,7 @@
 //! over-fusing — and makes communication operations adjacent, which is what
 //! communication unioning needs.
 
-use hpf_ir::stmt::Resource;
+use hpf_ir::defuse::writes_interior;
 use hpf_ir::{ArrayId, DepGraph, Distribution, Program, Section, Stmt, SymbolTable};
 
 /// Congruence class of a statement (paper footnote 2: congruent array
@@ -37,12 +37,10 @@ pub struct PartitionStats {
 pub fn classify(symbols: &SymbolTable, s: &Stmt) -> StmtClass {
     match s {
         Stmt::ShiftAssign { .. } | Stmt::OverlapShift { .. } => StmtClass::Comm,
-        Stmt::Compute { lhs, space, .. } => {
-            StmtClass::Compute(space.clone(), symbols.array(*lhs).dist.clone())
-        }
+        Stmt::Compute { lhs, space, .. } => StmtClass::Compute(*space, symbols.array(*lhs).dist),
         Stmt::Copy { dst, .. } => {
             let decl = symbols.array(*dst);
-            StmtClass::Compute(Section::full(&decl.shape), decl.dist.clone())
+            StmtClass::Compute(Section::full(&decl.shape), decl.dist)
         }
         Stmt::Rebind { .. } | Stmt::TimeLoop { .. } => StmtClass::Single,
     }
@@ -53,24 +51,15 @@ pub fn classify(symbols: &SymbolTable, s: &Stmt) -> StmtClass {
 /// over-fusion guard): some array is written by one statement and read at a
 /// non-zero offset by the other.
 pub fn fusion_preventing(earlier: &Stmt, later: &Stmt) -> bool {
-    offset_conflict(&interior_writes(earlier), later)
-        || offset_conflict(&interior_writes(later), earlier)
+    offset_conflict(earlier, later) || offset_conflict(later, earlier)
 }
 
-/// The arrays whose owned elements `s` writes.
-fn interior_writes(s: &Stmt) -> Vec<ArrayId> {
-    let interior = |r| match r {
-        Resource::Interior(a) => Some(a),
-        _ => None,
-    };
-    s.writes().into_iter().filter_map(interior).collect()
-}
-
-/// Does `reader` read an array of `writes` at a non-zero offset?
-fn offset_conflict(writes: &[ArrayId], reader: &Stmt) -> bool {
+/// Does `reader` read an array whose owned elements `writer` writes, at a
+/// non-zero offset?
+fn offset_conflict(writer: &Stmt, reader: &Stmt) -> bool {
     let mut conflict = false;
     let mut check = |array: ArrayId, offsets: &hpf_ir::Offsets| {
-        if writes.contains(&array) && !offsets.is_zero() {
+        if !offsets.is_zero() && writes_interior(writer, array) {
             conflict = true;
         }
     };
@@ -104,47 +93,29 @@ pub fn run_checked(
     mut diags: Option<&mut Vec<hpf_ir::Diagnostic>>,
 ) -> PartitionStats {
     let mut stats = PartitionStats::default();
-    let symbols = program.symbols.clone();
-    program.for_each_block_mut(&mut |block, _| {
-        let (reordered, groups) = partition_block_groups(&symbols, block);
+    program.for_each_block_mut(&mut |block, symbols| {
+        let Some((order, groups)) = partition_order(symbols, block) else { return };
         stats.groups += groups.len();
-        for (i, s) in reordered.iter().enumerate() {
-            if *s != block[i] {
-                stats.moved += 1;
-            }
-        }
+        stats.moved += order.iter().enumerate().filter(|&(i, &o)| block[o] != block[i]).count();
+        let mut taken: Vec<Option<Stmt>> = block.drain(..).map(Some).collect();
+        block.extend(order.iter().map(|&i| taken[i].take().expect("order is a permutation")));
         if let Some(diags) = diags.as_deref_mut() {
-            diags.extend(hpf_analysis::check_partition_groups(&symbols, &reordered, &groups));
+            diags.extend(hpf_analysis::check_partition_groups(symbols, block, &groups));
         }
-        *block = reordered;
     });
     stats
 }
 
-/// Typed fusion over one block: returns the reordered statements and the
-/// number of groups formed. Dependences are preserved (asserted in debug
-/// builds via [`DepGraph::order_is_valid`]).
-pub fn partition_block(symbols: &SymbolTable, block: &[Stmt]) -> (Vec<Stmt>, usize) {
-    let (out, groups) = partition_block_groups(symbols, block);
-    (out, groups.len())
-}
-
-/// [`partition_block`], also returning each group's member positions in the
-/// *returned* statement order (groups are emitted contiguously).
-pub fn partition_block_groups(
-    symbols: &SymbolTable,
-    block: &[Stmt],
-) -> (Vec<Stmt>, Vec<Vec<usize>>) {
+/// The order typed fusion puts a non-empty block in, and each group's
+/// member positions in that order (groups are contiguous).
+fn partition_order(symbols: &SymbolTable, block: &[Stmt]) -> Option<(Vec<usize>, Vec<Vec<usize>>)> {
     let n = block.len();
     if n == 0 {
-        return (Vec::new(), Vec::new());
+        return None;
     }
     let graph = DepGraph::build(block);
     let classes: Vec<StmtClass> = block.iter().map(|s| classify(symbols, s)).collect();
-    let writes: Vec<Vec<ArrayId>> = block.iter().map(interior_writes).collect();
-    let prevents = |a: usize, b: usize| {
-        offset_conflict(&writes[a], &block[b]) || offset_conflict(&writes[b], &block[a])
-    };
+    let prevents = |a: usize, b: usize| fusion_preventing(&block[a], &block[b]);
 
     // groups[g] = (class, member statement indices in insertion order)
     let mut groups: Vec<(StmtClass, Vec<usize>)> = Vec::new();
@@ -182,7 +153,6 @@ pub fn partition_block_groups(
 
     let order: Vec<usize> = groups.iter().flat_map(|(_, m)| m.iter().copied()).collect();
     debug_assert!(graph.order_is_valid(&order), "partition broke a dependence");
-    let out = order.iter().map(|&i| block[i].clone()).collect();
     // Re-index member lists to positions in the reordered output, where each
     // group occupies a contiguous range.
     let mut member_lists = Vec::with_capacity(groups.len());
@@ -191,7 +161,7 @@ pub fn partition_block_groups(
         member_lists.push((pos..pos + m.len()).collect());
         pos += m.len();
     }
-    (out, member_lists)
+    Some((order, member_lists))
 }
 
 #[cfg(test)]
@@ -268,7 +238,7 @@ END
         let a = sym.add_array(ArrayDecl::user("A", Shape::new([8, 8]), Distribution::block(2)));
         let b = sym.add_array(ArrayDecl::user("B", Shape::new([8, 8]), Distribution::block(2)));
         let space = Section::new([(2, 7), (2, 7)]);
-        let w = Stmt::Compute { lhs: a, space: space.clone(), rhs: Expr::Const(1.0) };
+        let w = Stmt::Compute { lhs: a, space, rhs: Expr::Const(1.0) };
         let r = Stmt::Compute {
             lhs: b,
             space,

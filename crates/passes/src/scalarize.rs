@@ -13,7 +13,7 @@
 
 use crate::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram, Reg};
 use crate::partition::{classify, fusion_preventing};
-use hpf_ir::{Expr, Program, Section, Stmt, SymbolTable};
+use hpf_ir::{Dims, Expr, Program, Section, Stmt, SymbolTable};
 
 /// Options for scalarization.
 #[derive(Clone, Copy, Debug)]
@@ -85,7 +85,7 @@ fn lower_block(
                 // shift reads lower-dimension ghost data; express that as an
                 // RSD so the runtime transfers the right region.
                 let rsd = match (rsd, src_offsets.is_zero()) {
-                    (Some(r), _) => Some(r.clone()),
+                    (Some(r), _) => Some(*r),
                     (None, true) => None,
                     (None, false) => {
                         let mut r = hpf_ir::Rsd::none(src_offsets.rank());
@@ -155,7 +155,7 @@ fn build_nest(
     opts: ScalarizeOptions,
 ) -> LoopNest {
     let space = match &block[run[0]] {
-        Stmt::Compute { space, .. } => space.clone(),
+        Stmt::Compute { space, .. } => *space,
         Stmt::Copy { dst, .. } => Section::full(&symbols.array(*dst).shape),
         _ => unreachable!("runs contain compute/copy statements only"),
     };
@@ -168,13 +168,13 @@ fn build_nest(
         match &block[idx] {
             Stmt::Compute { lhs, rhs, .. } => {
                 let r = emit_expr(rhs, &mut body, &mut next_reg, rank);
-                body.push(Instr::Store { array: *lhs, offsets: vec![0; rank], src: r });
+                body.push(Instr::Store { array: *lhs, offsets: Dims::filled(rank, 0), src: r });
             }
             Stmt::Copy { dst, src } => {
                 let r = next_reg;
                 next_reg += 1;
-                body.push(Instr::Load { dst: r, array: src.array, offsets: src.offsets.0.clone() });
-                body.push(Instr::Store { array: *dst, offsets: vec![0; rank], src: r });
+                body.push(Instr::Load { dst: r, array: src.array, offsets: src.offsets.0 });
+                body.push(Instr::Store { array: *dst, offsets: Dims::filled(rank, 0), src: r });
             }
             _ => unreachable!(),
         }
@@ -199,8 +199,7 @@ fn emit_expr(e: &Expr, body: &mut Vec<Instr>, next: &mut Reg, rank: usize) -> Re
         Expr::Ref(op) => {
             let r = *next;
             *next += 1;
-            let mut offsets = op.offsets.0.clone();
-            offsets.resize(rank, 0);
+            let offsets = Dims::from_fn(rank, |d| op.offsets.0.get(d).copied().unwrap_or(0));
             body.push(Instr::Load { dst: r, array: op.array, offsets });
             r
         }

@@ -202,7 +202,7 @@ fn covered_one(shifts: &[Stmt], req: &Offsets) -> bool {
                 });
                 if fits {
                     for k in 1..=shift.abs() {
-                        let mut v = base.clone();
+                        let mut v = *base;
                         v.0[*dim] = shift.signum() * k;
                         new.push(v);
                     }

@@ -1,9 +1,11 @@
 //! HPF `BLOCK` distribution arithmetic and the PE grid.
 
+use hpf_ir::Dims;
+
 /// Block distribution of one dimension of extent `n` over `p` processors:
 /// standard HPF `BLOCK` with block size `ceil(n/p)`; trailing processors may
 /// own a short or empty range.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockDim {
     /// Global extent.
     pub n: usize,
@@ -61,15 +63,16 @@ impl BlockDim {
 /// rank of the program's arrays. Axis `d` of the mesh distributes dimension
 /// `d` of `BLOCK` dimensions; collapsed (`*`) dimensions require a grid
 /// extent of 1 along that axis.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PeGrid {
     /// Processors per axis.
-    pub dims: Vec<usize>,
+    pub dims: Dims<usize>,
 }
 
 impl PeGrid {
-    /// Construct a grid; every axis must have at least one processor.
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
+    /// Construct a grid; every axis must have at least one processor, and
+    /// there are at most [`hpf_ir::MAX_RANK`] axes.
+    pub fn new(dims: impl Into<Dims<usize>>) -> Self {
         let dims = dims.into();
         assert!(!dims.is_empty() && dims.iter().all(|&d| d >= 1), "bad PE grid");
         PeGrid { dims }
@@ -86,9 +89,9 @@ impl PeGrid {
     }
 
     /// Coordinates of linear PE index `pe` (row-major: last axis fastest).
-    pub fn coords(&self, pe: usize) -> Vec<usize> {
+    pub fn coords(&self, pe: usize) -> Dims<usize> {
         assert!(pe < self.num_pes());
-        let mut c = vec![0; self.rank()];
+        let mut c = Dims::filled(self.rank(), 0);
         let mut rem = pe;
         for d in (0..self.rank()).rev() {
             c[d] = rem % self.dims[d];

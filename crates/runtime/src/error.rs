@@ -16,6 +16,17 @@ pub enum RtError {
         /// The configured budget.
         budget: usize,
     },
+    /// A PE's subgrid (halo included) has more cells than a strided box
+    /// can address: box counts and strides are `u32`, so a subgrid must
+    /// stay under 2^32 cells whatever the memory budget.
+    SubgridTooLarge {
+        /// PE whose subgrid is too large.
+        pe: usize,
+        /// Cells of that subgrid, halo included.
+        cells: usize,
+        /// The largest subgrid a box addresses, in cells.
+        limit: usize,
+    },
     /// An array operation referenced an unallocated array.
     NotAllocated(String),
     /// An array id was allocated twice without an intervening free.
@@ -67,6 +78,11 @@ impl fmt::Display for RtError {
             RtError::MemoryExhausted { pe, needed, budget } => {
                 write!(f, "memory exhausted on PE {pe}: needs {needed} bytes, budget {budget}")
             }
+            RtError::SubgridTooLarge { pe, cells, limit } => write!(
+                f,
+                "subgrid of PE {pe} has {cells} cells; strided boxes (u32 counts and \
+                 strides) address at most {limit}"
+            ),
             RtError::NotAllocated(name) => write!(f, "array {name} is not allocated"),
             RtError::AlreadyAllocated(name) => write!(f, "array {name} is already allocated"),
             RtError::ShiftTooWide { shift, dim, limit } => {
@@ -105,5 +121,7 @@ mod tests {
         let h = RtError::HaloTooDeep { halo: 4, dim: 0, extent: 2 };
         assert!(h.to_string().contains("halo depth 4"), "{h}");
         assert!(h.to_string().contains("dim 1"), "{h}");
+        let s = RtError::SubgridTooLarge { pe: 0, cells: 1 << 33, limit: u32::MAX as usize };
+        assert!(s.to_string().contains("u32") && !s.to_string().contains("budget"), "{s}");
     }
 }

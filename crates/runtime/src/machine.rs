@@ -8,7 +8,7 @@ use crate::schedule::{
 };
 use crate::stats::{AggStats, PeStats};
 use crate::subgrid::Subgrid;
-use hpf_ir::{ArrayDecl, ArrayId, DimDist, Section, Shape};
+use hpf_ir::{ArrayDecl, ArrayId, DimDist, Dims, Section, Shape};
 use hpf_trace::{SpanKind, Trace, Tracer, Track};
 use std::cell::RefCell;
 
@@ -35,6 +35,7 @@ impl MachineConfig {
     /// assert_eq!(cfg.mem_budget, Some(256 << 20));
     /// ```
     pub fn grid(grid: impl Into<Vec<usize>>) -> Self {
+        let grid: Vec<usize> = grid.into();
         MachineConfig { grid: PeGrid::new(grid), halo: 1, mem_budget: None, cost: CostModel::sp2() }
     }
 
@@ -391,7 +392,7 @@ impl Machine {
                 array: decl.rank(),
             });
         }
-        let mut dims = Vec::with_capacity(decl.rank());
+        let mut dims = Dims::new();
         for d in 0..decl.rank() {
             let p = match decl.dist.dim(d) {
                 DimDist::Block => self.cfg.grid.dims[d],
@@ -409,7 +410,7 @@ impl Machine {
             };
             dims.push(BlockDim::new(decl.shape.extent(d), p));
         }
-        Ok(Geometry::new(dims, self.cfg.grid.clone()))
+        Ok(Geometry::new(dims, self.cfg.grid))
     }
 
     /// Allocate a distributed array. All-or-nothing: fails without side
@@ -439,15 +440,19 @@ impl Machine {
                 }
             }
         }
-        // Pre-check budgets.
-        if let Some(budget) = self.cfg.mem_budget {
-            for pe in 0..self.num_pes() {
-                let owned = Section::new(geom.owned(pe));
-                let sub = Subgrid::new(owned, self.cfg.halo);
-                let needed = self.pes[pe].cur_bytes + sub.bytes();
-                if needed > budget {
-                    return Err(RtError::MemoryExhausted { pe, needed, budget });
-                }
+        // Pre-check that a strided box can address every subgrid (under
+        // 2^32 cells), and the budgets.
+        let limit = u32::MAX as usize;
+        for pe in 0..self.num_pes() {
+            let bytes = Subgrid::storage_bytes(&geom.extents(pe), self.cfg.halo);
+            let cells = bytes / std::mem::size_of::<f64>();
+            if cells > limit {
+                return Err(RtError::SubgridTooLarge { pe, cells, limit });
+            }
+            let (needed, budget) =
+                (self.pes[pe].cur_bytes.saturating_add(bytes), self.cfg.mem_budget);
+            if let Some(budget) = budget.filter(|&b| needed > b) {
+                return Err(RtError::MemoryExhausted { pe, needed, budget });
             }
         }
         if self.metas.len() <= idx {
@@ -465,8 +470,7 @@ impl Machine {
             }
             st.subgrids[idx] = Some(sub);
         }
-        self.metas[idx] =
-            Some(ArrayMeta { name: decl.name.clone(), shape: decl.shape.clone(), geom });
+        self.metas[idx] = Some(ArrayMeta { name: decl.name.clone(), shape: decl.shape, geom });
         Ok(())
     }
 
@@ -520,7 +524,7 @@ impl Machine {
 
     /// Write one element by global coordinates.
     pub fn set(&mut self, id: ArrayId, point: &[i64], v: f64) {
-        let geom = self.meta(id).geom.clone();
+        let geom = self.meta(id).geom;
         let pe = self.owner_pe(&geom, point);
         self.pes[pe].subgrid_mut(id).set_global(point, v);
     }
@@ -599,7 +603,7 @@ impl Machine {
         let t0 = self.driver_tracer.now();
         self.check_same_geometry(src, dst, "cannot share a schedule")
             .unwrap_or_else(|e| panic!("{e}"));
-        let geom = self.meta(src).geom.clone();
+        let geom = self.meta(src).geom;
         let mut transfers = Vec::new();
         let mut fills = Vec::new();
         for action in plan {
@@ -864,6 +868,18 @@ mod tests {
     }
 
     #[test]
+    fn a_subgrid_no_strided_box_can_address_is_refused_before_allocating() {
+        // 70 000² cells on one PE: past the 2^32 cells a box's u32 strides
+        // reach, refused without a budget and without touching memory.
+        let mut m = Machine::new(MachineConfig::grid([1, 1]));
+        let huge = ArrayDecl::user("U", Shape::new([70_000, 70_000]), Distribution::block(2));
+        let err = m.alloc(U, &huge).unwrap_err();
+        let cells = 70_002 * 70_002;
+        assert!(matches!(err, RtError::SubgridTooLarge { pe: 0, cells: c, .. } if c == cells));
+        assert!(!m.is_allocated(U) && m.pes[0].cur_bytes == 0);
+    }
+
+    #[test]
     fn halo_deeper_than_block_extent_is_rejected() {
         // 8x8 over 2x2: block extent 4. A depth-4 halo still fits (each
         // ghost layer is fillable from the one adjacent neighbor); depth 5
@@ -903,7 +919,7 @@ mod tests {
         let bad_dist = ArrayDecl::user(
             "B",
             Shape::new([8, 8]),
-            Distribution(vec![DimDist::Block, DimDist::Collapsed]),
+            Distribution([DimDist::Block, DimDist::Collapsed].into()),
         );
         assert!(matches!(m.alloc(U, &bad_dist), Err(RtError::BadDistribution(_))));
         // (BLOCK,*) works on a (4,1) grid.
@@ -936,7 +952,7 @@ mod tests {
         // PE row owns nothing), 7 columns over 2 is 4 + 3.
         let shape = Shape::new([5, 7, 3]);
         let mut m = Machine::new(MachineConfig::with_grid(vec![4, 2, 1]));
-        m.alloc(U, &ArrayDecl::user("U", shape.clone(), Distribution::block(3))).unwrap();
+        m.alloc(U, &ArrayDecl::user("U", shape, Distribution::block(3))).unwrap();
         let seen = std::cell::RefCell::new(Vec::new());
         m.fill(U, |p| {
             seen.borrow_mut().push(p.to_vec());

@@ -23,7 +23,11 @@ use crate::error::RtError;
 use crate::machine::MoveKind;
 use crate::stats::PeStats;
 use crate::subgrid::StridedBox;
-use hpf_ir::{ArrayId, Rsd, ShiftKind};
+use hpf_ir::{ArrayId, Dims, Rsd, ShiftKind};
+
+/// A local region: inclusive 1-based bounds per dimension, which may extend
+/// into the halo.
+pub type Region = Dims<(i64, i64)>;
 
 /// A rectangular region copy between two PEs (or within one PE when
 /// `src_pe == dst_pe`). Ranges are local 1-based per-dimension bounds and
@@ -35,21 +39,9 @@ pub struct Transfer {
     /// Receiving PE.
     pub dst_pe: usize,
     /// Region in the sender's local coordinates.
-    pub src_local: Vec<(i64, i64)>,
+    pub src_local: Region,
     /// Region in the receiver's local coordinates (same extents).
-    pub dst_local: Vec<(i64, i64)>,
-}
-
-impl Transfer {
-    /// Number of elements moved.
-    pub fn elements(&self) -> usize {
-        crate::subgrid::region_len(&self.src_local)
-    }
-
-    /// Bytes moved.
-    pub fn bytes(&self) -> usize {
-        self.elements() * std::mem::size_of::<f64>()
-    }
+    pub dst_local: Region,
 }
 
 /// One step of a communication plan.
@@ -62,7 +54,7 @@ pub enum CommAction {
         /// PE whose subgrid is filled.
         pe: usize,
         /// Region in local coordinates.
-        local: Vec<(i64, i64)>,
+        local: Region,
         /// Fill value.
         value: f64,
     },
@@ -141,23 +133,20 @@ impl CompiledComm {
     /// geometry they decode against. Independent of how much it moves.
     pub fn descriptor_bytes(&self) -> usize {
         use std::mem::size_of_val as sz;
-        let boxes = self.transfers.iter().map(|t| t.src.heap_bytes() + t.dst.heap_bytes());
-        let fills = self.fills.iter().map(|f| f.region.heap_bytes());
-        let geom = sz(&self.geom.dims[..]) + sz(&self.geom.grid.dims[..]);
-        sz(&self.transfers[..]) + sz(&self.fills[..]) + geom + boxes.chain(fills).sum::<usize>()
+        sz(self) + sz(&self.transfers[..]) + sz(&self.fills[..])
     }
 
     /// The local region box `b` covers on `pe`'s subgrid of either array
     /// ([`StridedBox::section`] against that PE's extents); `None` when it
     /// is no section of that subgrid, or `pe` is off the grid.
-    pub fn section(&self, pe: usize, b: &StridedBox) -> Option<Vec<(i64, i64)>> {
+    pub fn section(&self, pe: usize, b: &StridedBox) -> Option<Region> {
         let on_grid = pe < self.geom.grid.num_pes();
         on_grid.then(|| b.section(&self.geom.extents(pe), self.halo)).flatten()
     }
 
     /// The regions this schedule writes on `pe`, decoded: its transfers'
     /// destinations there, messages and same-PE copies alike, then its fills.
-    pub fn writes(&self, pe: usize) -> impl Iterator<Item = Option<Vec<(i64, i64)>>> + '_ {
+    pub fn writes(&self, pe: usize) -> impl Iterator<Item = Option<Region>> + '_ {
         let copies = self.transfers.iter().filter(move |t| t.dst_pe == pe).map(|t| &t.dst);
         let fills = self.fills.iter().filter(move |f| f.pe == pe).map(|f| &f.region);
         copies.chain(fills).map(move |b| self.section(pe, b))
@@ -195,31 +184,32 @@ pub fn regions_intersect(a: &[(i64, i64)], b: &[(i64, i64)]) -> bool {
 
 /// Geometry of one distributed array on a machine: a [`BlockDim`] per
 /// dimension (collapsed dimensions use `p = 1`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Geometry {
     /// Per-dimension distribution arithmetic.
-    pub dims: Vec<BlockDim>,
+    pub dims: Dims<BlockDim>,
     /// The PE grid.
     pub grid: PeGrid,
 }
 
 impl Geometry {
     /// Construct; grid rank must equal the number of dimensions.
-    pub fn new(dims: Vec<BlockDim>, grid: PeGrid) -> Self {
+    pub fn new(dims: impl Into<Dims<BlockDim>>, grid: PeGrid) -> Self {
+        let dims = dims.into();
         assert_eq!(dims.len(), grid.rank());
         Geometry { dims, grid }
     }
 
     /// Owned global section of a PE.
-    pub fn owned(&self, pe: usize) -> Vec<(i64, i64)> {
+    pub fn owned(&self, pe: usize) -> Region {
         let c = self.grid.coords(pe);
-        (0..self.dims.len()).map(|d| self.dims[d].owned(c[d])).collect()
+        Dims::from_fn(self.dims.len(), |d| self.dims[d].owned(c[d]))
     }
 
     /// Local extents of a PE.
-    pub fn extents(&self, pe: usize) -> Vec<usize> {
+    pub fn extents(&self, pe: usize) -> Dims<usize> {
         let c = self.grid.coords(pe);
-        (0..self.dims.len()).map(|d| self.dims[d].extent(c[d])).collect()
+        Dims::from_fn(self.dims.len(), |d| self.dims[d].extent(c[d]))
     }
 
     /// True when the PE owns no elements.
@@ -263,7 +253,7 @@ pub fn overlap_shift_plan(
         let ghost_d: (i64, i64) =
             if s > 0 { (ext[dim] as i64 + 1, ext[dim] as i64 + s) } else { (1 - mag as i64, 0) };
         // Section in the other dimensions, optionally RSD-extended.
-        let mut region: Vec<(i64, i64)> = Vec::with_capacity(rank);
+        let mut region = Region::new();
         for e in 0..rank {
             if e == dim {
                 region.push(ghost_d);
@@ -305,7 +295,7 @@ pub fn overlap_shift_plan(
         let src_ext_d = geom.dims[dim].extent(src_k) as i64;
         // Sender-side rows: its first |s| rows for s>0, last |s| for s<0.
         let src_d: (i64, i64) = if s > 0 { (1, s) } else { (src_ext_d + s + 1, src_ext_d) };
-        let mut src_local = region.clone();
+        let mut src_local = region;
         src_local[dim] = src_d;
         plan.push(CommAction::Transfer(Transfer {
             src_pe,
@@ -339,7 +329,7 @@ pub fn cshift_plan(geom: &Geometry, shift: i64, dim: usize, kind: ShiftKind) -> 
         let c = geom.grid.coords(pe);
         let ext = geom.extents(pe);
         let (dlo, dhi) = geom.dims[dim].owned(c[dim]);
-        let full_local: Vec<(i64, i64)> = (0..rank).map(|e| (1, ext[e] as i64)).collect();
+        let full_local = Region::from_fn(rank, |e| (1, ext[e] as i64));
         if full_fill {
             if let ShiftKind::EndOff(value) = kind {
                 plan.push(CommAction::Fill { pe, local: full_local, value });
@@ -373,8 +363,7 @@ pub fn cshift_plan(geom: &Geometry, shift: i64, dim: usize, kind: ShiftKind) -> 
                 let src_pe = geom.grid.with_coord(pe, dim, src_k);
                 // Destination global rows for this sub-piece.
                 let (tlo, thi) = (a + k * n - s, b + k * n - s);
-                let mut src_local = full_local.clone();
-                let mut dst_local = full_local.clone();
+                let (mut src_local, mut dst_local) = (full_local, full_local);
                 src_local[dim] = (a - olo + 1, b - olo + 1);
                 dst_local[dim] = (tlo - dlo + 1, thi - dlo + 1);
                 plan.push(CommAction::Transfer(Transfer {
@@ -402,7 +391,7 @@ pub fn cshift_plan(geom: &Geometry, shift: i64, dim: usize, kind: ShiftKind) -> 
                 }
             }
             for (glo, ghi) in fills {
-                let mut local = full_local.clone();
+                let mut local = full_local;
                 local[dim] = (glo - dlo + 1, ghi - dlo + 1);
                 plan.push(CommAction::Fill { pe, local, value });
             }
@@ -414,6 +403,7 @@ pub fn cshift_plan(geom: &Geometry, shift: i64, dim: usize, kind: ShiftKind) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subgrid::region_len;
 
     fn geom_2x2_8x8() -> Geometry {
         Geometry::new(vec![BlockDim::new(8, 2), BlockDim::new(8, 2)], PeGrid::new([2, 2]))
@@ -446,7 +436,7 @@ mod tests {
         assert_eq!(t.dst_local[0], (5, 5));
         assert_eq!(t.src_local[0], (1, 1));
         assert_eq!(t.src_local[1], (1, 4));
-        assert_eq!(t.bytes(), 4 * 8);
+        assert_eq!(region_len(&t.src_local) * 8, 4 * 8);
     }
 
     #[test]
@@ -472,7 +462,7 @@ mod tests {
         let fills: Vec<_> = plan
             .iter()
             .filter_map(|a| match a {
-                CommAction::Fill { pe, local, value } => Some((*pe, local.clone(), *value)),
+                CommAction::Fill { pe, local, value } => Some((*pe, *local, *value)),
                 _ => None,
             })
             .collect();
@@ -539,10 +529,10 @@ mod tests {
         assert_eq!(intra.len(), 4);
         assert_eq!(inter.len(), 4);
         for t in intra {
-            assert_eq!(t.elements(), 3 * 4);
+            assert_eq!(region_len(&t.src_local), 3 * 4);
         }
         for t in inter {
-            assert_eq!(t.elements(), 4);
+            assert_eq!(region_len(&t.src_local), 4);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Per-PE subgrid storage with overlap areas.
 
-use hpf_ir::Section;
+use crate::schedule::Region;
+use hpf_ir::{Dims, Section};
 
 /// The local piece of a distributed array on one PE, stored with `halo`
 /// ghost layers on every side of every dimension (the *overlap area* of the
@@ -13,8 +14,8 @@ pub struct Subgrid {
     /// Ghost layers per side per dimension.
     pub halo: usize,
     /// Owned extents per dimension.
-    pub ext: Vec<usize>,
-    strides: Vec<usize>,
+    pub ext: Dims<usize>,
+    strides: Dims<usize>,
     data: Vec<f64>,
 }
 
@@ -31,12 +32,19 @@ impl Subgrid {
         halo: usize,
         storage: impl FnOnce(usize) -> Vec<f64>,
     ) -> Self {
-        let ext: Vec<usize> = (0..owned.rank()).map(|d| owned.extent(d) as usize).collect();
+        let ext = Dims::from_fn(owned.rank(), |d| owned.extent(d) as usize);
         let strides = layout_strides(&ext, halo);
-        let len: usize = ext.iter().map(|&e| e + 2 * halo).product();
+        let len = Self::storage_bytes(&ext, halo) / std::mem::size_of::<f64>();
         let data = storage(len);
         assert_eq!(data.len(), len, "storage of the wrong length");
         Subgrid { owned, halo, ext, strides, data }
+    }
+
+    /// Bytes of storage a subgrid of owned extents `ext` with `halo` ghost
+    /// layers takes (saturating at `usize::MAX`).
+    pub fn storage_bytes(ext: &[usize], halo: usize) -> usize {
+        let padded = ext.iter().map(|&e| e.saturating_add(2 * halo));
+        padded.fold(std::mem::size_of::<f64>(), usize::saturating_mul)
     }
 
     /// Give up the storage, leaving an unusable husk: for a machine being
@@ -107,7 +115,7 @@ impl Subgrid {
     }
 
     /// Translate a global coordinate to local (no bounds check on result).
-    pub fn to_local(&self, global: &[i64]) -> Vec<i64> {
+    pub fn to_local(&self, global: &[i64]) -> Dims<i64> {
         global.iter().zip(&self.owned.0).map(|(&g, &(lo, _))| g - lo + 1).collect()
     }
 
@@ -127,9 +135,9 @@ impl Subgrid {
     pub fn owned_rows(&self) -> OwnedRows {
         OwnedRows {
             first: self.owned.0.iter().map(|&(lo, _)| lo).collect(),
-            ext: self.ext.clone(),
+            ext: self.ext,
             flat0: self.strides.iter().map(|s| s * self.halo).sum(),
-            strides: self.strides.clone(),
+            strides: self.strides,
         }
     }
 
@@ -140,8 +148,9 @@ impl Subgrid {
         let extents = ranges.iter().map(|&(lo, hi)| (hi - lo + 1).max(0) as usize);
         let empty = region_len(ranges) == 0;
         let dims = kept_dims(extents, &self.strides);
-        let at =
-            |end: fn(&(i64, i64)) -> i64| self.index(&ranges.iter().map(end).collect::<Vec<_>>());
+        let at = |end: fn(&(i64, i64)) -> i64| {
+            self.index(&ranges.iter().map(end).collect::<Dims<i64>>())
+        };
         debug_assert!(empty || at(|r| r.1) < self.data.len(), "region off the subgrid");
         StridedBox { base: if empty { 0 } else { at(|r| r.0) }, dims }
     }
@@ -154,7 +163,7 @@ impl Subgrid {
         if self.halo == 0 || self.is_empty() {
             return;
         }
-        let owned: Vec<(i64, i64)> = self.ext.iter().map(|&e| (1, e as i64)).collect();
+        let owned: Region = self.ext.iter().map(|&e| (1, e as i64)).collect();
         let owned = self.region_box(&owned);
         let mut saved = Vec::new();
         owned.pack(&self.data, &mut saved);
@@ -169,11 +178,11 @@ impl Subgrid {
 #[derive(Clone, Debug)]
 pub struct OwnedRows {
     /// Global coordinates of the first owned cell.
-    first: Vec<i64>,
-    ext: Vec<usize>,
+    first: Dims<i64>,
+    ext: Dims<usize>,
     /// Storage index of the first owned cell.
     flat0: usize,
-    strides: Vec<usize>,
+    strides: Dims<usize>,
 }
 
 impl OwnedRows {
@@ -187,7 +196,7 @@ impl OwnedRows {
         if self.ext.contains(&0) {
             return;
         }
-        let mut point = self.first.clone();
+        let mut point = self.first;
         let mut flat = self.flat0;
         loop {
             point[last] = self.first[last];
@@ -216,22 +225,26 @@ impl OwnedRows {
 /// outermost first, extent-1 dimensions dropped. Cells are visited in
 /// row-major order, a *run* along the innermost kept dimension at a time (a
 /// slice copy at stride 1, a strided scalar loop for a column face); boxes of
-/// equal extents walk in lockstep whatever their strides.
+/// equal extents walk in lockstep whatever their strides. Counts and strides
+/// are `u32`, which keeps a schedule's descriptors small: `Machine::alloc`
+/// refuses a subgrid of 2³² cells or more
+/// ([`crate::RtError::SubgridTooLarge`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct StridedBox {
     base: usize,
-    dims: Vec<(usize, usize)>,
+    dims: Dims<(u32, u32)>,
 }
 
 impl StridedBox {
-    /// Number of cells.
-    pub fn elements(&self) -> usize {
-        self.dims.iter().map(|d| d.0).product()
+    /// Kept dimension `d` as `(count, stride)`.
+    fn dim(&self, d: usize) -> (usize, usize) {
+        let (n, s) = self.dims[d];
+        (n as usize, s as usize)
     }
 
-    /// Heap bytes behind this descriptor.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.dims[..])
+    /// Number of cells.
+    pub fn elements(&self) -> usize {
+        self.dims.iter().map(|d| d.0 as usize).product()
     }
 
     /// Do both boxes have the same extents (and so the same runs)?
@@ -245,17 +258,18 @@ impl StridedBox {
     /// `None` when no region of that layout resolves to this box (a stride
     /// that is not the layout's, kept dimensions that do not line up, a
     /// region that runs past the storage) and for a box of no cells.
-    pub fn section(&self, ext: &[usize], halo: usize) -> Option<Vec<(i64, i64)>> {
+    pub fn section(&self, ext: &[usize], halo: usize) -> Option<Region> {
         let strides = layout_strides(ext, halo);
         // Each kept dimension is the next one of the layout with its stride.
-        let (mut count, mut next) = (vec![1usize; ext.len()], 0);
-        for &(n, s) in &self.dims {
+        let (mut count, mut next) = (Dims::filled(ext.len(), 1usize), 0);
+        for d in 0..self.dims.len() {
+            let (n, s) = self.dim(d);
             next += strides.get(next..)?.iter().position(|&t| t == s)?;
             count[next] = n;
             next += 1;
         }
         let mut rest = self.base;
-        let mut region = Vec::with_capacity(ext.len());
+        let mut region = Region::new();
         for d in 0..ext.len() {
             let at = rest.checked_div(strides[d])?;
             rest %= strides[d];
@@ -280,7 +294,8 @@ impl StridedBox {
     /// `other`: `n` cells from index `a`, `sa` apart, and from `b`, `sb` apart.
     fn runs(&self, other: &StridedBox, mut f: impl FnMut(usize, usize, usize, usize, usize)) {
         debug_assert!(self.congruent(other));
-        let (&(n, sa), &(_, sb)) = (self.dims.last().unwrap(), other.dims.last().unwrap());
+        let last = self.dims.len() - 1;
+        let ((n, sa), (_, sb)) = (self.dim(last), other.dim(last));
         if self.elements() > 0 {
             self.walk(other, 0, (self.base, other.base), &mut |a, b| f(a, b, n, sa, sb));
         }
@@ -291,7 +306,7 @@ impl StridedBox {
         if d + 1 == self.dims.len() {
             return f(at.0, at.1);
         }
-        let ((n, sa), (_, sb)) = (self.dims[d], o.dims[d]);
+        let ((n, sa), (_, sb)) = (self.dim(d), o.dim(d));
         (0..n).for_each(|i| self.walk(o, d + 1, (at.0 + i * sa, at.1 + i * sb), f));
     }
 
@@ -341,8 +356,8 @@ impl StridedBox {
 
 /// Row-major strides of a subgrid of owned extents `ext` with `halo` ghost
 /// layers on every side.
-fn layout_strides(ext: &[usize], halo: usize) -> Vec<usize> {
-    let mut strides = vec![1usize; ext.len()];
+fn layout_strides(ext: &[usize], halo: usize) -> Dims<usize> {
+    let mut strides = Dims::filled(ext.len(), 1usize);
     for d in (0..ext.len().saturating_sub(1)).rev() {
         strides[d] = strides[d + 1] * (ext[d + 1] + 2 * halo);
     }
@@ -352,8 +367,10 @@ fn layout_strides(ext: &[usize], halo: usize) -> Vec<usize> {
 /// A box's `(count, stride)` list for a region of `counts` cells per
 /// dimension on a layout of `strides`: extent-1 dimensions dropped, and one
 /// `(1, 1)` standing for a single cell.
-fn kept_dims(counts: impl Iterator<Item = usize>, strides: &[usize]) -> Vec<(usize, usize)> {
-    let mut dims: Vec<_> = counts.zip(strides.iter().copied()).filter(|d| d.0 != 1).collect();
+fn kept_dims(counts: impl Iterator<Item = usize>, strides: &[usize]) -> Dims<(u32, u32)> {
+    let narrow = |x: usize| u32::try_from(x).expect("a subgrid of 2^32 cells or more");
+    let kept = counts.zip(strides.iter().copied()).filter(|d| d.0 != 1);
+    let mut dims: Dims<(u32, u32)> = kept.map(|(n, s)| (narrow(n), narrow(s))).collect();
     if dims.is_empty() {
         dims.push((1, 1));
     }
@@ -515,7 +532,7 @@ mod tests {
         let g = grid();
         let region = [(0, 3), (4, 5)];
         let b = g.region_box(&region);
-        assert_eq!(b.section(&g.ext, 1), Some(region.to_vec()));
+        assert_eq!(b.section(&g.ext, 1), Some(region.into()));
         assert_eq!(b.section(&[2, 5], 1), None, "another layout's strides");
         let (mut longer, mut strided) = (b.clone(), b.clone());
         longer.corrupt(false);

@@ -105,7 +105,7 @@ mod tests {
     fn per_track_timestamps_are_monotonic() {
         let j = sample().to_chrome_json();
         let v = parse(&j).unwrap();
-        let mut last_ts: std::collections::HashMap<i64, f64> = Default::default();
+        let mut last_ts: std::collections::BTreeMap<i64, f64> = Default::default();
         if let Value::Object(kv) = &v {
             if let Some((_, Value::Array(evs))) = kv.iter().find(|(k, _)| k == "traceEvents") {
                 for e in evs {

@@ -15,6 +15,20 @@ fn apply(m: &mut Machine, dst: ArrayId, src: ArrayId, plan: Vec<CommAction>, kin
     m.apply_compiled(&sched);
 }
 
+/// Fortran 90 arrays have at most seven dimensions: an eighth is refused
+/// with an error at the declaration, not carried into the compiler.
+#[test]
+fn an_array_of_rank_eight_is_refused_at_its_declaration() {
+    let decl = |rank: usize| {
+        let dims = vec!["2"; rank].join(",");
+        format!("PROGRAM r\nREAL A({dims}), B({dims})\nA = CSHIFT(B,1,1)\nEND\n")
+    };
+    frontend::compile_source(&decl(7)).expect("rank 7 is legal");
+    let err = frontend::compile_source(&decl(8)).unwrap_err();
+    assert_eq!((err.span.line, err.span.col), (2, 6), "the span names A: {err}");
+    assert!(err.to_string().contains("at most 7 dimensions"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -90,13 +104,13 @@ proptest! {
         // every non-empty PE; that always holds for BLOCK.
         m.fill(U, |q| (q[0] * 1000 + q[1]) as f64);
         let s: i64 = if dir { 1 } else { -1 };
-        let geom = m.meta(U).geom.clone();
+        let geom = m.meta(U).geom;
         let plan = overlap_shift_plan(&geom, s, dim, None, ShiftKind::Circular, 1).unwrap();
         apply(&mut m, U, U, plan, MoveKind::Overlap);
         // Check every PE's freshly filled ghost layer against the wrapped
         // global values.
         for pe in 0..m.num_pes() {
-            let meta = m.meta(U).geom.clone();
+            let meta = m.meta(U).geom;
             let owned = Section::new(meta.owned(pe));
             if owned.is_empty() {
                 continue;

@@ -69,7 +69,7 @@ fn body_strategy() -> impl Strategy<Value = Vec<Instr>> {
                 let instr = match g {
                     GenInstr::Const(v) => Instr::Const { dst, value: v },
                     GenInstr::Load(a, o) => {
-                        Instr::Load { dst, array: ArrayId(a as u32), offsets: o.to_vec() }
+                        Instr::Load { dst, array: ArrayId(a as u32), offsets: o.to_vec().into() }
                     }
                     GenInstr::Bin(op, x, y) => {
                         if defined.is_empty() {
@@ -92,7 +92,7 @@ fn body_strategy() -> impl Strategy<Value = Vec<Instr>> {
                         } else {
                             out.push(Instr::Store {
                                 array: ArrayId(a as u32),
-                                offsets: o.to_vec(),
+                                offsets: o.to_vec().into(),
                                 src: clamp(r),
                             });
                             continue;
@@ -104,8 +104,8 @@ fn body_strategy() -> impl Strategy<Value = Vec<Instr>> {
             }
             // Make sure there is at least one array access so exec_nest can
             // derive the geometry, and one store so the body is observable.
-            out.push(Instr::Load { dst: n, array: A, offsets: vec![0, 0] });
-            out.push(Instr::Store { array: B, offsets: vec![0, 0], src: n });
+            out.push(Instr::Load { dst: n, array: A, offsets: [0, 0].into() });
+            out.push(Instr::Store { array: B, offsets: [0, 0].into(), src: n });
             out
         })
     })
@@ -128,7 +128,7 @@ fn run_nest(nest: &LoopNest) -> Vec<Vec<f64>> {
         for (shift, dim, rsd) in
             [(1, 0, None), (-1, 0, None), (1, 1, Some(&rows)), (-1, 1, Some(&rows))]
         {
-            let geom = m.meta(id).geom.clone();
+            let geom = m.meta(id).geom;
             let plan = overlap_shift_plan(&geom, shift, dim, rsd, ShiftKind::Circular, 1).unwrap();
             let sched = m.compile_comm(id, id, plan, MoveKind::Overlap);
             m.apply_compiled(&sched);

@@ -371,7 +371,7 @@ proptest! {
         // Decoding against the layout gives the region back; no region has
         // no section.
         let decoded = b.section(&ext, halo);
-        prop_assert_eq!(&decoded, &(!pts.is_empty()).then(|| ranges.clone()), "{:?}", &b);
+        prop_assert_eq!(&decoded, &(!pts.is_empty()).then(|| ranges.clone().into()), "{:?}", &b);
 
         let want: Vec<f64> = pts.iter().map(|p| sub.get(p)).collect();
         let mut packed = vec![-7.0];
@@ -434,13 +434,13 @@ proptest! {
         let grid: Vec<usize> = dims.iter().map(|d| d.1).collect();
         let (u, t) = (ArrayId(0), ArrayId(1));
         let mut m = Machine::new(MachineConfig::grid(grid).halo(halo));
-        let decl = |name| ArrayDecl::user(name, shape.clone(), Distribution::block(rank));
+        let decl = |name| ArrayDecl::user(name, shape, Distribution::block(rank));
         if m.alloc(u, &decl("U")).and_then(|()| m.alloc(t, &decl("T"))).is_err() {
             continue; // halo deeper than the smallest block
         }
         m.fill(u, |p| p.iter().fold(0.5, |acc, &i| acc * 10.0 + i as f64));
         m.fill(t, |p| -p.iter().fold(0.25, |acc, &i| acc * 10.0 + i as f64));
-        let geom = m.meta(u).geom.clone();
+        let geom = m.meta(u).geom;
         let dim = noise[0] as usize % rank;
         let kind = if endoff { ShiftKind::EndOff(-3.5) } else { ShiftKind::Circular };
         let (dst, move_kind, plan) = if full {
@@ -486,8 +486,8 @@ fn self_overwriting_transfer_takes_the_staged_fallback() {
         vec![CommAction::Transfer(Transfer {
             src_pe: 0,
             dst_pe: 0,
-            src_local: vec![src, (0, 5)],
-            dst_local: vec![dst, (0, 5)],
+            src_local: [src, (0, 5)].into(),
+            dst_local: [dst, (0, 5)].into(),
         })]
     };
     for (src, dst, direct) in [((1, 3), (2, 4), false), ((3, 4), (0, 1), true)] {

@@ -288,7 +288,7 @@ fn a_copy_between_mismatched_arrays_keeps_its_nest() {
     };
     assert_eq!(rotated([8, 8], Distribution::block(2)), 1, "the control case rotates");
     assert_eq!(rotated([8, 9], Distribution::block(2)), 0, "shapes differ");
-    let block_star = Distribution(vec![DimDist::Block, DimDist::Collapsed]);
+    let block_star = Distribution([DimDist::Block, DimDist::Collapsed].into());
     assert_eq!(rotated([8, 8], block_star), 0, "distributions differ");
 }
 
