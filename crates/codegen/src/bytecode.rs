@@ -3,8 +3,8 @@
 //! A loop-nest body ([`Instr`] list) is lowered once per (nest, layout)
 //! into a flat [`Op`] sequence:
 //!
-//! - array offsets become precomputed flat-index deltas (like the
-//!   interpreter, but resolved to a dense array-slot table);
+//! - array offsets become precomputed flat-index deltas over a dense
+//!   array-slot table;
 //! - literal constants and scalar coefficients are constant-folded: an
 //!   operation whose operands are all known folds away entirely, and a
 //!   known operand becomes an immediate ([`Operand::Imm`], `CmpImm*`);
@@ -24,8 +24,9 @@
 //!   statement such as `T = C * (U₁ + … + U₆) + 0.25 * U` is then *one* op
 //!   that reads its taps from subgrid memory and writes the result back.
 //!
-//! Every rewrite preserves the interpreter's evaluation order and rounding
-//! exactly; the differential proptests in the workspace root enforce this.
+//! Every rewrite preserves the loop IR's evaluation order and rounding
+//! exactly; the differential proptests against a test-local evaluator of
+//! the loop IR and against the oracle enforce this.
 
 use hpf_ir::expr::CmpOp;
 use hpf_ir::hash::{HashMap, HashSet};
@@ -220,7 +221,7 @@ pub struct BodyCx {
 
 impl BodyCx {
     /// Context whose register file is at least `regs` wide (strict mode
-    /// sizes the file like the interpreter even if some registers never
+    /// sizes the file like the loop IR's even if some registers never
     /// appear in the emitted ops).
     pub fn with_min_regs(regs: usize) -> BodyCx {
         BodyCx { max_reg: regs.saturating_sub(1), ..Default::default() }
@@ -288,8 +289,8 @@ impl RegFacts {
     /// A constant defined at `pos` may move to the preload list iff it is
     /// the register's only definition and nothing reads the register at or
     /// before `pos` — then every iteration point (including the first, where
-    /// the interpreter's register file still holds zeros) observes the same
-    /// value the interpreter would.
+    /// the loop IR's register file still holds zeros) observes the same
+    /// value it would in body order.
     fn hoistable(&self, r: Reg, pos: usize) -> bool {
         self.single_def(r) && self.first_read[r as usize] > pos
     }
@@ -571,8 +572,8 @@ impl Lower<'_> {
 /// `Bin` stays a one-link fold over registers and immediates — and must be
 /// set when either body reads registers it did not define.
 ///
-/// Returns `None` when the body exceeds the bytecode's index ranges
-/// (callers fall back to the interpreter).
+/// Returns `None` when the body exceeds the bytecode's index ranges (the
+/// nest then fails to compile).
 pub fn compile_body(
     body: &[Instr],
     strides: &[usize],

@@ -2,9 +2,9 @@
 //!
 //! The SC'97 pipeline's memory optimizations (scalar replacement,
 //! unroll-and-jam, loop permutation) leave each statement as a fused
-//! `LoopNest` that the executors in `hpf-exec` walk with a tree
-//! interpreter. This crate adds the compiled alternative — the "backend"
-//! half of a stencil-DSL compilation stack:
+//! `LoopNest`. This crate compiles and runs every one of them — the
+//! "backend" half of a stencil-DSL compilation stack, and the only nest
+//! executor the plans in `hpf-exec` have:
 //!
 //! 1. [`compile_spmd`] lowers a nest once per subgrid layout, into a
 //!    [`CompiledNest`] per PE that shares it: a compact register bytecode
@@ -24,14 +24,14 @@
 //!    the unit body.
 //! 3. [`CompiledNest::listing`] prints the result (`hpfsc --emit bytecode`).
 //!
-//! Results are bitwise identical to the interpreter, and the `PeStats`
-//! counters match exactly: the interpreter stays the oracle, enforced by
-//! differential tests in `hpf-exec` and differential proptests at the
-//! workspace root.
+//! The VM is bitwise identical to the sequential oracle (`hpf-exec`'s `reference`),
+//! enforced by differential proptests at the workspace root, and the fold
+//! lowering is checked against a test-local evaluator of the loop IR.
 //!
-//! Nests the compiler cannot prove safe to specialize (mixed subgrid
-//! layouts, index-range overflow) report `None` from [`compile_nest`] and
-//! stay on the interpreter — per (nest, layout), not per program.
+//! A nest the compiler cannot lower (mixed subgrid layouts, a loop order
+//! of the wrong rank, an unroll dimension that is not the outermost loop,
+//! index-range overflow) makes [`compile_nest`] fail with the reason, and
+//! the plan that needs it fails to build.
 //!
 //! Every invariant the unchecked executors rely on is machine-checked by
 //! the [`verify`] module's abstract interpreter (`BV001`–`BV004`), once per
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn loop_carried_register_uses_strict_mode() {
         // r0 accumulates across iteration points (read before def). The
-        // interpreter's register file persists across points and starts at
+        // loop IR's register file persists across points and starts at
         // zero; strict mode must reproduce the same running sums.
         let nest = LoopNest {
             space: Section::new([(1, 8), (1, 8)]),
@@ -242,6 +242,30 @@ mod tests {
         nest.order = vec![1, 0];
         run_all(&mut m, &nest, &[]);
         assert_eq!(m.get(T, &[5, 6]), 506.0);
+    }
+
+    #[test]
+    fn expanded_nest_computes_ghost_points() {
+        let mut m = machine();
+        // Full-space copy expanded by the halo depth on every side: each
+        // PE's 4x4 block grows to 6x6 (halo 1), writing T's ghost ring.
+        let nest = copy_nest(Section::new([(1, 8), (1, 8)]), vec![0, 0]);
+        fill_high_ghosts(&mut m);
+        for pe in 0..4 {
+            let cn = compile_nest(&nest, &m.pes[pe], &[]).unwrap();
+            let (lo, hi) = cn.local_bounds().unwrap();
+            let lo: Vec<i64> = lo.iter().map(|l| l - 1).collect();
+            let hi: Vec<i64> = hi.iter().map(|h| h + 1).collect();
+            exec_compiled_over(&mut m.pes[pe], &cn, &lo, &hi);
+        }
+        // Owned results match the unexpanded sweep.
+        for i in 1..=8i64 {
+            for j in 1..=8i64 {
+                assert_eq!(m.get(T, &[i, j]), (i * 100 + j) as f64, "at ({i},{j})");
+            }
+        }
+        // PE 0's ghost row below its block holds the neighbour's row 5.
+        assert_eq!(m.pes[0].subgrid(T).get(&[5, 2]), 502.0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   every register read is preceded by a definition — the property that
 //!   makes dropping dead writes and reordering lanes sound.
 //! - **BV002 — strict-mode discipline.** A kernel whose body observes
-//!   loop-carried register state must take the interpreter-faithful
-//!   translation: no preloads, no fused ops (a grown fold, `SelStore`), and
+//!   loop-carried register state must take the literal, one-op-per-
+//!   instruction translation: no preloads, no fused ops (a grown fold, `SelStore`), and
 //!   no chunked execution. Any of those appearing in a strict kernel would
 //!   change observable results.
 //! - **BV003 — bounds. (a)** Every memory operand's flat delta lies inside
@@ -83,9 +83,9 @@ pub fn verify_nest(cn: &CompiledNest) -> Vec<Diagnostic> {
 
 /// Verify one nest's per-PE kernels, each distinct code once for all the PEs
 /// that share it: each code's PEs, in order, with its diagnostics.
-pub fn verify_kernels(kernels: &[Option<CompiledNest>]) -> Vec<(Vec<usize>, Vec<Diagnostic>)> {
+pub fn verify_kernels(kernels: &[CompiledNest]) -> Vec<(Vec<usize>, Vec<Diagnostic>)> {
     let mut groups: Vec<(Vec<usize>, Vec<&CompiledNest>)> = Vec::new();
-    for (pe, k) in kernels.iter().enumerate().filter_map(|(pe, k)| Some((pe, k.as_ref()?))) {
+    for (pe, k) in kernels.iter().enumerate() {
         match groups.iter_mut().find(|(_, g)| Arc::ptr_eq(&g[0].code, &k.code)) {
             Some((pes, g)) => {
                 pes.push(pe);
@@ -416,8 +416,8 @@ fn check_registers(cn: &NestCode, body: &BodyView, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// BV002: a strict (loop-carried) kernel must be the interpreter-faithful
-/// translation — no preloads, no fused ops, no chunked execution.
+/// BV002: a strict (loop-carried) kernel must be the literal translation
+/// of its body — no preloads, no fused ops, no chunked execution.
 fn check_strict_discipline(cn: &NestCode, out: &mut Vec<Diagnostic>) {
     if !cn.strict {
         return;
@@ -427,7 +427,7 @@ fn check_strict_discipline(cn: &NestCode, out: &mut Vec<Diagnostic>) {
             BV002,
             format!(
                 "strict kernel hoists {} constant preload(s) — loop-carried register \
-                 state must start at zero like the interpreter's file",
+                 state must start at zero, as the loop IR's register file does",
                 cn.preloads.len()
             ),
         ));
@@ -853,15 +853,15 @@ impl CompiledNest {
 /// runs on every PE that shares it — a layout miscompiled once — for the
 /// mutation-kill suite; `false` when the fault does not apply.
 #[doc(hidden)]
-pub fn inject_shared(kernels: &mut [Option<CompiledNest>], fault: Fault) -> bool {
-    let Some(first) = kernels.iter_mut().flatten().next() else { return false };
+pub fn inject_shared(kernels: &mut [CompiledNest], fault: Fault) -> bool {
+    let Some(first) = kernels.first_mut() else { return false };
     let sound = Arc::clone(&first.code);
     if !first.inject(fault) {
         first.code = sound;
         return false;
     }
     let faulty = Arc::clone(&first.code);
-    for k in kernels.iter_mut().flatten().filter(|k| Arc::ptr_eq(&k.code, &sound)) {
+    for k in kernels.iter_mut().filter(|k| Arc::ptr_eq(&k.code, &sound)) {
         k.code = Arc::clone(&faulty);
     }
     true

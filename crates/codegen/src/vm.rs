@@ -10,8 +10,8 @@
 //! slice — and when it passes, the whole row executes with unchecked
 //! indexing. Register and array-slot indices are validated at compile time,
 //! so the only runtime obligation is that row check; rows that fail it
-//! (impossible for halo-lint-clean programs, see DESIGN.md §5c) take a
-//! checked fallback that panics exactly where the interpreter would.
+//! (impossible for halo-lint-clean programs, see DESIGN.md §5c) take the
+//! checked row loop, which panics at the first access out of storage.
 //!
 //! Rows the compiler proves chunk-safe ([`vector_safe`]: no store in one
 //! lane can alias another lane's memory operand, and no register state
@@ -29,10 +29,10 @@
 //! [`Tier::active`] picks one per process. Every lane runs the same IEEE
 //! operations at either width, never fused into an FMA: the tiers agree.
 //!
-//! Execution order, operation order, and rounding are identical to the tree
-//! interpreter (`hpf-exec`'s `exec_nest`): results are bitwise equal. Like
-//! the interpreter, the VM counts nothing: a plan counts what each sweep
-//! does when it is built.
+//! Every mode runs the nest's points in its loop order, each point's
+//! operations in body order, with the same roundings: results are bitwise
+//! equal across modes and tiers. The VM counts nothing: a plan counts what
+//! each sweep does when it is built.
 
 use crate::bytecode::{
     compile_body, reads_before_def, BodyCx, ChainDst, KernelCode, Op, Operand, Slot,
@@ -106,8 +106,8 @@ pub(crate) struct NestCode {
     pub(crate) jam_vec: bool,
     /// Unit/remainder rows may run through the chunked executor.
     pub(crate) unit_vec: bool,
-    /// Bodies share one register file with the interpreter's persistent
-    /// numbering (loop-carried state): no hoisting, fold growth or chunking.
+    /// Bodies share one register file that persists across points
+    /// (loop-carried state): no hoisting, fold growth or chunking.
     pub(crate) strict: bool,
 }
 
@@ -171,12 +171,17 @@ fn same_layout(a: &Subgrid, b: &Subgrid) -> bool {
 }
 
 /// Compile `nest` for the layout `pe` holds. Arrays referenced by the body
-/// must already be allocated. Returns `None` when the nest cannot be
-/// compiled — referenced subgrids disagree on layout, index ranges overflow
-/// the bytecode, or the unroll annotation is malformed — in which case the
-/// caller falls back to the interpreter for this nest on this layout.
-pub fn compile_nest(nest: &LoopNest, pe: &PeState, scalars: &[f64]) -> Option<CompiledNest> {
-    compile_spmd(nest, std::slice::from_ref(pe), scalars).0.pop()?
+/// must already be allocated. Fails, saying why, when the nest cannot be
+/// compiled: its loop order does not match the subgrid's rank, its unroll
+/// dimension is not the outermost loop, its arrays disagree on layout, or
+/// its deltas or registers overflow the bytecode's index ranges.
+pub fn compile_nest(
+    nest: &LoopNest,
+    pe: &PeState,
+    scalars: &[f64],
+) -> Result<CompiledNest, String> {
+    let (mut kernels, _) = compile_spmd(nest, std::slice::from_ref(pe), scalars)?;
+    Ok(kernels.remove(0))
 }
 
 /// [`compile_nest`] for every PE of `pes`, compiling once per distinct
@@ -186,59 +191,57 @@ pub fn compile_spmd(
     nest: &LoopNest,
     pes: &[PeState],
     scalars: &[f64],
-) -> (Vec<Option<CompiledNest>>, usize) {
+) -> Result<(Vec<CompiledNest>, usize), String> {
     let mut codes: Vec<(&Subgrid, Arc<NestCode>)> = Vec::new();
-    let kernels = (pes.iter())
-        .map(|pe| {
-            let sub = layout(nest, pe)?;
-            let code = match codes.iter().find(|(s, _)| same_layout(s, sub)) {
-                Some((_, code)) => Arc::clone(code),
-                None => {
-                    codes.push((sub, Arc::new(compile_code(nest, sub, scalars)?)));
-                    Arc::clone(&codes.last()?.1)
-                }
-            };
-            Some(CompiledNest::bind(code, nest, sub))
-        })
-        .collect();
-    (kernels, codes.len())
+    let mut kernels = Vec::with_capacity(pes.len());
+    for pe in pes {
+        let sub = layout(nest, pe).ok_or("its arrays do not share one subgrid layout")?;
+        let code = match codes.iter().find(|(s, _)| same_layout(s, sub)) {
+            Some((_, code)) => Arc::clone(code),
+            None => {
+                let code = Arc::new(compile_code(nest, sub, scalars)?);
+                codes.push((sub, Arc::clone(&code)));
+                code
+            }
+        };
+        kernels.push(CompiledNest::bind(code, nest, sub));
+    }
+    Ok((kernels, codes.len()))
 }
 
 /// Lower `nest` for `sub`'s layout ([`compile_nest`]'s work less the
-/// per-PE bounds).
-fn compile_code(nest: &LoopNest, sub: &Subgrid, scalars: &[f64]) -> Option<NestCode> {
+/// per-PE bounds). An unroll annotation of factor 1 (or 0) jams nothing:
+/// the nest compiles as the plain one.
+fn compile_code(nest: &LoopNest, sub: &Subgrid, scalars: &[f64]) -> Result<NestCode, String> {
     let (strides, halo, len) = (sub.strides(), sub.halo, sub.raw().len());
     let rank = sub.ext.len();
-    if nest.order.len() != rank {
-        return None;
+    if nest.order.len() != rank || rank == 0 {
+        return Err(format!("its {} loops do not match rank-{rank} subgrids", nest.order.len()));
     }
-    let factor = match &nest.unroll {
-        Some(u) => {
-            if u.dim != nest.order[0] || u.factor < 2 {
-                return None;
-            }
-            u.factor as i64
-        }
-        None => 1,
-    };
+    let unroll = nest.unroll.as_ref().filter(|u| u.factor > 1);
+    if let Some(u) = unroll.filter(|u| u.dim != nest.order[0]) {
+        return Err(format!("its unroll dimension {} is not the outermost loop", u.dim + 1));
+    }
+    let factor = unroll.map_or(1, |u| u.factor as i64);
 
     // Hoisting constants out of the per-point code is only sound when no
     // body observes register state it did not write itself; otherwise fall
-    // back to a strict translation sharing one register numbering, exactly
-    // like the interpreter's persistent register file.
-    let bodies: [&[Instr]; 2] =
-        [&nest.body, nest.unroll.as_ref().map_or(&[][..], |u| &u.unit_body)];
+    // back to a strict translation sharing one register numbering, one
+    // register file persisting across points.
+    let bodies: [&[Instr]; 2] = [&nest.body, unroll.map_or(&[][..], |u| &u.unit_body)];
     let strict = bodies.iter().any(|b| reads_before_def(b));
     let jr = nest.regs;
-    let ur = nest.unroll.as_ref().map_or(0, |u| u.unit_regs);
+    let ur = unroll.map_or(0, |u| u.unit_regs);
     let unit_base = if strict { 0 } else { jr };
 
+    let too_wide = || "its deltas or registers overflow the bytecode".to_string();
     let mut cx = BodyCx::with_min_regs(if strict { jr.max(ur) } else { 0 });
-    let jammed = compile_body(&nest.body, strides, scalars, 0, strict, &mut cx)?;
-    let unit = match &nest.unroll {
-        Some(u) => Some(compile_body(&u.unit_body, strides, scalars, unit_base, strict, &mut cx)?),
-        None => None,
-    };
+    let jammed =
+        compile_body(&nest.body, strides, scalars, 0, strict, &mut cx).ok_or_else(too_wide)?;
+    let unit = unroll
+        .map(|u| compile_body(&u.unit_body, strides, scalars, unit_base, strict, &mut cx))
+        .map(|unit| unit.ok_or_else(too_wide))
+        .transpose()?;
 
     // Chunked (vectorized) execution runs a row op-at-a-time over up to
     // LANES points, reordering memory ops across lanes. That is observable
@@ -247,7 +250,7 @@ fn compile_code(nest: &LoopNest, sub: &Subgrid, scalars: &[f64]) -> Option<NestC
     // (strict mode). Both are decidable here because each body's row step is
     // fixed at compile time; rows failing the test run point-at-a-time.
     let istrides: Vec<i64> = strides.iter().map(|&s| s as i64).collect();
-    let inner_step = istrides[*nest.order.last()?];
+    let inner_step = istrides[nest.order[rank - 1]];
     let (jam_step, unit_step) = if rank == 1 {
         (factor * istrides[nest.order[0]], istrides[nest.order[0]])
     } else {
@@ -256,7 +259,7 @@ fn compile_code(nest: &LoopNest, sub: &Subgrid, scalars: &[f64]) -> Option<NestC
     let jam_vec = !strict && vector_safe(&jammed, jam_step);
     let unit_vec = !strict && vector_safe(unit.as_ref().unwrap_or(&jammed), unit_step);
 
-    Some(NestCode {
+    Ok(NestCode {
         strides: istrides,
         halo: halo as i64,
         order: nest.order.clone(),
@@ -285,7 +288,7 @@ impl NestCode {
 }
 
 /// May `code` execute op-at-a-time over a `LANES`-wide chunk of a row with
-/// step `step` and still produce the interpreter's point-at-a-time results?
+/// step `step` and still produce the scalar loop's point-at-a-time results?
 /// Only memory can carry state across lanes (fast-mode bodies define every
 /// register they read), so the test is purely about aliasing: a store and
 /// another memory operand on the same array whose flat-delta difference is
@@ -341,16 +344,6 @@ impl CompiledNest {
         self.code.strict
     }
 
-    /// The declared `[min_delta, max_delta]` flat-index envelope of the
-    /// jammed (`unit == false`) or unit body — the envelope the per-row
-    /// bounds proof hoists, and the soundness precondition BV003 re-checks
-    /// against the actual memory ops.
-    pub fn declared_deltas(&self, unit: bool) -> (i64, i64) {
-        let (jammed, unit_code) = self.bodies();
-        let k = if unit { unit_code.unwrap_or(jammed) } else { jammed };
-        (k.min_delta, k.max_delta)
-    }
-
     /// Local loop bounds (inclusive, per dimension) this nest was compiled
     /// for — the PE's intersection of the iteration space with its owned
     /// block. Empty nests report `None`. Superstep sweeps
@@ -381,10 +374,9 @@ pub fn exec_compiled(pe: &mut PeState, cn: &CompiledNest) {
 /// (`1 - halo ..= ext + halo`) and that every read offset from a box point
 /// also lands in storage (expansion + read radius ≤ halo — the superstep
 /// legality conditions); rows violating that fall back to the checked
-/// executor and panic exactly like the interpreter would. Iteration order
-/// is the compiled row-major order: ghost points overlap neighbor-owned
-/// points, so order stays observable-safe only by matching the interpreter
-/// walk exactly.
+/// row loop and panic. Iteration order is the nest's loop order, as for
+/// [`exec_compiled`]: ghost points overlap neighbor-owned points, so every
+/// executor must visit them in that one order.
 pub fn exec_compiled_over(pe: &mut PeState, cn: &CompiledNest, lo: &[i64], hi: &[i64]) {
     if cn.empty {
         return;
@@ -529,7 +521,7 @@ fn run_line(
         }
     } else {
         // Out-of-layout access (a halo violation the lints would flag): run
-        // checked, panicking like the interpreter.
+        // checked, panicking at the first access out of storage.
         // SAFETY: register and slot indices were validated at compile time;
         // CHECKED = true asserts every memory index before touching it, so no
         // out-of-bounds access occurs.
@@ -1152,7 +1144,7 @@ mod unsafe_row_tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn miri_checked_row_panics_like_the_interpreter() {
+    fn miri_checked_row_panics_out_of_bounds() {
         let mut bufs = vec![vec![0.0f64; 8]];
         let k = code(
             vec![Op::Chain {

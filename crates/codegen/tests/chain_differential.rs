@@ -1,11 +1,12 @@
-//! The accumulator-fold lowering against the tree interpreter, bit for bit.
+//! The accumulator-fold lowering against the loop IR, bit for bit.
 //!
 //! Bodies are generated chain-shaped — sums, differences, products and
 //! quotients over taps, constants and earlier results, operands on either
 //! side, registers repeated and occasionally redefined, a store in the
-//! middle of the body — and run once through `hpf_exec`'s `exec_nest` and
-//! once through `compile_nest` + `exec_compiled` on a clone of the same
-//! machine. Every array (ghost cells included) must agree. Initial values mix ordinary numbers with `-0.0`, `±inf` and
+//! middle of the body — and run once through the test-local loop IR
+//! evaluator (`tests/common/interp.rs`) and once through `compile_nest` +
+//! `exec_compiled` on a clone of the same machine. Every array (ghost
+//! cells included) must agree. Initial values mix ordinary numbers with `-0.0`, `±inf` and
 //! subnormals, so signed zeros, NaN production and gradual underflow all
 //! pass through the fold's chunked loops; any NaN equals any NaN (payloads
 //! are not part of the contract), everything else compares by bits.
@@ -13,11 +14,15 @@
 //! Run in `--release` as well: the chunked executor's lane loops only
 //! become vector code there.
 
+#[path = "../../../tests/common/interp.rs"]
+mod interp;
+
 use hpf_codegen::{compile_nest, exec_compiled, exec_compiled_over, ChainDst, Op};
-use hpf_exec::nest::{exec_nest, exec_nest_expanded, expand_bounds, nest_local_bounds};
+use hpf_exec::nest::expand_bounds;
 use hpf_ir::{ArrayDecl, ArrayId, BinOp, Distribution, Section, Shape};
 use hpf_passes::loopir::{Instr, LoopNest, Unroll};
 use hpf_runtime::{Machine, MachineConfig};
+use interp::{exec_nest, exec_nest_over, nest_local_bounds};
 use proptest::prelude::*;
 
 const U: ArrayId = ArrayId(0);
@@ -150,8 +155,8 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
         && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
-/// Run `nest` on every PE of a clone of `m` through the interpreter and
-/// through the VM; all arrays and counters must agree.
+/// Run `nest` on every PE of a clone of `m` through the loop IR evaluator
+/// and through the VM; all arrays must agree.
 fn assert_vm_matches_interpreter(m: &Machine, nest: &LoopNest, what: &str) {
     let (mut interp, mut vm) = (m.clone(), m.clone());
     for pe in 0..m.num_pes() {
@@ -255,10 +260,10 @@ proptest! {
         let (mut interp, mut vm) = (m.clone(), m.clone());
         let expand = [(1, 1), (1, 1)];
         for pe in 0..m.num_pes() {
-            exec_nest_expanded(&mut interp.pes[pe], &nest, &[], &expand);
             let cn = compile_nest(&nest, &vm.pes[pe], &[]).expect("compilable");
             let (lo, hi) = nest_local_bounds(&vm.pes[pe], &nest).expect("every PE owns a block");
             let (lo, hi) = expand_bounds(&vm.pes[pe], &nest, &lo, &hi, &expand);
+            exec_nest_over(&mut interp.pes[pe], &nest, &[], &lo, &hi);
             exec_compiled_over(&mut vm.pes[pe], &cn, &lo, &hi);
         }
         assert_same_state(&interp, &vm, &nest, "ghost-extended");

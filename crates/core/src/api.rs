@@ -120,8 +120,8 @@ impl Kernel {
             if let hpf_passes::NodeItem::Nest(nest) = it {
                 out += &format!("! nest {n} on PE 0\n");
                 out += &match hpf_codegen::compile_nest(nest, &machine.pes[0], &scalars) {
-                    Some(cn) => cn.listing(&name),
-                    None => "  (not compilable for this layout: runs on the interpreter)\n".into(),
+                    Ok(cn) => cn.listing(&name),
+                    Err(reason) => format!("  (not compilable: {reason})\n"),
                 };
                 n += 1;
             }
@@ -300,10 +300,10 @@ impl<'k> Planner<'k> {
         self
     }
 
-    /// Select how loop nests are evaluated: tree interpreter (default) or
-    /// compiled bytecode kernels. Under the bytecode backend the plan
-    /// compiles every nest once at build time and reuses the kernels on
-    /// every step. Bitwise-identical results either way.
+    /// Select the nest backend's spelling. Under either value the VM runs
+    /// the bytecode kernels the plan compiles once at build time and
+    /// reuses on every step; [`Backend::Interp`] is a deprecated alias of
+    /// [`Backend::Bytecode`] kept for the benchmark package.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.exec_cfg.backend = backend;
         self
@@ -433,8 +433,7 @@ impl<'k> Planner<'k> {
         }
         // The pipeline's `check_invariants` option (on by default in debug
         // builds) promotes the plan to a checked build: communication plans
-        // are prevalidated and the static verifiers (BV*/PL*) fail hard
-        // instead of demoting rejected kernels and supersteps.
+        // are prevalidated and the static verifiers (BV*/PL*) run.
         exec_cfg.check = exec_cfg.check || self.kernel.compiled.options.check_invariants;
         let attempt = |config: MachineConfig,
                        exec_cfg: &ExecConfig|

@@ -65,8 +65,9 @@ options:
                         ineligible kernel falls back to K=1 with an SS###
                         diagnostic (default: 1)
   --engine SPEC         executor and nest backend for --run: an engine
-                        (seq, threaded), a backend (interp, bytecode),
-                        or both joined with '-' (e.g. threaded-bytecode);
+                        (seq, threaded), a backend (bytecode, or its
+                        deprecated alias interp), or both joined with
+                        '-' (e.g. threaded-bytecode);
                         'auto' picks grid, engine, and superstep depth
                         with the auto-tuner (see --tune); an engine
                         named alone runs on bytecode;
@@ -592,10 +593,8 @@ fn main() {
                     r.schedule_bytes(),
                     r.pooled_bytes()
                 );
-                if exec_cfg.backend == Backend::Bytecode {
-                    out!("kernels compiled: {}", stats.kernels_compiled);
-                    out!("kernel execs    : {}", stats.kernel_execs);
-                }
+                out!("kernels compiled: {}", stats.kernels_compiled);
+                out!("kernel execs    : {}", stats.kernel_execs);
                 out!("modeled time    : {:.3} ms", r.modeled_ms());
                 out!("wall clock      : {:.3} ms", r.wall().as_secs_f64() * 1e3);
                 if trace_on {

@@ -6,7 +6,22 @@
 //! describe the run once and the plan stores the choice, so
 //! [`crate::ExecPlan::step`] needs no per-call dispatch arguments.
 
-use crate::backend::Backend;
+/// The nest backend a configuration names. There is one nest executor,
+/// the bytecode VM: every nest is compiled once per (nest, subgrid layout)
+/// at plan build, shared by the PEs of that layout, and run by the VM
+/// under either value. The two values differ only in their spelling
+/// ([`ExecConfig::label`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum Backend {
+    /// Deprecated alias of [`Backend::Bytecode`]: it runs the same kernels.
+    /// It keeps its name, and stays the library default, only because the
+    /// benchmark package names it; the next benchmark change deletes it.
+    #[default]
+    Interp,
+    /// The bytecode VM: one hoisted bounds proof per row, unchecked
+    /// indexing, chunk-safe rows 32 points per op on the host's widest tier.
+    Bytecode,
+}
 
 /// Which executor steps the plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,8 +63,7 @@ impl Engine {
 pub struct ExecConfig {
     /// The executor stepping the plan.
     pub engine: Engine,
-    /// How loop nests are evaluated (tree interpreter or compiled
-    /// bytecode kernels). Bitwise-identical results either way.
+    /// The nest backend's spelling; the VM runs every nest under either.
     pub backend: Backend,
     /// When set, the plan keeps a per-PE event timeline: every schedule
     /// build, pack/unpack, comm post/drain, superstep and kernel
@@ -65,9 +79,9 @@ pub struct ExecConfig {
     /// recording sites cost one predictable branch and no clock read.
     pub metrics: bool,
     /// Checked build: pre-validate every communication plan (shift widths
-    /// against the halo) before any schedule is compiled, and make the
-    /// static verifiers (BV*/PL*) fail the build instead of demoting the
-    /// rejected kernel.
+    /// against the halo) before any schedule is compiled, and run the
+    /// static verifiers (BV*/PL*), which every debug build runs too: a
+    /// diagnostic fails the build.
     pub check: bool,
     /// Ask the planning layer to auto-tune this run: enumerate the legal
     /// (PE grid, engine, superstep depth) space with `hpf-tune`, consult
@@ -103,7 +117,7 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default configuration: sequential engine, interpreter backend,
+    /// The default configuration: sequential engine, the `interp` spelling,
     /// tracing off, checks off, superstep depth 1.
     pub fn new() -> ExecConfig {
         ExecConfig::default()
@@ -122,7 +136,7 @@ impl ExecConfig {
         self
     }
 
-    /// Select the nest-evaluation backend.
+    /// Select the nest backend's spelling ([`Backend`]).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self

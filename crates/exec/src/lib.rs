@@ -19,17 +19,17 @@
 //!   machine simulator with zero per-step setup.
 //!
 //! Plans are described by one [`ExecConfig`] — engine ([`Engine`]), nest
-//! backend ([`Backend`]), per-PE event tracing, invariant checking — built
+//! backend spelling ([`Backend`]), per-PE event tracing, invariant checking — built
 //! with [`ExecPlan::build`] and stepped with [`ExecPlan::step`]. One step
 //! walker serves every engine: the sequential engine visits every PE on the
 //! calling thread and moves messages by direct copy; the threaded engine
 //! runs one OS thread per PE over channels, through the *same* compiled
 //! schedules — threads the plan starts on its first step and keeps,
-//! parked between steps, until it drops. Orthogonally, loop nests are evaluated by the tree
-//! interpreter or by compiled bytecode kernels ([`Backend`]). Every
-//! engine × backend combination is bitwise identical.
+//! parked between steps, until it drops. Every loop nest runs as bytecode
+//! kernels `hpf-codegen` compiles at build, under either [`Backend`]
+//! value; a nest it cannot compile fails the build. Every engine × backend
+//! combination is bitwise identical.
 
-pub mod backend;
 pub mod config;
 pub(crate) mod metrics;
 pub mod nest;
@@ -41,8 +41,7 @@ pub mod superstep;
 mod validate;
 pub mod verify;
 
-pub use backend::Backend;
-pub use config::{Engine, ExecConfig};
+pub use config::{Backend, Engine, ExecConfig};
 pub use plan::ExecPlan;
 pub use reference::{DenseArray, Reference};
 pub use superstep::{superstep_diags, superstep_halo};

@@ -103,7 +103,7 @@ impl MetricsState {
             DriftComponent {
                 name: "compute",
                 modeled_ns: cost.compute_ns(&t),
-                measured_ns: measured(&[Compute, KernelExec, Superstep]),
+                measured_ns: measured(&[KernelExec, Superstep]),
             },
             DriftComponent {
                 name: "msg-latency",

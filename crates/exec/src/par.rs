@@ -204,7 +204,6 @@ impl Endpoint {
 pub(crate) struct StepCtx<'a> {
     pub(crate) items: &'a [PlanItem],
     pub(crate) scheds: &'a [CompiledComm],
-    pub(crate) scalars: &'a [f64],
 }
 
 /// One PE's walker over the step program: its state and the step tables
@@ -519,7 +518,7 @@ mod tests {
         ep.txs.clear();
         ep.homes = (0..3).map(|_| channel().0).collect();
         let halves: Vec<Halves> = scheds.iter().map(|s| Halves::of(s, 0)).collect();
-        let ctx = StepCtx { items: &[], scheds: &scheds, scalars: &[] };
+        let ctx = StepCtx { items: &[], scheds: &scheds };
         let mut w = Worker { state: &mut m.pes[0], ctx: &ctx, ep: &mut ep, halves: &halves };
         w.comm_finish(0, 0);
         // (seq, sender) matching applied each buffer to its own plan entry
@@ -555,7 +554,7 @@ mod tests {
         assert!(!scheds[0].transfers[0].direct);
         let mut ep = Endpoint::fabric(1, false).remove(0);
         let halves = [Halves::of(&scheds[0], 0)];
-        let ctx = StepCtx { items: &[], scheds: &scheds, scalars: &[] };
+        let ctx = StepCtx { items: &[], scheds: &scheds };
         let mut w = Worker { state: &mut m.pes[0], ctx: &ctx, ep: &mut ep, halves: &halves };
         w.comm_post(0);
         assert_eq!(*w.state.subgrid(U), want);
@@ -584,7 +583,7 @@ mod tests {
     }
 
     fn step(pool: &mut Pool, m: &mut Machine, scheds: &[CompiledComm], items: &[PlanItem]) {
-        let ctx = StepCtx { items, scheds, scalars: &[] };
+        let ctx = StepCtx { items, scheds };
         pool.step(&mut m.pes, &ctx);
     }
 

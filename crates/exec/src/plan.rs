@@ -1,11 +1,12 @@
 //! Persistent-schedule execution plans: compile once, step many times.
 //!
 //! [`ExecPlan::build`] takes an [`ExecConfig`] describing the whole run —
-//! engine, nest backend, tracing, extra checking — then walks the compiled
-//! node program once, allocates every array it references, and compiles
+//! engine, VM mode, tracing, extra checking — then walks the compiled
+//! node program once, allocates every array it references, compiles
 //! each communication op against the allocated subgrids into a
 //! [`CompiledComm`] — neighbor PEs, RSD-extended bounds and the strided box
-//! of every region are all resolved here, at plan time. Each subsequent
+//! of every region are all resolved here, at plan time — and each loop nest
+//! into per-PE bytecode kernels. Each subsequent
 //! [`ExecPlan::step`] then executes one sweep of the kernel on the configured
 //! engine with **zero** per-step subgrid math, plan recomputation, or buffer
 //! allocation — the persistent-communication pattern of `MPI_Send_init`-style
@@ -26,12 +27,11 @@
 //! supersteps — on the machine's `hpf_trace` recorders, plus schedule-build
 //! and kernel-compile spans on the driver track at build time.
 
-use crate::backend::{self, Backend};
 use crate::config::{Engine, ExecConfig};
-use crate::nest::{expand_bounds, nest_local_bounds, scalar_values};
+use crate::nest::{expand_bounds, scalar_values};
 use crate::par::{Pool, StepCtx, Worker};
 use crate::superstep::{self, SsShape, SuperstepSchedule};
-use hpf_codegen::{compile_spmd, CompiledNest};
+use hpf_codegen::{compile_spmd, exec_compiled, exec_compiled_over, CompiledNest};
 use hpf_ir::{ArrayId, Diagnostic, Section, ShiftKind};
 use hpf_passes::loopir::{CommOp, Instr, LoopNest, NodeItem, NodeProgram};
 use hpf_runtime::schedule::{cshift_plan, overlap_shift_plan};
@@ -46,14 +46,12 @@ use hpf_trace::SpanKind;
 pub enum PlanItem {
     /// Execute the compiled schedule at this slot.
     Comm(usize),
-    /// Run a subgrid loop nest on every PE, through the per-PE compiled
-    /// kernel where one exists (`kernels` is empty under the interpreter
-    /// backend and per-PE `None` where codegen declined the nest).
+    /// Run a subgrid loop nest on every PE through its compiled kernel.
     Nest {
         /// The nest.
         nest: LoopNest,
         /// Per PE, its kernel.
-        kernels: Vec<Option<CompiledNest>>,
+        kernels: Vec<CompiledNest>,
     },
     /// A storage rotation: every PE swaps the two arrays' subgrids, so
     /// `dst` holds `src`'s values and `src` is dead until its next full
@@ -99,9 +97,7 @@ pub enum PlanItem {
 
 /// The nests of a superstep body with their per-PE kernels, in order (the
 /// `n` of `expansions[j][n]`).
-pub(crate) fn body_nests(
-    body: &[PlanItem],
-) -> impl Iterator<Item = (&LoopNest, &[Option<CompiledNest>])> {
+pub(crate) fn body_nests(body: &[PlanItem]) -> impl Iterator<Item = (&LoopNest, &[CompiledNest])> {
     body.iter().filter_map(|item| match item {
         PlanItem::Nest { nest, kernels } => Some((nest, &kernels[..])),
         _ => None,
@@ -109,13 +105,12 @@ pub(crate) fn body_nests(
 }
 
 /// A kernel compiled against one machine: allocated arrays, persistent
-/// communication schedules, per-PE bytecode kernels (when built with the
-/// bytecode [`Backend`]), and a step program that reuses them all.
+/// communication schedules, per-PE bytecode kernels, and a step program
+/// that reuses them all.
 #[derive(Debug)]
 pub struct ExecPlan {
     pub(crate) items: Vec<PlanItem>,
     pub(crate) scheds: Vec<CompiledComm>,
-    scalars: Vec<f64>,
     /// The engine [`ExecPlan::step`] dispatches to, fixed at build time.
     engine: Engine,
     /// What one step executes, counted once the plan is verified.
@@ -146,15 +141,15 @@ impl ExecPlan {
     /// tracers when [`ExecConfig::trace`] is set, pre-validate every
     /// communication plan when [`ExecConfig::check`] is set, and compile
     /// every communication op of the node program into a persistent
-    /// schedule. Under [`Backend::Bytecode`] every nest is additionally
-    /// compiled to a per-PE bytecode kernel here, once, and every
-    /// subsequent step reuses the kernels — the loop-nest analogue of the
-    /// persistent communication schedules.
+    /// schedule. Every nest is compiled to a per-PE bytecode kernel here,
+    /// once, and every subsequent step reuses the kernels — the loop-nest
+    /// analogue of the persistent communication schedules. A nest the
+    /// compiler refuses fails the build with [`RtError::NestNotCompiled`].
     ///
     /// An unresolved [`ExecConfig::auto`] flag is ignored here: auto-tuning
     /// is resolved by the planning layer above (`hpf-core`'s `Planner`,
     /// through `hpf-tune`), which rewrites the configuration before calling
-    /// this. The plan is built for the embedded engine and backend as-is.
+    /// this. The plan is built for the embedded engine as-is.
     pub fn build(
         machine: &mut Machine,
         node: &NodeProgram,
@@ -204,7 +199,6 @@ impl ExecPlan {
                         &ss,
                         &mut scheds,
                         &scalars,
-                        cfg.backend,
                         &mut compiled,
                     )?);
                 }
@@ -222,20 +216,12 @@ impl ExecPlan {
         }
         let items = match items {
             Some(items) => items,
-            None => compile_items(
-                machine,
-                &node.items,
-                &mut scheds,
-                &scalars,
-                cfg.backend,
-                &mut compiled,
-            )?,
+            None => compile_items(machine, &node.items, &mut scheds, &scalars, &mut compiled)?,
         };
         machine.note_kernels_compiled(compiled);
         let mut plan = ExecPlan {
             items,
             scheds,
-            scalars,
             engine: cfg.engine,
             per_step: PerStep::default(),
             logical_steps,
@@ -251,11 +237,10 @@ impl ExecPlan {
         machine.reserve_staging(plan.pooled_bytes());
         fault(&mut plan);
         // Static verification (BV* kernel obligations, PL* plan rules):
-        // always in debug builds, and on demand via `cfg.check`. Checked
-        // builds fail hard; otherwise a rejected kernel falls back to the
-        // interpreter — the counters below then describe the demoted plan.
+        // always in debug builds, and on demand via `cfg.check`. Any
+        // diagnostic fails the build.
         if cfg.check || cfg!(debug_assertions) {
-            crate::plan_verify::enforce(&mut plan.items, &plan.scheds, cfg.check)?;
+            crate::plan_verify::enforce(&plan)?;
         }
         plan.per_step = PerStep::count(machine, &plan.scheds, &plan.items);
         Ok(plan)
@@ -281,8 +266,8 @@ impl ExecPlan {
     pub fn step(&mut self, machine: &mut Machine) {
         let begin = self.metrics.as_ref().map(|m| m.begin(machine));
         if self.engine == Engine::Sequential {
-            let ExecPlan { items, scheds, scalars, .. } = &*self;
-            step_items(&mut Direct { machine, scheds, scalars }, items);
+            let ExecPlan { items, scheds, .. } = &*self;
+            step_items(&mut Direct { machine, scheds }, items);
         } else {
             self.step_threaded(machine);
         }
@@ -333,7 +318,7 @@ impl ExecPlan {
     }
 
     /// Compiled-kernel executions one step performs across all PEs
-    /// (time-loop weighted; zero under the interpreter backend).
+    /// (time-loop weighted).
     pub fn kernel_execs_per_step(&self) -> u64 {
         self.per_step.kernel_execs
     }
@@ -437,20 +422,19 @@ impl ExecPlan {
     /// geometry or RSD math), PE 0 on the calling thread and the others on
     /// the plan's [`Pool`], which the first call starts.
     fn step_threaded(&mut self, machine: &mut Machine) {
-        let ExecPlan { items, scheds, scalars, pool, .. } = self;
+        let ExecPlan { items, scheds, pool, .. } = self;
         let pool = pool.get_or_insert_with(|| Pool::start(machine.num_pes(), scheds));
-        pool.step(&mut machine.pes, &StepCtx { items, scheds, scalars });
+        pool.step(&mut machine.pes, &StepCtx { items, scheds });
     }
 }
 
-/// Walk node items, compiling each communication op against the machine —
-/// and, under the bytecode backend, each nest into per-PE kernels.
+/// Walk node items, compiling each communication op against the machine
+/// and each nest into per-PE kernels.
 fn compile_items(
     machine: &mut Machine,
     items: &[NodeItem],
     scheds: &mut Vec<CompiledComm>,
     scalars: &[f64],
-    backend: Backend,
     compiled: &mut u64,
 ) -> Result<Vec<PlanItem>, RtError> {
     let mut out = Vec::with_capacity(items.len());
@@ -474,41 +458,39 @@ fn compile_items(
                 ));
             }
             NodeItem::Nest(nest) => {
-                let kernels = compile_kernels(machine, nest, scalars, backend, compiled);
+                let kernels = compile_kernels(machine, nest, scalars, compiled)?;
                 out.push(PlanItem::Nest { nest: nest.clone(), kernels });
             }
             NodeItem::Rebind { dst, src } => out.push(rebind_item(machine, *dst, *src)),
             NodeItem::TimeLoop { iters, body } => out.push(PlanItem::TimeLoop {
                 iters: *iters,
-                body: compile_items(machine, body, scheds, scalars, backend, compiled)?,
+                body: compile_items(machine, body, scheds, scalars, compiled)?,
             }),
         }
     }
     Ok(out)
 }
 
-/// Under the bytecode backend, one kernel of `nest` per PE (`None` where
-/// codegen declines), compiled once per distinct layout (each compile
-/// counted in `compiled`) and shared by that layout's PEs, and VM scratch to
-/// fit.
+/// One kernel of `nest` per PE, compiled once per distinct layout (each
+/// compile counted in `compiled`) and shared by that layout's PEs, and VM
+/// scratch to fit.
 fn compile_kernels(
     machine: &mut Machine,
     nest: &LoopNest,
     scalars: &[f64],
-    backend: Backend,
     compiled: &mut u64,
-) -> Vec<Option<CompiledNest>> {
-    if backend == Backend::Interp {
-        return Vec::new();
-    }
+) -> Result<Vec<CompiledNest>, RtError> {
     let t0 = machine.driver_tracer().now();
-    let (kernels, codes) = compile_spmd(nest, &machine.pes, scalars);
+    let (kernels, codes) = compile_spmd(nest, &machine.pes, scalars).map_err(|reason| {
+        let names: Vec<_> = nest.stored().iter().map(|&a| machine.meta(a).name.clone()).collect();
+        RtError::NestNotCompiled { nest: names.join(", "), reason }
+    })?;
     for (pe, kernel) in machine.pes.iter_mut().zip(&kernels) {
-        kernel.iter().for_each(|k| k.reserve_scratch(&mut pe.vm));
+        kernel.reserve_scratch(&mut pe.vm);
     }
     machine.driver_tracer().record(SpanKind::KernelCompile, t0);
     *compiled += codes as u64;
-    kernels
+    Ok(kernels)
 }
 
 fn push_sched(scheds: &mut Vec<CompiledComm>, sched: CompiledComm) -> PlanItem {
@@ -594,7 +576,6 @@ fn build_superstep_items(
     ss: &SuperstepSchedule,
     scheds: &mut Vec<CompiledComm>,
     scalars: &[f64],
-    backend: Backend,
     compiled: &mut u64,
 ) -> Result<Vec<PlanItem>, RtError> {
     let body: &[NodeItem] = match ss.shape {
@@ -625,7 +606,7 @@ fn build_superstep_items(
         match item {
             NodeItem::Nest(nest) => sub.push(PlanItem::Nest {
                 nest: nest.clone(),
-                kernels: compile_kernels(machine, nest, scalars, backend, compiled),
+                kernels: compile_kernels(machine, nest, scalars, compiled)?,
             }),
             NodeItem::Rebind { dst, src } => sub.push(rebind_item(machine, *dst, *src)),
             _ => {}
@@ -644,7 +625,7 @@ fn build_superstep_items(
             let mut out = vec![PlanItem::TimeLoop { iters: iters / ss.k, body: vec![tile] }];
             let rem = iters % ss.k;
             if rem > 0 {
-                let body_items = compile_items(machine, body, scheds, scalars, backend, compiled)?;
+                let body_items = compile_items(machine, body, scheds, scalars, compiled)?;
                 out.push(PlanItem::TimeLoop { iters: rem, body: body_items });
             }
             Ok(out)
@@ -653,24 +634,22 @@ fn build_superstep_items(
 }
 
 /// Run one PE's compute half of a superstep: every sub-step's nests over
-/// their trapezoid expansions, and its rebinds, under one
-/// [`SpanKind::Superstep`] span. The sub-steps exchange nothing, so PEs
-/// proceed fully independently.
-fn run_superstep_pe(
-    state: &mut PeState,
-    body: &[PlanItem],
-    expansions: &[Vec<Vec<(i64, i64)>>],
-    scalars: &[f64],
-) {
+/// their trapezoid expansions (the storage-clamped boxes of
+/// [`expand_bounds`]), and its rebinds, under one [`SpanKind::Superstep`]
+/// span. The sub-steps exchange nothing, so PEs proceed fully independently.
+fn run_superstep_pe(state: &mut PeState, body: &[PlanItem], expansions: &[Vec<Vec<(i64, i64)>>]) {
     let t0 = state.tracer.now();
     for sub in expansions {
         let mut expand = sub.iter();
         for item in body {
             match item {
                 PlanItem::Nest { nest, kernels } => {
-                    let kernel = kernels.get(state.pe).and_then(|k| k.as_ref());
+                    let kernel = &kernels[state.pe];
                     let e = expand.next().expect("one expansion per nest");
-                    backend::run_nest_expanded(state, nest, kernel, scalars, e);
+                    if let Some((lo, hi)) = kernel.local_bounds() {
+                        let (lo, hi) = expand_bounds(state, nest, lo, hi, e);
+                        exec_compiled_over(state, kernel, &lo, &hi);
+                    }
                 }
                 PlanItem::Rebind { dst, src, .. } => state.swap_subgrids(*dst, *src),
                 _ => unreachable!("a superstep body holds nests and rebinds only"),
@@ -687,7 +666,7 @@ fn run_superstep_pe(
 struct PerStep {
     /// Schedule executions.
     comm_execs: u64,
-    /// Compiled-kernel executions (none under the interpreter backend).
+    /// Compiled-kernel executions.
     kernel_execs: u64,
     /// Supersteps, the exchanges they elide against `k` classic steps, and
     /// the ghost points their trapezoids recompute.
@@ -716,14 +695,10 @@ impl PerStep {
 
     /// Count what `items` execute, `times` over.
     fn add(&mut self, machine: &Machine, scheds: &[CompiledComm], items: &[PlanItem], times: u64) {
-        let kernels = |k: &[Option<CompiledNest>]| times * k.iter().flatten().count() as u64;
         for item in items {
             match item {
                 PlanItem::Comm(slot) => self.comm(&scheds[*slot], times),
-                PlanItem::Nest { nest, kernels: k } => {
-                    self.kernel_execs += kernels(k);
-                    self.sweep(machine, nest, None, times);
-                }
+                PlanItem::Nest { nest, kernels } => self.sweep(machine, nest, kernels, None, times),
                 PlanItem::Rebind { .. } => {}
                 PlanItem::TimeLoop { iters, body } => {
                     self.add(machine, scheds, body, times * *iters as u64)
@@ -733,9 +708,8 @@ impl PerStep {
                     self.supersteps += times;
                     self.elided += times * elided;
                     for sub in expansions {
-                        for ((nest, k), expand) in body_nests(body).zip(sub) {
-                            self.kernel_execs += kernels(k);
-                            self.sweep(machine, nest, Some(expand), times);
+                        for ((nest, kernels), expand) in body_nests(body).zip(sub) {
+                            self.sweep(machine, nest, kernels, Some(expand), times);
                         }
                     }
                 }
@@ -749,29 +723,30 @@ impl PerStep {
         sched.credit(|pe, counts| self.per_pe[pe].merge_times(counts, times));
     }
 
-    /// Count `times` sweeps of `nest` on every PE over the box the executors
-    /// run: its owned bounds or, for a superstep sub-step, those expanded by
-    /// `expand` and clamped to storage — whose extra points are redundant.
+    /// Count `times` sweeps of `nest`, one execution of every PE's kernel
+    /// each, over the box the executors run: the kernel's owned bounds or,
+    /// for a superstep sub-step, those expanded by `expand` and clamped to
+    /// storage — whose extra points are redundant.
     fn sweep(
         &mut self,
         machine: &Machine,
         nest: &LoopNest,
+        kernels: &[CompiledNest],
         expand: Option<&[(i64, i64)]>,
         times: u64,
     ) {
+        self.kernel_execs += times * kernels.len() as u64;
         let points = |lo: &[i64], hi: &[i64]| -> u64 {
             lo.iter().zip(hi).map(|(&l, &h)| (h - l + 1) as u64).product()
         };
-        for ((state, counts), rows) in machine.pes.iter().zip(&mut self.per_pe).zip(&mut self.rows)
-        {
-            let Some((lo, hi)) = nest_local_bounds(state, nest) else { continue };
-            let (lo_x, hi_x) = match expand {
-                Some(e) => expand_bounds(state, nest, &lo, &hi, e),
-                None => (lo, hi),
-            };
-            self.redundant += times * (points(&lo_x, &hi_x) - points(&lo, &hi));
-            counts.merge_times(&nest_counts(nest, &lo_x, &hi_x), times);
-            *rows += times * nest_rows(nest, &lo_x, &hi_x);
+        let pes = machine.pes.iter().zip(kernels);
+        for (((state, kernel), counts), rows) in pes.zip(&mut self.per_pe).zip(&mut self.rows) {
+            let Some((lo, hi)) = kernel.local_bounds() else { continue };
+            let expanded = expand.map(|e| expand_bounds(state, nest, lo, hi, e));
+            let (lo_x, hi_x) = expanded.as_ref().map_or((lo, hi), |(l, h)| (&l[..], &h[..]));
+            self.redundant += times * (points(lo_x, hi_x) - points(lo, hi));
+            counts.merge_times(&nest_counts(nest, lo_x, hi_x), times);
+            *rows += times * nest_rows(nest, lo_x, hi_x);
         }
     }
 }
@@ -823,21 +798,13 @@ fn nest_rows(nest: &LoopNest, lo: &[i64], hi: &[i64]) -> u64 {
     (jammed + unit) * mids
 }
 
-/// Run a nest sweep on one PE through its compiled kernel where one exists
-/// (`kernels` is indexed by PE), recording a [`SpanKind::KernelExec`] span
-/// when it does and [`SpanKind::Compute`] when the interpreter evaluates
-/// it (a no-op branch with tracing off).
-fn run_nest_traced(
-    pe: &mut PeState,
-    nest: &LoopNest,
-    kernels: &[Option<CompiledNest>],
-    scalars: &[f64],
-) {
-    let kernel = kernels.get(pe.pe).and_then(|k| k.as_ref());
+/// Run a nest sweep on one PE through its compiled kernel (`kernels` is
+/// indexed by PE) under a [`SpanKind::KernelExec`] span (a no-op branch
+/// with tracing off).
+fn run_nest_traced(pe: &mut PeState, kernels: &[CompiledNest]) {
     let t0 = pe.tracer.now();
-    backend::run_nest(pe, nest, kernel, scalars);
-    let kind = if kernel.is_some() { SpanKind::KernelExec } else { SpanKind::Compute };
-    pe.tracer.record(kind, t0);
+    exec_compiled(pe, &kernels[pe.pe]);
+    pe.tracer.record(SpanKind::KernelExec, t0);
 }
 
 /// What [`step_items`] needs from an engine: how a compiled schedule is
@@ -847,9 +814,8 @@ pub(crate) trait Fabric {
     /// of this fabric holds what the schedule delivers to it.
     fn exchange(&mut self, slot: usize);
 
-    /// Run `f` on every PE this fabric computes for, in PE order, handing
-    /// it the plan's scalar values.
-    fn each_pe(&mut self, f: impl FnMut(&mut PeState, &[f64]));
+    /// Run `f` on every PE this fabric computes for, in PE order.
+    fn each_pe(&mut self, f: impl FnMut(&mut PeState));
 }
 
 /// The direct-copy fabric of the sequential engine: the calling thread
@@ -859,7 +825,6 @@ pub(crate) trait Fabric {
 struct Direct<'a> {
     machine: &'a mut Machine,
     scheds: &'a [CompiledComm],
-    scalars: &'a [f64],
 }
 
 impl Fabric for Direct<'_> {
@@ -867,10 +832,8 @@ impl Fabric for Direct<'_> {
         self.machine.run_compiled(&self.scheds[slot]);
     }
 
-    fn each_pe(&mut self, mut f: impl FnMut(&mut PeState, &[f64])) {
-        for pe in &mut self.machine.pes {
-            f(pe, self.scalars);
-        }
+    fn each_pe(&mut self, f: impl FnMut(&mut PeState)) {
+        self.machine.pes.iter_mut().for_each(f);
     }
 }
 
@@ -883,8 +846,8 @@ impl Fabric for Worker<'_> {
         self.comm_finish(slot, seq);
     }
 
-    fn each_pe(&mut self, mut f: impl FnMut(&mut PeState, &[f64])) {
-        f(self.state, self.ctx.scalars);
+    fn each_pe(&mut self, mut f: impl FnMut(&mut PeState)) {
+        f(self.state);
     }
 }
 
@@ -895,13 +858,11 @@ pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
     for item in items {
         match item {
             PlanItem::Comm(i) => f.exchange(*i),
-            PlanItem::Nest { nest, kernels } => {
-                f.each_pe(|pe, scalars| run_nest_traced(pe, nest, kernels, scalars));
-            }
+            PlanItem::Nest { kernels, .. } => f.each_pe(|pe| run_nest_traced(pe, kernels)),
             // Each exchange before it has completed on this PE's side (its
             // sends are packed copies, its receives unpacked), so each PE
             // swaps its own two subgrids. No span is recorded.
-            PlanItem::Rebind { dst, src, .. } => f.each_pe(|pe, _| pe.swap_subgrids(*dst, *src)),
+            PlanItem::Rebind { dst, src, .. } => f.each_pe(|pe| pe.swap_subgrids(*dst, *src)),
             PlanItem::TimeLoop { iters, body } => {
                 for _ in 0..*iters {
                     step_items(f, body);
@@ -914,7 +875,7 @@ pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
                 for &i in comms {
                     f.exchange(i);
                 }
-                f.each_pe(|pe, scalars| run_superstep_pe(pe, body, expansions, scalars));
+                f.each_pe(|pe| run_superstep_pe(pe, body, expansions));
             }
         }
     }
@@ -923,6 +884,7 @@ pub(crate) fn step_items<F: Fabric>(f: &mut F, items: &[PlanItem]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Backend;
     use crate::reference::Reference;
     use hpf_frontend::compile_source;
     use hpf_passes::{compile, CompileOptions, Stage};
@@ -1061,6 +1023,26 @@ ENDDO
         }
         assert_eq!(m.gather(u), m_ref.gather(u));
         assert_eq!(m.stats().per_pe, m_ref.stats().per_pe);
+    }
+
+    #[test]
+    fn a_nest_unrolled_along_an_inner_loop_fails_the_build() {
+        // Codegen unrolls only the outermost loop: a nest annotated along
+        // another has no kernel, and the build says which nest and why.
+        let (mut m, mut compiled, _) = setup(JACOBI, Stage::MemOpt, &[2, 2]);
+        for item in &mut compiled.node.items {
+            if let NodeItem::Nest(nest) = item {
+                let inner = nest.order[1];
+                nest.unroll.as_mut().expect("memory opts unroll Jacobi's nest").dim = inner;
+            }
+        }
+        match ExecPlan::build(&mut m, &compiled.node, &ExecConfig::new()) {
+            Err(e @ RtError::NestNotCompiled { .. }) => {
+                let msg = e.to_string();
+                assert!(msg.contains("storing T") && msg.contains("outermost"), "{msg}");
+            }
+            other => panic!("expected NestNotCompiled, got {other:?}"),
+        }
     }
 
     #[test]

@@ -44,14 +44,12 @@
 //! before the next item starts. The checker is wired into
 //! [`ExecPlan::build`](crate::ExecPlan::build) together with the bytecode
 //! verifier (`hpf_codegen::verify`): debug and checked builds verify every
-//! plan; checked builds fail hard on any diagnostic, unchecked builds
-//! demote the offending kernel to the interpreter and the offending
-//! superstep to a deep-refill loop. A stale binding or a box that is no
-//! section has no safe demotion: it fails every build.
+//! plan, and any diagnostic fails the build — a build that verifies returns
+//! a plan that verifies clean, or an error.
 
 use crate::plan::{body_nests, ExecPlan, PlanItem};
 use hpf_analysis::superstep::{uncovered_ghost, FillBox, GhostNeed};
-use hpf_codegen::{inject_shared, verify_kernels, CompiledNest, Fault};
+use hpf_codegen::{inject_shared, verify_kernels, Fault};
 use hpf_ir::diag::Diagnostic;
 use hpf_ir::hash::HashMap;
 use hpf_ir::{ArrayId, Section};
@@ -511,131 +509,21 @@ fn verify_schedules(scheds: &[CompiledComm], out: &mut Vec<Diagnostic>) {
 }
 
 /// Enforcement behind [`ExecPlan::build`](crate::ExecPlan::build): verify
-/// every compiled kernel (`BV*`) and every Superstep item (`PL*`). With
-/// `checked` set, any diagnostic aborts the build with
-/// [`RtError::VerificationFailed`]; otherwise each rejected kernel falls
-/// back to the interpreter (`kernels[pe] = None`) and each rejected
-/// superstep to a `k`-iteration time loop that re-runs the
-/// deep fills before each sub-step's owned-only sweeps — all leaving a
-/// plan that verifies clean. A rejected superstep whose body chains
-/// through comm-less intermediate arrays has no such demotion (the chain
-/// ghosts exist only through the expanded sweeps), so it fails the build
-/// even unchecked rather than run a plan known wrong — as do a stale
-/// binding (PL005) and a box that is no section (PL006), which no demotion
-/// repairs.
-pub(crate) fn enforce(
-    items: &mut Vec<PlanItem>,
-    scheds: &[CompiledComm],
-    checked: bool,
-) -> Result<(), RtError> {
-    let mut report = Vec::new();
-    let mut hard = false;
-    demote_items(items, scheds, checked, &mut report, &mut hard);
-    let stale = report.len();
-    verify_program_rebinds(items, scheds, &mut report);
-    verify_schedules(scheds, &mut report);
-    hard |= report.len() > stale;
-    if (checked || hard) && !report.is_empty() {
-        let report =
-            report.iter().map(|d| format!("{}: {}", d.code, d.message)).collect::<Vec<_>>();
-        return Err(RtError::VerificationFailed { report: report.join("\n") });
+/// every compiled kernel (`BV*`) and the step program (`PL*`); any
+/// diagnostic fails the build with [`RtError::VerificationFailed`].
+pub(crate) fn enforce(plan: &ExecPlan) -> Result<(), RtError> {
+    let report: Vec<String> =
+        plan.verify().iter().map(|d| format!("{}: {}", d.code, d.message)).collect();
+    if report.is_empty() {
+        return Ok(());
     }
-    Ok(())
-}
-
-/// True when the superstep's blocking demotion preserves semantics: every
-/// array some nest stores and some nest reads at a nonzero offset must be
-/// refilled by a deep-fill schedule. A comm-less chain array (problem-9
-/// style shifted temporaries) gets its ghosts only from the expanded
-/// sweeps the demotion drops.
-fn superstep_demotable(comms: &[usize], body: &[PlanItem], scheds: &[CompiledComm]) -> bool {
-    let stored_any: Vec<hpf_ir::ArrayId> = body_nests(body).flat_map(|(n, _)| n.stored()).collect();
-    body_nests(body)
-        .flat_map(|(nest, _)| load_radii(nest))
-        .filter(|(_, radii)| radii.iter().any(|&(lo, hi)| lo > 0 || hi > 0))
-        .filter(|(a, _)| stored_any.contains(a))
-        .all(|(a, _)| comms.iter().any(|&slot| scheds[slot].dst == a))
-}
-
-/// Kernel obligations (`BV*`) of one nest's per-PE kernels, proven once per
-/// shared code; unchecked, a rejected code falls back to the interpreter on
-/// every PE that shares it.
-fn demote_kernels(
-    kernels: &mut [Option<CompiledNest>],
-    checked: bool,
-    report: &mut Vec<Diagnostic>,
-) {
-    for (pes, diags) in verify_kernels(kernels) {
-        if !diags.is_empty() {
-            report.extend(diags.into_iter().map(|d| d.note(format!("kernel of PEs {pes:?}"))));
-            if !checked {
-                pes.into_iter().for_each(|pe| kernels[pe] = None);
-            }
-        }
-    }
-}
-
-fn demote_items(
-    items: &mut Vec<PlanItem>,
-    scheds: &[CompiledComm],
-    checked: bool,
-    report: &mut Vec<Diagnostic>,
-    hard: &mut bool,
-) {
-    let old = std::mem::take(items);
-    for mut item in old {
-        // Kernel obligations first: a demoted superstep keeps its kernels,
-        // so they must hold either way.
-        match &mut item {
-            PlanItem::Nest { kernels, .. } => demote_kernels(kernels, checked, report),
-            PlanItem::Superstep { body, .. } => {
-                for sub in body {
-                    if let PlanItem::Nest { kernels, .. } = sub {
-                        demote_kernels(kernels, checked, report);
-                    }
-                }
-            }
-            _ => {}
-        }
-        match item {
-            PlanItem::Superstep { k, comms, body, expansions, elided } => {
-                let mut diags = Vec::new();
-                verify_superstep(items.len(), k, &comms, &body, &expansions, scheds, &mut diags);
-                if diags.is_empty() {
-                    items.push(PlanItem::Superstep { k, comms, body, expansions, elided });
-                } else {
-                    report.extend(diags);
-                    if checked {
-                        // The build aborts; no replacement item needed.
-                    } else if superstep_demotable(&comms, &body, scheds) {
-                        // Blocking demotion: re-run the deep fills before
-                        // every sub-step and sweep owned cells only. The
-                        // deep fills subsume each sub-step's classic ghost
-                        // needs, so this is the classic schedule with
-                        // over-deep refills — correct, merely slower.
-                        items.push(PlanItem::TimeLoop {
-                            iters: k,
-                            body: comms.into_iter().map(PlanItem::Comm).chain(body).collect(),
-                        });
-                    } else {
-                        *hard = true;
-                    }
-                }
-            }
-            PlanItem::TimeLoop { iters, mut body } => {
-                demote_items(&mut body, scheds, checked, report, hard);
-                items.push(PlanItem::TimeLoop { iters, body });
-            }
-            other => items.push(other),
-        }
-    }
+    Err(RtError::VerificationFailed { report: report.join("\n") })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
-    use crate::config::{Engine, ExecConfig};
+    use crate::config::{Backend, Engine, ExecConfig};
     use hpf_frontend::compile_source;
     use hpf_passes::{compile, CompileOptions, Stage};
     use hpf_runtime::{Machine, MachineConfig};
@@ -715,24 +603,13 @@ U = T
     }
 
     #[test]
-    fn corrupted_superstep_demotes_to_deep_refill_loop() {
-        // Unchecked enforcement demotes the corrupted superstep to a
-        // k-iteration time loop of deep fills + owned-only sweeps, which
-        // verifies clean and elides nothing.
+    fn corrupted_superstep_fails_enforcement() {
+        // A superstep whose trapezoid outgrows its deep fills has no safe
+        // rewrite: enforcement fails with the PL004 report.
         let (_, mut plan) = superstep_plan(2);
+        assert!(enforce(&plan).is_ok(), "the fixture verifies clean");
         assert!(plan.corrupt_widen_trapezoid());
-        assert!(!plan.verify().is_empty());
-        let items = &mut plan.items;
-        let scheds = &plan.scheds;
-        enforce(items, scheds, false).unwrap();
-        assert!(plan.verify().is_empty(), "{:?}", plan.verify());
-
-        // Checked enforcement on a corrupted superstep fails hard.
-        let (_, mut plan) = superstep_plan(2);
-        assert!(plan.corrupt_widen_trapezoid());
-        let items = &mut plan.items;
-        let scheds = &plan.scheds;
-        let err = enforce(items, scheds, true).unwrap_err();
+        let err = enforce(&plan).unwrap_err();
         let RtError::VerificationFailed { report } = err else {
             panic!("expected VerificationFailed")
         };
@@ -749,7 +626,7 @@ U = T
             assert!(plan.corrupt_stale_binding(), "a nest loads U and stores T");
             let d = plan.verify();
             assert!(codes(&d).contains(&PL005), "{d:?}");
-            let err = enforce(&mut plan.items, &plan.scheds, false).unwrap_err();
+            let err = enforce(plan).unwrap_err();
             let RtError::VerificationFailed { report } = err else {
                 panic!("expected VerificationFailed")
             };

@@ -63,6 +63,14 @@ pub enum RtError {
         /// Array rank.
         array: usize,
     },
+    /// A loop nest the bytecode compiler cannot lower: the plan has no
+    /// other way to run it, so the build fails.
+    NestNotCompiled {
+        /// The nest, named by the arrays it stores.
+        nest: String,
+        /// Why the compiler refused it.
+        reason: String,
+    },
     /// The static verifiers rejected a compiled kernel or execution plan in
     /// a checked build (`BV*` bytecode diagnostics, `PL*` plan-level race
     /// diagnostics). The report carries one line per violated obligation.
@@ -100,6 +108,9 @@ impl fmt::Display for RtError {
             RtError::RankMismatch { machine, array } => {
                 write!(f, "machine grid rank {machine} != array rank {array}")
             }
+            RtError::NestNotCompiled { nest, reason } => {
+                write!(f, "cannot compile the loop nest storing {nest}: {reason}")
+            }
             RtError::VerificationFailed { report } => {
                 write!(f, "static verification failed:\n{report}")
             }
@@ -123,5 +134,7 @@ mod tests {
         assert!(h.to_string().contains("dim 1"), "{h}");
         let s = RtError::SubgridTooLarge { pe: 0, cells: 1 << 33, limit: u32::MAX as usize };
         assert!(s.to_string().contains("u32") && !s.to_string().contains("budget"), "{s}");
+        let n = RtError::NestNotCompiled { nest: "T".into(), reason: "why".into() };
+        assert_eq!(n.to_string(), "cannot compile the loop nest storing T: why");
     }
 }

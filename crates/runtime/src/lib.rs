@@ -12,9 +12,11 @@
 //!   ([`subgrid::Subgrid`]), the paper's mechanism for receiving
 //!   off-processor data (§3.1, after Gerndt);
 //! * the two data-movement operations of stencil execution (§2.2):
-//!   full [`Machine::cshift`] (interprocessor messages **plus** the
-//!   intraprocessor copy) and [`Machine::overlap_shift`] (interprocessor
-//!   only, into the overlap area, with optional RSD corner extension);
+//!   full shifts ([`schedule::cshift_plan`]: interprocessor messages
+//!   **plus** the intraprocessor copy) and overlap shifts
+//!   ([`schedule::overlap_shift_plan`]: interprocessor only, into the
+//!   overlap area, with optional RSD corner extension), each compiled once
+//!   into a persistent schedule ([`Machine::compile_comm`]);
 //! * message/byte/copy counters and an SP-2-flavoured analytical cost model
 //!   ([`stats`], [`cost`]);
 //! * per-PE memory accounting with an optional budget, reproducing the

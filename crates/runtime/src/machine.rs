@@ -685,8 +685,8 @@ impl Machine {
         self.sched_reuses += n;
     }
 
-    /// Record bytecode-kernel compilations performed by a codegen backend
-    /// (counted per nest × PE; the kernels themselves live in `hpf-exec`).
+    /// Record bytecode-kernel compilations a plan build performed (one per
+    /// nest and subgrid layout; the kernels themselves live in `hpf-exec`).
     pub fn note_kernels_compiled(&mut self, n: u64) {
         self.kernels_built += n;
     }

@@ -122,7 +122,7 @@ impl CompiledComm {
     }
 
     /// Count one execution of this schedule through `add(pe, counts)`, by
-    /// [`credit_transfer`]'s rule. Fills count nothing.
+    /// `credit_transfer`'s rule. Fills count nothing.
     pub fn credit(&self, mut add: impl FnMut(usize, &PeStats)) {
         for t in &self.transfers {
             credit_transfer(self.kind, (t.src_pe, t.dst_pe), t.src.elements(), &mut add);

@@ -72,8 +72,8 @@ pub struct AggStats {
     /// a plan with `c` comm ops, this reads `n * c`.
     pub schedule_reuses: u64,
     /// Bytecode kernels compiled: one per (nest, subgrid layout), shared by
-    /// the PEs with that layout. Machine-wide, incremented at backend compile
-    /// time; zero under the interpreter backend.
+    /// the PEs with that layout. Machine-wide, incremented when a plan is
+    /// built, under either backend (both run compiled kernels).
     pub kernels_compiled: u64,
     /// Executions of an already-compiled bytecode kernel (one nest sweep on
     /// one PE). Plans compile once and grow only this counter per step.

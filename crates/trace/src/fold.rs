@@ -81,11 +81,11 @@ mod tests {
     #[test]
     fn merge_matches_folding_everything_into_one() {
         let (mut a, mut b, mut whole) = (Fold::default(), Fold::default(), Fold::default());
-        for e in [ev(SpanKind::Compute, 100), ev(SpanKind::CommDrain, 9)] {
+        for e in [ev(SpanKind::KernelExec, 100), ev(SpanKind::CommDrain, 9)] {
             a.add(&e);
             whole.add(&e);
         }
-        for e in [ev(SpanKind::Compute, 200), ev(SpanKind::Unpack, 0)] {
+        for e in [ev(SpanKind::KernelExec, 200), ev(SpanKind::Unpack, 0)] {
             b.add(&e);
             whole.add(&e);
         }

@@ -17,8 +17,7 @@ pub struct StepSample {
     pub step: u64,
     /// Wall nanoseconds for the whole step (driver view).
     pub wall_ns: u64,
-    /// Wall ns in compute spans (interpreter sweeps and kernel
-    /// executions), summed over PEs.
+    /// Wall ns in kernel executions, summed over PEs.
     pub compute_ns: u64,
     /// Wall ns packing and unpacking halo buffers, summed over PEs.
     pub pack_ns: u64,
@@ -47,7 +46,7 @@ impl StepSample {
     pub fn add_pe(&mut self, wall: &[u64; NUM_KINDS]) {
         use SpanKind::*;
         let w = |k: SpanKind| wall[k as usize];
-        let compute = w(Compute) + w(KernelExec);
+        let compute = w(KernelExec);
         let pack = w(Pack) + w(Unpack);
         self.compute_ns += compute;
         self.pack_ns += pack;
@@ -161,8 +160,7 @@ mod tests {
     fn add_pe_partitions_a_pes_wall_into_phases_and_busy() {
         let mut wall = [0u64; NUM_KINDS];
         for (k, ns) in [
-            (SpanKind::KernelExec, 300),
-            (SpanKind::Compute, 100),
+            (SpanKind::KernelExec, 400),
             (SpanKind::Pack, 40),
             (SpanKind::Unpack, 10),
             (SpanKind::CommPost, 20),

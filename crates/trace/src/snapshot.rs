@@ -262,8 +262,12 @@ mod tests {
             bytes_moved: 64,
             step_wall,
             per_pe: vec![
-                fold(&[(SpanKind::Compute, 5), (SpanKind::Compute, 900), (SpanKind::Pack, 200)]),
-                fold(&[(SpanKind::Compute, 3000)]),
+                fold(&[
+                    (SpanKind::KernelExec, 5),
+                    (SpanKind::KernelExec, 900),
+                    (SpanKind::Pack, 200),
+                ]),
+                fold(&[(SpanKind::KernelExec, 3000)]),
             ],
             series,
         }
@@ -281,7 +285,7 @@ mod tests {
         assert_eq!(driver.get("gauges"), Some(&Value::Object(Vec::new())));
         assert!(driver.get("hists").unwrap().get("step-wall").is_some());
         let Some(Value::Array(pes)) = j.get("per_pe") else { panic!("no per_pe array") };
-        let compute = pes[0].get("hists").unwrap().get("compute").unwrap();
+        let compute = pes[0].get("hists").unwrap().get("kernel-exec").unwrap();
         assert_eq!(compute.get("count"), Some(&Value::Number(2.0)));
         assert_eq!(compute.get("max_ns"), Some(&Value::Number(900.0)));
         assert!(pes[1].get("hists").unwrap().get("pack").is_none(), "only kinds seen");
@@ -292,11 +296,11 @@ mod tests {
         let p = snapshot().to_prometheus();
         assert!(p.contains("hpf_steps_total{pe=\"driver\"} 1"), "{p}");
         assert!(p.contains("hpf_step_wall_count{pe=\"driver\"} 1"), "{p}");
-        assert!(p.contains("hpf_compute_bucket{pe=\"0\",le=\"+Inf\"} 2"), "{p}");
-        assert!(p.contains("hpf_compute_sum{pe=\"0\"} 905"), "{p}");
+        assert!(p.contains("hpf_kernel_exec_bucket{pe=\"0\",le=\"+Inf\"} 2"), "{p}");
+        assert!(p.contains("hpf_kernel_exec_sum{pe=\"0\"} 905"), "{p}");
         // Bucket counts are cumulative: the le="1023" bucket sees both.
-        assert!(p.contains("hpf_compute_bucket{pe=\"0\",le=\"1023\"} 2"), "{p}");
-        assert!(p.contains("hpf_compute_count{pe=\"1\"} 1"), "{p}");
+        assert!(p.contains("hpf_kernel_exec_bucket{pe=\"0\",le=\"1023\"} 2"), "{p}");
+        assert!(p.contains("hpf_kernel_exec_count{pe=\"1\"} 1"), "{p}");
         assert!(p.contains("hpf_load_imbalance"), "{p}");
         assert_eq!(prom_name("kernel-exec"), "hpf_kernel_exec");
     }
@@ -308,9 +312,9 @@ mod tests {
         assert!(util.contains("PE 0") && util.contains("PE 1"), "{util}");
         assert!(util.contains("imbalance"), "{util}");
         let hist = s.render_histograms();
-        assert!(hist.contains("compute"), "{hist}");
+        assert!(hist.contains("kernel-exec"), "{hist}");
         assert!(hist.contains("pack"), "{hist}");
-        // Merged: both PEs' compute spans in one row.
-        assert_eq!(s.merged_pe_registry().kind(SpanKind::Compute).count(), 3);
+        // Merged: both PEs' kernel spans in one row.
+        assert_eq!(s.merged_pe_registry().kind(SpanKind::KernelExec).count(), 3);
     }
 }

@@ -19,27 +19,25 @@ pub enum SpanKind {
     KernelCompile = 2,
     /// One full subgrid sweep of a nest by a compiled bytecode kernel.
     KernelExec = 3,
-    /// One full subgrid sweep of a nest by the interpreter backend.
-    Compute = 4,
     /// Packing one message's source box into the staging buffer (sender
     /// side) — or, alone, one same-PE transfer copied from box to box.
-    Pack = 5,
+    Pack = 4,
     /// Unpacking one message from the staging buffer into its destination
     /// box (receiver side).
-    Unpack = 6,
+    Unpack = 5,
     /// Posting a comm op's sends (pack + enqueue, no wait).
-    CommPost = 7,
+    CommPost = 6,
     /// Draining a comm op's receives (the blocking half of an exchange).
-    CommDrain = 8,
+    CommDrain = 7,
     /// One whole plan step — driver track envelope.
-    Step = 9,
+    Step = 8,
     /// One communication-avoiding superstep: the deep halo exchange plus
     /// the `k` trapezoid sub-step sweeps it amortizes (per-PE tracks).
-    Superstep = 10,
+    Superstep = 9,
 }
 
 /// Number of span kinds (array-index bound for per-kind aggregates).
-pub const NUM_KINDS: usize = 11;
+pub const NUM_KINDS: usize = 10;
 
 impl SpanKind {
     /// Every kind, in `repr` order.
@@ -48,7 +46,6 @@ impl SpanKind {
         SpanKind::ScheduleBuild,
         SpanKind::KernelCompile,
         SpanKind::KernelExec,
-        SpanKind::Compute,
         SpanKind::Pack,
         SpanKind::Unpack,
         SpanKind::CommPost,
@@ -64,7 +61,6 @@ impl SpanKind {
             SpanKind::ScheduleBuild => "schedule-build",
             SpanKind::KernelCompile => "kernel-compile",
             SpanKind::KernelExec => "kernel-exec",
-            SpanKind::Compute => "compute",
             SpanKind::Pack => "pack",
             SpanKind::Unpack => "unpack",
             SpanKind::CommPost => "comm-post",
@@ -79,7 +75,7 @@ impl SpanKind {
         match self {
             SpanKind::Pass | SpanKind::ScheduleBuild | SpanKind::KernelCompile => "compile",
             SpanKind::Pack | SpanKind::Unpack | SpanKind::CommPost | SpanKind::CommDrain => "comm",
-            SpanKind::KernelExec | SpanKind::Compute => "compute",
+            SpanKind::KernelExec => "compute",
             SpanKind::Step | SpanKind::Superstep => "step",
         }
     }
@@ -260,13 +256,13 @@ mod tests {
         t.enable(true);
         let cap_before = t.ring.as_ref().unwrap().capacity();
         for _ in 0..RING_CAPACITY + 3 {
-            t.record(SpanKind::Compute, now_ns());
+            t.record(SpanKind::KernelExec, now_ns());
         }
         assert_eq!(t.ring.as_ref().unwrap().len(), RING_CAPACITY);
         assert_eq!(t.dropped(), 3);
         assert_eq!(t.ring.as_ref().unwrap().capacity(), cap_before);
         // The fold saw every span, dropped from the timeline or not.
-        let seen = t.fold().unwrap().kind(SpanKind::Compute).count();
+        let seen = t.fold().unwrap().kind(SpanKind::KernelExec).count();
         assert_eq!(seen, RING_CAPACITY as u64 + 3);
     }
 

@@ -110,8 +110,7 @@ impl TraceSummary {
     /// drops are never silent in the rendered view.
     pub fn render_table(&self, steps: u64) -> String {
         let steps = steps.max(1) as f64;
-        const COLS: [SpanKind; 6] = [
-            SpanKind::Compute,
+        const COLS: [SpanKind; 5] = [
             SpanKind::KernelExec,
             SpanKind::Pack,
             SpanKind::Unpack,

@@ -3,7 +3,7 @@
 //! One JSON object per file: `{"version": 4, "entries": [...]}` with one
 //! entry per kernel fingerprint, each holding the winning grid, the
 //! `engine-bytecode` label (re-parsed with `ExecConfig::from_cli_str`; one
-//! naming an interpreter configuration is outside the space: stale), the
+//! naming a checked-mode (`-interp`) configuration is outside the space: stale), the
 //! superstep depth, and the winner's SP-2 and host prices. Reads go
 //! through the shared [`hpf_trace::json`] parser; writes are a hand-rolled
 //! [`hpf_trace::json::Value::render`] of the same shape, so the file

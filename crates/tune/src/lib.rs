@@ -13,10 +13,9 @@
 //! ([`hpf_runtime::CostModel::sp2`], the `modeled_ms` every surface
 //! reports) and by this host's calibrated profile ([`host`]), which puts
 //! the engine in the formula — and the host's cheapest candidate wins. No
-//! plan is stepped. The nest backend is not searched: the VM wins every
-//! measurement, and [`hpf_exec::Backend::Bytecode`] already falls back to
-//! the interpreter for any nest codegen declines — so every candidate runs
-//! bytecode.
+//! plan is stepped. The backend is not searched: there is one nest
+//! executor, and every candidate is labelled
+//! [`hpf_exec::Backend::Bytecode`].
 //!
 //! The winner is persisted in an on-disk cache (default
 //! [`cache::DEFAULT_CACHE_FILE`]) keyed by a deterministic kernel
@@ -309,7 +308,7 @@ impl Tuner {
     /// not fit this tuner's machine (stale core count or rank after a
     /// config change hashes to the same key only if the seed matched, so
     /// this is belt-and-braces), its config label no longer parses, or it
-    /// names a configuration outside the space (an interpreter winner
+    /// names a configuration outside the space (an interp-labelled winner
     /// written before the backend left the search) — stale, searched afresh.
     fn cached_candidate(&self, e: &CacheEntry) -> Option<Candidate> {
         let cfg = ExecConfig::from_cli_str(&e.config).ok()?;

@@ -1,6 +1,6 @@
 //! The legal configuration space: PE-grid factorizations × engines ×
 //! superstep depths. The nest backend is not a dimension: every candidate
-//! runs [`Backend::Bytecode`] (interpreter fallback per declined nest).
+//! runs the one nest executor, the VM, labelled [`Backend::Bytecode`].
 
 use hpf_exec::{Backend, Engine, ExecConfig};
 use hpf_runtime::{MachineConfig, PeGrid};

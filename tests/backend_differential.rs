@@ -1,15 +1,13 @@
-//! Differential testing of the compiled-kernel backend: any kernel, at any
-//! pipeline stage, on any grid, must produce **bitwise-identical** results
-//! under the bytecode backend and the tree interpreter, on the sequential
-//! and threaded engines — the interpreter on the sequential engine is the
-//! oracle everything else is checked against. Per-PE operation counters
-//! must agree too, since the bytecode VM bulk-counts the same
-//! loads/stores/flops/iters and the threaded engine runs the same
-//! schedules.
+//! Differential testing of the VM on both engines: any kernel, at any
+//! pipeline stage, on any grid, must produce **bitwise** the oracle's
+//! results (the sequential reference interpreter of the source program,
+//! `Kernel::oracle`) under both backend spellings, on the sequential and
+//! threaded engines. Every combination compiles and runs
+//! the same kernels through the same schedules, so the kernel counters and
+//! every per-PE operation counter must agree across all four too.
 
 use hpf_bench::workload::{generate, WorkloadSpec};
 use hpf_stencil::passes::{CompileOptions, Stage};
-use hpf_stencil::runtime::PeStats;
 use hpf_stencil::{presets, AggStats, Backend, Engine, Kernel, MachineConfig};
 use proptest::prelude::*;
 
@@ -20,22 +18,33 @@ const COMBOS: [(Engine, Backend); 4] = [
     (Engine::Threaded, Backend::Bytecode),
 ];
 
+fn init_u(p: &[i64]) -> f64 {
+    ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin()
+}
+
+fn init_v(p: &[i64]) -> f64 {
+    ((p[0] - 2 * p[1]) as f64 * 0.05).cos()
+}
+
+/// Named output arrays, in the order asked for.
+type Arrays = Vec<(String, Vec<f64>)>;
+
 /// Run one (engine, backend) combination; return the gathered outputs (only
-/// those arrays the program actually allocates) and the per-PE counters.
+/// those arrays the program actually allocates) and the counters.
 fn run_combo(
     kernel: &Kernel,
     grid: &[usize],
     engine: Engine,
     backend: Backend,
     outputs: &[&str],
-) -> (Vec<(String, Vec<f64>)>, Vec<PeStats>) {
+) -> (Arrays, AggStats) {
     let mut planner = kernel
         .plan(MachineConfig::with_grid(grid.to_vec()))
-        .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
+        .init("U", init_u)
         .engine(engine)
         .backend(backend);
     if kernel.array_id("V").is_ok() {
-        planner = planner.init("V", |p| ((p[0] - 2 * p[1]) as f64 * 0.05).cos());
+        planner = planner.init("V", init_v);
     }
     let run = planner.run().unwrap_or_else(|e| panic!("{engine:?}/{backend:?} failed: {e}"));
     let mut arrays = Vec::new();
@@ -45,7 +54,25 @@ fn run_combo(
             arrays.push((name.to_string(), run.machine.gather(id)));
         }
     }
-    (arrays, run.stats().per_pe)
+    (arrays, run.stats())
+}
+
+/// The oracle's values of the arrays `got` names, after `steps` sweeps of
+/// the program from `input` (and `V`, where declared) filled as the
+/// combinations fill them.
+fn oracle(kernel: &Kernel, input: &str, steps: usize, got: &Arrays) -> Arrays {
+    let mut runner = kernel.oracle().init(input, init_u);
+    if kernel.array_id("V").is_ok() {
+        runner = runner.init("V", init_v);
+    }
+    let reference = runner.run_steps(steps);
+    got.iter().map(|(name, _)| (name.clone(), reference.array_named(name).data.clone())).collect()
+}
+
+/// The counters every combination must share: kernels compiled, kernel
+/// executions, and every PE's operation counts.
+fn counters(stats: &AggStats) -> (u64, u64, Vec<hpf_stencil::runtime::PeStats>) {
+    (stats.kernels_compiled, stats.kernel_execs, stats.per_pe.clone())
 }
 
 fn grid_strategy() -> impl Strategy<Value = Vec<usize>> {
@@ -61,10 +88,10 @@ fn grid_strategy() -> impl Strategy<Value = Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// The headline invariant of the codegen backend: random stencil
-    /// kernels (shift chains, EOSHIFT boundaries, WHERE masks, accumulation
-    /// statements, time loops) are bitwise-equal across all four
-    /// engine × backend combinations, with identical per-PE counters.
+    /// The headline invariant of the VM: random stencil kernels (shift
+    /// chains, EOSHIFT boundaries, WHERE masks, accumulation statements,
+    /// time loops) are bitwise-equal to the oracle on all four
+    /// engine × backend combinations, with identical counters.
     #[test]
     fn random_kernels_bitwise_equal_across_backends(
         seed in 0u64..1_000_000,
@@ -78,18 +105,18 @@ proptest! {
         let stage = Stage::all()[stage_idx];
         let kernel = Kernel::compile(&src, CompileOptions::upto(stage))
             .unwrap_or_else(|e| panic!("compile failed for:\n{src}\n{e}"));
-        let (base_arrays, base_stats) =
-            run_combo(&kernel, &grid, Engine::Sequential, Backend::Interp, &["T", "S"]);
+        let mut base = None;
         for (engine, backend) in COMBOS {
             let (arrays, stats) = run_combo(&kernel, &grid, engine, backend, &["T", "S"]);
             prop_assert_eq!(
-                &base_arrays, &arrays,
-                "{:?}/{:?} differs at stage {:?} grid {:?} for:\n{}",
+                &oracle(&kernel, "U", 1, &arrays), &arrays,
+                "{:?}/{:?} differs from the oracle at stage {:?} grid {:?} for:\n{}",
                 engine, backend, stage, &grid, &src
             );
+            let base = base.get_or_insert_with(|| counters(&stats));
             prop_assert_eq!(
-                &base_stats, &stats,
-                "{:?}/{:?} per-PE counters differ at stage {:?} for:\n{}",
+                &*base, &counters(&stats),
+                "{:?}/{:?} counters differ at stage {:?} for:\n{}",
                 engine, backend, stage, &src
             );
         }
@@ -100,10 +127,12 @@ proptest! {
 fn problem9_bitwise_equal_every_stage_and_combo() {
     for stage in Stage::all() {
         let kernel = Kernel::compile(&presets::problem9(16), CompileOptions::upto(stage)).unwrap();
-        let base = run_combo(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, &["T"]);
+        let mut base = None;
         for (engine, backend) in COMBOS {
-            let got = run_combo(&kernel, &[2, 2], engine, backend, &["T"]);
-            assert_eq!(base, got, "{engine:?}/{backend:?} differs at stage {stage:?}");
+            let (got, stats) = run_combo(&kernel, &[2, 2], engine, backend, &["T"]);
+            let at = format!("{engine:?}/{backend:?} at stage {stage:?}");
+            assert_eq!(oracle(&kernel, "U", 1, &got), got, "{at} differs from the oracle");
+            assert_eq!(*base.get_or_insert_with(|| counters(&stats)), counters(&stats), "{at}");
         }
     }
 }
@@ -113,7 +142,9 @@ fn lint_dirty_kernel_takes_fallback_yet_stays_bitwise_equal() {
     // Deleting an OVERLAP_SHIFT makes the kernel halo-unsafe (HS001). All
     // engines still execute the *same* broken node program — results agree
     // bitwise across every combination (they are wrong relative to the
-    // source semantics, but identically so).
+    // source semantics, but identically so). The oracle describes the
+    // source, not this node program, so the combinations are compared with
+    // one another.
     let mut kernel = Kernel::compile(&presets::problem9(16), CompileOptions::full()).unwrap();
     assert!(kernel.drop_overlap_shift(0), "Problem 9 has shifts to drop");
     assert!(
@@ -123,14 +154,15 @@ fn lint_dirty_kernel_takes_fallback_yet_stays_bitwise_equal() {
     let base = run_combo(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, &["T"]);
     for (engine, backend) in COMBOS {
         let got = run_combo(&kernel, &[2, 2], engine, backend, &["T"]);
-        assert_eq!(base, got, "{engine:?}/{backend:?} differs on the lint-dirty kernel");
+        assert_eq!(base.0, got.0, "{engine:?}/{backend:?} differs on the lint-dirty kernel");
+        assert_eq!(counters(&base.1), counters(&got.1), "{engine:?}/{backend:?}");
     }
 }
 
 /// What one [`run_superstep`] call observed.
 struct SuperstepRun {
     /// The gathered outputs.
-    arrays: Vec<(String, Vec<f64>)>,
+    arrays: Arrays,
     /// Supersteps per machine step (0 = fell back to the classic schedule).
     supersteps: u64,
     stats: AggStats,
@@ -154,7 +186,7 @@ fn run_superstep(
     let cfg = hpf_stencil::ExecConfig::new().engine(engine).backend(backend).superstep(k);
     let mut plan = kernel
         .plan(MachineConfig::with_grid(grid.to_vec()))
-        .init(input, |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
+        .init(input, init_u)
         .config(cfg)
         .build()
         .unwrap_or_else(|e| panic!("{engine:?}/{backend:?} ss={k} failed to build: {e}"));
@@ -176,24 +208,21 @@ fn run_superstep(
 #[test]
 fn superstep_depths_bitwise_equal_across_backends() {
     // The deep-halo superstep schedule must be invisible to the results: at
-    // the same logical step count, depths 2, 4 and 8 match the classic depth-1
-    // sequential-interpreter oracle bitwise, on every engine x backend
-    // combination and on uneven grids. What it must change is the
-    // communication: against depth 1 on the same combination, each deeper
-    // schedule at least halves messages and schedule executions, elides
-    // exchanges, recomputes nothing (Problem 9's chain reads only the
-    // exchanged array, so its trapezoids never shrink), and is strictly
-    // cheaper on the SP-2 cost model.
+    // the same logical step count, depths 1, 2, 4 and 8 match the oracle
+    // bitwise, on every engine x backend combination and on uneven grids.
+    // What it must change is the communication: against depth 1 on the
+    // same combination, each deeper schedule at least halves messages and
+    // schedule executions, elides exchanges, recomputes nothing (Problem
+    // 9's chain reads only the exchanged array, so its trapezoids never
+    // shrink), and is strictly cheaper on the SP-2 cost model.
     let kernel = Kernel::compile(&presets::problem9(24), CompileOptions::full()).unwrap();
     for grid in [&[2usize, 2][..], &[3, 2]] {
-        let oracle =
-            run_superstep(&kernel, grid, Engine::Sequential, Backend::Interp, 1, 8, "U", &["T"]);
         let mut classic = Vec::new();
         for k in [1usize, 2, 4, 8] {
             for (i, (engine, backend)) in COMBOS.into_iter().enumerate() {
                 let got = run_superstep(&kernel, grid, engine, backend, k, 8, "U", &["T"]);
                 let at = format!("{engine:?}/{backend:?} ss={k} on grid {grid:?}");
-                assert_eq!(oracle.arrays, got.arrays, "{at} differs");
+                assert_eq!(oracle(&kernel, "U", 8, &got.arrays), got.arrays, "{at} differs");
                 if k == 1 {
                     assert_eq!(got.stats.exchanges_elided, 0, "{at}");
                     classic.push(got);
@@ -232,13 +261,12 @@ fn superstep_time_loop_tiles_in_place_and_stays_bitwise_equal() {
     // the loop body in place (k iterations per exchange), so one machine
     // step still covers the whole loop and iterate counts stay unchanged.
     let kernel = Kernel::compile(&presets::jacobi(16, 4), CompileOptions::full()).unwrap();
-    let oracle =
-        run_superstep(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, 1, 2, "U", &["U"]);
     for k in [2usize, 4] {
         for (engine, backend) in COMBOS {
             let got = run_superstep(&kernel, &[2, 2], engine, backend, k, 2, "U", &["U"]);
             assert_eq!(
-                oracle.arrays, got.arrays,
+                oracle(&kernel, "U", 2, &got.arrays),
+                got.arrays,
                 "{engine:?}/{backend:?} ss={k} differs on the time loop"
             );
             assert!(
@@ -254,18 +282,17 @@ fn superstep_ineligible_kernel_falls_back_with_diagnostic() {
     // image_blur reads through EOSHIFT (value-dependent boundaries), which
     // the coverage analysis rejects (SS002): a depth-4 request must fall
     // back to the classic schedule, say so in the diagnostics, and still
-    // match the classic oracle bitwise on every combination.
+    // match the oracle bitwise on every combination.
     let kernel = Kernel::compile(&presets::image_blur(12, 4), CompileOptions::full()).unwrap();
     let diags = hpf_stencil::exec::superstep_diags(&kernel.compiled.node, 4);
     assert!(
         diags.iter().any(|d| d.code == "SS002"),
         "EOSHIFT kernel must be rejected with SS002: {diags:?}"
     );
-    let oracle =
-        run_superstep(&kernel, &[2, 2], Engine::Sequential, Backend::Interp, 1, 2, "IMG", &["OUT"]);
     for (engine, backend) in COMBOS {
         let got = run_superstep(&kernel, &[2, 2], engine, backend, 4, 2, "IMG", &["OUT"]);
-        assert_eq!(oracle.arrays, got.arrays, "{engine:?}/{backend:?} fallback differs");
+        let want = oracle(&kernel, "IMG", 2, &got.arrays);
+        assert_eq!(want, got.arrays, "{engine:?}/{backend:?} fallback differs");
         assert_eq!(got.supersteps, 0, "{engine:?}/{backend:?} must fall back to classic");
     }
 }
@@ -273,42 +300,39 @@ fn superstep_ineligible_kernel_falls_back_with_diagnostic() {
 #[test]
 fn bytecode_backend_reports_kernel_counters() {
     let kernel = Kernel::compile(&presets::problem9(12), CompileOptions::full()).unwrap();
-    let run = kernel
-        .plan(MachineConfig::sp2_2x2())
-        .init("U", |p| (p[0] + p[1]) as f64)
-        .backend(Backend::Bytecode)
-        .run()
-        .unwrap();
-    let st = run.stats();
     // One nest and one layout on the dividing 2x2 grid: compiled once, and
-    // one sweep runs it on each of the 4 PEs.
-    assert_eq!(st.kernels_compiled, 1, "one kernel per nest and layout");
-    assert_eq!(st.kernel_execs, 4, "one execution per nest, PE and step");
-    // The interpreter backend never touches these counters.
-    let run =
-        kernel.plan(MachineConfig::sp2_2x2()).init("U", |p| (p[0] + p[1]) as f64).run().unwrap();
-    assert_eq!(run.stats().kernels_compiled, 0);
-    assert_eq!(run.stats().kernel_execs, 0);
+    // one sweep runs it on each of the 4 PEs — under either backend spelling.
+    for backend in [Backend::Bytecode, Backend::Interp] {
+        let run = kernel
+            .plan(MachineConfig::sp2_2x2())
+            .init("U", |p| (p[0] + p[1]) as f64)
+            .backend(backend)
+            .run()
+            .unwrap();
+        let st = run.stats();
+        assert_eq!(st.kernels_compiled, 1, "{backend:?}: one kernel per nest and layout");
+        assert_eq!(st.kernel_execs, 4, "{backend:?}: one execution per nest, PE and step");
+    }
 }
 
 /// One kernel per nest and layout, not per PE: Problem 9 at N=64 on the
 /// non-dividing 3x3 grid has subgrids of 22, 22 and 20 cells per dimension,
 /// four layouts, so its one nest compiles four times for nine PEs — and
-/// every engine still computes the interpreter's bits and counters.
+/// every combination computes the oracle's bits and the same counters.
 #[test]
 fn non_dividing_grid_compiles_one_kernel_per_layout() {
     let kernel = Kernel::compile(&presets::problem9(64), CompileOptions::full()).unwrap();
     let grid = [3, 3];
-    let (want, want_stats) = run_combo(&kernel, &grid, Engine::Sequential, Backend::Interp, &["T"]);
-    let (u, t) = (kernel.array_id("U").unwrap(), kernel.array_id("T").unwrap());
-    for engine in [Engine::Sequential, Engine::Threaded] {
+    let u = kernel.array_id("U").unwrap();
+    let mut base = None;
+    for (engine, backend) in COMBOS {
         let run = kernel
             .plan(MachineConfig::with_grid(grid.to_vec()))
-            .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
+            .init("U", init_u)
             .engine(engine)
-            .backend(Backend::Bytecode)
-            .run()
-            .unwrap();
+            .backend(backend)
+            .run_verified(&["T"], 0.0)
+            .unwrap_or_else(|e| panic!("{engine:?}/{backend:?}: {e}"));
         let mut layouts: Vec<(Vec<usize>, usize)> = (run.machine.pes.iter())
             .map(|pe| (pe.subgrid(u).strides().to_vec(), pe.subgrid(u).raw().len()))
             .collect();
@@ -316,11 +340,9 @@ fn non_dividing_grid_compiles_one_kernel_per_layout() {
         layouts.dedup();
         assert_eq!(layouts.len(), 4, "22, 22, 20 cells per dimension");
         let st = run.stats();
-        assert_eq!(st.kernels_compiled, 4, "{engine:?}: one kernel per layout");
-        assert_eq!(st.kernel_execs, 9, "{engine:?}: one execution per PE");
-        let got = run.machine.gather(t);
-        assert!(got.iter().zip(&want[0].1).all(|(a, b)| a.to_bits() == b.to_bits()), "{engine:?}");
-        assert_eq!(st.per_pe, want_stats, "{engine:?}");
+        assert_eq!(st.kernels_compiled, 4, "{engine:?}/{backend:?}: one kernel per layout");
+        assert_eq!(st.kernel_execs, 9, "{engine:?}/{backend:?}: one execution per PE");
+        assert_eq!(*base.get_or_insert_with(|| st.per_pe.clone()), st.per_pe, "{engine:?}");
     }
 }
 
@@ -328,21 +350,21 @@ fn non_dividing_grid_compiles_one_kernel_per_layout() {
 fn bytecode_plan_compiles_once_and_reuses_across_steps() {
     let kernel = Kernel::compile(&presets::jacobi(16, 1), CompileOptions::full()).unwrap();
     let init = |p: &[i64]| ((p[0] * 5 + p[1] * 3) as f64).sin();
-    let mut plan = kernel
-        .plan(MachineConfig::sp2_2x2())
-        .init("U", init)
-        .backend(Backend::Bytecode)
-        .build()
-        .unwrap();
-    plan.iterate(5);
-    let st = plan.stats();
-    // Jacobi's one nest (its copy-back rotates) and one layout: compiled once
-    // at build; each of the 5 steps runs it on every one of the 4 PEs.
-    assert_eq!(st.kernels_compiled, 1);
-    assert_eq!(st.kernel_execs, 5 * 4);
-    // And the stepped state matches an interpreter-backend plan bitwise.
-    let mut plan_i = kernel.plan(MachineConfig::sp2_2x2()).init("U", init).build().unwrap();
-    plan_i.iterate(5);
-    assert_eq!(plan.gather("U").unwrap(), plan_i.gather("U").unwrap());
-    assert_eq!(plan.stats().per_pe, plan_i.stats().per_pe);
+    let want = kernel.oracle().init("U", init).run_steps(5);
+    let mut per_pe = Vec::new();
+    for backend in [Backend::Bytecode, Backend::Interp] {
+        let mut plan =
+            kernel.plan(MachineConfig::sp2_2x2()).init("U", init).backend(backend).build().unwrap();
+        plan.iterate(5);
+        let st = plan.stats();
+        // Jacobi's one nest (its copy-back rotates) and one layout:
+        // compiled once at build; each of the 5 steps runs it on every one
+        // of the 4 PEs.
+        assert_eq!(st.kernels_compiled, 1, "{backend:?}");
+        assert_eq!(st.kernel_execs, 5 * 4, "{backend:?}");
+        // And the stepped state is the oracle's, bitwise.
+        assert_eq!(plan.gather("U").unwrap(), want.array_named("U").data, "{backend:?}");
+        per_pe.push(st.per_pe);
+    }
+    assert_eq!(per_pe[0], per_pe[1]);
 }

@@ -4,7 +4,9 @@
 //! (repeated stores to one element, loads between stores, reductions into
 //! the loaded array) that the named kernels never produce.
 
-use hpf_stencil::exec::nest::exec_nest;
+mod common;
+
+use common::interp::exec_nest;
 use hpf_stencil::ir::{ArrayDecl, ArrayId, BinOp, Distribution, Rsd, Section, Shape, ShiftKind};
 use hpf_stencil::passes::loopir::{Instr, LoopNest};
 use hpf_stencil::passes::memopt;
@@ -102,8 +104,8 @@ fn body_strategy() -> impl Strategy<Value = Vec<Instr>> {
                 defined.push(dst);
                 out.push(instr);
             }
-            // Make sure there is at least one array access so exec_nest can
-            // derive the geometry, and one store so the body is observable.
+            // Make sure there is at least one array access so the nest has a
+            // geometry, and one store so the body is observable.
             out.push(Instr::Load { dst: n, array: A, offsets: [0, 0].into() });
             out.push(Instr::Store { array: B, offsets: [0, 0].into(), src: n });
             out

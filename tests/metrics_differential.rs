@@ -23,6 +23,10 @@ const COMBOS: [(Engine, Backend); 4] = [
     (Engine::Threaded, Backend::Bytecode),
 ];
 
+fn init(p: &[i64]) -> f64 {
+    ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin()
+}
+
 /// Step the kernel `steps` times under `cfg`, initializing `input`;
 /// return the gathered `out` array, the per-PE counters, and the metrics
 /// snapshot (when on).
@@ -35,7 +39,7 @@ fn run_case(
 ) -> (Vec<f64>, Vec<PeStats>, Option<MetricsSnapshot>) {
     let mut plan = kernel
         .plan(MachineConfig::sp2_2x2())
-        .init(input, |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
+        .init(input, init)
         .config(cfg)
         .build()
         .unwrap_or_else(|e| panic!("{cfg:?} failed to build: {e}"));
@@ -46,16 +50,18 @@ fn run_case(
     (data, stats, snap)
 }
 
-/// Metrics on vs off is invisible to the computation: bitwise-identical
-/// arrays and identical per-PE counters across the whole engine × backend
+/// Metrics on vs off is invisible to the computation: the oracle's arrays,
+/// bitwise, and identical per-PE counters across the whole engine × backend
 /// matrix.
 #[test]
 fn metrics_never_perturb_execution() {
     let kernel = Kernel::compile(&presets::problem9(24), CompileOptions::full()).unwrap();
+    let want = kernel.oracle().init("U", init).run_steps(3).array_named("T").data.clone();
     for (engine, backend) in COMBOS {
         let base = ExecConfig::new().engine(engine).backend(backend);
         let (out_off, stats_off, snap_off) = run_case(&kernel, "U", "T", base, 3);
         let (out_on, stats_on, snap_on) = run_case(&kernel, "U", "T", base.metrics(true), 3);
+        assert_eq!(want, out_off, "unmetered run is not the oracle's under {engine:?}/{backend:?}");
         assert_eq!(out_off, out_on, "metered run diverged bitwise under {engine:?}/{backend:?}");
         assert_eq!(
             stats_off, stats_on,

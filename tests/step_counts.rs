@@ -8,7 +8,7 @@
 
 use hpf_bench::workload::{generate, WorkloadSpec};
 use hpf_stencil::codegen::CompiledNest;
-use hpf_stencil::exec::nest::{expand_bounds, nest_local_bounds};
+use hpf_stencil::exec::nest::expand_bounds;
 use hpf_stencil::exec::plan::PlanItem;
 use hpf_stencil::exec::{superstep_halo, ExecPlan};
 use hpf_stencil::passes::loopir::{Instr, LoopNest, NodeProgram};
@@ -116,24 +116,24 @@ fn count_transfers(sched: &CompiledComm, times: u64, out: &mut Recount) {
     }
 }
 
-/// Count every PE's sweep of `nest`, over its owned box or, given
+/// Count every PE's sweep of `nest`, over its kernel's owned box or, given
 /// `expand`, the expanded one, whose points beyond the owned box are
-/// redundant; each PE with a compiled kernel runs it once per sweep.
+/// redundant; each PE runs its kernel once per sweep.
 fn count_nest(
     machine: &Machine,
     nest: &LoopNest,
-    kernels: &[Option<CompiledNest>],
+    kernels: &[CompiledNest],
     expand: Option<&[(i64, i64)]>,
     times: u64,
     out: &mut Recount,
 ) {
-    out.kernel_execs += times * kernels.iter().filter(|k| k.is_some()).count() as u64;
-    for (state, counts) in machine.pes.iter().zip(out.per_pe.iter_mut()) {
-        let Some((lo, hi)) = nest_local_bounds(state, nest) else { continue };
-        let owned: u64 = lo.iter().zip(&hi).map(|(&l, &h)| (h - l + 1) as u64).product();
+    out.kernel_execs += times * kernels.len() as u64;
+    for ((state, kernel), counts) in machine.pes.iter().zip(kernels).zip(out.per_pe.iter_mut()) {
+        let Some((lo, hi)) = kernel.local_bounds() else { continue };
+        let owned: u64 = lo.iter().zip(hi).map(|(&l, &h)| (h - l + 1) as u64).product();
         let (lo, hi) = match expand {
-            Some(e) => expand_bounds(state, nest, &lo, &hi, e),
-            None => (lo, hi),
+            Some(e) => expand_bounds(state, nest, lo, hi, e),
+            None => (lo.into(), hi.into()),
         };
         out.redundant += times * (count_box(nest, &lo, &hi, times, counts) - owned);
     }

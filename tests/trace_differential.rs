@@ -1,8 +1,9 @@
 //! Differential testing of the tracing subsystem: recording per-PE event
 //! traces must be **observation only**. For every engine × backend
 //! combination, a traced run and an untraced run of the same kernel must
-//! produce bitwise-identical arrays and identical per-PE operation
-//! counters — the recorder may time the execution but never perturb it.
+//! produce bitwise-identical arrays — the oracle's — and identical per-PE
+//! operation counters: the recorder may time the execution but never
+//! perturb it.
 //! The Chrome `trace_event` export must also be well-formed: it
 //! round-trips through the crate's own JSON parser, and within every
 //! track the event timestamps are monotonically non-decreasing.
@@ -24,7 +25,7 @@ const COMBOS: [(Engine, Backend); 4] = [
 fn run_problem9(kernel: &Kernel, cfg: ExecConfig, steps: usize) -> (Vec<f64>, Vec<PeStats>, Trace) {
     let mut plan = kernel
         .plan(MachineConfig::sp2_2x2())
-        .init("U", |p| ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin())
+        .init("U", init)
         .config(cfg)
         .build()
         .unwrap_or_else(|e| panic!("{cfg:?} failed to build: {e}"));
@@ -35,16 +36,22 @@ fn run_problem9(kernel: &Kernel, cfg: ExecConfig, steps: usize) -> (Vec<f64>, Ve
     (out, stats, trace)
 }
 
-/// Tracing on vs off is invisible to the computation: bitwise-identical
-/// arrays and identical per-PE counters across the whole engine × backend
+fn init(p: &[i64]) -> f64 {
+    ((p[0] * 13 + p[1] * 7) as f64 * 0.03).sin()
+}
+
+/// Tracing on vs off is invisible to the computation: the oracle's arrays,
+/// bitwise, and identical per-PE counters across the whole engine × backend
 /// matrix.
 #[test]
 fn tracing_never_perturbs_execution() {
     let kernel = Kernel::compile(&presets::problem9(24), CompileOptions::full()).unwrap();
+    let want = kernel.oracle().init("U", init).run_steps(3).array_named("T").data.clone();
     for (engine, backend) in COMBOS {
         let base = ExecConfig::new().engine(engine).backend(backend);
         let (out_off, stats_off, trace_off) = run_problem9(&kernel, base, 3);
         let (out_on, stats_on, trace_on) = run_problem9(&kernel, base.trace(true), 3);
+        assert_eq!(want, out_off, "untraced run is not the oracle's under {engine:?}/{backend:?}");
         assert_eq!(out_off, out_on, "traced run diverged bitwise under {engine:?}/{backend:?}");
         assert_eq!(
             stats_off, stats_on,
