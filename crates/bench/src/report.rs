@@ -54,7 +54,7 @@ pub fn run_meta() -> RunMeta {
         host,
         os: std::env::consts::OS.to_string(),
         arch: std::env::consts::ARCH.to_string(),
-        cpus: std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(0),
+        cpus: hpf_core::runtime::cores() as u64,
         git_rev,
         timestamp_unix: SystemTime::now()
             .duration_since(UNIX_EPOCH)

@@ -289,6 +289,10 @@ pub struct Planner<'k> {
 
 impl<'k> Planner<'k> {
     /// Initialize a named input array from a function of its coordinates.
+    /// [`Planner::build`] writes the array as it allocates it, a large one
+    /// on several threads: `f` may run on several threads at once, once per
+    /// point, in no fixed PE order. Naming an array twice keeps the last
+    /// function.
     pub fn init(mut self, name: &str, f: impl Fn(&[i64]) -> f64 + Send + Sync + 'static) -> Self {
         self.inits.push((name.to_string(), std::sync::Arc::new(f)));
         self
@@ -395,10 +399,10 @@ impl<'k> Planner<'k> {
         Ok(plan)
     }
 
-    /// Build the plan: construct the machine, allocate and fill the input
-    /// arrays, allocate every remaining array the kernel references, and
-    /// compile every communication op into a persistent schedule. All
-    /// per-sweep setup cost is paid here, once.
+    /// Build the plan: construct the machine, allocate the input arrays
+    /// with their initial values, allocate every remaining array the kernel
+    /// references, and compile every communication op into a persistent
+    /// schedule. All per-sweep setup cost is paid here, once.
     pub fn build(self) -> Result<Plan<'k>, CoreError> {
         let mut config = self.config;
         let mut exec_cfg = self.exec_cfg;
@@ -439,12 +443,13 @@ impl<'k> Planner<'k> {
                        exec_cfg: &ExecConfig|
          -> Result<(Machine, ExecPlan), CoreError> {
             let mut machine = Machine::new(config);
-            for (name, f) in &self.inits {
+            for (name, _) in &self.inits {
                 let id = self.kernel.array_id(name)?;
                 if !machine.is_allocated(id) {
-                    machine.alloc(id, self.kernel.checked.symbols.array(id))?;
+                    // The last initializer named for an array is the one it gets.
+                    let f = self.inits.iter().rfind(|(n, _)| n == name).map(|(_, f)| &**f as _);
+                    machine.alloc_init(id, self.kernel.checked.symbols.array(id), f)?;
                 }
-                machine.fill(id, |p| f(p));
             }
             machine.reset_stats();
             let exec = ExecPlan::build(&mut machine, node, exec_cfg)?;

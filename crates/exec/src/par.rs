@@ -384,7 +384,7 @@ impl Pool {
     pub(crate) fn start(pes: usize, scheds: &[CompiledComm]) -> Pool {
         // Spinning helps only when the thread being waited for is running:
         // with more PEs than CPUs it would burn the CPU that thread needs.
-        let spin = std::thread::available_parallelism().is_ok_and(|cpus| pes <= cpus.get());
+        let spin = pes <= hpf_runtime::cores();
         let mut seats = Endpoint::fabric(pes, spin).into_iter().map(|ep| {
             let halves = scheds.iter().map(|s| Halves::of(s, ep.pe)).collect();
             Seat { ep, halves }

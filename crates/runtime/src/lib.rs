@@ -38,4 +38,11 @@ pub use error::RtError;
 pub use machine::{ArrayMeta, Machine, MachineConfig, MoveKind, PeState, VmScratch};
 pub use schedule::{CommAction, CompiledComm, CompiledFill, CompiledTransfer, Transfer};
 pub use stats::{AggStats, PeStats};
-pub use subgrid::{StridedBox, Subgrid};
+pub use subgrid::{CellInit, StridedBox, Subgrid};
+
+/// The cores this process may run on (at least 1), asked of the OS once per
+/// process: the query reads cgroup files on every call.
+pub fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}

@@ -7,7 +7,7 @@ use crate::schedule::{
     regions_intersect, CommAction, CompiledComm, CompiledFill, CompiledTransfer, Geometry,
 };
 use crate::stats::{AggStats, PeStats};
-use crate::subgrid::Subgrid;
+use crate::subgrid::{row_values, CellInit, Subgrid};
 use hpf_ir::{ArrayDecl, ArrayId, DimDist, Dims, Section, Shape};
 use hpf_trace::{SpanKind, Trace, Tracer, Track};
 use std::cell::RefCell;
@@ -259,30 +259,58 @@ thread_local! {
     /// given back it either unmaps, so the rebuild pays the page faults, or
     /// keeps as a hole the next request must fit exactly and, after any small
     /// allocation in between, no longer does. Blocks of [`SPARE_MIN`] cells
-    /// and more only. A dropped machine's blocks join the list, which then
-    /// gives up its oldest until it holds at most its cap: twice the large
-    /// storage of the largest machine dropped here. So set-ups that cycle
-    /// through machines of several sizes keep the blocks of all of them.
+    /// and more only, kept empty: the array that takes one back writes each
+    /// of its cells once ([`Subgrid::with_storage`]). A dropped machine's
+    /// blocks join the list, which then gives up its oldest until it holds at
+    /// most its cap: twice the large storage of the largest machine dropped
+    /// here. So set-ups that cycle through machines of several sizes keep
+    /// the blocks of all of them.
     static SPARE: RefCell<(Vec<Vec<f64>>, usize)> = const { RefCell::new((Vec::new(), 0)) };
 }
 
-/// Storage below this many cells (1 MiB) goes back to the allocator.
+/// Storage below this many cells (1 MiB) goes back to the allocator; an
+/// array of this many cells or more is written on every core.
 const SPARE_MIN: usize = 1 << 17;
 
-/// `len` zeros, in a spare block of about that capacity if there is one.
-fn zeroed_storage(len: usize) -> Vec<f64> {
+/// Storage for `len` cells, for [`Subgrid::with_storage`]: an empty spare
+/// block with room for about that many if there is one, else a new
+/// allocation, of `len` zeros when `zeroed` (which the allocator hands out
+/// unwritten) or empty. Always taken on the thread that builds the machine:
+/// what a writing thread allocated would come from that thread's heap.
+fn storage(len: usize, zeroed: bool) -> Vec<f64> {
     let spare = SPARE.with(|spare| {
         let (spare, _) = &mut *spare.borrow_mut();
         let suits = |b: &Vec<f64>| b.capacity() >= len && b.capacity() - len <= len / 16;
         spare.iter().position(suits).map(|i| spare.remove(i))
     });
-    match spare {
-        Some(mut block) => {
-            block.resize(len, 0.0);
-            block
+    spare.unwrap_or_else(|| if zeroed { vec![0.0; len] } else { Vec::with_capacity(len) })
+}
+
+/// `make(pe, block)` of every job on `threads` threads, the calling thread
+/// one of them: the subgrids in job order. A panic in `make` is raised
+/// again here once every thread has stopped.
+fn write_blocks(
+    mut jobs: Vec<(usize, Vec<f64>)>,
+    threads: usize,
+    make: impl Fn(usize, Vec<f64>) -> Subgrid + Sync,
+) -> Vec<Subgrid> {
+    let make = &make;
+    let n = jobs.len();
+    std::thread::scope(|s| {
+        let shares: Vec<_> = (1..threads)
+            .rev()
+            .map(|t| jobs.split_off(t * n / threads))
+            .map(|share| s.spawn(move || share.into_iter().map(|(pe, b)| make(pe, b)).collect()))
+            .collect();
+        let mut subs: Vec<Subgrid> = jobs.into_iter().map(|(pe, b)| make(pe, b)).collect();
+        for share in shares.into_iter().rev() {
+            match share.join() {
+                Ok(more) => subs.extend::<Vec<_>>(more),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-        None => vec![0.0; len],
-    }
+        subs
+    })
 }
 
 impl Drop for Machine {
@@ -413,9 +441,27 @@ impl Machine {
         Ok(Geometry::new(dims, self.cfg.grid))
     }
 
-    /// Allocate a distributed array. All-or-nothing: fails without side
-    /// effects when any PE would exceed its memory budget.
+    /// Allocate a distributed array of zeros ([`Machine::alloc_init`]
+    /// without an initializer).
     pub fn alloc(&mut self, id: ArrayId, decl: &ArrayDecl) -> Result<(), RtError> {
+        self.alloc_init(id, decl, None)
+    }
+
+    /// Allocate a distributed array, writing each cell of every PE's block
+    /// once: an owned cell gets `init` of its 1-based global coordinates, a
+    /// ghost cell `0.0`; without `init` every cell is `0.0`. All-or-nothing:
+    /// fails without side effects when any PE would exceed its memory budget.
+    ///
+    /// An array of 2^17 cells (1 MiB) or more is written on one thread per
+    /// core, up to one per PE, the calling thread among them: `init` may run
+    /// on several threads at once, once per owned point, in no fixed PE
+    /// order. A panic in `init` propagates once every thread has stopped.
+    pub fn alloc_init(
+        &mut self,
+        id: ArrayId,
+        decl: &ArrayDecl,
+        init: Option<&CellInit>,
+    ) -> Result<(), RtError> {
         let idx = id.0 as usize;
         if self.metas.len() > idx && self.metas[idx].is_some() {
             return Err(RtError::AlreadyAllocated(decl.name.clone()));
@@ -442,13 +488,16 @@ impl Machine {
         }
         // Pre-check that a strided box can address every subgrid (under
         // 2^32 cells), and the budgets.
-        let limit = u32::MAX as usize;
-        for pe in 0..self.num_pes() {
-            let bytes = Subgrid::storage_bytes(&geom.extents(pe), self.cfg.halo);
-            let cells = bytes / std::mem::size_of::<f64>();
+        let (limit, halo, pes) = (u32::MAX as usize, self.cfg.halo, self.num_pes());
+        let len = |pe| Subgrid::storage_bytes(&geom.extents(pe), halo) / size_of::<f64>();
+        let mut total = 0;
+        for pe in 0..pes {
+            let cells = len(pe);
             if cells > limit {
                 return Err(RtError::SubgridTooLarge { pe, cells, limit });
             }
+            total += cells;
+            let bytes = cells * size_of::<f64>();
             let (needed, budget) =
                 (self.pes[pe].cur_bytes.saturating_add(bytes), self.cfg.mem_budget);
             if let Some(budget) = budget.filter(|&b| needed > b) {
@@ -458,20 +507,34 @@ impl Machine {
         if self.metas.len() <= idx {
             self.metas.resize(idx + 1, None);
         }
-        for pe in 0..self.num_pes() {
-            let owned = Section::new(geom.owned(pe));
-            let sub = Subgrid::with_storage(owned, self.cfg.halo, zeroed_storage);
-            let st = &mut self.pes[pe];
-            st.cur_bytes += sub.bytes();
-            st.peak_bytes = st.peak_bytes.max(st.cur_bytes);
-            st.stats.allocs += 1;
-            if st.subgrids.len() <= idx {
-                st.subgrids.resize(idx + 1, None);
+        let make =
+            |pe, block| Subgrid::with_storage(Section::new(geom.owned(pe)), halo, block, init);
+        let threads = if total >= SPARE_MIN { crate::cores().min(pes) } else { 1 };
+        if threads > 1 {
+            let jobs = (0..pes).map(|pe| (pe, storage(len(pe), init.is_none()))).collect();
+            for (pe, sub) in write_blocks(jobs, threads, make).into_iter().enumerate() {
+                self.place(idx, pe, sub);
             }
-            st.subgrids[idx] = Some(sub);
+        } else {
+            for pe in 0..pes {
+                let sub = make(pe, storage(len(pe), init.is_none()));
+                self.place(idx, pe, sub);
+            }
         }
         self.metas[idx] = Some(ArrayMeta { name: decl.name.clone(), shape: decl.shape, geom });
         Ok(())
+    }
+
+    /// Install PE `pe`'s block of array `idx` and account for it.
+    fn place(&mut self, idx: usize, pe: usize, sub: Subgrid) {
+        let st = &mut self.pes[pe];
+        st.cur_bytes += sub.bytes();
+        st.peak_bytes = st.peak_bytes.max(st.cur_bytes);
+        st.stats.allocs += 1;
+        if st.subgrids.len() <= idx {
+            st.subgrids.resize(idx + 1, None);
+        }
+        st.subgrids[idx] = Some(sub);
     }
 
     /// Free a distributed array.
@@ -498,18 +561,17 @@ impl Machine {
         self.metas[id.0 as usize].as_ref().unwrap_or_else(|| panic!("array {id:?} not allocated"))
     }
 
-    /// Fill every element from a function of the global coordinates. `f`
-    /// sees every point exactly once, each PE's block in row-major order.
+    /// Overwrite every element of an allocated array from a function of the
+    /// global coordinates, leaving ghost cells as they are. `f` sees every
+    /// point exactly once, each PE's block in row-major order.
     pub fn fill(&mut self, id: ArrayId, f: impl Fn(&[i64]) -> f64) {
         for pe in &mut self.pes {
             let sub = pe.subgrid_mut(id);
             let rows = sub.owned_rows();
             let data = sub.raw_mut();
             rows.for_each(|point, flat, len| {
-                let last = point.len() - 1;
-                for cell in &mut data[flat..flat + len] {
-                    *cell = f(point);
-                    point[last] += 1;
+                for (cell, v) in data[flat..flat + len].iter_mut().zip(row_values(point, len, &f)) {
+                    *cell = v;
                 }
             });
         }
@@ -944,6 +1006,75 @@ mod tests {
         // T has id 1; alloc only T.
         m2.scatter(T, &g);
         assert_eq!(m2.get(T, &[3, 7]), -1.0);
+
+        // An initialized alloc writes what alloc + fill write, bit for bit:
+        // ranks 1 to 3, halos 0 to 3, a PE with an empty block (5 over 4 is
+        // 2 + 2 + 1 + 0), and arrays on both sides of `SPARE_MIN` cells, the
+        // large ones (written on every core) in the spare blocks of a dropped
+        // array of -1.0 with NaN ghosts.
+        let init = |p: &[i64]| p.iter().fold(0.5, |acc, &i| acc * 1.75 + i as f64);
+        let cases: [(&[usize], &[usize], &[usize]); 8] = [
+            (&[15], &[4], &[0, 1, 2, 3]),
+            (&[5], &[4], &[0, 1]),
+            (&[8, 8], &[2, 2], &[0, 1, 2, 3]),
+            (&[9, 5], &[4, 1], &[0, 1]),
+            (&[12, 10, 9], &[2, 2, 1], &[0, 1, 2, 3]),
+            (&[5, 7, 3], &[4, 2, 1], &[0, 1]),
+            (&[600_000], &[4], &[0, 3]),
+            (&[800, 700], &[2, 2], &[1, 3]),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for (shape, grid, halos) in cases {
+            let shape = Shape::new(shape.to_vec());
+            let decl = ArrayDecl::user("U", shape, Distribution::block(shape.rank()));
+            let dense: Vec<f64> = Section::full(&shape).points().map(|p| init(&p)).collect();
+            for &halo in halos {
+                let what = format!("{shape:?} on {grid:?}, halo {halo}");
+                let cfg = MachineConfig::grid(grid.to_vec()).halo(halo);
+                let large = shape.len() >= 4 * SPARE_MIN;
+                // The spare blocks a dropped array leaves, or `None` for a
+                // small one: those go back to the allocator.
+                let stale = || {
+                    let mut m = Machine::new(cfg.clone());
+                    m.alloc(U, &decl).unwrap();
+                    m.fill(U, |_| -1.0);
+                    m.poison_halos(f64::NAN);
+                    drop(m);
+                    large.then(|| SPARE.with(|s| s.borrow().0.iter().map(|b| b.as_ptr()).collect()))
+                };
+                let taken = |m: &Machine, spare: Option<Vec<_>>| {
+                    spare.is_none_or(|s| {
+                        m.pes.iter().all(|pe| s.contains(&pe.subgrid(U).raw().as_ptr()))
+                    })
+                };
+                let spare = stale();
+                let mut want = Machine::new(cfg.clone());
+                want.alloc(U, &decl).unwrap();
+                assert!(taken(&want, spare), "{what}: spare blocks");
+                for pe in &want.pes {
+                    assert!(pe.subgrid(U).raw().iter().all(|c| c.to_bits() == 0), "{what}: zeros");
+                }
+                want.fill(U, init);
+                let spare = stale();
+                let mut m = Machine::new(cfg.clone());
+                m.alloc_init(U, &decl, Some(&init)).unwrap();
+                assert!(taken(&m, spare), "{what}: spare blocks");
+                assert_eq!(bits(&m.gather(U)), bits(&dense), "{what}: gather");
+                for (got, want) in m.pes.iter().zip(&want.pes) {
+                    let (sub, pe) = (got.subgrid(U), got.pe);
+                    assert_eq!(
+                        sub.owned,
+                        Section::new(m.meta(U).geom.owned(pe)),
+                        "{what}: PE {pe}"
+                    );
+                    assert_eq!(bits(sub.raw()), bits(want.subgrid(U).raw()), "{what}: PE {pe}");
+                    let mut owned = vec![false; sub.raw().len()];
+                    sub.owned_rows().for_each(|_, flat, len| owned[flat..flat + len].fill(true));
+                    let mut ghosts = sub.raw().iter().zip(owned).filter(|&(_, o)| !o);
+                    assert!(ghosts.all(|(c, _)| c.to_bits() == 0), "{what}: PE {pe} ghosts");
+                }
+            }
+        }
     }
 
     #[test]

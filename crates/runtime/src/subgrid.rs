@@ -3,6 +3,10 @@
 use crate::schedule::Region;
 use hpf_ir::{Dims, Section};
 
+/// An array initializer: the value of the cell at some 1-based global
+/// coordinates. A large array's blocks are written on several threads.
+pub type CellInit = dyn Fn(&[i64]) -> f64 + Sync;
+
 /// The local piece of a distributed array on one PE, stored with `halo`
 /// ghost layers on every side of every dimension (the *overlap area* of the
 /// paper). Local coordinates are 1-based over the owned extents; ghost cells
@@ -22,22 +26,47 @@ pub struct Subgrid {
 impl Subgrid {
     /// Allocate a zero-filled subgrid for a global owned range.
     pub fn new(owned: Section, halo: usize) -> Self {
-        Subgrid::with_storage(owned, halo, |len| vec![0.0; len])
+        Subgrid::with_storage(owned, halo, Vec::new(), None)
     }
 
-    /// [`Subgrid::new`] on storage of the caller's making: `storage(len)`
-    /// must return `len` zeros.
-    pub fn with_storage(
+    /// A subgrid for a global owned range in `block`, each of its cells
+    /// written once: an owned cell gets `init` of its global coordinates, a
+    /// ghost cell `0.0`, and without `init` every cell is `0.0`. A block of
+    /// exactly the subgrid's length is taken to be a new all-zero allocation
+    /// and, without `init`, left as the allocator handed it out; any other
+    /// block is emptied and written (grown first if it has too little room).
+    pub(crate) fn with_storage(
         owned: Section,
         halo: usize,
-        storage: impl FnOnce(usize) -> Vec<f64>,
+        block: Vec<f64>,
+        init: Option<&CellInit>,
     ) -> Self {
         let ext = Dims::from_fn(owned.rank(), |d| owned.extent(d) as usize);
         let strides = layout_strides(&ext, halo);
         let len = Self::storage_bytes(&ext, halo) / std::mem::size_of::<f64>();
-        let data = storage(len);
-        assert_eq!(data.len(), len, "storage of the wrong length");
-        Subgrid { owned, halo, ext, strides, data }
+        let mut sub = Subgrid { owned, halo, ext, strides, data: Vec::new() };
+        let rows = sub.owned_rows();
+        let mut data = block;
+        match init {
+            None if data.len() == len => {}
+            None => {
+                data.clear();
+                data.resize(len, 0.0);
+            }
+            Some(f) => {
+                data.clear();
+                data.reserve_exact(len);
+                // Rows come in storage order: the ghost cells before each
+                // are zeroed as the walk reaches it, the trailing ones last.
+                rows.for_each(|point, flat, n| {
+                    data.resize(flat, 0.0);
+                    data.extend(row_values(point, n, f));
+                });
+                data.resize(len, 0.0);
+            }
+        }
+        sub.data = data;
+        sub
     }
 
     /// Bytes of storage a subgrid of owned extents `ext` with `halo` ghost
@@ -218,6 +247,21 @@ impl OwnedRows {
             }
         }
     }
+}
+
+/// The values `f` gives the `len` cells of a row that starts at `point`,
+/// which it advances along the last dimension as it goes.
+pub(crate) fn row_values<'a>(
+    point: &'a mut [i64],
+    len: usize,
+    f: impl Fn(&[i64]) -> f64 + 'a,
+) -> impl Iterator<Item = f64> + 'a {
+    let last = point.len() - 1;
+    (0..len).map(move |_| {
+        let v = f(point);
+        point[last] += 1;
+        v
+    })
 }
 
 /// A rectangular region of one subgrid's storage as an O(rank) descriptor:

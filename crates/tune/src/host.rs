@@ -34,11 +34,8 @@ use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// The cores the threaded engine's spin rule counts (its
-/// `available_parallelism`), at least 1.
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+/// The cores the threaded engine's spin rule counts, at least 1.
+pub use hpf_runtime::cores;
 
 /// This process's host profile: calibrated on the first call, then shared.
 pub fn profile() -> HostProfile {

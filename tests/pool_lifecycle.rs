@@ -62,6 +62,27 @@ fn worker_threads_follow_the_plan_lifecycle() {
     grew_by(0);
     drop(build(&kernel, [2, 2], threaded));
     grew_by(0);
+    // A sequential build writes an input of a million cells and more on
+    // every core, and leaves no thread behind. An initializer that panics
+    // fails the build with its own message, wherever its point is written
+    // (PE 1 on the calling thread, PE 3 on another), once every thread has
+    // stopped; the next build on this thread is the first one again.
+    {
+        let large = Kernel::compile(&presets::problem9(400), CompileOptions::full()).unwrap();
+        let want = build(&large, [2, 2], ExecConfig::new()).gather("U").unwrap();
+        grew_by(0);
+        for at in [[7, 300], [300, 300]] {
+            let planner = large.plan(MachineConfig::grid([2, 2])).init("U", move |p| {
+                assert!(p != at, "no value at {at:?}");
+                init(p)
+            });
+            let failed = catch_unwind(AssertUnwindSafe(|| planner.build().map(|_| ())));
+            let message = *failed.unwrap_err().downcast::<String>().expect("a message");
+            assert_eq!(message, format!("no value at {at:?}"));
+            grew_by(0);
+            assert_eq!(build(&large, [2, 2], ExecConfig::new()).gather("U").unwrap(), want);
+        }
+    }
     // A one-sweep run hands back the stepped plan, workers and all.
     {
         let plan = kernel.plan(MachineConfig::grid([2, 2])).init("U", init).config(threaded);
